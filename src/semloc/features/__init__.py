@@ -1,21 +1,5 @@
-"""Feature detection, description, matching and image I/O."""
+"""Descriptor matching with Lowe's ratio test."""
 
-from .image_io import read_pgm, write_pgm
-from .detect import AdaptiveDetection, Keypoint, detect, detect_adaptive
-from .describe import DESCRIPTOR_DIM, DescribeResult, describe
 from .match import DEFAULT_RATIO, Match, knn_ratio_match
 
-__all__ = [
-    "AdaptiveDetection",
-    "DEFAULT_RATIO",
-    "DESCRIPTOR_DIM",
-    "DescribeResult",
-    "Keypoint",
-    "Match",
-    "describe",
-    "detect",
-    "detect_adaptive",
-    "knn_ratio_match",
-    "read_pgm",
-    "write_pgm",
-]
+__all__ = ["DEFAULT_RATIO", "Match", "knn_ratio_match"]

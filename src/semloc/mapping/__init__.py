@@ -1,11 +1,6 @@
 """Sparse semantic map: building, retrieval vocabulary, and serialization."""
 
-from .build import (
-    FeatureObservation,
-    MapBuildConfig,
-    MapFrameInput,
-    build_map,
-)
+from .build import MapBuildConfig, MapFrameInput, build_map
 from .sparse_map import (
     MAP_FORMAT_VERSION,
     Keyframe,
@@ -21,12 +16,12 @@ from .vocabulary import (
     bow_vector,
     build_vocabulary,
     cosine_similarity,
+    rank_by_similarity,
 )
 
 __all__ = [
     "DEFAULT_VOCABULARY_K",
     "MAP_FORMAT_VERSION",
-    "FeatureObservation",
     "Keyframe",
     "Landmark",
     "MapBuildConfig",
@@ -39,5 +34,6 @@ __all__ = [
     "cosine_similarity",
     "load_map",
     "query_candidates",
+    "rank_by_similarity",
     "save_map",
 ]

@@ -8,44 +8,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateGeometryError, InsufficientDataError
-from ..features.detect import detect_adaptive
-from ..features.describe import describe
 from ..features.match import DEFAULT_RATIO, knn_ratio_match
 from ..geometry.pose import CameraIntrinsics, Pose, project
 from ..geometry.triangulate import triangulate_two_view
 from ..semantics.boxes import DetectionSet
 from ..semantics.classes import ClassRegistry
 from ..semantics.filtering import match_per_class
-from ..semantics.labeling import label_keypoints
-from ..semantics.masking import build_mask
+from ..semantics.labeling import FeatureObservation, extract_frame_features
 from .sparse_map import Keyframe, Landmark, SparseMap
 from .vocabulary import (
     DEFAULT_VOCABULARY_K,
     bow_vector,
     build_vocabulary,
-    cosine_similarity,
+    rank_by_similarity,
 )
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass
-class FeatureObservation:
-    """Features supplied directly (synthetic frames skip image processing)."""
-
-    keypoints: np.ndarray  # (n, 2) pixel coordinates
-    descriptors: np.ndarray  # (n, d)
-
-    def __post_init__(self):
-        self.keypoints = np.asarray(self.keypoints, dtype=float).reshape(-1, 2)
-        self.descriptors = np.atleast_2d(np.asarray(self.descriptors, dtype=float))
-        if len(self.keypoints) != len(self.descriptors):
-            raise InsufficientDataError("keypoint/descriptor counts disagree")
-
-
-@dataclass
 class MapFrameInput:
-    observation: "np.ndarray | FeatureObservation"  # image or ready-made features
+    observation: FeatureObservation
     pose: Pose  # world->camera
     detections: DetectionSet
     frame_id: int
@@ -53,45 +36,12 @@ class MapFrameInput:
 
 @dataclass
 class MapBuildConfig:
-    semantic: bool = True  # mask to detections and keep labeled features only
+    semantic: bool = True  # keep only labeled features (those inside detections)
     vocabulary_k: int = DEFAULT_VOCABULARY_K
     vocabulary_seed: int = 0
     match_ratio: float = DEFAULT_RATIO
     max_reprojection_px: float = 2.0  # triangulation acceptance threshold
     retrieved_pairs: int = 2  # extra non-consecutive pairs per frame
-    min_features: int = 1000  # adaptive detection range for image frames
-    max_features: int = 5000
-
-
-@dataclass
-class _FrameFeatures:
-    coordinates: np.ndarray  # (n, 2)
-    descriptors: np.ndarray  # (n, d)
-    labels: list  # per-feature class id or None
-
-
-def _featurize(frame: MapFrameInput, config: MapBuildConfig) -> _FrameFeatures:
-    obs = frame.observation
-    if isinstance(obs, FeatureObservation):
-        coords = obs.keypoints
-        descriptors = obs.descriptors
-    else:
-        image = np.asarray(obs)
-        mask = build_mask(frame.detections, image.shape) if config.semantic else None
-        detection = detect_adaptive(
-            image, config.min_features, config.max_features, mask=mask
-        )
-        described = describe(image, detection.keypoints)
-        kept = [detection.keypoints[i] for i in described.kept_indices]
-        coords = np.array([[kp.x, kp.y] for kp in kept]).reshape(-1, 2)
-        descriptors = described.descriptors
-    labels = label_keypoints(coords, frame.detections) if len(coords) else []
-    if config.semantic:
-        keep = [i for i, lab in enumerate(labels) if lab is not None]
-        coords = coords[keep]
-        descriptors = descriptors[keep]
-        labels = [labels[i] for i in keep]
-    return _FrameFeatures(coords, descriptors, labels)
 
 
 def _select_pairs(bows: list[dict], retrieved_pairs: int) -> list[tuple[int, int]]:
@@ -99,18 +49,9 @@ def _select_pairs(bows: list[dict], retrieved_pairs: int) -> list[tuple[int, int
     n = len(bows)
     pairs = {(i, i + 1) for i in range(n - 1)}
     for i in range(n):
-        if not bows[i]:
-            continue
-        scored = []
-        for j in range(n):
-            if abs(j - i) <= 1:
-                continue
-            s = cosine_similarity(bows[i], bows[j])
-            if s > 0.0:
-                scored.append((-s, j))
-        scored.sort()
-        for _, j in scored[:retrieved_pairs]:
-            pairs.add((min(i, j), max(i, j)))
+        others = ((j, bows[j]) for j in range(n) if abs(j - i) > 1)
+        ranked = [(j, s) for j, s in rank_by_similarity(bows[i], others) if s > 0.0]
+        pairs.update((min(i, j), max(i, j)) for j, _ in ranked[:retrieved_pairs])
     return sorted(pairs)
 
 
@@ -159,7 +100,9 @@ def build_map(
     if any(f.detections.frame_id != f.frame_id for f in frames):
         logger.debug("detection frame ids differ from frame ids; trusting frame ids")
 
-    features = [_featurize(f, config) for f in frames]
+    features = [
+        extract_frame_features(f.observation, f.detections, config.semantic) for f in frames
+    ]
     total = sum(len(f.descriptors) for f in features)
     if total < 2:
         raise InsufficientDataError("empty map: no features retained from any frame")

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import MapFormatError
 from ..geometry.pose import Pose, quaternion_from_rotation, rotation_from_quaternion
 from ..semantics.classes import ClassRegistry, SemanticClass
-from .vocabulary import Vocabulary
+from .vocabulary import Vocabulary, rank_by_similarity
 
 MAP_FORMAT_VERSION = "1"
 
@@ -20,7 +20,7 @@ class Landmark:
     id: int
     position: np.ndarray  # (3,) meters, map frame
     descriptor: np.ndarray  # unit-normalized
-    class_id: int | None  # None only in maps built without masking
+    class_id: int | None  # None only in maps built with semantic=False
     observation_count: int
 
     def __post_init__(self):
@@ -70,7 +70,6 @@ class SparseMap:
     vocabulary: Vocabulary
     registry: ClassRegistry
     version: str = MAP_FORMAT_VERSION
-    inverted_index: dict[int, list[int]] = field(default_factory=dict)
 
     def __post_init__(self):
         referenced = {i for kf in self.keyframes for i in kf.landmark_ids}
@@ -79,8 +78,6 @@ class SparseMap:
             raise MapFormatError(
                 f"keyframes reference unknown landmark ids {sorted(referenced - known)[:5]}"
             )
-        if not self.inverted_index:
-            self.inverted_index = _invert(self.keyframes)
 
     def landmark_by_id(self, landmark_id: int) -> Landmark:
         if not hasattr(self, "_landmark_lookup"):
@@ -93,31 +90,15 @@ class SparseMap:
         return self._keyframe_lookup[keyframe_id]
 
 
-def _invert(keyframes: list[Keyframe]) -> dict[int, list[int]]:
-    """Word -> sorted keyframe ids; derived from the stored BoW vectors so it
-    can never disagree with them."""
-    index: dict[int, list[int]] = {}
-    for kf in sorted(keyframes, key=lambda k: k.id):
-        for word in kf.bow:
-            index.setdefault(word, []).append(kf.id)
-    return index
-
-
 def query_candidates(sparse_map: SparseMap, query_bow: dict[int, float], n: int) -> list[int]:
     """Top-n keyframe ids by cosine similarity to the query BoW vector.
 
-    Scores accumulate through the inverted index in sorted word order, so the
-    result is bitwise identical to exhaustive scoring; keyframes sharing no
-    word trail with score zero.  Ties break toward the lower keyframe id.
-    An empty query returns no candidates.
+    Keyframes sharing no word trail with score zero.  Ties break toward the
+    lower keyframe id.  An empty query returns no candidates.
     """
     if not query_bow:
         return []
-    scores: dict[int, float] = {kf.id: 0.0 for kf in sparse_map.keyframes}
-    for word in sorted(query_bow):
-        for kf_id in sparse_map.inverted_index.get(word, []):
-            scores[kf_id] += query_bow[word] * sparse_map.keyframe_by_id(kf_id).bow[word]
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    ranked = rank_by_similarity(query_bow, ((kf.id, kf.bow) for kf in sparse_map.keyframes))
     return [kf_id for kf_id, _ in ranked[:n]]
 
 

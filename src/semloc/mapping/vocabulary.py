@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,3 +142,12 @@ def cosine_similarity(a: dict[int, float], b: dict[int, float]) -> float:
     if len(b) < len(a):
         a, b = b, a
     return sum(a[w] * b[w] for w in sorted(a) if w in b)
+
+
+def rank_by_similarity(
+    query_bow: dict[int, float], frames: Iterable[tuple[int, dict[int, float]]]
+) -> list[tuple[int, float]]:
+    """(id, score) for each (id, BoW vector) in frames, by descending cosine
+    similarity to query_bow; ties break toward the lower id."""
+    scored = [(frame_id, cosine_similarity(query_bow, bow)) for frame_id, bow in frames]
+    return sorted(scored, key=lambda item: (-item[1], item[0]))

@@ -1,34 +1,27 @@
-"""Query-frame adapters: raw images or precomputed features plus detections."""
+"""Frame adapters: synthetic frames as query frames or map-building inputs.
+
+The featurizer itself lives in ``semantics.labeling`` and is re-exported here.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..features.describe import describe
-from ..features.detect import detect_adaptive
-from ..mapping.build import FeatureObservation, MapFrameInput
+from ..mapping.build import MapFrameInput
 from ..semantics.boxes import DetectionSet
-from ..semantics.labeling import label_keypoints
-from ..semantics.masking import build_mask
-
-
-@dataclass
-class FrameFeatures:
-    """Per-frame features ready for matching."""
-
-    coordinates: np.ndarray  # (n, 2) pixel positions
-    descriptors: np.ndarray  # (n, d) unit rows
-    labels: list  # class id or None per feature
+from ..semantics.labeling import (  # noqa: F401  re-exported
+    FeatureObservation,
+    FrameFeatures,
+    extract_frame_features,
+)
 
 
 @dataclass
 class QueryFrame:
-    """A frame to localize: an image (or ready-made features) with detections."""
+    """A frame to localize: its keypoints and descriptors with detections."""
 
     frame_id: int
-    observation: "np.ndarray | FeatureObservation"
+    observation: FeatureObservation
     detections: DetectionSet
     timestamp: float = 0.0
 
@@ -50,36 +43,3 @@ def map_frame_from_synthetic(frame) -> MapFrameInput:
         detections=frame.boxes,
         frame_id=frame.frame_id,
     )
-
-
-def extract_frame_features(
-    observation,
-    detections: DetectionSet,
-    masked: bool,
-    min_features: int = 1000,
-    max_features: int = 5000,
-) -> FrameFeatures:
-    """Detect and describe (or pass features through) and label each keypoint.
-
-    With masked=True, detection is restricted to the union of detection boxes
-    and only labeled features are kept; precomputed features are pruned to the
-    labeled subset, which covers exactly the same masked region.
-    """
-    if isinstance(observation, FeatureObservation):
-        coordinates = observation.keypoints
-        descriptors = observation.descriptors
-    else:
-        image = np.asarray(observation)
-        mask = build_mask(detections, image.shape) if masked else None
-        detection = detect_adaptive(image, min_features, max_features, mask=mask)
-        described = describe(image, detection.keypoints)
-        kept = [detection.keypoints[i] for i in described.kept_indices]
-        coordinates = np.array([[kp.x, kp.y] for kp in kept]).reshape(-1, 2)
-        descriptors = described.descriptors
-    labels = label_keypoints(coordinates, detections) if len(coordinates) else []
-    if masked:
-        keep = [i for i, label in enumerate(labels) if label is not None]
-        coordinates = coordinates[keep].reshape(-1, 2)
-        descriptors = descriptors[keep]
-        labels = [labels[i] for i in keep]
-    return FrameFeatures(coordinates, descriptors, labels)

@@ -10,9 +10,9 @@ import numpy as np
 class SemanticMode(enum.Enum):
     """How object detections participate in feature matching.
 
-    BASELINE ignores semantics entirely; PRE masks the image to detected
-    regions before feature detection and matches within each class; POST
-    matches everything first and then discards class-inconsistent pairs.
+    BASELINE ignores semantics entirely; PRE keeps only the features inside
+    detections and matches within each class; POST matches everything first
+    and then discards class-inconsistent pairs.
     """
 
     BASELINE = "baseline"

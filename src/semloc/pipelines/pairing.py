@@ -5,19 +5,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import InsufficientDataError
-from ..mapping.vocabulary import cosine_similarity
+from ..mapping.vocabulary import rank_by_similarity
 
 
 def most_similar(query_bow: dict, frames: Sequence[tuple[int, dict]]) -> int:
     """Frame id with the highest BoW cosine similarity (ties: lowest id)."""
     if not frames:
         raise InsufficientDataError("no frames to pair against")
-    best_id, best_score = None, -1.0
-    for frame_id, bow in frames:
-        score = cosine_similarity(query_bow, bow)
-        if score > best_score or (score == best_score and frame_id < best_id):
-            best_id, best_score = frame_id, score
-    return best_id
+    return rank_by_similarity(query_bow, frames)[0][0]
 
 
 def pair_selection(

@@ -28,8 +28,6 @@ class RelativePoseParams:
     sampson_threshold: float = 5e-4
     min_inliers: int = 15
     seed: int = 0
-    min_features: int = 1000
-    max_features: int = 5000
 
 
 def _empty_points() -> np.ndarray:
@@ -104,14 +102,8 @@ def relative_pose(
     params = params or RelativePoseParams()
     mode = SemanticMode.parse(mode)
     masked = mode is SemanticMode.PRE
-    features_a = extract_frame_features(
-        frame_a.observation, frame_a.detections, masked,
-        params.min_features, params.max_features,
-    )
-    features_b = extract_frame_features(
-        frame_b.observation, frame_b.detections, masked,
-        params.min_features, params.max_features,
-    )
+    features_a = extract_frame_features(frame_a.observation, frame_a.detections, masked)
+    features_b = extract_frame_features(frame_b.observation, frame_b.detections, masked)
 
     def result(
         relative=None,

@@ -31,8 +31,6 @@ class RelocalizationParams:
     inlier_threshold_px: float = 3.0
     min_inliers: int = 12
     seed: int = 0
-    min_features: int = 1000
-    max_features: int = 5000
     refine: bool = True
 
 
@@ -115,7 +113,7 @@ def relocalize(
 ) -> LocalizationResult:
     """Estimate the camera pose of a single frame against a prebuilt map.
 
-    Stages: (pre mode: mask before detection) -> feature extraction ->
+    Stages: feature labeling (pre mode keeps only labeled features) ->
     BoW candidate retrieval -> per-candidate matching (pre: per class;
     post: unrestricted then class-filtered; baseline: unrestricted) ->
     pooled matches -> robust PnP -> refinement on the inliers.  Failures
@@ -135,11 +133,7 @@ def relocalize(
         )
 
     features = extract_frame_features(
-        frame.observation,
-        frame.detections,
-        masked=(mode is SemanticMode.PRE),
-        min_features=params.min_features,
-        max_features=params.max_features,
+        frame.observation, frame.detections, masked=(mode is SemanticMode.PRE)
     )
 
     def failure(reason, total=0, candidates=(), matches=()):

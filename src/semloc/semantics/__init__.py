@@ -1,4 +1,5 @@
-"""Semantic classes, detections, masking, labelling, and class-aware matching."""
+"""Semantic classes, detections, keypoint labelling and featurization, and
+class-aware matching."""
 
 from .boxes import (
     DEFAULT_MIN_CONFIDENCE,
@@ -9,8 +10,12 @@ from .boxes import (
 )
 from .classes import DEFAULT_CLASS_NAMES, REGISTRY_SIZE, ClassRegistry, SemanticClass
 from .filtering import filter_matches_by_class, match_per_class
-from .labeling import label_keypoints
-from .masking import build_mask
+from .labeling import (
+    FeatureObservation,
+    FrameFeatures,
+    extract_frame_features,
+    label_keypoints,
+)
 
 __all__ = [
     "DEFAULT_CLASS_NAMES",
@@ -19,8 +24,10 @@ __all__ = [
     "BoundingBox",
     "ClassRegistry",
     "DetectionSet",
+    "FeatureObservation",
+    "FrameFeatures",
     "SemanticClass",
-    "build_mask",
+    "extract_frame_features",
     "filter_matches_by_class",
     "label_keypoints",
     "load_detections",

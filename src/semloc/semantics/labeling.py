@@ -1,10 +1,36 @@
-"""Assign class labels to keypoints from detection boxes."""
+"""Assign class labels to keypoints from detection boxes, and featurize frames."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from ..errors import InsufficientDataError
 from .boxes import BoundingBox, DetectionSet
+
+
+@dataclass
+class FeatureObservation:
+    """A frame's keypoints and descriptors, row-aligned."""
+
+    keypoints: np.ndarray  # (n, 2) pixel coordinates
+    descriptors: np.ndarray  # (n, d)
+
+    def __post_init__(self):
+        self.keypoints = np.asarray(self.keypoints, dtype=float).reshape(-1, 2)
+        self.descriptors = np.atleast_2d(np.asarray(self.descriptors, dtype=float))
+        if len(self.keypoints) != len(self.descriptors):
+            raise InsufficientDataError("keypoint/descriptor counts disagree")
+
+
+@dataclass
+class FrameFeatures:
+    """Per-frame features ready for matching."""
+
+    coordinates: np.ndarray  # (n, 2) pixel positions
+    descriptors: np.ndarray  # (n, d) unit rows
+    labels: list  # class id or None per feature
 
 
 def label_keypoints(coordinates: np.ndarray, detections: DetectionSet) -> list[int | None]:
@@ -32,3 +58,22 @@ def label_keypoints(coordinates: np.ndarray, detections: DetectionSet) -> list[i
                 break
         labels.append(label)
     return labels
+
+
+def extract_frame_features(
+    observation: FeatureObservation, detections: DetectionSet, masked: bool
+) -> FrameFeatures:
+    """Label each keypoint of a frame with the class of the box that owns it.
+
+    With masked=True only labeled features are kept, i.e. exactly those
+    inside the union of the detection boxes.
+    """
+    coordinates = observation.keypoints
+    descriptors = observation.descriptors
+    labels = label_keypoints(coordinates, detections) if len(coordinates) else []
+    if masked:
+        keep = [i for i, label in enumerate(labels) if label is not None]
+        coordinates = coordinates[keep].reshape(-1, 2)
+        descriptors = descriptors[keep]
+        labels = [labels[i] for i in keep]
+    return FrameFeatures(coordinates, descriptors, labels)

@@ -147,17 +147,26 @@ def load_frame(path: str, registry: ClassRegistry) -> SyntheticFrame:
             )
             for b in raw["boxes"]
         ]
-        return SyntheticFrame(
+        keypoints = np.array(raw["keypoints"], dtype=float).reshape(-1, 2)
+        descriptors = np.array(raw["descriptors"], dtype=float)
+        if descriptors.shape == (0,):
+            descriptors = descriptors.reshape(0, 0)  # no row stores the width
+        frame = SyntheticFrame(
             frame_id=int(raw["id"]),
             timestamp=float(raw["timestamp"]),
             pose=pose,
-            keypoints=np.array(raw["keypoints"], dtype=float).reshape(-1, 2),
-            descriptors=np.atleast_2d(np.array(raw["descriptors"], dtype=float)),
+            keypoints=keypoints,
+            descriptors=descriptors,
             landmark_ids=np.array(raw["landmark_ids"], dtype=int),
             boxes=DetectionSet(int(raw["id"]), boxes),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise WorldGenerationError(f"{path}: malformed frame content ({exc})") from exc
+    if descriptors.ndim != 2 or len(descriptors) != len(keypoints):
+        raise WorldGenerationError(
+            f"{path}: {len(keypoints)} keypoints but descriptors of shape {descriptors.shape}"
+        )
+    return frame
 
 
 def write_dataset(

@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import WorldGenerationError
-from ..features.describe import DESCRIPTOR_DIM
 from ..semantics.classes import DEFAULT_CLASS_NAMES, ClassRegistry
+
+DESCRIPTOR_DIM = 64
 
 # footprint extents (meters, u x v) for each registered class
 _CLASS_EXTENTS = {

@@ -37,9 +37,8 @@ from semloc.geometry import (
     triangulate_two_view,
 )
 from semloc.features.match import knn_ratio_match
-from semloc.mapping.build import FeatureObservation
 from semloc.pipelines import QueryFrame, RelativePoseParams, relative_pose
-from semloc.pipelines.frames import extract_frame_features
+from semloc.pipelines.frames import FeatureObservation, extract_frame_features
 from semloc.semantics.boxes import BoundingBox, DetectionSet
 from semloc.semantics.classes import ClassRegistry
 from semloc.semantics.filtering import filter_matches_by_class

@@ -1,14 +1,19 @@
 """Command-line interface: invocations, outputs, and exit codes."""
 
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from semloc.cli import PAIRS_HEADER, main
 from semloc.evaluation.report import REPORT_HEADER, parse_report
 from semloc.mapping.sparse_map import load_map
+from semloc.semantics import ClassRegistry, DetectionSet, save_detections
+from semloc.simworld import load_frame, save_frame
 from semloc.trajectory_io import read_trajectory
 
 SCENE_INI = """\
@@ -175,6 +180,50 @@ def test_benchmark_command(workspace, tmp_path):
     ]
     assert (out / "report.json").exists()
     assert (out / "trajectories" / "yaw-s0_gt.txt").exists()
+
+
+def _with_empty_frame(source, target):
+    """Copy a dataset split and add a frame that observes no landmark."""
+    shutil.copytree(source, target)
+    registry = ClassRegistry.default()
+    frame = load_frame(str(next((target / "frames").iterdir())), registry)
+    empty = replace(
+        frame,
+        frame_id=999,
+        timestamp=frame.timestamp + 1000.0,
+        keypoints=np.empty((0, 2)),
+        descriptors=np.empty((0, 64)),
+        landmark_ids=np.empty(0, dtype=int),
+        boxes=DetectionSet(999, []),
+    )
+    save_frame(empty, str(target / "frames" / "000999.json"))
+    save_detections(str(target / "annotations" / "000999.json"), empty.boxes)
+    return empty.timestamp
+
+
+def test_a_frame_without_features_does_not_fail_the_dataset(workspace, tmp_path):
+    data = workspace / "data"
+    _with_empty_frame(data / "mapping", tmp_path / "mapping")
+    empty_timestamp = _with_empty_frame(data / "evaluation", tmp_path / "evaluation")
+    assert main([
+        "build-map",
+        "--frames", str(tmp_path / "mapping" / "frames"),
+        "--annotations", str(tmp_path / "mapping" / "annotations"),
+        "--intrinsics", str(tmp_path / "mapping" / "intrinsics.json"),
+        "--out", str(tmp_path / "map.json"),
+    ]) == 0
+    out = tmp_path / "traj.txt"
+    assert main([
+        "relocalize",
+        "--map", str(tmp_path / "map.json"),
+        "--frames", str(tmp_path / "evaluation" / "frames"),
+        "--mode", "baseline",
+        "--out", str(out),
+    ]) == 0
+    entries = read_trajectory(str(out))
+    assert len(entries) == 5
+    failed = [(e.timestamp, e.failure_reason) for e in entries if e.pose is None]
+    assert failed == [(empty_timestamp, "no candidates")]
 
 
 def test_pipeline_failures_exit_2(workspace, tmp_path):

@@ -1,121 +1,8 @@
-"""Feature detection, description, matching, and PGM round-trips."""
+"""Exact nearest-neighbour descriptor matching with the ratio test."""
 
 import numpy as np
-import pytest
 
-from semloc.features import (
-    Keypoint,
-    describe,
-    detect,
-    detect_adaptive,
-    knn_ratio_match,
-    read_pgm,
-    write_pgm,
-)
-from semloc.features.detect import _local_maxima
-
-
-def _blob_image(centers, size=(120, 160), amplitude=200.0, radius=2.0):
-    """Gaussian blobs on black; centers are (x, y) pairs."""
-    h, w = size
-    yy, xx = np.mgrid[0:h, 0:w]
-    img = np.zeros((h, w))
-    for cx, cy in centers:
-        img += amplitude * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * radius**2))
-    return np.clip(img, 0, 255).astype(np.uint8)
-
-
-def test_detect_single_blob_center():
-    img = _blob_image([(80, 60)])
-    kps = detect(img, threshold=1e-8)
-    assert len(kps) == 1
-    # oracle: argmax of an independently computed response map
-    _, resp = _local_maxima(img, 2.0)
-    row, col = np.unravel_index(np.argmax(resp), resp.shape)
-    assert abs(kps[0].x - col) <= 1.0 and abs(kps[0].y - row) <= 1.0
-    assert abs(kps[0].x - 80.0) <= 1.0 and abs(kps[0].y - 60.0) <= 1.0
-
-
-def test_detect_multiple_blobs_sorted_by_response():
-    img = _blob_image([(40, 30), (120, 90), (80, 60)])
-    kps = detect(img, threshold=1e-8)
-    assert len(kps) == 3
-    responses = [k.response for k in kps]
-    assert responses == sorted(responses, reverse=True)
-
-
-def test_detect_threshold_monotonicity():
-    rng = np.random.default_rng(71)
-    centers = [(rng.uniform(10, 150), rng.uniform(10, 110)) for _ in range(25)]
-    img = _blob_image(centers, amplitude=150.0)
-    img = (img * rng.uniform(0.3, 1.0, size=1)).astype(np.uint8)
-    thresholds = sorted(rng.uniform(1e-9, 1e-4, size=8))
-    counts = [len(detect(img, t)) for t in thresholds]
-    assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-
-def test_detect_respects_mask():
-    img = _blob_image([(40, 30), (120, 90)])
-    mask = np.zeros(img.shape, dtype=bool)
-    mask[:, :80] = True  # only the left half
-    kps = detect(img, threshold=1e-8, mask=mask)
-    assert len(kps) == 1
-    assert kps[0].x < 80
-    for kp in kps:
-        assert mask[int(round(kp.y)), int(round(kp.x))]
-
-
-def test_detect_adaptive_hits_range():
-    rng = np.random.default_rng(72)
-    img = (rng.uniform(0, 255, size=(200, 300))).astype(np.uint8)
-    result = detect_adaptive(img, min_count=300, max_count=600)
-    assert result.in_range
-    assert 300 <= len(result.keypoints) <= 600
-    # re-running plain detect at the returned threshold reproduces the count
-    assert len(detect(img, result.threshold)) == len(result.keypoints)
-
-
-def test_detect_adaptive_range_unmet_flag():
-    # ~40 separated blobs: nowhere near 1000 detectable structures
-    rng = np.random.default_rng(73)
-    centers = [(20 + 24 * (i % 6) + rng.uniform(-2, 2), 20 + 22 * (i // 6)) for i in range(36)]
-    img = _blob_image(centers, size=(160, 180))
-    result = detect_adaptive(img, min_count=1000, max_count=5000)
-    assert not result.in_range
-    assert len(result.keypoints) < 1000
-    # closest achievable: everything detectable is returned
-    assert len(result.keypoints) == len(detect(img, 1e-12))
-
-
-def test_describe_translation_invariance():
-    rng = np.random.default_rng(74)
-    patch = rng.uniform(0, 255, size=(24, 24))
-    img = np.zeros((100, 200))
-    img[10:34, 20:44] = patch
-    img[60:84, 120:144] = patch
-    kps = [Keypoint(x=32.0, y=22.0, response=1.0), Keypoint(x=132.0, y=72.0, response=1.0)]
-    result = describe(img.astype(np.uint8), kps)
-    assert len(result.kept_indices) == 2
-    assert np.allclose(result.descriptors[0], result.descriptors[1], atol=1e-12)
-
-
-def test_describe_unit_norm_and_brightness_invariance():
-    rng = np.random.default_rng(75)
-    img = rng.uniform(0, 200, size=(80, 80))
-    kps = [Keypoint(x=40.0, y=40.0, response=1.0)]
-    r1 = describe(img, kps)
-    r2 = describe(np.clip(img * 1.1, 0, 255), kps)
-    assert np.isclose(np.linalg.norm(r1.descriptors[0]), 1.0, atol=1e-12)
-    assert np.allclose(r1.descriptors[0], r2.descriptors[0], atol=1e-3)
-
-
-def test_describe_drops_border_keypoints():
-    img = np.random.default_rng(76).uniform(0, 255, size=(60, 60))
-    kps = [Keypoint(x=0.0, y=0.0, response=1.0), Keypoint(x=30.0, y=30.0, response=1.0)]
-    result = describe(img, kps)
-    assert result.dropped_indices.tolist() == [0]
-    assert result.kept_indices.tolist() == [1]
-    assert result.descriptors.shape == (1, 64)
+from semloc.features import knn_ratio_match
 
 
 def test_knn_ratio_match_against_bruteforce_oracle():
@@ -152,21 +39,3 @@ def test_knn_ratio_needs_two_train():
     query = np.array([[1.0, 0.0]])
     assert knn_ratio_match(query, np.array([[1.0, 0.0]])) == []
     assert knn_ratio_match(np.empty((0, 2)), np.zeros((5, 2))) == []
-
-
-def test_pgm_roundtrip(tmp_path):
-    rng = np.random.default_rng(78)
-    img = rng.integers(0, 256, size=(47, 83), dtype=np.uint8)
-    path = str(tmp_path / "img.pgm")
-    write_pgm(path, img)
-    back = read_pgm(path)
-    assert back.dtype == np.uint8
-    assert np.array_equal(back, img)
-
-
-def test_pgm_rejects_bad_header(tmp_path):
-    path = str(tmp_path / "bad.pgm")
-    with open(path, "wb") as fh:
-        fh.write(b"P2\n3 3\n255\n" + b"\x00" * 9)
-    with pytest.raises(Exception, match="P5"):
-        read_pgm(path)

@@ -9,7 +9,6 @@ import pytest
 from semloc.errors import InsufficientDataError, MapFormatError
 from semloc.geometry import CameraIntrinsics, Pose, project_points
 from semloc.mapping import (
-    FeatureObservation,
     Keyframe,
     Landmark,
     MapBuildConfig,
@@ -22,9 +21,12 @@ from semloc.mapping import (
     cosine_similarity,
     load_map,
     query_candidates,
+    rank_by_similarity,
     save_map,
 )
-from semloc.semantics import BoundingBox, ClassRegistry, DetectionSet
+from semloc.mapping.build import _select_pairs
+from semloc.pipelines import most_similar
+from semloc.semantics import BoundingBox, ClassRegistry, DetectionSet, FeatureObservation
 
 REGISTRY = ClassRegistry.default()
 
@@ -218,6 +220,30 @@ def test_query_empty_bow_and_ties():
     assert query_candidates(sparse_map, bow, n=2) == [1, 3]  # tie -> lower id
 
 
+def test_every_bow_ranking_breaks_exact_ties_toward_the_lower_id():
+    shared = {0: 0.6, 1: 0.8}  # frames 3 and 4 carry it, so they tie exactly
+    bows = [{0: 1.0}, {9: 1.0}, {7: 1.0}, dict(shared), dict(shared), {8: 1.0}, {1: 1.0}]
+    disjoint = {5: 1.0}  # shares no word with any frame
+
+    ranked = rank_by_similarity(bows[0], [(4, bows[4]), (3, bows[3]), (2, bows[2])])
+    assert ranked == [(3, 0.6), (4, 0.6), (2, 0)]
+
+    sparse_map = _map_with_keyframes([_keyframe(i, bow) for i, bow in enumerate(bows)][::-1])
+    assert query_candidates(sparse_map, shared, n=3) == [3, 4, 6]
+    assert query_candidates(sparse_map, bows[0], n=2) == [0, 3]
+    assert query_candidates(sparse_map, disjoint, n=2) == [0, 1]  # all score zero
+
+    frames = [(4, bows[4]), (3, bows[3]), (2, bows[2])]
+    assert most_similar(bows[0], frames) == 3
+    assert most_similar(disjoint, frames) == 2
+
+    # build_map's retrieved pairs: frame 0 ties between 3 and 4 and keeps 3,
+    # frame 6 ties between 3 and 4 and keeps 3; zero-overlap frames gain none
+    consecutive = [(i, i + 1) for i in range(len(bows) - 1)]
+    assert _select_pairs(bows, 1) == sorted(consecutive + [(0, 3), (3, 6), (4, 6)])
+    assert _select_pairs(bows, 10) == sorted(consecutive + [(0, 3), (0, 4), (3, 6), (4, 6)])
+
+
 # --------------------------------------------------------------------------
 # map building
 
@@ -401,7 +427,6 @@ def test_map_round_trip_is_bitwise(tmp_path):
         assert np.array_equal(a.quaternion, b.quaternion)
         assert np.array_equal(a.translation, b.translation)
         assert a.bow == b.bow
-    assert loaded.inverted_index == sparse_map.inverted_index
 
     again = tmp_path / "again.json"
     save_map(loaded, str(again))

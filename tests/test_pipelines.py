@@ -24,8 +24,7 @@ from semloc.pipelines import (
     relative_pose,
     relocalize,
 )
-from semloc.pipelines.frames import FrameFeatures
-from semloc.mapping.build import FeatureObservation
+from semloc.pipelines.frames import FeatureObservation, FrameFeatures
 from semloc.semantics import DetectionSet
 from semloc.simworld import (
     DEFAULT_INTRINSICS,

@@ -1,4 +1,4 @@
-"""Semantic classes, detections, masks, labelling, and class-aware matching."""
+"""Semantic classes, detections, labelling, and class-aware matching."""
 
 import json
 
@@ -14,7 +14,6 @@ from semloc.semantics import (
     ClassRegistry,
     DetectionSet,
     SemanticClass,
-    build_mask,
     filter_matches_by_class,
     label_keypoints,
     load_detections,
@@ -160,58 +159,6 @@ def test_detections_round_trip(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# masks
-
-
-def _mask_oracle(boxes, image_shape):
-    """Per-pixel brute force: a pixel is set iff some box contains it."""
-    height, width = image_shape
-    mask = np.zeros((height, width), dtype=bool)
-    for y in range(height):
-        for x in range(width):
-            mask[y, x] = any(b.contains(x, y) for b in boxes)
-    return mask
-
-
-def test_mask_no_boxes_all_false():
-    mask = build_mask(DetectionSet(0, []), (48, 64))
-    assert not mask.any()
-
-
-def test_mask_full_image_box_all_true():
-    dets = DetectionSet(0, [box("vent", 0, 0, 63, 47)])
-    assert build_mask(dets, (48, 64)).all()
-
-
-def test_mask_overlapping_boxes_match_per_pixel_oracle():
-    dets = DetectionSet(
-        0,
-        [
-            box("vent", 5.5, 3.2, 20.7, 18.9),
-            box("light", 15, 10, 40, 30),
-            box("hatch", 50, 40, 60, 45),
-        ],
-    )
-    mask = build_mask(dets, (48, 64))
-    assert np.array_equal(mask, _mask_oracle(dets.boxes, (48, 64)))
-
-
-def test_mask_edges_inclusive():
-    dets = DetectionSet(0, [box("vent", 10, 10, 20, 20)])
-    mask = build_mask(dets, (48, 64))
-    assert mask[10, 10] and mask[20, 20] and mask[10, 20] and mask[20, 10]
-    assert not mask[9, 10] and not mask[21, 20] and not mask[10, 9] and not mask[10, 21]
-
-
-def test_mask_class_filter_single_and_set():
-    dets = DetectionSet(0, [box("vent", 0, 0, 10, 10), box("light", 20, 20, 30, 30)])
-    vent_only = build_mask(dets, (48, 64), REGISTRY.by_name("vent"))
-    assert vent_only[5, 5] and not vent_only[25, 25]
-    both = build_mask(dets, (48, 64), {REGISTRY.by_name("vent"), REGISTRY.by_name("light")})
-    assert both[5, 5] and both[25, 25]
-
-
-# --------------------------------------------------------------------------
 # labelling
 
 
@@ -286,18 +233,6 @@ def test_label_matches_enumerated_containment_oracle(dets, data):
         ]
     )
     assert label_keypoints(pts, dets) == _label_oracle(pts, dets.boxes)
-
-
-@settings(max_examples=40, deadline=None)
-@given(dets=_random_detections())
-def test_masked_pixels_are_always_labelled(dets):
-    mask = build_mask(dets, (66, 81))
-    ys, xs = np.nonzero(mask)
-    if len(xs) == 0:
-        return
-    pts = np.stack([xs, ys], axis=1).astype(float)
-    labels = label_keypoints(pts, dets)
-    assert all(lab is not None for lab in labels)
 
 
 # --------------------------------------------------------------------------

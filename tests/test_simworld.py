@@ -1,5 +1,6 @@
 """Synthetic world generation, perturbation, trajectories, and observation."""
 
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from semloc.errors import WorldGenerationError
 from semloc.geometry import Pose, project_points, rotation_error_deg
 from semloc.geometry.epipolar import relative_motion
 from semloc.geometry.pose import rotation_from_axis_angle
+from semloc.semantics import FeatureObservation, extract_frame_features
 from semloc.simworld import (
     BODY_TO_CAMERA,
     DEFAULT_INTRINSICS,
@@ -556,6 +558,37 @@ def test_frame_round_trip_bitwise(tmp_path):
     for a, b in zip(loaded.boxes.boxes, frame.boxes.boxes):
         assert (a.x_min, a.y_min, a.x_max, a.y_max) == (b.x_min, b.y_min, b.x_max, b.y_max)
         assert a.semantic_class.id == b.semantic_class.id
+
+
+def test_empty_frame_survives_round_trip(tmp_path):
+    world = generate_world(WorldConfig(), seed=8)
+    away = generate_trajectory(
+        "yaw", TrajectoryParams(center=(50.0, 50.0, 1.5), steps=1, heading_deg=45.0)
+    )[0][1]
+    frame = synthesize_frame(world, away, DEFAULT_INTRINSICS, noise=(0.5, 0.05),
+                             rng=np.random.default_rng(0))
+    path = tmp_path / "frame.json"
+    save_frame(frame, str(path))
+    loaded = load_frame(str(path), world.registry)
+    assert loaded.keypoints.shape == (0, 2)
+    assert loaded.descriptors.shape[0] == 0
+    features = extract_frame_features(
+        FeatureObservation(loaded.keypoints, loaded.descriptors), loaded.boxes, masked=False
+    )
+    assert len(features.coordinates) == len(features.descriptors) == 0
+
+
+def test_frame_with_disagreeing_counts_names_the_file(tmp_path):
+    world = generate_world(WorldConfig(), seed=14)
+    frame = synthesize_frame(world, _looking_at_wall_pose(world), DEFAULT_INTRINSICS,
+                             noise=(0.5, 0.05), rng=np.random.default_rng(4))
+    path = tmp_path / "frame.json"
+    save_frame(frame, str(path))
+    raw = json.loads(path.read_text())
+    raw["descriptors"] = raw["descriptors"][1:]
+    path.write_text(json.dumps(raw))
+    with pytest.raises(WorldGenerationError, match="frame.json.*keypoints but descriptors"):
+        load_frame(str(path), world.registry)
 
 
 def test_trajectory_file_round_trip(tmp_path):
