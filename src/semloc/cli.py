@@ -161,7 +161,7 @@ def _cmd_build_map(args) -> int:
     save_map(sparse_map, args.out)
     logger.info(
         "built map: %d landmarks, %d keyframes",
-        len(sparse_map.landmarks), len(sparse_map.keyframes),
+        len(sparse_map.positions), len(sparse_map.keyframes),
     )
     return 0
 

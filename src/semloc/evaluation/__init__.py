@@ -1,6 +1,6 @@
 """Trajectory metrics, match scoring, reporting, and the synthetic benchmark."""
 
-from .benchmark import SeedOutcome, mean_match_ratio, run_benchmark, synthesize_sequence
+from .benchmark import SeedOutcome, run_benchmark, synthesize_sequence
 from .match_metrics import (
     DEFAULT_SAMPSON_TOL,
     EMPTY_FLAG,
@@ -45,7 +45,6 @@ __all__ = [
     "correct_match_ratio",
     "emit_report",
     "evaluate_pair",
-    "mean_match_ratio",
     "parse_report",
     "run_benchmark",
     "success_rate",

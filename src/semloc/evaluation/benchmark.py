@@ -23,7 +23,7 @@ from ..simworld.synthesize import SyntheticFrame, synthesize_frame
 from ..simworld.trajectory import generate_trajectory
 from ..simworld.world import World, generate_world
 from ..trajectory_io import TrajectoryEntry, write_trajectory
-from .match_metrics import UNDEFINED_FLAG, MatchEvalRecord, MatchRatio, correct_match_ratio
+from .match_metrics import UNDEFINED_FLAG, MatchRatio, correct_match_ratio
 from .report import BenchmarkRecord, emit_report
 from .trajectory_metrics import (
     DEFAULT_POS_TOL_M,
@@ -82,13 +82,9 @@ def _map_for_mode(mode: SemanticMode, semantic_map: SparseMap, full_map: SparseM
 
 
 def _mean_ratio(ratios: Iterable[MatchRatio]) -> float:
+    """Mean correct-match ratio, skipping pairs with undefined ground truth."""
     defined = [r.ratio for r in ratios if UNDEFINED_FLAG not in r.flags]
     return float(np.mean(defined)) if defined else float("nan")
-
-
-def mean_match_ratio(records: list[MatchEvalRecord]) -> float:
-    """Mean correct-match ratio, skipping pairs with undefined ground truth."""
-    return _mean_ratio(r.match_ratio for r in records)
 
 
 def _evaluate_mode(
@@ -130,8 +126,8 @@ def _evaluate_mode(
         matches = match_frames(features, partner_features, mode)
         pair_records.append(
             correct_match_ratio(
-                features.coordinates[[m.query_index for m in matches]],
-                partner_features.coordinates[[m.train_index for m in matches]],
+                features.coordinates[matches.query_index],
+                partner_features.coordinates[matches.train_index],
                 intrinsics,
                 frame.pose,
                 partner.pose,

@@ -1,5 +1,5 @@
-"""Descriptor matching with Lowe's ratio test."""
+"""Descriptor matching with Lowe's ratio test, and the match record it returns."""
 
-from .match import DEFAULT_RATIO, Match, knn_ratio_match
+from .match import DEFAULT_RATIO, knn_ratio_match, match_record
 
-__all__ = ["DEFAULT_RATIO", "Match", "knn_ratio_match"]
+__all__ = ["DEFAULT_RATIO", "knn_ratio_match", "match_record"]

@@ -2,48 +2,43 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.spatial.distance import cdist
 
 DEFAULT_RATIO = 0.7
 
+# One row per match: `query_index` and `train_index` are rows of the matched
+# arrays (for 2d-3d matches `train_index` is the map landmark row), `ratio`
+# is d(best) / d(second best).
+MATCH_DTYPE = np.dtype([("query_index", int), ("train_index", int), ("ratio", float)])
 
-@dataclass
-class Match:
-    query_index: int
-    train_index: int
-    distance: float
-    ratio: float
+
+def match_record(query_index=(), train_index=(), ratio=()) -> np.recarray:
+    """Row-aligned index and ratio arrays as one match record array."""
+    return np.rec.fromarrays([query_index, train_index, ratio], dtype=MATCH_DTYPE)
 
 
 def knn_ratio_match(
     query: np.ndarray, train: np.ndarray, ratio: float = DEFAULT_RATIO
-) -> list[Match]:
+) -> np.recarray:
     """One match per query descriptor passing the strict ratio test.
 
     A match is emitted iff d(best) / d(second best) < ratio; with fewer than
-    two train descriptors no match can pass.  Distances are Euclidean and
-    computed exhaustively.
+    two train descriptors no match can pass, and neither can a query whose
+    two nearest neighbours coincide with it.  Distances are Euclidean and
+    computed exhaustively; matches come in query order.
     """
     query = np.asarray(query, dtype=float)
     train = np.asarray(train, dtype=float)
     if query.shape[0] == 0 or train.shape[0] < 2:
-        return []
+        return match_record()
 
     dist = cdist(query, train)
     order = np.argsort(dist, axis=1, kind="stable")
-    best = order[:, 0]
-    second = order[:, 1]
-    d1 = dist[np.arange(len(query)), best]
-    d2 = dist[np.arange(len(query)), second]
-
-    matches = []
-    for qi in range(len(query)):
-        if d2[qi] <= 0.0:
-            continue  # identical duplicates: fully ambiguous
-        r = d1[qi] / d2[qi]
-        if r < ratio:
-            matches.append(Match(qi, int(best[qi]), float(d1[qi]), float(r)))
-    return matches
+    rows = np.arange(len(query))
+    d1 = dist[rows, order[:, 0]]
+    d2 = dist[rows, order[:, 1]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = d1 / d2
+    keep = (d2 > 0.0) & (r < ratio)  # d2 == 0: identical duplicates, fully ambiguous
+    return match_record(rows[keep], order[keep, 0], r[keep])

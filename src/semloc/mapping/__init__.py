@@ -4,7 +4,6 @@ from .build import MapBuildConfig, MapFrameInput, build_map
 from .sparse_map import (
     MAP_FORMAT_VERSION,
     Keyframe,
-    Landmark,
     SparseMap,
     load_map,
     query_candidates,
@@ -23,7 +22,6 @@ __all__ = [
     "DEFAULT_VOCABULARY_K",
     "MAP_FORMAT_VERSION",
     "Keyframe",
-    "Landmark",
     "MapBuildConfig",
     "MapFrameInput",
     "SparseMap",

@@ -12,10 +12,10 @@ from ..features.match import DEFAULT_RATIO, knn_ratio_match
 from ..geometry.pose import CameraIntrinsics, Pose, project
 from ..geometry.triangulate import triangulate_two_view
 from ..semantics.boxes import DetectionSet
-from ..semantics.classes import ClassRegistry
+from ..semantics.classes import UNLABELED, ClassRegistry
 from ..semantics.filtering import match_per_class
 from ..semantics.labeling import FeatureObservation, extract_frame_features
-from .sparse_map import Keyframe, Landmark, SparseMap
+from .sparse_map import Keyframe, SparseMap
 from .vocabulary import (
     DEFAULT_VOCABULARY_K,
     bow_vector,
@@ -85,11 +85,11 @@ def build_map(
 
     With config.semantic (the default) only features inside labelled
     detections survive, so every landmark carries a class; without it all
-    features participate and landmarks outside detections carry no class.
+    features participate and landmarks outside detections carry UNLABELED.
     Observations of the same physical point (match chains sharing a keypoint)
-    merge into one landmark whose position is the mean of its pairwise
-    triangulations; landmarks that then reproject worse than the build
-    threshold into any observing keyframe are discarded.
+    merge into one landmark, one row of the map's columns, whose position is
+    the mean of its pairwise triangulations; landmarks that then reproject
+    worse than the build threshold into any observing keyframe are discarded.
 
     Raises InsufficientDataError ("empty map") when nothing can be
     triangulated.
@@ -122,20 +122,20 @@ def build_map(
             )
         else:
             matches = knn_ratio_match(fi.descriptors, fj.descriptors, config.match_ratio)
-        for m in matches:
+        for qi, ti in zip(matches.query_index.tolist(), matches.train_index.tolist()):
             try:
                 point, residual = triangulate_two_view(
                     frames[i].pose,
                     frames[j].pose,
-                    fi.coordinates[m.query_index],
-                    fj.coordinates[m.train_index],
+                    fi.coordinates[qi],
+                    fj.coordinates[ti],
                     intrinsics,
                 )
             except DegenerateGeometryError:
                 continue
             if residual >= config.max_reprojection_px:
                 continue
-            edges.append(((i, m.query_index), (j, m.train_index), point))
+            edges.append(((i, qi), (j, ti), point))
 
     if not edges:
         raise InsufficientDataError("empty map: no triangulable matches")
@@ -149,7 +149,7 @@ def build_map(
         chains[merged.find(a)]["nodes"].update((a, b))
         chains[merged.find(a)]["points"].append(point)
 
-    landmarks: list[Landmark] = []
+    positions, descriptors, class_ids, observation_counts = [], [], [], []
     observers: dict[int, list[int]] = {i: [] for i in range(len(frames))}
     for root in sorted(chains):
         chain = chains[root]
@@ -161,8 +161,8 @@ def build_map(
         if norm < 1e-12:
             continue
         descriptor = descriptor / norm
-        node_labels = {features[fi].labels[ki] for fi, ki in nodes}
-        class_id = node_labels.pop() if len(node_labels) == 1 else None
+        node_labels = {int(features[fi].labels[ki]) for fi, ki in nodes}
+        class_id = node_labels.pop() if len(node_labels) == 1 else UNLABELED
 
         ok = True
         for fi, ki in nodes:
@@ -177,20 +177,14 @@ def build_map(
         if not ok:
             continue
 
-        landmark_id = len(landmarks)
-        landmarks.append(
-            Landmark(
-                id=landmark_id,
-                position=position,
-                descriptor=descriptor,
-                class_id=class_id,
-                observation_count=len(nodes),
-            )
-        )
         for fi, _ in nodes:
-            observers[fi].append(landmark_id)
+            observers[fi].append(len(positions))
+        positions.append(position)
+        descriptors.append(descriptor)
+        class_ids.append(class_id)
+        observation_counts.append(len(nodes))
 
-    if not landmarks:
+    if not positions:
         raise InsufficientDataError("empty map: all triangulations failed the gate")
 
     keyframes = [
@@ -198,7 +192,10 @@ def build_map(
         for i in range(len(frames))
     ]
     return SparseMap(
-        landmarks=landmarks,
+        positions=np.array(positions),
+        descriptors=np.array(descriptors),
+        class_ids=np.array(class_ids),
+        observation_counts=np.array(observation_counts),
         keyframes=keyframes,
         vocabulary=vocabulary,
         registry=registry or ClassRegistry.default(),

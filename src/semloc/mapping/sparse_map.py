@@ -1,4 +1,4 @@
-"""Sparse landmark map: storage types, retrieval, and versioned JSON I/O."""
+"""Sparse landmark map: columnar storage, retrieval, and versioned JSON I/O."""
 
 from __future__ import annotations
 
@@ -7,29 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import MapFormatError
+from ..errors import AnnotationError, MapFormatError
 from ..geometry.pose import Pose, quaternion_from_rotation, rotation_from_quaternion
-from ..semantics.classes import ClassRegistry, SemanticClass
+from ..semantics.classes import UNLABELED, ClassRegistry, SemanticClass
 from .vocabulary import Vocabulary, rank_by_similarity
 
 MAP_FORMAT_VERSION = "1"
-
-
-@dataclass
-class Landmark:
-    id: int
-    position: np.ndarray  # (3,) meters, map frame
-    descriptor: np.ndarray  # unit-normalized
-    class_id: int | None  # None only in maps built with semantic=False
-    observation_count: int
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.descriptor = np.asarray(self.descriptor, dtype=float)
-        if self.observation_count < 2:
-            raise MapFormatError(
-                f"landmark {self.id}: triangulated landmarks need >= 2 observations"
-            )
 
 
 @dataclass
@@ -39,12 +22,13 @@ class Keyframe:
     id: int
     quaternion: np.ndarray  # (4,) [qw, qx, qy, qz], world->camera rotation
     translation: np.ndarray  # (3,)
-    landmark_ids: list[int]
+    landmark_ids: np.ndarray  # (m,) rows of the map's landmark columns
     bow: dict[int, float]
 
     def __post_init__(self):
         self.quaternion = np.asarray(self.quaternion, dtype=float)
         self.translation = np.asarray(self.translation, dtype=float)
+        self.landmark_ids = np.asarray(self.landmark_ids, dtype=int)
         if any(w < 0 for w in self.bow.values()):
             raise MapFormatError(f"keyframe {self.id}: negative bag-of-words weight")
 
@@ -54,7 +38,7 @@ class Keyframe:
             id=keyframe_id,
             quaternion=quaternion_from_rotation(pose.rotation),
             translation=pose.translation.copy(),
-            landmark_ids=list(landmark_ids),
+            landmark_ids=landmark_ids,
             bow=dict(bow),
         )
 
@@ -65,24 +49,16 @@ class Keyframe:
 
 @dataclass
 class SparseMap:
-    landmarks: list[Landmark]
+    """Landmarks as columns: landmark id i is row i of every column."""
+
+    positions: np.ndarray  # (N, 3) meters, map frame
+    descriptors: np.ndarray  # (N, d) unit-normalized
+    class_ids: np.ndarray  # (N,) UNLABELED only in maps built with semantic=False
+    observation_counts: np.ndarray  # (N,) keyframes observing each landmark, >= 2
     keyframes: list[Keyframe]
     vocabulary: Vocabulary
     registry: ClassRegistry
     version: str = MAP_FORMAT_VERSION
-
-    def __post_init__(self):
-        referenced = {i for kf in self.keyframes for i in kf.landmark_ids}
-        known = {lm.id for lm in self.landmarks}
-        if not referenced <= known:
-            raise MapFormatError(
-                f"keyframes reference unknown landmark ids {sorted(referenced - known)[:5]}"
-            )
-
-    def landmark_by_id(self, landmark_id: int) -> Landmark:
-        if not hasattr(self, "_landmark_lookup"):
-            self._landmark_lookup = {lm.id: lm for lm in self.landmarks}
-        return self._landmark_lookup[landmark_id]
 
     def keyframe_by_id(self, keyframe_id: int) -> Keyframe:
         if not hasattr(self, "_keyframe_lookup"):
@@ -113,19 +89,26 @@ def save_map(sparse_map: SparseMap, path: str) -> None:
         },
         "landmarks": [
             {
-                "id": lm.id,
-                "p": lm.position.tolist(),
-                "class": lm.class_id,
-                "desc": lm.descriptor.tolist(),
-                "obs": lm.observation_count,
+                "id": i,
+                "p": position,
+                "class": None if class_id == UNLABELED else class_id,
+                "desc": descriptor,
+                "obs": count,
             }
-            for lm in sparse_map.landmarks
+            for i, (position, class_id, descriptor, count) in enumerate(
+                zip(
+                    sparse_map.positions.tolist(),
+                    sparse_map.class_ids.tolist(),
+                    sparse_map.descriptors.tolist(),
+                    sparse_map.observation_counts.tolist(),
+                )
+            )
         ],
         "keyframes": [
             {
                 "id": kf.id,
                 "pose": {"q": kf.quaternion.tolist(), "t": kf.translation.tolist()},
-                "landmarks": kf.landmark_ids,
+                "landmarks": kf.landmark_ids.tolist(),
                 "bow": {str(word): weight for word, weight in sorted(kf.bow.items())},
             }
             for kf in sparse_map.keyframes
@@ -134,6 +117,35 @@ def save_map(sparse_map: SparseMap, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
+
+
+def _landmark_columns(path: str, entries: list, registry: ClassRegistry):
+    """(positions, descriptors, class_ids, observation_counts) of a map file's
+    landmarks; raises MapFormatError naming the file on a broken invariant."""
+    n = len(entries)
+    if [int(e["id"]) for e in entries] != list(range(n)):
+        raise MapFormatError(f"{path}: landmark ids must run 0..{n - 1} in file order")
+    class_ids = [UNLABELED if e["class"] is None else int(e["class"]) for e in entries]
+    counts = [int(e["obs"]) for e in entries]
+    widths = {len(e["desc"]) for e in entries}
+    registered = {c.id for c in registry}
+    for i, e in enumerate(entries):
+        if len(e["p"]) != 3:
+            raise MapFormatError(f"{path}: landmark {i}: position needs 3 values")
+        if counts[i] < 2:
+            raise MapFormatError(
+                f"{path}: landmark {i}: triangulated landmarks need >= 2 observations"
+            )
+        if e["class"] is not None and class_ids[i] not in registered:
+            raise MapFormatError(f"{path}: landmark {i}: class {class_ids[i]} not in registry")
+    if len(widths) > 1:
+        raise MapFormatError(f"{path}: landmark descriptors differ in width {sorted(widths)}")
+    return (
+        np.array([e["p"] for e in entries], dtype=float).reshape(n, 3),
+        np.array([e["desc"] for e in entries], dtype=float).reshape(n, max(widths, default=0)),
+        np.array(class_ids, dtype=int),
+        np.array(counts, dtype=int),
+    )
 
 
 def load_map(path: str) -> SparseMap:
@@ -157,16 +169,9 @@ def load_map(path: str) -> SparseMap:
             centroids=np.array(raw["vocabulary"]["centroids"], dtype=float),
             idf=np.array(raw["vocabulary"]["idf"], dtype=float),
         )
-        landmarks = [
-            Landmark(
-                id=int(e["id"]),
-                position=np.array(e["p"], dtype=float),
-                descriptor=np.array(e["desc"], dtype=float),
-                class_id=None if e["class"] is None else int(e["class"]),
-                observation_count=int(e["obs"]),
-            )
-            for e in raw["landmarks"]
-        ]
+        positions, descriptors, class_ids, counts = _landmark_columns(
+            path, raw["landmarks"], registry
+        )
         keyframes = [
             Keyframe(
                 id=int(e["id"]),
@@ -177,10 +182,20 @@ def load_map(path: str) -> SparseMap:
             )
             for e in raw["keyframes"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AnnotationError, KeyError, TypeError, ValueError) as exc:
         raise MapFormatError(f"{path}: malformed map content ({exc})") from exc
+    for kf in keyframes:
+        unknown = kf.landmark_ids[(kf.landmark_ids < 0) | (kf.landmark_ids >= len(positions))]
+        if len(unknown):
+            raise MapFormatError(
+                f"{path}: keyframe {kf.id} references unknown landmark ids "
+                f"{unknown[:5].tolist()}"
+            )
     return SparseMap(
-        landmarks=landmarks,
+        positions=positions,
+        descriptors=descriptors,
+        class_ids=class_ids,
+        observation_counts=counts,
         keyframes=keyframes,
         vocabulary=vocab,
         registry=registry,

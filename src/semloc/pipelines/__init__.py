@@ -9,7 +9,6 @@ from .frames import (
 )
 from .relocalize import (
     LocalizationResult,
-    PooledMatch,
     RelocalizationParams,
     candidate_matches,
     dedup_matches,
@@ -27,7 +26,6 @@ from .pairing import most_similar, pair_selection
 __all__ = [
     "FrameFeatures",
     "LocalizationResult",
-    "PooledMatch",
     "QueryFrame",
     "RelativePoseParams",
     "RelativePoseResult",

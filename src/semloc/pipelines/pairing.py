@@ -15,17 +15,13 @@ def most_similar(query_bow: dict, frames: Sequence[tuple[int, dict]]) -> int:
     return rank_by_similarity(query_bow, frames)[0][0]
 
 
-def pair_selection(
-    frames: Sequence[tuple[int, dict]], method: str = "bow"
-) -> list[tuple[int, int]]:
+def pair_selection(frames: Sequence[tuple[int, dict]]) -> list[tuple[int, int]]:
     """Pair every frame with its most similar other frame.
 
     `frames` is a sequence of (frame id, BoW vector).  Returns the canonical
     (lower id, higher id) pairs, deduplicated and sorted; mutual best matches
     therefore yield a single pair.  Similarity ties pick the lower frame id.
     """
-    if method != "bow":
-        raise ValueError(f"unknown pairing method: {method!r}")
     if len(frames) < 2:
         raise InsufficientDataError("pair selection needs at least two frames")
     ids = [frame_id for frame_id, _ in frames]

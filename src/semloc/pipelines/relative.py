@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,10 +30,6 @@ class RelativePoseParams:
     seed: int = 0
 
 
-def _empty_points() -> np.ndarray:
-    return np.empty((0, 2))
-
-
 @dataclass(frozen=True)
 class RelativePoseResult:
     frame_id_a: int
@@ -42,17 +38,13 @@ class RelativePoseResult:
     relative: "RelativePose | None"
     matches_used: int
     inlier_count: int
+    matches: np.recarray  # feature matches from a (query_index) to b (train_index)
+    pixels_a: np.ndarray  # (matches_used, 2) pixel coordinates, row-aligned
+    pixels_b: np.ndarray  # with `matches`
     pure_rotation: bool = False
     planar_suspected: bool = False
     failure_reason: "str | None" = None
-    # normalized image coordinates of every pooled match (row-aligned pair)
-    points_a: np.ndarray = field(default_factory=_empty_points)
-    points_b: np.ndarray = field(default_factory=_empty_points)
-    # pixel coordinates of the same matches, row-aligned with points_a/points_b
-    pixels_a: np.ndarray = field(default_factory=_empty_points)
-    pixels_b: np.ndarray = field(default_factory=_empty_points)
-    match_indices: tuple = ()  # (feature index in a, feature index in b) pairs
-    inlier_indices: tuple = ()  # row indices into points_a/points_b
+    inlier_indices: tuple = ()  # rows of `matches`
 
 
 def normalized_coordinates(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -66,7 +58,7 @@ def match_frames(
     features_b: FrameFeatures,
     mode: SemanticMode,
     ratio: float = DEFAULT_RATIO,
-):
+) -> np.recarray:
     """Mode-specific descriptor matching between two frames.
 
     Pre matches class-by-class over its masked features; post matches
@@ -105,19 +97,10 @@ def relative_pose(
     features_a = extract_frame_features(frame_a.observation, frame_a.detections, masked)
     features_b = extract_frame_features(frame_b.observation, frame_b.detections, masked)
 
+    matches = match_frames(features_a, features_b, mode, params.match_ratio)
+
     def result(
-        relative=None,
-        matches_used=0,
-        inlier_count=0,
-        reason=None,
-        points_a=None,
-        points_b=None,
-        pixels_a=None,
-        pixels_b=None,
-        match_indices=(),
-        inlier_indices=(),
-        pure_rotation=False,
-        planar_suspected=False,
+        reason=None, relative=None, inlier_idx=(), pure_rotation=False, planar_suspected=False
     ):
         if reason is not None:
             logger.info(
@@ -129,43 +112,24 @@ def relative_pose(
             frame_id_b=frame_b.frame_id,
             mode=mode,
             relative=relative,
-            matches_used=matches_used,
-            inlier_count=inlier_count,
+            matches_used=len(matches),
+            inlier_count=len(inlier_idx),
             pure_rotation=pure_rotation,
             planar_suspected=planar_suspected,
             failure_reason=reason,
-            points_a=points_a if points_a is not None else _empty_points(),
-            points_b=points_b if points_b is not None else _empty_points(),
-            pixels_a=pixels_a if pixels_a is not None else _empty_points(),
-            pixels_b=pixels_b if pixels_b is not None else _empty_points(),
-            match_indices=tuple(match_indices),
-            inlier_indices=tuple(inlier_indices),
+            matches=matches,
+            pixels_a=features_a.coordinates[matches.query_index],
+            pixels_b=features_b.coordinates[matches.train_index],
+            inlier_indices=tuple(int(i) for i in inlier_idx),
         )
 
     if masked and (len(features_a.coordinates) == 0 or len(features_b.coordinates) == 0):
         return result(reason="no semantic features")
-
-    matches = match_frames(features_a, features_b, mode, params.match_ratio)
-    match_indices = tuple((m.query_index, m.train_index) for m in matches)
-    pixels_a = np.asarray(
-        features_a.coordinates[[m.query_index for m in matches]], dtype=float
-    ).reshape(-1, 2)
-    pixels_b = np.asarray(
-        features_b.coordinates[[m.train_index for m in matches]], dtype=float
-    ).reshape(-1, 2)
-    points_a = normalized_coordinates(pixels_a, intrinsics)
-    points_b = normalized_coordinates(pixels_b, intrinsics)
     if len(matches) < _MIN_PAIR_MATCHES:
-        return result(
-            reason="insufficient matches",
-            matches_used=len(matches),
-            points_a=points_a,
-            points_b=points_b,
-            pixels_a=pixels_a,
-            pixels_b=pixels_b,
-            match_indices=match_indices,
-        )
+        return result(reason="insufficient matches")
 
+    points_a = normalized_coordinates(features_a.coordinates[matches.query_index], intrinsics)
+    points_b = normalized_coordinates(features_b.coordinates[matches.train_index], intrinsics)
     ransac = RansacParams(
         max_iterations=params.max_iterations,
         inlier_threshold=params.sampson_threshold,
@@ -175,15 +139,7 @@ def relative_pose(
     try:
         essential, inliers = ransac_essential(points_a, points_b, ransac)
     except (InsufficientDataError, EstimationFailedError) as exc:
-        return result(
-            reason=str(exc),
-            matches_used=len(matches),
-            points_a=points_a,
-            points_b=points_b,
-            pixels_a=pixels_a,
-            pixels_b=pixels_b,
-            match_indices=match_indices,
-        )
+        return result(reason=str(exc))
 
     inlier_idx = np.asarray(inliers, dtype=int)
     try:
@@ -194,26 +150,9 @@ def relative_pose(
         reason = str(exc)
         return result(
             reason=reason,
-            matches_used=len(matches),
-            inlier_count=int(len(inlier_idx)),
-            points_a=points_a,
-            points_b=points_b,
-            pixels_a=pixels_a,
-            pixels_b=pixels_b,
-            match_indices=match_indices,
-            inlier_indices=(int(i) for i in inlier_idx),
+            inlier_idx=inlier_idx,
             pure_rotation="pure rotation" in reason,
             planar_suspected="ambiguous" in reason,
         )
 
-    return result(
-        relative=relative,
-        matches_used=len(matches),
-        inlier_count=int(len(inlier_idx)),
-        points_a=points_a,
-        points_b=points_b,
-        pixels_a=pixels_a,
-        pixels_b=pixels_b,
-        match_indices=match_indices,
-        inlier_indices=(int(i) for i in inlier_idx),
-    )
+    return result(relative=relative, inlier_idx=inlier_idx)

@@ -8,12 +8,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EstimationFailedError, InsufficientDataError
-from ..features.match import DEFAULT_RATIO, knn_ratio_match
+from ..features.match import DEFAULT_RATIO, knn_ratio_match, match_record
 from ..geometry.pose import CameraIntrinsics, Pose
 from ..geometry.ransac import RansacParams, ransac_pnp
 from ..geometry.refine import refine_pose, reprojection_residuals
 from ..mapping.sparse_map import SparseMap, query_candidates
 from ..mapping.vocabulary import bow_vector
+from ..semantics.classes import UNLABELED
 from ..semantics.filtering import filter_matches_by_class, match_per_class
 from .frames import FrameFeatures, QueryFrame, extract_frame_features
 from .modes import SemanticMode, derive_rng_seed
@@ -35,15 +36,6 @@ class RelocalizationParams:
 
 
 @dataclass(frozen=True)
-class PooledMatch:
-    """A 2d-3d correspondence: query feature index to map landmark id."""
-
-    query_index: int
-    landmark_id: int
-    ratio: float
-
-
-@dataclass(frozen=True)
 class LocalizationResult:
     frame_id: int
     mode: SemanticMode
@@ -51,9 +43,10 @@ class LocalizationResult:
     inlier_count: int
     total_matches: int
     candidate_ids: tuple
+    # pooled 2d-3d matches, deduplicated; train_index is the landmark row
+    matches: np.recarray
     failure_reason: "str | None" = None
-    matches: tuple = ()  # pooled 2d-3d matches, deduplicated
-    inlier_indices: tuple = ()  # indices into `matches`
+    inlier_indices: tuple = ()  # rows of `matches`
     map_fully_labeled: bool = False  # every map landmark carries a class id
 
 
@@ -63,22 +56,18 @@ def candidate_matches(
     mode: SemanticMode,
     ratio: float,
     candidate_ids,
-) -> list[PooledMatch]:
-    """Raw matches pooled across candidate keyframes, before deduplication.
+) -> np.recarray:
+    """Raw matches pooled across candidate keyframes, before deduplication;
+    `train_index` is the map landmark row.
 
     Post-mode output is, per candidate, the class-consistent subset of the
     baseline output for identical inputs (filter-only definition).
     """
-    pairs: list[PooledMatch] = []
+    pooled = []
     for keyframe_id in candidate_ids:
-        keyframe = sparse_map.keyframe_by_id(keyframe_id)
-        landmark_ids = list(keyframe.landmark_ids)
-        if not landmark_ids:
-            continue
-        train = np.array(
-            [sparse_map.landmark_by_id(i).descriptor for i in landmark_ids]
-        )
-        classes = [sparse_map.landmark_by_id(i).class_id for i in landmark_ids]
+        landmark_ids = sparse_map.keyframe_by_id(keyframe_id).landmark_ids
+        train = sparse_map.descriptors[landmark_ids]
+        classes = sparse_map.class_ids[landmark_ids]
         if mode is SemanticMode.PRE:
             matches = match_per_class(
                 features.descriptors, features.labels, train, classes, ratio
@@ -87,21 +76,19 @@ def candidate_matches(
             matches = knn_ratio_match(features.descriptors, train, ratio)
             if mode is SemanticMode.POST:
                 matches = filter_matches_by_class(matches, features.labels, classes)
-        pairs.extend(
-            PooledMatch(m.query_index, landmark_ids[m.train_index], m.ratio)
-            for m in matches
-        )
-    return pairs
+        matches.train_index = landmark_ids[matches.train_index]
+        pooled.append(matches)
+    # np.concatenate returns a plain structured array; view it as a record again
+    return np.concatenate([match_record(), *pooled]).view(np.recarray)
 
 
-def dedup_matches(pairs: list[PooledMatch]) -> list[PooledMatch]:
-    """Best-ratio entry per landmark id, ordered by landmark id."""
-    best: dict[int, PooledMatch] = {}
-    for pair in pairs:
-        current = best.get(pair.landmark_id)
-        if current is None or pair.ratio < current.ratio:
-            best[pair.landmark_id] = pair
-    return [best[key] for key in sorted(best)]
+def dedup_matches(pairs: np.recarray) -> np.recarray:
+    """Best-ratio entry per landmark, ordered by landmark id; on equal ratios
+    the first-pooled entry wins."""
+    order = np.lexsort((np.arange(len(pairs)), pairs.ratio, pairs.train_index))
+    ordered = pairs[order]
+    _, first = np.unique(ordered.train_index, return_index=True)
+    return ordered[first]
 
 
 def relocalize(
@@ -121,11 +108,9 @@ def relocalize(
     """
     params = params or RelocalizationParams()
     mode = SemanticMode.parse(mode)
-    if not sparse_map.keyframes or not sparse_map.landmarks:
+    if not sparse_map.keyframes or not len(sparse_map.positions):
         raise InsufficientDataError("relocalization needs a non-empty map")
-    map_fully_labeled = all(
-        lm.class_id is not None for lm in sparse_map.landmarks
-    )
+    map_fully_labeled = bool(np.all(sparse_map.class_ids != UNLABELED))
     if mode is SemanticMode.BASELINE and map_fully_labeled:
         logger.info(
             "frame %d: baseline mode is matching against a fully labeled map",
@@ -136,17 +121,17 @@ def relocalize(
         frame.observation, frame.detections, masked=(mode is SemanticMode.PRE)
     )
 
-    def failure(reason, total=0, candidates=(), matches=()):
+    def failure(reason, candidates=(), matches=match_record()):
         logger.info("frame %d (%s): %s", frame.frame_id, mode.value, reason)
         return LocalizationResult(
             frame_id=frame.frame_id,
             mode=mode,
             pose=None,
             inlier_count=0,
-            total_matches=total,
+            total_matches=len(matches),
             candidate_ids=tuple(candidates),
             failure_reason=reason,
-            matches=tuple(matches),
+            matches=matches,
             map_fully_labeled=map_fully_labeled,
         )
 
@@ -162,15 +147,10 @@ def relocalize(
         candidate_matches(sparse_map, features, mode, params.match_ratio, candidate_ids)
     )
     if len(pooled) < _MIN_PNP_MATCHES:
-        return failure(
-            "insufficient matches", total=len(pooled), candidates=candidate_ids,
-            matches=pooled,
-        )
+        return failure("insufficient matches", candidate_ids, pooled)
 
-    pixels = features.coordinates[[p.query_index for p in pooled]]
-    points = np.array(
-        [sparse_map.landmark_by_id(p.landmark_id).position for p in pooled]
-    )
+    pixels = features.coordinates[pooled.query_index]
+    points = sparse_map.positions[pooled.train_index]
     ransac = RansacParams(
         max_iterations=params.max_iterations,
         inlier_threshold=params.inlier_threshold_px,
@@ -180,9 +160,7 @@ def relocalize(
     try:
         pose, inliers = ransac_pnp(pixels, points, intrinsics, ransac)
     except (InsufficientDataError, EstimationFailedError) as exc:
-        return failure(
-            str(exc), total=len(pooled), candidates=candidate_ids, matches=pooled
-        )
+        return failure(str(exc), candidate_ids, pooled)
 
     inlier_idx = np.asarray(inliers, dtype=int)
     if params.refine and len(inlier_idx):
@@ -205,7 +183,7 @@ def relocalize(
         total_matches=len(pooled),
         candidate_ids=candidate_ids,
         failure_reason=None,
-        matches=tuple(pooled),
+        matches=pooled,
         inlier_indices=tuple(int(i) for i in inlier_idx),
         map_fully_labeled=map_fully_labeled,
     )

@@ -8,7 +8,13 @@ from .boxes import (
     load_detections,
     save_detections,
 )
-from .classes import DEFAULT_CLASS_NAMES, REGISTRY_SIZE, ClassRegistry, SemanticClass
+from .classes import (
+    DEFAULT_CLASS_NAMES,
+    REGISTRY_SIZE,
+    UNLABELED,
+    ClassRegistry,
+    SemanticClass,
+)
 from .filtering import filter_matches_by_class, match_per_class
 from .labeling import (
     FeatureObservation,
@@ -21,6 +27,7 @@ __all__ = [
     "DEFAULT_CLASS_NAMES",
     "DEFAULT_MIN_CONFIDENCE",
     "REGISTRY_SIZE",
+    "UNLABELED",
     "BoundingBox",
     "ClassRegistry",
     "DetectionSet",

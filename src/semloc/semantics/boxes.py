@@ -40,8 +40,9 @@ class BoundingBox:
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
 
-    def contains(self, x: float, y: float) -> bool:
-        return self.x_min <= x <= self.x_max and self.y_min <= y <= self.y_max
+    def contains(self, x, y):
+        """Inclusive containment of a point, or elementwise of coordinate arrays."""
+        return (self.x_min <= x) & (x <= self.x_max) & (self.y_min <= y) & (y <= self.y_max)
 
 
 @dataclass

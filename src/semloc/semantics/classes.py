@@ -9,6 +9,10 @@ from ..errors import AnnotationError
 
 REGISTRY_SIZE = 8
 
+# class id of a feature or landmark that no detection labels; registries only
+# hold non-negative ids, so it never collides with a real class
+UNLABELED = -1
+
 # stable scene-element classes of the synthetic benchmark
 DEFAULT_CLASS_NAMES = (
     "vent",
@@ -38,6 +42,8 @@ class ClassRegistry:
             )
         ids = [c.id for c in classes]
         names = [c.name for c in classes]
+        if min(ids) < 0:
+            raise AnnotationError(f"class ids must be non-negative, got {min(ids)}")
         if len(set(ids)) != len(ids) or len(set(names)) != len(names):
             raise AnnotationError("class ids and names must be unique")
         self._classes = sorted(classes, key=lambda c: c.id)
@@ -59,7 +65,10 @@ class ClassRegistry:
             classes = [SemanticClass(int(e["id"]), str(e["name"])) for e in raw]
         except (KeyError, TypeError) as exc:
             raise AnnotationError(f"{path}: each entry needs 'id' and 'name'") from exc
-        return cls(classes)
+        try:
+            return cls(classes)
+        except AnnotationError as exc:
+            raise AnnotationError(f"{path}: {exc}") from exc
 
     def to_list(self) -> list[dict]:
         return [{"id": c.id, "name": c.name} for c in self._classes]

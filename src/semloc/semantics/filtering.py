@@ -2,20 +2,19 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from ..features.match import DEFAULT_RATIO, Match, knn_ratio_match
+from ..features.match import DEFAULT_RATIO, knn_ratio_match, match_record
+from .classes import UNLABELED
 
 
 def match_per_class(
     query_descriptors: np.ndarray,
-    query_labels: Sequence[int | None],
+    query_labels: np.ndarray,
     train_descriptors: np.ndarray,
-    train_labels: Sequence[int | None],
+    train_labels: np.ndarray,
     ratio: float = DEFAULT_RATIO,
-) -> list[Match]:
+) -> np.recarray:
     """Run the ratio-test matcher independently inside each class.
 
     Unlabelled descriptors on either side never participate.  The ratio
@@ -26,47 +25,38 @@ def match_per_class(
     """
     query_descriptors = np.asarray(query_descriptors, dtype=float)
     train_descriptors = np.asarray(train_descriptors, dtype=float)
+    query_labels = np.asarray(query_labels, dtype=int)
+    train_labels = np.asarray(train_labels, dtype=int)
     if len(query_labels) != len(query_descriptors):
         raise ValueError("query labels and descriptors disagree in length")
     if len(train_labels) != len(train_descriptors):
         raise ValueError("train labels and descriptors disagree in length")
 
-    classes = sorted(
-        {c for c in query_labels if c is not None} & {c for c in train_labels if c is not None}
-    )
-    matches: list[Match] = []
-    for class_id in classes:
-        q_idx = np.flatnonzero([c == class_id for c in query_labels])
-        t_idx = np.flatnonzero([c == class_id for c in train_labels])
-        for m in knn_ratio_match(
-            query_descriptors[q_idx], train_descriptors[t_idx], ratio=ratio
-        ):
-            matches.append(
-                Match(
-                    query_index=int(q_idx[m.query_index]),
-                    train_index=int(t_idx[m.train_index]),
-                    distance=m.distance,
-                    ratio=m.ratio,
-                )
-            )
-    matches.sort(key=lambda m: (m.query_index, m.train_index))
-    return matches
+    query_index, train_index, ratios = [], [], []
+    for class_id in np.intersect1d(query_labels, train_labels):
+        if class_id == UNLABELED:
+            continue
+        q_idx = np.flatnonzero(query_labels == class_id)
+        t_idx = np.flatnonzero(train_labels == class_id)
+        matches = knn_ratio_match(query_descriptors[q_idx], train_descriptors[t_idx], ratio)
+        query_index.append(q_idx[matches.query_index])
+        train_index.append(t_idx[matches.train_index])
+        ratios.append(matches.ratio)
+    if not ratios:
+        return match_record()
+    query_index, train_index = np.concatenate(query_index), np.concatenate(train_index)
+    order = np.lexsort((train_index, query_index))
+    return match_record(query_index[order], train_index[order], np.concatenate(ratios)[order])
 
 
 def filter_matches_by_class(
-    matches: Sequence[Match],
-    query_labels: Sequence[int | None],
-    train_labels: Sequence[int | None],
-) -> list[Match]:
+    matches: np.recarray, query_labels: np.ndarray, train_labels: np.ndarray
+) -> np.recarray:
     """Keep only matches whose two endpoints are both labelled and agree.
 
     Order-preserving and idempotent; the output is always a subset of the
     input.
     """
-    kept = []
-    for m in matches:
-        ql = query_labels[m.query_index]
-        tl = train_labels[m.train_index]
-        if ql is not None and ql == tl:
-            kept.append(m)
-    return kept
+    ql = np.asarray(query_labels, dtype=int)[matches.query_index]
+    tl = np.asarray(train_labels, dtype=int)[matches.train_index]
+    return matches[(ql != UNLABELED) & (ql == tl)]

@@ -8,6 +8,7 @@ import numpy as np
 
 from ..errors import InsufficientDataError
 from .boxes import BoundingBox, DetectionSet
+from .classes import UNLABELED
 
 
 @dataclass
@@ -30,16 +31,16 @@ class FrameFeatures:
 
     coordinates: np.ndarray  # (n, 2) pixel positions
     descriptors: np.ndarray  # (n, d) unit rows
-    labels: list  # class id or None per feature
+    labels: np.ndarray  # (n,) class id per feature, UNLABELED outside every box
 
 
-def label_keypoints(coordinates: np.ndarray, detections: DetectionSet) -> list[int | None]:
+def label_keypoints(coordinates: np.ndarray, detections: DetectionSet) -> np.ndarray:
     """Label each (x, y) point with the class id of the box that owns it.
 
     coordinates: (N, 2) array of pixel positions.  Containment is inclusive
     of box edges.  When boxes overlap, the smallest-area box wins; area ties
     go to the higher-confidence box, and exact ties after that to the lower
-    class id, so labelling is deterministic.  Points in no box get None.
+    class id, so labelling is deterministic.  Points in no box get UNLABELED.
     """
     coordinates = np.asarray(coordinates, dtype=float)
     if coordinates.ndim != 2 or coordinates.shape[1] != 2:
@@ -48,15 +49,10 @@ def label_keypoints(coordinates: np.ndarray, detections: DetectionSet) -> list[i
     def order_key(box: BoundingBox) -> tuple[float, float, int]:
         return (box.area(), -box.confidence, box.semantic_class.id)
 
-    ranked = sorted(detections.boxes, key=order_key)
-    labels: list[int | None] = []
-    for x, y in coordinates:
-        label: int | None = None
-        for box in ranked:
-            if box.contains(x, y):
-                label = box.semantic_class.id
-                break
-        labels.append(label)
+    x, y = coordinates.T
+    labels = np.full(len(coordinates), UNLABELED)
+    for box in sorted(detections.boxes, key=order_key):
+        labels[(labels == UNLABELED) & box.contains(x, y)] = box.semantic_class.id
     return labels
 
 
@@ -70,10 +66,8 @@ def extract_frame_features(
     """
     coordinates = observation.keypoints
     descriptors = observation.descriptors
-    labels = label_keypoints(coordinates, detections) if len(coordinates) else []
+    labels = label_keypoints(coordinates, detections)
     if masked:
-        keep = [i for i, label in enumerate(labels) if label is not None]
-        coordinates = coordinates[keep].reshape(-1, 2)
-        descriptors = descriptors[keep]
-        labels = [labels[i] for i in keep]
+        keep = labels != UNLABELED
+        coordinates, descriptors, labels = coordinates[keep], descriptors[keep], labels[keep]
     return FrameFeatures(coordinates, descriptors, labels)

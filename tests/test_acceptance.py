@@ -40,7 +40,7 @@ from semloc.features.match import knn_ratio_match
 from semloc.pipelines import QueryFrame, RelativePoseParams, relative_pose
 from semloc.pipelines.frames import FeatureObservation, extract_frame_features
 from semloc.semantics.boxes import BoundingBox, DetectionSet
-from semloc.semantics.classes import ClassRegistry
+from semloc.semantics.classes import UNLABELED, ClassRegistry
 from semloc.semantics.filtering import filter_matches_by_class
 from semloc.semantics.labeling import label_keypoints
 from semloc.simworld.config import PerturbationSpec, SceneConfig
@@ -185,11 +185,11 @@ def _random_frame(rng, classes):
 def _check_premask_purity(observation, detections):
     masked = extract_frame_features(observation, detections, masked=True)
     assert len(masked.coordinates) == len(masked.descriptors) == len(masked.labels)
-    assert all(label is not None for label in masked.labels)
-    assert masked.labels == label_keypoints(masked.coordinates, detections)
+    assert np.all(masked.labels != UNLABELED)
+    assert np.array_equal(masked.labels, label_keypoints(masked.coordinates, detections))
     # masking keeps exactly the labeled subset of the unrestricted extraction
     unmasked = extract_frame_features(observation, detections, masked=False)
-    kept = [i for i, label in enumerate(unmasked.labels) if label is not None]
+    kept = [i for i, label in enumerate(unmasked.labels) if label != UNLABELED]
     assert np.array_equal(masked.coordinates, unmasked.coordinates[kept].reshape(-1, 2))
     return unmasked
 
@@ -220,7 +220,7 @@ def test_semantic_filter_invariants_hold_on_randomized_frames():
         for m in kept:
             label_a = features_a.labels[m.query_index]
             label_b = features_b.labels[m.train_index]
-            assert label_a is not None and label_a == label_b
+            assert label_a != UNLABELED and label_a == label_b
         pair_count += 1
         match_count += len(matches)
         kept_count += len(kept)

@@ -12,7 +12,7 @@ import pytest
 from semloc.cli import PAIRS_HEADER, main
 from semloc.evaluation.report import REPORT_HEADER, parse_report
 from semloc.mapping.sparse_map import load_map
-from semloc.semantics import ClassRegistry, DetectionSet, save_detections
+from semloc.semantics import UNLABELED, ClassRegistry, DetectionSet, save_detections
 from semloc.simworld import load_frame, save_frame
 from semloc.trajectory_io import read_trajectory
 
@@ -102,10 +102,10 @@ def test_simulate_writes_both_datasets(workspace):
 def test_build_map_semantic_flag_controls_labeling(workspace):
     semantic = load_map(str(workspace / "map_semantic.json"))
     full = load_map(str(workspace / "map_full.json"))
-    assert len(semantic.landmarks) > 0
-    assert all(lm.class_id is not None for lm in semantic.landmarks)
-    assert any(lm.class_id is None for lm in full.landmarks)  # clutter kept
-    assert len(full.landmarks) > len(semantic.landmarks)
+    assert len(semantic.positions) > 0
+    assert np.all(semantic.class_ids != UNLABELED)
+    assert np.any(full.class_ids == UNLABELED)  # clutter kept
+    assert len(full.positions) > len(semantic.positions)
 
 
 def test_relocalize_writes_parseable_trajectory(workspace, tmp_path):

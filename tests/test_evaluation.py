@@ -23,12 +23,11 @@ from semloc.evaluation import (
     correct_match_ratio,
     emit_report,
     evaluate_pair,
-    mean_match_ratio,
     parse_report,
     run_benchmark,
     success_rate,
 )
-from semloc.evaluation.match_metrics import MatchEvalRecord
+from semloc.evaluation.benchmark import _mean_ratio
 from semloc.geometry import CameraIntrinsics, Pose, project_points, rotation_from_axis_angle
 from semloc.pipelines import RelativePoseParams, SemanticMode, relative_pose
 from semloc.simworld.config import PerturbationSpec, SceneConfig
@@ -280,21 +279,17 @@ def test_match_ratio_validates_counts():
 
 
 def test_mean_match_ratio_skips_undefined_pairs():
+    # the rule behind report.csv's correct_match_ratio column
     def rec(ratio, flags=frozenset()):
-        return MatchEvalRecord(
-            frame_id_a=0, frame_id_b=1, mode="baseline",
-            match_ratio=MatchRatio(0, 0 if EMPTY_FLAG in flags else 1, ratio, flags),
-            rotation_error_deg=float("nan"), heading_error_deg=float("nan"),
-            localized=False, success=False,
-        )
+        return MatchRatio(0, 0 if EMPTY_FLAG in flags else 1, ratio, flags)
 
     records = [
         rec(0.5),
         rec(float("nan"), frozenset({UNDEFINED_FLAG})),
         rec(0.0, frozenset({EMPTY_FLAG})),  # empty pairs count as zero
     ]
-    assert mean_match_ratio(records) == pytest.approx(0.25)
-    assert math.isnan(mean_match_ratio([rec(float("nan"), frozenset({UNDEFINED_FLAG}))]))
+    assert _mean_ratio(records) == pytest.approx(0.25)
+    assert math.isnan(_mean_ratio([rec(float("nan"), frozenset({UNDEFINED_FLAG}))]))
 
 
 def _frame_pair_results(seed=0):

@@ -31,11 +31,11 @@ def test_knn_ratio_strictness_at_boundary():
     query = np.array([[1.0, 0.0]])
     train = np.array([[1.0 + 0.07, 0.0], [1.0 + 0.1, 0.0]])
     # d1 = 0.07, d2 = 0.1, ratio exactly 0.7
-    assert knn_ratio_match(query, train, ratio=0.7) == []
+    assert len(knn_ratio_match(query, train, ratio=0.7)) == 0
     assert len(knn_ratio_match(query, train, ratio=0.7 + 1e-9)) == 1
 
 
 def test_knn_ratio_needs_two_train():
     query = np.array([[1.0, 0.0]])
-    assert knn_ratio_match(query, np.array([[1.0, 0.0]])) == []
-    assert knn_ratio_match(np.empty((0, 2)), np.zeros((5, 2))) == []
+    assert len(knn_ratio_match(query, np.array([[1.0, 0.0]]))) == 0
+    assert len(knn_ratio_match(np.empty((0, 2)), np.zeros((5, 2)))) == 0

@@ -1,0 +1,94 @@
+"""Package imports inside semloc point down the layer order, never up."""
+
+import ast
+from pathlib import Path
+
+import semloc
+
+PACKAGE_ROOT = Path(semloc.__file__).parent
+
+# lowest first; a module may import its own package and any package listed
+# before it (simworld writes trajectories, so trajectory_io sits below it)
+LAYERS = [
+    "errors",
+    "features",
+    "semantics",
+    "geometry",
+    "trajectory_io",
+    "simworld",
+    "mapping",
+    "pipelines",
+    "evaluation",
+    "cli",
+]
+
+
+def _layer(module: str) -> "str | None":
+    """Top-level semloc package of a dotted module name (None: not semloc's)."""
+    parts = module.split(".")
+    if parts[0] != "semloc":
+        return None
+    return parts[1] if len(parts) > 1 else "semloc"
+
+
+def _upward_imports(relative_path: Path, source: str) -> list[str]:
+    """'importer -> imported' for every import in `source` that points up."""
+    module_parts = ["semloc", *relative_path.with_suffix("").parts]
+    if module_parts[-1] == "__init__":
+        module_parts.pop()
+    package_parts = module_parts if relative_path.name == "__init__.py" else module_parts[:-1]
+    own = _layer(".".join(module_parts))
+
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                imported.append(node.module)
+                continue
+            base = package_parts[: len(package_parts) - (node.level - 1)]
+            imported.append(".".join(base + ([node.module] if node.module else [])))
+
+    upward = []
+    for module in imported:
+        target = _layer(module)
+        if target is None or target == own:
+            continue
+        if target not in LAYERS or LAYERS.index(target) > LAYERS.index(own):
+            upward.append(f"{'.'.join(module_parts)} -> {module}")
+    return upward
+
+
+def test_every_module_belongs_to_a_layer():
+    packages = {
+        path.relative_to(PACKAGE_ROOT).with_suffix("").parts[0]
+        for path in PACKAGE_ROOT.rglob("*.py")
+        if path != PACKAGE_ROOT / "__init__.py"
+    }
+    assert packages == set(LAYERS)
+
+
+def test_package_imports_point_down_the_layer_order():
+    upward = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        if path == PACKAGE_ROOT / "__init__.py":
+            continue
+        upward += _upward_imports(path.relative_to(PACKAGE_ROOT), path.read_text())
+    assert upward == []
+
+
+def test_the_layer_check_sees_relative_absolute_and_local_imports():
+    source = (
+        "from ..errors import SemlocError\n"
+        "from .labeling import label_keypoints\n"
+        "from ..mapping.vocabulary import bow_vector\n"
+        "def f():\n"
+        "    import semloc.cli\n"
+    )
+    assert _upward_imports(Path("semantics/filtering.py"), source) == [
+        "semloc.semantics.filtering -> semloc.mapping.vocabulary",
+        "semloc.semantics.filtering -> semloc.cli",
+    ]
+    assert _upward_imports(Path("cli.py"), "from .evaluation import run_benchmark\n") == []
+    assert _upward_imports(Path("features/__init__.py"), "from . import match\n") == []

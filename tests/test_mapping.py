@@ -10,7 +10,6 @@ from semloc.errors import InsufficientDataError, MapFormatError
 from semloc.geometry import CameraIntrinsics, Pose, project_points
 from semloc.mapping import (
     Keyframe,
-    Landmark,
     MapBuildConfig,
     MapFrameInput,
     SparseMap,
@@ -26,7 +25,13 @@ from semloc.mapping import (
 )
 from semloc.mapping.build import _select_pairs
 from semloc.pipelines import most_similar
-from semloc.semantics import BoundingBox, ClassRegistry, DetectionSet, FeatureObservation
+from semloc.semantics import (
+    UNLABELED,
+    BoundingBox,
+    ClassRegistry,
+    DetectionSet,
+    FeatureObservation,
+)
 
 REGISTRY = ClassRegistry.default()
 
@@ -157,7 +162,15 @@ def _keyframe(kf_id, bow):
 def _map_with_keyframes(keyframes, k=32):
     rng = np.random.default_rng(99)
     vocab = Vocabulary(centroids=_random_unit(rng, k, 8), idf=np.ones(k))
-    return SparseMap(landmarks=[], keyframes=keyframes, vocabulary=vocab, registry=REGISTRY)
+    return SparseMap(
+        positions=np.empty((0, 3)),
+        descriptors=np.empty((0, 8)),
+        class_ids=np.empty(0, dtype=int),
+        observation_counts=np.empty(0, dtype=int),
+        keyframes=keyframes,
+        vocabulary=vocab,
+        registry=REGISTRY,
+    )
 
 
 def _random_bow(rng, k, size):
@@ -287,12 +300,17 @@ def test_two_frame_map_recovers_ground_truth_points():
     ]
     sparse_map = build_map(frames, INTRINSICS, MapBuildConfig(vocabulary_k=16))
 
-    assert len(sparse_map.landmarks) >= 95
-    for lm in sparse_map.landmarks:
-        source = int(np.argmin(np.linalg.norm(descriptors - lm.descriptor, axis=1)))
-        assert np.linalg.norm(lm.position - points[source]) < 1e-3
-        assert lm.class_id == 0
-        assert lm.observation_count >= 2
+    assert len(sparse_map.positions) >= 95
+    for position, descriptor, class_id, count in zip(
+        sparse_map.positions,
+        sparse_map.descriptors,
+        sparse_map.class_ids,
+        sparse_map.observation_counts,
+    ):
+        source = int(np.argmin(np.linalg.norm(descriptors - descriptor, axis=1)))
+        assert np.linalg.norm(position - points[source]) < 1e-3
+        assert class_id == 0
+        assert count >= 2
 
 
 def test_three_frame_chains_merge_into_single_landmarks():
@@ -304,8 +322,8 @@ def test_three_frame_chains_merge_into_single_landmarks():
         for i in range(3)
     ]
     sparse_map = build_map(frames, INTRINSICS, MapBuildConfig(vocabulary_k=16))
-    assert len(sparse_map.landmarks) == 40  # merged, not duplicated
-    assert all(lm.observation_count == 3 for lm in sparse_map.landmarks)
+    assert len(sparse_map.positions) == 40  # merged, not duplicated
+    assert np.all(sparse_map.observation_counts == 3)
     for kf in sparse_map.keyframes:
         assert len(kf.landmark_ids) == 40
 
@@ -326,9 +344,10 @@ def test_landmarks_reproject_within_build_threshold():
         frame = frames[kf.id]
         obs = frame.observation.keypoints
         for lm_id in kf.landmark_ids:
-            lm = sparse_map.landmark_by_id(lm_id)
-            pixel = project(kf.pose, INTRINSICS, lm.position)
-            source = int(np.argmin(np.linalg.norm(descriptors - lm.descriptor, axis=1)))
+            pixel = project(kf.pose, INTRINSICS, sparse_map.positions[lm_id])
+            source = int(
+                np.argmin(np.linalg.norm(descriptors - sparse_map.descriptors[lm_id], axis=1))
+            )
             assert np.linalg.norm(pixel - obs[source]) < config.max_reprojection_px
 
 
@@ -345,10 +364,10 @@ def test_semantic_map_not_larger_than_baseline_map():
     semantic = build_map(frames, INTRINSICS, MapBuildConfig(vocabulary_k=8))
     baseline = build_map(frames, INTRINSICS, MapBuildConfig(semantic=False, vocabulary_k=8))
 
-    assert len(semantic.landmarks) <= len(baseline.landmarks)
-    assert all(lm.class_id is not None for lm in semantic.landmarks)
-    assert any(lm.class_id is None for lm in baseline.landmarks)
-    assert 0 < len(semantic.landmarks) < len(baseline.landmarks)
+    assert len(semantic.positions) <= len(baseline.positions)
+    assert np.all(semantic.class_ids != UNLABELED)
+    assert np.any(baseline.class_ids == UNLABELED)
+    assert 0 < len(semantic.positions) < len(baseline.positions)
 
 
 def test_zero_detections_make_empty_semantic_map():
@@ -416,18 +435,38 @@ def test_map_round_trip_is_bitwise(tmp_path):
     assert loaded.registry.to_list() == sparse_map.registry.to_list()
     assert np.array_equal(loaded.vocabulary.centroids, sparse_map.vocabulary.centroids)
     assert np.array_equal(loaded.vocabulary.idf, sparse_map.vocabulary.idf)
-    assert len(loaded.landmarks) == len(sparse_map.landmarks)
-    for a, b in zip(loaded.landmarks, sparse_map.landmarks):
-        assert a.id == b.id and a.class_id == b.class_id
-        assert a.observation_count == b.observation_count
-        assert np.array_equal(a.position, b.position)
-        assert np.array_equal(a.descriptor, b.descriptor)
+    assert np.array_equal(loaded.class_ids, sparse_map.class_ids)
+    assert np.array_equal(loaded.observation_counts, sparse_map.observation_counts)
+    assert np.array_equal(loaded.positions, sparse_map.positions)
+    assert np.array_equal(loaded.descriptors, sparse_map.descriptors)
     for a, b in zip(loaded.keyframes, sparse_map.keyframes):
-        assert a.id == b.id and a.landmark_ids == b.landmark_ids
+        assert a.id == b.id and np.array_equal(a.landmark_ids, b.landmark_ids)
         assert np.array_equal(a.quaternion, b.quaternion)
         assert np.array_equal(a.translation, b.translation)
         assert a.bow == b.bow
 
+    again = tmp_path / "again.json"
+    save_map(loaded, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_unlabelled_landmarks_are_written_as_null(tmp_path):
+    rng = np.random.default_rng(15)
+    points = _scene_points(rng, 100)
+    descriptors = _random_unit(rng, 100)
+    half_box = [BoundingBox(REGISTRY.by_id(2), 0, 0, 319, 479, 0.9)]
+    frames = [
+        _synthetic_frame(i, _shifted_pose(0.4 * i), points, descriptors, half_box)
+        for i in range(2)
+    ]
+    sparse_map = build_map(frames, INTRINSICS, MapBuildConfig(semantic=False, vocabulary_k=8))
+    path = tmp_path / "map.json"
+    save_map(sparse_map, str(path))
+
+    classes = [entry["class"] for entry in json.loads(path.read_text())["landmarks"]]
+    assert set(classes) == {None, 2}
+    loaded = load_map(str(path))
+    assert np.array_equal(loaded.class_ids, sparse_map.class_ids)
     again = tmp_path / "again.json"
     save_map(loaded, str(again))
     assert again.read_bytes() == path.read_bytes()
@@ -457,17 +496,65 @@ def test_load_rejects_empty_and_truncated_files(tmp_path):
         load_map(str(cut))
 
 
-def test_landmark_and_keyframe_invariants():
+def _corrupted_map_file(tmp_path, corrupt) -> str:
+    """A saved map file whose JSON payload `corrupt` has edited in place."""
+    path = tmp_path / "map.json"
+    save_map(_small_map(), str(path))
+    raw = json.loads(path.read_text())
+    corrupt(raw)
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_landmark_and_keyframe_invariants(tmp_path):
+    def single_observation(raw):
+        raw["landmarks"][0]["obs"] = 1
+
+    def unknown_reference(raw):
+        raw["keyframes"][0]["landmarks"].append(7_000)
+
     with pytest.raises(MapFormatError, match="observations"):
-        Landmark(0, np.zeros(3), np.ones(4), 1, observation_count=1)
+        load_map(_corrupted_map_file(tmp_path, single_observation))
     with pytest.raises(MapFormatError, match="negative"):
         _keyframe(0, {3: -0.5})
     with pytest.raises(MapFormatError, match="unknown landmark"):
-        SparseMap(
-            landmarks=[],
-            keyframes=[
-                Keyframe(0, np.array([1.0, 0, 0, 0]), np.zeros(3), [7], {})
-            ],
-            vocabulary=_toy_vocabulary(),
-            registry=REGISTRY,
-        )
+        load_map(_corrupted_map_file(tmp_path, unknown_reference))
+
+
+def _set_landmark(field, value):
+    return lambda raw: raw["landmarks"][0].update({field: value})
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda raw: raw["landmarks"].reverse(), "ids must run 0"),
+        (_set_landmark("id", 5), "ids must run 0"),
+        (_set_landmark("p", [1.0, 2.0]), "position needs 3 values"),
+        (_set_landmark("p", [1.0, 2.0, 3.0, 4.0]), "position needs 3 values"),
+        (_set_landmark("desc", [1.0, 0.0]), "differ in width"),
+        (_set_landmark("obs", 1), ">= 2 observations"),
+        (_set_landmark("class", UNLABELED), "not in registry"),
+        (_set_landmark("class", 8), "not in registry"),
+        (lambda raw: raw["keyframes"][1]["landmarks"].append(-1), "unknown landmark ids"),
+        (
+            lambda raw: raw["keyframes"][1]["landmarks"].append(len(raw["landmarks"])),
+            "unknown landmark ids",
+        ),
+    ],
+    ids=[
+        "ids-reversed",
+        "id-skipped",
+        "short-position",
+        "long-position",
+        "descriptor-width",
+        "one-observation",
+        "sentinel-class",
+        "unregistered-class",
+        "negative-reference",
+        "reference-past-end",
+    ],
+)
+def test_load_map_rejects_malformed_landmarks(tmp_path, corrupt, message):
+    with pytest.raises(MapFormatError, match=rf"map\.json: .*{message}"):
+        load_map(_corrupted_map_file(tmp_path, corrupt))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from semloc.errors import InsufficientDataError
+from semloc.features import match_record
 from semloc.geometry import rotation_error_deg, translation_heading_error_deg
 from semloc.geometry.epipolar import relative_motion
 from semloc.mapping import MapBuildConfig, build_map
@@ -25,7 +26,7 @@ from semloc.pipelines import (
     relocalize,
 )
 from semloc.pipelines.frames import FeatureObservation, FrameFeatures
-from semloc.semantics import DetectionSet
+from semloc.semantics import UNLABELED, DetectionSet
 from semloc.simworld import (
     DEFAULT_INTRINSICS,
     Perturbation,
@@ -195,7 +196,7 @@ def test_relocalize_deterministic(scene):
         first = relocalize(sparse_map, query, INTRINSICS, mode)
         second = relocalize(sparse_map, query, INTRINSICS, mode)
         assert first.candidate_ids == second.candidate_ids
-        assert first.matches == second.matches
+        assert np.array_equal(first.matches, second.matches)
         assert first.inlier_indices == second.inlier_indices
         assert (first.pose is None) == (second.pose is None)
         if first.pose is not None:
@@ -220,10 +221,8 @@ def test_relocalize_inliers_reproject_below_threshold(scene):
                 query.observation, query.detections,
                 masked=(SemanticMode.parse(mode) is SemanticMode.PRE),
             )
-            pixels = features.coordinates[[m.query_index for m in result.matches]]
-            points = np.array(
-                [sparse_map.landmark_by_id(m.landmark_id).position for m in result.matches]
-            )
+            pixels = features.coordinates[result.matches.query_index]
+            points = sparse_map.positions[result.matches.train_index]
             residuals = reprojection_residuals(
                 result.pose, INTRINSICS, points, pixels
             ).reshape(-1, 2)
@@ -248,15 +247,45 @@ def test_post_matches_are_subset_of_baseline(scene):
     post_pairs = candidate_matches(
         baseline_map, features, SemanticMode.POST, 0.75, candidates
     )
-    baseline_set = {(p.query_index, p.landmark_id) for p in baseline_pairs}
-    post_set = {(p.query_index, p.landmark_id) for p in post_pairs}
+    baseline_set = {(p.query_index, p.train_index) for p in baseline_pairs}
+    post_set = {(p.query_index, p.train_index) for p in post_pairs}
     assert post_set and post_set <= baseline_set
     # deduplicated landmark ids survive the filter as a subset too
-    assert {p.landmark_id for p in dedup_matches(post_pairs)} <= {
-        p.landmark_id for p in dedup_matches(baseline_pairs)
-    }
+    assert set(dedup_matches(post_pairs).train_index) <= set(
+        dedup_matches(baseline_pairs).train_index
+    )
     # and baseline found strictly more raw matches (clutter/background present)
     assert len(baseline_set) > len(post_set)
+
+
+def test_dedup_keeps_the_first_pooled_of_equal_ratios():
+    # (query feature, landmark, ratio) in pooling order; landmarks 3 and 7
+    # each get two candidates with exactly equal best ratios
+    pooled = [(5, 7, 0.4), (2, 3, 0.5), (6, 0, 0.6), (1, 3, 0.3), (9, 7, 0.4), (8, 3, 0.3)]
+
+    def dedup(entries):
+        query, landmark, ratio = zip(*entries) if entries else ((), (), ())
+        kept = dedup_matches(match_record(query, landmark, ratio))
+        return [(m.query_index, m.train_index, m.ratio) for m in kept]
+
+    assert dedup(pooled) == [(6, 0, 0.6), (1, 3, 0.3), (5, 7, 0.4)]
+    assert dedup(pooled[::-1]) == [(6, 0, 0.6), (8, 3, 0.3), (9, 7, 0.4)]
+
+    # reference: one pass in pooling order, replacing an entry only on a
+    # strictly better ratio; ratios from a small set make ties common
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        size = int(rng.integers(0, 40))
+        entries = list(zip(
+            rng.integers(0, 30, size).tolist(),
+            rng.integers(0, 12, size).tolist(),
+            rng.choice([0.2, 0.4, 0.6], size).tolist(),
+        ))
+        best = {}
+        for entry in entries:
+            if entry[1] not in best or entry[2] < best[entry[1]][2]:
+                best[entry[1]] = entry
+        assert dedup(entries) == [best[k] for k in sorted(best)]
 
 
 def test_semantic_mode_matches_are_class_consistent(scene):
@@ -271,9 +300,8 @@ def test_semantic_mode_matches_are_class_consistent(scene):
             )
             for match in result.matches:
                 label = features.labels[match.query_index]
-                landmark = sparse_map.landmark_by_id(match.landmark_id)
-                assert label is not None
-                assert label == landmark.class_id
+                assert label != UNLABELED
+                assert label == sparse_map.class_ids[match.train_index]
 
 
 def test_relocalize_rejects_empty_map(scene):
@@ -281,7 +309,12 @@ def test_relocalize_rejects_empty_map(scene):
 
     _, semantic_map, _, eval_frames = scene
     empty = SparseMap(
-        landmarks=[], keyframes=[], vocabulary=semantic_map.vocabulary,
+        positions=np.empty((0, 3)),
+        descriptors=np.empty((0, semantic_map.descriptors.shape[1])),
+        class_ids=np.empty(0, dtype=int),
+        observation_counts=np.empty(0, dtype=int),
+        keyframes=[],
+        vocabulary=semantic_map.vocabulary,
         registry=semantic_map.registry,
     )
     with pytest.raises(InsufficientDataError, match="non-empty map"):
@@ -395,7 +428,7 @@ def test_relative_pose_mode_match_sets(scene):
     base_pairs = {(m.query_index, m.train_index) for m in baseline}
     assert post_pairs <= base_pairs
     for m in post:
-        assert fa.labels[m.query_index] is not None
+        assert fa.labels[m.query_index] != UNLABELED
         assert fa.labels[m.query_index] == fb.labels[m.train_index]
     fa_masked = extract_frame_features(frame_a.observation, frame_a.detections, masked=True)
     fb_masked = extract_frame_features(frame_b.observation, frame_b.detections, masked=True)
@@ -409,7 +442,7 @@ def test_relative_pose_deterministic(scene):
     b = QueryFrame.from_synthetic(eval_frames[1])
     first = relative_pose(a, b, INTRINSICS, "post")
     second = relative_pose(a, b, INTRINSICS, "post")
-    assert first.match_indices == second.match_indices
+    assert np.array_equal(first.matches, second.matches)
     assert first.inlier_indices == second.inlier_indices
     assert (first.relative is None) == (second.relative is None)
     if first.relative is not None:
@@ -464,8 +497,6 @@ def test_pair_selection_matches_exhaustive_oracle():
 def test_pair_selection_validates_input():
     with pytest.raises(InsufficientDataError):
         pair_selection([(0, {0: 1.0})])
-    with pytest.raises(ValueError, match="unknown pairing method"):
-        pair_selection([(0, {}), (1, {})], method="random")
     with pytest.raises(ValueError, match="unique"):
         pair_selection([(0, {}), (0, {})])
 
@@ -529,11 +560,11 @@ def test_moved_object_fools_baseline_but_not_semantic_modes():
     )
     semantic_map, baseline_map = _build_maps(mapping_frames, vocabulary_k=32)
     # the map must hold enough stable structure for the semantic modes
-    stable_in_map = sum(1 for lm in baseline_map.landmarks if lm.class_id is not None)
-    clutter_in_map = sum(1 for lm in baseline_map.landmarks if lm.class_id is None)
+    stable_in_map = int(np.sum(baseline_map.class_ids != UNLABELED))
+    clutter_in_map = int(np.sum(baseline_map.class_ids == UNLABELED))
     assert stable_in_map >= 16
     assert clutter_in_map >= 40
-    assert all(lm.class_id is not None for lm in semantic_map.landmarks)
+    assert np.all(semantic_map.class_ids != UNLABELED)
 
     moved = perturb_world(world, Perturbation("rotate_object", [0], magnitude_deg=180.0))
     heading = math.degrees(math.atan2(-3.0, 0.8))

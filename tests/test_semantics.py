@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semloc.errors import AnnotationError
-from semloc.features.match import Match, knn_ratio_match
+from semloc.features.match import knn_ratio_match, match_record
 from semloc.semantics import (
+    UNLABELED,
     BoundingBox,
     ClassRegistry,
     DetectionSet,
@@ -59,6 +60,14 @@ def test_registry_json_errors_name_the_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('[{"id": 0}]')
     with pytest.raises(AnnotationError, match="bad.json"):
+        ClassRegistry.from_json(str(path))
+
+
+def test_registry_rejects_a_negative_class_id(tmp_path):
+    # a real class must never collide with the UNLABELED sentinel (-1)
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps([{"id": i, "name": f"c{i}"} for i in range(-1, 7)]))
+    with pytest.raises(AnnotationError, match=r"negative\.json.*non-negative"):
         ClassRegistry.from_json(str(path))
 
 
@@ -168,7 +177,7 @@ def _label_oracle(points, boxes):
     for x, y in points:
         hits = [b for b in boxes if b.contains(x, y)]
         if not hits:
-            out.append(None)
+            out.append(UNLABELED)
             continue
         hits.sort(key=lambda b: (b.area(), -b.confidence, b.semantic_class.id))
         out.append(hits[0].semantic_class.id)
@@ -178,7 +187,7 @@ def _label_oracle(points, boxes):
 def test_label_center_and_outside():
     dets = DetectionSet(0, [box("vent", 10, 10, 50, 40)])
     labels = label_keypoints(np.array([[30.0, 25.0], [100.0, 100.0]]), dets)
-    assert labels == [REGISTRY.by_name("vent").id, None]
+    assert labels.tolist() == [REGISTRY.by_name("vent").id, UNLABELED]
 
 
 def test_label_nested_box_smallest_area_wins():
@@ -186,25 +195,27 @@ def test_label_nested_box_smallest_area_wins():
         0, [box("rack_panel", 0, 0, 100, 100), box("handrail", 40, 40, 60, 50)]
     )
     labels = label_keypoints(np.array([[50.0, 45.0], [10.0, 10.0]]), dets)
-    assert labels == [REGISTRY.by_name("handrail").id, REGISTRY.by_name("rack_panel").id]
+    assert labels.tolist() == [
+        REGISTRY.by_name("handrail").id, REGISTRY.by_name("rack_panel").id
+    ]
 
 
 def test_label_area_tie_prefers_confidence_then_id():
     same_area_hi = box("light", 0, 0, 10, 10, conf=0.95)
     same_area_lo = box("vent", 0, 0, 10, 10, conf=0.6)
     labels = label_keypoints(np.array([[5.0, 5.0]]), DetectionSet(0, [same_area_lo, same_area_hi]))
-    assert labels == [REGISTRY.by_name("light").id]
+    assert labels.tolist() == [REGISTRY.by_name("light").id]
 
     tied = [box("strut", 0, 0, 10, 10, conf=0.8), box("vent", 0, 0, 10, 10, conf=0.8)]
     labels = label_keypoints(np.array([[5.0, 5.0]]), DetectionSet(0, tied))
-    assert labels == [REGISTRY.by_name("vent").id]  # lower class id
+    assert labels.tolist() == [REGISTRY.by_name("vent").id]  # lower class id
 
 
 def test_label_edges_inclusive():
     dets = DetectionSet(0, [box("vent", 10, 10, 20, 20)])
     labels = label_keypoints(np.array([[20.0, 20.0], [20.0001, 20.0]]), dets)
     assert labels[0] == REGISTRY.by_name("vent").id
-    assert labels[1] is None
+    assert labels[1] == UNLABELED
 
 
 @st.composite
@@ -232,7 +243,7 @@ def test_label_matches_enumerated_containment_oracle(dets, data):
             for _ in range(n_pts)
         ]
     )
-    assert label_keypoints(pts, dets) == _label_oracle(pts, dets.boxes)
+    assert label_keypoints(pts, dets).tolist() == _label_oracle(pts, dets.boxes)
 
 
 # --------------------------------------------------------------------------
@@ -247,7 +258,7 @@ def _descriptor(rng):
 def test_match_per_class_all_unlabeled_empty():
     rng = np.random.default_rng(0)
     desc = np.array([_descriptor(rng) for _ in range(4)])
-    assert match_per_class(desc, [None] * 4, desc, [None] * 4) == []
+    assert len(match_per_class(desc, [UNLABELED] * 4, desc, [UNLABELED] * 4)) == 0
 
 
 def test_match_per_class_equals_concatenated_single_class_runs():
@@ -262,9 +273,9 @@ def test_match_per_class_equals_concatenated_single_class_runs():
     for cid in (0, 3):
         idx = np.flatnonzero([lab == cid for lab in labels])
         for m in knn_ratio_match(jitter[idx], base[idx]):
-            expected.append((int(idx[m.query_index]), int(idx[m.train_index]), m.distance))
+            expected.append((int(idx[m.query_index]), int(idx[m.train_index]), m.ratio))
     expected.sort()
-    assert [(m.query_index, m.train_index, m.distance) for m in merged] == expected
+    assert [(m.query_index, m.train_index, m.ratio) for m in merged] == expected
 
 
 def test_match_per_class_duplicated_descriptors_within_class():
@@ -276,10 +287,10 @@ def test_match_per_class_duplicated_descriptors_within_class():
     labels_q = [0, 0, 0, 1, 1, 1]
     labels_t = [1, 1, 1, 0, 0, 0]
     matches = match_per_class(query, labels_q, train, labels_t)
-    assert matches, "identical descriptors within a class must match"
+    assert len(matches), "identical descriptors within a class must match"
     for m in matches:
         assert labels_q[m.query_index] == labels_t[m.train_index]
-        assert m.distance < 1e-12
+        assert np.linalg.norm(query[m.query_index] - train[m.train_index]) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -290,11 +301,11 @@ def test_match_per_class_purity_property(data):
     nt = data.draw(st.integers(2, 15))
     q = rng.normal(size=(nq, 8))
     t = rng.normal(size=(nt, 8))
-    label = st.one_of(st.none(), st.integers(0, 7))
+    label = st.integers(UNLABELED, 7)
     ql = [data.draw(label) for _ in range(nq)]
     tl = [data.draw(label) for _ in range(nt)]
     for m in match_per_class(q, ql, t, tl, ratio=0.95):
-        assert ql[m.query_index] is not None
+        assert ql[m.query_index] != UNLABELED
         assert ql[m.query_index] == tl[m.train_index]
 
 
@@ -307,29 +318,31 @@ def _matches_strategy():
 @settings(max_examples=100, deadline=None)
 @given(
     pairs=_matches_strategy(),
-    ql=st.lists(st.one_of(st.none(), st.integers(0, 7)), min_size=10, max_size=10),
-    tl=st.lists(st.one_of(st.none(), st.integers(0, 7)), min_size=10, max_size=10),
+    ql=st.lists(st.integers(UNLABELED, 7), min_size=10, max_size=10),
+    tl=st.lists(st.integers(UNLABELED, 7), min_size=10, max_size=10),
 )
 def test_filter_subset_order_idempotence_purity(pairs, ql, tl):
-    matches = [Match(q, t, 0.1, 0.5) for q, t in pairs]
+    # each match's ratio is its input position, so it identifies the match
+    matches = match_record(
+        [q for q, _ in pairs], [t for _, t in pairs], np.arange(len(pairs), dtype=float)
+    )
     kept = filter_matches_by_class(matches, ql, tl)
     # subset, preserving input order
-    it = iter(matches)
-    for m in kept:
-        assert any(m is candidate for candidate in it)
+    positions = kept.ratio.astype(int)
+    assert np.all(np.diff(positions) > 0)
+    assert np.array_equal(kept, matches[positions])
     # purity: both endpoints labelled and equal
     for m in kept:
-        assert ql[m.query_index] is not None
+        assert ql[m.query_index] != UNLABELED
         assert ql[m.query_index] == tl[m.train_index]
     # idempotent
-    assert filter_matches_by_class(kept, ql, tl) == kept
+    assert np.array_equal(filter_matches_by_class(kept, ql, tl), kept)
 
 
 def test_filter_explicit_cases():
-    ql = [0, 0, None, 2]
+    ql = [0, 0, UNLABELED, 2]
     tl = [0, 1, 0, 2]
-    matches = [Match(0, 0, 0.1, 0.4), Match(1, 1, 0.1, 0.4),
-               Match(2, 2, 0.1, 0.4), Match(3, 3, 0.1, 0.4)]
+    matches = match_record([0, 1, 2, 3], [0, 1, 2, 3], [0.4] * 4)
     kept = filter_matches_by_class(matches, ql, tl)
     assert [(m.query_index, m.train_index) for m in kept] == [(0, 0), (3, 3)]
 
@@ -352,4 +365,4 @@ def test_pre_equals_post_on_unambiguous_scene():
     assert {(m.query_index, m.train_index) for m in pre} == {
         (m.query_index, m.train_index) for m in post
     }
-    assert pre, "constructed scene must produce matches"
+    assert len(pre), "constructed scene must produce matches"
