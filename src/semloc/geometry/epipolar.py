@@ -13,6 +13,7 @@ import numpy as np
 
 from ..errors import DegenerateGeometryError
 from .pose import Pose, skew
+from .triangulate import solve_dlt
 
 _DEGENERATE_DENOM = 1e-30
 
@@ -94,21 +95,16 @@ def _triangulate_normalized(rotation: np.ndarray, translation: np.ndarray,
                             xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """DLT triangulation with cameras [I|0] and [R|t]; returns (n, 3) points in frame a."""
     p_b = np.hstack([rotation, translation[:, None]])
-    points = np.empty((xa.shape[0], 3))
-    for i in range(xa.shape[0]):
-        a = np.array(
-            [
-                [-1.0, 0.0, xa[i, 0], 0.0],
-                [0.0, -1.0, xa[i, 1], 0.0],
-                xb[i, 0] * p_b[2] - p_b[0],
-                xb[i, 1] * p_b[2] - p_b[1],
-            ]
-        )
-        _, _, vt = np.linalg.svd(a)
-        hom = vt[-1]
-        w = hom[3] if abs(hom[3]) > 1e-15 else 1e-15
-        points[i] = hom[:3] / w
-    return points
+    n = xa.shape[0]
+    systems = np.zeros((n, 4, 4))
+    systems[:, 0, 0] = systems[:, 1, 1] = -1.0
+    systems[:, 0, 2] = xa[:, 0]
+    systems[:, 1, 2] = xa[:, 1]
+    systems[:, 2] = xb[:, 0:1] * p_b[2] - p_b[0]
+    systems[:, 3] = xb[:, 1:2] * p_b[2] - p_b[1]
+    hom = solve_dlt(systems)
+    w = np.where(np.abs(hom[:, 3]) > 1e-15, hom[:, 3], 1e-15)
+    return hom[:, :3] / w[:, None]
 
 
 def _best_fit_rotation(bearings_a: np.ndarray, bearings_b: np.ndarray) -> np.ndarray:

@@ -5,9 +5,30 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateGeometryError
-from .pose import CameraIntrinsics, Pose, project
+from .pose import CameraIntrinsics, Pose
 
 _MIN_BASELINE = 1e-6
+_MIN_DEPTH = 1e-9
+
+
+def solve_dlt(systems: np.ndarray) -> np.ndarray:
+    """Homogeneous least-squares solutions of stacked (n, r, 4) DLT systems.
+
+    Returns (n, 4): per system, the right singular vector of its smallest
+    singular value, all from one stacked SVD. Row i is bitwise equal to
+    solving system i alone.
+    """
+    _, _, vt = np.linalg.svd(systems)
+    return vt[:, -1]
+
+
+def _camera_coordinates(pose: Pose, points: np.ndarray) -> np.ndarray:
+    """R @ x + t of (n, 3) points, elementwise so that each row's bits do not
+    depend on how many rows are passed (a stacked matmul may round differently)."""
+    r = pose.rotation
+    return (
+        points[:, 0:1] * r[:, 0] + points[:, 1:2] * r[:, 1] + points[:, 2:3] * r[:, 2]
+    ) + pose.translation
 
 
 def triangulate_two_view(
@@ -16,43 +37,66 @@ def triangulate_two_view(
     pixel_a: np.ndarray,
     pixel_b: np.ndarray,
     intrinsics: CameraIntrinsics,
-) -> tuple[np.ndarray, float]:
-    """Linear (DLT) triangulation of one correspondence.
+) -> tuple[np.ndarray, np.ndarray | float]:
+    """Linear (DLT) triangulation of correspondences between two posed views.
 
-    Returns (world point (3,), reprojection residual in px), where the
-    residual is the larger of the two view reprojection errors.
+    pixel_a, pixel_b: one correspondence (2,) or n row-aligned ones (n, 2).
+    The projection matrices are built once and all n systems are solved by
+    one stacked SVD; row i of an (n, 2) call is bitwise equal to the (2,)
+    call on row i.
 
-    Raises DegenerateGeometryError for a baseline below 1e-6 m or when the
-    triangulated point fails the positive-depth (cheirality) test in either
-    view.
+    Returns (world points (n, 3), residuals (n,)) for (n, 2) input, where a
+    residual is the larger of the two views' reprojection errors in px. A
+    row whose point lies at infinity or not in front of both cameras
+    (cheirality) is invalid: its residual is inf and its point NaN.
+    For (2,) input returns (point (3,), residual float) and raises
+    DegenerateGeometryError ("cheirality failure") for an invalid row.
+
+    Raises DegenerateGeometryError for a baseline below 1e-6 m, whatever the
+    number of rows.
     """
     baseline = np.linalg.norm(pose_a.camera_center() - pose_b.camera_center())
     if baseline < _MIN_BASELINE:
         raise DegenerateGeometryError(f"degenerate baseline ({baseline:.3e} m)")
 
+    single = np.ndim(pixel_a) == 1
+    pixels_a = np.asarray(pixel_a, dtype=float).reshape(-1, 2)
+    pixels_b = np.asarray(pixel_b, dtype=float).reshape(-1, 2)
+
     k = intrinsics.matrix()
     p_a = k @ np.hstack([pose_a.rotation, pose_a.translation[:, None]])
     p_b = k @ np.hstack([pose_b.rotation, pose_b.translation[:, None]])
-
-    ua, va = float(pixel_a[0]), float(pixel_a[1])
-    ub, vb = float(pixel_b[0]), float(pixel_b[1])
-    a = np.vstack(
+    systems = np.stack(
         [
-            ua * p_a[2] - p_a[0],
-            va * p_a[2] - p_a[1],
-            ub * p_b[2] - p_b[0],
-            vb * p_b[2] - p_b[1],
-        ]
+            pixels_a[:, 0:1] * p_a[2] - p_a[0],
+            pixels_a[:, 1:2] * p_a[2] - p_a[1],
+            pixels_b[:, 0:1] * p_b[2] - p_b[0],
+            pixels_b[:, 1:2] * p_b[2] - p_b[1],
+        ],
+        axis=1,
     )
-    _, _, vt = np.linalg.svd(a)
-    hom = vt[-1]
-    if abs(hom[3]) < 1e-15:
-        raise DegenerateGeometryError("cheirality failure (point at infinity)")
-    point = hom[:3] / hom[3]
+    hom = solve_dlt(systems)
+    finite = np.abs(hom[:, 3]) >= 1e-15
+    points = hom[:, :3] / np.where(finite, hom[:, 3], 1.0)[:, None]
 
-    if pose_a.transform(point)[2] <= 1e-9 or pose_b.transform(point)[2] <= 1e-9:
-        raise DegenerateGeometryError("cheirality failure")
+    residuals = np.zeros(len(points))
+    valid = finite
+    for pose, pixels in ((pose_a, pixels_a), (pose_b, pixels_b)):
+        cam = _camera_coordinates(pose, points)
+        valid = valid & (cam[:, 2] > _MIN_DEPTH)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            projected = np.column_stack(
+                [
+                    intrinsics.fx * cam[:, 0] / cam[:, 2] + intrinsics.cx,
+                    intrinsics.fy * cam[:, 1] / cam[:, 2] + intrinsics.cy,
+                ]
+            )
+        residuals = np.maximum(residuals, np.linalg.norm(projected - pixels, axis=1))
+    points[~valid] = np.nan
+    residuals[~valid] = np.inf
 
-    res_a = np.linalg.norm(project(pose_a, intrinsics, point) - np.asarray(pixel_a, dtype=float))
-    res_b = np.linalg.norm(project(pose_b, intrinsics, point) - np.asarray(pixel_b, dtype=float))
-    return point, float(max(res_a, res_b))
+    if single:
+        if not valid[0]:
+            raise DegenerateGeometryError("cheirality failure")
+        return points[0], float(residuals[0])
+    return points, residuals

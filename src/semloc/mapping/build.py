@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import DegenerateGeometryError, InsufficientDataError
 from ..features.match import DEFAULT_RATIO, knn_ratio_match
-from ..geometry.pose import CameraIntrinsics, Pose, project
+from ..geometry.pose import CameraIntrinsics, Pose, project_points
 from ..geometry.triangulate import triangulate_two_view
 from ..semantics.boxes import DetectionSet
 from ..semantics.classes import UNLABELED, ClassRegistry
@@ -55,23 +55,29 @@ def _select_pairs(bows: list[dict], retrieved_pairs: int) -> list[tuple[int, int
     return sorted(pairs)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
+def _connected_landmarks(
+    edge_a: np.ndarray, edge_b: np.ndarray, n_nodes: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge match edges between global node ids into landmarks.
 
-    def find(self, node):
-        self.parent.setdefault(node, node)
-        root = node
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[node] != root:  # path compression
-            self.parent[node], node = root, self.parent[node]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    Observations of one physical point are a connected component of the
+    match graph. Returns (nodes, node_landmark): the sorted ids of the nodes
+    in any edge, and each one's component, numbered in ascending order of
+    the component's smallest node.
+    """
+    # every node takes the smallest label across its edges until no edge
+    # joins two labels; labels never rise, so the fixpoint is the smallest node
+    smallest = np.arange(n_nodes)
+    while True:
+        low = np.minimum(smallest[edge_a], smallest[edge_b])
+        if np.array_equal(low, smallest[edge_a]) and np.array_equal(low, smallest[edge_b]):
+            break
+        np.minimum.at(smallest, edge_a, low)
+        np.minimum.at(smallest, edge_b, low)
+        smallest = smallest[smallest]  # a node's label's label is smaller still
+    nodes = np.unique(np.concatenate([edge_a, edge_b]))
+    _, node_landmark = np.unique(smallest[nodes], return_inverse=True)
+    return nodes, node_landmark
 
 
 def build_map(
@@ -113,7 +119,9 @@ def build_map(
     )
     bows = [bow_vector(f.descriptors, vocabulary) for f in features]
 
-    edges = []  # ((frame_idx, kp_idx), (frame_idx, kp_idx), world point)
+    # a node is one feature of one frame: global id = frame offset + keypoint index
+    offsets = np.cumsum([0] + [len(f.descriptors) for f in features])
+    edge_a, edge_b, edge_points = [], [], []  # per frame pair, matches in match order
     for i, j in _select_pairs(bows, config.retrieved_pairs):
         fi, fj = features[i], features[j]
         if config.semantic:
@@ -122,80 +130,80 @@ def build_map(
             )
         else:
             matches = knn_ratio_match(fi.descriptors, fj.descriptors, config.match_ratio)
-        for qi, ti in zip(matches.query_index.tolist(), matches.train_index.tolist()):
-            try:
-                point, residual = triangulate_two_view(
-                    frames[i].pose,
-                    frames[j].pose,
-                    fi.coordinates[qi],
-                    fj.coordinates[ti],
-                    intrinsics,
-                )
-            except DegenerateGeometryError:
-                continue
-            if residual >= config.max_reprojection_px:
-                continue
-            edges.append(((i, qi), (j, ti), point))
+        if not len(matches):
+            continue
+        try:
+            points, residuals = triangulate_two_view(
+                frames[i].pose,
+                frames[j].pose,
+                fi.coordinates[matches.query_index],
+                fj.coordinates[matches.train_index],
+                intrinsics,
+            )
+        except DegenerateGeometryError:
+            continue
+        accepted = residuals < config.max_reprojection_px  # invalid rows carry inf
+        edge_a.append(offsets[i] + matches.query_index[accepted])
+        edge_b.append(offsets[j] + matches.train_index[accepted])
+        edge_points.append(points[accepted])
 
-    if not edges:
+    if not sum(len(a) for a in edge_a):
         raise InsufficientDataError("empty map: no triangulable matches")
+    edge_a, edge_b = np.concatenate(edge_a), np.concatenate(edge_b)
+    edge_points = np.concatenate(edge_points)
 
-    merged = _UnionFind()
-    for a, b, _ in edges:
-        merged.union(a, b)
-    chains: dict = {}
-    for a, b, point in edges:
-        chains.setdefault(merged.find(a), {"nodes": set(), "points": []})
-        chains[merged.find(a)]["nodes"].update((a, b))
-        chains[merged.find(a)]["points"].append(point)
+    nodes, node_landmark = _connected_landmarks(edge_a, edge_b, offsets[-1])
+    candidates = node_landmark.max() + 1
 
-    positions, descriptors, class_ids, observation_counts = [], [], [], []
-    observers: dict[int, list[int]] = {i: [] for i in range(len(frames))}
-    for root in sorted(chains):
-        chain = chains[root]
-        nodes = sorted(chain["nodes"])
-        position = np.mean(chain["points"], axis=0)
-        node_descriptors = [features[fi].descriptors[ki] for fi, ki in nodes]
-        descriptor = np.mean(node_descriptors, axis=0)
-        norm = np.linalg.norm(descriptor)
-        if norm < 1e-12:
-            continue
-        descriptor = descriptor / norm
-        node_labels = {int(features[fi].labels[ki]) for fi, ki in nodes}
-        class_id = node_labels.pop() if len(node_labels) == 1 else UNLABELED
+    # np.add.at accumulates in index order, so each sum runs in edge order
+    # (positions) or ascending node order (descriptors), like a per-chain mean
+    edge_landmark = node_landmark[np.searchsorted(nodes, edge_a)]
+    positions = np.zeros((candidates, 3))
+    np.add.at(positions, edge_landmark, edge_points)
+    positions /= np.bincount(edge_landmark, minlength=candidates)[:, None]
 
-        ok = True
-        for fi, ki in nodes:
-            try:
-                pixel = project(frames[fi].pose, intrinsics, position)
-            except DegenerateGeometryError:
-                ok = False
-                break
-            if np.linalg.norm(pixel - features[fi].coordinates[ki]) >= config.max_reprojection_px:
-                ok = False
-                break
-        if not ok:
-            continue
+    # a frame without features may carry (0, 0) descriptors; it holds no node
+    all_descriptors = np.concatenate([f.descriptors for f in features if len(f.descriptors)])
+    observation_counts = np.bincount(node_landmark, minlength=candidates)
+    descriptors = np.zeros((candidates, all_descriptors.shape[1]))
+    np.add.at(descriptors, node_landmark, all_descriptors[nodes])
+    descriptors /= observation_counts[:, None]
+    # one dot product per row, as np.linalg.norm takes of a single vector
+    norms = np.sqrt((descriptors[:, None, :] @ descriptors[:, :, None])[:, 0, 0])
+    keep = norms >= 1e-12
+    descriptors[keep] /= norms[keep, None]
 
-        for fi, _ in nodes:
-            observers[fi].append(len(positions))
-        positions.append(position)
-        descriptors.append(descriptor)
-        class_ids.append(class_id)
-        observation_counts.append(len(nodes))
+    node_labels = np.concatenate([f.labels for f in features])[nodes]
+    lowest = np.full(candidates, np.iinfo(int).max)
+    highest = np.full(candidates, np.iinfo(int).min)
+    np.minimum.at(lowest, node_landmark, node_labels)
+    np.maximum.at(highest, node_landmark, node_labels)
+    class_ids = np.where(lowest == highest, lowest, UNLABELED)
 
-    if not positions:
+    # reprojection gate: every observation of a landmark must reproject within
+    # the build threshold into its keyframe
+    bounds = np.searchsorted(nodes, offsets)
+    observed = [node_landmark[bounds[f] : bounds[f + 1]] for f in range(len(frames))]
+    for f, frame in enumerate(frames):
+        pixels, in_front = project_points(frame.pose, intrinsics, positions[observed[f]])
+        keypoints = features[f].coordinates[nodes[bounds[f] : bounds[f + 1]] - offsets[f]]
+        error = np.linalg.norm(pixels - keypoints, axis=1)
+        keep[observed[f][~in_front | (error >= config.max_reprojection_px)]] = False
+
+    if not keep.any():
         raise InsufficientDataError("empty map: all triangulations failed the gate")
-
+    landmark_id = np.cumsum(keep) - 1
     keyframes = [
-        Keyframe.from_pose(frames[i].frame_id, frames[i].pose, sorted(set(observers[i])), bows[i])
-        for i in range(len(frames))
+        Keyframe.from_pose(
+            frame.frame_id, frame.pose, np.unique(landmark_id[ids[keep[ids]]]), bows[f]
+        )
+        for f, (frame, ids) in enumerate(zip(frames, observed))
     ]
     return SparseMap(
-        positions=np.array(positions),
-        descriptors=np.array(descriptors),
-        class_ids=np.array(class_ids),
-        observation_counts=np.array(observation_counts),
+        positions=positions[keep],
+        descriptors=descriptors[keep],
+        class_ids=class_ids[keep],
+        observation_counts=observation_counts[keep],
         keyframes=keyframes,
         vocabulary=vocabulary,
         registry=registry or ClassRegistry.default(),

@@ -119,27 +119,27 @@ def save_map(sparse_map: SparseMap, path: str) -> None:
         fh.write("\n")
 
 
-def _landmark_columns(path: str, entries: list, registry: ClassRegistry):
+def _landmark_columns(entries: list, registry: ClassRegistry):
     """(positions, descriptors, class_ids, observation_counts) of a map file's
-    landmarks; raises MapFormatError naming the file on a broken invariant."""
+    landmarks; raises MapFormatError on a broken invariant."""
     n = len(entries)
     if [int(e["id"]) for e in entries] != list(range(n)):
-        raise MapFormatError(f"{path}: landmark ids must run 0..{n - 1} in file order")
+        raise MapFormatError(f"landmark ids must run 0..{n - 1} in file order")
     class_ids = [UNLABELED if e["class"] is None else int(e["class"]) for e in entries]
     counts = [int(e["obs"]) for e in entries]
     widths = {len(e["desc"]) for e in entries}
     registered = {c.id for c in registry}
     for i, e in enumerate(entries):
         if len(e["p"]) != 3:
-            raise MapFormatError(f"{path}: landmark {i}: position needs 3 values")
+            raise MapFormatError(f"landmark {i}: position needs 3 values")
         if counts[i] < 2:
             raise MapFormatError(
-                f"{path}: landmark {i}: triangulated landmarks need >= 2 observations"
+                f"landmark {i}: triangulated landmarks need >= 2 observations"
             )
         if e["class"] is not None and class_ids[i] not in registered:
-            raise MapFormatError(f"{path}: landmark {i}: class {class_ids[i]} not in registry")
+            raise MapFormatError(f"landmark {i}: class {class_ids[i]} not in registry")
     if len(widths) > 1:
-        raise MapFormatError(f"{path}: landmark descriptors differ in width {sorted(widths)}")
+        raise MapFormatError(f"landmark descriptors differ in width {sorted(widths)}")
     return (
         np.array([e["p"] for e in entries], dtype=float).reshape(n, 3),
         np.array([e["desc"] for e in entries], dtype=float).reshape(n, max(widths, default=0)),
@@ -169,9 +169,7 @@ def load_map(path: str) -> SparseMap:
             centroids=np.array(raw["vocabulary"]["centroids"], dtype=float),
             idf=np.array(raw["vocabulary"]["idf"], dtype=float),
         )
-        positions, descriptors, class_ids, counts = _landmark_columns(
-            path, raw["landmarks"], registry
-        )
+        positions, descriptors, class_ids, counts = _landmark_columns(raw["landmarks"], registry)
         keyframes = [
             Keyframe(
                 id=int(e["id"]),
@@ -182,6 +180,8 @@ def load_map(path: str) -> SparseMap:
             )
             for e in raw["keyframes"]
         ]
+    except MapFormatError as exc:  # a broken invariant; the checks do not know the file
+        raise MapFormatError(f"{path}: {exc}") from exc
     except (AnnotationError, KeyError, TypeError, ValueError) as exc:
         raise MapFormatError(f"{path}: malformed map content ({exc})") from exc
     for kf in keyframes:

@@ -36,7 +36,6 @@ class RelativePoseResult:
     frame_id_b: int
     mode: SemanticMode
     relative: "RelativePose | None"
-    matches_used: int
     inlier_count: int
     matches: np.recarray  # feature matches from a (query_index) to b (train_index)
     pixels_a: np.ndarray  # (matches_used, 2) pixel coordinates, row-aligned
@@ -45,6 +44,10 @@ class RelativePoseResult:
     planar_suspected: bool = False
     failure_reason: "str | None" = None
     inlier_indices: tuple = ()  # rows of `matches`
+
+    @property
+    def matches_used(self) -> int:
+        return len(self.matches)
 
 
 def normalized_coordinates(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -112,7 +115,6 @@ def relative_pose(
             frame_id_b=frame_b.frame_id,
             mode=mode,
             relative=relative,
-            matches_used=len(matches),
             inlier_count=len(inlier_idx),
             pure_rotation=pure_rotation,
             planar_suspected=planar_suspected,

@@ -41,13 +41,16 @@ class LocalizationResult:
     mode: SemanticMode
     pose: "Pose | None"
     inlier_count: int
-    total_matches: int
     candidate_ids: tuple
     # pooled 2d-3d matches, deduplicated; train_index is the landmark row
     matches: np.recarray
     failure_reason: "str | None" = None
     inlier_indices: tuple = ()  # rows of `matches`
     map_fully_labeled: bool = False  # every map landmark carries a class id
+
+    @property
+    def total_matches(self) -> int:
+        return len(self.matches)
 
 
 def candidate_matches(
@@ -128,7 +131,6 @@ def relocalize(
             mode=mode,
             pose=None,
             inlier_count=0,
-            total_matches=len(matches),
             candidate_ids=tuple(candidates),
             failure_reason=reason,
             matches=matches,
@@ -180,7 +182,6 @@ def relocalize(
         mode=mode,
         pose=pose,
         inlier_count=int(len(inlier_idx)),
-        total_matches=len(pooled),
         candidate_ids=candidate_ids,
         failure_reason=None,
         matches=pooled,

@@ -16,6 +16,7 @@ from semloc.geometry import (
     sampson_error_flagged,
     translation_heading_error_deg,
 )
+from semloc.geometry.epipolar import _triangulate_normalized
 
 from conftest import random_pose
 
@@ -177,3 +178,36 @@ def test_heading_error_known_values():
 def test_heading_error_zero_norm_rejected():
     with pytest.raises(DegenerateGeometryError, match="undefined"):
         translation_heading_error_deg([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+
+
+def _triangulate_normalized_per_row(rotation, translation, xa, xb):
+    """One SVD per correspondence: the reference for the stacked solve."""
+    p_b = np.hstack([rotation, translation[:, None]])
+    points = np.empty((xa.shape[0], 3))
+    for i in range(xa.shape[0]):
+        a = np.array(
+            [
+                [-1.0, 0.0, xa[i, 0], 0.0],
+                [0.0, -1.0, xa[i, 1], 0.0],
+                xb[i, 0] * p_b[2] - p_b[0],
+                xb[i, 1] * p_b[2] - p_b[1],
+            ]
+        )
+        _, _, vt = np.linalg.svd(a)
+        hom = vt[-1]
+        w = hom[3] if abs(hom[3]) > 1e-15 else 1e-15
+        points[i] = hom[:3] / w
+    return points
+
+
+def test_stacked_normalized_triangulation_equals_per_row_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        pose = random_pose(rng)
+        xa = rng.normal(scale=0.5, size=(40, 2))
+        xb = rng.normal(scale=0.5, size=(40, 2))
+        xb[:10] = xa[:10]  # rows that meet at infinity under a pure translation
+        for translation in (pose.translation, np.zeros(3)):
+            stacked = _triangulate_normalized(pose.rotation, translation, xa, xb)
+            reference = _triangulate_normalized_per_row(pose.rotation, translation, xa, xb)
+            assert np.array_equal(stacked, reference)

@@ -82,6 +82,69 @@ def test_triangulate_residual_reports_max_of_views(intrinsics):
     assert 0.5 < residual < 2.0
 
 
+def _random_triangulation_instances(intrinsics):
+    """The instances of test_triangulate_random_instances, as
+    (pose_a, pose_b, pixel_a, pixel_b) tuples."""
+    rng = np.random.default_rng(21)
+    instances = []
+    for _ in range(100):
+        pose_a = random_pose(rng)
+        offset = rng.normal(size=3)
+        offset *= rng.uniform(0.2, 1.0) / np.linalg.norm(offset)
+        pose_b = Pose(pose_a.rotation, pose_a.translation + pose_a.rotation @ offset)
+        point = points_in_front(rng, pose_a, 1)[0]
+        if pose_b.transform(point)[2] <= 0.1:
+            continue
+        instances.append(
+            (pose_a, pose_b, project(pose_a, intrinsics, point), project(pose_b, intrinsics, point))
+        )
+    return instances
+
+
+def test_triangulate_batch_rows_equal_single_calls(intrinsics):
+    # every instance's pose pair triangulates every instance's pixels: its own
+    # row is consistent, the others mostly are not and some fail cheirality
+    instances = _random_triangulation_instances(intrinsics)
+    pixels_a = np.array([inst[2] for inst in instances])
+    pixels_b = np.array([inst[3] for inst in instances])
+    invalid = 0
+    for k, (pose_a, pose_b, _, _) in enumerate(instances):
+        points, residuals = triangulate_two_view(pose_a, pose_b, pixels_a, pixels_b, intrinsics)
+        assert points.shape == (len(instances), 3) and residuals.shape == (len(instances),)
+        assert residuals[k] < 1e-6
+        for i in range(len(instances)):
+            try:
+                point, residual = triangulate_two_view(
+                    pose_a, pose_b, pixels_a[i], pixels_b[i], intrinsics
+                )
+            except DegenerateGeometryError:
+                assert residuals[i] == np.inf and np.isnan(points[i]).all()
+                invalid += 1
+                continue
+            assert np.array_equal(point, points[i]) and residual == residuals[i]
+    assert invalid > 0
+
+
+def test_triangulate_batch_marks_behind_camera_rows_invalid(intrinsics):
+    pose_a = Pose.identity()
+    pose_b = Pose(np.eye(3), np.array([-0.5, 0.0, 0.0]))
+    point = np.array([0.0, 0.0, 5.0])
+    pa = project(pose_a, intrinsics, point)
+    pb = project(pose_b, intrinsics, point)
+    # the second row swaps the observations: its rays meet behind the cameras
+    points, residuals = triangulate_two_view(
+        pose_a, pose_b, np.array([pa, pb]), np.array([pb, pa]), intrinsics
+    )
+    assert np.allclose(points[0], point, atol=1e-8) and residuals[0] < 1e-8
+    assert residuals[1] == np.inf and np.isnan(points[1]).all()
+
+
+def test_triangulate_batch_zero_baseline_rejected(intrinsics):
+    pixels = np.array([[320.0, 240.0], [100.0, 50.0]])
+    with pytest.raises(DegenerateGeometryError, match="baseline"):
+        triangulate_two_view(Pose.identity(), Pose.identity(), pixels, pixels + 1.0, intrinsics)
+
+
 # ----------------------------------------------------------------------- p3p
 
 def _p3p_instance(rng):

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from semloc.errors import InsufficientDataError, MapFormatError
-from semloc.geometry import CameraIntrinsics, Pose, project_points
+from semloc.errors import DegenerateGeometryError, InsufficientDataError, MapFormatError
+from semloc.features import knn_ratio_match
+from semloc.geometry import CameraIntrinsics, Pose, project, project_points, triangulate_two_view
 from semloc.mapping import (
     Keyframe,
     MapBuildConfig,
@@ -31,6 +32,8 @@ from semloc.semantics import (
     ClassRegistry,
     DetectionSet,
     FeatureObservation,
+    extract_frame_features,
+    match_per_class,
 )
 
 REGISTRY = ClassRegistry.default()
@@ -410,6 +413,136 @@ def test_build_map_is_deterministic(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+class _UnionFind:
+    def __init__(self):
+        self.parent: dict = {}
+
+    def find(self, node):
+        self.parent.setdefault(node, node)
+        while self.parent[node] != node:
+            node = self.parent[node]
+        return node
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def _reference_landmarks(frames, config):
+    """build_map's landmarks the scalar way: one triangulation per match, a
+    union-find over (frame, keypoint) nodes, one projection per observation.
+    Returns (positions, descriptors, class_ids, observation_counts, keyframe
+    landmark ids)."""
+    features = [
+        extract_frame_features(f.observation, f.detections, config.semantic) for f in frames
+    ]
+    total = sum(len(f.descriptors) for f in features)
+    vocabulary = build_vocabulary(
+        [f.descriptors for f in features], min(config.vocabulary_k, total), config.vocabulary_seed
+    )
+    bows = [bow_vector(f.descriptors, vocabulary) for f in features]
+
+    edges = []
+    for i, j in _select_pairs(bows, config.retrieved_pairs):
+        fi, fj = features[i], features[j]
+        if config.semantic:
+            matches = match_per_class(
+                fi.descriptors, fi.labels, fj.descriptors, fj.labels, config.match_ratio
+            )
+        else:
+            matches = knn_ratio_match(fi.descriptors, fj.descriptors, config.match_ratio)
+        for qi, ti in zip(matches.query_index.tolist(), matches.train_index.tolist()):
+            try:
+                point, residual = triangulate_two_view(
+                    frames[i].pose, frames[j].pose, fi.coordinates[qi], fj.coordinates[ti],
+                    INTRINSICS,
+                )
+            except DegenerateGeometryError:
+                continue
+            if residual < config.max_reprojection_px:
+                edges.append(((i, qi), (j, ti), point))
+
+    merged = _UnionFind()
+    for a, b, _ in edges:
+        merged.union(a, b)
+    chains: dict = {}
+    for a, b, point in edges:
+        chain = chains.setdefault(merged.find(a), {"nodes": set(), "points": []})
+        chain["nodes"].update((a, b))
+        chain["points"].append(point)
+
+    positions, descriptors, class_ids, counts = [], [], [], []
+    observers = {i: [] for i in range(len(frames))}
+    for root in sorted(chains):
+        nodes = sorted(chains[root]["nodes"])
+        position = np.mean(chains[root]["points"], axis=0)
+        descriptor = np.mean([features[fi].descriptors[ki] for fi, ki in nodes], axis=0)
+        norm = np.linalg.norm(descriptor)
+        if norm < 1e-12:
+            continue
+        labels = {int(features[fi].labels[ki]) for fi, ki in nodes}
+        try:
+            if any(
+                np.linalg.norm(project(frames[fi].pose, INTRINSICS, position)
+                               - features[fi].coordinates[ki]) >= config.max_reprojection_px
+                for fi, ki in nodes
+            ):
+                continue
+        except DegenerateGeometryError:
+            continue
+        for fi, _ in nodes:
+            observers[fi].append(len(positions))
+        positions.append(position)
+        descriptors.append(descriptor / norm)
+        class_ids.append(labels.pop() if len(labels) == 1 else UNLABELED)
+        counts.append(len(nodes))
+    landmark_ids = [sorted(set(observers[i])) for i in range(len(frames))]
+    return (np.array(positions), np.array(descriptors), np.array(class_ids),
+            np.array(counts), landmark_ids)
+
+
+def _noisy_frames():
+    """Six frames of one scene with pixel and descriptor noise, a few gross
+    pixel outliers, and two detection boxes that leave the middle unlabelled."""
+    rng = np.random.default_rng(23)
+    points = _scene_points(rng, 120)
+    descriptors = _random_unit(rng, 120)
+    boxes = [
+        BoundingBox(REGISTRY.by_id(0), 0, 0, 260, 479, 0.9),
+        BoundingBox(REGISTRY.by_id(2), 380, 0, 639, 479, 0.9),
+    ]
+    frames = []
+    for i in range(6):
+        frame = _synthetic_frame(i, _shifted_pose(0.2 * i), points, descriptors, boxes)
+        keypoints = frame.observation.keypoints + rng.normal(scale=0.8, size=(120, 2))
+        keypoints[rng.choice(120, size=6, replace=False)] += rng.normal(scale=6.0, size=(6, 2))
+        frame.observation = FeatureObservation(
+            keypoints=np.clip(keypoints, 0.0, [639.0, 479.0]),
+            descriptors=_unit_rows(descriptors + rng.normal(scale=0.15, size=descriptors.shape)),
+        )
+        frames.append(frame)
+    return frames
+
+
+@pytest.mark.parametrize("semantic", [True, False], ids=["semantic", "all-features"])
+def test_build_map_equals_the_scalar_reference(semantic):
+    frames = _noisy_frames()
+    config = MapBuildConfig(semantic=semantic, vocabulary_k=16)
+    sparse_map = build_map(frames, INTRINSICS, config)
+    positions, descriptors, class_ids, counts, landmark_ids = _reference_landmarks(frames, config)
+
+    assert np.array_equal(sparse_map.positions, positions)
+    assert np.array_equal(sparse_map.descriptors, descriptors)
+    assert np.array_equal(sparse_map.class_ids, class_ids)
+    assert np.array_equal(sparse_map.observation_counts, counts)
+    assert [kf.landmark_ids.tolist() for kf in sparse_map.keyframes] == landmark_ids
+    # the scene exercises chain merges across several frames
+    assert counts.max() > 2 and len(positions) > 50
+    if not semantic:
+        assert UNLABELED in class_ids
+
+
 # --------------------------------------------------------------------------
 # serialization
 
@@ -541,6 +674,10 @@ def _set_landmark(field, value):
             lambda raw: raw["keyframes"][1]["landmarks"].append(len(raw["landmarks"])),
             "unknown landmark ids",
         ),
+        (
+            lambda raw: raw["keyframes"][0]["bow"].update({"3": -0.5}),
+            "negative bag-of-words weight",
+        ),
     ],
     ids=[
         "ids-reversed",
@@ -553,6 +690,7 @@ def _set_landmark(field, value):
         "unregistered-class",
         "negative-reference",
         "reference-past-end",
+        "negative-bow-weight",
     ],
 )
 def test_load_map_rejects_malformed_landmarks(tmp_path, corrupt, message):
