@@ -14,11 +14,11 @@ import sys
 
 from .errors import SemlocError
 from .geometry.pose import quaternion_from_rotation
-from .mapping.build import MapBuildConfig, build_map
+from .mapping.build import MapBuildConfig, MapFrameInput, build_map
 from .mapping.sparse_map import load_map, save_map
 from .mapping.vocabulary import bow_vector, build_vocabulary
-from .pipelines.frames import FeatureObservation, QueryFrame, extract_frame_features
-from .pipelines.modes import SemanticMode
+from .pipelines.frames import FeatureObservation, extract_frame_features, frame_features
+from .pipelines.modes import SemanticMode, mode_features
 from .pipelines.pairing import pair_selection
 from .pipelines.relative import RelativePoseParams, relative_pose
 from .pipelines.relocalize import RelocalizationParams, relocalize
@@ -26,8 +26,6 @@ from .semantics.boxes import load_detections
 from .semantics.classes import ClassRegistry
 from .simworld.config import load_scene_config
 from .simworld.dataset import load_dataset_frames, load_intrinsics, write_dataset
-from .simworld.perturb import perturb_world
-from .simworld.world import generate_world
 from .trajectory_io import TrajectoryEntry, read_trajectory, write_trajectory
 
 logger = logging.getLogger(__name__)
@@ -96,33 +94,22 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_simulate(args) -> int:
-    from .evaluation.benchmark import (
-        _EVALUATION_STREAM,
-        _MAPPING_STREAM,
-        synthesize_sequence,
-    )
+    from .evaluation.benchmark import synthesize_scene
 
     config = load_scene_config(args.config)
-    world = generate_world(config.world, seed=config.seed)
-    noise = (config.sigma_px, config.sigma_desc)
-    mapping_frames = synthesize_sequence(
-        world, config.mapping_kind, config.mapping, config.intrinsics,
-        noise, config.seed, _MAPPING_STREAM,
-    )
-    write_dataset(os.path.join(args.out, "mapping"), world, mapping_frames, config.intrinsics)
-
-    eval_world = world
-    if config.perturbation is not None:
-        eval_world = perturb_world(world, config.perturbation.resolve(world))
-    eval_frames = synthesize_sequence(
-        eval_world, config.evaluation_kind, config.evaluation, config.intrinsics,
-        noise, config.seed, _EVALUATION_STREAM, id_base=1000,
+    scene = synthesize_scene(config, config.seed)
+    write_dataset(
+        os.path.join(args.out, "mapping"), scene.world, scene.mapping_frames, config.intrinsics
     )
     write_dataset(
-        os.path.join(args.out, "evaluation"), eval_world, eval_frames, config.intrinsics
+        os.path.join(args.out, "evaluation"),
+        scene.eval_world,
+        scene.eval_frames,
+        config.intrinsics,
     )
     logger.info(
-        "simulated %d mapping and %d evaluation frames", len(mapping_frames), len(eval_frames)
+        "simulated %d mapping and %d evaluation frames",
+        len(scene.mapping_frames), len(scene.eval_frames),
     )
     return 0
 
@@ -135,8 +122,6 @@ def _load_query_frames(frames_dir: str, registry: ClassRegistry):
 
 
 def _cmd_build_map(args) -> int:
-    from .mapping.build import MapFrameInput
-
     registry = ClassRegistry.default()
     intrinsics = load_intrinsics(args.intrinsics)
     frames = _load_query_frames(args.frames, registry)
@@ -147,14 +132,9 @@ def _cmd_build_map(args) -> int:
             registry,
             (intrinsics.width, intrinsics.height),
         )
-        inputs.append(
-            MapFrameInput(
-                observation=FeatureObservation(frame.keypoints, frame.descriptors),
-                pose=frame.pose,
-                detections=detections,
-                frame_id=frame.frame_id,
-            )
-        )
+        observation = FeatureObservation(frame.keypoints, frame.descriptors)
+        features = extract_frame_features(observation, detections, masked=False)
+        inputs.append(MapFrameInput(features, frame.pose, frame.frame_id))
     sparse_map = build_map(
         inputs, intrinsics, MapBuildConfig(semantic=args.semantic), registry=registry
     )
@@ -182,7 +162,8 @@ def _cmd_relocalize(args) -> int:
     for frame in frames:
         result = relocalize(
             sparse_map,
-            QueryFrame.from_synthetic(frame),
+            frame.frame_id,
+            frame_features(frame),
             intrinsics,
             args.mode,
             RelocalizationParams(seed=args.seed),
@@ -207,7 +188,7 @@ def _pair_row(result) -> str:
         [
             str(result.frame_id_a),
             str(result.frame_id_b),
-            str(result.matches_used),
+            str(len(result.matches)),
             str(result.inlier_count),
             str(int(result.pure_rotation)),
             str(int(result.planar_suspected)),
@@ -221,30 +202,26 @@ def _cmd_relpose(args) -> int:
     registry = ClassRegistry.default()
     frames = _load_query_frames(args.frames, registry)
     mode = SemanticMode.parse(args.mode)
-    masked = mode is SemanticMode.PRE
 
-    queries, bows = {}, []
-    descriptor_sets = []
-    features_by_id = {}
-    for frame in frames:
-        query = QueryFrame.from_synthetic(frame)
-        features = extract_frame_features(query.observation, query.detections, masked)
-        queries[frame.frame_id] = query
-        features_by_id[frame.frame_id] = features
-        descriptor_sets.append(features.descriptors)
+    # one featurization per frame serves the vocabulary, pairing and relative_pose
+    features = [frame_features(frame) for frame in frames]
+    descriptor_sets = [mode_features(f, mode).descriptors for f in features]
     total = sum(len(d) for d in descriptor_sets)
     vocabulary = build_vocabulary(descriptor_sets, k=min(48, max(2, total)))
-    for frame in frames:
-        bows.append(
-            (frame.frame_id, bow_vector(features_by_id[frame.frame_id].descriptors, vocabulary))
-        )
+    bows = [
+        (frame.frame_id, bow_vector(descriptors, vocabulary))
+        for frame, descriptors in zip(frames, descriptor_sets)
+    ]
+    features_by_id = {frame.frame_id: f for frame, f in zip(frames, features)}
 
     intrinsics = _dataset_intrinsics(args.frames)
     lines = [PAIRS_HEADER]
     for id_a, id_b in pair_selection(bows):
         result = relative_pose(
-            queries[id_a],
-            queries[id_b],
+            id_a,
+            features_by_id[id_a],
+            id_b,
+            features_by_id[id_b],
             intrinsics,
             mode,
             RelativePoseParams(seed=args.seed),

@@ -1,6 +1,6 @@
 """Trajectory metrics, match scoring, reporting, and the synthetic benchmark."""
 
-from .benchmark import SeedOutcome, run_benchmark, synthesize_sequence
+from .benchmark import SeedOutcome, run_benchmark, synthesize_scene
 from .match_metrics import (
     DEFAULT_SAMPSON_TOL,
     EMPTY_FLAG,
@@ -48,5 +48,5 @@ __all__ = [
     "parse_report",
     "run_benchmark",
     "success_rate",
-    "synthesize_sequence",
+    "synthesize_scene",
 ]

@@ -6,19 +6,21 @@ import logging
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ..geometry.pose import CameraIntrinsics
-from ..mapping.build import MapBuildConfig, build_map
+from ..mapping.build import MapBuildConfig, MapFrameInput, build_map
 from ..mapping.sparse_map import SparseMap
 from ..mapping.vocabulary import bow_vector
-from ..pipelines.frames import QueryFrame, extract_frame_features, map_frame_from_synthetic
-from ..pipelines.modes import SemanticMode, derive_rng_seed
+from ..pipelines.frames import FrameFeatures, frame_features
+from ..pipelines.modes import SemanticMode, derive_rng_seed, mode_features
 from ..pipelines.pairing import most_similar
 from ..pipelines.relative import match_frames
 from ..pipelines.relocalize import RelocalizationParams, relocalize
 from ..simworld.config import SceneConfig
+from ..simworld.perturb import perturb_world
 from ..simworld.synthesize import SyntheticFrame, synthesize_frame
 from ..simworld.trajectory import generate_trajectory
 from ..simworld.world import World, generate_world
@@ -77,6 +79,34 @@ def synthesize_sequence(
     return frames
 
 
+class SyntheticScene(NamedTuple):
+    """One seed's world and mapping frames, and the evaluation frames of its
+    perturbed copy (the world itself when no perturbation is configured)."""
+
+    world: World
+    mapping_frames: list[SyntheticFrame]
+    eval_world: World
+    eval_frames: list[SyntheticFrame]
+
+
+def synthesize_scene(config: SceneConfig, seed: int) -> SyntheticScene:
+    """Generate a seed's worlds and observe both of its trajectories."""
+    world = generate_world(config.world, seed=seed)
+    noise = (config.sigma_px, config.sigma_desc)
+    mapping_frames = synthesize_sequence(
+        world, config.mapping_kind, config.mapping, config.intrinsics,
+        noise, seed, _MAPPING_STREAM,
+    )
+    eval_world = world
+    if config.perturbation is not None:
+        eval_world = perturb_world(world, config.perturbation.resolve(world))
+    eval_frames = synthesize_sequence(
+        eval_world, config.evaluation_kind, config.evaluation, config.intrinsics,
+        noise, seed, _EVALUATION_STREAM, id_base=_EVALUATION_ID_BASE,
+    )
+    return SyntheticScene(world, mapping_frames, eval_world, eval_frames)
+
+
 def _map_for_mode(mode: SemanticMode, semantic_map: SparseMap, full_map: SparseMap):
     return semantic_map if mode is SemanticMode.PRE else full_map
 
@@ -90,43 +120,41 @@ def _mean_ratio(ratios: Iterable[MatchRatio]) -> float:
 def _evaluate_mode(
     mode: SemanticMode,
     sparse_map: SparseMap,
-    mapping_frames: list[SyntheticFrame],
-    eval_frames: list[SyntheticFrame],
+    mapping: list[tuple[SyntheticFrame, FrameFeatures]],
+    evaluation: list[tuple[SyntheticFrame, FrameFeatures]],
     intrinsics: CameraIntrinsics,
     seed: int,
     seq: str,
     trajectory_dir: str,
 ) -> SeedOutcome:
-    mapping_by_id = {frame.frame_id: frame for frame in mapping_frames}
+    """Relocalize and score every evaluation frame in one mode; `mapping` and
+    `evaluation` pair each frame with its labeled, unmasked features."""
+    partners = {
+        frame.frame_id: (frame, mode_features(features, mode)) for frame, features in mapping
+    }
     keyframe_bows = [(kf.id, kf.bow) for kf in sparse_map.keyframes]
-    masked = mode is SemanticMode.PRE
 
     entries = []
     pair_records = []
-    for frame in eval_frames:
-        query = QueryFrame.from_synthetic(frame)
+    for frame, features in evaluation:
         localization = relocalize(
-            sparse_map, query, intrinsics, mode, RelocalizationParams(seed=seed)
+            sparse_map, frame.frame_id, features, intrinsics, mode,
+            RelocalizationParams(seed=seed),
         )
         entries.append(
             TrajectoryEntry(frame.timestamp, localization.pose, localization.failure_reason)
         )
 
-        features = extract_frame_features(query.observation, query.detections, masked)
-        partner_id = most_similar(
-            bow_vector(features.descriptors, sparse_map.vocabulary), keyframe_bows
-        )
-        partner = mapping_by_id[partner_id]
-        partner_query = QueryFrame.from_synthetic(partner)
-        partner_features = extract_frame_features(
-            partner_query.observation, partner_query.detections, masked
-        )
+        query = mode_features(features, mode)
+        partner, partner_features = partners[
+            most_similar(bow_vector(query.descriptors, sparse_map.vocabulary), keyframe_bows)
+        ]
         # the matches relative_pose would pool for this pair, before any
         # robust estimation, scored against the ground-truth geometry
-        matches = match_frames(features, partner_features, mode)
+        matches = match_frames(query, partner_features, mode)
         pair_records.append(
             correct_match_ratio(
-                features.coordinates[matches.query_index],
+                query.coordinates[matches.query_index],
                 partner_features.coordinates[matches.train_index],
                 intrinsics,
                 frame.pose,
@@ -135,7 +163,7 @@ def _evaluate_mode(
         )
 
     write_trajectory(os.path.join(trajectory_dir, f"{seq}_{mode.value}.txt"), entries)
-    gt_entries = [TrajectoryEntry(f.timestamp, f.pose) for f in eval_frames]
+    gt_entries = [TrajectoryEntry(frame.timestamp, frame.pose) for frame, _ in evaluation]
     series = absolute_errors(entries, gt_entries, alignment="none")
     rate = success_rate(series, DEFAULT_POS_TOL_M, DEFAULT_ROT_TOL_DEG)
     record = BenchmarkRecord(
@@ -165,51 +193,38 @@ def run_benchmark(config: SceneConfig, out_dir: str) -> list[SeedOutcome]:
     """
     trajectory_dir = os.path.join(out_dir, "trajectories")
     os.makedirs(trajectory_dir, exist_ok=True)
-    noise = (config.sigma_px, config.sigma_desc)
 
     outcomes = []
     for seed in config.seeds:
-        world = generate_world(config.world, seed=seed)
-        mapping_frames = synthesize_sequence(
-            world, config.mapping_kind, config.mapping, config.intrinsics,
-            noise, seed, _MAPPING_STREAM,
-        )
-        map_inputs = [map_frame_from_synthetic(f) for f in mapping_frames]
-        semantic_map = build_map(
-            map_inputs,
-            config.intrinsics,
-            MapBuildConfig(semantic=True, vocabulary_k=config.vocabulary_k),
-            registry=world.registry,
-        )
-        full_map = build_map(
-            map_inputs,
-            config.intrinsics,
-            MapBuildConfig(semantic=False, vocabulary_k=config.vocabulary_k),
-            registry=world.registry,
-        )
-
-        eval_world = world
-        if config.perturbation is not None:
-            from ..simworld.perturb import perturb_world
-
-            eval_world = perturb_world(world, config.perturbation.resolve(world))
-        eval_frames = synthesize_sequence(
-            eval_world, config.evaluation_kind, config.evaluation, config.intrinsics,
-            noise, seed, _EVALUATION_STREAM, id_base=_EVALUATION_ID_BASE,
+        scene = synthesize_scene(config, seed)
+        # every frame is featurized once; each map and mode applies its own mask
+        mapping = [(frame, frame_features(frame)) for frame in scene.mapping_frames]
+        evaluation = [(frame, frame_features(frame)) for frame in scene.eval_frames]
+        map_inputs = [
+            MapFrameInput(features, frame.pose, frame.frame_id) for frame, features in mapping
+        ]
+        semantic_map, full_map = (
+            build_map(
+                map_inputs,
+                config.intrinsics,
+                MapBuildConfig(semantic=semantic, vocabulary_k=config.vocabulary_k),
+                registry=scene.world.registry,
+            )
+            for semantic in (True, False)
         )
 
         seq = f"{config.evaluation_kind}-s{seed}"
         write_trajectory(
             os.path.join(trajectory_dir, f"{seq}_gt.txt"),
-            [TrajectoryEntry(f.timestamp, f.pose) for f in eval_frames],
+            [TrajectoryEntry(f.timestamp, f.pose) for f in scene.eval_frames],
         )
         for mode_name in config.modes:
             mode = SemanticMode.parse(mode_name)
             outcome = _evaluate_mode(
                 mode,
                 _map_for_mode(mode, semantic_map, full_map),
-                mapping_frames,
-                eval_frames,
+                mapping,
+                evaluation,
                 config.intrinsics,
                 seed,
                 seq,

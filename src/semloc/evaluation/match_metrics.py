@@ -10,7 +10,7 @@ from ..errors import DegenerateGeometryError
 from ..geometry.epipolar import essential_from_pose, relative_motion, sampson_error
 from ..geometry.metrics import rotation_error_deg, translation_heading_error_deg
 from ..geometry.pose import CameraIntrinsics, Pose
-from ..pipelines.relative import RelativePoseResult, normalized_coordinates
+from ..pipelines.relative import RelativePoseResult
 
 DEFAULT_SAMPSON_TOL = 5e-4
 _ZERO_BASELINE = 1e-12
@@ -64,8 +64,8 @@ def correct_match_ratio(
     residuals = np.atleast_1d(
         sampson_error(
             essential,
-            normalized_coordinates(pixels_a, intrinsics),
-            normalized_coordinates(pixels_b, intrinsics),
+            intrinsics.normalize(pixels_a),
+            intrinsics.normalize(pixels_b),
         )
     )
     correct = int(np.sum(residuals < threshold))

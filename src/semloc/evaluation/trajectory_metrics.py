@@ -50,6 +50,12 @@ class TrajectoryErrorSeries:
     def _agg(values: np.ndarray, fn) -> float:
         return float(fn(values)) if len(values) else float("nan")
 
+    @staticmethod
+    def _rmse(values: np.ndarray) -> float:
+        # rounding can lift the root of equal squares one ulp above their
+        # value; an RMSE never exceeds the largest error
+        return min(np.sqrt(np.mean(np.square(values))), np.max(values))
+
     @property
     def ape_max(self) -> float:
         return self._agg(self.ape, np.max)
@@ -60,7 +66,7 @@ class TrajectoryErrorSeries:
 
     @property
     def ape_rmse(self) -> float:
-        return self._agg(self.ape, lambda v: np.sqrt(np.mean(np.square(v))))
+        return self._agg(self.ape, self._rmse)
 
     @property
     def are_max(self) -> float:
@@ -72,7 +78,7 @@ class TrajectoryErrorSeries:
 
     @property
     def are_rmse(self) -> float:
-        return self._agg(self.are, lambda v: np.sqrt(np.mean(np.square(v))))
+        return self._agg(self.are, self._rmse)
 
 
 def _camera_to_world(pose: Pose) -> tuple[np.ndarray, np.ndarray]:

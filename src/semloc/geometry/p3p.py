@@ -32,13 +32,6 @@ def _kabsch(world: np.ndarray, camera: np.ndarray) -> Pose:
     return Pose(r, cc - r @ wc)
 
 
-def _alignment_residuals(pose: Pose, bearings: np.ndarray, points: np.ndarray) -> np.ndarray:
-    cam = pose.transform(points)
-    norms = np.linalg.norm(cam, axis=1, keepdims=True)
-    unit = cam / norms
-    return np.cross(bearings, unit).reshape(-1)
-
-
 def _polish_pose(pose: Pose, bearings: np.ndarray, points: np.ndarray, steps: int = 2) -> Pose:
     """Gauss-Newton on the cross-product bearing residuals (6 dof, 9 residuals)."""
     for _ in range(steps):

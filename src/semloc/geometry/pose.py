@@ -10,7 +10,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,10 +110,6 @@ class Pose:
     @classmethod
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
-    def from_quaternion(cls, q: np.ndarray, t: np.ndarray) -> "Pose":
-        return cls(rotation_from_quaternion(q), np.asarray(t, dtype=float))
 
     def quaternion(self) -> np.ndarray:
         return quaternion_from_rotation(self.rotation)

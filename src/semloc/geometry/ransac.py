@@ -2,14 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import EstimationFailedError, InsufficientDataError, SemlocError
 from .five_point import five_point_essential
 from .p3p import p3p_solve
-from .pose import CameraIntrinsics, Pose
+from .pose import CameraIntrinsics, Pose, project_points
 from .epipolar import sampson_error
 
 _CONFIDENCE = 0.999
@@ -45,13 +45,10 @@ def _bearings(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
 def _reprojection_errors(
     pose: Pose, intrinsics: CameraIntrinsics, points: np.ndarray, pixels: np.ndarray
 ) -> np.ndarray:
-    cam = pose.transform(points)
-    errors = np.full(points.shape[0], np.inf)
-    front = cam[:, 2] > 1e-9
-    z = cam[front, 2]
-    du = intrinsics.fx * cam[front, 0] / z + intrinsics.cx - pixels[front, 0]
-    dv = intrinsics.fy * cam[front, 1] / z + intrinsics.cy - pixels[front, 1]
-    errors[front] = np.hypot(du, dv)
+    """Pixel distance per match; inf for points behind the camera."""
+    projected, front = project_points(pose, intrinsics, points)
+    errors = np.full(len(projected), np.inf)
+    errors[front] = np.hypot(*(projected[front] - pixels[front]).T)
     return errors
 
 

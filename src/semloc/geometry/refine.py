@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pose import CameraIntrinsics, Pose, rotation_from_axis_angle, skew
+from .pose import CameraIntrinsics, Pose, project_points, rotation_from_axis_angle, skew
 
 _SINGULAR_COND = 1e12
 
@@ -35,15 +35,10 @@ def reprojection_residuals(
     pose: Pose, intrinsics: CameraIntrinsics, points: np.ndarray, pixels: np.ndarray
 ) -> np.ndarray:
     """Stacked (2n,) pixel residuals; points behind the camera contribute huge values."""
-    cam = pose.transform(points)
-    res = np.empty(2 * points.shape[0])
-    for i, c in enumerate(cam):
-        if c[2] <= 1e-9:
-            res[2 * i : 2 * i + 2] = 1e6
-            continue
-        res[2 * i] = intrinsics.fx * c[0] / c[2] + intrinsics.cx - pixels[i, 0]
-        res[2 * i + 1] = intrinsics.fy * c[1] / c[2] + intrinsics.cy - pixels[i, 1]
-    return res
+    projected, front = project_points(pose, intrinsics, points)
+    residuals = projected - pixels
+    residuals[~front] = 1e6
+    return residuals.reshape(-1)
 
 
 def _jacobian(pose: Pose, intrinsics: CameraIntrinsics, points: np.ndarray) -> np.ndarray:

@@ -1,8 +1,7 @@
-"""Build a sparse landmark map from posed frames with detections."""
+"""Build a sparse landmark map from posed, labeled frames."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,10 +10,9 @@ from ..errors import DegenerateGeometryError, InsufficientDataError
 from ..features.match import DEFAULT_RATIO, knn_ratio_match
 from ..geometry.pose import CameraIntrinsics, Pose, project_points
 from ..geometry.triangulate import triangulate_two_view
-from ..semantics.boxes import DetectionSet
 from ..semantics.classes import UNLABELED, ClassRegistry
 from ..semantics.filtering import match_per_class
-from ..semantics.labeling import FeatureObservation, extract_frame_features
+from ..semantics.labeling import FrameFeatures
 from .sparse_map import Keyframe, SparseMap
 from .vocabulary import (
     DEFAULT_VOCABULARY_K,
@@ -23,14 +21,11 @@ from .vocabulary import (
     rank_by_similarity,
 )
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass
 class MapFrameInput:
-    observation: FeatureObservation
+    features: FrameFeatures  # labeled and unmasked
     pose: Pose  # world->camera
-    detections: DetectionSet
     frame_id: int
 
 
@@ -103,12 +98,8 @@ def build_map(
     config = config or MapBuildConfig()
     if len(frames) < 2:
         raise InsufficientDataError("empty map: need at least two frames")
-    if any(f.detections.frame_id != f.frame_id for f in frames):
-        logger.debug("detection frame ids differ from frame ids; trusting frame ids")
 
-    features = [
-        extract_frame_features(f.observation, f.detections, config.semantic) for f in frames
-    ]
+    features = [f.features.labeled() if config.semantic else f.features for f in frames]
     total = sum(len(f.descriptors) for f in features)
     if total < 2:
         raise InsufficientDataError("empty map: no features retained from any frame")

@@ -1,11 +1,11 @@
 """End-to-end estimators: relocalization and pairwise relative pose."""
 
-from .modes import SemanticMode, derive_rng_seed
+from .modes import SemanticMode, derive_rng_seed, mode_features
 from .frames import (
     FrameFeatures,
     QueryFrame,
     extract_frame_features,
-    map_frame_from_synthetic,
+    frame_features,
 )
 from .relocalize import (
     LocalizationResult,
@@ -18,7 +18,6 @@ from .relative import (
     RelativePoseParams,
     RelativePoseResult,
     match_frames,
-    normalized_coordinates,
     relative_pose,
 )
 from .pairing import most_similar, pair_selection
@@ -35,10 +34,10 @@ __all__ = [
     "dedup_matches",
     "derive_rng_seed",
     "extract_frame_features",
-    "map_frame_from_synthetic",
+    "frame_features",
     "match_frames",
+    "mode_features",
     "most_similar",
-    "normalized_coordinates",
     "pair_selection",
     "relative_pose",
     "relocalize",

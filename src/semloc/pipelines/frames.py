@@ -1,4 +1,4 @@
-"""Frame adapters: synthetic frames as query frames or map-building inputs.
+"""Frame adapters: a synthesized or loaded frame as labeled features.
 
 The featurizer itself lives in ``semantics.labeling`` and is re-exported here.
 """
@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..mapping.build import MapFrameInput
 from ..semantics.boxes import DetectionSet
 from ..semantics.labeling import (  # noqa: F401  re-exported
     FeatureObservation,
@@ -16,9 +15,15 @@ from ..semantics.labeling import (  # noqa: F401  re-exported
 )
 
 
+def frame_features(frame) -> FrameFeatures:
+    """A frame's keypoints labeled by its own detection boxes, unmasked."""
+    observation = FeatureObservation(frame.keypoints, frame.descriptors)
+    return extract_frame_features(observation, frame.boxes, masked=False)
+
+
 @dataclass
 class QueryFrame:
-    """A frame to localize: its keypoints and descriptors with detections."""
+    """A frame's keypoints and descriptors with its detections."""
 
     frame_id: int
     observation: FeatureObservation
@@ -33,13 +38,3 @@ class QueryFrame:
             detections=frame.boxes,
             timestamp=frame.timestamp,
         )
-
-
-def map_frame_from_synthetic(frame) -> MapFrameInput:
-    """Adapt a synthesized frame (known pose) for map building."""
-    return MapFrameInput(
-        observation=FeatureObservation(frame.keypoints, frame.descriptors),
-        pose=frame.pose,
-        detections=frame.boxes,
-        frame_id=frame.frame_id,
-    )

@@ -6,6 +6,8 @@ import enum
 
 import numpy as np
 
+from ..semantics.labeling import FrameFeatures
+
 
 class SemanticMode(enum.Enum):
     """How object detections participate in feature matching.
@@ -27,6 +29,11 @@ class SemanticMode(enum.Enum):
             return cls(value)
         except ValueError:
             raise ValueError(f"unknown semantic mode: {value!r}") from None
+
+
+def mode_features(features: FrameFeatures, mode: SemanticMode) -> FrameFeatures:
+    """The features a mode matches with: pre keeps only the labeled ones."""
+    return features.labeled() if mode is SemanticMode.PRE else features
 
 
 def derive_rng_seed(seed: int, *ids: int) -> int:

@@ -13,8 +13,8 @@ from ..geometry.epipolar import RelativePose, decompose_essential
 from ..geometry.pose import CameraIntrinsics
 from ..geometry.ransac import RansacParams, ransac_essential
 from ..semantics.filtering import filter_matches_by_class, match_per_class
-from .frames import FrameFeatures, QueryFrame, extract_frame_features
-from .modes import SemanticMode, derive_rng_seed
+from .frames import FrameFeatures
+from .modes import SemanticMode, derive_rng_seed, mode_features
 
 logger = logging.getLogger(__name__)
 
@@ -38,22 +38,12 @@ class RelativePoseResult:
     relative: "RelativePose | None"
     inlier_count: int
     matches: np.recarray  # feature matches from a (query_index) to b (train_index)
-    pixels_a: np.ndarray  # (matches_used, 2) pixel coordinates, row-aligned
+    pixels_a: np.ndarray  # (len(matches), 2) pixel coordinates, row-aligned
     pixels_b: np.ndarray  # with `matches`
     pure_rotation: bool = False
     planar_suspected: bool = False
     failure_reason: "str | None" = None
     inlier_indices: tuple = ()  # rows of `matches`
-
-    @property
-    def matches_used(self) -> int:
-        return len(self.matches)
-
-
-def normalized_coordinates(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Pixel coordinates to normalized camera coordinates."""
-    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    return (pixels - [intrinsics.cx, intrinsics.cy]) / [intrinsics.fx, intrinsics.fy]
 
 
 def match_frames(
@@ -64,8 +54,9 @@ def match_frames(
 ) -> np.recarray:
     """Mode-specific descriptor matching between two frames.
 
-    Pre matches class-by-class over its masked features; post matches
-    everything then keeps class-consistent pairs; baseline is unrestricted.
+    Pre matches class-by-class; post matches everything then keeps
+    class-consistent pairs; baseline is unrestricted.  The match indices are
+    rows of the features passed in, so pass each frame's `mode_features`.
     """
     if mode is SemanticMode.PRE:
         return match_per_class(
@@ -82,23 +73,25 @@ def match_frames(
 
 
 def relative_pose(
-    frame_a: QueryFrame,
-    frame_b: QueryFrame,
+    frame_id_a: int,
+    features_a: FrameFeatures,
+    frame_id_b: int,
+    features_b: FrameFeatures,
     intrinsics: CameraIntrinsics,
     mode: "SemanticMode | str" = SemanticMode.BASELINE,
     params: "RelativePoseParams | None" = None,
 ) -> RelativePoseResult:
     """Estimate the up-to-scale relative motion between two frames.
 
-    Matches per the semantic mode, robustly fits an essential matrix on the
+    Takes each frame's labeled, unmasked features, applies the mode's mask,
+    matches per the semantic mode, robustly fits an essential matrix on the
     normalized correspondences, and decomposes it by cheirality voting.
     Degeneracies set the corresponding flags instead of raising.
     """
     params = params or RelativePoseParams()
     mode = SemanticMode.parse(mode)
-    masked = mode is SemanticMode.PRE
-    features_a = extract_frame_features(frame_a.observation, frame_a.detections, masked)
-    features_b = extract_frame_features(frame_b.observation, frame_b.detections, masked)
+    features_a = mode_features(features_a, mode)
+    features_b = mode_features(features_b, mode)
 
     matches = match_frames(features_a, features_b, mode, params.match_ratio)
 
@@ -108,11 +101,11 @@ def relative_pose(
         if reason is not None:
             logger.info(
                 "pair (%d, %d) (%s): %s",
-                frame_a.frame_id, frame_b.frame_id, mode.value, reason,
+                frame_id_a, frame_id_b, mode.value, reason,
             )
         return RelativePoseResult(
-            frame_id_a=frame_a.frame_id,
-            frame_id_b=frame_b.frame_id,
+            frame_id_a=frame_id_a,
+            frame_id_b=frame_id_b,
             mode=mode,
             relative=relative,
             inlier_count=len(inlier_idx),
@@ -125,18 +118,20 @@ def relative_pose(
             inlier_indices=tuple(int(i) for i in inlier_idx),
         )
 
-    if masked and (len(features_a.coordinates) == 0 or len(features_b.coordinates) == 0):
+    if mode is SemanticMode.PRE and (
+        len(features_a.coordinates) == 0 or len(features_b.coordinates) == 0
+    ):
         return result(reason="no semantic features")
     if len(matches) < _MIN_PAIR_MATCHES:
         return result(reason="insufficient matches")
 
-    points_a = normalized_coordinates(features_a.coordinates[matches.query_index], intrinsics)
-    points_b = normalized_coordinates(features_b.coordinates[matches.train_index], intrinsics)
+    points_a = intrinsics.normalize(features_a.coordinates[matches.query_index])
+    points_b = intrinsics.normalize(features_b.coordinates[matches.train_index])
     ransac = RansacParams(
         max_iterations=params.max_iterations,
         inlier_threshold=params.sampson_threshold,
         min_inliers=params.min_inliers,
-        rng_seed=derive_rng_seed(params.seed, frame_a.frame_id, frame_b.frame_id),
+        rng_seed=derive_rng_seed(params.seed, frame_id_a, frame_id_b),
     )
     try:
         essential, inliers = ransac_essential(points_a, points_b, ransac)

@@ -16,8 +16,8 @@ from ..mapping.sparse_map import SparseMap, query_candidates
 from ..mapping.vocabulary import bow_vector
 from ..semantics.classes import UNLABELED
 from ..semantics.filtering import filter_matches_by_class, match_per_class
-from .frames import FrameFeatures, QueryFrame, extract_frame_features
-from .modes import SemanticMode, derive_rng_seed
+from .frames import FrameFeatures
+from .modes import SemanticMode, derive_rng_seed, mode_features
 
 logger = logging.getLogger(__name__)
 
@@ -47,10 +47,6 @@ class LocalizationResult:
     failure_reason: "str | None" = None
     inlier_indices: tuple = ()  # rows of `matches`
     map_fully_labeled: bool = False  # every map landmark carries a class id
-
-    @property
-    def total_matches(self) -> int:
-        return len(self.matches)
 
 
 def candidate_matches(
@@ -96,18 +92,20 @@ def dedup_matches(pairs: np.recarray) -> np.recarray:
 
 def relocalize(
     sparse_map: SparseMap,
-    frame: QueryFrame,
+    frame_id: int,
+    features: FrameFeatures,
     intrinsics: CameraIntrinsics,
     mode: "SemanticMode | str" = SemanticMode.BASELINE,
     params: "RelocalizationParams | None" = None,
 ) -> LocalizationResult:
     """Estimate the camera pose of a single frame against a prebuilt map.
 
-    Stages: feature labeling (pre mode keeps only labeled features) ->
-    BoW candidate retrieval -> per-candidate matching (pre: per class;
-    post: unrestricted then class-filtered; baseline: unrestricted) ->
-    pooled matches -> robust PnP -> refinement on the inliers.  Failures
-    return a pose-free result carrying the reason.
+    `features` are the frame's labeled, unmasked features.  Stages: the
+    mode's mask (pre keeps only labeled features) -> BoW candidate
+    retrieval -> per-candidate matching (pre: per class; post: unrestricted
+    then class-filtered; baseline: unrestricted) -> pooled matches -> robust
+    PnP -> refinement on the inliers.  Failures return a pose-free result
+    carrying the reason.
     """
     params = params or RelocalizationParams()
     mode = SemanticMode.parse(mode)
@@ -117,17 +115,14 @@ def relocalize(
     if mode is SemanticMode.BASELINE and map_fully_labeled:
         logger.info(
             "frame %d: baseline mode is matching against a fully labeled map",
-            frame.frame_id,
+            frame_id,
         )
-
-    features = extract_frame_features(
-        frame.observation, frame.detections, masked=(mode is SemanticMode.PRE)
-    )
+    features = mode_features(features, mode)
 
     def failure(reason, candidates=(), matches=match_record()):
-        logger.info("frame %d (%s): %s", frame.frame_id, mode.value, reason)
+        logger.info("frame %d (%s): %s", frame_id, mode.value, reason)
         return LocalizationResult(
-            frame_id=frame.frame_id,
+            frame_id=frame_id,
             mode=mode,
             pose=None,
             inlier_count=0,
@@ -157,7 +152,7 @@ def relocalize(
         max_iterations=params.max_iterations,
         inlier_threshold=params.inlier_threshold_px,
         min_inliers=params.min_inliers,
-        rng_seed=derive_rng_seed(params.seed, frame.frame_id),
+        rng_seed=derive_rng_seed(params.seed, frame_id),
     )
     try:
         pose, inliers = ransac_pnp(pixels, points, intrinsics, ransac)
@@ -178,7 +173,7 @@ def relocalize(
                 pose, inlier_idx = refined.pose, updated
 
     return LocalizationResult(
-        frame_id=frame.frame_id,
+        frame_id=frame_id,
         mode=mode,
         pose=pose,
         inlier_count=int(len(inlier_idx)),

@@ -33,6 +33,11 @@ class FrameFeatures:
     descriptors: np.ndarray  # (n, d) unit rows
     labels: np.ndarray  # (n,) class id per feature, UNLABELED outside every box
 
+    def labeled(self) -> "FrameFeatures":
+        """The features inside some detection box, i.e. those with a label."""
+        keep = self.labels != UNLABELED
+        return FrameFeatures(self.coordinates[keep], self.descriptors[keep], self.labels[keep])
+
 
 def label_keypoints(coordinates: np.ndarray, detections: DetectionSet) -> np.ndarray:
     """Label each (x, y) point with the class id of the box that owns it.
@@ -64,10 +69,9 @@ def extract_frame_features(
     With masked=True only labeled features are kept, i.e. exactly those
     inside the union of the detection boxes.
     """
-    coordinates = observation.keypoints
-    descriptors = observation.descriptors
-    labels = label_keypoints(coordinates, detections)
-    if masked:
-        keep = labels != UNLABELED
-        coordinates, descriptors, labels = coordinates[keep], descriptors[keep], labels[keep]
-    return FrameFeatures(coordinates, descriptors, labels)
+    features = FrameFeatures(
+        observation.keypoints,
+        observation.descriptors,
+        label_keypoints(observation.keypoints, detections),
+    )
+    return features.labeled() if masked else features

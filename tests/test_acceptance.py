@@ -37,7 +37,7 @@ from semloc.geometry import (
     triangulate_two_view,
 )
 from semloc.features.match import knn_ratio_match
-from semloc.pipelines import QueryFrame, RelativePoseParams, relative_pose
+from semloc.pipelines import RelativePoseParams, frame_features, relative_pose
 from semloc.pipelines.frames import FeatureObservation, extract_frame_features
 from semloc.semantics.boxes import BoundingBox, DetectionSet
 from semloc.semantics.classes import UNLABELED, ClassRegistry
@@ -419,10 +419,9 @@ def test_clustered_detections_degrade_premask_epipolar_heading():
                                    rng=np.random.default_rng(1000 + seed), frame_id=0)
         frame_b = synthesize_frame(world, pose_b, INTRINSICS, noise=(0.5, 0.05),
                                    rng=np.random.default_rng(2000 + seed), frame_id=1)
-        query_a = QueryFrame.from_synthetic(frame_a)
-        query_b = QueryFrame.from_synthetic(frame_b)
+        features_a, features_b = frame_features(frame_a), frame_features(frame_b)
         for mode in ("pre", "post"):
-            result = relative_pose(query_a, query_b, INTRINSICS, mode,
+            result = relative_pose(0, features_a, 1, features_b, INTRINSICS, mode,
                                    RelativePoseParams(seed=seed))
             assert result.relative is not None, (
                 f"seed {seed} {mode}: {result.failure_reason}"
@@ -431,7 +430,7 @@ def test_clustered_detections_degrade_premask_epipolar_heading():
                 translation_heading_error_deg(result.relative.translation_direction,
                                               gt_translation)
             )
-            match_counts[mode].append(result.matches_used)
+            match_counts[mode].append(len(result.matches))
 
     # the cluster and its twins dominate the class-restricted match set while
     # the unrestricted ratio test keeps only the well-spread class

@@ -294,7 +294,7 @@ def test_mean_match_ratio_skips_undefined_pairs():
 
 def _frame_pair_results(seed=0):
     """A genuine two-frame estimation problem routed through relative_pose."""
-    from semloc.pipelines.frames import FeatureObservation, QueryFrame
+    from semloc.pipelines.frames import FeatureObservation, extract_frame_features
     from semloc.semantics import DetectionSet
 
     rng = np.random.default_rng(seed)
@@ -306,17 +306,13 @@ def _frame_pair_results(seed=0):
     keep = valid_a & valid_b
     descriptors = rng.normal(size=(int(np.sum(keep)), 32))
     descriptors /= np.linalg.norm(descriptors, axis=1, keepdims=True)
-    frame_a = QueryFrame(
-        frame_id=0,
-        observation=FeatureObservation(pixels_a[keep], descriptors),
-        detections=DetectionSet(frame_id=0),
+    features_a = extract_frame_features(
+        FeatureObservation(pixels_a[keep], descriptors), DetectionSet(frame_id=0), masked=False
     )
-    frame_b = QueryFrame(
-        frame_id=1,
-        observation=FeatureObservation(pixels_b[keep], descriptors),
-        detections=DetectionSet(frame_id=1),
+    features_b = extract_frame_features(
+        FeatureObservation(pixels_b[keep], descriptors), DetectionSet(frame_id=1), masked=False
     )
-    result = relative_pose(frame_a, frame_b, INTRINSICS, SemanticMode.BASELINE,
+    result = relative_pose(0, features_a, 1, features_b, INTRINSICS, SemanticMode.BASELINE,
                            RelativePoseParams(seed=seed))
     return result, pose_a, pose_b
 
@@ -523,6 +519,26 @@ def test_benchmark_outputs_and_determinism(tmp_path):
     assert tree_a.keys() == tree_b.keys()
     for name in tree_a:
         assert tree_a[name] == tree_b[name], f"{name} differs between identical runs"
+
+
+def test_benchmark_featurizes_each_frame_once(tmp_path, monkeypatch):
+    """Both maps, every mode and the partner lookup share one labelling pass
+    per mapping frame and per evaluation frame."""
+    from semloc.semantics import labeling
+
+    label_keypoints = labeling.label_keypoints
+    labelled = []
+
+    def counting_label_keypoints(coordinates, detections):
+        labelled.append(detections.frame_id)
+        return label_keypoints(coordinates, detections)
+
+    monkeypatch.setattr(labeling, "label_keypoints", counting_label_keypoints)
+    config = _tiny_config(seeds=(0,), perturbed=True)
+    run_benchmark(config, str(tmp_path / "run"))
+    mapping_ids = list(range(config.mapping.steps))
+    evaluation_ids = [1000 + i for i in range(config.evaluation.steps)]
+    assert sorted(labelled) == mapping_ids + evaluation_ids
 
 
 def test_benchmark_maps_come_from_the_unperturbed_world(tmp_path):

@@ -201,3 +201,30 @@ def test_refine_jacobian_matches_finite_differences(intrinsics):
         fd[:, k] = (plus - minus) / (2 * eps)
     denom = np.maximum(np.abs(fd), 1.0)
     assert np.max(np.abs(analytic - fd) / denom) < 1e-5
+
+
+def test_reprojection_helpers_equal_the_per_point_formula(intrinsics):
+    """Both residual helpers give the one-point formula's bits; points behind
+    the camera read 1e6 per coordinate (refinement) and inf (RANSAC)."""
+    from semloc.geometry.ransac import _reprojection_errors
+
+    rng = np.random.default_rng(71)
+    for _ in range(20):
+        pose = random_pose(rng)
+        points = np.vstack([
+            points_in_front(rng, pose, 30, depth=(0.5, 6.0)),
+            points_in_front(rng, pose, 5, depth=(-3.0, -0.1)),
+        ])
+        pixels = rng.uniform(0.0, 640.0, size=(len(points), 2))
+        expected = np.full(2 * len(points), 1e6)
+        distances = np.full(len(points), np.inf)
+        for i, c in enumerate(pose.transform(points)):
+            if c[2] <= 1e-9:
+                continue
+            du = intrinsics.fx * c[0] / c[2] + intrinsics.cx - pixels[i, 0]
+            dv = intrinsics.fy * c[1] / c[2] + intrinsics.cy - pixels[i, 1]
+            expected[2 * i : 2 * i + 2] = du, dv
+            distances[i] = np.hypot(du, dv)
+        residuals = reprojection_residuals(pose, intrinsics, points, pixels)
+        assert np.array_equal(residuals, expected)
+        assert np.array_equal(_reprojection_errors(pose, intrinsics, points, pixels), distances)

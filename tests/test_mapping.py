@@ -282,15 +282,18 @@ def _scene_points(rng, n):
     )
 
 
+def _map_frame(frame_id, pose, keypoints, descriptors, boxes):
+    observation = FeatureObservation(keypoints=keypoints, descriptors=descriptors)
+    features = extract_frame_features(
+        observation, DetectionSet(frame_id, list(boxes)), masked=False
+    )
+    return MapFrameInput(features=features, pose=pose, frame_id=frame_id)
+
+
 def _synthetic_frame(frame_id, pose, points, descriptors, boxes):
     pixels, valid = project_points(pose, INTRINSICS, points)
     assert valid.all()
-    return MapFrameInput(
-        observation=FeatureObservation(keypoints=pixels, descriptors=descriptors),
-        pose=pose,
-        detections=DetectionSet(frame_id, list(boxes)),
-        frame_id=frame_id,
-    )
+    return _map_frame(frame_id, pose, pixels, descriptors, boxes)
 
 
 def test_two_frame_map_recovers_ground_truth_points():
@@ -345,7 +348,7 @@ def test_landmarks_reproject_within_build_threshold():
 
     for kf in sparse_map.keyframes:
         frame = frames[kf.id]
-        obs = frame.observation.keypoints
+        obs = frame.features.coordinates
         for lm_id in kf.landmark_ids:
             pixel = project(kf.pose, INTRINSICS, sparse_map.positions[lm_id])
             source = int(
@@ -434,9 +437,7 @@ def _reference_landmarks(frames, config):
     union-find over (frame, keypoint) nodes, one projection per observation.
     Returns (positions, descriptors, class_ids, observation_counts, keyframe
     landmark ids)."""
-    features = [
-        extract_frame_features(f.observation, f.detections, config.semantic) for f in frames
-    ]
+    features = [f.features.labeled() if config.semantic else f.features for f in frames]
     total = sum(len(f.descriptors) for f in features)
     vocabulary = build_vocabulary(
         [f.descriptors for f in features], min(config.vocabulary_k, total), config.vocabulary_seed
@@ -514,14 +515,17 @@ def _noisy_frames():
     ]
     frames = []
     for i in range(6):
-        frame = _synthetic_frame(i, _shifted_pose(0.2 * i), points, descriptors, boxes)
-        keypoints = frame.observation.keypoints + rng.normal(scale=0.8, size=(120, 2))
+        pose = _shifted_pose(0.2 * i)
+        keypoints = project_points(pose, INTRINSICS, points)[0]
+        keypoints += rng.normal(scale=0.8, size=(120, 2))
         keypoints[rng.choice(120, size=6, replace=False)] += rng.normal(scale=6.0, size=(6, 2))
-        frame.observation = FeatureObservation(
-            keypoints=np.clip(keypoints, 0.0, [639.0, 479.0]),
-            descriptors=_unit_rows(descriptors + rng.normal(scale=0.15, size=descriptors.shape)),
-        )
-        frames.append(frame)
+        frames.append(_map_frame(
+            i,
+            pose,
+            np.clip(keypoints, 0.0, [639.0, 479.0]),
+            _unit_rows(descriptors + rng.normal(scale=0.15, size=descriptors.shape)),
+            boxes,
+        ))
     return frames
 
 

@@ -9,23 +9,22 @@ from semloc.errors import InsufficientDataError
 from semloc.features import match_record
 from semloc.geometry import rotation_error_deg, translation_heading_error_deg
 from semloc.geometry.epipolar import relative_motion
-from semloc.mapping import MapBuildConfig, build_map
+from semloc.mapping import MapBuildConfig, MapFrameInput, build_map
 from semloc.mapping.vocabulary import bow_vector, cosine_similarity
 from semloc.pipelines import (
-    QueryFrame,
     RelocalizationParams,
-    RelativePoseParams,
     SemanticMode,
     candidate_matches,
     dedup_matches,
     extract_frame_features,
-    map_frame_from_synthetic,
+    frame_features,
     match_frames,
+    mode_features,
     pair_selection,
     relative_pose,
     relocalize,
 )
-from semloc.pipelines.frames import FeatureObservation, FrameFeatures
+from semloc.pipelines.frames import FeatureObservation
 from semloc.semantics import UNLABELED, DetectionSet
 from semloc.simworld import (
     DEFAULT_INTRINSICS,
@@ -62,8 +61,14 @@ def _synthesize_run(world, kind, params, *, seed, sigma_px=0.5, sigma_desc=0.02)
     return frames
 
 
+def _features(keypoints, descriptors, detections):
+    """A frame's labeled, unmasked features from its raw parts."""
+    observation = FeatureObservation(keypoints, descriptors)
+    return extract_frame_features(observation, detections, masked=False)
+
+
 def _build_maps(frames, vocabulary_k=48):
-    inputs = [map_frame_from_synthetic(f) for f in frames]
+    inputs = [MapFrameInput(frame_features(f), f.pose, f.frame_id) for f in frames]
     semantic = build_map(
         inputs, INTRINSICS, MapBuildConfig(semantic=True, vocabulary_k=vocabulary_k)
     )
@@ -103,6 +108,19 @@ def scene():
     return world, semantic_map, baseline_map, eval_frames
 
 
+def test_mode_features_masks_only_pre(scene):
+    _, _, _, eval_frames = scene
+    features = frame_features(eval_frames[0])
+    assert UNLABELED in features.labels and np.any(features.labels != UNLABELED)
+    for mode in (SemanticMode.BASELINE, SemanticMode.POST):
+        assert mode_features(features, mode) is features
+    pre = mode_features(features, SemanticMode.PRE)
+    keep = features.labels != UNLABELED
+    assert np.array_equal(pre.coordinates, features.coordinates[keep])
+    assert np.array_equal(pre.descriptors, features.descriptors[keep])
+    assert np.array_equal(pre.labels, features.labels[keep])
+
+
 # --------------------------------------------------------------------------
 # relocalization
 
@@ -111,11 +129,12 @@ def test_relocalize_unperturbed_accurate_all_modes(scene):
     world, semantic_map, baseline_map, eval_frames = scene
     attempted = 0
     for frame in eval_frames[::3]:
-        query = QueryFrame.from_synthetic(frame)
+        features = frame_features(frame)
         for mode in SemanticMode:
             result = relocalize(
                 _map_for_mode(mode, semantic_map, baseline_map),
-                query,
+                frame.frame_id,
+                features,
                 INTRINSICS,
                 mode,
             )
@@ -132,24 +151,18 @@ def test_relocalize_unperturbed_accurate_all_modes(scene):
 def test_relocalize_pre_without_detections_fails(scene):
     _, semantic_map, _, eval_frames = scene
     frame = eval_frames[0]
-    query = QueryFrame(
-        frame_id=frame.frame_id,
-        observation=FeatureObservation(frame.keypoints, frame.descriptors),
-        detections=DetectionSet(frame_id=frame.frame_id, boxes=[]),
+    features = _features(
+        frame.keypoints, frame.descriptors, DetectionSet(frame_id=frame.frame_id, boxes=[])
     )
-    result = relocalize(semantic_map, query, INTRINSICS, "pre")
+    result = relocalize(semantic_map, frame.frame_id, features, INTRINSICS, "pre")
     assert result.pose is None
     assert result.failure_reason == "no semantic features"
 
 
 def test_relocalize_empty_frame_has_no_candidates(scene):
     _, _, baseline_map, _ = scene
-    query = QueryFrame(
-        frame_id=77,
-        observation=FeatureObservation(np.empty((0, 2)), np.empty((0, 64))),
-        detections=DetectionSet(frame_id=77, boxes=[]),
-    )
-    result = relocalize(baseline_map, query, INTRINSICS, "baseline")
+    features = _features(np.empty((0, 2)), np.empty((0, 64)), DetectionSet(frame_id=77, boxes=[]))
+    result = relocalize(baseline_map, 77, features, INTRINSICS, "baseline")
     assert result.pose is None
     assert result.failure_reason == "no candidates"
 
@@ -160,15 +173,11 @@ def test_relocalize_unmatchable_descriptors(scene):
     rng = np.random.default_rng(3)
     noise = rng.normal(size=frame.descriptors.shape)
     noise /= np.linalg.norm(noise, axis=1, keepdims=True)
-    query = QueryFrame(
-        frame_id=frame.frame_id,
-        observation=FeatureObservation(frame.keypoints, noise),
-        detections=frame.boxes,
-    )
-    result = relocalize(baseline_map, query, INTRINSICS, "baseline")
+    features = _features(frame.keypoints, noise, frame.boxes)
+    result = relocalize(baseline_map, frame.frame_id, features, INTRINSICS, "baseline")
     assert result.pose is None
     assert result.failure_reason == "insufficient matches"
-    assert result.total_matches < 4
+    assert len(result.matches) < 4
 
 
 def test_relocalize_scrambled_geometry_fails(scene):
@@ -176,25 +185,22 @@ def test_relocalize_scrambled_geometry_fails(scene):
     frame = eval_frames[0]
     rng = np.random.default_rng(9)
     scrambled = frame.keypoints[rng.permutation(len(frame.keypoints))]
-    query = QueryFrame(
-        frame_id=frame.frame_id,
-        observation=FeatureObservation(scrambled, frame.descriptors),
-        detections=frame.boxes,
-    )
-    result = relocalize(baseline_map, query, INTRINSICS, "baseline")
+    features = _features(scrambled, frame.descriptors, frame.boxes)
+    result = relocalize(baseline_map, frame.frame_id, features, INTRINSICS, "baseline")
     assert result.pose is None
     assert result.failure_reason == "localization failed"
     assert result.inlier_count == 0
-    assert result.total_matches > 12  # matching worked; geometry did not
+    assert len(result.matches) > 12  # matching worked; geometry did not
 
 
 def test_relocalize_deterministic(scene):
     _, semantic_map, baseline_map, eval_frames = scene
-    query = QueryFrame.from_synthetic(eval_frames[1])
+    frame = eval_frames[1]
+    features = frame_features(frame)
     for mode in SemanticMode:
         sparse_map = _map_for_mode(mode, semantic_map, baseline_map)
-        first = relocalize(sparse_map, query, INTRINSICS, mode)
-        second = relocalize(sparse_map, query, INTRINSICS, mode)
+        first = relocalize(sparse_map, frame.frame_id, features, INTRINSICS, mode)
+        second = relocalize(sparse_map, frame.frame_id, features, INTRINSICS, mode)
         assert first.candidate_ids == second.candidate_ids
         assert np.array_equal(first.matches, second.matches)
         assert first.inlier_indices == second.inlier_indices
@@ -211,16 +217,15 @@ def test_relocalize_inliers_reproject_below_threshold(scene):
     params = RelocalizationParams()
     checked = 0
     for frame in eval_frames[::4]:
-        query = QueryFrame.from_synthetic(frame)
+        all_features = frame_features(frame)
         for mode in SemanticMode:
             sparse_map = _map_for_mode(mode, semantic_map, baseline_map)
-            result = relocalize(sparse_map, query, INTRINSICS, mode, params)
+            result = relocalize(
+                sparse_map, frame.frame_id, all_features, INTRINSICS, mode, params
+            )
             if result.pose is None:
                 continue
-            features = extract_frame_features(
-                query.observation, query.detections,
-                masked=(SemanticMode.parse(mode) is SemanticMode.PRE),
-            )
+            features = mode_features(all_features, mode)
             pixels = features.coordinates[result.matches.query_index]
             points = sparse_map.positions[result.matches.train_index]
             residuals = reprojection_residuals(
@@ -234,9 +239,7 @@ def test_relocalize_inliers_reproject_below_threshold(scene):
 
 def test_post_matches_are_subset_of_baseline(scene):
     world, _, baseline_map, eval_frames = scene
-    frame = eval_frames[2]
-    query = QueryFrame.from_synthetic(frame)
-    features = extract_frame_features(query.observation, query.detections, masked=False)
+    features = frame_features(eval_frames[2])
     bow = bow_vector(features.descriptors, baseline_map.vocabulary)
     from semloc.mapping.sparse_map import query_candidates
 
@@ -291,13 +294,11 @@ def test_dedup_keeps_the_first_pooled_of_equal_ratios():
 def test_semantic_mode_matches_are_class_consistent(scene):
     _, semantic_map, baseline_map, eval_frames = scene
     for frame in eval_frames[::4]:
-        query = QueryFrame.from_synthetic(frame)
+        all_features = frame_features(frame)
         for mode in (SemanticMode.PRE, SemanticMode.POST):
             sparse_map = _map_for_mode(mode, semantic_map, baseline_map)
-            result = relocalize(sparse_map, query, INTRINSICS, mode)
-            features = extract_frame_features(
-                query.observation, query.detections, masked=(mode is SemanticMode.PRE)
-            )
+            result = relocalize(sparse_map, frame.frame_id, all_features, INTRINSICS, mode)
+            features = mode_features(all_features, mode)
             for match in result.matches:
                 label = features.labels[match.query_index]
                 assert label != UNLABELED
@@ -318,7 +319,7 @@ def test_relocalize_rejects_empty_map(scene):
         registry=semantic_map.registry,
     )
     with pytest.raises(InsufficientDataError, match="non-empty map"):
-        relocalize(empty, QueryFrame.from_synthetic(eval_frames[0]), INTRINSICS)
+        relocalize(empty, eval_frames[0].frame_id, frame_features(eval_frames[0]), INTRINSICS)
 
 
 def test_unperturbed_success_rate_at_least_95_percent(scene):
@@ -331,10 +332,12 @@ def test_unperturbed_success_rate_at_least_95_percent(scene):
         if visible_labeled < 30:
             continue
         qualifying += 1
+        features = frame_features(frame)
         for mode in SemanticMode:
             result = relocalize(
                 _map_for_mode(mode, semantic_map, baseline_map),
-                QueryFrame.from_synthetic(frame),
+                frame.frame_id,
+                features,
                 INTRINSICS,
                 mode,
             )
@@ -361,8 +364,10 @@ def test_relative_pose_translation_pair(scene):
     )
     frames = _synthesize_run(world, "translate_lateral", params, seed=300)
     result = relative_pose(
-        QueryFrame.from_synthetic(frames[0]),
-        QueryFrame.from_synthetic(frames[1]),
+        frames[0].frame_id,
+        frame_features(frames[0]),
+        frames[1].frame_id,
+        frame_features(frames[1]),
         INTRINSICS,
         "baseline",
     )
@@ -374,14 +379,16 @@ def test_relative_pose_translation_pair(scene):
     )
     assert heading < 5.0
     assert result.inlier_count >= 15
-    assert result.matches_used >= result.inlier_count
+    assert len(result.matches) >= result.inlier_count
 
 
 def test_relative_pose_identical_frames_degenerate(scene):
     world, _, _, eval_frames = scene
     frame = eval_frames[0]
-    query = QueryFrame.from_synthetic(frame)
-    result = relative_pose(query, query, INTRINSICS, "baseline")
+    features = frame_features(frame)
+    result = relative_pose(
+        frame.frame_id, features, frame.frame_id, features, INTRINSICS, "baseline"
+    )
     assert result.relative is None
     assert result.pure_rotation
     assert result.failure_reason is not None
@@ -392,36 +399,28 @@ def test_relative_pose_insufficient_matches():
     keypoints = rng.uniform(50, 400, size=(3, 2))
     descriptors = rng.normal(size=(3, 64))
     descriptors /= np.linalg.norm(descriptors, axis=1, keepdims=True)
-    frame = QueryFrame(
-        frame_id=0,
-        observation=FeatureObservation(keypoints, descriptors),
-        detections=DetectionSet(frame_id=0, boxes=[]),
-    )
-    result = relative_pose(frame, frame, INTRINSICS, "baseline")
+    features = _features(keypoints, descriptors, DetectionSet(frame_id=0, boxes=[]))
+    result = relative_pose(0, features, 0, features, INTRINSICS, "baseline")
     assert result.relative is None
     assert result.failure_reason == "insufficient matches"
-    assert result.matches_used < 5
+    assert len(result.matches) < 5
 
 
 def test_relative_pose_pre_requires_semantic_features(scene):
     _, _, _, eval_frames = scene
     frame = eval_frames[0]
-    bare = QueryFrame(
-        frame_id=frame.frame_id,
-        observation=FeatureObservation(frame.keypoints, frame.descriptors),
-        detections=DetectionSet(frame_id=frame.frame_id, boxes=[]),
+    bare = _features(
+        frame.keypoints, frame.descriptors, DetectionSet(frame_id=frame.frame_id, boxes=[])
     )
-    result = relative_pose(bare, bare, INTRINSICS, "pre")
+    result = relative_pose(frame.frame_id, bare, frame.frame_id, bare, INTRINSICS, "pre")
     assert result.relative is None
     assert result.failure_reason == "no semantic features"
 
 
 def test_relative_pose_mode_match_sets(scene):
     world, _, _, eval_frames = scene
-    frame_a = QueryFrame.from_synthetic(eval_frames[0])
-    frame_b = QueryFrame.from_synthetic(eval_frames[1])
-    fa = extract_frame_features(frame_a.observation, frame_a.detections, masked=False)
-    fb = extract_frame_features(frame_b.observation, frame_b.detections, masked=False)
+    fa = frame_features(eval_frames[0])
+    fb = frame_features(eval_frames[1])
     baseline = match_frames(fa, fb, SemanticMode.BASELINE)
     post = match_frames(fa, fb, SemanticMode.POST)
     post_pairs = {(m.query_index, m.train_index) for m in post}
@@ -430,18 +429,18 @@ def test_relative_pose_mode_match_sets(scene):
     for m in post:
         assert fa.labels[m.query_index] != UNLABELED
         assert fa.labels[m.query_index] == fb.labels[m.train_index]
-    fa_masked = extract_frame_features(frame_a.observation, frame_a.detections, masked=True)
-    fb_masked = extract_frame_features(frame_b.observation, frame_b.detections, masked=True)
+    fa_masked = mode_features(fa, SemanticMode.PRE)
+    fb_masked = mode_features(fb, SemanticMode.PRE)
     for m in match_frames(fa_masked, fb_masked, SemanticMode.PRE):
         assert fa_masked.labels[m.query_index] == fb_masked.labels[m.train_index]
 
 
 def test_relative_pose_deterministic(scene):
     _, _, _, eval_frames = scene
-    a = QueryFrame.from_synthetic(eval_frames[0])
-    b = QueryFrame.from_synthetic(eval_frames[1])
-    first = relative_pose(a, b, INTRINSICS, "post")
-    second = relative_pose(a, b, INTRINSICS, "post")
+    a, b = eval_frames[0], eval_frames[1]
+    fa, fb = frame_features(a), frame_features(b)
+    first = relative_pose(a.frame_id, fa, b.frame_id, fb, INTRINSICS, "post")
+    second = relative_pose(a.frame_id, fa, b.frame_id, fb, INTRINSICS, "post")
     assert np.array_equal(first.matches, second.matches)
     assert first.inlier_indices == second.inlier_indices
     assert (first.relative is None) == (second.relative is None)
@@ -575,11 +574,11 @@ def test_moved_object_fools_baseline_but_not_semantic_modes():
         moved, pose, INTRINSICS, noise=(0.5, 0.02),
         rng=np.random.default_rng(77), frame_id=0,
     )
-    query = QueryFrame.from_synthetic(frame)
+    features = frame_features(frame)
 
-    baseline = relocalize(baseline_map, query, INTRINSICS, "baseline")
-    post = relocalize(baseline_map, query, INTRINSICS, "post")
-    pre = relocalize(semantic_map, query, INTRINSICS, "pre")
+    baseline = relocalize(baseline_map, 0, features, INTRINSICS, "baseline")
+    post = relocalize(baseline_map, 0, features, INTRINSICS, "post")
+    pre = relocalize(semantic_map, 0, features, INTRINSICS, "pre")
 
     # baseline latches onto the moved object's stale geometry
     assert baseline.pose is not None
