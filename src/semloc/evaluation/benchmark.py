@@ -146,9 +146,15 @@ def _evaluate_mode(
         )
 
         query = mode_features(features, mode)
-        partner, partner_features = partners[
-            most_similar(bow_vector(query.descriptors, sparse_map.vocabulary), keyframe_bows)
-        ]
+        # relocalize ranked the keyframes by this query's BoW vector already;
+        # its best candidate is the most similar keyframe
+        if localization.candidate_ids:
+            partner_id = localization.candidate_ids[0]
+        else:
+            partner_id = most_similar(
+                bow_vector(query.descriptors, sparse_map.vocabulary), keyframe_bows
+            )
+        partner, partner_features = partners[partner_id]
         # the matches relative_pose would pool for this pair, before any
         # robust estimation, scored against the ground-truth geometry
         matches = match_frames(query, partner_features, mode)

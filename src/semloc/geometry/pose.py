@@ -18,30 +18,48 @@ from ..errors import DegenerateGeometryError
 
 _ORTHONORMAL_TOL = 1e-9
 _MIN_DEPTH = 1e-9
+_EYE = np.eye(3)
+# flat positions of -v and of v in the row-major cross-product matrix
+_SKEW_NEGATED, _SKEW_KEPT = np.array([5, 6, 1]), np.array([7, 2, 3])
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, each bitwise equal to 1-D ``np.dot``.
+
+    A stacked (..., 1, n) @ (..., n, 1) matmul goes through the same BLAS dot
+    as ``np.dot``; einsum or an elementwise sum round differently. Both
+    operands are made contiguous, since numpy bypasses BLAS for other strides.
+    """
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix such that skew(a) @ b == cross(a, b)."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    """Cross-product matrix such that skew(a) @ b == cross(a, b); (..., 3) -> (..., 3, 3)."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (9,))
+    out[..., _SKEW_NEGATED] = -v
+    out[..., _SKEW_KEPT] = v
+    return out.reshape(v.shape + (3,))
 
 
 def rotation_from_axis_angle(axis_angle: np.ndarray) -> np.ndarray:
-    """Rodrigues' formula; the vector's norm is the rotation angle in radians."""
+    """Rodrigues' formula; the vector's norm is the rotation angle in radians.
+
+    Takes one vector (3,) or a stack (..., 3); each matrix is bitwise equal
+    to the one-vector call.
+    """
     axis_angle = np.asarray(axis_angle, dtype=float)
-    angle = float(np.linalg.norm(axis_angle))
-    if angle < 1e-15:
+    angle = np.sqrt(rowdot(axis_angle, axis_angle))[..., None, None]
+    k = skew(axis_angle / np.maximum(angle[..., 0], 1e-15))
+    rotation = _EYE + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    small = angle < 1e-15
+    if small.any():
         # second-order series keeps derivatives smooth near zero
         k = skew(axis_angle)
-        return np.eye(3) + k + 0.5 * (k @ k)
-    axis = axis_angle / angle
-    k = skew(axis)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+        rotation = np.where(small, _EYE + k + 0.5 * (k @ k), rotation)
+    return rotation
 
 
 def quaternion_from_rotation(r: np.ndarray) -> np.ndarray:
@@ -91,6 +109,13 @@ def rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
     )
 
 
+def rotation_defects(rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max |R R^T - I| of each (..., 3, 3) rotation, and whether Pose rejects it."""
+    deviation = np.abs(rotation @ np.swapaxes(rotation, -1, -2) - _EYE)
+    err = deviation.reshape(deviation.shape[:-2] + (9,)).max(axis=-1)
+    return err, (err > _ORTHONORMAL_TOL) | (np.linalg.det(rotation) < 0.0)
+
+
 @dataclass
 class Pose:
     """World-to-camera rigid transform: x_cam = rotation @ x_world + translation."""
@@ -101,8 +126,8 @@ class Pose:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=float)
         self.translation = np.asarray(self.translation, dtype=float).reshape(3)
-        err = np.abs(self.rotation @ self.rotation.T - np.eye(3)).max()
-        if err > _ORTHONORMAL_TOL or np.linalg.det(self.rotation) < 0.0:
+        err, rejected = rotation_defects(self.rotation)
+        if rejected:
             raise DegenerateGeometryError(
                 f"rotation is not orthonormal (max deviation {err:.3e})"
             )

@@ -9,10 +9,12 @@ import numpy as np
 from ..errors import EstimationFailedError, InsufficientDataError, SemlocError
 from .five_point import five_point_essential
 from .p3p import p3p_solve
-from .pose import CameraIntrinsics, Pose, project_points
+from .pose import CameraIntrinsics, Pose
 from .epipolar import sampson_error
 
 _CONFIDENCE = 0.999
+_FIRST_CHUNK = 8
+_MIN_DEPTH = 1e-9
 
 
 @dataclass
@@ -42,14 +44,72 @@ def _bearings(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     return hom / np.linalg.norm(hom, axis=1, keepdims=True)
 
 
+def _stacked_reprojection_errors(
+    rotations: np.ndarray,
+    translations: np.ndarray,
+    intrinsics: CameraIntrinsics,
+    points: np.ndarray,
+    pixels: np.ndarray,
+) -> np.ndarray:
+    """Pixel distance per match under each of a stack of poses; inf for points
+    behind the camera.
+
+    rotations (..., 3, 3) and translations (..., 3) broadcast against points
+    (..., n, 3) and pixels (..., n, 2).  Each pose's row is bitwise equal to
+    projecting its points through Pose.transform and project_points.
+    """
+    cam = points @ np.swapaxes(rotations, -1, -2) + translations[..., None, :]
+    front = cam[..., 2] > _MIN_DEPTH
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = intrinsics.fx * cam[..., 0] / cam[..., 2] + intrinsics.cx
+        v = intrinsics.fy * cam[..., 1] / cam[..., 2] + intrinsics.cy
+        errors = np.hypot(u - pixels[..., 0], v - pixels[..., 1])
+    return np.where(front, errors, np.inf)
+
+
 def _reprojection_errors(
     pose: Pose, intrinsics: CameraIntrinsics, points: np.ndarray, pixels: np.ndarray
 ) -> np.ndarray:
     """Pixel distance per match; inf for points behind the camera."""
-    projected, front = project_points(pose, intrinsics, points)
-    errors = np.full(len(projected), np.inf)
-    errors[front] = np.hypot(*(projected[front] - pixels[front]).T)
-    return errors
+    return _stacked_reprojection_errors(
+        pose.rotation, pose.translation, intrinsics, points, pixels
+    )
+
+
+def _score_chunk(
+    solutions: list,
+    probes: np.ndarray,
+    intrinsics: CameraIntrinsics,
+    points: np.ndarray,
+    pixels: np.ndarray,
+    threshold: float,
+) -> tuple[list[int], list[Pose], np.ndarray]:
+    """For each sample of a chunk that has solutions: the candidate pose with
+    the least reprojection error at the sample's fourth match (the first on
+    a tie) and that pose's inlier count.  Returns (sample positions, poses,
+    counts)."""
+    solved = [i for i, poses in enumerate(solutions) if poses]
+    if not solved:
+        return [], [], np.zeros(0, dtype=int)
+    sizes = [len(solutions[i]) for i in solved]
+    candidates = [pose for i in solved for pose in solutions[i]]
+    rotations = np.stack([pose.rotation for pose in candidates])
+    translations = np.stack([pose.translation for pose in candidates])
+    probe = np.repeat(probes[solved], sizes)
+    probe_err = _stacked_reprojection_errors(
+        rotations, translations, intrinsics, points[probe][:, None], pixels[probe][:, None]
+    )[:, 0]
+    # one row per sample, padded with inf: argmin keeps the first minimum
+    owner = np.repeat(np.arange(len(solved)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    grid = np.full((len(solved), max(sizes)), np.inf)
+    grid[owner, np.arange(len(candidates)) - starts[owner]] = probe_err
+    chosen = starts + np.argmin(grid, axis=1)
+    errors = _stacked_reprojection_errors(
+        rotations[chosen], translations[chosen], intrinsics, points, pixels
+    )
+    counts = np.sum(errors < threshold, axis=1)
+    return solved, [candidates[c] for c in chosen], counts
 
 
 def ransac_pnp(
@@ -64,6 +124,11 @@ def ransac_pnp(
     the fourth disambiguates among its candidate poses by reprojection error.
     Returns (pose, sorted inlier index array); the reported inliers all
     reproject below params.inlier_threshold px under the returned pose.
+
+    Iterations run in chunks of 8, 16, 32, ... samples, each drawn as its
+    own iteration and solved by one stacked p3p_solve call; the chunk is then
+    walked in draw order, so the chosen pose and the stopping iteration are
+    those of a loop that solves one sample at a time.
 
     Raises InsufficientDataError for fewer than 4 matches and
     EstimationFailedError ("localization failed") when no model reaches
@@ -81,27 +146,24 @@ def ransac_pnp(
     best_pose: Pose | None = None
     best_count = 0
 
-    for iteration in range(params.max_iterations):
-        idx = rng.choice(n, size=4, replace=False)
-        try:
-            solutions = p3p_solve(bearings[idx[:3]], points[idx[:3]])
-        except SemlocError:
-            continue
-        if not solutions:
-            continue
-        probe_err = [
-            _reprojection_errors(s, intrinsics, points[idx[3:4]], pixels[idx[3:4]])[0]
-            for s in solutions
-        ]
-        pose = solutions[int(np.argmin(probe_err))]
-        count = int(np.sum(
-            _reprojection_errors(pose, intrinsics, points, pixels) < params.inlier_threshold
-        ))
-        if count > best_count:
-            best_count = count
-            best_pose = pose
-            if iteration + 1 >= _iterations_needed(count / n, 4):
-                break
+    start, chunk, converged = 0, _FIRST_CHUNK, False
+    while start < params.max_iterations and not converged:
+        size = min(chunk, params.max_iterations - start)
+        samples = np.array([rng.choice(n, size=4, replace=False) for _ in range(size)])
+        # a degenerate sample comes back as None and, like one without
+        # solutions, is skipped
+        solutions = p3p_solve(bearings[samples[:, :3]], points[samples[:, :3]])
+        solved, poses, counts = _score_chunk(
+            solutions, samples[:, 3], intrinsics, points, pixels, params.inlier_threshold
+        )
+        for i, pose, count in zip(solved, poses, counts.tolist()):
+            if count > best_count:
+                best_count = count
+                best_pose = pose
+                if start + i + 1 >= _iterations_needed(count / n, 4):
+                    converged = True
+                    break
+        start, chunk = start + size, 2 * chunk
 
     if best_pose is None or best_count < params.min_inliers:
         raise EstimationFailedError("localization failed")

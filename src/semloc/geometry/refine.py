@@ -42,21 +42,23 @@ def reprojection_residuals(
 
 
 def _jacobian(pose: Pose, intrinsics: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
+    """(2n, 6) Jacobian of reprojection_residuals: per point the projection
+    derivative (2, 3) times the camera-point derivative (3, 6), all points in
+    one stacked matmul.  Rows of points with depth <= 1e-9 are zero."""
     cam = pose.transform(points)
-    jac = np.zeros((2 * points.shape[0], 6))
-    for i, c in enumerate(cam):
-        if c[2] <= 1e-9:
-            continue
-        x, y, z = c
-        d_proj = np.array(
-            [
-                [intrinsics.fx / z, 0.0, -intrinsics.fx * x / (z * z)],
-                [0.0, intrinsics.fy / z, -intrinsics.fy * y / (z * z)],
-            ]
-        )
-        d_cam = np.hstack([-skew(c), np.eye(3)])
-        jac[2 * i : 2 * i + 2] = d_proj @ d_cam
-    return jac
+    x, y, z = cam[:, 0], cam[:, 1], cam[:, 2]
+    d_proj = np.zeros((len(cam), 2, 3))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_proj[:, 0, 0] = intrinsics.fx / z
+        d_proj[:, 0, 2] = -intrinsics.fx * x / (z * z)
+        d_proj[:, 1, 1] = intrinsics.fy / z
+        d_proj[:, 1, 2] = -intrinsics.fy * y / (z * z)
+    d_cam = np.empty((len(cam), 3, 6))
+    d_cam[:, :, :3] = -skew(cam)
+    d_cam[:, :, 3:] = np.eye(3)
+    jac = d_proj @ d_cam
+    jac[z <= 1e-9] = 0.0
+    return jac.reshape(-1, 6)
 
 
 def refine_pose(

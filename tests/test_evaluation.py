@@ -541,6 +541,43 @@ def test_benchmark_featurizes_each_frame_once(tmp_path, monkeypatch):
     assert sorted(labelled) == mapping_ids + evaluation_ids
 
 
+def test_benchmark_computes_each_query_bow_vector_once(tmp_path, monkeypatch):
+    """The partner lookup reuses relocalize's BoW ranking: a query's BoW
+    vector is computed once per mode, and the benchmark computes its own
+    only for a query that retrieved no candidates."""
+    import importlib
+
+    from semloc.evaluation import benchmark
+
+    relocalize_module = importlib.import_module("semloc.pipelines.relocalize")
+    calls = {"relocalize": 0, "benchmark": 0}
+    localizations = []
+
+    def counting(module, name):
+        bow_vector = module.bow_vector
+
+        def counted(descriptors, vocabulary):
+            calls[name] += 1
+            return bow_vector(descriptors, vocabulary)
+
+        monkeypatch.setattr(module, "bow_vector", counted)
+
+    counting(relocalize_module, "relocalize")
+    counting(benchmark, "benchmark")
+    relocalize = benchmark.relocalize
+
+    def recording_relocalize(*args, **kwargs):
+        localizations.append(relocalize(*args, **kwargs))
+        return localizations[-1]
+
+    monkeypatch.setattr(benchmark, "relocalize", recording_relocalize)
+    config = _tiny_config(seeds=(0,), perturbed=True)
+    run_benchmark(config, str(tmp_path / "run"))
+    assert len(localizations) == len(SemanticMode) * config.evaluation.steps
+    assert calls["relocalize"] == len(localizations)
+    assert calls["benchmark"] == sum(not loc.candidate_ids for loc in localizations)
+
+
 def test_benchmark_maps_come_from_the_unperturbed_world(tmp_path):
     """With a perturbation configured, ghost estimates must appear in the
     baseline trajectory relative to the *perturbed* ground truth; building the

@@ -121,3 +121,54 @@ def test_normalize_denormalize_roundtrip(intrinsics):
     rng = np.random.default_rng(5)
     px = rng.uniform(0, 640, size=(30, 2))
     assert np.allclose(intrinsics.denormalize(intrinsics.normalize(px)), px, atol=1e-10)
+
+
+
+def test_stacked_numpy_ops_match_single_instance_calls():
+    """The batched P3P kernel relies on these stacked operations giving each
+    instance the bits of its single-instance call.  A numpy or BLAS change
+    that breaks one fails here with the operation's name."""
+    from semloc.geometry.pose import rowdot
+
+    rng = np.random.default_rng(91)
+    a = rng.normal(size=(200, 3, 3))
+    b = rng.normal(size=(200, 3, 3))
+    v = rng.normal(size=(200, 3))
+    a_t = np.swapaxes(a, 1, 2)
+    checks = {
+        "matmul": (a @ b, lambda i: a[i] @ b[i]),
+        "matmul of transposes": (a_t @ np.swapaxes(b, 1, 2), lambda i: a[i].T @ b[i].T),
+        "matrix-vector matmul": ((a @ v[:, :, None])[:, :, 0], lambda i: a[i] @ v[i]),
+        "one-row matmul": ((v[:, None] @ a_t)[:, 0], lambda i: (v[i : i + 1] @ a[i].T)[0]),
+        "svd": (np.linalg.svd(a)[0], lambda i: np.linalg.svd(a[i])[0]),
+        "svd right vectors": (np.linalg.svd(a)[2], lambda i: np.linalg.svd(a[i])[2]),
+        "det": (np.linalg.det(a), lambda i: np.linalg.det(a[i])),
+        "eigvals": (np.linalg.eigvals(a), lambda i: np.linalg.eigvals(a[i])),
+        "vecdot (rowdot)": (rowdot(a, b), lambda i: np.array(list(map(np.dot, a[i], b[i])))),
+        "row norm": (np.linalg.norm(a, axis=2), lambda i: np.linalg.norm(a[i], axis=1)),
+        "mean": (a.mean(axis=1), lambda i: a[i].mean(axis=0)),
+        "sin": (np.sin(v), lambda i: np.array([np.sin(x) for x in v[i]])),
+        "cos": (np.cos(v), lambda i: np.array([np.cos(x) for x in v[i]])),
+        "arcsin": (np.arcsin(v / 4.0), lambda i: np.array([np.arcsin(x / 4.0) for x in v[i]])),
+    }
+    for name, (stacked, single) in checks.items():
+        for i in range(len(a)):
+            assert np.array_equal(stacked[i], single(i)), f"stacked {name} changed bits"
+
+
+def test_stacked_rotation_helpers_equal_the_one_vector_call():
+    from semloc.geometry import skew
+    from semloc.geometry.pose import rotation_defects
+
+    rng = np.random.default_rng(92)
+    vectors = np.vstack([rng.normal(size=(50, 3)) * s for s in (1e-17, 1e-6, 1.0, 3.0)])
+    rotations = rotation_from_axis_angle(vectors)
+    skews = skew(vectors)
+    noisy = rotations + rng.normal(scale=1e-9, size=rotations.shape)
+    errors, rejected = rotation_defects(noisy)
+    for i, vector in enumerate(vectors):
+        assert np.array_equal(rotations[i], rotation_from_axis_angle(vector))
+        assert np.array_equal(skews[i], skew(vector))
+        one_error, one_rejected = rotation_defects(noisy[i])
+        assert errors[i] == one_error and rejected[i] == one_rejected
+    assert 0 < rejected.sum() < len(vectors)

@@ -1,5 +1,7 @@
 """RANSAC estimators and Gauss-Newton refinement."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -228,3 +230,371 @@ def test_reprojection_helpers_equal_the_per_point_formula(intrinsics):
         residuals = reprojection_residuals(pose, intrinsics, points, pixels)
         assert np.array_equal(residuals, expected)
         assert np.array_equal(_reprojection_errors(pose, intrinsics, points, pixels), distances)
+
+
+def test_refine_jacobian_equals_the_per_point_formula(intrinsics):
+    """The stacked Jacobian gives the per-point product's bits; rows of
+    points behind the camera stay zero."""
+    from semloc.geometry.pose import skew
+
+    rng = np.random.default_rng(72)
+    for _ in range(20):
+        pose = random_pose(rng)
+        points = np.vstack([
+            points_in_front(rng, pose, 30, depth=(0.5, 6.0)),
+            points_in_front(rng, pose, 5, depth=(-3.0, -0.1)),
+        ])
+        expected = np.zeros((2 * len(points), 6))
+        for i, c in enumerate(pose.transform(points)):
+            if c[2] <= 1e-9:
+                continue
+            x, y, z = c
+            d_proj = np.array(
+                [
+                    [intrinsics.fx / z, 0.0, -intrinsics.fx * x / (z * z)],
+                    [0.0, intrinsics.fy / z, -intrinsics.fy * y / (z * z)],
+                ]
+            )
+            expected[2 * i : 2 * i + 2] = d_proj @ np.hstack([-skew(c), np.eye(3)])
+        assert np.array_equal(_jacobian(pose, intrinsics, points), expected)
+
+
+# ------------------------------------------------- batched P3P, reference loops
+#
+# A single-instance P3P solver and a one-sample-per-iteration RANSAC loop,
+# written out plainly as references: the stacked kernel and the chunked loop
+# must reproduce them bit for bit.
+
+
+def _reference_kabsch(world, camera):
+    wc = world.mean(axis=0)
+    cc = camera.mean(axis=0)
+    h = (world - wc).T @ (camera - cc)
+    u, _, vt = np.linalg.svd(h)
+    d = np.sign(np.linalg.det(vt.T @ u.T))
+    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    return Pose(r, cc - r @ wc)
+
+
+def _reference_polish_pose(pose, bearings, points, steps=2):
+    from semloc.geometry.pose import skew
+
+    for _ in range(steps):
+        cam = pose.transform(points)
+        norms = np.linalg.norm(cam, axis=1)
+        unit = cam / norms[:, None]
+        residual = np.cross(bearings, unit).reshape(-1)
+        jac = np.empty((3 * len(points), 6))
+        for i in range(len(points)):
+            d_unit = (np.eye(3) - np.outer(unit[i], unit[i])) / norms[i]
+            d_cam = np.hstack([-skew(cam[i]), np.eye(3)])
+            jac[3 * i : 3 * i + 3] = skew(bearings[i]) @ d_unit @ d_cam
+        delta, *_ = np.linalg.lstsq(jac, -residual, rcond=None)
+        if not np.all(np.isfinite(delta)):
+            break
+        rot = rotation_from_axis_angle(delta[:3])
+        pose = Pose(rot @ pose.rotation, rot @ pose.translation + delta[3:])
+        if np.linalg.norm(delta) < 1e-14:
+            break
+    return pose
+
+
+def _reference_max_bearing_angle(pose, bearings, points):
+    cam = pose.transform(points)
+    unit = cam / np.linalg.norm(cam, axis=1)[:, None]
+    if np.any(np.einsum("ij,ij->i", bearings, unit) <= 0.0):
+        return np.pi
+    sines = np.linalg.norm(np.cross(bearings, unit), axis=1)
+    return float(np.max(np.arcsin(np.clip(sines, 0.0, 1.0))))
+
+
+def _reference_real_roots(coeffs):
+    from numpy.polynomial import polynomial as npoly
+
+    scale = np.max(np.abs(coeffs))
+    if scale == 0.0:
+        return []
+    c = coeffs / scale
+    while len(c) > 1 and abs(c[-1]) < 1e-13:
+        c = c[:-1]
+    if len(c) <= 1:
+        return []
+    deriv = npoly.polyder(c)
+    out = []
+    for root in npoly.polyroots(c):
+        if abs(root.imag) > 1e-6 * max(1.0, abs(root.real)):
+            continue
+        v = float(root.real)
+        for _ in range(3):
+            dv = npoly.polyval(v, deriv)
+            if abs(dv) < 1e-14:
+                break
+            v = v - npoly.polyval(v, c) / dv
+        if not any(abs(v - prev) < 1e-10 * max(1.0, abs(v)) for prev in out):
+            out.append(v)
+    return out
+
+
+def _reference_p3p_solve(bearings, points):
+    from numpy.polynomial import polynomial as npoly
+
+    from semloc.errors import DegenerateGeometryError
+
+    area = 0.5 * np.linalg.norm(np.cross(points[1] - points[0], points[2] - points[0]))
+    if area <= 1e-9:
+        raise DegenerateGeometryError("world points are collinear")
+    f1, f2, f3 = bearings / np.linalg.norm(bearings, axis=1, keepdims=True)
+    p1, p2, p3 = points
+    a2 = float(np.dot(p2 - p3, p2 - p3))
+    b2 = float(np.dot(p1 - p3, p1 - p3))
+    c2 = float(np.dot(p1 - p2, p1 - p2))
+    if b2 < 1e-18:
+        raise DegenerateGeometryError("duplicate world points")
+    cos_a, cos_b, cos_c = float(np.dot(f2, f3)), float(np.dot(f1, f3)), float(np.dot(f1, f2))
+    a_r, c_r, d_r = a2 / b2, c2 / b2, (a2 - c2) / b2
+    q = np.array([1.0, -2.0 * cos_b, 1.0])
+    n = np.array([d_r + 1.0, -2.0 * d_r * cos_b, d_r - 1.0])
+    d = np.array([2.0 * cos_c, -2.0 * cos_a])
+    dd = npoly.polymul(d, d)
+    quartic = npoly.polyadd(dd, npoly.polymul(n, n))
+    quartic = npoly.polyadd(quartic, -2.0 * cos_c * npoly.polymul(n, d))
+    quartic = npoly.polyadd(quartic, -c_r * npoly.polymul(q, dd))
+
+    def residuals(u, v, qv):
+        return (
+            u * u + v * v - 2.0 * u * v * cos_a - a_r * qv,
+            1.0 + u * u - 2.0 * u * cos_c - c_r * qv,
+        )
+
+    def violated(u, v, qv):
+        res1, res2 = residuals(u, v, qv)
+        return abs(res1) > 1e-6 * (1.0 + a_r) or abs(res2) > 1e-6 * (1.0 + c_r)
+
+    def newton(u, v):
+        for _ in range(3):
+            dq = 2.0 * v - 2.0 * cos_b
+            jac = np.array(
+                [
+                    [2.0 * u - 2.0 * v * cos_a, 2.0 * v - 2.0 * u * cos_a - a_r * dq],
+                    [2.0 * u - 2.0 * cos_c, -c_r * dq],
+                ]
+            )
+            try:
+                du, dv = np.linalg.solve(
+                    jac, -np.array(residuals(u, v, float(npoly.polyval(v, q))))
+                )
+            except np.linalg.LinAlgError:
+                break
+            u, v = u + float(du), v + float(dv)
+        return u, v
+
+    bearing_rows = np.vstack([f1, f2, f3])
+    poses = []
+    for root in _reference_real_roots(np.asarray(quartic, dtype=float)):
+        if root <= 0.0:
+            continue
+        qv = float(npoly.polyval(root, q))
+        if qv <= 1e-15:
+            continue
+        dv = float(npoly.polyval(root, d))
+        if abs(dv) > 1e-10:
+            u_candidates = [float(npoly.polyval(root, n)) / dv]
+        else:
+            disc = cos_c * cos_c - (1.0 - c_r * qv)
+            if disc < 0.0:
+                continue
+            u_candidates = [cos_c + np.sqrt(disc), cos_c - np.sqrt(disc)]
+        for u in u_candidates:
+            if u <= 0.0:
+                continue
+            v, q_v = root, qv
+            if violated(u, v, q_v):
+                u, v = newton(u, v)
+                q_v = float(npoly.polyval(v, q))
+                if not (u > 0.0 and v > 0.0 and q_v > 1e-15) or violated(u, v, q_v):
+                    continue
+            s1 = np.sqrt(b2 / q_v)
+            cam = np.vstack([s1 * f1, (u * s1) * f2, (v * s1) * f3])
+            pose = _reference_polish_pose(_reference_kabsch(points, cam), bearing_rows, points)
+            if _reference_max_bearing_angle(pose, bearing_rows, points) > 1e-6:
+                continue
+            duplicate = any(
+                np.abs(pose.rotation - p.rotation).max() < 1e-6
+                and np.abs(pose.translation - p.translation).max()
+                < 1e-6 * (1.0 + np.abs(p.translation).max())
+                for p in poses
+            )
+            if not duplicate:
+                poses.append(pose)
+    return poses
+
+
+def _reference_ransac_pnp(pixels, points, intrinsics, params):
+    """(pose, inliers, best inlier count, iterations run, degenerate samples)
+    of the one-sample-per-iteration loop; pose and inliers are None where
+    ransac_pnp raises EstimationFailedError."""
+    from semloc.errors import SemlocError
+    from semloc.geometry.ransac import _bearings, _iterations_needed, _reprojection_errors
+
+    n = len(pixels)
+    bearings = _bearings(pixels, intrinsics)
+    rng = np.random.default_rng(params.rng_seed)
+    best_pose, best_count, degenerate = None, 0, 0
+    iteration = -1
+    for iteration in range(params.max_iterations):
+        idx = rng.choice(n, size=4, replace=False)
+        try:
+            solutions = _reference_p3p_solve(bearings[idx[:3]], points[idx[:3]])
+        except SemlocError:
+            degenerate += 1
+            continue
+        if not solutions:
+            continue
+        probe_err = [
+            _reprojection_errors(s, intrinsics, points[idx[3:4]], pixels[idx[3:4]])[0]
+            for s in solutions
+        ]
+        pose = solutions[int(np.argmin(probe_err))]
+        count = int(np.sum(
+            _reprojection_errors(pose, intrinsics, points, pixels) < params.inlier_threshold
+        ))
+        if count > best_count:
+            best_count, best_pose = count, pose
+            if iteration + 1 >= _iterations_needed(count / n, 4):
+                break
+    if best_pose is None or best_count < params.min_inliers:
+        return None, None, best_count, iteration + 1, degenerate
+    inliers = np.flatnonzero(
+        _reprojection_errors(best_pose, intrinsics, points, pixels) < params.inlier_threshold
+    )
+    return best_pose, inliers, best_count, iteration + 1, degenerate
+
+
+def _same_poses(a, b):
+    return len(a) == len(b) and all(
+        np.array_equal(p.rotation, q.rotation) and np.array_equal(p.translation, q.translation)
+        for p, q in zip(a, b)
+    )
+
+
+def _p3p_stack(rng, count):
+    """Instances from exact ones to pure outliers, with collinear and
+    duplicate world points mixed in."""
+    bearings, points = [], []
+    for i in range(count):
+        pose = random_pose(rng)
+        world = points_in_front(rng, pose, 3, depth=(1.0, 4.0))
+        cam = pose.transform(world)
+        if i % 5 == 1:
+            cam = cam + rng.normal(scale=0.3, size=(3, 3))
+        elif i % 5 == 2:
+            cam = np.column_stack([rng.normal(size=(3, 2)), rng.uniform(0.5, 2.0, 3)])
+        elif i % 5 == 3:
+            world[2] = world[0] if i % 2 else world[0] + 2.0 * (world[1] - world[0])
+        bearings.append(cam / np.linalg.norm(cam, axis=1, keepdims=True))
+        points.append(world)
+    return np.array(bearings), np.array(points)
+
+
+def test_stacked_p3p_rows_equal_single_and_reference_solves():
+    from semloc.errors import DegenerateGeometryError
+    from semloc.geometry import p3p_solve
+
+    rng = np.random.default_rng(73)
+    bearings, points = _p3p_stack(rng, 400)
+    # instance 7107 of the solver-soundness sweep, next to a near-double root
+    near_double = Pose(
+        np.array(
+            [
+                [0.6130440545188336, 0.33358735456209965, 0.7161679021677593],
+                [0.44067798647363976, 0.6079868885527644, -0.6604202113695998],
+                [-0.655728525730464, 0.7204661131685435, 0.2257181435311827],
+            ]
+        ),
+        np.array([0.2998812072851287, 0.4129646000371896, -0.782161213774792]),
+    )
+    world = np.array(
+        [
+            [-1.6884455265367453, 1.7927781295134562, 0.8561827394301129],
+            [-2.3076603562919518, 0.33136373028639676, 0.4604584490134804],
+            [-1.6473504492266977, 2.347308533710959, 0.8245151283681007],
+        ]
+    )
+    cam = near_double.transform(world)
+    bearings = np.concatenate([bearings, (cam / np.linalg.norm(cam, axis=1, keepdims=True))[None]])
+    points = np.concatenate([points, world[None]])
+
+    stacked = p3p_solve(bearings, points)
+    assert len(stacked) == len(bearings)
+    skipped = 0
+    for row, b, p in zip(stacked, bearings, points):
+        try:
+            reference = _reference_p3p_solve(b, p)
+        except DegenerateGeometryError as exc:
+            skipped += 1
+            assert row is None
+            with pytest.raises(DegenerateGeometryError, match=re.escape(str(exc))):
+                p3p_solve(b, p)
+            continue
+        assert _same_poses(row, reference)
+        assert _same_poses(p3p_solve(b, p), reference)
+    assert skipped > 0 and len(stacked[-1]) > 0
+
+
+def test_a_rotation_pose_rejects_aborts_its_instance(monkeypatch):
+    """With Pose's orthonormality tolerance cut to a few ulps, some candidate
+    rotations fail it at Kabsch or at a Gauss-Newton step: the stacked solve
+    skips exactly the instances whose single solve raises, and the single
+    solve raises the reference's error for the first rejected candidate."""
+    from semloc.errors import DegenerateGeometryError
+    from semloc.geometry import p3p_solve
+    from semloc.geometry import pose as pose_module
+
+    bearings, points = _p3p_stack(np.random.default_rng(75), 200)
+    monkeypatch.setattr(pose_module, "_ORTHONORMAL_TOL", 6.7e-16)
+    stacked = p3p_solve(bearings, points)
+    outcomes = {"raised": 0, "solved": 0}
+    for row, b, p in zip(stacked, bearings, points):
+        try:
+            reference = _reference_p3p_solve(b, p)
+        except DegenerateGeometryError as exc:
+            outcomes["raised"] += 1
+            assert row is None
+            with pytest.raises(DegenerateGeometryError, match=re.escape(str(exc))):
+                p3p_solve(b, p)
+            continue
+        outcomes["solved"] += 1
+        assert _same_poses(row, reference)
+    assert all(outcomes.values()), outcomes
+
+
+def test_chunked_ransac_pnp_equals_the_reference_loop(intrinsics):
+    """Pose bits, inliers and failures of the chunked loop equal the
+    per-iteration loop's on problems with outliers, collinear and duplicate
+    samples, the 500-iteration cap and a min_inliers failure."""
+    rng = np.random.default_rng(74)
+    seen = {"cap": 0, "degenerate": 0, "too few inliers": 0, "solved": 0}
+    problems = [(60, 0.3), (40, 0.6), (25, 0.85), (12, 0.0), (30, 0.97), (80, 0.5)]
+    for trial, (n, outliers) in enumerate(problems * 2):
+        _, points, pixels, _ = _pnp_scene(rng, n=n, outlier_fraction=outliers, noise=0.5)
+        if trial % 3 == 0:
+            points[: n // 4] = points[0]  # duplicate world points
+        if trial % 3 == 1:
+            points[: n // 3] = points[0] + np.outer(np.arange(n // 3), [0.1, -0.2, 0.05])
+        params = RansacParams(min_inliers=20 if trial % 4 == 3 else 12, rng_seed=trial)
+        ref_pose, ref_inliers, best_count, iterations, degenerate = _reference_ransac_pnp(
+            pixels, points, intrinsics, params
+        )
+        seen["cap"] += iterations == params.max_iterations
+        seen["degenerate"] += degenerate > 0
+        if ref_pose is None:
+            seen["too few inliers"] += best_count > 0
+            with pytest.raises(EstimationFailedError, match="localization failed"):
+                ransac_pnp(pixels, points, intrinsics, params)
+            continue
+        seen["solved"] += 1
+        pose, inliers = ransac_pnp(pixels, points, intrinsics, params)
+        assert np.array_equal(pose.rotation, ref_pose.rotation)
+        assert np.array_equal(pose.translation, ref_pose.translation)
+        assert np.array_equal(inliers, ref_inliers)
+    assert all(seen.values()), seen
