@@ -42,10 +42,6 @@ class TrajectoryErrorSeries:
         if len(self.ape) and (np.any(self.ape < 0) or np.any(self.are < 0)):
             raise ValueError("errors must be non-negative")
 
-    @property
-    def localized_count(self) -> int:
-        return int(len(self.ape))
-
     @staticmethod
     def _agg(values: np.ndarray, fn) -> float:
         return float(fn(values)) if len(values) else float("nan")

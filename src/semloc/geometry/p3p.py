@@ -8,19 +8,19 @@ term as numpy's polynomial module rounds them, the roots are Newton-polished
 by Newton on both equations at once), and each candidate pose is tightened
 with two Gauss-Newton steps on the bearing alignment before being accepted.
 
-One kernel solves a stack of instances.  Every step is an elementwise or a
-stacked numpy operation whose result for one instance does not depend on
-how many are stacked, so each row of a batch is bitwise equal to solving
-that instance alone.  Only the least-squares step and the rare Newton
-polish in (u, v) run once per candidate.
+p3p_solve takes a (K, 3, 3) stack of instances and returns its candidate
+poses as arrays, each tagged with the instance that owns it.  Every step is
+an elementwise or a stacked numpy operation whose result for one instance
+does not depend on how many are stacked, so an instance's candidates are
+bitwise the same whatever it is stacked with.  Only the least-squares step
+and the rare Newton polish in (u, v) run once per candidate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateGeometryError
-from .pose import Pose, rotation_defects, rotation_from_axis_angle, rowdot, skew
+from .pose import rotation_defects, rotation_from_axis_angle, rowdot, skew
 
 _COLLINEAR_AREA = 1e-9
 _ALIGN_TOL = 1e-6
@@ -191,14 +191,14 @@ def _unit_camera_rays(rotations, translations, points):
     return cam, norms, cam / norms[..., None]
 
 
-def _polish(rotations, translations, bearings, points, steps: int = 2) -> list:
+def _polish(rotations, translations, bearings, points, steps: int = 2) -> np.ndarray:
     """Gauss-Newton on the cross-product bearing residuals (6 dof, 9
     residuals), in place.  A candidate stops when its step is not finite or
-    below 1e-14.  Returns (candidates, rotations, translations) of each step,
-    the poses a one-candidate solve would construct."""
+    below 1e-14.  Returns whether Pose would reject the candidate's rotation
+    after Kabsch or after any step."""
+    rejected = rotation_defects(rotations)[1]
     live = np.ones(len(rotations), dtype=bool)
     bearing_skew = skew(bearings)
-    moved = []
     for _ in range(steps):
         idx = np.flatnonzero(live)
         if not idx.size:
@@ -218,9 +218,9 @@ def _polish(rotations, translations, bearings, points, steps: int = 2) -> list:
         rot = rotation_from_axis_angle(delta[:, :3])
         rotations[idx] = rot @ rotations[idx]
         translations[idx] = (rot @ translations[idx][..., None])[..., 0] + delta[:, 3:]
-        moved.append((idx, rotations[idx], translations[idx]))
+        rejected[idx] |= rotation_defects(rotations[idx])[1]
         live[idx[np.sqrt(rowdot(delta, delta)) < 1e-14]] = False
-    return moved
+    return rejected
 
 
 def _misaligned(rotations, translations, bearings, points) -> np.ndarray:
@@ -277,7 +277,8 @@ def _candidates(f, points, b2):
         root = np.sqrt(disc)
         u = np.stack([np.where(direct, _polyval(n, v) / dv, cos_c + root), cos_c - root], 2)
         valid = np.stack([kept & (direct | quadratic), kept & quadratic], 2) & ~(u <= 0.0)
-        u, valid = u.reshape(len(f), -1), valid.reshape(len(f), -1)
+        width = 2 * v.shape[1]
+        u, valid = u.reshape(len(f), width), valid.reshape(len(f), width)
         v, qv = np.repeat(v, 2, axis=1), np.repeat(qv, 2, axis=1)
         # both original ratio equations must hold.  Near a double root of the
         # quartic u = n(v) / d(v) magnifies a tiny error in v because d(v) ~ 0,
@@ -295,23 +296,32 @@ def _candidates(f, points, b2):
     return owner, u[owner, slot], v[owner, slot], qv[owner, slot]
 
 
-def _solve_stack(bearings: np.ndarray, points: np.ndarray) -> list:
-    """Per instance of the (K, 3, 3) stacks: its list of poses, or the
-    DegenerateGeometryError the single-instance solve raises."""
-    outcome: list = [[] for _ in range(len(bearings))]
+def p3p_solve(bearings: np.ndarray, points: np.ndarray) -> tuple:
+    """All camera poses placing three world points on three bearing rays,
+    for each of K instances.
+
+    bearings: (K, 3, 3) direction vectors in the camera frame.
+    points:   (K, 3, 3) world points, one row per bearing.
+
+    Returns (owner (M,), rotations (M, 3, 3), translations (M, 3)): candidate
+    m is the pose x_cam = rotations[m] @ x_world + translations[m] of
+    instance owner[m].  Candidates are ordered by instance, then by quartic
+    root and u.  An instance has up to four poses, each aligning every world
+    point with its ray to within 1e-6 rad and passing Pose's orthonormality
+    test.  A degenerate instance owns no rows: collinear or duplicate world
+    points, a quartic that is not finite, or any candidate whose rotation
+    Pose would reject.  An instance's rows do not depend on what else is
+    stacked with it.
+    """
+    bearings = np.asarray(bearings, dtype=float)
+    points = np.asarray(points, dtype=float)
+    if bearings.ndim != 3 or bearings.shape[1:] != (3, 3) or points.shape != bearings.shape:
+        raise ValueError("p3p_solve takes (K, 3, 3) bearing and point stacks")
     p1, p2, p3 = points[:, 0], points[:, 1], points[:, 2]
     vectors = np.stack([_cross(p2 - p1, p3 - p1), p1 - p3], axis=1)
     area_sq, b2 = rowdot(vectors, vectors).T
     collinear = 0.5 * np.sqrt(area_sq) <= _COLLINEAR_AREA
-    duplicate = ~collinear & (b2 < 1e-18)
-    solvable = np.flatnonzero(~collinear & ~duplicate)
-    if len(solvable) < len(points):
-        for i in np.flatnonzero(collinear):
-            outcome[i] = DegenerateGeometryError("world points are collinear")
-        for i in np.flatnonzero(duplicate):
-            outcome[i] = DegenerateGeometryError("duplicate world points")
-        if not solvable.size:
-            return outcome
+    solvable = np.flatnonzero(~collinear & ~(b2 < 1e-18))
 
     points = points[solvable]
     f = bearings[solvable]
@@ -321,55 +331,9 @@ def _solve_stack(bearings: np.ndarray, points: np.ndarray) -> list:
     f, points = f[owner], points[owner]
     cam = f * np.column_stack([s1, u * s1, v * s1])[:, :, None]
     rotations, translations = _kabsch(points, cam)
-    # every pose a one-candidate solve constructs, in its order, is checked
-    # as the Pose constructor checks it; a rejected one aborts its instance
-    stages = [(np.arange(len(owner)), rotations.copy(), translations.copy())]
-    stages += _polish(rotations, translations, f, points)
-    checked, stage_rotations, stage_translations = (np.concatenate(x) for x in zip(*stages))
-    first_rejection: dict = {}
-    for position in np.flatnonzero(rotation_defects(stage_rotations)[1]):
-        first_rejection.setdefault(int(checked[position]), position)
-
-    healthy = np.ones(len(owner), dtype=bool)
-    healthy[list(first_rejection)] = False
-    kept = np.flatnonzero(healthy)
+    # a rotation Pose rejects, at any stage, aborts its whole instance
+    rejected = _polish(rotations, translations, f, points)
+    kept = np.flatnonzero(~np.isin(owner, owner[rejected]))
     kept = kept[~_misaligned(rotations[kept], translations[kept], f[kept], points[kept])]
     kept = kept[~_duplicates(owner[kept], rotations[kept], translations[kept])]
-    for m in kept:
-        outcome[solvable[owner[m]]].append(Pose(rotations[m], translations[m]))
-    # the first rejected candidate of an instance names its error
-    for m in sorted(first_rejection, reverse=True):
-        position = first_rejection[m]
-        try:
-            Pose(stage_rotations[position], stage_translations[position])
-        except DegenerateGeometryError as exc:
-            outcome[solvable[owner[m]]] = exc
-    return outcome
-
-
-def p3p_solve(bearings: np.ndarray, points: np.ndarray) -> list:
-    """All camera poses placing three world points on three bearing rays.
-
-    bearings: (3, 3) unit direction vectors in the camera frame.
-    points:   (3, 3) world points, one row per bearing.
-
-    Returns up to four poses; every returned pose aligns each world point
-    with its ray to within 1e-6 rad.  Raises DegenerateGeometryError for
-    collinear or duplicate world points, and for a candidate rotation that
-    is not orthonormal.
-
-    Stacked (K, 3, 3) bearings and points solve K instances at once and
-    return one entry per instance: its list of poses, or None where the
-    (3, 3) call would raise.  Entry i is bitwise equal to the (3, 3) call on
-    instance i.  An instance whose quartic is not finite has no poses.
-    """
-    single = np.ndim(bearings) == 2
-    outcome = _solve_stack(
-        np.asarray(bearings, dtype=float).reshape(-1, 3, 3),
-        np.asarray(points, dtype=float).reshape(-1, 3, 3),
-    )
-    if single:
-        if isinstance(outcome[0], DegenerateGeometryError):
-            raise outcome[0]
-        return outcome[0]
-    return [None if isinstance(o, DegenerateGeometryError) else o for o in outcome]
+    return solvable[owner[kept]], rotations[kept], translations[kept]

@@ -144,10 +144,6 @@ class Pose:
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
 
-    def compose(self, other: "Pose") -> "Pose":
-        """self after other: (self.compose(other)).transform(x) == self.transform(other.transform(x))."""
-        return Pose(self.rotation @ other.rotation, self.rotation @ other.translation + self.translation)
-
     def inverse(self) -> "Pose":
         return Pose(self.rotation.T, -self.rotation.T @ self.translation)
 
@@ -184,13 +180,6 @@ class CameraIntrinsics:
         out = np.empty_like(px)
         out[..., 0] = (px[..., 0] - self.cx) / self.fx
         out[..., 1] = (px[..., 1] - self.cy) / self.fy
-        return out
-
-    def denormalize(self, normalized: np.ndarray) -> np.ndarray:
-        xy = np.asarray(normalized, dtype=float)
-        out = np.empty_like(xy)
-        out[..., 0] = xy[..., 0] * self.fx + self.cx
-        out[..., 1] = xy[..., 1] * self.fy + self.cy
         return out
 
 

@@ -77,39 +77,35 @@ def _reprojection_errors(
 
 
 def _score_chunk(
-    solutions: list,
+    owner: np.ndarray,
+    rotations: np.ndarray,
+    translations: np.ndarray,
     probes: np.ndarray,
     intrinsics: CameraIntrinsics,
     points: np.ndarray,
     pixels: np.ndarray,
     threshold: float,
-) -> tuple[list[int], list[Pose], np.ndarray]:
-    """For each sample of a chunk that has solutions: the candidate pose with
-    the least reprojection error at the sample's fourth match (the first on
-    a tie) and that pose's inlier count.  Returns (sample positions, poses,
-    counts)."""
-    solved = [i for i, poses in enumerate(solutions) if poses]
-    if not solved:
-        return [], [], np.zeros(0, dtype=int)
-    sizes = [len(solutions[i]) for i in solved]
-    candidates = [pose for i in solved for pose in solutions[i]]
-    rotations = np.stack([pose.rotation for pose in candidates])
-    translations = np.stack([pose.translation for pose in candidates])
-    probe = np.repeat(probes[solved], sizes)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each sample of a chunk that owns candidate poses: the candidate
+    with the least reprojection error at the sample's fourth match (the first
+    on a tie) and its inlier count.  owner, rotations and translations are
+    p3p_solve's output; returns (sample positions, candidate rows, counts)."""
+    solved, starts, sizes = np.unique(owner, return_index=True, return_counts=True)
+    if not solved.size:
+        return solved, starts, sizes
+    probe = probes[owner]
     probe_err = _stacked_reprojection_errors(
         rotations, translations, intrinsics, points[probe][:, None], pixels[probe][:, None]
     )[:, 0]
     # one row per sample, padded with inf: argmin keeps the first minimum
-    owner = np.repeat(np.arange(len(solved)), sizes)
-    starts = np.cumsum(sizes) - sizes
-    grid = np.full((len(solved), max(sizes)), np.inf)
-    grid[owner, np.arange(len(candidates)) - starts[owner]] = probe_err
+    rank = np.repeat(np.arange(len(solved)), sizes)
+    grid = np.full((len(solved), sizes.max()), np.inf)
+    grid[rank, np.arange(len(owner)) - starts[rank]] = probe_err
     chosen = starts + np.argmin(grid, axis=1)
     errors = _stacked_reprojection_errors(
         rotations[chosen], translations[chosen], intrinsics, points, pixels
     )
-    counts = np.sum(errors < threshold, axis=1)
-    return solved, [candidates[c] for c in chosen], counts
+    return solved, chosen, np.sum(errors < threshold, axis=1)
 
 
 def ransac_pnp(
@@ -126,9 +122,11 @@ def ransac_pnp(
     reproject below params.inlier_threshold px under the returned pose.
 
     Iterations run in chunks of 8, 16, 32, ... samples, each drawn as its
-    own iteration and solved by one stacked p3p_solve call; the chunk is then
-    walked in draw order, so the chosen pose and the stopping iteration are
-    those of a loop that solves one sample at a time.
+    own iteration.  One p3p_solve call solves a chunk's (K, 3, 3) stack and
+    returns every candidate as arrays tagged with its sample; a degenerate
+    sample owns none and is skipped.  The chunk is then walked in draw
+    order, so the chosen pose and the stopping iteration are those of a loop
+    that solves one sample at a time.  The winner becomes a Pose at the end.
 
     Raises InsufficientDataError for fewer than 4 matches and
     EstimationFailedError ("localization failed") when no model reaches
@@ -143,30 +141,32 @@ def ransac_pnp(
 
     bearings = _bearings(pixels, intrinsics)
     rng = np.random.default_rng(params.rng_seed)
-    best_pose: Pose | None = None
+    best: tuple | None = None  # (rotation, translation)
     best_count = 0
 
     start, chunk, converged = 0, _FIRST_CHUNK, False
     while start < params.max_iterations and not converged:
         size = min(chunk, params.max_iterations - start)
         samples = np.array([rng.choice(n, size=4, replace=False) for _ in range(size)])
-        # a degenerate sample comes back as None and, like one without
-        # solutions, is skipped
-        solutions = p3p_solve(bearings[samples[:, :3]], points[samples[:, :3]])
-        solved, poses, counts = _score_chunk(
-            solutions, samples[:, 3], intrinsics, points, pixels, params.inlier_threshold
+        owner, rotations, translations = p3p_solve(
+            bearings[samples[:, :3]], points[samples[:, :3]]
         )
-        for i, pose, count in zip(solved, poses, counts.tolist()):
+        solved, chosen, counts = _score_chunk(
+            owner, rotations, translations, samples[:, 3],
+            intrinsics, points, pixels, params.inlier_threshold,
+        )
+        for i, c, count in zip(solved.tolist(), chosen.tolist(), counts.tolist()):
             if count > best_count:
                 best_count = count
-                best_pose = pose
+                best = rotations[c], translations[c]
                 if start + i + 1 >= _iterations_needed(count / n, 4):
                     converged = True
                     break
         start, chunk = start + size, 2 * chunk
 
-    if best_pose is None or best_count < params.min_inliers:
+    if best is None or best_count < params.min_inliers:
         raise EstimationFailedError("localization failed")
+    best_pose = Pose(*best)
     errors = _reprojection_errors(best_pose, intrinsics, points, pixels)
     inliers = np.flatnonzero(errors < params.inlier_threshold)
     return best_pose, inliers

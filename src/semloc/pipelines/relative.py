@@ -8,13 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateGeometryError, EstimationFailedError, InsufficientDataError
-from ..features.match import DEFAULT_RATIO, knn_ratio_match
+from ..features.match import DEFAULT_RATIO
 from ..geometry.epipolar import RelativePose, decompose_essential
 from ..geometry.pose import CameraIntrinsics
 from ..geometry.ransac import RansacParams, ransac_essential
-from ..semantics.filtering import filter_matches_by_class, match_per_class
 from .frames import FrameFeatures
-from .modes import SemanticMode, derive_rng_seed, mode_features
+from .modes import SemanticMode, derive_rng_seed, mode_features, mode_matches
 
 logger = logging.getLogger(__name__)
 
@@ -52,24 +51,19 @@ def match_frames(
     mode: SemanticMode,
     ratio: float = DEFAULT_RATIO,
 ) -> np.recarray:
-    """Mode-specific descriptor matching between two frames.
+    """Mode-specific descriptor matching between two frames (`mode_matches`).
 
-    Pre matches class-by-class; post matches everything then keeps
-    class-consistent pairs; baseline is unrestricted.  The match indices are
-    rows of the features passed in, so pass each frame's `mode_features`.
+    The match indices are rows of the features passed in, so pass each
+    frame's `mode_features`.
     """
-    if mode is SemanticMode.PRE:
-        return match_per_class(
-            features_a.descriptors,
-            features_a.labels,
-            features_b.descriptors,
-            features_b.labels,
-            ratio,
-        )
-    matches = knn_ratio_match(features_a.descriptors, features_b.descriptors, ratio)
-    if mode is SemanticMode.POST:
-        matches = filter_matches_by_class(matches, features_a.labels, features_b.labels)
-    return matches
+    return mode_matches(
+        features_a.descriptors,
+        features_a.labels,
+        features_b.descriptors,
+        features_b.labels,
+        mode,
+        ratio,
+    )
 
 
 def relative_pose(

@@ -8,16 +8,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EstimationFailedError, InsufficientDataError
-from ..features.match import DEFAULT_RATIO, knn_ratio_match, match_record
+from ..features.match import DEFAULT_RATIO, match_record
 from ..geometry.pose import CameraIntrinsics, Pose
 from ..geometry.ransac import RansacParams, ransac_pnp
 from ..geometry.refine import refine_pose, reprojection_residuals
 from ..mapping.sparse_map import SparseMap, query_candidates
 from ..mapping.vocabulary import bow_vector
 from ..semantics.classes import UNLABELED
-from ..semantics.filtering import filter_matches_by_class, match_per_class
 from .frames import FrameFeatures
-from .modes import SemanticMode, derive_rng_seed, mode_features
+from .modes import SemanticMode, derive_rng_seed, mode_features, mode_matches
 
 logger = logging.getLogger(__name__)
 
@@ -65,16 +64,14 @@ def candidate_matches(
     pooled = []
     for keyframe_id in candidate_ids:
         landmark_ids = sparse_map.keyframe_by_id(keyframe_id).landmark_ids
-        train = sparse_map.descriptors[landmark_ids]
-        classes = sparse_map.class_ids[landmark_ids]
-        if mode is SemanticMode.PRE:
-            matches = match_per_class(
-                features.descriptors, features.labels, train, classes, ratio
-            )
-        else:
-            matches = knn_ratio_match(features.descriptors, train, ratio)
-            if mode is SemanticMode.POST:
-                matches = filter_matches_by_class(matches, features.labels, classes)
+        matches = mode_matches(
+            features.descriptors,
+            features.labels,
+            sparse_map.descriptors[landmark_ids],
+            sparse_map.class_ids[landmark_ids],
+            mode,
+            ratio,
+        )
         matches.train_index = landmark_ids[matches.train_index]
         pooled.append(matches)
     # np.concatenate returns a plain structured array; view it as a record again

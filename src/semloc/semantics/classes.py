@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from ..errors import AnnotationError
@@ -53,22 +52,6 @@ class ClassRegistry:
     @classmethod
     def default(cls) -> "ClassRegistry":
         return cls([SemanticClass(i, n) for i, n in enumerate(DEFAULT_CLASS_NAMES)])
-
-    @classmethod
-    def from_json(cls, path: str) -> "ClassRegistry":
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise AnnotationError(f"{path}: {exc}") from exc
-        try:
-            classes = [SemanticClass(int(e["id"]), str(e["name"])) for e in raw]
-        except (KeyError, TypeError) as exc:
-            raise AnnotationError(f"{path}: each entry needs 'id' and 'name'") from exc
-        try:
-            return cls(classes)
-        except AnnotationError as exc:
-            raise AnnotationError(f"{path}: {exc}") from exc
 
     def to_list(self) -> list[dict]:
         return [{"id": c.id, "name": c.name} for c in self._classes]

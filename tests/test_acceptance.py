@@ -97,21 +97,26 @@ def _five_point_worst_residual(rng, instances: int) -> float:
 
 
 def _p3p_worst_errors(rng, instances: int) -> tuple[float, float]:
-    worst_rot = worst_t = 0.0
+    """Over all instances, solved as one stack, the worst error of the
+    candidate closest to the generating pose; inf if an instance has none."""
+    poses, bearings, points = [], [], []
     for _ in range(instances):
         pose = random_pose(rng)
-        points = points_in_front(rng, pose, 3, depth=(1.0, 3.0))
-        cam = pose.transform(points)
-        bearings = cam / np.linalg.norm(cam, axis=1, keepdims=True)
-        solutions = p3p_solve(bearings, points)
-        worst_rot = max(
-            worst_rot,
-            min(math.radians(rotation_error_deg(s.rotation, pose.rotation)) for s in solutions),
-        )
-        worst_t = max(
-            worst_t, min(float(np.linalg.norm(s.translation - pose.translation)) for s in solutions)
-        )
-    return worst_rot, worst_t
+        world = points_in_front(rng, pose, 3, depth=(1.0, 3.0))
+        cam = pose.transform(world)
+        poses.append(pose)
+        bearings.append(cam / np.linalg.norm(cam, axis=1, keepdims=True))
+        points.append(world)
+    owner, rotations, translations = p3p_solve(np.array(bearings), np.array(points))
+    rot_err = [
+        math.radians(rotation_error_deg(r, poses[k].rotation))
+        for k, r in zip(owner.tolist(), rotations)
+    ]
+    t_err = np.linalg.norm(translations - np.array([p.translation for p in poses])[owner], axis=1)
+    best_rot, best_t = np.full(instances, np.inf), np.full(instances, np.inf)
+    np.minimum.at(best_rot, owner, rot_err)
+    np.minimum.at(best_t, owner, t_err)
+    return float(best_rot.max()), float(best_t.max())
 
 
 def _triangulation_worst_residual(rng, instances: int) -> float:

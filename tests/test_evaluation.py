@@ -85,7 +85,7 @@ def test_association_window_drops_unmatched_estimates():
     ]
     series = absolute_errors(estimated, reference, alignment="none")
     assert series.total_count == 1
-    assert series.localized_count == 1
+    assert len(series.ape) == 1
     assert series.ape[0] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -153,7 +153,7 @@ def test_failed_frames_stay_in_the_denominator():
     ]
     series = absolute_errors(estimated, reference, alignment="none")
     assert series.total_count == 4
-    assert series.localized_count == 2
+    assert len(series.ape) == 2
     assert success_rate(series, 0.3, 5.0) == pytest.approx(0.5)
 
 

@@ -155,27 +155,37 @@ def _p3p_instance(rng):
     return pose, bearings, points
 
 
+def _p3p_instances(rng, count):
+    poses, bearings, points = zip(*(_p3p_instance(rng) for _ in range(count)))
+    return poses, np.array(bearings), np.array(points)
+
+
+def _max_bearing_angles(owner, rotations, translations, bearings, points):
+    """Per candidate, its largest angle between a bearing and its point's ray."""
+    cam = points[owner] @ np.swapaxes(rotations, 1, 2) + translations[:, None]
+    unit = cam / np.linalg.norm(cam, axis=2, keepdims=True)
+    return np.arccos(np.clip(np.einsum("kij,kij->ki", bearings[owner], unit), -1, 1)).max(axis=1)
+
+
 def test_p3p_recovers_generating_pose():
-    rng = np.random.default_rng(42)
-    for _ in range(200):
-        pose, bearings, points = _p3p_instance(rng)
-        solutions = p3p_solve(bearings, points)
-        assert 1 <= len(solutions) <= 4
-        best_rot = min(rotation_error_deg(s.rotation, pose.rotation) for s in solutions)
-        best_t = min(np.linalg.norm(s.translation - pose.translation) for s in solutions)
+    poses, bearings, points = _p3p_instances(np.random.default_rng(42), 200)
+    owner, rotations, translations = p3p_solve(bearings, points)
+    assert np.all(np.diff(owner) >= 0)
+    per_instance = np.bincount(owner, minlength=200)
+    assert per_instance.min() >= 1 and per_instance.max() <= 4
+    for k, pose in enumerate(poses):
+        rows = owner == k
+        best_rot = min(rotation_error_deg(r, pose.rotation) for r in rotations[rows])
+        best_t = np.linalg.norm(translations[rows] - pose.translation, axis=1).min()
         assert np.radians(best_rot) < 1e-6
         assert best_t < 1e-6
 
 
 def test_p3p_solutions_all_align_bearings():
-    rng = np.random.default_rng(43)
-    for _ in range(50):
-        _, bearings, points = _p3p_instance(rng)
-        for pose in p3p_solve(bearings, points):
-            cam = pose.transform(points)
-            unit = cam / np.linalg.norm(cam, axis=1, keepdims=True)
-            angles = np.arccos(np.clip(np.einsum("ij,ij->i", bearings, unit), -1, 1))
-            assert np.max(angles) <= 1e-6
+    _, bearings, points = _p3p_instances(np.random.default_rng(43), 50)
+    solution = p3p_solve(bearings, points)
+    assert len(solution[0]) >= 50
+    assert np.max(_max_bearing_angles(*solution, bearings, points)) <= 1e-6
 
 
 def test_p3p_keeps_a_root_next_to_a_near_double_root():
@@ -200,25 +210,32 @@ def test_p3p_keeps_a_root_next_to_a_near_double_root():
         ]
     )
     cam = pose.transform(points)
-    bearings = cam / np.linalg.norm(cam, axis=1, keepdims=True)
-    solutions = p3p_solve(bearings, points)
+    bearings = (cam / np.linalg.norm(cam, axis=1, keepdims=True))[None]
+    owner, rotations, translations = p3p_solve(bearings, points[None])
     assert any(
-        np.radians(rotation_error_deg(s.rotation, pose.rotation)) < 1e-6
-        and np.linalg.norm(s.translation - pose.translation) < 1e-6
-        for s in solutions
+        np.radians(rotation_error_deg(r, pose.rotation)) < 1e-6
+        and np.linalg.norm(t - pose.translation) < 1e-6
+        for r, t in zip(rotations, translations)
     )
-    for solution in solutions:
-        cam = solution.transform(points)
-        unit = cam / np.linalg.norm(cam, axis=1, keepdims=True)
-        angles = np.arccos(np.clip(np.einsum("ij,ij->i", bearings, unit), -1, 1))
-        assert np.max(angles) <= 1e-6
+    angles = _max_bearing_angles(owner, rotations, translations, bearings, points[None])
+    assert np.max(angles) <= 1e-6
 
 
 def test_p3p_collinear_points_rejected():
-    bearings = np.eye(3)
-    points = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    with pytest.raises(DegenerateGeometryError, match="collinear"):
-        p3p_solve(bearings, points)
+    rng = np.random.default_rng(44)
+    _, bearings, points = _p3p_instances(rng, 3)
+    points[1] = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
+    bearings[1] = np.eye(3)
+    owner, rotations, translations = p3p_solve(bearings, points)
+    assert 1 not in owner
+    assert set(owner.tolist()) == {0, 2}
+    assert len(rotations) == len(translations) == len(owner)
+
+
+def test_p3p_takes_only_stacks():
+    _, bearings, points = _p3p_instances(np.random.default_rng(45), 1)
+    with pytest.raises(ValueError, match="stacks"):
+        p3p_solve(bearings[0], points[0])
 
 
 # ---------------------------------------------------------------- five-point

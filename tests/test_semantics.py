@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semloc.errors import AnnotationError
+from semloc.errors import AnnotationError, MapFormatError
 from semloc.features.match import knn_ratio_match, match_record
+from semloc.mapping.sparse_map import MAP_FORMAT_VERSION, load_map
 from semloc.semantics import (
     UNLABELED,
     BoundingBox,
@@ -48,27 +49,34 @@ def test_registry_rejects_wrong_count_and_duplicates():
         ClassRegistry(dupe)
 
 
+def _map_file_with_classes(path, classes):
+    """A map file whose class list is `classes`; load_map reads it first."""
+    path.write_text(json.dumps({"version": MAP_FORMAT_VERSION, "classes": classes}))
+    return str(path)
+
+
 def test_registry_json_round_trip(tmp_path):
-    path = tmp_path / "classes.json"
-    path.write_text(json.dumps(REGISTRY.to_list()))
-    loaded = ClassRegistry.from_json(str(path))
+    # the class list of map and world files: to_list, read back entry by entry
+    raw = json.loads(json.dumps(REGISTRY.to_list()))
+    loaded = ClassRegistry([SemanticClass(int(e["id"]), str(e["name"])) for e in raw])
     assert loaded.to_list() == REGISTRY.to_list()
     assert loaded.by_name("vent").id == REGISTRY.by_name("vent").id
 
 
 def test_registry_json_errors_name_the_file(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('[{"id": 0}]')
-    with pytest.raises(AnnotationError, match="bad.json"):
-        ClassRegistry.from_json(str(path))
+    path = _map_file_with_classes(tmp_path / "bad.json", [{"id": 0}])
+    with pytest.raises(MapFormatError, match="bad.json"):
+        load_map(path)
 
 
 def test_registry_rejects_a_negative_class_id(tmp_path):
     # a real class must never collide with the UNLABELED sentinel (-1)
-    path = tmp_path / "negative.json"
-    path.write_text(json.dumps([{"id": i, "name": f"c{i}"} for i in range(-1, 7)]))
-    with pytest.raises(AnnotationError, match=r"negative\.json.*non-negative"):
-        ClassRegistry.from_json(str(path))
+    classes = [{"id": i, "name": f"c{i}"} for i in range(-1, 7)]
+    with pytest.raises(AnnotationError, match="non-negative"):
+        ClassRegistry([SemanticClass(e["id"], e["name"]) for e in classes])
+    path = _map_file_with_classes(tmp_path / "negative.json", classes)
+    with pytest.raises(MapFormatError, match=r"negative\.json.*non-negative"):
+        load_map(path)
 
 
 def test_registry_lookup_errors():
