@@ -34,11 +34,12 @@ def knn_ratio_match(
         return match_record()
 
     dist = cdist(query, train)
-    order = np.argsort(dist, axis=1, kind="stable")
     rows = np.arange(len(query))
-    d1 = dist[rows, order[:, 0]]
-    d2 = dist[rows, order[:, 1]]
+    best = dist.argmin(axis=1)  # the lower index on a tie, as a stable sort puts first
+    d1 = dist[rows, best]
+    dist[rows, best] = np.inf
+    d2 = dist.min(axis=1)  # the second smallest, counting a tied best twice
     with np.errstate(divide="ignore", invalid="ignore"):
         r = d1 / d2
     keep = (d2 > 0.0) & (r < ratio)  # d2 == 0: identical duplicates, fully ambiguous
-    return match_record(rows[keep], order[keep, 0], r[keep])
+    return match_record(rows[keep], best[keep], r[keep])

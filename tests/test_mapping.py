@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from semloc.errors import DegenerateGeometryError, InsufficientDataError, MapFormatError
 from semloc.features import knn_ratio_match
@@ -25,6 +28,7 @@ from semloc.mapping import (
     save_map,
 )
 from semloc.mapping.build import _select_pairs
+from semloc.mapping.vocabulary import _kmeans_pp_init, _nearest_centroid
 from semloc.pipelines import most_similar
 from semloc.semantics import (
     UNLABELED,
@@ -114,6 +118,138 @@ def test_idf_rare_word_weighted_ubiquitous_word_zeroed():
     assert vocab.idf[shared_word] == 0.0  # ln(3/4) clamped
     assert abs(vocab.idf[rare_word] - math.log(3 / 2)) < 1e-9
     assert (vocab.idf >= 0).all()
+
+
+def _assert_nearest_centroid_is_cdist_argmin(data, centroids):
+    expected = cdist(data, centroids).argmin(axis=1)
+    got = _nearest_centroid(data, centroids)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(0, 40),
+    k=st.sampled_from([2, 3, 7, 48, 256]),
+    dim=st.sampled_from([1, 2, 3, 16, 64]),
+    offset=st.sampled_from([0.0, 1e3]),
+    scale=st.sampled_from([1e-6, 1e-3, 1.0, 37.0]),
+    duplicates=st.booleans(),
+    midpoints=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_nearest_centroid_equals_cdist_argmin(
+    seed, rows, k, dim, offset, scale, duplicates, midpoints
+):
+    rng = np.random.default_rng(seed)
+    centroids = offset + scale * rng.normal(size=(k, dim))
+    if duplicates:
+        copies = rng.integers(k, size=(k // 2 + 1, 2))
+        centroids[copies[:, 0]] = centroids[copies[:, 1]]
+    data = offset + scale * rng.normal(size=(rows, dim))
+    if midpoints and rows:
+        pairs = rng.integers(k, size=(rows // 2 + 1, 2))
+        middle = (centroids[pairs[:, 0]] + centroids[pairs[:, 1]]) / 2
+        data[: len(middle)] = middle[:rows]
+        data[-1] = centroids[pairs[0, 0]]  # a point on a centroid
+    _assert_nearest_centroid_is_cdist_argmin(data, centroids)
+
+
+def test_nearest_centroid_seeded_sweep_crosses_blocks_and_rescues_the_screen():
+    rng = np.random.default_rng(11)
+    screen_misses = 0
+    for k, dim, rows in ((2, 64, 0), (2, 64, 1), (48, 64, 1000), (256, 64, 300), (256, 3, 500)):
+        for offset, scale in ((0.0, 1.0), (1e3, 1e-6)):
+            centroids = offset + rng.normal(scale=scale, size=(k, dim))
+            centroids[k // 2] = centroids[0]
+            data = offset + rng.normal(scale=scale, size=(rows, dim))
+            _assert_nearest_centroid_is_cdist_argmin(data, centroids)
+            screen = (centroids**2).sum(axis=1) - 2.0 * data @ centroids.T
+            screen_misses += np.count_nonzero(
+                screen.argmin(axis=1) != cdist(data, centroids).argmin(axis=1)
+            )
+    # at a 1e3 offset the matrix-product form cancels so badly that its argmin
+    # is wrong on some rows; only the cdist fallback gets them right
+    assert screen_misses > 0
+
+
+def test_quantize_takes_zero_and_one_rows():
+    vocab = _toy_vocabulary()
+    assert vocab.quantize(np.empty((0, 8))).shape == (0,)
+    assert vocab.quantize(np.eye(8)[2]).tolist() == [2]
+
+
+def _reference_lloyd(data, centroids):
+    """The Lloyd iteration with cdist assignment and a revive per empty cluster."""
+    k = len(centroids)
+    for _ in range(50):
+        assign = cdist(data, centroids).argmin(axis=1)
+        updated = centroids.copy()
+        for j in range(k):
+            members = data[assign == j]
+            if len(members):
+                updated[j] = members.mean(axis=0)
+            else:
+                farthest = int(np.argmax(np.sum((data - centroids[assign]) ** 2, axis=1)))
+                updated[j] = data[farthest]
+        movement = np.max(np.linalg.norm(updated - centroids, axis=1))
+        centroids = updated
+        if movement < 1e-6:
+            break
+    return centroids
+
+
+def _reference_vocabulary(frames, k, seed):
+    data = np.vstack(frames)
+    centroids = _reference_lloyd(data, _kmeans_pp_init(data, k, np.random.default_rng(seed)))
+    norms = np.linalg.norm(centroids, axis=1, keepdims=True)
+    norms[norms < 1e-12] = 1.0
+    centroids = centroids / norms
+    document_frequency = np.zeros(k)
+    for frame in frames:
+        document_frequency[np.unique(cdist(frame, centroids).argmin(axis=1))] += 1
+    idf = np.maximum(np.log(len(frames) / (1.0 + document_frequency)), 0.0)
+    return centroids, idf
+
+
+def _observed_descriptor_frames(rng, landmarks, frames, per_frame, dim=64):
+    """Noisy unit observations of a fixed set of unit landmark descriptors."""
+    anchors = _random_unit(rng, landmarks, dim)
+    return [
+        _unit_rows(
+            anchors[rng.choice(landmarks, size=per_frame, replace=False)]
+            + rng.normal(scale=0.05, size=(per_frame, dim))
+        )
+        for _ in range(frames)
+    ]
+
+
+@pytest.mark.parametrize(
+    "landmarks, frames, per_frame, k",
+    [(700, 72, 140, 48), (400, 30, 130, 256)],
+    ids=["dense-map-size-k48", "k256"],
+)
+def test_build_vocabulary_equals_the_cdist_reference(landmarks, frames, per_frame, k):
+    rng = np.random.default_rng(landmarks + k)
+    frame_descriptors = _observed_descriptor_frames(rng, landmarks, frames, per_frame)
+    vocab = build_vocabulary(frame_descriptors, k, seed=3)
+    centroids, idf = _reference_vocabulary(frame_descriptors, k, seed=3)
+    assert vocab.centroids.tobytes() == centroids.tobytes()
+    assert vocab.idf.tobytes() == idf.tobytes()
+
+
+def test_empty_clusters_revive_as_the_reference_does():
+    # 30 distinct points, each five times, for 40 clusters: seeding repeats
+    # points, the repeats' clusters empty, and every cluster emptied in one
+    # iteration is revived at the same farthest point
+    rng = np.random.default_rng(5)
+    points = np.repeat(_random_unit(rng, 30, 8), 5, axis=0)
+    frames = np.split(rng.permutation(points), 3)
+    vocab = build_vocabulary(frames, 40, seed=2)
+    centroids, idf = _reference_vocabulary(frames, 40, seed=2)
+    assert vocab.centroids.tobytes() == centroids.tobytes()
+    assert vocab.idf.tobytes() == idf.tobytes()
+    assert len(np.unique(vocab.centroids, axis=0)) < 40
 
 
 def _toy_vocabulary(k=4, d=8):
