@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from .distance import euclidean, nearest_neighbours
 
 DEFAULT_RATIO = 0.7
 
@@ -25,21 +26,22 @@ def knn_ratio_match(
 
     A match is emitted iff d(best) / d(second best) < ratio; with fewer than
     two train descriptors no match can pass, and neither can a query whose
-    two nearest neighbours coincide with it.  Distances are Euclidean and
-    computed exhaustively; matches come in query order.
+    two nearest neighbours coincide with it.  Distances are Euclidean, with
+    the bits of scipy's cdist; a screened search finds each query's two
+    nearest neighbours (`distance.nearest_neighbours`) and only their
+    distances are computed.  Matches come in query order.
     """
     query = np.asarray(query, dtype=float)
     train = np.asarray(train, dtype=float)
     if query.shape[0] == 0 or train.shape[0] < 2:
         return match_record()
 
-    dist = cdist(query, train)
-    rows = np.arange(len(query))
-    best = dist.argmin(axis=1)  # the lower index on a tie, as a stable sort puts first
-    d1 = dist[rows, best]
-    dist[rows, best] = np.inf
-    d2 = dist.min(axis=1)  # the second smallest, counting a tied best twice
-    with np.errstate(divide="ignore", invalid="ignore"):
+    nearest = nearest_neighbours(query, train, 2)
+    best = nearest[:, 0]  # the lower index on a tie, as a stable sort puts first
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the second nearest counts a tied best twice
+        d1, d2 = euclidean(query[:, None, :], train[nearest]).T
         r = d1 / d2
+    rows = np.arange(len(query))
     keep = (d2 > 0.0) & (r < ratio)  # d2 == 0: identical duplicates, fully ambiguous
     return match_record(rows[keep], best[keep], r[keep])

@@ -6,26 +6,13 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ..errors import InsufficientDataError
+from ..features.distance import nearest_neighbours
 
 DEFAULT_VOCABULARY_K = 256
 _MAX_ITERATIONS = 50
 _MOVEMENT_TOL = 1e-6
-# A row's screen values carry a rounding error below (d + 2) * u * (|x| + max|c|)^2
-# (u = 2**-53; the dot-product bound with Cauchy-Schwarz), and cdist's squared
-# distances one below (d + 3) * u * (|x| + max|c|)^2. A gap above
-# _AMBIGUOUS_REL * (|x| + max|c|)^2 therefore ranks the screen's winner strictly
-# first in exact arithmetic and in cdist alike while 4 * (d + 3) * u stays under
-# _AMBIGUOUS_REL, that is up to d of about two million (3e-14 at d = 64).
-_AMBIGUOUS_REL = 1e-9
-# Multiply-adds per block (rows x centroids.size). OpenBLAS hands a product of
-# about 1e6 of them to a second thread (1,032,192 was threaded, 983,040 was not,
-# on 2 cores); a 341-row block at k = 48 then ran 10 to 40 times slower per
-# product than a 170-row one, and whole-array products raised peak RSS by
-# 5-10 MB. Half the threshold keeps every block on one thread.
-_BLOCK_PRODUCTS = 2**19
 
 
 @dataclass
@@ -56,33 +43,8 @@ class Vocabulary:
 
 
 def _nearest_centroid(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """cdist(data, centroids).argmin(axis=1), bit for bit.
-
-    Each block of rows is ranked by the screen |c|^2 - 2 x.c, one matrix
-    product per block. A row whose runner-up lies within the _AMBIGUOUS_REL
-    margin of its best (ties, duplicate centroids, cancellation at large norms,
-    anything not finite) is ranked again by cdist itself, with its lower-index
-    tie rule.
-    """
-    nearest = np.empty(len(data), dtype=np.intp)
-    c_squared = np.einsum("ij,ij->i", centroids, centroids)
-    scale = np.sqrt(np.einsum("ij,ij->i", data, data)) + np.sqrt(c_squared.max())
-    margin = _AMBIGUOUS_REL * scale**2
-    scaled = -2.0 * centroids.T  # exact: a power-of-two scale
-    rows = max(1, _BLOCK_PRODUCTS // max(1, centroids.size))
-    for start in range(0, len(data), rows):
-        block = data[start : start + rows]
-        screen = block @ scaled
-        screen += c_squared
-        best = screen.argmin(axis=1)
-        limit = screen[np.arange(len(block)), best] + margin[start : start + rows]
-        # the best itself is the one entry within the margin, unless ambiguous;
-        # a NaN limit admits none, so anything not finite is ambiguous too
-        ambiguous = np.count_nonzero(screen <= limit[:, None], axis=1) != 1
-        if ambiguous.any():
-            best[ambiguous] = cdist(block[ambiguous], centroids).argmin(axis=1)
-        nearest[start : start + rows] = best
-    return nearest
+    """cdist(data, centroids).argmin(axis=1), bit for bit."""
+    return nearest_neighbours(data, centroids, 1)[:, 0]
 
 
 def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -106,10 +68,14 @@ def _lloyd(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     k = len(centroids)
     for _ in range(_MAX_ITERATIONS):
         assign = _nearest_centroid(data, centroids)
+        # one stable sort groups the rows by cluster, each group in data order,
+        # so every mean adds its members as a boolean mask would take them; on
+        # the smallest integer type that holds a cluster index it is a radix sort
+        order = np.argsort(assign.astype(np.min_scalar_type(k - 1)), kind="stable")
+        groups = np.split(data[order], np.cumsum(np.bincount(assign, minlength=k))[:-1])
         updated = centroids.copy()
         farthest = None
-        for j in range(k):
-            members = data[assign == j]
+        for j, members in enumerate(groups):
             if len(members):
                 updated[j] = members.mean(axis=0)
             else:

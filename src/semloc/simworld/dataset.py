@@ -122,7 +122,9 @@ def save_frame(frame: SyntheticFrame, path: str) -> None:
         ],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        # json.dump streams through the pure-Python encoder; dumps takes the
+        # C one, and a frame is small enough to hold as one string
+        fh.write(json.dumps(payload))
         fh.write("\n")
 
 

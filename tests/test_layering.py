@@ -1,6 +1,8 @@
-"""Package imports inside semloc point down the layer order, never up."""
+"""Package imports inside semloc point down the layer order, never up, and
+nothing outside the standard library but numpy is imported."""
 
 import ast
+import sys
 from pathlib import Path
 
 import semloc
@@ -31,14 +33,17 @@ def _layer(module: str) -> "str | None":
     return parts[1] if len(parts) > 1 else "semloc"
 
 
-def _upward_imports(relative_path: Path, source: str) -> list[str]:
-    """'importer -> imported' for every import in `source` that points up."""
-    module_parts = ["semloc", *relative_path.with_suffix("").parts]
-    if module_parts[-1] == "__init__":
-        module_parts.pop()
-    package_parts = module_parts if relative_path.name == "__init__.py" else module_parts[:-1]
-    own = _layer(".".join(module_parts))
+def _module_parts(relative_path: Path) -> list[str]:
+    parts = ["semloc", *relative_path.with_suffix("").parts]
+    if parts[-1] == "__init__":
+        parts.pop()
+    return parts
 
+
+def _imported_modules(relative_path: Path, source: str) -> list[str]:
+    """Every module `source` imports, at any depth, relative imports resolved."""
+    module_parts = _module_parts(relative_path)
+    package_parts = module_parts if relative_path.name == "__init__.py" else module_parts[:-1]
     imported = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -49,6 +54,14 @@ def _upward_imports(relative_path: Path, source: str) -> list[str]:
                 continue
             base = package_parts[: len(package_parts) - (node.level - 1)]
             imported.append(".".join(base + ([node.module] if node.module else [])))
+    return imported
+
+
+def _upward_imports(relative_path: Path, source: str) -> list[str]:
+    """'importer -> imported' for every import in `source` that points up."""
+    module_parts = _module_parts(relative_path)
+    own = _layer(".".join(module_parts))
+    imported = _imported_modules(relative_path, source)
 
     upward = []
     for module in imported:
@@ -58,6 +71,18 @@ def _upward_imports(relative_path: Path, source: str) -> list[str]:
         if target not in LAYERS or LAYERS.index(target) > LAYERS.index(own):
             upward.append(f"{'.'.join(module_parts)} -> {module}")
     return upward
+
+
+def _third_party_imports(relative_path: Path, source: str) -> list[str]:
+    """'importer -> imported' for every import of a package that is neither
+    semloc, numpy nor part of the standard library."""
+    allowed = {"semloc", "numpy", *sys.stdlib_module_names}
+    importer = ".".join(_module_parts(relative_path))
+    return [
+        f"{importer} -> {module}"
+        for module in _imported_modules(relative_path, source)
+        if module.split(".")[0] not in allowed
+    ]
 
 
 def test_every_module_belongs_to_a_layer():
@@ -78,6 +103,13 @@ def test_package_imports_point_down_the_layer_order():
     assert upward == []
 
 
+def test_numpy_is_the_only_third_party_import():
+    third_party = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        third_party += _third_party_imports(path.relative_to(PACKAGE_ROOT), path.read_text())
+    assert third_party == []
+
+
 def test_the_layer_check_sees_relative_absolute_and_local_imports():
     source = (
         "from ..errors import SemlocError\n"
@@ -92,3 +124,22 @@ def test_the_layer_check_sees_relative_absolute_and_local_imports():
     ]
     assert _upward_imports(Path("cli.py"), "from .evaluation import run_benchmark\n") == []
     assert _upward_imports(Path("features/__init__.py"), "from . import match\n") == []
+
+
+def test_the_third_party_check_sees_absolute_and_local_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import json, os.path\n"
+        "import numpy as np\n"
+        "from numpy.linalg import svd\n"
+        "from ..errors import SemlocError\n"
+        "from scipy.spatial.distance import cdist\n"
+        "def f():\n"
+        "    import scipy.spatial\n"
+        "    import yaml\n"
+    )
+    assert _third_party_imports(Path("features/match.py"), source) == [
+        "semloc.features.match -> scipy.spatial.distance",
+        "semloc.features.match -> scipy.spatial",
+        "semloc.features.match -> yaml",
+    ]
