@@ -17,7 +17,6 @@ from .five_point import five_point_essential
 from .epipolar import (
     RelativePose,
     decompose_essential,
-    essential_from_motion,
     essential_from_pose,
     relative_motion,
     sampson_error,
@@ -34,7 +33,6 @@ __all__ = [
     "RelativePose",
     "apply_increment",
     "decompose_essential",
-    "essential_from_motion",
     "essential_from_pose",
     "five_point_essential",
     "p3p_solve",

@@ -46,10 +46,6 @@ def essential_from_pose(pose_a: Pose, pose_b: Pose) -> np.ndarray:
     return skew(t) @ r
 
 
-def essential_from_motion(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
-    return skew(np.asarray(translation, dtype=float)) @ np.asarray(rotation, dtype=float)
-
-
 def _homogeneous(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:

@@ -132,10 +132,6 @@ class Pose:
                 f"rotation is not orthonormal (max deviation {err:.3e})"
             )
 
-    @classmethod
-    def identity(cls) -> "Pose":
-        return cls(np.eye(3), np.zeros(3))
-
     def quaternion(self) -> np.ndarray:
         return quaternion_from_rotation(self.rotation)
 
@@ -143,9 +139,6 @@ class Pose:
         """Map world points (3,) or (n, 3) into the camera frame."""
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
-
-    def inverse(self) -> "Pose":
-        return Pose(self.rotation.T, -self.rotation.T @ self.translation)
 
     def camera_center(self) -> np.ndarray:
         """Camera position expressed in world coordinates."""

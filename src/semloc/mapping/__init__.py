@@ -14,7 +14,6 @@ from .vocabulary import (
     Vocabulary,
     bow_vector,
     build_vocabulary,
-    cosine_similarity,
     rank_by_similarity,
 )
 
@@ -29,7 +28,6 @@ __all__ = [
     "bow_vector",
     "build_map",
     "build_vocabulary",
-    "cosine_similarity",
     "load_map",
     "query_candidates",
     "rank_by_similarity",

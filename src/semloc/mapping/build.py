@@ -39,12 +39,12 @@ class MapBuildConfig:
     retrieved_pairs: int = 2  # extra non-consecutive pairs per frame
 
 
-def _select_pairs(bows: list[dict], retrieved_pairs: int) -> list[tuple[int, int]]:
+def _select_pairs(bows: list[np.ndarray], retrieved_pairs: int) -> list[tuple[int, int]]:
     """Consecutive frame pairs plus the best BoW-similar non-adjacent pairs."""
     n = len(bows)
     pairs = {(i, i + 1) for i in range(n - 1)}
     for i in range(n):
-        others = ((j, bows[j]) for j in range(n) if abs(j - i) > 1)
+        others = [(j, bows[j]) for j in range(n) if abs(j - i) > 1]
         ranked = [(j, s) for j, s in rank_by_similarity(bows[i], others) if s > 0.0]
         pairs.update((min(i, j), max(i, j)) for j, _ in ranked[:retrieved_pairs])
     return sorted(pairs)
@@ -93,11 +93,13 @@ def build_map(
     worse than the build threshold into any observing keyframe are discarded.
 
     Raises InsufficientDataError ("empty map") when nothing can be
-    triangulated.
+    triangulated, and ValueError when two frames share an id.
     """
     config = config or MapBuildConfig()
     if len(frames) < 2:
         raise InsufficientDataError("empty map: need at least two frames")
+    if len({f.frame_id for f in frames}) != len(frames):
+        raise ValueError("frame ids must be unique")
 
     features = [f.features.labeled() if config.semantic else f.features for f in frames]
     total = sum(len(f.descriptors) for f in features)

@@ -23,14 +23,17 @@ class Keyframe:
     quaternion: np.ndarray  # (4,) [qw, qx, qy, qz], world->camera rotation
     translation: np.ndarray  # (3,)
     landmark_ids: np.ndarray  # (m,) rows of the map's landmark columns
-    bow: dict[int, float]
+    bow: np.ndarray  # (k,) tf-idf weight of each visual word
 
     def __post_init__(self):
         self.quaternion = np.asarray(self.quaternion, dtype=float)
         self.translation = np.asarray(self.translation, dtype=float)
         self.landmark_ids = np.asarray(self.landmark_ids, dtype=int)
-        if any(w < 0 for w in self.bow.values()):
+        self.bow = np.asarray(self.bow, dtype=float)
+        if (self.bow < 0).any():
             raise MapFormatError(f"keyframe {self.id}: negative bag-of-words weight")
+        if not np.isfinite(self.bow).all():
+            raise MapFormatError(f"keyframe {self.id}: non-finite bag-of-words weight")
 
     @classmethod
     def from_pose(cls, keyframe_id: int, pose: Pose, landmark_ids, bow) -> "Keyframe":
@@ -39,7 +42,7 @@ class Keyframe:
             quaternion=quaternion_from_rotation(pose.rotation),
             translation=pose.translation.copy(),
             landmark_ids=landmark_ids,
-            bow=dict(bow),
+            bow=bow,
         )
 
     @property
@@ -66,15 +69,15 @@ class SparseMap:
         return self._keyframe_lookup[keyframe_id]
 
 
-def query_candidates(sparse_map: SparseMap, query_bow: dict[int, float], n: int) -> list[int]:
-    """Top-n keyframe ids by cosine similarity to the query BoW vector.
+def query_candidates(sparse_map: SparseMap, query_bow: np.ndarray, n: int) -> list[int]:
+    """Top-n keyframe ids by cosine similarity to the dense query BoW vector.
 
     Keyframes sharing no word trail with score zero.  Ties break toward the
-    lower keyframe id.  An empty query returns no candidates.
+    lower keyframe id.  A query with no nonzero weight returns no candidates.
     """
-    if not query_bow:
+    if not query_bow.any():
         return []
-    ranked = rank_by_similarity(query_bow, ((kf.id, kf.bow) for kf in sparse_map.keyframes))
+    ranked = rank_by_similarity(query_bow, [(kf.id, kf.bow) for kf in sparse_map.keyframes])
     return [kf_id for kf_id, _ in ranked[:n]]
 
 
@@ -109,7 +112,7 @@ def save_map(sparse_map: SparseMap, path: str) -> None:
                 "id": kf.id,
                 "pose": {"q": kf.quaternion.tolist(), "t": kf.translation.tolist()},
                 "landmarks": kf.landmark_ids.tolist(),
-                "bow": {str(word): weight for word, weight in sorted(kf.bow.items())},
+                "bow": {str(word): float(kf.bow[word]) for word in np.flatnonzero(kf.bow)},
             }
             for kf in sparse_map.keyframes
         ],
@@ -117,6 +120,18 @@ def save_map(sparse_map: SparseMap, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
+
+
+def _dense_bow(entry: dict, k: int) -> np.ndarray:
+    """A keyframe entry's (k,) BoW row from its sparse {word: weight} object."""
+    bow = np.zeros(k)
+    for word, weight in entry["bow"].items():
+        index = int(word) if word.isascii() and word.isdigit() else -1
+        if not 0 <= index < k or str(index) != word:  # "03" would alias word 3
+            message = f"bag-of-words word {word!r} is not an integer in [0, {k})"
+            raise MapFormatError(f"keyframe {entry['id']}: {message}")
+        bow[index] = float(weight)
+    return bow
 
 
 def _landmark_columns(entries: list, registry: ClassRegistry):
@@ -176,15 +191,19 @@ def load_map(path: str) -> SparseMap:
                 quaternion=np.array(e["pose"]["q"], dtype=float),
                 translation=np.array(e["pose"]["t"], dtype=float),
                 landmark_ids=[int(i) for i in e["landmarks"]],
-                bow={int(word): float(weight) for word, weight in e["bow"].items()},
+                bow=_dense_bow(e, vocab.k),
             )
             for e in raw["keyframes"]
         ]
     except MapFormatError as exc:  # a broken invariant; the checks do not know the file
         raise MapFormatError(f"{path}: {exc}") from exc
-    except (AnnotationError, KeyError, TypeError, ValueError) as exc:
+    except (AnnotationError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MapFormatError(f"{path}: malformed map content ({exc})") from exc
+    seen = set()
     for kf in keyframes:
+        if kf.id in seen:
+            raise MapFormatError(f"{path}: keyframe {kf.id} appears more than once")
+        seen.add(kf.id)
         unknown = kf.landmark_ids[(kf.landmark_ids < 0) | (kf.landmark_ids >= len(positions))]
         if len(unknown):
             raise MapFormatError(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,39 +125,36 @@ def build_vocabulary(
     return Vocabulary(centroids=centroids, idf=idf)
 
 
-def bow_vector(descriptors: np.ndarray, vocab: Vocabulary) -> dict[int, float]:
-    """Sparse L2-normalized tf-idf vector over visual words.
+def bow_vector(descriptors: np.ndarray, vocab: Vocabulary) -> np.ndarray:
+    """Dense (k,) L2-normalized tf-idf vector over visual words.
 
-    Empty input — or a frame whose every word has zero idf — gives an empty
-    vector; non-empty vectors have unit norm so cosine similarity is a plain
-    dot product over shared words.
+    Empty input — or a frame whose every word has zero idf — gives the zero
+    vector; other vectors have unit norm, taken over the frame's own words, so
+    cosine similarity is a plain dot product.
     """
+    bow = np.zeros(vocab.k)
     descriptors = np.atleast_2d(np.asarray(descriptors, dtype=float))
     if descriptors.shape[0] == 0:
-        return {}
+        return bow
     words, counts = np.unique(vocab.quantize(descriptors), return_counts=True)
     tf = counts / counts.sum()
     weights = tf * vocab.idf[words]
     norm = float(np.linalg.norm(weights))
-    if norm < 1e-12:
-        return {}
-    return {
-        int(w): float(v / norm) for w, v in zip(words, weights) if v > 0.0
-    }
-
-
-def cosine_similarity(a: dict[int, float], b: dict[int, float]) -> float:
-    """Dot product of two unit-normalized sparse vectors, iterated in sorted
-    word order so repeated scoring of the same pair is bitwise stable."""
-    if len(b) < len(a):
-        a, b = b, a
-    return sum(a[w] * b[w] for w in sorted(a) if w in b)
+    if norm >= 1e-12:
+        bow[words] = weights / norm
+    return bow
 
 
 def rank_by_similarity(
-    query_bow: dict[int, float], frames: Iterable[tuple[int, dict[int, float]]]
+    query_bow: np.ndarray, frames: Sequence[tuple[int, np.ndarray]]
 ) -> list[tuple[int, float]]:
-    """(id, score) for each (id, BoW vector) in frames, by descending cosine
-    similarity to query_bow; ties break toward the lower id."""
-    scored = [(frame_id, cosine_similarity(query_bow, bow)) for frame_id, bow in frames]
-    return sorted(scored, key=lambda item: (-item[1], item[0]))
+    """(id, score) for each (id, dense BoW vector) in frames, by descending
+    cosine similarity to query_bow; ties break toward the lower id. A running
+    sum adds each frame's products in word order, as a sum over the words two
+    sparse vectors share would; np.add.reduce may add pairwise."""
+    if not frames:
+        return []
+    ids = [frame_id for frame_id, _ in frames]
+    products = np.array([bow for _, bow in frames]) * query_bow
+    scores = np.cumsum(products, axis=1)[:, -1]
+    return [(ids[i], float(scores[i])) for i in np.lexsort((ids, -scores))]

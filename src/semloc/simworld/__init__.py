@@ -10,7 +10,6 @@ from .dataset import (
     load_dataset_frames,
     load_frame,
     load_intrinsics,
-    load_world,
     save_frame,
     save_world,
     write_dataset,
@@ -54,7 +53,6 @@ __all__ = [
     "load_frame",
     "load_intrinsics",
     "load_scene_config",
-    "load_world",
     "make_walls",
     "perturb_world",
     "save_frame",

@@ -16,10 +16,10 @@ from ..geometry.pose import (
     rotation_from_quaternion,
 )
 from ..semantics.boxes import DetectionSet, save_detections
-from ..semantics.classes import ClassRegistry, SemanticClass
+from ..semantics.classes import ClassRegistry
 from ..trajectory_io import TrajectoryEntry, write_trajectory
 from .synthesize import SyntheticFrame
-from .world import World, WorldLandmark, WorldObject
+from .world import World
 
 
 def save_world(world: World, path: str) -> None:
@@ -54,50 +54,6 @@ def save_world(world: World, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh)
         fh.write("\n")
-
-
-def load_world(path: str) -> World:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise WorldGenerationError(f"{path}: not a valid world file ({exc.msg})") from exc
-    try:
-        registry = ClassRegistry(
-            [SemanticClass(int(e["id"]), str(e["name"])) for e in raw["classes"]]
-        )
-        objects = [
-            WorldObject(
-                id=int(e["id"]),
-                class_id=None if e["class"] is None else int(e["class"]),
-                wall_index=int(e["wall"]),
-                center_uv=np.array(e["center"], dtype=float),
-                rotation=float(e["rotation"]),
-                extent=np.array(e["extent"], dtype=float),
-                landmark_ids=[int(i) for i in e["landmarks"]],
-                movable=bool(e["movable"]),
-            )
-            for e in raw["objects"]
-        ]
-        landmarks = [
-            WorldLandmark(
-                id=int(e["id"]),
-                position=np.array(e["p"], dtype=float),
-                descriptor=np.array(e["desc"], dtype=float),
-                class_id=None if e["class"] is None else int(e["class"]),
-                object_id=None if e["object"] is None else int(e["object"]),
-            )
-            for e in raw["landmarks"]
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WorldGenerationError(f"{path}: malformed world content ({exc})") from exc
-    return World(
-        dimensions=np.array(raw["dimensions"], dtype=float),
-        objects=objects,
-        landmarks=landmarks,
-        seed=int(raw["seed"]),
-        registry=registry,
-    )
 
 
 def save_frame(frame: SyntheticFrame, path: str) -> None:

@@ -11,6 +11,50 @@ def intrinsics():
     return CameraIntrinsics(fx=400.0, fy=400.0, cx=320.0, cy=240.0, width=640, height=480)
 
 
+def reference_bow_vector(descriptors: np.ndarray, vocab) -> dict[int, float]:
+    """bow_vector as a sparse {word: weight} dict of the frame's words with a
+    nonzero weight: the reference the dense vector is checked against."""
+    descriptors = np.atleast_2d(np.asarray(descriptors, dtype=float))
+    if descriptors.shape[0] == 0:
+        return {}
+    words, counts = np.unique(vocab.quantize(descriptors), return_counts=True)
+    tf = counts / counts.sum()
+    weights = tf * vocab.idf[words]
+    norm = float(np.linalg.norm(weights))
+    if norm < 1e-12:
+        return {}
+    return {int(w): float(v / norm) for w, v in zip(words, weights) if v > 0.0}
+
+
+def reference_cosine_similarity(a: dict[int, float], b: dict[int, float]) -> float:
+    """Dot product of two sparse BoW vectors over their shared words, summed
+    in ascending word order: the reference for rank_by_similarity's scores."""
+    if len(b) < len(a):
+        a, b = b, a
+    return sum(a[w] * b[w] for w in sorted(a) if w in b)
+
+
+def dense_bow(sparse: dict[int, float], k: int) -> np.ndarray:
+    """The (k,) vector with the given {word: weight} entries, zero elsewhere."""
+    bow = np.zeros(k)
+    bow[list(sparse)] = list(sparse.values())
+    return bow
+
+
+def sparse_bow(bow: np.ndarray) -> dict[int, float]:
+    """The nonzero entries of a dense BoW vector as {word: weight}."""
+    return {int(w): float(bow[w]) for w in np.flatnonzero(bow)}
+
+
+def identity_pose() -> Pose:
+    return Pose(np.eye(3), np.zeros(3))
+
+
+def inverse_pose(pose: Pose) -> Pose:
+    """The camera-to-world transform of a world-to-camera pose."""
+    return Pose(pose.rotation.T, -pose.rotation.T @ pose.translation)
+
+
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
@@ -32,5 +76,4 @@ def points_in_front(rng: np.random.Generator, pose: Pose, n: int,
             rng.uniform(depth[0], depth[1], size=n),
         ]
     )
-    inv = pose.inverse()
-    return inv.transform(cam)
+    return inverse_pose(pose).transform(cam)

@@ -7,18 +7,23 @@ from semloc.errors import DegenerateGeometryError
 from semloc.geometry import (
     Pose,
     decompose_essential,
-    essential_from_motion,
     essential_from_pose,
     relative_motion,
     rotation_error_deg,
     rotation_from_axis_angle,
     sampson_error,
     sampson_error_flagged,
+    skew,
     translation_heading_error_deg,
 )
 from semloc.geometry.epipolar import _triangulate_normalized
 
-from conftest import random_pose
+from conftest import identity_pose, inverse_pose, random_pose
+
+
+def essential_from_motion(rotation, translation):
+    """E = [t]x R for the relative motion x_b = R x_a + t."""
+    return skew(np.asarray(translation, dtype=float)) @ np.asarray(rotation, dtype=float)
 
 
 def _normalized_views(pose_a, pose_b, points):
@@ -29,7 +34,7 @@ def _normalized_views(pose_a, pose_b, points):
 
 def test_sampson_zero_on_exact_correspondences():
     rng = np.random.default_rng(31)
-    pose_a = Pose.identity()
+    pose_a = identity_pose()
     pose_b = Pose(rotation_from_axis_angle([0.0, 0.2, 0.0]), np.array([0.4, 0.1, 0.05]))
     e = essential_from_pose(pose_a, pose_b)
     points = np.column_stack([rng.uniform(-1, 1, 40), rng.uniform(-1, 1, 40), rng.uniform(2, 5, 40)])
@@ -98,7 +103,7 @@ def test_decompose_essential_recovers_motion():
         points = np.column_stack(
             [rng.uniform(-1.5, 1.5, 30), rng.uniform(-1.5, 1.5, 30), rng.uniform(2, 6, 30)]
         )
-        world = pose_a.inverse().transform(points)
+        world = inverse_pose(pose_a).transform(points)
         cam_b = pose_b.transform(world)
         if np.any(cam_b[:, 2] < 0.2):
             continue
@@ -111,7 +116,7 @@ def test_decompose_essential_recovers_motion():
 
 
 def test_decompose_single_point_selects_by_cheirality():
-    pose_a = Pose.identity()
+    pose_a = identity_pose()
     pose_b = Pose(np.eye(3), np.array([-0.5, 0.0, 0.0]))
     point = np.array([[0.1, -0.05, 3.0]])
     xa, xb = _normalized_views(pose_a, pose_b, point)

@@ -16,11 +16,11 @@ from semloc.geometry import (
     rotation_from_quaternion,
 )
 
-from conftest import random_pose
+from conftest import identity_pose, inverse_pose, random_pose
 
 
 def test_identity_projection_hits_principal_point(intrinsics):
-    pose = Pose.identity()
+    pose = identity_pose()
     px = project(pose, intrinsics, np.array([0.0, 0.0, 2.0]))
     assert np.allclose(px, [320.0, 240.0])
 
@@ -30,7 +30,7 @@ def test_projection_oracle_matrix_form(intrinsics):
     rng = np.random.default_rng(7)
     for _ in range(50):
         pose = random_pose(rng)
-        point = pose.inverse().transform(np.array([0.3, -0.2, 2.5]))
+        point = inverse_pose(pose).transform(np.array([0.3, -0.2, 2.5]))
         k = intrinsics.matrix()
         h = k @ (pose.rotation @ point + pose.translation)
         expected = h[:2] / h[2]
@@ -38,7 +38,7 @@ def test_projection_oracle_matrix_form(intrinsics):
 
 
 def test_project_point_behind_camera_raises(intrinsics):
-    pose = Pose.identity()
+    pose = identity_pose()
     with pytest.raises(DegenerateGeometryError):
         project(pose, intrinsics, np.array([0.0, 0.0, -1.0]))
     with pytest.raises(DegenerateGeometryError):
@@ -47,7 +47,7 @@ def test_project_point_behind_camera_raises(intrinsics):
 
 def test_project_points_flags_invalid(intrinsics):
     pts = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -2.0]])
-    pixels, valid = project_points(Pose.identity(), intrinsics, pts)
+    pixels, valid = project_points(identity_pose(), intrinsics, pts)
     assert valid.tolist() == [True, False]
     assert np.allclose(pixels[0], [320.0, 240.0])
     assert np.isnan(pixels[1]).all()
@@ -58,7 +58,7 @@ def test_compose_inverse_roundtrip():
     for _ in range(20):
         a = random_pose(rng)
         x = rng.normal(size=3)
-        inverse = a.inverse()
+        inverse = inverse_pose(a)
         assert np.allclose(inverse.transform(a.transform(x)), x, atol=1e-12)
         assert np.allclose(a.rotation @ inverse.rotation, np.eye(3), atol=1e-12)
         assert np.allclose(inverse.camera_center(), a.translation, atol=1e-12)

@@ -19,7 +19,7 @@ from semloc.geometry import (
 )
 from semloc.geometry.refine import _jacobian
 
-from conftest import points_in_front, random_pose
+from conftest import identity_pose, points_in_front, random_pose
 
 
 def _pnp_scene(rng, n=60, outlier_fraction=0.3, noise=0.0):
@@ -169,7 +169,7 @@ def test_refine_cost_non_increasing(intrinsics):
 
 def test_refine_degenerate_returns_pose0_with_flag(intrinsics):
     # four copies of one point: rank-deficient normal equations
-    pose = Pose.identity()
+    pose = identity_pose()
     points = np.tile([0.1, 0.2, 2.0], (4, 1))
     cam = pose.transform(points)
     pixels = np.column_stack(

@@ -18,13 +18,13 @@ from semloc.geometry import (
     triangulate_two_view,
 )
 
-from conftest import points_in_front, random_pose
+from conftest import identity_pose, points_in_front, random_pose
 
 
 # ---------------------------------------------------------------- triangulate
 
 def test_triangulate_recovers_known_point(intrinsics):
-    pose_a = Pose.identity()
+    pose_a = identity_pose()
     pose_b = Pose(np.eye(3), np.array([-0.5, 0.0, 0.0]))  # camera at x=+0.5
     point = np.array([0.2, -0.1, 3.0])
     pa = project(pose_a, intrinsics, point)
@@ -52,15 +52,15 @@ def test_triangulate_random_instances(intrinsics):
 
 
 def test_triangulate_zero_baseline_rejected(intrinsics):
-    pose = Pose.identity()
+    pose = identity_pose()
     with pytest.raises(DegenerateGeometryError, match="baseline"):
-        triangulate_two_view(pose, Pose.identity(), np.array([320.0, 240.0]),
+        triangulate_two_view(pose, identity_pose(), np.array([320.0, 240.0]),
                              np.array([321.0, 240.0]), intrinsics)
 
 
 def test_triangulate_cheirality_failure(intrinsics):
     # parallel-ish rays meeting behind the cameras
-    pose_a = Pose.identity()
+    pose_a = identity_pose()
     pose_b = Pose(np.eye(3), np.array([-0.5, 0.0, 0.0]))
     point = np.array([0.0, 0.0, 5.0])
     pa = project(pose_a, intrinsics, point)
@@ -71,7 +71,7 @@ def test_triangulate_cheirality_failure(intrinsics):
 
 
 def test_triangulate_residual_reports_max_of_views(intrinsics):
-    pose_a = Pose.identity()
+    pose_a = identity_pose()
     pose_b = Pose(np.eye(3), np.array([-0.5, 0.0, 0.0]))
     point = np.array([0.1, 0.05, 2.0])
     pa = project(pose_a, intrinsics, point)
@@ -126,7 +126,7 @@ def test_triangulate_batch_rows_equal_single_calls(intrinsics):
 
 
 def test_triangulate_batch_marks_behind_camera_rows_invalid(intrinsics):
-    pose_a = Pose.identity()
+    pose_a = identity_pose()
     pose_b = Pose(np.eye(3), np.array([-0.5, 0.0, 0.0]))
     point = np.array([0.0, 0.0, 5.0])
     pa = project(pose_a, intrinsics, point)
@@ -142,7 +142,7 @@ def test_triangulate_batch_marks_behind_camera_rows_invalid(intrinsics):
 def test_triangulate_batch_zero_baseline_rejected(intrinsics):
     pixels = np.array([[320.0, 240.0], [100.0, 50.0]])
     with pytest.raises(DegenerateGeometryError, match="baseline"):
-        triangulate_two_view(Pose.identity(), Pose.identity(), pixels, pixels + 1.0, intrinsics)
+        triangulate_two_view(identity_pose(), identity_pose(), pixels, pixels + 1.0, intrinsics)
 
 
 # ----------------------------------------------------------------------- p3p

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -21,7 +21,6 @@ from semloc.mapping import (
     bow_vector,
     build_map,
     build_vocabulary,
-    cosine_similarity,
     load_map,
     query_candidates,
     rank_by_similarity,
@@ -38,6 +37,13 @@ from semloc.semantics import (
     FeatureObservation,
     extract_frame_features,
     match_per_class,
+)
+
+from conftest import (
+    dense_bow,
+    reference_bow_vector,
+    reference_cosine_similarity,
+    sparse_bow,
 )
 
 REGISTRY = ClassRegistry.default()
@@ -266,22 +272,95 @@ def test_bow_single_word_frame():
         np.eye(8)[3] + rng.normal(scale=1e-2, size=(6, 8))
     )
     vec = bow_vector(descriptors, vocab)
-    assert set(vec) == {3}
+    assert vec.shape == (4,)
+    assert np.flatnonzero(vec).tolist() == [3]
     assert abs(vec[3] - 1.0) < 1e-12
 
 
 def test_bow_empty_frame_and_self_similarity():
     vocab = _toy_vocabulary()
-    assert bow_vector(np.zeros((0, 8)), vocab) == {}
+    assert bow_vector(np.zeros((0, 8)), vocab).tobytes() == np.zeros(4).tobytes()
     rng = np.random.default_rng(6)
     vec = bow_vector(_random_unit(rng, 20, 8), vocab)
-    assert abs(cosine_similarity(vec, vec) - 1.0) < 1e-9
+    assert abs(rank_by_similarity(vec, [(0, vec)])[0][1] - 1.0) < 1e-9
 
 
 def test_bow_all_zero_idf_gives_empty_vector():
     vocab = Vocabulary(centroids=np.eye(4), idf=np.zeros(4))
     rng = np.random.default_rng(7)
-    assert bow_vector(_random_unit(rng, 5, 4), vocab) == {}
+    assert bow_vector(_random_unit(rng, 5, 4), vocab).tobytes() == np.zeros(4).tobytes()
+
+
+@given(
+    idf=st.lists(
+        st.sampled_from([0.0, 0.5, 1.25]) | st.floats(0.01, 3.0), min_size=2, max_size=24
+    ),
+    frames=st.lists(st.lists(st.integers(0, 23), max_size=14), min_size=1, max_size=10),
+    query=st.lists(st.integers(0, 23), max_size=14),
+    copies=st.integers(0, 3),
+    order=st.randoms(use_true_random=False),
+)
+@example(idf=[1.0, 1.0, 1.0, 1.0], frames=[[0, 1], [2], [3, 3]], query=[], copies=1, order=None)
+@example(  # a query that shares no word with any frame
+    idf=[1.0, 1.0, 1.0, 1.0], frames=[[0, 1], [2]], query=[3], copies=2, order=None
+)
+@example(  # a zero-idf word (0) in the query and in every frame
+    idf=[0.0, 1.0, 1.0, 0.5],
+    frames=[[0, 0, 1], [0], [3, 1]],
+    query=[0, 1, 3],
+    copies=1,
+    order=None,
+)
+@example(  # one frame: a reduction over the word axis would add pairwise
+    idf=[2.0, 0.0, 0.0, 0.0, 0.5, 1.0, 0.0, 0.0, 0.0],
+    frames=[[0, 13, 14]],
+    query=[0, 13, 23],
+    copies=0,
+    order=None,
+)
+@example(  # a norm over all k entries, zeros included, rounds differently here
+    idf=[0.5, 1.25, 2.0, 0.5, 1.25, 0.0, 0.5, 2.0, 0.5, 1.25, 0.5, 0.0]
+    + [0.5, 1.25, 0.5, 2.0, 0.5, 1.25, 2.0, 2.0, 0.5, 0.0, 1.25, 1.25],
+    frames=[[11, 8, 1, 10, 15, 18, 20, 5, 14, 19, 6, 8, 20]],
+    query=[1],
+    copies=0,
+    order=None,
+)
+@settings(max_examples=300, deadline=None)
+def test_dense_bow_and_ranking_equal_the_sparse_reference(idf, frames, query, copies, order):
+    """bow_vector's row holds the sparse reference's weights byte for byte,
+    and rank_by_similarity gives the reference's scores, to the byte, in the
+    reference's order: repeated frames tie exactly and go to the lower id,
+    disjoint frames and an empty query score +0.0, zero-idf words add nothing.
+    """
+    k = len(idf)
+    vocab = Vocabulary(centroids=np.eye(k), idf=np.array(idf))
+
+    def descriptors(words):  # each word's own centroid quantizes to it
+        return np.eye(k)[[w % k for w in words]].reshape(-1, k)
+
+    frames = frames + frames[:copies]
+    ids = list(range(len(frames)))
+    if order is not None:
+        order.shuffle(ids)
+    rows = [bow_vector(descriptors(words), vocab) for words in frames]
+    for words, row in zip(frames, rows):
+        expected = dense_bow(reference_bow_vector(descriptors(words), vocab), k)
+        assert row.tobytes() == expected.tobytes()
+
+    query_row = bow_vector(descriptors(query), vocab)
+    ranked = rank_by_similarity(query_row, list(zip(ids, rows)))
+    reference = sorted(
+        (
+            (frame_id, reference_cosine_similarity(sparse_bow(query_row), sparse_bow(row)))
+            for frame_id, row in zip(ids, rows)
+        ),
+        key=lambda item: (-item[1], item[0]),
+    )
+    assert [frame_id for frame_id, _ in ranked] == [frame_id for frame_id, _ in reference]
+    assert np.array([s for _, s in ranked]).tobytes() == (
+        np.array([float(s) for _, s in reference]).tobytes()
+    )
 
 
 # --------------------------------------------------------------------------
@@ -316,16 +395,18 @@ def _random_bow(rng, k, size):
     words = rng.choice(k, size=size, replace=False)
     weights = np.abs(rng.normal(size=size)) + 1e-3
     weights = weights / np.linalg.norm(weights)
-    return {int(w): float(v) for w, v in zip(words, weights)}
+    return dense_bow({int(w): float(v) for w, v in zip(words, weights)}, k)
 
 
 def _exhaustive_ranking(sparse_map, query, n):
     scores = []
+    query = sparse_bow(query)
     for kf in sparse_map.keyframes:
+        bow = sparse_bow(kf.bow)
         s = 0.0
         for word in sorted(query):
-            if word in kf.bow:
-                s += query[word] * kf.bow[word]
+            if word in bow:
+                s += query[word] * bow[word]
         scores.append((kf.id, s))
     scores.sort(key=lambda item: (-item[1], item[0]))
     return [kf_id for kf_id, _ in scores[:n]]
@@ -337,7 +418,8 @@ def test_query_own_bow_ranks_self_first():
     sparse_map = _map_with_keyframes(keyframes)
     result = query_candidates(sparse_map, keyframes[4].bow, n=3)
     assert result[0] == 4
-    assert abs(cosine_similarity(keyframes[4].bow, keyframes[4].bow) - 1.0) < 1e-12
+    own = sparse_bow(keyframes[4].bow)
+    assert abs(reference_cosine_similarity(own, own) - 1.0) < 1e-12
 
 
 def test_query_n_larger_than_map_returns_all_ranked():
@@ -366,21 +448,25 @@ def test_query_matches_exhaustive_oracle_on_200_keyframes():
 def test_query_empty_bow_and_ties():
     rng = np.random.default_rng(11)
     bow = _random_bow(rng, 32, 5)
-    keyframes = [_keyframe(3, dict(bow)), _keyframe(1, dict(bow))]  # identical content
+    keyframes = [_keyframe(3, bow.copy()), _keyframe(1, bow.copy())]  # identical content
     sparse_map = _map_with_keyframes(keyframes)
-    assert query_candidates(sparse_map, {}, n=5) == []
+    assert query_candidates(sparse_map, np.zeros(32), n=5) == []
     assert query_candidates(sparse_map, bow, n=2) == [1, 3]  # tie -> lower id
 
 
 def test_every_bow_ranking_breaks_exact_ties_toward_the_lower_id():
-    shared = {0: 0.6, 1: 0.8}  # frames 3 and 4 carry it, so they tie exactly
-    bows = [{0: 1.0}, {9: 1.0}, {7: 1.0}, dict(shared), dict(shared), {8: 1.0}, {1: 1.0}]
-    disjoint = {5: 1.0}  # shares no word with any frame
+    shared = dense_bow({0: 0.6, 1: 0.8}, 10)  # frames 3 and 4 carry it, so they tie exactly
+    bows = [dense_bow(bow, 10) for bow in ({0: 1.0}, {9: 1.0}, {7: 1.0})]
+    bows += [shared.copy(), shared.copy()]
+    bows += [dense_bow(bow, 10) for bow in ({8: 1.0}, {1: 1.0})]
+    disjoint = dense_bow({5: 1.0}, 10)  # shares no word with any frame
 
     ranked = rank_by_similarity(bows[0], [(4, bows[4]), (3, bows[3]), (2, bows[2])])
     assert ranked == [(3, 0.6), (4, 0.6), (2, 0)]
 
-    sparse_map = _map_with_keyframes([_keyframe(i, bow) for i, bow in enumerate(bows)][::-1])
+    sparse_map = _map_with_keyframes(
+        [_keyframe(i, bow) for i, bow in enumerate(bows)][::-1], k=10
+    )
     assert query_candidates(sparse_map, shared, n=3) == [3, 4, 6]
     assert query_candidates(sparse_map, bows[0], n=2) == [0, 3]
     assert query_candidates(sparse_map, disjoint, n=2) == [0, 1]  # all score zero
@@ -521,6 +607,20 @@ def test_zero_detections_make_empty_semantic_map():
     ]
     with pytest.raises(InsufficientDataError, match="empty map"):
         build_map(frames, INTRINSICS, MapBuildConfig(vocabulary_k=4))
+
+
+def test_build_map_rejects_duplicate_frame_ids():
+    """A map with two keyframes of one id would not load back."""
+    rng = np.random.default_rng(19)
+    points = _scene_points(rng, 30)
+    descriptors = _random_unit(rng, 30)
+    frames = [
+        _synthetic_frame(i, _shifted_pose(0.4 * i), points, descriptors, FULL_BOX)
+        for i in range(3)
+    ]
+    frames[2].frame_id = frames[0].frame_id
+    with pytest.raises(ValueError, match="frame ids must be unique"):
+        build_map(frames, INTRINSICS, MapBuildConfig(vocabulary_k=8))
 
 
 def test_zero_baseline_means_no_triangulable_matches():
@@ -716,7 +816,7 @@ def test_map_round_trip_is_bitwise(tmp_path):
         assert a.id == b.id and np.array_equal(a.landmark_ids, b.landmark_ids)
         assert np.array_equal(a.quaternion, b.quaternion)
         assert np.array_equal(a.translation, b.translation)
-        assert a.bow == b.bow
+        assert a.bow.tobytes() == b.bow.tobytes()
 
     again = tmp_path / "again.json"
     save_map(loaded, str(again))
@@ -789,7 +889,7 @@ def test_landmark_and_keyframe_invariants(tmp_path):
     with pytest.raises(MapFormatError, match="observations"):
         load_map(_corrupted_map_file(tmp_path, single_observation))
     with pytest.raises(MapFormatError, match="negative"):
-        _keyframe(0, {3: -0.5})
+        _keyframe(0, dense_bow({3: -0.5}, 8))
     with pytest.raises(MapFormatError, match="unknown landmark"):
         load_map(_corrupted_map_file(tmp_path, unknown_reference))
 
@@ -818,6 +918,39 @@ def _set_landmark(field, value):
             lambda raw: raw["keyframes"][0]["bow"].update({"3": -0.5}),
             "negative bag-of-words weight",
         ),
+        (
+            lambda raw: raw["keyframes"][0]["bow"].update({"3": float("nan")}),
+            "keyframe 0: non-finite bag-of-words weight",
+        ),
+        (
+            lambda raw: raw["keyframes"][1]["bow"].update({"3": float("inf")}),
+            "keyframe 1: non-finite bag-of-words weight",
+        ),
+        (
+            lambda raw: raw["keyframes"][1]["bow"].update({"-1": 0.5}),
+            "keyframe 1: bag-of-words word '-1' is not an integer",
+        ),
+        (
+            lambda raw: raw["keyframes"][0]["bow"].update({"999": 0.5}),
+            "keyframe 0: bag-of-words word '999' is not an integer",
+        ),
+        (
+            lambda raw: raw["keyframes"][0]["bow"].update({str(raw["vocabulary"]["k"]): 0.5}),
+            "keyframe 0: bag-of-words word '8' is not an integer",
+        ),
+        (
+            lambda raw: raw["keyframes"][0]["bow"].update({"2.0": 0.5}),
+            "keyframe 0: bag-of-words word '2.0' is not an integer",
+        ),
+        (
+            lambda raw: raw["keyframes"][0]["bow"].update({"03": 0.5}),
+            "keyframe 0: bag-of-words word '03' is not an integer",
+        ),
+        (
+            lambda raw: raw["keyframes"][1].update({"id": raw["keyframes"][0]["id"]}),
+            "keyframe 0 appears more than once",
+        ),
+        (lambda raw: raw["keyframes"][0].update({"bow": [0.5]}), "malformed map content"),
     ],
     ids=[
         "ids-reversed",
@@ -831,6 +964,15 @@ def _set_landmark(field, value):
         "negative-reference",
         "reference-past-end",
         "negative-bow-weight",
+        "nan-bow-weight",
+        "infinite-bow-weight",
+        "negative-bow-word",
+        "bow-word-past-end",
+        "bow-word-equal-to-k",
+        "non-integer-bow-word",
+        "zero-padded-bow-word",
+        "duplicate-keyframe-id",
+        "bow-not-an-object",
     ],
 )
 def test_load_map_rejects_malformed_landmarks(tmp_path, corrupt, message):

@@ -10,7 +10,7 @@ from semloc.features import match_record
 from semloc.geometry import rotation_error_deg, translation_heading_error_deg
 from semloc.geometry.epipolar import relative_motion
 from semloc.mapping import MapBuildConfig, MapFrameInput, build_map
-from semloc.mapping.vocabulary import bow_vector, cosine_similarity
+from semloc.mapping.vocabulary import bow_vector
 from semloc.pipelines import (
     RelocalizationParams,
     SemanticMode,
@@ -40,6 +40,8 @@ from semloc.simworld import (
     perturb_world,
     synthesize_frame,
 )
+
+from conftest import dense_bow, reference_cosine_similarity
 
 INTRINSICS = DEFAULT_INTRINSICS
 
@@ -455,8 +457,8 @@ def test_relative_pose_deterministic(scene):
 # pair selection
 
 
-def _bow_frames(vectors):
-    return [(i, bow) for i, bow in enumerate(vectors)]
+def _bow_frames(vectors, k=2):
+    return [(i, dense_bow(bow, k)) for i, bow in enumerate(vectors)]
 
 
 def test_pair_selection_two_frames_single_pair():
@@ -465,7 +467,7 @@ def test_pair_selection_two_frames_single_pair():
 
 
 def test_pair_selection_duplicate_frame_selected():
-    frames = [(0, {0: 1.0}), (1, {1: 1.0}), (2, {0: 1.0})]
+    frames = _bow_frames([{0: 1.0}, {1: 1.0}, {0: 1.0}])
     pairs = pair_selection(frames)
     assert (0, 2) in pairs  # the duplicate pair (similarity 1.0)
     assert all(a != b for a, b in pairs)
@@ -483,21 +485,21 @@ def test_pair_selection_matches_exhaustive_oracle():
     for i, (fid, bow) in enumerate(frames):
         scored = sorted(
             (
-                (-cosine_similarity(bow, other_bow), other_id)
+                (-reference_cosine_similarity(bow, other_bow), other_id)
                 for j, (other_id, other_bow) in enumerate(frames)
                 if j != i
             )
         )
         partner = scored[0][1]
         expected.add((min(fid, partner), max(fid, partner)))
-    assert pair_selection(frames) == sorted(expected)
+    assert pair_selection([(i, dense_bow(bow, 64)) for i, bow in frames]) == sorted(expected)
 
 
 def test_pair_selection_validates_input():
     with pytest.raises(InsufficientDataError):
-        pair_selection([(0, {0: 1.0})])
+        pair_selection(_bow_frames([{0: 1.0}]))
     with pytest.raises(ValueError, match="unique"):
-        pair_selection([(0, {}), (0, {})])
+        pair_selection([(0, np.zeros(2)), (0, np.zeros(2))])
 
 
 # --------------------------------------------------------------------------

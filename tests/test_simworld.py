@@ -10,7 +10,12 @@ from semloc.errors import WorldGenerationError
 from semloc.geometry import Pose, project_points, rotation_error_deg
 from semloc.geometry.epipolar import relative_motion
 from semloc.geometry.pose import rotation_from_axis_angle
-from semloc.semantics import FeatureObservation, extract_frame_features
+from semloc.semantics import (
+    ClassRegistry,
+    FeatureObservation,
+    SemanticClass,
+    extract_frame_features,
+)
 from semloc.simworld import (
     BODY_TO_CAMERA,
     DEFAULT_INTRINSICS,
@@ -25,7 +30,6 @@ from semloc.simworld import (
     generate_world,
     load_frame,
     load_scene_config,
-    load_world,
     make_walls,
     perturb_world,
     save_frame,
@@ -518,11 +522,47 @@ def test_negative_noise_rejected():
 # serialization and config
 
 
+def _load_world(path: str) -> World:
+    """Read back the world.json that save_world writes."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    return World(
+        dimensions=np.array(raw["dimensions"], dtype=float),
+        objects=[
+            WorldObject(
+                id=int(e["id"]),
+                class_id=None if e["class"] is None else int(e["class"]),
+                wall_index=int(e["wall"]),
+                center_uv=np.array(e["center"], dtype=float),
+                rotation=float(e["rotation"]),
+                extent=np.array(e["extent"], dtype=float),
+                landmark_ids=[int(i) for i in e["landmarks"]],
+                movable=bool(e["movable"]),
+            )
+            for e in raw["objects"]
+        ],
+        landmarks=[
+            WorldLandmark(
+                id=int(e["id"]),
+                position=np.array(e["p"], dtype=float),
+                descriptor=np.array(e["desc"], dtype=float),
+                class_id=None if e["class"] is None else int(e["class"]),
+                object_id=None if e["object"] is None else int(e["object"]),
+            )
+            for e in raw["landmarks"]
+        ],
+        seed=int(raw["seed"]),
+        registry=ClassRegistry(
+            [SemanticClass(int(e["id"]), str(e["name"])) for e in raw["classes"]]
+        ),
+    )
+
+
 def test_world_round_trip_bitwise(tmp_path):
     world = generate_world(WorldConfig(), seed=13)
     path = tmp_path / "world.json"
     save_world(world, str(path))
-    loaded = load_world(str(path))
+    loaded = _load_world(str(path))
     assert np.array_equal(loaded.landmark_positions(), world.landmark_positions())
     assert np.array_equal(loaded.landmark_descriptors(), world.landmark_descriptors())
     assert len(loaded.objects) == len(world.objects)
