@@ -16,12 +16,12 @@ from .errors import SemlocError
 from .geometry.pose import quaternion_from_rotation
 from .mapping.build import MapBuildConfig, MapFrameInput, build_map
 from .mapping.sparse_map import load_map, save_map
-from .mapping.vocabulary import bow_vector, build_vocabulary
+from .mapping.vocabulary import bow_vectors, build_vocabulary
 from .pipelines.frames import FeatureObservation, extract_frame_features, frame_features
 from .pipelines.modes import SemanticMode, mode_features
 from .pipelines.pairing import pair_selection
 from .pipelines.relative import RelativePoseParams, relative_pose
-from .pipelines.relocalize import RelocalizationParams, relocalize
+from .pipelines.relocalize import RelocalizationParams, relocalize_frames
 from .semantics.boxes import load_detections
 from .semantics.classes import ClassRegistry
 from .simworld.config import load_scene_config
@@ -158,17 +158,17 @@ def _cmd_relocalize(args) -> int:
     sparse_map = load_map(args.map_path)
     frames = _load_query_frames(args.frames, registry)
     intrinsics = _dataset_intrinsics(args.frames)
-    entries = []
-    for frame in frames:
-        result = relocalize(
-            sparse_map,
-            frame.frame_id,
-            frame_features(frame),
-            intrinsics,
-            args.mode,
-            RelocalizationParams(seed=args.seed),
-        )
-        entries.append(TrajectoryEntry(frame.timestamp, result.pose, result.failure_reason))
+    results = relocalize_frames(
+        sparse_map,
+        [(frame.frame_id, frame_features(frame)) for frame in frames],
+        intrinsics,
+        args.mode,
+        RelocalizationParams(seed=args.seed),
+    )
+    entries = [
+        TrajectoryEntry(frame.timestamp, result.pose, result.failure_reason)
+        for frame, result in zip(frames, results)
+    ]
     write_trajectory(args.out, entries)
     localized = sum(1 for e in entries if e.pose is not None)
     logger.info("relocalized %d/%d frames", localized, len(entries))
@@ -209,8 +209,8 @@ def _cmd_relpose(args) -> int:
     total = sum(len(d) for d in descriptor_sets)
     vocabulary = build_vocabulary(descriptor_sets, k=min(48, max(2, total)))
     bows = [
-        (frame.frame_id, bow_vector(descriptors, vocabulary))
-        for frame, descriptors in zip(frames, descriptor_sets)
+        (frame.frame_id, bow)
+        for frame, bow in zip(frames, bow_vectors(descriptor_sets, vocabulary))
     ]
     features_by_id = {frame.frame_id: f for frame, f in zip(frames, features)}
 

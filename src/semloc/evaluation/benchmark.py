@@ -18,7 +18,7 @@ from ..pipelines.frames import FrameFeatures, frame_features
 from ..pipelines.modes import SemanticMode, derive_rng_seed, mode_features
 from ..pipelines.pairing import most_similar
 from ..pipelines.relative import match_frames
-from ..pipelines.relocalize import RelocalizationParams, relocalize
+from ..pipelines.relocalize import RelocalizationParams, relocalize_frames
 from ..simworld.config import SceneConfig
 from ..simworld.perturb import perturb_world
 from ..simworld.synthesize import SyntheticFrame, synthesize_frame
@@ -134,13 +134,16 @@ def _evaluate_mode(
     }
     keyframe_bows = [(kf.id, kf.bow) for kf in sparse_map.keyframes]
 
+    localizations = relocalize_frames(
+        sparse_map,
+        [(frame.frame_id, features) for frame, features in evaluation],
+        intrinsics,
+        mode,
+        RelocalizationParams(seed=seed),
+    )
     entries = []
     pair_records = []
-    for frame, features in evaluation:
-        localization = relocalize(
-            sparse_map, frame.frame_id, features, intrinsics, mode,
-            RelocalizationParams(seed=seed),
-        )
+    for (frame, features), localization in zip(evaluation, localizations):
         entries.append(
             TrajectoryEntry(frame.timestamp, localization.pose, localization.failure_reason)
         )

@@ -22,7 +22,7 @@ from .epipolar import (
     sampson_error,
     sampson_error_flagged,
 )
-from .ransac import RansacParams, ransac_essential, ransac_pnp
+from .ransac import RansacParams, ransac_essential, ransac_pnp, ransac_pnp_batch
 from .refine import RefineResult, apply_increment, refine_pose, reprojection_residuals
 
 __all__ = [
@@ -41,6 +41,7 @@ __all__ = [
     "quaternion_from_rotation",
     "ransac_essential",
     "ransac_pnp",
+    "ransac_pnp_batch",
     "refine_pose",
     "relative_motion",
     "reprojection_residuals",

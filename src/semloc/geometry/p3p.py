@@ -235,16 +235,20 @@ def _misaligned(rotations, translations, bearings, points) -> np.ndarray:
 
 def _duplicates(owner, rotations, translations) -> np.ndarray:
     """Whether each accepted pose repeats an earlier kept pose of its
-    instance (candidates are ordered by instance)."""
-    later, earlier = np.nonzero(np.tril(owner[:, None] == owner[None, :], -1))
-    close = (np.abs(rotations[later] - rotations[earlier]).max(axis=(1, 2)) < 1e-6) & (
-        np.abs(translations[later] - translations[earlier]).max(axis=1)
-        < 1e-6 * (1.0 + np.abs(translations[earlier]).max(axis=1))
-    )
+    instance.  An instance's candidates are contiguous, so each is compared
+    only with the earlier ones of its own run."""
+    _, starts, sizes = np.unique(owner, return_index=True, return_counts=True)
+    rank = np.arange(len(owner)) - np.repeat(starts, sizes)
     duplicate = np.zeros(len(owner), dtype=bool)
-    # pairs come ordered by the later pose, so each earlier verdict is final
-    for m, i in zip(later[close], earlier[close]):
-        duplicate[m] |= not duplicate[i]
+    # rank by rank, so every earlier verdict is final when it is read
+    for r in range(1, sizes.max(initial=1)):
+        later = np.flatnonzero(rank == r)
+        for earlier in later[None] - np.arange(1, r + 1)[:, None]:
+            close = (np.abs(rotations[later] - rotations[earlier]).max(axis=(1, 2)) < 1e-6) & (
+                np.abs(translations[later] - translations[earlier]).max(axis=1)
+                < 1e-6 * (1.0 + np.abs(translations[earlier]).max(axis=1))
+            )
+            duplicate[later] |= close & ~duplicate[earlier]
     return duplicate
 
 

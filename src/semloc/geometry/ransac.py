@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,7 @@ from .pose import CameraIntrinsics, Pose
 from .epipolar import sampson_error
 
 _CONFIDENCE = 0.999
-_FIRST_CHUNK = 8
+_FIRST_CHUNK = 4
 _MIN_DEPTH = 1e-9
 
 
@@ -108,68 +109,131 @@ def _score_chunk(
     return solved, chosen, np.sum(errors < threshold, axis=1)
 
 
+@dataclass
+class _PnpFrame:
+    """One problem of a lockstep RANSAC batch: its data, sample stream and
+    best model so far."""
+
+    pixels: np.ndarray
+    points: np.ndarray
+    bearings: np.ndarray
+    params: RansacParams
+    rng: np.random.Generator
+    best: tuple | None = None  # (rotation, translation)
+    best_count: int = 0
+    start: int = 0  # samples drawn so far
+    chunk: int = _FIRST_CHUNK
+    converged: bool = False
+
+    @property
+    def live(self) -> bool:
+        return self.start < self.params.max_iterations and not self.converged
+
+    def draw(self) -> np.ndarray:
+        """The next chunk of 4-match samples, (size, 4), from the frame's own rng."""
+        n = len(self.pixels)
+        size = min(self.chunk, self.params.max_iterations - self.start)
+        return np.array([self.rng.choice(n, size=4, replace=False) for _ in range(size)])
+
+    def walk(self, samples, owner, rotations, translations, intrinsics) -> None:
+        """Score a solved chunk and walk it in draw order with the adaptive
+        stop, which is tested only when the best inlier count rises."""
+        solved, chosen, counts = _score_chunk(
+            owner, rotations, translations, samples[:, 3],
+            intrinsics, self.points, self.pixels, self.params.inlier_threshold,
+        )
+        n = len(self.pixels)
+        for i, c, count in zip(solved.tolist(), chosen.tolist(), counts.tolist()):
+            if count > self.best_count:
+                self.best_count = count
+                self.best = rotations[c], translations[c]
+                if self.start + i + 1 >= _iterations_needed(count / n, 4):
+                    self.converged = True
+                    break
+        self.start += len(samples)
+        self.chunk += self.chunk // 2
+
+
+def ransac_pnp_batch(
+    problems: Sequence[tuple[np.ndarray, np.ndarray, RansacParams]],
+    intrinsics: CameraIntrinsics,
+) -> list[tuple[Pose, np.ndarray] | None]:
+    """Robust absolute pose for each (pixels, points, params) problem, all
+    advanced in lockstep.
+
+    Each iteration samples four matches: the minimal solver runs on three and
+    the fourth disambiguates among its candidate poses by reprojection error.
+    Returns per problem (pose, sorted inlier index array), or None where no
+    model reaches params.min_inliers; the reported inliers all reproject
+    below params.inlier_threshold px under the returned pose.
+
+    A problem draws its samples from its own rng in chunks of 4, 6, 9, 13,
+    ... (each half again the last, up to params.max_iterations).  Every round
+    stacks the chunks of all problems still running into one p3p_solve call,
+    whose rows do not depend on what is stacked with them; each chunk is then
+    walked in draw order.  So the chosen pose and the stopping iteration are
+    those of a loop that solves one sample at a time, and no problem's result
+    depends on the batch it is in.  A winner becomes a Pose at the end.
+
+    Raises InsufficientDataError when a problem has fewer than 4 matches.
+    """
+    frames = []
+    for pixels, points, params in problems:
+        pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+        points = np.asarray(points, dtype=float).reshape(-1, 3)
+        if pixels.shape[0] < 4:
+            raise InsufficientDataError("PnP needs at least 4 matches")
+        frames.append(
+            _PnpFrame(
+                pixels, points, _bearings(pixels, intrinsics), params,
+                np.random.default_rng(params.rng_seed),
+            )
+        )
+
+    live = [frame for frame in frames if frame.live]
+    while live:
+        chunks = [frame.draw() for frame in live]
+        owner, rotations, translations = p3p_solve(
+            np.concatenate([f.bearings[s[:, :3]] for f, s in zip(live, chunks)]),
+            np.concatenate([f.points[s[:, :3]] for f, s in zip(live, chunks)]),
+        )
+        offsets = np.cumsum([0] + [len(s) for s in chunks])
+        bounds = np.searchsorted(owner, offsets)
+        for j, (frame, samples) in enumerate(zip(live, chunks)):
+            rows = slice(bounds[j], bounds[j + 1])
+            frame.walk(
+                samples, owner[rows] - offsets[j], rotations[rows], translations[rows],
+                intrinsics,
+            )
+        live = [frame for frame in live if frame.live]
+
+    results = []
+    for frame in frames:
+        if frame.best is None or frame.best_count < frame.params.min_inliers:
+            results.append(None)
+            continue
+        pose = Pose(*frame.best)
+        errors = _reprojection_errors(pose, intrinsics, frame.points, frame.pixels)
+        results.append((pose, np.flatnonzero(errors < frame.params.inlier_threshold)))
+    return results
+
+
 def ransac_pnp(
     pixels: np.ndarray,
     points: np.ndarray,
     intrinsics: CameraIntrinsics,
     params: RansacParams | None = None,
 ) -> tuple[Pose, np.ndarray]:
-    """Robust absolute pose from 2d-3d matches.
+    """Robust absolute pose from 2d-3d matches: ransac_pnp_batch on one problem.
 
-    Each iteration samples four matches: the minimal solver runs on three and
-    the fourth disambiguates among its candidate poses by reprojection error.
-    Returns (pose, sorted inlier index array); the reported inliers all
-    reproject below params.inlier_threshold px under the returned pose.
-
-    Iterations run in chunks of 8, 16, 32, ... samples, each drawn as its
-    own iteration.  One p3p_solve call solves a chunk's (K, 3, 3) stack and
-    returns every candidate as arrays tagged with its sample; a degenerate
-    sample owns none and is skipped.  The chunk is then walked in draw
-    order, so the chosen pose and the stopping iteration are those of a loop
-    that solves one sample at a time.  The winner becomes a Pose at the end.
-
-    Raises InsufficientDataError for fewer than 4 matches and
-    EstimationFailedError ("localization failed") when no model reaches
-    params.min_inliers.
+    Returns (pose, sorted inlier index array).  Raises InsufficientDataError
+    for fewer than 4 matches and EstimationFailedError ("localization
+    failed") when no model reaches params.min_inliers.
     """
-    params = params or RansacParams()
-    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = pixels.shape[0]
-    if n < 4:
-        raise InsufficientDataError("PnP needs at least 4 matches")
-
-    bearings = _bearings(pixels, intrinsics)
-    rng = np.random.default_rng(params.rng_seed)
-    best: tuple | None = None  # (rotation, translation)
-    best_count = 0
-
-    start, chunk, converged = 0, _FIRST_CHUNK, False
-    while start < params.max_iterations and not converged:
-        size = min(chunk, params.max_iterations - start)
-        samples = np.array([rng.choice(n, size=4, replace=False) for _ in range(size)])
-        owner, rotations, translations = p3p_solve(
-            bearings[samples[:, :3]], points[samples[:, :3]]
-        )
-        solved, chosen, counts = _score_chunk(
-            owner, rotations, translations, samples[:, 3],
-            intrinsics, points, pixels, params.inlier_threshold,
-        )
-        for i, c, count in zip(solved.tolist(), chosen.tolist(), counts.tolist()):
-            if count > best_count:
-                best_count = count
-                best = rotations[c], translations[c]
-                if start + i + 1 >= _iterations_needed(count / n, 4):
-                    converged = True
-                    break
-        start, chunk = start + size, 2 * chunk
-
-    if best is None or best_count < params.min_inliers:
+    (result,) = ransac_pnp_batch([(pixels, points, params or RansacParams())], intrinsics)
+    if result is None:
         raise EstimationFailedError("localization failed")
-    best_pose = Pose(*best)
-    errors = _reprojection_errors(best_pose, intrinsics, points, pixels)
-    inliers = np.flatnonzero(errors < params.inlier_threshold)
-    return best_pose, inliers
+    return result
 
 
 def ransac_essential(

@@ -13,6 +13,7 @@ from .vocabulary import (
     DEFAULT_VOCABULARY_K,
     Vocabulary,
     bow_vector,
+    bow_vectors,
     build_vocabulary,
     rank_by_similarity,
 )
@@ -26,6 +27,7 @@ __all__ = [
     "SparseMap",
     "Vocabulary",
     "bow_vector",
+    "bow_vectors",
     "build_map",
     "build_vocabulary",
     "load_map",

@@ -16,7 +16,7 @@ from ..semantics.labeling import FrameFeatures
 from .sparse_map import Keyframe, SparseMap
 from .vocabulary import (
     DEFAULT_VOCABULARY_K,
-    bow_vector,
+    bow_vectors,
     build_vocabulary,
     rank_by_similarity,
 )
@@ -110,7 +110,7 @@ def build_map(
     vocabulary = build_vocabulary(
         [f.descriptors for f in features], k, config.vocabulary_seed
     )
-    bows = [bow_vector(f.descriptors, vocabulary) for f in features]
+    bows = list(bow_vectors([f.descriptors for f in features], vocabulary))
 
     # a node is one feature of one frame: global id = frame offset + keypoint index
     offsets = np.cumsum([0] + [len(f.descriptors) for f in features])

@@ -10,6 +10,7 @@ import numpy as np
 from ..errors import AnnotationError, MapFormatError
 from ..geometry.pose import Pose, quaternion_from_rotation, rotation_from_quaternion
 from ..semantics.classes import UNLABELED, ClassRegistry, SemanticClass
+from ..trajectory_io import write_json
 from .vocabulary import Vocabulary, rank_by_similarity
 
 MAP_FORMAT_VERSION = "1"
@@ -117,9 +118,7 @@ def save_map(sparse_map: SparseMap, path: str) -> None:
             for kf in sparse_map.keyframes
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def _dense_bow(entry: dict, k: int) -> np.ndarray:

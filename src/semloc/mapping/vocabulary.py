@@ -132,17 +132,30 @@ def bow_vector(descriptors: np.ndarray, vocab: Vocabulary) -> np.ndarray:
     vector; other vectors have unit norm, taken over the frame's own words, so
     cosine similarity is a plain dot product.
     """
-    bow = np.zeros(vocab.k)
-    descriptors = np.atleast_2d(np.asarray(descriptors, dtype=float))
-    if descriptors.shape[0] == 0:
-        return bow
-    words, counts = np.unique(vocab.quantize(descriptors), return_counts=True)
-    tf = counts / counts.sum()
-    weights = tf * vocab.idf[words]
-    norm = float(np.linalg.norm(weights))
-    if norm >= 1e-12:
-        bow[words] = weights / norm
-    return bow
+    return bow_vectors([descriptors], vocab)[0]
+
+
+def bow_vectors(frame_descriptors: Sequence[np.ndarray], vocab: Vocabulary) -> np.ndarray:
+    """bow_vector of each frame, (frames, k), from one quantization of all
+    the frames' descriptors; the nearest-centroid search is exact per row, so
+    each row is the one its frame gets alone."""
+    frames = [np.atleast_2d(np.asarray(d, dtype=float)) for d in frame_descriptors]
+    bows = np.zeros((len(frames), vocab.k))
+    sizes = [f.shape[0] for f in frames]
+    if not sum(sizes):
+        return bows
+    stacked = np.vstack([f for f in frames if f.shape[0]])
+    words = np.split(vocab.quantize(stacked), np.cumsum(sizes)[:-1])
+    for bow, frame_words in zip(bows, words):
+        if not len(frame_words):
+            continue
+        present, counts = np.unique(frame_words, return_counts=True)
+        tf = counts / counts.sum()
+        weights = tf * vocab.idf[present]
+        norm = float(np.linalg.norm(weights))
+        if norm >= 1e-12:
+            bow[present] = weights / norm
+    return bows
 
 
 def rank_by_similarity(

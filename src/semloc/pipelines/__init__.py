@@ -13,6 +13,7 @@ from .relocalize import (
     candidate_matches,
     dedup_matches,
     relocalize,
+    relocalize_frames,
 )
 from .relative import (
     RelativePoseParams,
@@ -41,4 +42,5 @@ __all__ = [
     "pair_selection",
     "relative_pose",
     "relocalize",
+    "relocalize_frames",
 ]

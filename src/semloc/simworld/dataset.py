@@ -17,7 +17,7 @@ from ..geometry.pose import (
 )
 from ..semantics.boxes import DetectionSet, save_detections
 from ..semantics.classes import ClassRegistry
-from ..trajectory_io import TrajectoryEntry, write_trajectory
+from ..trajectory_io import TrajectoryEntry, write_json, write_trajectory
 from .synthesize import SyntheticFrame
 from .world import World
 
@@ -51,9 +51,7 @@ def save_world(world: World, path: str) -> None:
             for lm in world.landmarks
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    write_json(payload, path)
 
 
 def save_frame(frame: SyntheticFrame, path: str) -> None:

@@ -5,10 +5,13 @@ camera-to-world rotation), the usual trajectory-file convention; in memory we
 use world->camera poses, so writing and reading invert.  Frames that failed
 to localize are kept as comment lines "# <timestamp> FAILED <reason>" so
 downstream evaluation can count them.
+
+write_json is the writer the map and dataset JSON files share.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,3 +75,33 @@ def read_trajectory(path: str) -> list[TrajectoryEntry]:
             pose = Pose(rotation_wc.T, -rotation_wc.T @ center)
             entries.append(TrajectoryEntry(timestamp=t, pose=pose))
     return entries
+
+
+def write_json(payload: dict, path: str) -> None:
+    """Write payload, whose dict keys are all strings, and a newline, in
+    json.dump's bytes.
+
+    json.dump streams through the pure-Python encoder, and one json.dumps of
+    a whole map holds every piece of the document in memory at once.  Here
+    the C encoder takes one piece at a time: dicts are walked, and a list of
+    lists or dicts is encoded one item at a time.
+    """
+    with open(path, "w") as fh:
+        _write_json(fh, payload)
+        fh.write("\n")
+
+
+def _write_json(fh, value) -> None:
+    if isinstance(value, dict):
+        fh.write("{")
+        for i, (key, item) in enumerate(value.items()):
+            fh.write((", " if i else "") + json.dumps(key) + ": ")
+            _write_json(fh, item)
+        fh.write("}")
+    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+        fh.write("[" + json.dumps(value[0]))
+        for item in value[1:]:
+            fh.write(", " + json.dumps(item))
+        fh.write("]")
+    else:
+        fh.write(json.dumps(value))

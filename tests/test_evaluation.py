@@ -543,37 +543,44 @@ def test_benchmark_featurizes_each_frame_once(tmp_path, monkeypatch):
 
 def test_benchmark_computes_each_query_bow_vector_once(tmp_path, monkeypatch):
     """The partner lookup reuses relocalize's BoW ranking: a query's BoW
-    vector is computed once per mode, and the benchmark computes its own
-    only for a query that retrieved no candidates."""
+    vector is computed once per mode, in one quantization per mode's batch,
+    and the benchmark computes its own only for a query that retrieved no
+    candidates."""
     import importlib
 
     from semloc.evaluation import benchmark
 
     relocalize_module = importlib.import_module("semloc.pipelines.relocalize")
-    calls = {"relocalize": 0, "benchmark": 0}
+    calls = {"relocalize": 0, "relocalize batches": 0, "benchmark": 0}
     localizations = []
 
-    def counting(module, name):
-        bow_vector = module.bow_vector
+    bow_vectors = relocalize_module.bow_vectors
 
-        def counted(descriptors, vocabulary):
-            calls[name] += 1
-            return bow_vector(descriptors, vocabulary)
+    def counted_batch(frame_descriptors, vocabulary):
+        calls["relocalize batches"] += 1
+        calls["relocalize"] += len(frame_descriptors)
+        return bow_vectors(frame_descriptors, vocabulary)
 
-        monkeypatch.setattr(module, "bow_vector", counted)
+    monkeypatch.setattr(relocalize_module, "bow_vectors", counted_batch)
+    bow_vector = benchmark.bow_vector
 
-    counting(relocalize_module, "relocalize")
-    counting(benchmark, "benchmark")
-    relocalize = benchmark.relocalize
+    def counted(descriptors, vocabulary):
+        calls["benchmark"] += 1
+        return bow_vector(descriptors, vocabulary)
 
-    def recording_relocalize(*args, **kwargs):
-        localizations.append(relocalize(*args, **kwargs))
-        return localizations[-1]
+    monkeypatch.setattr(benchmark, "bow_vector", counted)
+    relocalize_frames = benchmark.relocalize_frames
 
-    monkeypatch.setattr(benchmark, "relocalize", recording_relocalize)
+    def recording_relocalize_frames(*args, **kwargs):
+        batch = relocalize_frames(*args, **kwargs)
+        localizations.extend(batch)
+        return batch
+
+    monkeypatch.setattr(benchmark, "relocalize_frames", recording_relocalize_frames)
     config = _tiny_config(seeds=(0,), perturbed=True)
     run_benchmark(config, str(tmp_path / "run"))
     assert len(localizations) == len(SemanticMode) * config.evaluation.steps
+    assert calls["relocalize batches"] == len(SemanticMode)
     assert calls["relocalize"] == len(localizations)
     assert calls["benchmark"] == sum(not loc.candidate_ids for loc in localizations)
 

@@ -598,3 +598,40 @@ def test_chunked_ransac_pnp_equals_the_reference_loop(intrinsics):
         assert np.array_equal(pose.translation, ref_pose.translation)
         assert np.array_equal(inliers, ref_inliers)
     assert all(seen.values()), seen
+
+
+def test_a_ransac_batch_solves_each_round_in_one_call(intrinsics, monkeypatch):
+    """A batch of problems makes one p3p_solve call per round, as many as
+    its longest-running problem makes alone, and each problem's pose and
+    inliers are bitwise those it gets alone."""
+    from semloc.geometry import ransac as ransac_module
+
+    solve = ransac_module.p3p_solve
+    calls = []
+
+    def counted(bearings, points):
+        calls.append(len(bearings))
+        return solve(bearings, points)
+
+    monkeypatch.setattr(ransac_module, "p3p_solve", counted)
+    rng = np.random.default_rng(76)
+    problems = []
+    for trial, outliers in enumerate([0.0, 0.2, 0.5, 0.7, 0.97, 0.3, 0.6, 0.1]):
+        _, points, pixels, _ = _pnp_scene(rng, n=50, outlier_fraction=outliers, noise=0.5)
+        problems.append((pixels, points, RansacParams(rng_seed=trial)))
+
+    alone_calls, alone = [], []
+    for problem in problems:
+        calls.clear()
+        alone.extend(ransac_module.ransac_pnp_batch([problem], intrinsics))
+        alone_calls.append(len(calls))
+    calls.clear()
+    batch = ransac_module.ransac_pnp_batch(problems, intrinsics)
+    assert len(calls) == max(alone_calls) < sum(alone_calls)
+    assert None in batch and any(result is not None for result in batch)
+    for result, reference in zip(batch, alone):
+        assert (result is None) == (reference is None)
+        if result is not None:
+            assert np.array_equal(result[0].rotation, reference[0].rotation)
+            assert np.array_equal(result[0].translation, reference[0].translation)
+            assert np.array_equal(result[1], reference[1])

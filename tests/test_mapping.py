@@ -823,6 +823,29 @@ def test_map_round_trip_is_bitwise(tmp_path):
     assert again.read_bytes() == path.read_bytes()
 
 
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(payload=st.dictionaries(st.text(), _JSON_VALUES, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_write_json_gives_json_dump_bytes(tmp_path_factory, payload):
+    """Maps and worlds are written piece by piece with the C encoder, in the
+    bytes json.dump gives the whole payload."""
+    from semloc.trajectory_io import write_json
+
+    path = tmp_path_factory.mktemp("json") / "payload.json"
+    write_json(payload, str(path))
+    with open(path.with_suffix(".dump"), "w") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+    assert path.read_bytes() == path.with_suffix(".dump").read_bytes()
+
+
 def test_unlabelled_landmarks_are_written_as_null(tmp_path):
     rng = np.random.default_rng(15)
     points = _scene_points(rng, 100)

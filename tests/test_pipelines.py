@@ -23,6 +23,7 @@ from semloc.pipelines import (
     pair_selection,
     relative_pose,
     relocalize,
+    relocalize_frames,
 )
 from semloc.pipelines.frames import FeatureObservation
 from semloc.semantics import UNLABELED, DetectionSet
@@ -237,6 +238,49 @@ def test_relocalize_inliers_reproject_below_threshold(scene):
             assert (errors[list(result.inlier_indices)] < params.inlier_threshold_px).all()
             checked += 1
     assert checked >= 6
+
+
+def _same_localization(a, b):
+    assert (a.frame_id, a.mode, a.failure_reason) == (b.frame_id, b.mode, b.failure_reason)
+    assert a.candidate_ids == b.candidate_ids
+    assert np.array_equal(a.matches, b.matches)
+    assert (a.inlier_count, a.inlier_indices) == (b.inlier_count, b.inlier_indices)
+    assert a.map_fully_labeled == b.map_fully_labeled
+    assert (a.pose is None) == (b.pose is None)
+    if a.pose is not None:
+        assert np.array_equal(a.pose.rotation, b.pose.rotation)
+        assert np.array_equal(a.pose.translation, b.pose.translation)
+
+
+def test_relocalize_frames_equals_per_frame_relocalize(scene):
+    """A batch's results are bitwise those of relocalizing each frame alone,
+    in every mode and for every failure reason."""
+    _, semantic_map, baseline_map, eval_frames = scene
+    frame = eval_frames[0]
+    rng = np.random.default_rng(9)
+    noise = rng.normal(size=frame.descriptors.shape)
+    scrambled = frame.keypoints[rng.permutation(len(frame.keypoints))]
+    frames = [(f.frame_id, frame_features(f)) for f in eval_frames] + [
+        (90, _features(frame.keypoints, frame.descriptors, DetectionSet(frame_id=90, boxes=[]))),
+        (91, _features(np.empty((0, 2)), np.empty((0, 64)), DetectionSet(frame_id=91, boxes=[]))),
+        (92, _features(frame.keypoints, noise / np.linalg.norm(noise, axis=1)[:, None],
+                       frame.boxes)),
+        (93, _features(scrambled, frame.descriptors, frame.boxes)),
+    ]
+    reasons = set()
+    for mode in SemanticMode:
+        sparse_map = _map_for_mode(mode, semantic_map, baseline_map)
+        batch = relocalize_frames(sparse_map, frames, INTRINSICS, mode)
+        assert len(batch) == len(frames)
+        for (frame_id, features), result in zip(frames, batch):
+            _same_localization(
+                result, relocalize(sparse_map, frame_id, features, INTRINSICS, mode)
+            )
+            reasons.add(result.failure_reason)
+    assert reasons == {
+        None, "no semantic features", "no candidates", "insufficient matches",
+        "localization failed",
+    }
 
 
 def test_post_matches_are_subset_of_baseline(scene):
