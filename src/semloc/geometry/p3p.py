@@ -1,30 +1,32 @@
-"""Perspective-three-point absolute pose solver.
+"""Perspective-three-point absolute pose solver: Lambda Twist.
 
-Reduces the three distance equations to a quartic in the ratio of two
-camera-to-point distances (Grunert's substitution).  The quartic
-coefficients are composed from products of the ratio polynomials, term by
-term as numpy's polynomial module rounds them, the roots are Newton-polished
-(and, where they still miss the two distance-ratio equations, polished again
-by Newton on both equations at once), and each candidate pose is tightened
-with two Gauss-Newton steps on the bearing alignment before being accepted.
+Persson and Nordberg, "Lambda Twist: An Accurate Fast Robust Perspective
+Three Point (P3P) Solver", ECCV 2018.  The unknowns are the distances
+lambda_i along the unit bearings y_i.  The three constraints
+|lambda_i y_i - lambda_j y_j|^2 = |x_i - x_j|^2 give two homogeneous
+quadrics in lambda; one real root of a cubic makes a combination of them
+degenerate, and its eigen-decomposition splits it into two planes
+lambda_1 = w0 lambda_2 + w1 lambda_3.  Each plane and one constraint give a
+quadratic in lambda_3 / lambda_2, so an instance has at most four lambda
+triples.  Each is refined by Gauss-Newton on the three constraints, and its
+pose is the Kabsch fit of the world points to the camera points
+lambda_i y_i.
 
 p3p_solve takes a (K, 3, 3) stack of instances and returns its candidate
 poses as arrays, each tagged with the instance that owns it.  Every step is
-an elementwise or a stacked numpy operation whose result for one instance
-does not depend on how many are stacked, so an instance's candidates are
-bitwise the same whatever it is stacked with.  Only the least-squares step
-and the rare Newton polish in (u, v) run once per candidate.
+an elementwise or a stacked numpy operation (one eigh, one SVD), and each
+iterative loop stops row by row, so an instance's candidates are bitwise
+the same whatever it is stacked with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .pose import rotation_defects, rotation_from_axis_angle, rowdot, skew
+from .pose import rotation_defects
 
 _COLLINEAR_AREA = 1e-9
 _ALIGN_TOL = 1e-6
-_EYE = np.eye(3)
 _NEXT, _LAST = [1, 2, 0], [2, 0, 1]
 
 
@@ -34,140 +36,156 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., _NEXT] * b[..., _LAST] - a[..., _LAST] * b[..., _NEXT]
 
 
-def _polyval(coeffs, x):
-    """Ascending coefficients evaluated at x in npoly.polyval's Horner order;
-    each coefficient broadcasts against x."""
-    value = coeffs[-1] + x * 0
-    for c in coeffs[-2::-1]:
-        value = c + value * x
-    return value
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis of length 3, added left to right."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
-def _grunert_quartic(cos_a, cos_b, cos_c, a_r, c_r, d_r):
-    """Ascending quartic coefficients in v (K, 5), and the q, n, d
-    coefficient tuples, from (K, 1) columns.
+def _cubic_root(b, c, d):
+    """A real root of x^3 + b x^2 + c x + d, elementwise.
 
-    q(v) = 1 - 2 cos_b v + v^2 ; u(v) = n(v) / d(v) from the difference of
-    the two distance-ratio equations; substituting u back yields the quartic
-        d^2 + n^2 - 2 cos_c n d - c_r q d^2.
-    The products are npoly.polymul's, i.e. np.convolve's, term by term: a
-    full overlap is a plain left-to-right sum, a partial overlap a BLAS dot
-    product added onto 0.0 (the two-term ones go through one rowdot).  The
-    sums are npoly.polyadd's, which adds a shorter series onto the head of
-    a longer one.
+    The start is Lambda Twist's: where the cubic has two stationary points,
+    the root beyond the one on its sign-changing side, from a second-order
+    expansion there; otherwise the inflection point.  Newton steps follow;
+    a root stops after its seventh step once |f| <= 1e-13, or after 50.
     """
-    ones = np.ones_like(cos_b)
-    q0, q1, q2 = q = (ones, -2.0 * cos_b, ones)
-    n0, n1, n2 = n = (d_r + 1.0, -2.0 * d_r * cos_b, d_r - 1.0)
-    d0, d1 = d = (2.0 * cos_c, -2.0 * cos_a)
-    dd0, dd1, dd2 = 0.0 + d0 * d0, d0 * d1 + d1 * d0, 0.0 + d1 * d1
-    ends = rowdot(
-        np.stack([n0, n1, n1, n2, q0, q1, q1, q2], -1).reshape(-1, 4, 2),
-        np.stack([n1, n0, n2, n1, dd1, dd0, dd2, dd1], -1).reshape(-1, 4, 2),
+    v = np.sqrt(b * b - 3.0 * c)
+    t1, t2 = (-b - v) / 3.0, (-b + v) / 3.0
+    k1 = ((t1 + b) * t1 + c) * t1 + d
+    k2 = ((t2 + b) * t2 + c) * t2 + d
+    root = np.where(
+        k1 > 0.0, t1 - np.sqrt(-k1 / (3.0 * t1 + b)), t2 + np.sqrt(-k2 / (3.0 * t2 + b))
     )
-    nn1, nn3, qdd1, qdd3 = (ends[:, i : i + 1] for i in range(4))
-    nn = (0.0 + n0 * n0, nn1, (n0 * n2 + n1 * n1) + n2 * n0, nn3, 0.0 + n2 * n2)
-    nd = (0.0 + n0 * d0, n0 * d1 + n1 * d0, n1 * d1 + n2 * d0, 0.0 + n2 * d1)
-    qdd = (0.0 + q0 * dd0, qdd1, (q0 * dd2 + q1 * dd1) + q2 * dd0, qdd3, 0.0 + q2 * dd2)
-    nd_weight, qdd_weight = -2.0 * cos_c, -c_r
-    quartic = np.hstack(
+    flat = -b / 3.0
+    flat = np.where(np.abs((3.0 * flat + 2.0 * b) * flat + c) < 1e-4, flat + 1.0, flat)
+    root = np.where(b * b >= 3.0 * c, root, flat)
+    live = np.ones(root.shape, dtype=bool)
+    for step in range(50):
+        f = ((root + b) * root + c) * root + d
+        if step >= 7:
+            live &= np.abs(f) > 1e-13
+            if not live.any():
+                break
+        root = np.where(live, root - f / ((3.0 * root + 2.0 * b) * root + c), root)
+    return root
+
+
+def _residuals(lam, a, b):
+    """lambda_i^2 + lambda_j^2 + b_ij lambda_i lambda_j - a_ij for the pairs
+    (1, 2), (1, 3), (2, 3); lam, a and b are (..., 3)."""
+    l1, l2, l3 = lam[..., 0], lam[..., 1], lam[..., 2]
+    return np.stack(
         [
-            ((nn[0] + dd0) + nd_weight * nd[0]) + qdd_weight * qdd[0],
-            ((nn[1] + dd1) + nd_weight * nd[1]) + qdd_weight * qdd[1],
-            ((nn[2] + dd2) + nd_weight * nd[2]) + qdd_weight * qdd[2],
-            (nn[3] + nd_weight * nd[3]) + qdd_weight * qdd[3],
-            nn[4] + qdd_weight * qdd[4],
-        ]
-    )
-    return quartic, q, n, d
-
-
-def _real_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real roots of each row of (K, w) ascending coefficients, Newton-polished.
-
-    Returns (roots, kept), both (K, w - 1): per row the roots in the order of
-    npoly.polyroots, and which of them are real and not within 1e-10
-    (relative) of an earlier kept root.  A row is normalized by its largest
-    coefficient and its leading coefficients below 1e-13 are dropped, so the
-    companion matrices differ in size; each size is one stacked eigvals call.
-    """
-    rows, width = coeffs.shape
-    scale = np.abs(coeffs).max(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = coeffs / scale
-    significant = ~(np.abs(c) < 1e-13)
-    significant[:, 0] = True
-    length = width - np.argmax(significant[:, ::-1], axis=1)
-    length[~np.isfinite(c).all(axis=1)] = 0  # includes an all-zero row, 0 / 0
-    c = np.where(np.arange(width) < length[:, None], c, 0.0)
-
-    roots = np.zeros((rows, width - 1), dtype=complex)
-    for size in sorted(set(length.tolist()) - {0, 1}):
-        degree = size - 1
-        group = np.flatnonzero(length == size)
-        if degree == 1:
-            roots[group, 0] = -c[group, 0] / c[group, 1]
-            continue
-        companion = np.zeros((group.size, degree, degree))
-        companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
-        companion[:, :, -1] = 0.0 - c[group, :degree] / c[group, degree : degree + 1]
-        roots[group, :degree] = np.sort(np.linalg.eigvals(companion), axis=1)
-
-    present = np.arange(width - 1) < (length - 1)[:, None]
-    v = roots.real
-    real = present & ~(np.abs(roots.imag) > 1e-6 * np.fmax(1.0, np.abs(v)))
-    # the polynomial and its derivative, zero-padded at the top: leading
-    # zeros leave Horner's bits unchanged, so one padded row serves every degree
-    stacked = np.stack([c, np.zeros_like(c)])
-    stacked[1, :, :-1] = c[:, 1:] * np.arange(1, width)
-    stacked = [stacked[:, :, i : i + 1] for i in range(width)]
-    polishing = real.copy()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(3):
-            value, slope = _polyval(stacked, v)
-            polishing &= ~(np.abs(slope) < 1e-14)
-            v = np.where(polishing, v - value / slope, v)
-
-    # a root within 1e-10 of an earlier kept one is dropped; such pairs are rare
-    near = np.abs(v[:, :, None] - v[:, None, :]) < 1e-10 * np.fmax(1.0, np.abs(v))[:, :, None]
-    kept = real.copy()
-    for r, j, i in zip(*np.nonzero(np.tril(near, -1) & real[:, :, None] & real[:, None, :])):
-        if kept[r, i]:
-            kept[r, j] = False
-    return v, kept
-
-
-def _ratio_residuals(u, v, qv, cos_a, cos_c, a_r, c_r):
-    return (
-        u * u + v * v - 2.0 * u * v * cos_a - a_r * qv,
-        1.0 + u * u - 2.0 * u * cos_c - c_r * qv,
+            l1 * l1 + l2 * l2 + b[..., 0] * l1 * l2 - a[..., 0],
+            l1 * l1 + l3 * l3 + b[..., 1] * l1 * l3 - a[..., 1],
+            l2 * l2 + l3 * l3 + b[..., 2] * l2 * l3 - a[..., 2],
+        ],
+        axis=-1,
     )
 
 
-def _ratios_violated(u, v, qv, cos_a, cos_c, a_r, c_r):
-    """Whether (u, v) misses either original distance-ratio equation."""
-    res1, res2 = _ratio_residuals(u, v, qv, cos_a, cos_c, a_r, c_r)
-    return (abs(res1) > 1e-6 * (1.0 + a_r)) | (abs(res2) > 1e-6 * (1.0 + c_r))
+def _abs_sum(r):
+    return np.abs(r[:, 0]) + np.abs(r[:, 1]) + np.abs(r[:, 2])
 
 
-def _newton_ratios(u, v, cos_b, cos_a, cos_c, a_r, c_r, steps: int = 3):
-    """Newton steps in (u, v) on both ratio equations at once (one candidate)."""
+def _refine(lam, a, b, steps: int = 5):
+    """Gauss-Newton on the three constraints, (M, 3) rows at a time.  A row
+    stops once its absolute residuals sum below 1e-10, or before a step that
+    would not lower that sum."""
+    live = np.ones(len(lam), dtype=bool)
     for _ in range(steps):
-        dq = 2.0 * v - 2.0 * cos_b
-        jac = np.array(
-            [
-                [2.0 * u - 2.0 * v * cos_a, 2.0 * v - 2.0 * u * cos_a - a_r * dq],
-                [2.0 * u - 2.0 * cos_c, -c_r * dq],
-            ]
-        )
-        qv = float(_polyval((1.0, -2.0 * cos_b, 1.0), v))
-        residuals = _ratio_residuals(u, v, qv, cos_a, cos_c, a_r, c_r)
-        try:
-            du, dv = np.linalg.solve(jac, -np.array(residuals))
-        except np.linalg.LinAlgError:
+        r = _residuals(lam, a, b)
+        size = _abs_sum(r)
+        live &= ~(size < 1e-10)
+        if not live.any():
             break
-        u, v = u + float(du), v + float(dv)
-    return u, v
+        l1, l2, l3 = lam[:, 0], lam[:, 1], lam[:, 2]
+        # the Jacobian [[j0, j1, 0], [j3, 0, j5], [0, j7, j8]] by its adjugate
+        j0, j1 = 2.0 * l1 + b[:, 0] * l2, 2.0 * l2 + b[:, 0] * l1
+        j3, j5 = 2.0 * l1 + b[:, 1] * l3, 2.0 * l3 + b[:, 1] * l1
+        j7, j8 = 2.0 * l2 + b[:, 2] * l3, 2.0 * l3 + b[:, 2] * l2
+        inv_det = 1.0 / (-j0 * j5 * j7 - j1 * j3 * j8)
+        r1, r2, r3 = r[:, 0], r[:, 1], r[:, 2]
+        step = np.stack(
+            [
+                -j5 * j7 * r1 - j1 * j8 * r2 + j1 * j5 * r3,
+                -j3 * j8 * r1 + j0 * j8 * r2 - j0 * j5 * r3,
+                j3 * j7 * r1 - j0 * j7 * r2 - j1 * j3 * r3,
+            ],
+            axis=1,
+        )
+        moved = lam - inv_det[:, None] * step
+        live &= _abs_sum(_residuals(moved, a, b)) <= size
+        lam = np.where(live[:, None], moved, lam)
+    return lam
+
+
+def _lambdas(y: np.ndarray, x: np.ndarray):
+    """Distances along the (K, 3, 3) unit bearings y to the points x.
+
+    Returns (K, 4, 3) lambda triples, ordered by plane and then by quadratic
+    root, (K, 4) which of them are valid, and the (K, 3) coefficients a and
+    b of the constraints on the pairs (1, 2), (1, 3) and (2, 3)."""
+    y1, y2, y3 = y[:, 0], y[:, 1], y[:, 2]
+    d12, d13, d23 = x[:, 0] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 2]
+    b12, b13, b23 = -2.0 * _dot(y1, y2), -2.0 * _dot(y1, y3), -2.0 * _dot(y2, y3)
+    a12, a13, a23 = _dot(d12, d12), _dot(d13, d13), _dot(d23, d23)
+
+    # the cubic det(D1 - g D2) = 0 of the two homogeneous quadrics
+    c12, c13, c23 = -0.5 * b12, -0.5 * b13, -0.5 * b23
+    blob = c12 * c23 * c13 - 1.0
+    s12, s13, s23 = 1.0 - c12 * c12, 1.0 - c13 * c13, 1.0 - c23 * c23
+    p3 = a13 * (a23 * s13 - a13 * s23)
+    p2 = 2.0 * blob * a23 * a13 + a13 * (2.0 * a12 + a13) * s23 + a23 * (a23 - a12) * s13
+    p1 = a23 * (a13 - a23) * s12 - a12 * a12 * s23 - 2.0 * a12 * (blob * a23 + a13 * s23)
+    p0 = a12 * (a12 * s23 - a23 * s12)
+    g = _cubic_root(p2 / p3, p1 / p3, p0 / p3)
+
+    # D1 - g D2 has a zero eigenvalue; the other two, largest magnitude
+    # first, give the two planes through the origin that make it up
+    m01, m02 = 0.5 * a23 * b12, -0.5 * a23 * b13 * g
+    m12 = 0.5 * b23 * (a13 * g - a12)
+    conic = np.stack(
+        [
+            np.stack([a23 * (1.0 - g), m01, m02], axis=-1),
+            np.stack([m01, a23 - a12 + a13 * g, m12], axis=-1),
+            np.stack([m02, m12, g * (a13 - a23) - a12], axis=-1),
+        ],
+        axis=1,
+    )
+    finite = np.isfinite(conic).all(axis=(1, 2))
+    conic[~finite] = 0.0
+    values, vectors = np.linalg.eigh(conic)
+    order = np.argsort(-np.abs(values), axis=1, kind="stable")[:, :2]
+    values = np.take_along_axis(values, order, axis=1)
+    vectors = np.take_along_axis(vectors, order[:, None, :], axis=2)
+    v = np.sqrt(np.maximum(0.0, -values[:, 1] / values[:, 0]))
+
+    # lambda_1 = w0 lambda_2 + w1 lambda_3 for s = +v and s = -v, then the
+    # (1, 2) and (1, 3) constraints give a quadratic in tau = lambda_3 / lambda_2
+    s = np.stack([v, -v], axis=1)
+    col = vectors[:, :, None, :]
+    w2 = 1.0 / (s * col[:, 0, :, 1] - col[:, 0, :, 0])
+    w0 = (col[:, 1, :, 0] - s * col[:, 1, :, 1]) * w2
+    w1 = (col[:, 2, :, 0] - s * col[:, 2, :, 1]) * w2
+    a12, a13, a23 = a12[:, None], a13[:, None], a23[:, None]
+    b12, b13, b23 = b12[:, None], b13[:, None], b23[:, None]
+    inv = 1.0 / ((a13 - a12) * w1 * w1 - a12 * b13 * w1 - a12)
+    qb = (a13 * b12 * w1 - a12 * b13 * w0 - 2.0 * w0 * w1 * (a12 - a13)) * inv
+    qc = ((a13 - a12) * w0 * w0 + a13 * b12 * w0 + a13) * inv
+    disc = qb * qb - 4.0 * qc
+    real = (disc >= 0.0) & finite[:, None]
+    q = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
+    tau = np.stack([q, qc / q], axis=2)  # (K, 2 signs, 2 roots)
+    # the (2, 3) constraint sets the scale
+    d = a23[:, :, None] / (tau * (b23[:, :, None] + tau) + 1.0)
+    l2 = np.sqrt(d)
+    l3 = tau * l2
+    l1 = w0[:, :, None] * l2 + w1[:, :, None] * l3
+    lam = np.stack([l1, l2, l3], axis=-1).reshape(-1, 4, 3)
+    valid = (real[:, :, None] & (tau > 0.0) & (d > 0.0) & (l1 >= 0.0)).reshape(-1, 4)
+    valid &= np.isfinite(lam).all(axis=2)
+    return lam, valid, np.hstack([a12, a13, a23]), np.hstack([b12, b13, b23])
 
 
 def _kabsch(world: np.ndarray, camera: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,48 +203,11 @@ def _kabsch(world: np.ndarray, camera: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return r, cc - (r @ wc[..., None])[..., 0]
 
 
-def _unit_camera_rays(rotations, translations, points):
-    cam = points @ np.swapaxes(rotations, 1, 2) + translations[:, None]
-    norms = np.linalg.norm(cam, axis=2)
-    return cam, norms, cam / norms[..., None]
-
-
-def _polish(rotations, translations, bearings, points, steps: int = 2) -> np.ndarray:
-    """Gauss-Newton on the cross-product bearing residuals (6 dof, 9
-    residuals), in place.  A candidate stops when its step is not finite or
-    below 1e-14.  Returns whether Pose would reject the candidate's rotation
-    after Kabsch or after any step."""
-    rejected = rotation_defects(rotations)[1]
-    live = np.ones(len(rotations), dtype=bool)
-    bearing_skew = skew(bearings)
-    for _ in range(steps):
-        idx = np.flatnonzero(live)
-        if not idx.size:
-            break
-        cam, norms, unit = _unit_camera_rays(rotations[idx], translations[idx], points[idx])
-        residual = _cross(bearings[idx], unit).reshape(-1, 9)
-        d_unit = (_EYE - unit[..., :, None] * unit[..., None, :]) / norms[..., None, None]
-        d_cam = np.empty(cam.shape + (6,))
-        d_cam[..., :3] = -skew(cam)
-        d_cam[..., 3:] = _EYE
-        jac = (bearing_skew[idx] @ d_unit @ d_cam).reshape(-1, 9, 6)
-        # numpy has no stacked least squares
-        delta = np.array([np.linalg.lstsq(j, -r, rcond=None)[0] for j, r in zip(jac, residual)])
-        finite = np.isfinite(delta).all(axis=1)
-        live[idx[~finite]] = False
-        idx, delta = idx[finite], delta[finite]
-        rot = rotation_from_axis_angle(delta[:, :3])
-        rotations[idx] = rot @ rotations[idx]
-        translations[idx] = (rot @ translations[idx][..., None])[..., 0] + delta[:, 3:]
-        rejected[idx] |= rotation_defects(rotations[idx])[1]
-        live[idx[np.sqrt(rowdot(delta, delta)) < 1e-14]] = False
-    return rejected
-
-
 def _misaligned(rotations, translations, bearings, points) -> np.ndarray:
     """Whether each candidate misses a bearing by more than 1e-6 rad (or puts
     a point behind the camera)."""
-    _, _, unit = _unit_camera_rays(rotations, translations, points)
+    cam = points @ np.swapaxes(rotations, 1, 2) + translations[:, None]
+    unit = cam / np.linalg.norm(cam, axis=2)[..., None]
     behind = (np.einsum("kij,kij->ki", bearings, unit) <= 0.0).any(axis=1)
     sines = np.linalg.norm(_cross(bearings, unit), axis=2)
     angle = np.arcsin(np.clip(sines, 0.0, 1.0)).max(axis=1)
@@ -252,54 +233,6 @@ def _duplicates(owner, rotations, translations) -> np.ndarray:
     return duplicate
 
 
-def _candidates(f, points, b2):
-    """Distance ratios (u, v) of every candidate pose of the (R, 3, 3) unit
-    bearings and points: returns (owner row, u, v, q(v)), ordered by row,
-    root and u."""
-    p1, p2, p3 = points[:, 0], points[:, 1], points[:, 2]
-    sides = np.stack([p2 - p3, p1 - p2], axis=1)
-    lengths = rowdot(sides, sides)
-    a2, c2 = lengths[:, 0:1], lengths[:, 1:2]
-    cosines = rowdot(f[:, [1, 0, 0]], f[:, [2, 2, 1]])
-    cos_a, cos_b, cos_c = cosines[:, 0:1], cosines[:, 1:2], cosines[:, 2:3]
-    a_r = a2 / b2
-    c_r = c2 / b2
-    d_r = (a2 - c2) / b2
-
-    quartic, q, n, d = _grunert_quartic(cos_a, cos_b, cos_c, a_r, c_r, d_r)
-    v, kept = _real_roots(quartic)
-
-    # per root up to two u candidates: u = n(v) / d(v), or where d(v) ~ 0 the
-    # two solutions of the second ratio equation, quadratic in u
-    with np.errstate(divide="ignore", invalid="ignore"):
-        qv = _polyval(q, v)
-        kept &= ~(v <= 0.0) & ~(qv <= 1e-15)
-        dv = _polyval(d, v)
-        direct = np.abs(dv) > 1e-10
-        disc = cos_c * cos_c - (1.0 - c_r * qv)
-        quadratic = ~direct & ~(disc < 0.0)
-        root = np.sqrt(disc)
-        u = np.stack([np.where(direct, _polyval(n, v) / dv, cos_c + root), cos_c - root], 2)
-        valid = np.stack([kept & (direct | quadratic), kept & quadratic], 2) & ~(u <= 0.0)
-        width = 2 * v.shape[1]
-        u, valid = u.reshape(len(f), width), valid.reshape(len(f), width)
-        v, qv = np.repeat(v, 2, axis=1), np.repeat(qv, 2, axis=1)
-        # both original ratio equations must hold.  Near a double root of the
-        # quartic u = n(v) / d(v) magnifies a tiny error in v because d(v) ~ 0,
-        # so a candidate that fails is first polished in (u, v).
-        violated = valid & _ratios_violated(u, v, qv, cos_a, cos_c, a_r, c_r)
-    for r, s in zip(*np.nonzero(violated)):
-        ratios = (cos_a[r, 0], cos_c[r, 0], a_r[r, 0], c_r[r, 0])
-        ur, vr = _newton_ratios(u[r, s], v[r, s], cos_b[r, 0], *ratios)
-        qr = float(_polyval((1.0, -2.0 * cos_b[r, 0], 1.0), vr))
-        if not (ur > 0.0 and vr > 0.0 and qr > 1e-15) or _ratios_violated(ur, vr, qr, *ratios):
-            valid[r, s] = False
-        else:
-            u[r, s], v[r, s], qv[r, s] = ur, vr, qr
-    owner, slot = np.nonzero(valid)
-    return owner, u[owner, slot], v[owner, slot], qv[owner, slot]
-
-
 def p3p_solve(bearings: np.ndarray, points: np.ndarray) -> tuple:
     """All camera poses placing three world points on three bearing rays,
     for each of K instances.
@@ -309,34 +242,36 @@ def p3p_solve(bearings: np.ndarray, points: np.ndarray) -> tuple:
 
     Returns (owner (M,), rotations (M, 3, 3), translations (M, 3)): candidate
     m is the pose x_cam = rotations[m] @ x_world + translations[m] of
-    instance owner[m].  Candidates are ordered by instance, then by quartic
-    root and u.  An instance has up to four poses, each aligning every world
-    point with its ray to within 1e-6 rad and passing Pose's orthonormality
-    test.  A degenerate instance owns no rows: collinear or duplicate world
-    points, a quartic that is not finite, or any candidate whose rotation
-    Pose would reject.  An instance's rows do not depend on what else is
-    stacked with it.
+    instance owner[m].  Candidates are ordered by instance, then by plane
+    and quadratic root.  An instance has up to four poses, each aligning
+    every world point with its ray to within 1e-6 rad and passing Pose's
+    orthonormality test.  A degenerate instance owns no rows: collinear or
+    duplicate world points, or any candidate whose rotation Pose would
+    reject.  An instance's rows do not depend on what else is stacked with
+    it.
     """
     bearings = np.asarray(bearings, dtype=float)
     points = np.asarray(points, dtype=float)
     if bearings.ndim != 3 or bearings.shape[1:] != (3, 3) or points.shape != bearings.shape:
         raise ValueError("p3p_solve takes (K, 3, 3) bearing and point stacks")
     p1, p2, p3 = points[:, 0], points[:, 1], points[:, 2]
-    vectors = np.stack([_cross(p2 - p1, p3 - p1), p1 - p3], axis=1)
-    area_sq, b2 = rowdot(vectors, vectors).T
-    collinear = 0.5 * np.sqrt(area_sq) <= _COLLINEAR_AREA
-    solvable = np.flatnonzero(~collinear & ~(b2 < 1e-18))
+    normal = _cross(p2 - p1, p3 - p1)
+    collinear = 0.5 * np.sqrt(_dot(normal, normal)) <= _COLLINEAR_AREA
+    solvable = np.flatnonzero(~collinear & ~(_dot(p1 - p3, p1 - p3) < 1e-18))
 
     points = points[solvable]
     f = bearings[solvable]
-    f = f / np.linalg.norm(f, axis=2, keepdims=True)
-    owner, u, v, qv = _candidates(f, points, b2[solvable, None])
-    s1 = np.sqrt(b2[solvable[owner]] / qv)
+    f = f / np.sqrt(_dot(f, f))[..., None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam, valid, a, b = _lambdas(f, points)
+        owner, slot = np.nonzero(valid)
+        # a refinement step is taken only where it lowers the residuals, so
+        # every refined triple stays finite
+        lam = _refine(lam[owner, slot], a[owner], b[owner])
     f, points = f[owner], points[owner]
-    cam = f * np.column_stack([s1, u * s1, v * s1])[:, :, None]
-    rotations, translations = _kabsch(points, cam)
-    # a rotation Pose rejects, at any stage, aborts its whole instance
-    rejected = _polish(rotations, translations, f, points)
+    rotations, translations = _kabsch(points, lam[:, :, None] * f)
+    # a rotation Pose rejects aborts its whole instance
+    rejected = rotation_defects(rotations)[1]
     kept = np.flatnonzero(~np.isin(owner, owner[rejected]))
     kept = kept[~_misaligned(rotations[kept], translations[kept], f[kept], points[kept])]
     kept = kept[~_duplicates(owner[kept], rotations[kept], translations[kept])]

@@ -6,6 +6,8 @@ then the solver must recover what generated the observations.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semloc.errors import DegenerateGeometryError, InsufficientDataError
 from semloc.geometry import (
@@ -181,6 +183,21 @@ def test_p3p_recovers_generating_pose():
         assert best_t < 1e-6
 
 
+@given(seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=300, deadline=None)
+def test_p3p_recovers_the_generating_pose_of_any_instance(seed):
+    """On instances drawn as the solver-soundness sweep draws them, one
+    candidate is within its bounds, 1e-6 rad and 1e-6 m, of the generator."""
+    pose, bearings, points = _p3p_instance(np.random.default_rng(seed))
+    owner, rotations, translations = p3p_solve(bearings[None], points[None])
+    assert 1 <= len(owner) <= 4
+    errors = [
+        max(np.radians(rotation_error_deg(r, pose.rotation)), np.linalg.norm(t - pose.translation))
+        for r, t in zip(rotations, translations)
+    ]
+    assert min(errors) < 1e-6
+
+
 def test_p3p_solutions_all_align_bearings():
     _, bearings, points = _p3p_instances(np.random.default_rng(43), 50)
     solution = p3p_solve(bearings, points)
@@ -228,6 +245,14 @@ def test_p3p_collinear_points_rejected():
     bearings[1] = np.eye(3)
     owner, rotations, translations = p3p_solve(bearings, points)
     assert 1 not in owner
+    assert set(owner.tolist()) == {0, 2}
+    assert len(rotations) == len(translations) == len(owner)
+
+
+def test_p3p_duplicate_points_rejected():
+    _, bearings, points = _p3p_instances(np.random.default_rng(46), 3)
+    points[1, 2] = points[1, 0]
+    owner, rotations, translations = p3p_solve(bearings, points)
     assert set(owner.tolist()) == {0, 2}
     assert len(rotations) == len(translations) == len(owner)
 
