@@ -20,8 +20,8 @@ from .mapping.vocabulary import bow_vectors, build_vocabulary
 from .pipelines.frames import FeatureObservation, extract_frame_features, frame_features
 from .pipelines.modes import SemanticMode, mode_features
 from .pipelines.pairing import pair_selection
-from .pipelines.relative import RelativePoseParams, relative_pose
-from .pipelines.relocalize import RelocalizationParams, relocalize_frames
+from .pipelines.relative import relative_pose
+from .pipelines.relocalize import relocalize_frames
 from .semantics.boxes import load_detections
 from .semantics.classes import ClassRegistry
 from .simworld.config import load_scene_config
@@ -163,7 +163,7 @@ def _cmd_relocalize(args) -> int:
         [(frame.frame_id, frame_features(frame)) for frame in frames],
         intrinsics,
         args.mode,
-        RelocalizationParams(seed=args.seed),
+        seed=args.seed,
     )
     entries = [
         TrajectoryEntry(frame.timestamp, result.pose, result.failure_reason)
@@ -224,7 +224,7 @@ def _cmd_relpose(args) -> int:
             features_by_id[id_b],
             intrinsics,
             mode,
-            RelativePoseParams(seed=args.seed),
+            seed=args.seed,
         )
         lines.append(_pair_row(result))
     with open(args.out, "w") as fh:

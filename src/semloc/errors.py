@@ -13,10 +13,6 @@ class InsufficientDataError(SemlocError):
     """Too few inputs to run an operation at all."""
 
 
-class EstimationFailedError(SemlocError):
-    """An estimator ran but could not produce an acceptable model."""
-
-
 class AnnotationError(SemlocError):
     """A detection/annotation file is malformed or inconsistent."""
 

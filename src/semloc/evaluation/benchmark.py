@@ -18,7 +18,7 @@ from ..pipelines.frames import FrameFeatures, frame_features
 from ..pipelines.modes import SemanticMode, derive_rng_seed, mode_features
 from ..pipelines.pairing import most_similar
 from ..pipelines.relative import match_frames
-from ..pipelines.relocalize import RelocalizationParams, relocalize_frames
+from ..pipelines.relocalize import relocalize_frames
 from ..simworld.config import SceneConfig
 from ..simworld.perturb import perturb_world
 from ..simworld.synthesize import SyntheticFrame, synthesize_frame
@@ -139,7 +139,7 @@ def _evaluate_mode(
         [(frame.frame_id, features) for frame, features in evaluation],
         intrinsics,
         mode,
-        RelocalizationParams(seed=seed),
+        seed=seed,
     )
     entries = []
     pair_records = []

@@ -22,13 +22,14 @@ from .epipolar import (
     sampson_error,
     sampson_error_flagged,
 )
-from .ransac import RansacParams, ransac_essential, ransac_pnp, ransac_pnp_batch
+from .ransac import RansacParams, RansacResult, ransac_essential, ransac_pnp, ransac_pnp_batch
 from .refine import RefineResult, apply_increment, refine_pose, reprojection_residuals
 
 __all__ = [
     "CameraIntrinsics",
     "Pose",
     "RansacParams",
+    "RansacResult",
     "RefineResult",
     "RelativePose",
     "apply_increment",

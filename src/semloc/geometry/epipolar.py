@@ -16,6 +16,7 @@ from .pose import Pose, skew
 from .triangulate import solve_dlt
 
 _DEGENERATE_DENOM = 1e-30
+_PURE_ROTATION_TOL = 1e-8  # median angular residual (rad) of a rotation-only fit
 
 
 @dataclass
@@ -111,19 +112,14 @@ def _best_fit_rotation(bearings_a: np.ndarray, bearings_b: np.ndarray) -> np.nda
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-def decompose_essential(
-    e: np.ndarray,
-    x_a: np.ndarray,
-    x_b: np.ndarray,
-    pure_rotation_tol: float = 1e-8,
-) -> RelativePose:
+def decompose_essential(e: np.ndarray, x_a: np.ndarray, x_b: np.ndarray) -> RelativePose:
     """Recover (R, unit t) from an essential matrix by cheirality voting.
 
     x_a, x_b: (n, 2) normalized correspondences used for the vote.
 
     Raises DegenerateGeometryError with "pure rotation suspected" when a
     rotation alone already explains the correspondences (median angular
-    residual below pure_rotation_tol), and with "ambiguous decomposition"
+    residual below _PURE_ROTATION_TOL), and with "ambiguous decomposition"
     when two factorizations tie on cheirality votes.
     """
     xa = np.atleast_2d(np.asarray(x_a, dtype=float))
@@ -142,7 +138,7 @@ def decompose_essential(
         # angle via the chord length: stable where arccos loses precision near 0
         chord = np.linalg.norm(bb - ba @ r_fit.T, axis=1)
         residual = 2.0 * np.arcsin(np.clip(chord / 2.0, -1.0, 1.0))
-        if float(np.median(residual)) < pure_rotation_tol:
+        if float(np.median(residual)) < _PURE_ROTATION_TOL:
             raise DegenerateGeometryError("pure rotation suspected")
 
     u, _, vt = np.linalg.svd(np.asarray(e, dtype=float))

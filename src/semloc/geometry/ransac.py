@@ -1,13 +1,15 @@
-"""Seeded RANSAC loops around the minimal pose and essential solvers."""
+"""One seeded, chunked RANSAC driver around the minimal pose and essential
+solvers."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import EstimationFailedError, InsufficientDataError, SemlocError
+from ..errors import SemlocError
 from .five_point import five_point_essential
 from .p3p import p3p_solve
 from .pose import CameraIntrinsics, Pose
@@ -16,16 +18,27 @@ from .epipolar import sampson_error
 _CONFIDENCE = 0.999
 _FIRST_CHUNK = 4
 _MIN_DEPTH = 1e-9
+_NO_INLIERS = np.empty(0, dtype=np.intp)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RansacParams:
-    """Knobs shared by the robust estimators; rng_seed fixes the sample stream."""
+    """Settings of one robust estimation; rng_seed fixes the sample stream."""
 
     max_iterations: int = 500
     inlier_threshold: float = 3.0
     min_inliers: int = 12
     rng_seed: int = 0
+
+
+class RansacResult(NamedTuple):
+    """An estimator's outcome: the model and its sorted inlier indices, or no
+    model, no inliers and the reason ("insufficient matches", "localization
+    failed" or "estimation failed")."""
+
+    model: "Pose | np.ndarray | None"
+    inliers: np.ndarray
+    failure_reason: "str | None" = None
 
 
 def _iterations_needed(inlier_ratio: float, sample_size: int) -> float:
@@ -109,174 +122,203 @@ def _score_chunk(
     return solved, chosen, np.sum(errors < threshold, axis=1)
 
 
-@dataclass
-class _PnpFrame:
-    """One problem of a lockstep RANSAC batch: its data, sample stream and
-    best model so far."""
+class _Search:
+    """One problem of a lockstep RANSAC batch: its sample stream, its best
+    model so far and its adaptive stop.  A kind of problem sets its sample
+    size, stop rule and failure reason, and supplies solve(searches, chunks),
+    each chunk's scored samples (position, inlier count, model) in draw
+    order, and finish(best), the final model and its per-match errors."""
 
-    pixels: np.ndarray
-    points: np.ndarray
-    bearings: np.ndarray
-    params: RansacParams
-    rng: np.random.Generator
-    best: tuple | None = None  # (rotation, translation)
-    best_count: int = 0
-    start: int = 0  # samples drawn so far
-    chunk: int = _FIRST_CHUNK
-    converged: bool = False
+    sample_size: int
+    stop_every_sample: bool  # else the stop is tested only when the best count rises
+    failure: str
+
+    def __init__(self, n: int, params: RansacParams):
+        self.n = n
+        self.params = params
+        self.rng = np.random.default_rng(params.rng_seed)
+        self.best = None
+        self.best_count = 0
+        self.start = 0  # samples drawn so far
+        self.chunk = _FIRST_CHUNK
+        self.stopped = n < self.sample_size  # too few matches for one sample
 
     @property
     def live(self) -> bool:
-        return self.start < self.params.max_iterations and not self.converged
+        return self.start < self.params.max_iterations and not self.stopped
 
     def draw(self) -> np.ndarray:
-        """The next chunk of 4-match samples, (size, 4), from the frame's own rng."""
-        n = len(self.pixels)
+        """The next chunk of samples, (size, sample_size), from the problem's own rng."""
         size = min(self.chunk, self.params.max_iterations - self.start)
-        return np.array([self.rng.choice(n, size=4, replace=False) for _ in range(size)])
-
-    def walk(self, samples, owner, rotations, translations, intrinsics) -> None:
-        """Score a solved chunk and walk it in draw order with the adaptive
-        stop, which is tested only when the best inlier count rises."""
-        solved, chosen, counts = _score_chunk(
-            owner, rotations, translations, samples[:, 3],
-            intrinsics, self.points, self.pixels, self.params.inlier_threshold,
+        return np.array(
+            [self.rng.choice(self.n, size=self.sample_size, replace=False) for _ in range(size)]
         )
-        n = len(self.pixels)
-        for i, c, count in zip(solved.tolist(), chosen.tolist(), counts.tolist()):
-            if count > self.best_count:
-                self.best_count = count
-                self.best = rotations[c], translations[c]
-                if self.start + i + 1 >= _iterations_needed(count / n, 4):
-                    self.converged = True
-                    break
-        self.start += len(samples)
+
+    def walk(self, drawn: int, scored: Iterable[tuple[int, int, object]]) -> None:
+        """Walk a chunk of `drawn` samples in draw order, keeping the first
+        model of the highest count, until the adaptive stop holds."""
+        for i, count, model in scored:
+            rose = count > self.best_count
+            if rose:
+                self.best_count, self.best = count, model
+            elif not self.stop_every_sample or self.best is None:
+                continue
+            needed = _iterations_needed(self.best_count / self.n, self.sample_size)
+            if self.start + i + 1 >= needed:
+                self.stopped = True
+                break
+        self.start += drawn
         self.chunk += self.chunk // 2
+
+    def result(self) -> RansacResult:
+        if self.n < self.sample_size:
+            return RansacResult(None, _NO_INLIERS, "insufficient matches")
+        if self.best is None or self.best_count < self.params.min_inliers:
+            return RansacResult(None, _NO_INLIERS, self.failure)
+        model, errors = self.finish(self.best)
+        return RansacResult(model, np.flatnonzero(errors < self.params.inlier_threshold))
+
+
+def _lockstep(searches: Sequence[_Search]) -> list[RansacResult]:
+    """Run searches of one kind in lockstep until each converges or reaches
+    its cap: every round draws a chunk for each live search, solves the
+    round and walks each chunk."""
+    live = [search for search in searches if search.live]
+    while live:
+        chunks = [search.draw() for search in live]
+        for search, samples, scored in zip(live, chunks, type(live[0]).solve(live, chunks)):
+            search.walk(len(samples), scored)
+        live = [search for search in live if search.live]
+    return [search.result() for search in searches]
+
+
+class _PnpSearch(_Search):
+    """Absolute pose from 2d-3d matches.  A sample is four matches: the
+    minimal solver runs on three and the fourth picks among its candidate
+    poses by reprojection error."""
+
+    sample_size = 4
+    stop_every_sample = False
+    failure = "localization failed"
+
+    def __init__(self, pixels, points, params: RansacParams, intrinsics: CameraIntrinsics):
+        self.pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+        self.points = np.asarray(points, dtype=float).reshape(-1, 3)
+        self.bearings = _bearings(self.pixels, intrinsics)
+        self.intrinsics = intrinsics
+        super().__init__(len(self.pixels), params)
+
+    @staticmethod
+    def solve(searches, chunks) -> Iterator[Iterable[tuple[int, int, tuple]]]:
+        """The whole round in one p3p_solve call, whose rows do not depend on
+        what is stacked with them; a degenerate sample owns no rows."""
+        owner, rotations, translations = p3p_solve(
+            np.concatenate([s.bearings[c[:, :3]] for s, c in zip(searches, chunks)]),
+            np.concatenate([s.points[c[:, :3]] for s, c in zip(searches, chunks)]),
+        )
+        offsets = np.cumsum([0] + [len(c) for c in chunks])
+        bounds = np.searchsorted(owner, offsets)
+        for j, (search, samples) in enumerate(zip(searches, chunks)):
+            rows = slice(bounds[j], bounds[j + 1])
+            chunk_r, chunk_t = rotations[rows], translations[rows]
+            solved, chosen, counts = _score_chunk(
+                owner[rows] - offsets[j], chunk_r, chunk_t, samples[:, 3],
+                search.intrinsics, search.points, search.pixels,
+                search.params.inlier_threshold,
+            )
+            yield [
+                (i, count, (chunk_r[c], chunk_t[c]))
+                for i, c, count in zip(solved.tolist(), chosen.tolist(), counts.tolist())
+            ]
+
+    def finish(self, best: tuple) -> tuple[Pose, np.ndarray]:
+        pose = Pose(*best)
+        return pose, _reprojection_errors(pose, self.intrinsics, self.points, self.pixels)
+
+
+class _EssentialSearch(_Search):
+    """Essential matrix from normalized correspondences.  A sample is five
+    pairs; its candidates are scored by their Sampson inlier counts."""
+
+    sample_size = 5
+    stop_every_sample = True
+    failure = "estimation failed"
+
+    def __init__(self, x_a, x_b, params: RansacParams):
+        self.xa = np.asarray(x_a, dtype=float).reshape(-1, 2)
+        self.xb = np.asarray(x_b, dtype=float).reshape(-1, 2)
+        super().__init__(len(self.xa), params)
+
+    @staticmethod
+    def solve(searches, chunks) -> list[Iterator[tuple[int, int, np.ndarray | None]]]:
+        return [search.scored(samples) for search, samples in zip(searches, chunks)]
+
+    def scored(self, samples: np.ndarray) -> Iterator[tuple[int, int, np.ndarray | None]]:
+        """Solve each sample only when the walk reaches it, so no sample past
+        the stop is solved.  A sample whose solver raised is left out."""
+        for i, idx in enumerate(samples):
+            try:
+                candidates = five_point_essential(self.xa[idx], self.xb[idx])
+            except SemlocError:
+                continue
+            counts = [
+                int(np.sum(sampson_error(e, self.xa, self.xb) < self.params.inlier_threshold))
+                for e in candidates
+            ]
+            if not counts:
+                yield i, 0, None
+                continue
+            k = int(np.argmax(counts))  # the first of the highest
+            yield i, counts[k], candidates[k]
+
+    def finish(self, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return best, sampson_error(best, self.xa, self.xb)
 
 
 def ransac_pnp_batch(
     problems: Sequence[tuple[np.ndarray, np.ndarray, RansacParams]],
     intrinsics: CameraIntrinsics,
-) -> list[tuple[Pose, np.ndarray] | None]:
+) -> list[RansacResult]:
     """Robust absolute pose for each (pixels, points, params) problem, all
     advanced in lockstep.
 
-    Each iteration samples four matches: the minimal solver runs on three and
-    the fourth disambiguates among its candidate poses by reprojection error.
-    Returns per problem (pose, sorted inlier index array), or None where no
-    model reaches params.min_inliers; the reported inliers all reproject
-    below params.inlier_threshold px under the returned pose.
+    Returns a RansacResult per problem: the Pose and its sorted inliers,
+    which all reproject below params.inlier_threshold px, or the reason:
+    "insufficient matches" below 4 matches, "localization failed" where no
+    model reaches params.min_inliers.
 
     A problem draws its samples from its own rng in chunks of 4, 6, 9, 13,
     ... (each half again the last, up to params.max_iterations).  Every round
     stacks the chunks of all problems still running into one p3p_solve call,
     whose rows do not depend on what is stacked with them; each chunk is then
-    walked in draw order.  So the chosen pose and the stopping iteration are
-    those of a loop that solves one sample at a time, and no problem's result
-    depends on the batch it is in.  A winner becomes a Pose at the end.
-
-    Raises InsufficientDataError when a problem has fewer than 4 matches.
+    walked in draw order, testing the adaptive stop when the best count
+    rises.  So the chosen pose and the stopping iteration are those of a
+    loop that solves one sample at a time, and no problem's result depends
+    on the batch it is in.  A winner becomes a Pose at the end.
     """
-    frames = []
-    for pixels, points, params in problems:
-        pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
-        points = np.asarray(points, dtype=float).reshape(-1, 3)
-        if pixels.shape[0] < 4:
-            raise InsufficientDataError("PnP needs at least 4 matches")
-        frames.append(
-            _PnpFrame(
-                pixels, points, _bearings(pixels, intrinsics), params,
-                np.random.default_rng(params.rng_seed),
-            )
-        )
-
-    live = [frame for frame in frames if frame.live]
-    while live:
-        chunks = [frame.draw() for frame in live]
-        owner, rotations, translations = p3p_solve(
-            np.concatenate([f.bearings[s[:, :3]] for f, s in zip(live, chunks)]),
-            np.concatenate([f.points[s[:, :3]] for f, s in zip(live, chunks)]),
-        )
-        offsets = np.cumsum([0] + [len(s) for s in chunks])
-        bounds = np.searchsorted(owner, offsets)
-        for j, (frame, samples) in enumerate(zip(live, chunks)):
-            rows = slice(bounds[j], bounds[j + 1])
-            frame.walk(
-                samples, owner[rows] - offsets[j], rotations[rows], translations[rows],
-                intrinsics,
-            )
-        live = [frame for frame in live if frame.live]
-
-    results = []
-    for frame in frames:
-        if frame.best is None or frame.best_count < frame.params.min_inliers:
-            results.append(None)
-            continue
-        pose = Pose(*frame.best)
-        errors = _reprojection_errors(pose, intrinsics, frame.points, frame.pixels)
-        results.append((pose, np.flatnonzero(errors < frame.params.inlier_threshold)))
-    return results
+    return _lockstep(
+        [_PnpSearch(pixels, points, params, intrinsics) for pixels, points, params in problems]
+    )
 
 
 def ransac_pnp(
-    pixels: np.ndarray,
-    points: np.ndarray,
-    intrinsics: CameraIntrinsics,
-    params: RansacParams | None = None,
-) -> tuple[Pose, np.ndarray]:
-    """Robust absolute pose from 2d-3d matches: ransac_pnp_batch on one problem.
-
-    Returns (pose, sorted inlier index array).  Raises InsufficientDataError
-    for fewer than 4 matches and EstimationFailedError ("localization
-    failed") when no model reaches params.min_inliers.
-    """
-    (result,) = ransac_pnp_batch([(pixels, points, params or RansacParams())], intrinsics)
-    if result is None:
-        raise EstimationFailedError("localization failed")
+    pixels: np.ndarray, points: np.ndarray, intrinsics: CameraIntrinsics, params: RansacParams
+) -> RansacResult:
+    """Robust absolute pose from 2d-3d matches: ransac_pnp_batch on one problem."""
+    (result,) = ransac_pnp_batch([(pixels, points, params)], intrinsics)
     return result
 
 
-def ransac_essential(
-    x_a: np.ndarray,
-    x_b: np.ndarray,
-    params: RansacParams | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def ransac_essential(x_a: np.ndarray, x_b: np.ndarray, params: RansacParams) -> RansacResult:
     """Robust essential matrix from normalized correspondences.
 
-    Samples five pairs per iteration, scores candidates by their Sampson
-    inlier count at params.inlier_threshold, and returns (E, inlier indices)
-    for the best model found.
-
-    Raises InsufficientDataError for fewer than 5 pairs and
-    EstimationFailedError ("estimation failed") when no model reaches
+    Samples five pairs at a time, in chunks as ransac_pnp_batch does, and
+    keeps the candidate with the highest Sampson inlier count at
+    params.inlier_threshold, the first on a tie.  The adaptive stop is tested
+    after every sample but one whose five-point solve raised.  Returns a
+    RansacResult: E and its sorted inliers, or the reason: "insufficient
+    matches" below 5 pairs, "estimation failed" where no model reaches
     params.min_inliers.
     """
-    params = params or RansacParams(max_iterations=1000, inlier_threshold=5e-4, min_inliers=15)
-    xa = np.asarray(x_a, dtype=float).reshape(-1, 2)
-    xb = np.asarray(x_b, dtype=float).reshape(-1, 2)
-    n = xa.shape[0]
-    if n < 5:
-        raise InsufficientDataError("essential estimation needs at least 5 pairs")
-
-    rng = np.random.default_rng(params.rng_seed)
-    best_e: np.ndarray | None = None
-    best_count = 0
-
-    for iteration in range(params.max_iterations):
-        idx = rng.choice(n, size=5, replace=False)
-        try:
-            candidates = five_point_essential(xa[idx], xb[idx])
-        except SemlocError:
-            continue
-        for e in candidates:
-            count = int(np.sum(sampson_error(e, xa, xb) < params.inlier_threshold))
-            if count > best_count:
-                best_count = count
-                best_e = e
-        if best_e is not None and iteration + 1 >= _iterations_needed(best_count / n, 5):
-            break
-
-    if best_e is None or best_count < params.min_inliers:
-        raise EstimationFailedError("estimation failed")
-    inliers = np.flatnonzero(sampson_error(best_e, xa, xb) < params.inlier_threshold)
-    return best_e, inliers
+    (result,) = _lockstep([_EssentialSearch(x_a, x_b, params)])
+    return result

@@ -21,6 +21,10 @@ from .vocabulary import (
     rank_by_similarity,
 )
 
+_VOCABULARY_SEED = 0
+_MAX_REPROJECTION_PX = 2.0  # triangulation acceptance threshold
+_RETRIEVED_PAIRS = 2  # extra non-consecutive pairs per frame
+
 
 @dataclass
 class MapFrameInput:
@@ -33,10 +37,6 @@ class MapFrameInput:
 class MapBuildConfig:
     semantic: bool = True  # keep only labeled features (those inside detections)
     vocabulary_k: int = DEFAULT_VOCABULARY_K
-    vocabulary_seed: int = 0
-    match_ratio: float = DEFAULT_RATIO
-    max_reprojection_px: float = 2.0  # triangulation acceptance threshold
-    retrieved_pairs: int = 2  # extra non-consecutive pairs per frame
 
 
 def _select_pairs(bows: list[np.ndarray], retrieved_pairs: int) -> list[tuple[int, int]]:
@@ -107,22 +107,20 @@ def build_map(
         raise InsufficientDataError("empty map: no features retained from any frame")
 
     k = min(config.vocabulary_k, total)
-    vocabulary = build_vocabulary(
-        [f.descriptors for f in features], k, config.vocabulary_seed
-    )
+    vocabulary = build_vocabulary([f.descriptors for f in features], k, _VOCABULARY_SEED)
     bows = list(bow_vectors([f.descriptors for f in features], vocabulary))
 
     # a node is one feature of one frame: global id = frame offset + keypoint index
     offsets = np.cumsum([0] + [len(f.descriptors) for f in features])
     edge_a, edge_b, edge_points = [], [], []  # per frame pair, matches in match order
-    for i, j in _select_pairs(bows, config.retrieved_pairs):
+    for i, j in _select_pairs(bows, _RETRIEVED_PAIRS):
         fi, fj = features[i], features[j]
         if config.semantic:
             matches = match_per_class(
-                fi.descriptors, fi.labels, fj.descriptors, fj.labels, config.match_ratio
+                fi.descriptors, fi.labels, fj.descriptors, fj.labels, DEFAULT_RATIO
             )
         else:
-            matches = knn_ratio_match(fi.descriptors, fj.descriptors, config.match_ratio)
+            matches = knn_ratio_match(fi.descriptors, fj.descriptors, DEFAULT_RATIO)
         if not len(matches):
             continue
         try:
@@ -135,7 +133,7 @@ def build_map(
             )
         except DegenerateGeometryError:
             continue
-        accepted = residuals < config.max_reprojection_px  # invalid rows carry inf
+        accepted = residuals < _MAX_REPROJECTION_PX  # invalid rows carry inf
         edge_a.append(offsets[i] + matches.query_index[accepted])
         edge_b.append(offsets[j] + matches.train_index[accepted])
         edge_points.append(points[accepted])
@@ -181,7 +179,7 @@ def build_map(
         pixels, in_front = project_points(frame.pose, intrinsics, positions[observed[f]])
         keypoints = features[f].coordinates[nodes[bounds[f] : bounds[f + 1]] - offsets[f]]
         error = np.linalg.norm(pixels - keypoints, axis=1)
-        keep[observed[f][~in_front | (error >= config.max_reprojection_px)]] = False
+        keep[observed[f][~in_front | (error >= _MAX_REPROJECTION_PX)]] = False
 
     if not keep.any():
         raise InsufficientDataError("empty map: all triangulations failed the gate")

@@ -9,14 +9,12 @@ from .frames import (
 )
 from .relocalize import (
     LocalizationResult,
-    RelocalizationParams,
     candidate_matches,
     dedup_matches,
     relocalize,
     relocalize_frames,
 )
 from .relative import (
-    RelativePoseParams,
     RelativePoseResult,
     match_frames,
     relative_pose,
@@ -27,9 +25,7 @@ __all__ = [
     "FrameFeatures",
     "LocalizationResult",
     "QueryFrame",
-    "RelativePoseParams",
     "RelativePoseResult",
-    "RelocalizationParams",
     "SemanticMode",
     "candidate_matches",
     "dedup_matches",

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import DegenerateGeometryError, EstimationFailedError, InsufficientDataError
+from ..errors import DegenerateGeometryError
 from ..features.match import DEFAULT_RATIO
 from ..geometry.epipolar import RelativePose, decompose_essential
 from ..geometry.pose import CameraIntrinsics
@@ -17,16 +17,7 @@ from .modes import SemanticMode, derive_rng_seed, mode_features, mode_matches
 
 logger = logging.getLogger(__name__)
 
-_MIN_PAIR_MATCHES = 5  # the essential-matrix solver needs five correspondences
-
-
-@dataclass
-class RelativePoseParams:
-    match_ratio: float = DEFAULT_RATIO
-    max_iterations: int = 1000
-    sampson_threshold: float = 5e-4
-    min_inliers: int = 15
-    seed: int = 0
+_ESSENTIAL = RansacParams(max_iterations=1000, inlier_threshold=5e-4, min_inliers=15)
 
 
 @dataclass(frozen=True)
@@ -49,7 +40,6 @@ def match_frames(
     features_a: FrameFeatures,
     features_b: FrameFeatures,
     mode: SemanticMode,
-    ratio: float = DEFAULT_RATIO,
 ) -> np.recarray:
     """Mode-specific descriptor matching between two frames (`mode_matches`).
 
@@ -62,7 +52,7 @@ def match_frames(
         features_b.descriptors,
         features_b.labels,
         mode,
-        ratio,
+        DEFAULT_RATIO,
     )
 
 
@@ -73,21 +63,21 @@ def relative_pose(
     features_b: FrameFeatures,
     intrinsics: CameraIntrinsics,
     mode: "SemanticMode | str" = SemanticMode.BASELINE,
-    params: "RelativePoseParams | None" = None,
+    seed: int = 0,
 ) -> RelativePoseResult:
     """Estimate the up-to-scale relative motion between two frames.
 
     Takes each frame's labeled, unmasked features, applies the mode's mask,
     matches per the semantic mode, robustly fits an essential matrix on the
     normalized correspondences, and decomposes it by cheirality voting.
-    Degeneracies set the corresponding flags instead of raising.
+    RANSAC is seeded from `seed` and the two frame ids.  Degeneracies set
+    the corresponding flags instead of raising.
     """
-    params = params or RelativePoseParams()
     mode = SemanticMode.parse(mode)
     features_a = mode_features(features_a, mode)
     features_b = mode_features(features_b, mode)
 
-    matches = match_frames(features_a, features_b, mode, params.match_ratio)
+    matches = match_frames(features_a, features_b, mode)
 
     def result(
         reason=None, relative=None, inlier_idx=(), pure_rotation=False, planar_suspected=False
@@ -116,26 +106,18 @@ def relative_pose(
         len(features_a.coordinates) == 0 or len(features_b.coordinates) == 0
     ):
         return result(reason="no semantic features")
-    if len(matches) < _MIN_PAIR_MATCHES:
-        return result(reason="insufficient matches")
 
     points_a = intrinsics.normalize(features_a.coordinates[matches.query_index])
     points_b = intrinsics.normalize(features_b.coordinates[matches.train_index])
-    ransac = RansacParams(
-        max_iterations=params.max_iterations,
-        inlier_threshold=params.sampson_threshold,
-        min_inliers=params.min_inliers,
-        rng_seed=derive_rng_seed(params.seed, frame_id_a, frame_id_b),
-    )
-    try:
-        essential, inliers = ransac_essential(points_a, points_b, ransac)
-    except (InsufficientDataError, EstimationFailedError) as exc:
-        return result(reason=str(exc))
+    seeded = replace(_ESSENTIAL, rng_seed=derive_rng_seed(seed, frame_id_a, frame_id_b))
+    estimate = ransac_essential(points_a, points_b, seeded)
+    if estimate.failure_reason is not None:
+        return result(reason=estimate.failure_reason)
 
-    inlier_idx = np.asarray(inliers, dtype=int)
+    inlier_idx = estimate.inliers
     try:
         relative = decompose_essential(
-            essential, points_a[inlier_idx], points_b[inlier_idx]
+            estimate.model, points_a[inlier_idx], points_b[inlier_idx]
         )
     except DegenerateGeometryError as exc:
         reason = str(exc)

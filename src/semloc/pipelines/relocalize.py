@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,18 +21,8 @@ from .modes import SemanticMode, derive_rng_seed, mode_features, mode_matches
 
 logger = logging.getLogger(__name__)
 
-_MIN_PNP_MATCHES = 4  # the absolute-pose solver needs four correspondences
-
-
-@dataclass
-class RelocalizationParams:
-    candidate_count: int = 3  # BoW candidates pooled before solving
-    match_ratio: float = DEFAULT_RATIO
-    max_iterations: int = 500
-    inlier_threshold_px: float = 3.0
-    min_inliers: int = 12
-    seed: int = 0
-    refine: bool = True
+_CANDIDATE_COUNT = 3  # BoW candidates pooled before solving
+_PNP = RansacParams(max_iterations=500, inlier_threshold=3.0, min_inliers=12)
 
 
 @dataclass(frozen=True)
@@ -46,7 +36,6 @@ class LocalizationResult:
     matches: np.recarray
     failure_reason: "str | None" = None
     inlier_indices: tuple = ()  # rows of `matches`
-    map_fully_labeled: bool = False  # every map landmark carries a class id
 
 
 def candidate_matches(
@@ -93,7 +82,7 @@ def relocalize_frames(
     frames: Sequence[tuple[int, FrameFeatures]],
     intrinsics: CameraIntrinsics,
     mode: "SemanticMode | str" = SemanticMode.BASELINE,
-    params: "RelocalizationParams | None" = None,
+    seed: int = 0,
 ) -> list[LocalizationResult]:
     """Estimate the camera pose of each (frame id, features) frame against a
     prebuilt map.
@@ -103,15 +92,15 @@ def relocalize_frames(
     per-candidate matching (pre: per class; post: unrestricted then
     class-filtered; baseline: unrestricted) -> pooled matches -> robust PnP
     -> refinement on the inliers.  The BoW words of all frames come from one
-    quantization and their PnP problems run as one lockstep RANSAC batch;
-    each frame's result is the one it gets alone.  Failures return a
-    pose-free result carrying the reason.
+    quantization and their PnP problems run as one lockstep RANSAC batch,
+    each seeded from `seed` and its frame id; each frame's result is the one
+    it gets alone.  Failures return a pose-free result carrying the reason.
     """
-    params = params or RelocalizationParams()
     mode = SemanticMode.parse(mode)
     if not sparse_map.keyframes or not len(sparse_map.positions):
         raise InsufficientDataError("relocalization needs a non-empty map")
-    map_fully_labeled = bool(np.all(sparse_map.class_ids != UNLABELED))
+    if mode is SemanticMode.BASELINE and np.all(sparse_map.class_ids != UNLABELED):
+        logger.info("baseline mode is matching against a fully labeled map")
 
     def failure(frame_id, reason, candidates=(), matches=match_record()):
         logger.info("frame %d (%s): %s", frame_id, mode.value, reason)
@@ -123,7 +112,6 @@ def relocalize_frames(
             candidate_ids=tuple(candidates),
             failure_reason=reason,
             matches=matches,
-            map_fully_labeled=map_fully_labeled,
         )
 
     masked = [mode_features(features, mode) for _, features in frames]
@@ -131,60 +119,43 @@ def relocalize_frames(
     results: list = [None] * len(frames)
     problems = []  # (frame index, candidate ids, pooled matches, pixels, points)
     for index, ((frame_id, _), features, bow) in enumerate(zip(frames, masked, bows)):
-        if mode is SemanticMode.BASELINE and map_fully_labeled:
-            logger.info(
-                "frame %d: baseline mode is matching against a fully labeled map",
-                frame_id,
-            )
         if mode is SemanticMode.PRE and len(features.coordinates) == 0:
             results[index] = failure(frame_id, "no semantic features")
             continue
-        candidate_ids = tuple(query_candidates(sparse_map, bow, params.candidate_count))
+        candidate_ids = tuple(query_candidates(sparse_map, bow, _CANDIDATE_COUNT))
         if not candidate_ids:
             results[index] = failure(frame_id, "no candidates")
             continue
         pooled = dedup_matches(
-            candidate_matches(sparse_map, features, mode, params.match_ratio, candidate_ids)
+            candidate_matches(sparse_map, features, mode, DEFAULT_RATIO, candidate_ids)
         )
-        if len(pooled) < _MIN_PNP_MATCHES:
-            results[index] = failure(frame_id, "insufficient matches", candidate_ids, pooled)
-            continue
         pixels = features.coordinates[pooled.query_index]
         points = sparse_map.positions[pooled.train_index]
         problems.append((index, candidate_ids, pooled, pixels, points))
 
     estimates = ransac_pnp_batch(
         [
-            (
-                pixels,
-                points,
-                RansacParams(
-                    max_iterations=params.max_iterations,
-                    inlier_threshold=params.inlier_threshold_px,
-                    min_inliers=params.min_inliers,
-                    rng_seed=derive_rng_seed(params.seed, frames[index][0]),
-                ),
-            )
+            (pixels, points, replace(_PNP, rng_seed=derive_rng_seed(seed, frames[index][0])))
             for index, _, _, pixels, points in problems
         ],
         intrinsics,
     )
     for (index, candidate_ids, pooled, pixels, points), estimate in zip(problems, estimates):
         frame_id = frames[index][0]
-        if estimate is None:
-            results[index] = failure(frame_id, "localization failed", candidate_ids, pooled)
+        if estimate.failure_reason is not None:
+            results[index] = failure(frame_id, estimate.failure_reason, candidate_ids, pooled)
             continue
-        pose, inlier_idx = estimate
-        if params.refine and len(inlier_idx):
+        pose, inlier_idx = estimate.model, estimate.inliers
+        if len(inlier_idx):
             refined = refine_pose(pose, pixels[inlier_idx], points[inlier_idx], intrinsics)
             if not refined.failed:
                 residuals = reprojection_residuals(
                     refined.pose, intrinsics, points, pixels
                 ).reshape(-1, 2)
                 errors = np.linalg.norm(residuals, axis=1)
-                updated = np.flatnonzero(errors < params.inlier_threshold_px)
+                updated = np.flatnonzero(errors < _PNP.inlier_threshold)
                 # keep the refined pose only while it preserves a full consensus
-                if len(updated) >= params.min_inliers:
+                if len(updated) >= _PNP.min_inliers:
                     pose, inlier_idx = refined.pose, updated
         results[index] = LocalizationResult(
             frame_id=frame_id,
@@ -195,7 +166,6 @@ def relocalize_frames(
             failure_reason=None,
             matches=pooled,
             inlier_indices=tuple(int(i) for i in inlier_idx),
-            map_fully_labeled=map_fully_labeled,
         )
     return results
 
@@ -206,9 +176,9 @@ def relocalize(
     features: FrameFeatures,
     intrinsics: CameraIntrinsics,
     mode: "SemanticMode | str" = SemanticMode.BASELINE,
-    params: "RelocalizationParams | None" = None,
+    seed: int = 0,
 ) -> LocalizationResult:
     """Estimate the camera pose of a single frame against a prebuilt map:
     relocalize_frames on a batch of one."""
-    (result,) = relocalize_frames(sparse_map, [(frame_id, features)], intrinsics, mode, params)
+    (result,) = relocalize_frames(sparse_map, [(frame_id, features)], intrinsics, mode, seed)
     return result

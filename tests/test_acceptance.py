@@ -37,7 +37,7 @@ from semloc.geometry import (
     triangulate_two_view,
 )
 from semloc.features.match import knn_ratio_match
-from semloc.pipelines import RelativePoseParams, frame_features, relative_pose
+from semloc.pipelines import frame_features, relative_pose
 from semloc.pipelines.frames import FeatureObservation, extract_frame_features
 from semloc.semantics.boxes import BoundingBox, DetectionSet
 from semloc.semantics.classes import UNLABELED, ClassRegistry
@@ -427,7 +427,7 @@ def test_clustered_detections_degrade_premask_epipolar_heading():
         features_a, features_b = frame_features(frame_a), frame_features(frame_b)
         for mode in ("pre", "post"):
             result = relative_pose(0, features_a, 1, features_b, INTRINSICS, mode,
-                                   RelativePoseParams(seed=seed))
+                                   seed=seed)
             assert result.relative is not None, (
                 f"seed {seed} {mode}: {result.failure_reason}"
             )

@@ -153,6 +153,17 @@ def test_evaluate_emits_fixed_header_metrics(workspace, tmp_path):
     assert 0.0 <= record.success_rate <= 1.0
 
 
+# the failure column of a relpose row: empty, or a reason relative_pose names
+_PAIR_FAILURES = {
+    "",
+    "no semantic features",
+    "insufficient matches",
+    "estimation failed",
+    "pure rotation suspected",
+    "ambiguous decomposition",
+}
+
+
 def test_relpose_writes_pair_rows(workspace, tmp_path):
     out = tmp_path / "pairs.csv"
     assert main([
@@ -165,8 +176,11 @@ def test_relpose_writes_pair_rows(workspace, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == PAIRS_HEADER
     assert len(lines) >= 2
+    failure = PAIRS_HEADER.split(",").index("failure")
     for line in lines[1:]:
-        assert len(line.split(",")) == len(PAIRS_HEADER.split(","))
+        fields = line.split(",")
+        assert len(fields) == len(PAIRS_HEADER.split(","))
+        assert fields[failure] in _PAIR_FAILURES
 
 
 def test_benchmark_command(workspace, tmp_path):

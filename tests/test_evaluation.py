@@ -29,7 +29,7 @@ from semloc.evaluation import (
 )
 from semloc.evaluation.benchmark import _mean_ratio
 from semloc.geometry import CameraIntrinsics, Pose, project_points, rotation_from_axis_angle
-from semloc.pipelines import RelativePoseParams, SemanticMode, relative_pose
+from semloc.pipelines import SemanticMode, relative_pose
 from semloc.simworld.config import PerturbationSpec, SceneConfig
 from semloc.simworld.trajectory import TrajectoryParams
 from semloc.simworld.world import WorldConfig
@@ -313,7 +313,7 @@ def _frame_pair_results(seed=0):
         FeatureObservation(pixels_b[keep], descriptors), DetectionSet(frame_id=1), masked=False
     )
     result = relative_pose(0, features_a, 1, features_b, INTRINSICS, SemanticMode.BASELINE,
-                           RelativePoseParams(seed=seed))
+                           seed=seed)
     return result, pose_a, pose_b
 
 

@@ -1,11 +1,9 @@
 """RANSAC estimators and Gauss-Newton refinement."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semloc.errors import EstimationFailedError, InsufficientDataError
 from semloc.geometry import (
     Pose,
     RansacParams,
@@ -43,7 +41,8 @@ def test_ransac_pnp_recovers_pose_with_outliers(intrinsics):
     rng = np.random.default_rng(51)
     for trial in range(10):
         pose, points, pixels, clean = _pnp_scene(rng)
-        est, inliers = ransac_pnp(pixels, points, intrinsics, RansacParams(rng_seed=trial))
+        est, inliers, reason = ransac_pnp(pixels, points, intrinsics, RansacParams(rng_seed=trial))
+        assert reason is None
         assert rotation_error_deg(est.rotation, pose.rotation) < 1e-4
         assert np.linalg.norm(est.translation - pose.translation) < 1e-4
         assert set(inliers) == set(clean)
@@ -53,8 +52,8 @@ def test_ransac_pnp_deterministic(intrinsics):
     rng = np.random.default_rng(52)
     pose, points, pixels, _ = _pnp_scene(rng, noise=0.5)
     p = RansacParams(rng_seed=99)
-    pose1, in1 = ransac_pnp(pixels, points, intrinsics, p)
-    pose2, in2 = ransac_pnp(pixels, points, intrinsics, p)
+    pose1, in1, _ = ransac_pnp(pixels, points, intrinsics, p)
+    pose2, in2, _ = ransac_pnp(pixels, points, intrinsics, p)
     assert np.array_equal(pose1.rotation, pose2.rotation)
     assert np.array_equal(pose1.translation, pose2.translation)
     assert np.array_equal(in1, in2)
@@ -64,7 +63,7 @@ def test_ransac_pnp_inliers_below_threshold(intrinsics):
     rng = np.random.default_rng(53)
     pose, points, pixels, _ = _pnp_scene(rng, noise=1.0)
     params = RansacParams(rng_seed=1)
-    est, inliers = ransac_pnp(pixels, points, intrinsics, params)
+    est, inliers, _ = ransac_pnp(pixels, points, intrinsics, params)
     cam = est.transform(points[inliers])
     proj = np.column_stack(
         [400.0 * cam[:, 0] / cam[:, 2] + 320.0, 400.0 * cam[:, 1] / cam[:, 2] + 240.0]
@@ -74,16 +73,18 @@ def test_ransac_pnp_inliers_below_threshold(intrinsics):
 
 
 def test_ransac_pnp_too_few_matches(intrinsics):
-    with pytest.raises(InsufficientDataError):
-        ransac_pnp(np.zeros((3, 2)), np.zeros((3, 3)), intrinsics)
+    result = ransac_pnp(np.zeros((3, 2)), np.zeros((3, 3)), intrinsics, RansacParams())
+    assert result.failure_reason == "insufficient matches"
+    assert result.model is None and len(result.inliers) == 0
 
 
 def test_ransac_pnp_all_outliers_fails(intrinsics):
     rng = np.random.default_rng(54)
     pixels = rng.uniform(0, 640, size=(30, 2))
     points = rng.uniform(-5, 5, size=(30, 3))
-    with pytest.raises(EstimationFailedError, match="localization failed"):
-        ransac_pnp(pixels, points, intrinsics, RansacParams(max_iterations=100, rng_seed=2))
+    result = ransac_pnp(pixels, points, intrinsics, RansacParams(max_iterations=100, rng_seed=2))
+    assert result.failure_reason == "localization failed"
+    assert result.model is None and len(result.inliers) == 0
 
 
 def _essential_scene(rng, n=60, outlier_fraction=0.25):
@@ -109,7 +110,8 @@ def _essential_scene(rng, n=60, outlier_fraction=0.25):
 def test_ransac_essential_recovers_model():
     rng = np.random.default_rng(55)
     xa, xb, e_true, clean = _essential_scene(rng)
-    e, inliers = ransac_essential(xa, xb, RansacParams(1000, 5e-4, 15, rng_seed=3))
+    e, inliers, reason = ransac_essential(xa, xb, RansacParams(1000, 5e-4, 15, rng_seed=3))
+    assert reason is None
     assert abs(float(np.sum(e * e_true))) > 1.0 - 1e-6
     assert set(clean).issubset(set(inliers))
     assert np.all(sampson_error(e, xa[inliers], xb[inliers]) < 5e-4)
@@ -119,20 +121,142 @@ def test_ransac_essential_deterministic():
     rng = np.random.default_rng(56)
     xa, xb, _, _ = _essential_scene(rng)
     p = RansacParams(1000, 5e-4, 15, rng_seed=7)
-    e1, in1 = ransac_essential(xa, xb, p)
-    e2, in2 = ransac_essential(xa, xb, p)
+    e1, in1, _ = ransac_essential(xa, xb, p)
+    e2, in2, _ = ransac_essential(xa, xb, p)
     assert np.array_equal(e1, e2)
     assert np.array_equal(in1, in2)
 
 
 def test_ransac_essential_failure_paths():
-    with pytest.raises(InsufficientDataError):
-        ransac_essential(np.zeros((4, 2)), np.zeros((4, 2)))
+    result = ransac_essential(np.zeros((4, 2)), np.zeros((4, 2)), RansacParams(1000, 5e-4, 15))
+    assert result.failure_reason == "insufficient matches"
+    assert result.model is None and len(result.inliers) == 0
     rng = np.random.default_rng(57)
     xa = rng.uniform(-1, 1, size=(20, 2))
     xb = rng.uniform(-1, 1, size=(20, 2))
-    with pytest.raises(EstimationFailedError, match="estimation failed"):
-        ransac_essential(xa, xb, RansacParams(50, 1e-9, 15, rng_seed=4))
+    result = ransac_essential(xa, xb, RansacParams(50, 1e-9, 15, rng_seed=4))
+    assert result.failure_reason == "estimation failed"
+    assert result.model is None and len(result.inliers) == 0
+
+
+def _reference_ransac_essential(x_a, x_b, params):
+    """(E, inliers, failure reason, best inlier count, iterations run, raised
+    samples) of the one-sample-per-iteration loop, calling five_point_essential
+    once per sample; E and inliers are None where it fails."""
+    from semloc.errors import SemlocError
+    from semloc.geometry import five_point_essential
+    from semloc.geometry.ransac import _iterations_needed
+
+    xa = np.asarray(x_a, dtype=float).reshape(-1, 2)
+    xb = np.asarray(x_b, dtype=float).reshape(-1, 2)
+    n = xa.shape[0]
+    if n < 5:
+        return None, None, "insufficient matches", 0, 0, 0
+
+    rng = np.random.default_rng(params.rng_seed)
+    best_e = None
+    best_count = raised = 0
+    iteration = -1
+    for iteration in range(params.max_iterations):
+        idx = rng.choice(n, size=5, replace=False)
+        try:
+            candidates = five_point_essential(xa[idx], xb[idx])
+        except SemlocError:
+            raised += 1
+            continue
+        for e in candidates:
+            count = int(np.sum(sampson_error(e, xa, xb) < params.inlier_threshold))
+            if count > best_count:
+                best_count = count
+                best_e = e
+        if best_e is not None and iteration + 1 >= _iterations_needed(best_count / n, 5):
+            break
+
+    if best_e is None or best_count < params.min_inliers:
+        return None, None, "estimation failed", best_count, iteration + 1, raised
+    inliers = np.flatnonzero(sampson_error(best_e, xa, xb) < params.inlier_threshold)
+    return best_e, inliers, None, best_count, iteration + 1, raised
+
+
+def test_chunked_ransac_essential_equals_the_reference_loop():
+    """E bits, inliers and failures of the chunked driver equal the
+    per-iteration loop's on problems with outliers, the 1000-iteration cap, a
+    min_inliers failure, fewer than 5 pairs and duplicate pairs whose samples
+    make five_point_essential raise."""
+    rng = np.random.default_rng(58)
+    seen = {"cap": 0, "raised": 0, "too few inliers": 0, "too few pairs": 0, "solved": 0}
+    problems = [(60, 0.25), (24, 0.5), (40, 0.75), (30, 0.2), (8, 0.0), (50, 0.4)]
+    for trial, (n, outliers) in enumerate(problems):
+        xa, xb, _, _ = _essential_scene(rng, n=n, outlier_fraction=outliers)
+        if trial % 2:
+            xa[: len(xa) // 2], xb[: len(xb) // 2] = xa[0], xb[0]  # duplicate pairs
+        for rows in (len(xa), 4):
+            params = RansacParams(1000, 5e-4, 15, rng_seed=trial)
+            e_ref, in_ref, reason_ref, best_count, iterations, raised = (
+                _reference_ransac_essential(xa[:rows], xb[:rows], params)
+            )
+            seen["cap"] += iterations == params.max_iterations
+            seen["raised"] += raised > 0
+            seen["too few pairs"] += reason_ref == "insufficient matches"
+            seen["too few inliers"] += reason_ref == "estimation failed" and best_count > 0
+            seen["solved"] += reason_ref is None
+            e, inliers, reason = ransac_essential(xa[:rows], xb[:rows], params)
+            assert reason == reason_ref
+            if reason is None:
+                assert np.array_equal(e, e_ref)
+                assert np.array_equal(inliers, in_ref)
+            else:
+                assert e is None and len(inliers) == 0
+    assert all(seen.values()), seen
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_estimators_return_a_result_and_never_raise(data):
+    """On finite inputs of 0-40 rows, scenes with outliers or pure noise, with
+    duplicated rows, both estimators return a result: a named failure with
+    no model and no inliers, or a model whose inliers all lie below the
+    threshold under it."""
+    from semloc.geometry import CameraIntrinsics
+
+    intrinsics = CameraIntrinsics(fx=400.0, fy=400.0, cx=320.0, cy=240.0, width=640, height=480)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    n = data.draw(st.integers(0, 40), label="rows")
+    duplicates = data.draw(st.integers(0, n), label="duplicates")
+    outliers = data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]), label="outliers")
+    params = RansacParams(
+        max_iterations=data.draw(st.integers(1, 60), label="max_iterations"),
+        min_inliers=data.draw(st.integers(0, 15), label="min_inliers"),
+        rng_seed=int(rng.integers(1000)),
+    )
+
+    _, points, pixels, _ = _pnp_scene(rng, n=n, outlier_fraction=outliers, noise=0.5)
+    points[:duplicates], pixels[:duplicates] = points[-1:], pixels[-1:]
+    pose, inliers, reason = ransac_pnp(pixels, points, intrinsics, params)
+    assert reason in (None, "insufficient matches", "localization failed")
+    assert (reason == "insufficient matches") == (n < 4)
+    if reason is None:
+        cam = pose.transform(points[inliers])
+        assert np.all(cam[:, 2] > 1e-9)
+        errors = np.hypot(
+            intrinsics.fx * cam[:, 0] / cam[:, 2] + intrinsics.cx - pixels[inliers, 0],
+            intrinsics.fy * cam[:, 1] / cam[:, 2] + intrinsics.cy - pixels[inliers, 1],
+        )
+        assert np.all(errors < params.inlier_threshold)
+    else:
+        assert pose is None and len(inliers) == 0
+
+    xa, xb, _, _ = _essential_scene(rng, n=n, outlier_fraction=outliers)
+    rows = len(xa)
+    xa[: min(duplicates, rows)], xb[: min(duplicates, rows)] = xa[-1:], xb[-1:]
+    params = RansacParams(params.max_iterations, 5e-4, params.min_inliers, params.rng_seed)
+    e, inliers, reason = ransac_essential(xa, xb, params)
+    assert reason in (None, "insufficient matches", "estimation failed")
+    assert (reason == "insufficient matches") == (rows < 5)
+    if reason is None:
+        assert np.all(sampson_error(e, xa, xb)[inliers] < params.inlier_threshold)
+    else:
+        assert e is None and len(inliers) == 0
 
 
 # ------------------------------------------------------------------ refine
@@ -443,8 +567,8 @@ def _reference_p3p_solve(bearings, points):
 def _reference_ransac_pnp(pixels, points, intrinsics, params):
     """(pose, inliers, best inlier count, iterations run, degenerate samples)
     of the one-sample-per-iteration loop, solving each sample alone with
-    p3p_solve; pose and inliers are None where ransac_pnp raises
-    EstimationFailedError."""
+    p3p_solve; pose and inliers are None where ransac_pnp fails with
+    "localization failed"."""
     from semloc.geometry import p3p_solve
     from semloc.geometry.ransac import _bearings, _iterations_needed, _reprojection_errors
 
@@ -645,11 +769,13 @@ def test_chunked_ransac_pnp_equals_the_reference_loop(intrinsics):
         seen["degenerate"] += degenerate > 0
         if ref_pose is None:
             seen["too few inliers"] += best_count > 0
-            with pytest.raises(EstimationFailedError, match="localization failed"):
-                ransac_pnp(pixels, points, intrinsics, params)
+            assert ransac_pnp(pixels, points, intrinsics, params).failure_reason == (
+                "localization failed"
+            )
             continue
         seen["solved"] += 1
-        pose, inliers = ransac_pnp(pixels, points, intrinsics, params)
+        pose, inliers, reason = ransac_pnp(pixels, points, intrinsics, params)
+        assert reason is None
         assert np.array_equal(pose.rotation, ref_pose.rotation)
         assert np.array_equal(pose.translation, ref_pose.translation)
         assert np.array_equal(inliers, ref_inliers)
@@ -684,10 +810,10 @@ def test_a_ransac_batch_solves_each_round_in_one_call(intrinsics, monkeypatch):
     calls.clear()
     batch = ransac_module.ransac_pnp_batch(problems, intrinsics)
     assert len(calls) == max(alone_calls) < sum(alone_calls)
-    assert None in batch and any(result is not None for result in batch)
+    assert any(r.failure_reason for r in batch) and any(r.failure_reason is None for r in batch)
     for result, reference in zip(batch, alone):
-        assert (result is None) == (reference is None)
-        if result is not None:
+        assert result.failure_reason == reference.failure_reason
+        if result.failure_reason is None:
             assert np.array_equal(result[0].rotation, reference[0].rotation)
             assert np.array_equal(result[0].translation, reference[0].translation)
             assert np.array_equal(result[1], reference[1])

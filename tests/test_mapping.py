@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from semloc.errors import DegenerateGeometryError, InsufficientDataError, MapFormatError
-from semloc.features import knn_ratio_match
+from semloc.features import DEFAULT_RATIO, knn_ratio_match
 from semloc.geometry import CameraIntrinsics, Pose, project, project_points, triangulate_two_view
 from semloc.mapping import (
     Keyframe,
@@ -26,7 +26,12 @@ from semloc.mapping import (
     rank_by_similarity,
     save_map,
 )
-from semloc.mapping.build import _select_pairs
+from semloc.mapping.build import (
+    _MAX_REPROJECTION_PX,
+    _RETRIEVED_PAIRS,
+    _VOCABULARY_SEED,
+    _select_pairs,
+)
 from semloc.mapping.vocabulary import _kmeans_pp_init, _nearest_centroid
 from semloc.pipelines import most_similar
 from semloc.semantics import (
@@ -576,7 +581,7 @@ def test_landmarks_reproject_within_build_threshold():
             source = int(
                 np.argmin(np.linalg.norm(descriptors - sparse_map.descriptors[lm_id], axis=1))
             )
-            assert np.linalg.norm(pixel - obs[source]) < config.max_reprojection_px
+            assert np.linalg.norm(pixel - obs[source]) < _MAX_REPROJECTION_PX
 
 
 def test_semantic_map_not_larger_than_baseline_map():
@@ -676,19 +681,19 @@ def _reference_landmarks(frames, config):
     features = [f.features.labeled() if config.semantic else f.features for f in frames]
     total = sum(len(f.descriptors) for f in features)
     vocabulary = build_vocabulary(
-        [f.descriptors for f in features], min(config.vocabulary_k, total), config.vocabulary_seed
+        [f.descriptors for f in features], min(config.vocabulary_k, total), _VOCABULARY_SEED
     )
     bows = [bow_vector(f.descriptors, vocabulary) for f in features]
 
     edges = []
-    for i, j in _select_pairs(bows, config.retrieved_pairs):
+    for i, j in _select_pairs(bows, _RETRIEVED_PAIRS):
         fi, fj = features[i], features[j]
         if config.semantic:
             matches = match_per_class(
-                fi.descriptors, fi.labels, fj.descriptors, fj.labels, config.match_ratio
+                fi.descriptors, fi.labels, fj.descriptors, fj.labels, DEFAULT_RATIO
             )
         else:
-            matches = knn_ratio_match(fi.descriptors, fj.descriptors, config.match_ratio)
+            matches = knn_ratio_match(fi.descriptors, fj.descriptors, DEFAULT_RATIO)
         for qi, ti in zip(matches.query_index.tolist(), matches.train_index.tolist()):
             try:
                 point, residual = triangulate_two_view(
@@ -697,7 +702,7 @@ def _reference_landmarks(frames, config):
                 )
             except DegenerateGeometryError:
                 continue
-            if residual < config.max_reprojection_px:
+            if residual < _MAX_REPROJECTION_PX:
                 edges.append(((i, qi), (j, ti), point))
 
     merged = _UnionFind()
@@ -722,7 +727,7 @@ def _reference_landmarks(frames, config):
         try:
             if any(
                 np.linalg.norm(project(frames[fi].pose, INTRINSICS, position)
-                               - features[fi].coordinates[ki]) >= config.max_reprojection_px
+                               - features[fi].coordinates[ki]) >= _MAX_REPROJECTION_PX
                 for fi, ki in nodes
             ):
                 continue

@@ -12,7 +12,6 @@ from semloc.geometry.epipolar import relative_motion
 from semloc.mapping import MapBuildConfig, MapFrameInput, build_map
 from semloc.mapping.vocabulary import bow_vector
 from semloc.pipelines import (
-    RelocalizationParams,
     SemanticMode,
     candidate_matches,
     dedup_matches,
@@ -26,6 +25,7 @@ from semloc.pipelines import (
     relocalize_frames,
 )
 from semloc.pipelines.frames import FeatureObservation
+from semloc.pipelines.relocalize import _PNP
 from semloc.semantics import UNLABELED, DetectionSet
 from semloc.simworld import (
     DEFAULT_INTRINSICS,
@@ -146,7 +146,7 @@ def test_relocalize_unperturbed_accurate_all_modes(scene):
             attempted += 1
             assert _position_error(result.pose, frame.pose) < 0.05
             assert rotation_error_deg(result.pose.rotation, frame.pose.rotation) < 2.0
-            assert result.inlier_count >= RelocalizationParams().min_inliers
+            assert result.inlier_count >= _PNP.min_inliers
             assert result.failure_reason is None
     assert attempted >= 9  # nearly every (frame, mode) attempt must localize
 
@@ -217,15 +217,12 @@ def test_relocalize_inliers_reproject_below_threshold(scene):
     from semloc.geometry.refine import reprojection_residuals
 
     _, semantic_map, baseline_map, eval_frames = scene
-    params = RelocalizationParams()
     checked = 0
     for frame in eval_frames[::4]:
         all_features = frame_features(frame)
         for mode in SemanticMode:
             sparse_map = _map_for_mode(mode, semantic_map, baseline_map)
-            result = relocalize(
-                sparse_map, frame.frame_id, all_features, INTRINSICS, mode, params
-            )
+            result = relocalize(sparse_map, frame.frame_id, all_features, INTRINSICS, mode)
             if result.pose is None:
                 continue
             features = mode_features(all_features, mode)
@@ -235,7 +232,7 @@ def test_relocalize_inliers_reproject_below_threshold(scene):
                 result.pose, INTRINSICS, points, pixels
             ).reshape(-1, 2)
             errors = np.linalg.norm(residuals, axis=1)
-            assert (errors[list(result.inlier_indices)] < params.inlier_threshold_px).all()
+            assert (errors[list(result.inlier_indices)] < _PNP.inlier_threshold).all()
             checked += 1
     assert checked >= 6
 
@@ -245,7 +242,6 @@ def _same_localization(a, b):
     assert a.candidate_ids == b.candidate_ids
     assert np.array_equal(a.matches, b.matches)
     assert (a.inlier_count, a.inlier_indices) == (b.inlier_count, b.inlier_indices)
-    assert a.map_fully_labeled == b.map_fully_labeled
     assert (a.pose is None) == (b.pose is None)
     if a.pose is not None:
         assert np.array_equal(a.pose.rotation, b.pose.rotation)
