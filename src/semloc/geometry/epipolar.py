@@ -58,9 +58,11 @@ def sampson_error(e: np.ndarray, x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray
     """First-order geometric (Sampson) distance in normalized coordinates.
 
     Accepts single points (2,) or stacked points (n, 2) and returns a float
-    or an (n,) array accordingly.  Where the epipolar-line gradients vanish
-    (points at the epipoles) the algebraic residual is returned instead; use
-    sampson_error_flagged to observe that fallback.
+    or an (n,) array accordingly.  A stack of matrices (M, 3, 3) with n >= 2
+    points gives (M, n) rows, each bitwise equal to its one-matrix call.
+    Where the epipolar-line gradients vanish (points at the epipoles) the
+    algebraic residual is returned instead; use sampson_error_flagged to
+    observe that fallback.
     """
     value, _ = sampson_error_flagged(e, x_a, x_b)
     return value
@@ -75,11 +77,12 @@ def sampson_error_flagged(
     ha = np.atleast_2d(_homogeneous(x_a))
     hb = np.atleast_2d(_homogeneous(x_b))
 
-    line_b = ha @ e.T        # E @ x_a, rows
-    line_a = hb @ e          # E^T @ x_b, rows
-    algebraic = np.einsum("ij,ij->i", hb, line_b)
-    denom = line_b[:, 0] ** 2 + line_b[:, 1] ** 2 + line_a[:, 0] ** 2 + line_a[:, 1] ** 2
-
+    line_b = ha @ np.swapaxes(e, -1, -2)  # E @ x_a, rows
+    line_a = hb @ e  # E^T @ x_b, rows
+    # (n, 3) rows per matrix, summed as the one-matrix call sums them
+    rows = np.broadcast_to(hb, line_b.shape).reshape(-1, 3)
+    algebraic = np.einsum("ij,ij->i", rows, line_b.reshape(-1, 3)).reshape(line_b.shape[:-1])
+    denom = line_b[..., 0] ** 2 + line_b[..., 1] ** 2 + line_a[..., 0] ** 2 + line_a[..., 1] ** 2
     degenerate = denom < _DEGENERATE_DENOM
     safe = np.where(degenerate, 1.0, denom)
     value = np.where(degenerate, np.abs(algebraic), np.abs(algebraic) / np.sqrt(safe))

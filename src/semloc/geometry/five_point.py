@@ -1,23 +1,28 @@
-"""Minimal five-point essential-matrix solver.
+"""Minimal five-point essential-matrix solver (Nister, PAMI 2004).
 
-Pipeline: the 4-dimensional nullspace of the 5x9 epipolar constraint matrix
-parameterizes E = x*B0 + y*B1 + z*B2 + B3.  The determinant constraint and
-the nine entries of 2*E*E^T*E - trace(E*E^T)*E give ten cubic equations in
-(x, y, z); their coefficients are assembled numerically over the 20-monomial
-basis of degree <= 3.  Eliminating the ten pure cubic monomials yields a
-10x10 action matrix for multiplication by z on the degree <= 2 monomial
-basis, whose eigenvectors evaluate the solutions.  Candidates are polished
-with a few Newton steps on the cubic system and filtered against the
-essential-matrix constraints before being returned.
+The 4-dimensional nullspace of the 5x9 epipolar constraint matrix
+parameterizes E = x*B0 + y*B1 + z*B2 + B3.  det(E) and the nine entries of
+(E*E^T - trace(E*E^T)/2)*E give ten cubics in (x, y, z); eliminating their
+ten pure cubic monomials yields a 10x10 action matrix for multiplication by
+z, whose eigenvectors evaluate the solutions.  Candidates are polished by
+Gauss-Newton and filtered against the essential-matrix constraints.
+
+A (K, 5, 2) stack is solved with one SVD, one solve, one eig and one QR per
+Gauss-Newton step; the polynomial algebra is elementwise, every dot product
+a rowdot, and Gauss-Newton stops row by row, so a sample's candidates are
+bitwise the same whatever it is stacked with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateGeometryError, InsufficientDataError
+from ..errors import InsufficientDataError
+from .pose import repeated, rowdot
 
 _CONSTRAINT_TOL = 1e-8
+_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
+_XYZ = np.arange(3)
 
 # monomial columns: x3 x2y x2z xy2 xyz xz2 y3 y2z yz2 z3 | x2 xy xz y2 yz z2 x y z 1
 _MONO_EXP = [
@@ -26,151 +31,151 @@ _MONO_EXP = [
     (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
     (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0),
 ]
-_MONO_INDEX = {exp: i for i, exp in enumerate(_MONO_EXP)}
+_EXP = np.array(_MONO_EXP)
+# A fixed generic rotation of the nullspace basis: a Householder reflection
+# along (1, sqrt 2, sqrt 3, sqrt 5).  Exact structured data, such as a pure
+# translation, can give a solution with no B3 part, at infinity in x, y, z.
+_AXIS = np.sqrt([1.0, 2.0, 3.0, 5.0])
+_MIX = np.eye(4) - 2.0 * np.outer(_AXIS, _AXIS) / (_AXIS @ _AXIS)
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray]:
-    """(64, 20) one-hot map from ordered variable triples (m,n,p) to monomials."""
-    one_hot = np.zeros((64, 20))
-    for m in range(4):
-        for n in range(4):
-            for p in range(4):
-                exp = [0, 0, 0]
-                for v in (m, n, p):
-                    if v < 3:
-                        exp[v] += 1
-                one_hot[m * 16 + n * 4 + p, _MONO_INDEX[tuple(exp)]] = 1.0
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        eps[i, j, k] = 1.0
-    for i, j, k in [(0, 2, 1), (2, 1, 0), (1, 0, 2)]:
-        eps[i, j, k] = -1.0
-    return one_hot, eps
+def _product_table(width: int) -> np.ndarray:
+    """(2, out, 3) coefficient pairs (i, j) of a polynomial over the last
+    `width` monomials and a linear one whose products make up each monomial
+    of their product, padded with (width, 0), a zero coefficient."""
+    degree = max(map(sum, _MONO_EXP[-width:])) + 1
+    out = [exp for exp in _MONO_EXP if sum(exp) <= degree]
+    pairs = [[] for _ in out]
+    for i, a in enumerate(_MONO_EXP[-width:]):
+        for j, b in enumerate(_MONO_EXP[-4:]):
+            pairs[out.index(tuple(np.add(a, b)))].append((i, j))
+    return np.array([p + [(width, 0)] * (3 - len(p)) for p in pairs]).transpose(2, 0, 1)
 
 
-_ONE_HOT, _LEVI_CIVITA = _build_tables()
+_TIMES_LINEAR = {width: _product_table(width) for width in (4, 10)}
 
 
-def _monomials(x: float, y: float, z: float) -> np.ndarray:
-    return np.array([x**a * y**b * z**c for a, b, c in _MONO_EXP])
+def _times_linear(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Product of polynomials p (..., 4 or 10) and linear q (..., 4), the
+    terms of each monomial added in a fixed order."""
+    i, j = _TIMES_LINEAR[p.shape[-1]]
+    terms = np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1)[..., i] * q[..., j]
+    return terms[..., 0] + terms[..., 1] + terms[..., 2]
 
 
-def _monomial_jacobian(x: float, y: float, z: float) -> np.ndarray:
-    jac = np.zeros((20, 3))
-    for i, (a, b, c) in enumerate(_MONO_EXP):
-        if a:
-            jac[i, 0] = a * x ** (a - 1) * y**b * z**c
-        if b:
-            jac[i, 1] = x**a * b * y ** (b - 1) * z**c
-        if c:
-            jac[i, 2] = x**a * y**b * c * z ** (c - 1)
-    return jac
+def _constraint_matrices(basis: np.ndarray) -> np.ndarray:
+    """(K, 10, 20) coefficients of det(E) and of the nine entries of
+    (E E^T - trace(E E^T) / 2) E, for the (K, 4, 3, 3) nullspace bases."""
+    e = np.moveaxis(basis, 1, -1)  # (K, 3, 3, 4): each entry linear in x, y, z, 1
+    cross = _times_linear(e[:, 1, _NEXT], e[:, 2, _LAST])
+    cross -= _times_linear(e[:, 1, _LAST], e[:, 2, _NEXT])
+    det = sum(_times_linear(cross[:, k], e[:, 0, k]) for k in range(3))
+    eet = sum(_times_linear(e[:, :, None, k], e[:, None, :, k]) for k in range(3))
+    eet[:, _XYZ, _XYZ] -= 0.5 * (eet[:, 0, 0] + eet[:, 1, 1] + eet[:, 2, 2])[:, None]
+    trace = sum(_times_linear(eet[:, :, j, None], e[:, None, j]) for j in range(3))
+    return np.concatenate([det[:, None], trace.reshape(-1, 9, 20)], axis=1)
 
 
-def _constraint_matrix(basis: np.ndarray) -> np.ndarray:
-    """(10, 20) coefficients of det(E) and the trace constraint over the monomials."""
-    # det(E) as a cubic form over the 4 basis matrices
-    det_t = np.einsum(
-        "ijk,mi,nj,pk->mnp",
-        _LEVI_CIVITA,
-        basis[:, 0, :],
-        basis[:, 1, :],
-        basis[:, 2, :],
-    )
-    det_row = det_t.reshape(64) @ _ONE_HOT
-
-    # 2 E E^T E - trace(E E^T) E, entry (i, l), cubic form over (m, n, p)
-    eet = np.einsum("mij,nkj,pkl->mnpil", basis, basis, basis)
-    gram = np.einsum("mij,nij->mn", basis, basis)
-    trace_term = np.einsum("mn,pil->mnpil", gram, basis)
-    c_t = 2.0 * eet - trace_term
-    c_rows = c_t.reshape(64, 9).T @ _ONE_HOT
-    return np.vstack([det_row, c_rows])
+def _monomials(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (M, 20) monomials at the (M, 3) points and their (M, 20, 3)
+    Jacobian, from the exponent table."""
+    powers = np.stack([np.ones_like(xyz), xyz, xyz * xyz, xyz * xyz * xyz], axis=-1)
+    f0, f1, f2 = np.moveaxis(powers[:, _XYZ, _EXP], -1, 0)  # x^a, y^b, z^c
+    d0, d1, d2 = np.moveaxis(_EXP * powers[:, _XYZ, np.maximum(_EXP - 1, 0)], -1, 0)
+    return f0 * f1 * f2, np.stack([d0 * f1 * f2, f0 * d1 * f2, f0 * f1 * d2], axis=-1)
 
 
-def _essential_residuals(e: np.ndarray, ha: np.ndarray, hb: np.ndarray) -> tuple[float, float, float]:
-    det = abs(float(np.linalg.det(e)))
-    trace_c = 2.0 * e @ e.T @ e - np.trace(e @ e.T) * e
-    trace_norm = float(np.linalg.norm(trace_c))
-    epipolar = float(np.max(np.abs(np.einsum("ij,jk,ik->i", hb, e, ha))))
-    return det, trace_norm, epipolar
+def _polish(xyz: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Three Gauss-Newton steps on the ten cubic equations m (M, 10, 20), one
+    stacked QR per step.  A row stops before a non-finite step, or after a
+    step shorter than 1e-14."""
+    live = np.ones(len(xyz), dtype=bool)
+    for _ in range(3):
+        rows = np.flatnonzero(live)
+        mono, mono_jac = _monomials(xyz[rows])
+        q, r = np.linalg.qr(rowdot(m[rows][:, :, None], np.swapaxes(mono_jac, 1, 2)[:, None]))
+        b = -rowdot(np.swapaxes(q, 1, 2), rowdot(m[rows], mono[:, None])[:, None])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            d2 = b[:, 2] / r[:, 2, 2]
+            d1 = (b[:, 1] - r[:, 1, 2] * d2) / r[:, 1, 1]
+            d0 = (b[:, 0] - r[:, 0, 1] * d1 - r[:, 0, 2] * d2) / r[:, 0, 0]
+            delta = np.stack([d0, d1, d2], axis=1)
+            step = np.isfinite(delta).all(axis=1)
+            xyz[rows[step]] += delta[step]
+            live[rows] = step & (np.sqrt(rowdot(delta, delta)) >= 1e-14)
+    return xyz
 
 
-def five_point_essential(x_a: np.ndarray, x_b: np.ndarray) -> list[np.ndarray]:
-    """Essential-matrix candidates for five normalized correspondences.
+def coincident(x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray:
+    """Whether the five points of each (K, 5, 2) sample coincide in both
+    views, which leaves five_point_essential nothing to solve."""
+    return (np.ptp(x_a, axis=1).max(axis=1) < 1e-12) & (np.ptp(x_b, axis=1).max(axis=1) < 1e-12)
 
-    x_a, x_b: (n, 2) arrays with n >= 5; exactly the first five rows feed the
-    minimal solver.  Returns a list of unit-Frobenius-norm 3x3 candidates,
-    each satisfying det(E) = 0, the trace constraint, and the epipolar
-    constraint on the five inputs to within 1e-8.  The list may be empty.
+
+def five_point_essential(x_a: np.ndarray, x_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Essential-matrix candidates for each of K samples of five normalized
+    correspondences.
+
+    x_a, x_b: (K, 5, 2) stacks; fewer than five rows raise
+    InsufficientDataError.
+
+    Returns (owner (M,), essentials (M, 3, 3)): candidate m belongs to sample
+    owner[m].  Candidates are ordered by sample, have unit Frobenius norm
+    and satisfy det(E) = 0, the trace constraint and the epipolar constraint
+    on their five inputs to within 1e-8; a sample's later candidate that
+    repeats an earlier one is dropped.  A coincident sample owns no rows,
+    nor does one whose elimination is singular.  A sample's rows do not
+    depend on what else is stacked with it.
     """
-    xa = np.atleast_2d(np.asarray(x_a, dtype=float))
-    xb = np.atleast_2d(np.asarray(x_b, dtype=float))
-    if xa.shape[0] < 5 or xb.shape[0] < 5:
-        raise InsufficientDataError("five-point solver needs at least 5 correspondences")
-    xa, xb = xa[:5], xb[:5]
-    if np.ptp(xa, axis=0).max() < 1e-12 and np.ptp(xb, axis=0).max() < 1e-12:
-        raise DegenerateGeometryError("correspondences are coincident")
+    x_a = np.asarray(x_a, dtype=float)
+    x_b = np.asarray(x_b, dtype=float)
+    if x_a.ndim == 3 and x_a.shape[1] < 5:
+        raise InsufficientDataError("five-point solver needs 5 correspondences")
+    if x_a.shape[1:] != (5, 2) or x_b.shape != x_a.shape:
+        raise ValueError("five_point_essential takes (K, 5, 2) stacks")
 
-    ha = np.hstack([xa, np.ones((5, 1))])
-    hb = np.hstack([xb, np.ones((5, 1))])
-    q = np.einsum("ni,nj->nij", hb, ha).reshape(5, 9)
-    _, _, vt = np.linalg.svd(q)
-    basis = vt[5:9].reshape(4, 3, 3)
+    solvable = np.flatnonzero(~coincident(x_a, x_b))
+    ones = np.ones((len(solvable), 5, 1))
+    ha = np.concatenate([x_a[solvable], ones], axis=2)
+    hb = np.concatenate([x_b[solvable], ones], axis=2)
+    _, _, vt = np.linalg.svd((hb[..., :, None] * ha[..., None, :]).reshape(-1, 5, 9))
+    basis = rowdot(_MIX[:, None], np.swapaxes(vt[:, 5:9], 1, 2)[:, None]).reshape(-1, 4, 3, 3)
 
-    m = _constraint_matrix(basis)
-    m = m / np.linalg.norm(m, axis=1, keepdims=True)
+    m = _constraint_matrices(basis)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m = m / np.sqrt(rowdot(m, m))[..., None]
+        # a zero pivot, or a vanishing constraint row, would stop the whole
+        # stacked solve: such a sample solves the identity and keeps nothing
+        dead = ~np.isfinite(np.linalg.slogdet(m[..., :10])[1])
+        m[dead] = np.eye(10, 20)
+        reduced = np.linalg.solve(m[..., :10], m[..., 10:])
+    action = np.zeros((len(solvable), 10, 10))
+    action[:, :6] = -reduced[:, [2, 4, 5, 7, 8, 9]]  # z times x^2, xy, xz, y^2, yz, z^2
+    action[:, [6, 7, 8, 9], [2, 4, 5, 8]] = 1.0  # z times x, y, z, 1
+    # complex even where a whole stack's eigenvalues are real, so that every
+    # sample divides as it would alone
+    vecs = np.linalg.eig(action)[1].astype(complex)
 
-    lead = m[:, :10]
-    tail = m[:, 10:]
-    try:
-        reduced = np.linalg.solve(lead, tail)
-    except np.linalg.LinAlgError:
-        reduced, *_ = np.linalg.lstsq(lead, tail, rcond=None)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sol = vecs[:, 6:9] / vecs[:, 9:10]  # (K, 3, 10): x, y, z of each eigenvector
+    real = np.abs(sol.imag).max(axis=1) <= 1e-6 * (1.0 + np.abs(sol.real).max(axis=1))
+    owner, col = np.nonzero((np.abs(vecs[:, 9]) >= 1e-12) & real & ~dead[:, None])
+    xyz = _polish(np.ascontiguousarray(sol.real[owner, :, col]), m[owner])
 
-    action = np.zeros((10, 10))
-    action[0] = -reduced[2]   # z * x^2 = x^2 z
-    action[1] = -reduced[4]   # z * xy  = xyz
-    action[2] = -reduced[5]   # z * xz  = xz^2
-    action[3] = -reduced[7]   # z * y^2 = y^2 z
-    action[4] = -reduced[8]   # z * yz  = yz^2
-    action[5] = -reduced[9]   # z * z^2 = z^3
-    action[6, 2] = 1.0        # z * x   = xz
-    action[7, 4] = 1.0        # z * y   = yz
-    action[8, 5] = 1.0        # z * z   = z^2
-    action[9, 8] = 1.0        # z * 1   = z
-
-    _, vecs = np.linalg.eig(action)
-
-    candidates: list[np.ndarray] = []
-    for col in range(10):
-        v = vecs[:, col]
-        if abs(v[9]) < 1e-12:
-            continue
-        sol = v[[6, 7, 8]] / v[9]
-        if np.max(np.abs(sol.imag)) > 1e-6 * (1.0 + np.max(np.abs(sol.real))):
-            continue
-        x, y, z = (float(s) for s in sol.real)
-        # Newton polish on the ten cubic equations
-        for _ in range(3):
-            r = m @ _monomials(x, y, z)
-            jac = m @ _monomial_jacobian(x, y, z)
-            delta, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-            if not np.all(np.isfinite(delta)):
-                break
-            x, y, z = x + delta[0], y + delta[1], z + delta[2]
-            if np.linalg.norm(delta) < 1e-14:
-                break
-        e = x * basis[0] + y * basis[1] + z * basis[2] + basis[3]
-        norm = np.linalg.norm(e)
-        if norm < 1e-12:
-            continue
-        e = e / norm
-        det, trace_norm, epipolar = _essential_residuals(e, ha, hb)
-        if det > _CONSTRAINT_TOL or trace_norm > _CONSTRAINT_TOL or epipolar > _CONSTRAINT_TOL:
-            continue
-        flat = e.reshape(9)
-        if any(abs(float(np.dot(flat, c.reshape(9)))) > 1.0 - 1e-10 for c in candidates):
-            continue
-        candidates.append(e)
-    return candidates
+    e = rowdot(np.moveaxis(basis[owner], 1, -1), np.hstack([xyz, ones[owner, 0]])[:, None, None])
+    norm = np.sqrt(rowdot(e.reshape(-1, 9), e.reshape(-1, 9)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = e / norm[:, None, None]
+    eet = rowdot(e[:, :, None], e[:, None])
+    eet[:, _XYZ, _XYZ] -= 0.5 * (eet[:, 0, 0] + eet[:, 1, 1] + eet[:, 2, 2])[:, None]
+    trace = rowdot(eet[:, :, None], np.swapaxes(e, 1, 2)[:, None]).reshape(-1, 9)
+    epipolar = rowdot(hb[owner], rowdot(e[:, None], ha[owner][:, :, None]))
+    kept = np.flatnonzero(
+        (norm >= 1e-12)
+        & (np.abs(np.linalg.det(e)) <= _CONSTRAINT_TOL)
+        & (2.0 * np.sqrt(rowdot(trace, trace)) <= _CONSTRAINT_TOL)
+        & (np.abs(epipolar).max(axis=1, initial=0.0) <= _CONSTRAINT_TOL)
+    )
+    flat = e[kept].reshape(-1, 9)
+    kept = kept[~repeated(owner[kept], lambda i, j: np.abs(rowdot(flat[i], flat[j])) > 1 - 1e-10)]
+    return solvable[owner[kept]], e[kept]

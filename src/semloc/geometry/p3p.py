@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pose import rotation_defects
+from .pose import repeated, rotation_defects
 
 _COLLINEAR_AREA = 1e-9
 _ALIGN_TOL = 1e-6
@@ -214,23 +214,13 @@ def _misaligned(rotations, translations, bearings, points) -> np.ndarray:
     return behind | (angle > _ALIGN_TOL)
 
 
-def _duplicates(owner, rotations, translations) -> np.ndarray:
-    """Whether each accepted pose repeats an earlier kept pose of its
-    instance.  An instance's candidates are contiguous, so each is compared
-    only with the earlier ones of its own run."""
-    _, starts, sizes = np.unique(owner, return_index=True, return_counts=True)
-    rank = np.arange(len(owner)) - np.repeat(starts, sizes)
-    duplicate = np.zeros(len(owner), dtype=bool)
-    # rank by rank, so every earlier verdict is final when it is read
-    for r in range(1, sizes.max(initial=1)):
-        later = np.flatnonzero(rank == r)
-        for earlier in later[None] - np.arange(1, r + 1)[:, None]:
-            close = (np.abs(rotations[later] - rotations[earlier]).max(axis=(1, 2)) < 1e-6) & (
-                np.abs(translations[later] - translations[earlier]).max(axis=1)
-                < 1e-6 * (1.0 + np.abs(translations[earlier]).max(axis=1))
-            )
-            duplicate[later] |= close & ~duplicate[earlier]
-    return duplicate
+def _same_pose(rotations, translations, later, earlier) -> np.ndarray:
+    """Whether the candidates at later and earlier agree to within 1e-6
+    (translation relative to the earlier one's size)."""
+    return (np.abs(rotations[later] - rotations[earlier]).max(axis=(1, 2)) < 1e-6) & (
+        np.abs(translations[later] - translations[earlier]).max(axis=1)
+        < 1e-6 * (1.0 + np.abs(translations[earlier]).max(axis=1))
+    )
 
 
 def p3p_solve(bearings: np.ndarray, points: np.ndarray) -> tuple:
@@ -274,5 +264,6 @@ def p3p_solve(bearings: np.ndarray, points: np.ndarray) -> tuple:
     rejected = rotation_defects(rotations)[1]
     kept = np.flatnonzero(~np.isin(owner, owner[rejected]))
     kept = kept[~_misaligned(rotations[kept], translations[kept], f[kept], points[kept])]
-    kept = kept[~_duplicates(owner[kept], rotations[kept], translations[kept])]
+    r, t = rotations[kept], translations[kept]
+    kept = kept[~repeated(owner[kept], lambda later, earlier: _same_pose(r, t, later, earlier))]
     return solvable[owner[kept]], rotations[kept], translations[kept]

@@ -35,6 +35,21 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def repeated(owner: np.ndarray, close) -> np.ndarray:
+    """Whether each candidate repeats an earlier kept candidate of its owner
+    (M,), sorted; close(later, earlier) says, for two index arrays, which of
+    those candidate pairs are the same."""
+    _, starts, sizes = np.unique(owner, return_index=True, return_counts=True)
+    rank = np.arange(len(owner)) - np.repeat(starts, sizes)
+    duplicate = np.zeros(len(owner), dtype=bool)
+    # rank by rank, so every earlier verdict is final when it is read
+    for r in range(1, sizes.max(initial=1)):
+        later = np.flatnonzero(rank == r)
+        for earlier in later[None] - np.arange(1, r + 1)[:, None]:
+            duplicate[later] |= close(later, earlier) & ~duplicate[earlier]
+    return duplicate
+
+
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix such that skew(a) @ b == cross(a, b); (..., 3) -> (..., 3, 3)."""
     v = np.asarray(v, dtype=float)

@@ -3,14 +3,13 @@ solvers."""
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import SemlocError
-from .five_point import five_point_essential
+from .five_point import coincident, five_point_essential
 from .p3p import p3p_solve
 from .pose import CameraIntrinsics, Pose
 from .epipolar import sampson_error
@@ -25,9 +24,9 @@ _NO_INLIERS = np.empty(0, dtype=np.intp)
 class RansacParams:
     """Settings of one robust estimation; rng_seed fixes the sample stream."""
 
-    max_iterations: int = 500
-    inlier_threshold: float = 3.0
-    min_inliers: int = 12
+    max_iterations: int
+    inlier_threshold: float
+    min_inliers: int
     rng_seed: int = 0
 
 
@@ -90,44 +89,22 @@ def _reprojection_errors(
     )
 
 
-def _score_chunk(
-    owner: np.ndarray,
-    rotations: np.ndarray,
-    translations: np.ndarray,
-    probes: np.ndarray,
-    intrinsics: CameraIntrinsics,
-    points: np.ndarray,
-    pixels: np.ndarray,
-    threshold: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each sample of a chunk that owns candidate poses: the candidate
-    with the least reprojection error at the sample's fourth match (the first
-    on a tie) and its inlier count.  owner, rotations and translations are
-    p3p_solve's output; returns (sample positions, candidate rows, counts)."""
-    solved, starts, sizes = np.unique(owner, return_index=True, return_counts=True)
-    if not solved.size:
-        return solved, starts, sizes
-    probe = probes[owner]
-    probe_err = _stacked_reprojection_errors(
-        rotations, translations, intrinsics, points[probe][:, None], pixels[probe][:, None]
-    )[:, 0]
-    # one row per sample, padded with inf: argmin keeps the first minimum
-    rank = np.repeat(np.arange(len(solved)), sizes)
-    grid = np.full((len(solved), sizes.max()), np.inf)
-    grid[rank, np.arange(len(owner)) - starts[rank]] = probe_err
-    chosen = starts + np.argmin(grid, axis=1)
-    errors = _stacked_reprojection_errors(
-        rotations[chosen], translations[chosen], intrinsics, points, pixels
-    )
-    return solved, chosen, np.sum(errors < threshold, axis=1)
+def _first_min(owner: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each sample that owns rows of a chunk, its row of least value, the
+    first on a tie; returns (sample positions, rows)."""
+    order = np.lexsort((values, owner))  # stable, so a tie keeps row order
+    first = order[np.unique(owner[order], return_index=True)[1]]
+    return owner[first], first
 
 
 class _Search:
     """One problem of a lockstep RANSAC batch: its sample stream, its best
     model so far and its adaptive stop.  A kind of problem sets its sample
-    size, stop rule and failure reason, and supplies solve(searches, chunks),
-    each chunk's scored samples (position, inlier count, model) in draw
-    order, and finish(best), the final model and its per-match errors."""
+    size, stop rule and failure reason, and supplies solve, its stacked
+    minimal solver (returning owner, *candidates); inputs(samples), a chunk's
+    solver input; score(samples, owner, *candidates), the chunk's scored
+    samples (position, inlier count, model) in draw order; and finish(best),
+    the final model and its per-match errors."""
 
     sample_size: int
     stop_every_sample: bool  # else the stop is tested only when the best count rises
@@ -181,12 +158,19 @@ class _Search:
 
 def _lockstep(searches: Sequence[_Search]) -> list[RansacResult]:
     """Run searches of one kind in lockstep until each converges or reaches
-    its cap: every round draws a chunk for each live search, solves the
-    round and walks each chunk."""
+    its cap: every round draws a chunk for each live search, solves all the
+    chunks in one call of the kind's solver, whose rows do not depend on
+    what is stacked with them, and walks each chunk's scored samples."""
     live = [search for search in searches if search.live]
     while live:
         chunks = [search.draw() for search in live]
-        for search, samples, scored in zip(live, chunks, type(live[0]).solve(live, chunks)):
+        inputs = zip(*(search.inputs(samples) for search, samples in zip(live, chunks)))
+        owner, *candidates = type(live[0]).solve(*map(np.concatenate, inputs))
+        offsets = np.cumsum([0] + [len(samples) for samples in chunks])
+        bounds = np.searchsorted(owner, offsets)
+        for j, (search, samples) in enumerate(zip(live, chunks)):
+            rows = slice(bounds[j], bounds[j + 1])
+            scored = search.score(samples, owner[rows] - offsets[j], *(c[rows] for c in candidates))
             search.walk(len(samples), scored)
         live = [search for search in live if search.live]
     return [search.result() for search in searches]
@@ -209,27 +193,29 @@ class _PnpSearch(_Search):
         super().__init__(len(self.pixels), params)
 
     @staticmethod
-    def solve(searches, chunks) -> Iterator[Iterable[tuple[int, int, tuple]]]:
-        """The whole round in one p3p_solve call, whose rows do not depend on
-        what is stacked with them; a degenerate sample owns no rows."""
-        owner, rotations, translations = p3p_solve(
-            np.concatenate([s.bearings[c[:, :3]] for s, c in zip(searches, chunks)]),
-            np.concatenate([s.points[c[:, :3]] for s, c in zip(searches, chunks)]),
+    def solve(bearings, points):
+        return p3p_solve(bearings, points)
+
+    def inputs(self, samples):
+        return self.bearings[samples[:, :3]], self.points[samples[:, :3]]
+
+    def score(self, samples, owner, rotations, translations) -> list[tuple[int, int, tuple]]:
+        """Each solved sample's candidate with the least reprojection error at
+        the sample's fourth match (the first on a tie) and its inlier count."""
+        probe = samples[owner, 3]
+        probe_err = _stacked_reprojection_errors(
+            rotations, translations, self.intrinsics,
+            self.points[probe][:, None], self.pixels[probe][:, None],
+        )[:, 0]
+        solved, chosen = _first_min(owner, probe_err)
+        errors = _stacked_reprojection_errors(
+            rotations[chosen], translations[chosen], self.intrinsics, self.points, self.pixels
         )
-        offsets = np.cumsum([0] + [len(c) for c in chunks])
-        bounds = np.searchsorted(owner, offsets)
-        for j, (search, samples) in enumerate(zip(searches, chunks)):
-            rows = slice(bounds[j], bounds[j + 1])
-            chunk_r, chunk_t = rotations[rows], translations[rows]
-            solved, chosen, counts = _score_chunk(
-                owner[rows] - offsets[j], chunk_r, chunk_t, samples[:, 3],
-                search.intrinsics, search.points, search.pixels,
-                search.params.inlier_threshold,
-            )
-            yield [
-                (i, count, (chunk_r[c], chunk_t[c]))
-                for i, c, count in zip(solved.tolist(), chosen.tolist(), counts.tolist())
-            ]
+        counts = np.sum(errors < self.params.inlier_threshold, axis=1)
+        return [
+            (i, count, (rotations[c], translations[c]))
+            for i, c, count in zip(solved.tolist(), chosen.tolist(), counts.tolist())
+        ]
 
     def finish(self, best: tuple) -> tuple[Pose, np.ndarray]:
         pose = Pose(*best)
@@ -250,26 +236,23 @@ class _EssentialSearch(_Search):
         super().__init__(len(self.xa), params)
 
     @staticmethod
-    def solve(searches, chunks) -> list[Iterator[tuple[int, int, np.ndarray | None]]]:
-        return [search.scored(samples) for search, samples in zip(searches, chunks)]
+    def solve(x_a, x_b):
+        return five_point_essential(x_a, x_b)
 
-    def scored(self, samples: np.ndarray) -> Iterator[tuple[int, int, np.ndarray | None]]:
-        """Solve each sample only when the walk reaches it, so no sample past
-        the stop is solved.  A sample whose solver raised is left out."""
-        for i, idx in enumerate(samples):
-            try:
-                candidates = five_point_essential(self.xa[idx], self.xb[idx])
-            except SemlocError:
-                continue
-            counts = [
-                int(np.sum(sampson_error(e, self.xa, self.xb) < self.params.inlier_threshold))
-                for e in candidates
-            ]
-            if not counts:
-                yield i, 0, None
-                continue
-            k = int(np.argmax(counts))  # the first of the highest
-            yield i, counts[k], candidates[k]
+    def inputs(self, samples):
+        return self.xa[samples], self.xb[samples]
+
+    def score(self, samples, owner, essentials) -> list[tuple[int, int, np.ndarray | None]]:
+        """Each sample's candidate with the highest Sampson inlier count, the
+        first on a tie, and that count, all counted in one stacked call.  A
+        coincident sample is left out; a sample with no candidate counts 0."""
+        errors = sampson_error(essentials, self.xa, self.xb)
+        counts = np.sum(errors < self.params.inlier_threshold, axis=1)
+        best = dict(zip(*(a.tolist() for a in _first_min(owner, -counts))))
+        return [
+            (i, int(counts[best[i]]), essentials[best[i]]) if i in best else (i, 0, None)
+            for i in np.flatnonzero(~coincident(*self.inputs(samples))).tolist()
+        ]
 
     def finish(self, best: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return best, sampson_error(best, self.xa, self.xb)
@@ -312,10 +295,11 @@ def ransac_pnp(
 def ransac_essential(x_a: np.ndarray, x_b: np.ndarray, params: RansacParams) -> RansacResult:
     """Robust essential matrix from normalized correspondences.
 
-    Samples five pairs at a time, in chunks as ransac_pnp_batch does, and
-    keeps the candidate with the highest Sampson inlier count at
-    params.inlier_threshold, the first on a tie.  The adaptive stop is tested
-    after every sample but one whose five-point solve raised.  Returns a
+    Samples five pairs at a time, in chunks as ransac_pnp_batch does, solves
+    each chunk in one five_point_essential call and keeps the candidate with
+    the highest Sampson inlier count at params.inlier_threshold, the first on
+    a tie.  The adaptive stop is tested after every sample but a coincident
+    one, which five-point cannot solve.  Returns a
     RansacResult: E and its sorted inliers, or the reason: "insufficient
     matches" below 5 pairs, "estimation failed" where no model reaches
     params.min_inliers.

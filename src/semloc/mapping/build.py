@@ -39,14 +39,14 @@ class MapBuildConfig:
     vocabulary_k: int = DEFAULT_VOCABULARY_K
 
 
-def _select_pairs(bows: list[np.ndarray], retrieved_pairs: int) -> list[tuple[int, int]]:
+def _select_pairs(bows: list[np.ndarray]) -> list[tuple[int, int]]:
     """Consecutive frame pairs plus the best BoW-similar non-adjacent pairs."""
     n = len(bows)
     pairs = {(i, i + 1) for i in range(n - 1)}
     for i in range(n):
         others = [(j, bows[j]) for j in range(n) if abs(j - i) > 1]
         ranked = [(j, s) for j, s in rank_by_similarity(bows[i], others) if s > 0.0]
-        pairs.update((min(i, j), max(i, j)) for j, _ in ranked[:retrieved_pairs])
+        pairs.update((min(i, j), max(i, j)) for j, _ in ranked[:_RETRIEVED_PAIRS])
     return sorted(pairs)
 
 
@@ -113,7 +113,7 @@ def build_map(
     # a node is one feature of one frame: global id = frame offset + keypoint index
     offsets = np.cumsum([0] + [len(f.descriptors) for f in features])
     edge_a, edge_b, edge_points = [], [], []  # per frame pair, matches in match order
-    for i, j in _select_pairs(bows, _RETRIEVED_PAIRS):
+    for i, j in _select_pairs(bows):
         fi, fj = features[i], features[j]
         if config.semantic:
             matches = match_per_class(

@@ -42,7 +42,6 @@ def candidate_matches(
     sparse_map: SparseMap,
     features: FrameFeatures,
     mode: SemanticMode,
-    ratio: float,
     candidate_ids,
 ) -> np.recarray:
     """Raw matches pooled across candidate keyframes, before deduplication;
@@ -60,7 +59,7 @@ def candidate_matches(
             sparse_map.descriptors[landmark_ids],
             sparse_map.class_ids[landmark_ids],
             mode,
-            ratio,
+            DEFAULT_RATIO,
         )
         matches.train_index = landmark_ids[matches.train_index]
         pooled.append(matches)
@@ -127,7 +126,7 @@ def relocalize_frames(
             results[index] = failure(frame_id, "no candidates")
             continue
         pooled = dedup_matches(
-            candidate_matches(sparse_map, features, mode, DEFAULT_RATIO, candidate_ids)
+            candidate_matches(sparse_map, features, mode, candidate_ids)
         )
         pixels = features.coordinates[pooled.query_index]
         points = sparse_map.positions[pooled.train_index]

@@ -183,6 +183,23 @@ def test_relpose_writes_pair_rows(workspace, tmp_path):
         assert fields[failure] in _PAIR_FAILURES
 
 
+def test_relpose_reruns_are_byte_identical(workspace, tmp_path):
+    """Two relpose runs on the same frames, mode and seed write the same bytes."""
+    outputs = []
+    for run in range(2):
+        out = tmp_path / f"pairs{run}.csv"
+        assert main([
+            "relpose",
+            "--frames", str(workspace / "data" / "mapping" / "frames"),
+            "--mode", "baseline",
+            "--seed", "0",
+            "--out", str(out),
+        ]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") > 2
+
+
 def test_benchmark_command(workspace, tmp_path):
     out = tmp_path / "bench"
     assert main([

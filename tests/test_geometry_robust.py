@@ -1,5 +1,7 @@
 """RANSAC estimators and Gauss-Newton refinement."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from semloc.geometry import (
     sampson_error,
 )
 from semloc.geometry.refine import _jacobian
+from semloc.pipelines.relative import _ESSENTIAL
+from semloc.pipelines.relocalize import _PNP
 
 from conftest import identity_pose, points_in_front, random_pose
 
@@ -41,7 +45,7 @@ def test_ransac_pnp_recovers_pose_with_outliers(intrinsics):
     rng = np.random.default_rng(51)
     for trial in range(10):
         pose, points, pixels, clean = _pnp_scene(rng)
-        est, inliers, reason = ransac_pnp(pixels, points, intrinsics, RansacParams(rng_seed=trial))
+        est, inliers, reason = ransac_pnp(pixels, points, intrinsics, replace(_PNP, rng_seed=trial))
         assert reason is None
         assert rotation_error_deg(est.rotation, pose.rotation) < 1e-4
         assert np.linalg.norm(est.translation - pose.translation) < 1e-4
@@ -51,7 +55,7 @@ def test_ransac_pnp_recovers_pose_with_outliers(intrinsics):
 def test_ransac_pnp_deterministic(intrinsics):
     rng = np.random.default_rng(52)
     pose, points, pixels, _ = _pnp_scene(rng, noise=0.5)
-    p = RansacParams(rng_seed=99)
+    p = replace(_PNP, rng_seed=99)
     pose1, in1, _ = ransac_pnp(pixels, points, intrinsics, p)
     pose2, in2, _ = ransac_pnp(pixels, points, intrinsics, p)
     assert np.array_equal(pose1.rotation, pose2.rotation)
@@ -62,7 +66,7 @@ def test_ransac_pnp_deterministic(intrinsics):
 def test_ransac_pnp_inliers_below_threshold(intrinsics):
     rng = np.random.default_rng(53)
     pose, points, pixels, _ = _pnp_scene(rng, noise=1.0)
-    params = RansacParams(rng_seed=1)
+    params = replace(_PNP, rng_seed=1)
     est, inliers, _ = ransac_pnp(pixels, points, intrinsics, params)
     cam = est.transform(points[inliers])
     proj = np.column_stack(
@@ -73,7 +77,7 @@ def test_ransac_pnp_inliers_below_threshold(intrinsics):
 
 
 def test_ransac_pnp_too_few_matches(intrinsics):
-    result = ransac_pnp(np.zeros((3, 2)), np.zeros((3, 3)), intrinsics, RansacParams())
+    result = ransac_pnp(np.zeros((3, 2)), np.zeros((3, 3)), intrinsics, _PNP)
     assert result.failure_reason == "insufficient matches"
     assert result.model is None and len(result.inliers) == 0
 
@@ -82,7 +86,7 @@ def test_ransac_pnp_all_outliers_fails(intrinsics):
     rng = np.random.default_rng(54)
     pixels = rng.uniform(0, 640, size=(30, 2))
     points = rng.uniform(-5, 5, size=(30, 3))
-    result = ransac_pnp(pixels, points, intrinsics, RansacParams(max_iterations=100, rng_seed=2))
+    result = ransac_pnp(pixels, points, intrinsics, replace(_PNP, max_iterations=100, rng_seed=2))
     assert result.failure_reason == "localization failed"
     assert result.model is None and len(result.inliers) == 0
 
@@ -110,7 +114,7 @@ def _essential_scene(rng, n=60, outlier_fraction=0.25):
 def test_ransac_essential_recovers_model():
     rng = np.random.default_rng(55)
     xa, xb, e_true, clean = _essential_scene(rng)
-    e, inliers, reason = ransac_essential(xa, xb, RansacParams(1000, 5e-4, 15, rng_seed=3))
+    e, inliers, reason = ransac_essential(xa, xb, replace(_ESSENTIAL, rng_seed=3))
     assert reason is None
     assert abs(float(np.sum(e * e_true))) > 1.0 - 1e-6
     assert set(clean).issubset(set(inliers))
@@ -120,7 +124,7 @@ def test_ransac_essential_recovers_model():
 def test_ransac_essential_deterministic():
     rng = np.random.default_rng(56)
     xa, xb, _, _ = _essential_scene(rng)
-    p = RansacParams(1000, 5e-4, 15, rng_seed=7)
+    p = replace(_ESSENTIAL, rng_seed=7)
     e1, in1, _ = ransac_essential(xa, xb, p)
     e2, in2, _ = ransac_essential(xa, xb, p)
     assert np.array_equal(e1, e2)
@@ -128,7 +132,7 @@ def test_ransac_essential_deterministic():
 
 
 def test_ransac_essential_failure_paths():
-    result = ransac_essential(np.zeros((4, 2)), np.zeros((4, 2)), RansacParams(1000, 5e-4, 15))
+    result = ransac_essential(np.zeros((4, 2)), np.zeros((4, 2)), _ESSENTIAL)
     assert result.failure_reason == "insufficient matches"
     assert result.model is None and len(result.inliers) == 0
     rng = np.random.default_rng(57)
@@ -140,10 +144,11 @@ def test_ransac_essential_failure_paths():
 
 
 def _reference_ransac_essential(x_a, x_b, params):
-    """(E, inliers, failure reason, best inlier count, iterations run, raised
-    samples) of the one-sample-per-iteration loop, calling five_point_essential
-    once per sample; E and inliers are None where it fails."""
-    from semloc.errors import SemlocError
+    """(E, inliers, failure reason, best inlier count, iterations run,
+    coincident samples) of the one-sample-per-iteration loop, calling
+    five_point_essential on a stack of one per sample and skipping a sample
+    whose five pairs coincide in both views, which five-point cannot solve;
+    E and inliers are None where it fails."""
     from semloc.geometry import five_point_essential
     from semloc.geometry.ransac import _iterations_needed
 
@@ -155,15 +160,14 @@ def _reference_ransac_essential(x_a, x_b, params):
 
     rng = np.random.default_rng(params.rng_seed)
     best_e = None
-    best_count = raised = 0
+    best_count = coincident = 0
     iteration = -1
     for iteration in range(params.max_iterations):
         idx = rng.choice(n, size=5, replace=False)
-        try:
-            candidates = five_point_essential(xa[idx], xb[idx])
-        except SemlocError:
-            raised += 1
+        if np.ptp(xa[idx], axis=0).max() < 1e-12 and np.ptp(xb[idx], axis=0).max() < 1e-12:
+            coincident += 1
             continue
+        _, candidates = five_point_essential(xa[idx][None], xb[idx][None])
         for e in candidates:
             count = int(np.sum(sampson_error(e, xa, xb) < params.inlier_threshold))
             if count > best_count:
@@ -173,30 +177,30 @@ def _reference_ransac_essential(x_a, x_b, params):
             break
 
     if best_e is None or best_count < params.min_inliers:
-        return None, None, "estimation failed", best_count, iteration + 1, raised
+        return None, None, "estimation failed", best_count, iteration + 1, coincident
     inliers = np.flatnonzero(sampson_error(best_e, xa, xb) < params.inlier_threshold)
-    return best_e, inliers, None, best_count, iteration + 1, raised
+    return best_e, inliers, None, best_count, iteration + 1, coincident
 
 
 def test_chunked_ransac_essential_equals_the_reference_loop():
     """E bits, inliers and failures of the chunked driver equal the
     per-iteration loop's on problems with outliers, the 1000-iteration cap, a
     min_inliers failure, fewer than 5 pairs and duplicate pairs whose samples
-    make five_point_essential raise."""
+    coincide."""
     rng = np.random.default_rng(58)
-    seen = {"cap": 0, "raised": 0, "too few inliers": 0, "too few pairs": 0, "solved": 0}
+    seen = {"cap": 0, "coincident": 0, "too few inliers": 0, "too few pairs": 0, "solved": 0}
     problems = [(60, 0.25), (24, 0.5), (40, 0.75), (30, 0.2), (8, 0.0), (50, 0.4)]
     for trial, (n, outliers) in enumerate(problems):
         xa, xb, _, _ = _essential_scene(rng, n=n, outlier_fraction=outliers)
         if trial % 2:
             xa[: len(xa) // 2], xb[: len(xb) // 2] = xa[0], xb[0]  # duplicate pairs
         for rows in (len(xa), 4):
-            params = RansacParams(1000, 5e-4, 15, rng_seed=trial)
-            e_ref, in_ref, reason_ref, best_count, iterations, raised = (
+            params = replace(_ESSENTIAL, rng_seed=trial)
+            e_ref, in_ref, reason_ref, best_count, iterations, coincident = (
                 _reference_ransac_essential(xa[:rows], xb[:rows], params)
             )
             seen["cap"] += iterations == params.max_iterations
-            seen["raised"] += raised > 0
+            seen["coincident"] += coincident > 0
             seen["too few pairs"] += reason_ref == "insufficient matches"
             seen["too few inliers"] += reason_ref == "estimation failed" and best_count > 0
             seen["solved"] += reason_ref is None
@@ -207,6 +211,100 @@ def test_chunked_ransac_essential_equals_the_reference_loop():
                 assert np.array_equal(inliers, in_ref)
             else:
                 assert e is None and len(inliers) == 0
+    assert all(seen.values()), seen
+
+
+def _five_point_stack(rng, count):
+    """Samples from exact ones to pure outliers, with noisy, coincident,
+    partly repeated and axis-aligned ones (whose elimination is singular)
+    mixed in."""
+    x_a, x_b = [], []
+    while len(x_a) < count:
+        xa, xb, _, _ = _essential_scene(rng, n=8, outlier_fraction=0.0)
+        if len(xa) < 5:
+            continue
+        xa, xb = xa[:5], xb[:5]
+        kind = len(x_a) % 6
+        if kind == 1:
+            xb = xb + rng.normal(scale=0.01, size=(5, 2))
+        elif kind == 2:
+            xb = rng.uniform(-0.8, 0.8, size=(5, 2))
+        elif kind == 3:
+            xa[:], xb[:] = xa[0], xb[0]
+        elif kind == 4:
+            xa[3:], xb[3:] = xa[0], xb[0]
+        elif kind == 5:
+            xa[:, 1] = xb[:, 1] = 0.0
+        x_a.append(xa)
+        x_b.append(xb)
+    return np.array(x_a), np.array(x_b)
+
+
+def _essentials_by_sample(solution, count):
+    owner, essentials = solution
+    assert np.all(np.diff(owner) >= 0)
+    return [essentials[owner == k] for k in range(count)]
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_five_point_rows_are_the_same_alone_and_in_any_stack(data):
+    """A sample's candidates are bitwise the same alone and anywhere in a
+    random stack of exact, noisy, outlier and degenerate samples, repeats
+    included."""
+    from semloc.geometry import five_point_essential
+
+    x_a, x_b = _five_point_stack(
+        np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+        data.draw(st.integers(1, 30)),
+    )
+    order = data.draw(st.lists(st.integers(0, len(x_a) - 1), min_size=1, max_size=60))
+    stacked = _essentials_by_sample(five_point_essential(x_a[order], x_b[order]), len(order))
+    alone = _essentials_by_sample(five_point_essential(x_a, x_b), len(x_a))
+    for k, rows in zip(order, stacked):
+        single = five_point_essential(x_a[k : k + 1], x_b[k : k + 1])[1]
+        assert np.array_equal(rows, single)
+        assert np.array_equal(rows, alone[k])
+
+
+def test_an_essential_round_counts_as_sampson_error_does_per_candidate():
+    """One round's stacked Sampson scoring gives each sample the count and
+    the model of a loop that calls sampson_error on each candidate alone
+    and keeps the first of the highest; a coincident sample is left out and
+    one without candidates counts 0."""
+    from semloc.geometry import five_point_essential
+    from semloc.geometry.ransac import _EssentialSearch
+
+    rng = np.random.default_rng(59)
+    seen = {"coincident": 0, "no candidate": 0, "scored": 0}
+    for trial, outliers in enumerate([0.0, 0.3, 0.6, 0.9]):
+        xa, xb, _, _ = _essential_scene(rng, n=30, outlier_fraction=outliers)
+        xa[:12], xb[:12] = xa[0], xb[0]  # repeated pairs make coincident samples
+        search = _EssentialSearch(xa, xb, replace(_ESSENTIAL, rng_seed=trial))
+        samples = np.array([rng.choice(len(xa), size=5, replace=False) for _ in range(300)])
+        owner, essentials = five_point_essential(xa[samples], xb[samples])
+        stacked = sampson_error(essentials, xa, xb)
+        expected = []
+        for i, idx in enumerate(samples):
+            if np.ptp(xa[idx], axis=0).max() < 1e-12 and np.ptp(xb[idx], axis=0).max() < 1e-12:
+                seen["coincident"] += 1
+                continue
+            candidates = essentials[owner == i]
+            errors = [sampson_error(e, xa, xb) for e in candidates]
+            for single, row in zip(errors, stacked[owner == i]):
+                assert np.array_equal(single, row)
+            counts = [int(np.sum(err < _ESSENTIAL.inlier_threshold)) for err in errors]
+            if not counts:
+                seen["no candidate"] += 1
+                expected.append((i, 0, None))
+                continue
+            seen["scored"] += 1
+            k = int(np.argmax(counts))
+            expected.append((i, counts[k], candidates[k]))
+        scored = search.score(samples, owner, essentials)
+        assert [(i, count) for i, count, _ in scored] == [(i, count) for i, count, _ in expected]
+        for (_, _, model), (_, _, reference) in zip(scored, expected):
+            assert (model is None and reference is None) or np.array_equal(model, reference)
     assert all(seen.values()), seen
 
 
@@ -224,7 +322,8 @@ def test_estimators_return_a_result_and_never_raise(data):
     n = data.draw(st.integers(0, 40), label="rows")
     duplicates = data.draw(st.integers(0, n), label="duplicates")
     outliers = data.draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]), label="outliers")
-    params = RansacParams(
+    params = replace(
+        _PNP,
         max_iterations=data.draw(st.integers(1, 60), label="max_iterations"),
         min_inliers=data.draw(st.integers(0, 15), label="min_inliers"),
         rng_seed=int(rng.integers(1000)),
@@ -761,7 +860,7 @@ def test_chunked_ransac_pnp_equals_the_reference_loop(intrinsics):
             points[: n // 4] = points[0]  # duplicate world points
         if trial % 3 == 1:
             points[: n // 3] = points[0] + np.outer(np.arange(n // 3), [0.1, -0.2, 0.05])
-        params = RansacParams(min_inliers=20 if trial % 4 == 3 else 12, rng_seed=trial)
+        params = replace(_PNP, min_inliers=20 if trial % 4 == 3 else 12, rng_seed=trial)
         ref_pose, ref_inliers, best_count, iterations, degenerate = _reference_ransac_pnp(
             pixels, points, intrinsics, params
         )
@@ -800,7 +899,7 @@ def test_a_ransac_batch_solves_each_round_in_one_call(intrinsics, monkeypatch):
     problems = []
     for trial, outliers in enumerate([0.0, 0.2, 0.5, 0.7, 0.97, 0.3, 0.6, 0.1]):
         _, points, pixels, _ = _pnp_scene(rng, n=50, outlier_fraction=outliers, noise=0.5)
-        problems.append((pixels, points, RansacParams(rng_seed=trial)))
+        problems.append((pixels, points, replace(_PNP, rng_seed=trial)))
 
     alone_calls, alone = [], []
     for problem in problems:

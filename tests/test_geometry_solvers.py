@@ -301,8 +301,8 @@ def test_five_point_contains_true_essential():
         trials += 1
         xa, xb, e_true = inst
         e_true = e_true / np.linalg.norm(e_true)
-        candidates = five_point_essential(xa, xb)
-        assert candidates, "solver returned no candidates on a generic instance"
+        _, candidates = five_point_essential(xa[None], xb[None])
+        assert len(candidates), "solver returned no candidates on a generic instance"
         sims = [abs(float(np.sum(e * e_true))) for e in candidates]
         if max(sims) > 1.0 - 1e-9:
             found += 1
@@ -320,7 +320,7 @@ def test_five_point_candidates_satisfy_constraints():
         xa, xb, _ = inst
         ha = np.hstack([xa, np.ones((5, 1))])
         hb = np.hstack([xb, np.ones((5, 1))])
-        for e in five_point_essential(xa, xb):
+        for e in five_point_essential(xa[None], xb[None])[1]:
             assert np.isclose(np.linalg.norm(e), 1.0, atol=1e-12)
             assert abs(np.linalg.det(e)) < 1e-8
             trace_c = 2 * e @ e.T @ e - np.trace(e @ e.T) * e
@@ -330,7 +330,13 @@ def test_five_point_candidates_satisfy_constraints():
 
 def test_five_point_insufficient_and_degenerate():
     with pytest.raises(InsufficientDataError):
-        five_point_essential(np.zeros((4, 2)), np.zeros((4, 2)))
+        five_point_essential(np.zeros((1, 4, 2)), np.zeros((1, 4, 2)))
+    with pytest.raises(ValueError, match="stacks"):
+        five_point_essential(np.zeros((5, 2)), np.zeros((5, 2)))
+    # a coincident sample owns no rows, alone or between two generic ones
+    xa, xb, _ = _five_point_instance(np.random.default_rng(18))
     same = np.tile([0.1, 0.2], (5, 1))
-    with pytest.raises(DegenerateGeometryError):
-        five_point_essential(same, same)
+    owner, essentials = five_point_essential(same[None], same[None])
+    assert len(owner) == len(essentials) == 0
+    owner, essentials = five_point_essential(np.stack([xa, same, xa]), np.stack([xb, same, xb]))
+    assert set(owner.tolist()) == {0, 2} and len(essentials) == len(owner)

@@ -480,11 +480,20 @@ def test_every_bow_ranking_breaks_exact_ties_toward_the_lower_id():
     assert most_similar(bows[0], frames) == 3
     assert most_similar(disjoint, frames) == 2
 
-    # build_map's retrieved pairs: frame 0 ties between 3 and 4 and keeps 3,
-    # frame 6 ties between 3 and 4 and keeps 3; zero-overlap frames gain none
+    # build_map's retrieved pairs, two per frame: frames 0 and 6 each keep
+    # both of their tied frames 3 and 4; zero-overlap frames gain none
+    assert _RETRIEVED_PAIRS == 2
     consecutive = [(i, i + 1) for i in range(len(bows) - 1)]
-    assert _select_pairs(bows, 1) == sorted(consecutive + [(0, 3), (3, 6), (4, 6)])
-    assert _select_pairs(bows, 10) == sorted(consecutive + [(0, 3), (0, 4), (3, 6), (4, 6)])
+    assert _select_pairs(bows) == sorted(consecutive + [(0, 3), (0, 4), (3, 6), (4, 6)])
+    # frames 2, 3, 4 and 6 carry one vector: frame 0 ties between 2, 3 and 4
+    # and keeps 2 and 3, frame 6 ties between 2, 3 and 4 and keeps 2 and 3,
+    # and frame 4 prefers 2 and 6 to 0
+    tied = dense_bow({0: 0.6, 1: 0.8}, 10)
+    frames = [dense_bow({0: 1.0}, 10), dense_bow({9: 1.0}, 10), tied, tied.copy(), tied.copy()]
+    frames += [dense_bow({9: 1.0}, 10), tied.copy()]
+    assert _select_pairs(frames) == sorted(
+        consecutive + [(0, 2), (0, 3), (1, 5), (2, 4), (2, 6), (3, 6), (4, 6)]
+    )
 
 
 # --------------------------------------------------------------------------
@@ -686,7 +695,7 @@ def _reference_landmarks(frames, config):
     bows = [bow_vector(f.descriptors, vocabulary) for f in features]
 
     edges = []
-    for i, j in _select_pairs(bows, _RETRIEVED_PAIRS):
+    for i, j in _select_pairs(bows):
         fi, fj = features[i], features[j]
         if config.semantic:
             matches = match_per_class(

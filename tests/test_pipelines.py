@@ -287,10 +287,10 @@ def test_post_matches_are_subset_of_baseline(scene):
 
     candidates = query_candidates(baseline_map, bow, 3)
     baseline_pairs = candidate_matches(
-        baseline_map, features, SemanticMode.BASELINE, 0.75, candidates
+        baseline_map, features, SemanticMode.BASELINE, candidates
     )
     post_pairs = candidate_matches(
-        baseline_map, features, SemanticMode.POST, 0.75, candidates
+        baseline_map, features, SemanticMode.POST, candidates
     )
     baseline_set = {(p.query_index, p.train_index) for p in baseline_pairs}
     post_set = {(p.query_index, p.train_index) for p in post_pairs}
