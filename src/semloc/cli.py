@@ -17,12 +17,11 @@ from .geometry.pose import quaternion_from_rotation
 from .mapping.build import MapBuildConfig, MapFrameInput, build_map
 from .mapping.sparse_map import load_map, save_map
 from .mapping.vocabulary import bow_vectors, build_vocabulary
-from .pipelines.frames import FeatureObservation, extract_frame_features, frame_features
+from .pipelines.frames import frame_features
 from .pipelines.modes import SemanticMode, mode_features
 from .pipelines.pairing import pair_selection
 from .pipelines.relative import relative_pose
 from .pipelines.relocalize import relocalize_frames
-from .semantics.boxes import load_detections
 from .semantics.classes import ClassRegistry
 from .simworld.config import load_scene_config
 from .simworld.dataset import load_dataset_frames, load_intrinsics, write_dataset
@@ -114,8 +113,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_query_frames(frames_dir: str, registry: ClassRegistry):
-    frames = load_dataset_frames(frames_dir, registry)
+def _load_query_frames(frames_dir: str, registry: ClassRegistry, **dataset):
+    frames = load_dataset_frames(frames_dir, registry, **dataset)
     if not frames:
         raise SemlocError(f"no frame files found in {frames_dir}")
     return frames
@@ -124,17 +123,10 @@ def _load_query_frames(frames_dir: str, registry: ClassRegistry):
 def _cmd_build_map(args) -> int:
     registry = ClassRegistry.default()
     intrinsics = load_intrinsics(args.intrinsics)
-    frames = _load_query_frames(args.frames, registry)
-    inputs = []
-    for frame in frames:
-        detections = load_detections(
-            os.path.join(args.annotations, f"{frame.frame_id:06d}.json"),
-            registry,
-            (intrinsics.width, intrinsics.height),
-        )
-        observation = FeatureObservation(frame.keypoints, frame.descriptors)
-        features = extract_frame_features(observation, detections, masked=False)
-        inputs.append(MapFrameInput(features, frame.pose, frame.frame_id))
+    frames = _load_query_frames(
+        args.frames, registry, annotations_dir=args.annotations, intrinsics=intrinsics
+    )
+    inputs = [MapFrameInput(frame_features(frame), frame.pose, frame.frame_id) for frame in frames]
     sparse_map = build_map(
         inputs, intrinsics, MapBuildConfig(semantic=args.semantic), registry=registry
     )
@@ -156,8 +148,9 @@ def _dataset_intrinsics(frames_dir: str):
 def _cmd_relocalize(args) -> int:
     registry = ClassRegistry.default()
     sparse_map = load_map(args.map_path)
-    frames = _load_query_frames(args.frames, registry)
     intrinsics = _dataset_intrinsics(args.frames)
+    # detections come from the annotations/ directory beside the frames
+    frames = _load_query_frames(args.frames, registry, intrinsics=intrinsics)
     results = relocalize_frames(
         sparse_map,
         [(frame.frame_id, frame_features(frame)) for frame in frames],
@@ -200,7 +193,8 @@ def _pair_row(result) -> str:
 
 def _cmd_relpose(args) -> int:
     registry = ClassRegistry.default()
-    frames = _load_query_frames(args.frames, registry)
+    intrinsics = _dataset_intrinsics(args.frames)
+    frames = _load_query_frames(args.frames, registry, intrinsics=intrinsics)
     mode = SemanticMode.parse(args.mode)
 
     # one featurization per frame serves the vocabulary, pairing and relative_pose
@@ -214,7 +208,6 @@ def _cmd_relpose(args) -> int:
     ]
     features_by_id = {frame.frame_id: f for frame, f in zip(frames, features)}
 
-    intrinsics = _dataset_intrinsics(args.frames)
     lines = [PAIRS_HEADER]
     for id_a, id_b in pair_selection(bows):
         result = relative_pose(

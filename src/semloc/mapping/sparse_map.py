@@ -1,19 +1,18 @@
-"""Sparse landmark map: columnar storage, retrieval, and versioned JSON I/O."""
+"""Sparse landmark map: columnar storage, retrieval, and versioned .npz I/O."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import AnnotationError, MapFormatError
+from ..errors import AnnotationError, InsufficientDataError, MapFormatError
 from ..geometry.pose import Pose, quaternion_from_rotation, rotation_from_quaternion
 from ..semantics.classes import UNLABELED, ClassRegistry, SemanticClass
-from ..trajectory_io import write_json
+from ..trajectory_io import ArrayFile, write_arrays
 from .vocabulary import Vocabulary, rank_by_similarity
 
-MAP_FORMAT_VERSION = "1"
+MAP_FORMAT_VERSION = "2"
 
 
 @dataclass
@@ -83,132 +82,172 @@ def query_candidates(sparse_map: SparseMap, query_bow: np.ndarray, n: int) -> li
 
 
 def save_map(sparse_map: SparseMap, path: str) -> None:
-    payload = {
-        "version": sparse_map.version,
-        "classes": sparse_map.registry.to_list(),
-        "vocabulary": {
-            "k": sparse_map.vocabulary.k,
-            "centroids": sparse_map.vocabulary.centroids.tolist(),
-            "idf": sparse_map.vocabulary.idf.tolist(),
-        },
-        "landmarks": [
-            {
-                "id": i,
-                "p": position,
-                "class": None if class_id == UNLABELED else class_id,
-                "desc": descriptor,
-                "obs": count,
-            }
-            for i, (position, class_id, descriptor, count) in enumerate(
-                zip(
-                    sparse_map.positions.tolist(),
-                    sparse_map.class_ids.tolist(),
-                    sparse_map.descriptors.tolist(),
-                    sparse_map.observation_counts.tolist(),
-                )
+    """Write the map to exactly `path` as one .npz of arrays.
+
+    Keyframe landmark ids and bag-of-words entries are flattened, with
+    offsets marking where each keyframe's run starts; a keyframe stores only
+    its nonzero words, in increasing order.
+    """
+    keyframes = sparse_map.keyframes
+    words = [np.flatnonzero(kf.bow) for kf in keyframes]
+    write_arrays(path, {
+        "version": np.array(sparse_map.version),
+        "registry_ids": np.array([c.id for c in sparse_map.registry]),
+        "registry_names": np.array([c.name for c in sparse_map.registry]),
+        "centroids": sparse_map.vocabulary.centroids,
+        "idf": sparse_map.vocabulary.idf,
+        "positions": sparse_map.positions,
+        "descriptors": sparse_map.descriptors,
+        "class_ids": sparse_map.class_ids,
+        "observation_counts": sparse_map.observation_counts,
+        "keyframe_ids": np.array([kf.id for kf in keyframes], dtype=int),
+        "keyframe_quaternions": np.array([kf.quaternion for kf in keyframes]).reshape(-1, 4),
+        "keyframe_translations": np.array([kf.translation for kf in keyframes]).reshape(-1, 3),
+        "keyframe_landmark_ids": _flat([kf.landmark_ids for kf in keyframes], int),
+        "keyframe_landmark_offsets": _offsets([kf.landmark_ids for kf in keyframes]),
+        "bow_words": _flat(words, int),
+        "bow_weights": _flat([kf.bow[w] for kf, w in zip(keyframes, words)], float),
+        "bow_offsets": _offsets(words),
+    })
+
+
+def _flat(runs: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype), *runs])
+
+
+def _offsets(runs: list[np.ndarray]) -> np.ndarray:
+    return np.cumsum([0] + [len(run) for run in runs])
+
+
+def _runs(file: ArrayFile, values: str, offsets: str, count: int, kind: str | None):
+    """The flat array `values` cut into `count` runs at `offsets`: the array,
+    the offsets, and the index of the run that owns each value."""
+    flat = file.take(values, kind, (None,))
+    cuts = file.take(offsets, "i", (count + 1,))
+    if cuts[0] != 0 or cuts[-1] != len(flat) or (np.diff(cuts) < 0).any():
+        file.malformed(f"'{offsets}' must rise from 0 to {len(flat)}, the length of '{values}'")
+    return flat, cuts, np.repeat(np.arange(count), np.diff(cuts))
+
+
+def _landmark_columns(file: ArrayFile, registry: ClassRegistry, descriptor_width: int):
+    """(positions, descriptors, class_ids, observation_counts) of a map file;
+    a landmark's id is its row in every column."""
+    positions = file.take("positions", "f", (None, None))
+    descriptors = file.take("descriptors", "f", (None, None))
+    class_ids = file.take("class_ids", "i", (None,))
+    counts = file.take("observation_counts", "i", (None,))
+    n = len(positions)
+    for name, column in (
+        ("descriptors", descriptors), ("class_ids", class_ids), ("observation_counts", counts)
+    ):
+        if len(column) != n:
+            file.fail(
+                f"landmark ids must run 0..{n - 1} in every column; '{name}' has "
+                f"{len(column)} rows"
             )
-        ],
-        "keyframes": [
-            {
-                "id": kf.id,
-                "pose": {"q": kf.quaternion.tolist(), "t": kf.translation.tolist()},
-                "landmarks": kf.landmark_ids.tolist(),
-                "bow": {str(word): float(kf.bow[word]) for word in np.flatnonzero(kf.bow)},
-            }
-            for kf in sparse_map.keyframes
-        ],
-    }
-    write_json(payload, path)
+    if positions.shape[1] != 3:
+        file.fail(f"positions have shape {positions.shape}: a position needs 3 values")
+    if descriptors.shape[1] != descriptor_width:
+        file.fail(
+            f"landmark descriptors differ in width from the vocabulary's "
+            f"({descriptors.shape[1]} against {descriptor_width})"
+        )
+    low = np.flatnonzero(counts < 2)
+    if len(low):
+        file.fail(f"landmark {low[0]}: triangulated landmarks need >= 2 observations")
+    registered = np.array([c.id for c in registry] + [UNLABELED])
+    unknown = np.flatnonzero(~np.isin(class_ids, registered))
+    if len(unknown):
+        i = unknown[0]
+        file.fail(f"landmark {i}: class {class_ids[i]} not in registry")
+    return positions, descriptors, class_ids, counts
 
 
-def _dense_bow(entry: dict, k: int) -> np.ndarray:
-    """A keyframe entry's (k,) BoW row from its sparse {word: weight} object."""
-    bow = np.zeros(k)
-    for word, weight in entry["bow"].items():
-        index = int(word) if word.isascii() and word.isdigit() else -1
-        if not 0 <= index < k or str(index) != word:  # "03" would alias word 3
-            message = f"bag-of-words word {word!r} is not an integer in [0, {k})"
-            raise MapFormatError(f"keyframe {entry['id']}: {message}")
-        bow[index] = float(weight)
-    return bow
-
-
-def _landmark_columns(entries: list, registry: ClassRegistry):
-    """(positions, descriptors, class_ids, observation_counts) of a map file's
-    landmarks; raises MapFormatError on a broken invariant."""
-    n = len(entries)
-    if [int(e["id"]) for e in entries] != list(range(n)):
-        raise MapFormatError(f"landmark ids must run 0..{n - 1} in file order")
-    class_ids = [UNLABELED if e["class"] is None else int(e["class"]) for e in entries]
-    counts = [int(e["obs"]) for e in entries]
-    widths = {len(e["desc"]) for e in entries}
-    registered = {c.id for c in registry}
-    for i, e in enumerate(entries):
-        if len(e["p"]) != 3:
-            raise MapFormatError(f"landmark {i}: position needs 3 values")
-        if counts[i] < 2:
-            raise MapFormatError(
-                f"landmark {i}: triangulated landmarks need >= 2 observations"
-            )
-        if e["class"] is not None and class_ids[i] not in registered:
-            raise MapFormatError(f"landmark {i}: class {class_ids[i]} not in registry")
-    if len(widths) > 1:
-        raise MapFormatError(f"landmark descriptors differ in width {sorted(widths)}")
-    return (
-        np.array([e["p"] for e in entries], dtype=float).reshape(n, 3),
-        np.array([e["desc"] for e in entries], dtype=float).reshape(n, max(widths, default=0)),
-        np.array(class_ids, dtype=int),
-        np.array(counts, dtype=int),
-    )
+def _bow_rows(file: ArrayFile, keyframe_ids: np.ndarray, k: int) -> np.ndarray:
+    """The (F, k) bag-of-words rows from each keyframe's (word, weight) run;
+    a keyframe's words must be integers in [0, k), each above the last."""
+    words, cuts, owner = _runs(file, "bow_words", "bow_offsets", len(keyframe_ids), None)
+    weights = file.take("bow_weights", "f", (len(words),), finite=False)
+    integral = words.dtype.kind in "iu"
+    if integral:
+        first = np.zeros(len(words), dtype=bool)
+        first[cuts[:-1][cuts[:-1] < len(words)]] = True
+        in_range = (words >= 0) & (words < k)
+        bad = np.flatnonzero(~in_range | (~first & (np.diff(words, prepend=0) <= 0)))
+    else:
+        bad = np.arange(len(words))
+    if len(bad):
+        i = bad[0]
+        where = f"keyframe {keyframe_ids[owner[i]]}: bag-of-words word '{words[i]}'"
+        if integral and in_range[i]:
+            file.fail(f"{where} repeats or is out of order")
+        file.fail(f"{where} is not an integer in [0, {k})")
+    bows = np.zeros((len(keyframe_ids), k))
+    bows[owner, words.astype(np.int64)] = weights
+    return bows
 
 
 def load_map(path: str) -> SparseMap:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MapFormatError(f"{path}: not a valid map file ({exc.msg})") from exc
-    if not isinstance(raw, dict) or "version" not in raw:
-        raise MapFormatError(f"{path}: missing format version")
-    if raw["version"] != MAP_FORMAT_VERSION:
-        raise MapFormatError(
-            f"{path}: format version {raw['version']!r} unsupported; "
-            f"this reader expects {MAP_FORMAT_VERSION!r}"
+    """Read a map written by save_map; every check that fails raises
+    MapFormatError naming the file."""
+    file = ArrayFile(path, MapFormatError, "map")
+    version = str(file.take("version", "U", ()))
+    if version != MAP_FORMAT_VERSION:
+        file.fail(
+            f"format version {version!r} unsupported; this reader expects {MAP_FORMAT_VERSION!r}"
         )
+    ids = file.take("registry_ids", "i", (None,))
+    names = file.take("registry_names", "U", (len(ids),))
     try:
         registry = ClassRegistry(
-            [SemanticClass(int(e["id"]), str(e["name"])) for e in raw["classes"]]
+            [SemanticClass(int(i), str(name)) for i, name in zip(ids, names)]
         )
         vocab = Vocabulary(
-            centroids=np.array(raw["vocabulary"]["centroids"], dtype=float),
-            idf=np.array(raw["vocabulary"]["idf"], dtype=float),
+            centroids=file.take("centroids", "f", (None, None)),
+            idf=file.take("idf", "f", (None,)),
         )
-        positions, descriptors, class_ids, counts = _landmark_columns(raw["landmarks"], registry)
+    except (AnnotationError, InsufficientDataError) as exc:
+        file.malformed(str(exc))
+    positions, descriptors, class_ids, counts = _landmark_columns(
+        file, registry, vocab.centroids.shape[1]
+    )
+
+    keyframe_ids = file.take("keyframe_ids", "i", (None,))
+    n_keyframes = len(keyframe_ids)
+    quaternions = file.take("keyframe_quaternions", "f", (n_keyframes, 4))
+    translations = file.take("keyframe_translations", "f", (n_keyframes, 3))
+    norms = np.linalg.norm(quaternions, axis=1)
+    directionless = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+    if len(directionless):  # any other quaternion normalizes to a rotation
+        file.fail(f"keyframe {keyframe_ids[directionless[0]]}: quaternion has no direction")
+    landmark_ids, cuts, owner = _runs(
+        file, "keyframe_landmark_ids", "keyframe_landmark_offsets", n_keyframes, "i"
+    )
+    unknown = (landmark_ids < 0) | (landmark_ids >= len(positions))
+    if unknown.any():
+        first = owner[np.flatnonzero(unknown)[0]]
+        references = landmark_ids[cuts[first]:cuts[first + 1]]
+        bad = references[unknown[cuts[first]:cuts[first + 1]]]
+        file.fail(
+            f"keyframe {keyframe_ids[first]} references unknown landmark ids {bad[:5].tolist()}"
+        )
+    distinct, repeats = np.unique(keyframe_ids, return_counts=True)
+    if (repeats > 1).any():
+        file.fail(f"keyframe {distinct[repeats > 1][0]} appears more than once")
+    bows = _bow_rows(file, keyframe_ids, vocab.k)
+    try:
         keyframes = [
             Keyframe(
-                id=int(e["id"]),
-                quaternion=np.array(e["pose"]["q"], dtype=float),
-                translation=np.array(e["pose"]["t"], dtype=float),
-                landmark_ids=[int(i) for i in e["landmarks"]],
-                bow=_dense_bow(e, vocab.k),
+                id=int(keyframe_ids[i]),
+                quaternion=quaternions[i],
+                translation=translations[i],
+                landmark_ids=landmark_ids[cuts[i]:cuts[i + 1]],
+                bow=bows[i],
             )
-            for e in raw["keyframes"]
+            for i in range(n_keyframes)
         ]
-    except MapFormatError as exc:  # a broken invariant; the checks do not know the file
-        raise MapFormatError(f"{path}: {exc}") from exc
-    except (AnnotationError, AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise MapFormatError(f"{path}: malformed map content ({exc})") from exc
-    seen = set()
-    for kf in keyframes:
-        if kf.id in seen:
-            raise MapFormatError(f"{path}: keyframe {kf.id} appears more than once")
-        seen.add(kf.id)
-        unknown = kf.landmark_ids[(kf.landmark_ids < 0) | (kf.landmark_ids >= len(positions))]
-        if len(unknown):
-            raise MapFormatError(
-                f"{path}: keyframe {kf.id} references unknown landmark ids "
-                f"{unknown[:5].tolist()}"
-            )
+    except MapFormatError as exc:  # a keyframe invariant; the check does not know the file
+        file.fail(str(exc))
     return SparseMap(
         positions=positions,
         descriptors=descriptors,
@@ -217,5 +256,5 @@ def load_map(path: str) -> SparseMap:
         keyframes=keyframes,
         vocabulary=vocab,
         registry=registry,
-        version=str(raw["version"]),
+        version=version,
     )

@@ -11,7 +11,6 @@ from .dataset import (
     load_frame,
     load_intrinsics,
     save_frame,
-    save_world,
     write_dataset,
 )
 from .perturb import Perturbation, perturb_world
@@ -56,7 +55,6 @@ __all__ = [
     "make_walls",
     "perturb_world",
     "save_frame",
-    "save_world",
     "synthesize_frame",
     "write_dataset",
 ]

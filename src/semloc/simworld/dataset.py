@@ -1,5 +1,5 @@
-"""World and frame serialization plus the emitted dataset layout:
-frames/<id>.json, annotations/<id>.json, gt_traj.txt, world.json."""
+"""Frame serialization plus the emitted dataset layout: frames/<id>.npz,
+annotations/<id>.json, intrinsics.json, gt_traj.txt."""
 
 from __future__ import annotations
 
@@ -8,121 +8,63 @@ import os
 
 import numpy as np
 
-from ..errors import WorldGenerationError
+from ..errors import AnnotationError, WorldGenerationError
 from ..geometry.pose import (
     CameraIntrinsics,
     Pose,
     quaternion_from_rotation,
     rotation_from_quaternion,
 )
-from ..semantics.boxes import DetectionSet, save_detections
+from ..semantics.boxes import DetectionSet, load_detections, save_detections
 from ..semantics.classes import ClassRegistry
-from ..trajectory_io import TrajectoryEntry, write_json, write_trajectory
+from ..trajectory_io import ArrayFile, TrajectoryEntry, write_arrays, write_trajectory
 from .synthesize import SyntheticFrame
 from .world import World
 
 
-def save_world(world: World, path: str) -> None:
-    payload = {
-        "dimensions": world.dimensions.tolist(),
-        "seed": world.seed,
-        "classes": world.registry.to_list(),
-        "objects": [
-            {
-                "id": o.id,
-                "class": o.class_id,
-                "wall": o.wall_index,
-                "center": o.center_uv.tolist(),
-                "rotation": o.rotation,
-                "extent": o.extent.tolist(),
-                "landmarks": o.landmark_ids,
-                "movable": o.movable,
-            }
-            for o in world.objects
-        ],
-        "landmarks": [
-            {
-                "id": lm.id,
-                "p": lm.position.tolist(),
-                "desc": lm.descriptor.tolist(),
-                "class": lm.class_id,
-                "object": lm.object_id,
-            }
-            for lm in world.landmarks
-        ],
-    }
-    write_json(payload, path)
-
-
 def save_frame(frame: SyntheticFrame, path: str) -> None:
-    qw, qx, qy, qz = quaternion_from_rotation(frame.pose.rotation)
-    payload = {
-        "id": frame.frame_id,
-        "timestamp": frame.timestamp,
-        "pose": {
-            "q": [qw, qx, qy, qz],
-            "t": frame.pose.translation.tolist(),
-        },
-        "keypoints": frame.keypoints.tolist(),
-        "descriptors": frame.descriptors.tolist(),
-        "landmark_ids": frame.landmark_ids.tolist(),
-        "boxes": [
-            {
-                "class": b.semantic_class.name,
-                "box": [b.x_min, b.y_min, b.x_max, b.y_max],
-                "confidence": b.confidence,
-            }
-            for b in frame.boxes.boxes
-        ],
-    }
-    with open(path, "w") as fh:
-        # json.dump streams through the pure-Python encoder; dumps takes the
-        # C one, and a frame is small enough to hold as one string
-        fh.write(json.dumps(payload))
-        fh.write("\n")
+    """Write the frame's id, timestamp, pose and observations to exactly
+    `path` as one .npz; its detections go to the annotation files."""
+    write_arrays(path, {
+        "id": np.array(frame.frame_id),
+        "timestamp": np.array(frame.timestamp),
+        "q": quaternion_from_rotation(frame.pose.rotation),
+        "t": frame.pose.translation,
+        "keypoints": frame.keypoints,
+        "descriptors": frame.descriptors,
+        "landmark_ids": frame.landmark_ids,
+    })
 
 
-def load_frame(path: str, registry: ClassRegistry) -> SyntheticFrame:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise WorldGenerationError(f"{path}: not a valid frame file ({exc.msg})") from exc
-    try:
-        from ..semantics.boxes import BoundingBox
+def load_frame(path: str) -> SyntheticFrame:
+    """Read a frame file written by save_frame; a bad file raises
+    WorldGenerationError naming it.
 
-        pose = Pose(
-            rotation_from_quaternion(np.array(raw["pose"]["q"], dtype=float)),
-            np.array(raw["pose"]["t"], dtype=float),
-        )
-        boxes = [
-            BoundingBox(
-                registry.by_name(str(b["class"])),
-                *(float(v) for v in b["box"]),
-                float(b["confidence"]),
-            )
-            for b in raw["boxes"]
-        ]
-        keypoints = np.array(raw["keypoints"], dtype=float).reshape(-1, 2)
-        descriptors = np.array(raw["descriptors"], dtype=float)
-        if descriptors.shape == (0,):
-            descriptors = descriptors.reshape(0, 0)  # no row stores the width
-        frame = SyntheticFrame(
-            frame_id=int(raw["id"]),
-            timestamp=float(raw["timestamp"]),
-            pose=pose,
-            keypoints=keypoints,
-            descriptors=descriptors,
-            landmark_ids=np.array(raw["landmark_ids"], dtype=int),
-            boxes=DetectionSet(int(raw["id"]), boxes),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WorldGenerationError(f"{path}: malformed frame content ({exc})") from exc
-    if descriptors.ndim != 2 or len(descriptors) != len(keypoints):
-        raise WorldGenerationError(
-            f"{path}: {len(keypoints)} keypoints but descriptors of shape {descriptors.shape}"
-        )
-    return frame
+    A frame file holds no detections, so `boxes` is empty: load_dataset_frames
+    fills it from the frame's annotation file.
+    """
+    file = ArrayFile(path, WorldGenerationError, "frame")
+    frame_id = int(file.take("id", "i", ()))
+    keypoints = file.take("keypoints", "f", (None, 2))
+    n = len(keypoints)
+    descriptors = file.take("descriptors", "f", (None, None))
+    if len(descriptors) != n:
+        file.fail(f"{n} keypoints but descriptors of shape {descriptors.shape}")
+    landmark_ids = file.take("landmark_ids", "i", (n,))
+    if (landmark_ids < 0).any():
+        file.malformed("negative landmark id")
+    q = file.take("q", "f", (4,))
+    if not 0.0 < np.linalg.norm(q) < np.inf:  # any other q normalizes to a rotation
+        file.malformed(f"quaternion {q.tolist()} has no direction")
+    return SyntheticFrame(
+        frame_id=frame_id,
+        timestamp=float(file.take("timestamp", "f", ())),
+        pose=Pose(rotation_from_quaternion(q), file.take("t", "f", (3,))),
+        keypoints=keypoints,
+        descriptors=descriptors,
+        landmark_ids=landmark_ids,
+        boxes=DetectionSet(frame_id),
+    )
 
 
 def write_dataset(
@@ -131,13 +73,15 @@ def write_dataset(
     frames: list[SyntheticFrame],
     intrinsics: CameraIntrinsics,
 ) -> None:
-    """Emit the full on-disk dataset for one synthesized sequence."""
+    """Emit the full on-disk dataset for one synthesized sequence.
+
+    The world itself is not written: nothing reads it back.
+    """
     frames_dir = os.path.join(out_dir, "frames")
     annotations_dir = os.path.join(out_dir, "annotations")
     os.makedirs(frames_dir, exist_ok=True)
     os.makedirs(annotations_dir, exist_ok=True)
 
-    save_world(world, os.path.join(out_dir, "world.json"))
     with open(os.path.join(out_dir, "intrinsics.json"), "w") as fh:
         json.dump(
             {
@@ -152,7 +96,7 @@ def write_dataset(
         )
         fh.write("\n")
     for frame in frames:
-        save_frame(frame, os.path.join(frames_dir, f"{frame.frame_id:06d}.json"))
+        save_frame(frame, os.path.join(frames_dir, f"{frame.frame_id:06d}.npz"))
         save_detections(os.path.join(annotations_dir, f"{frame.frame_id:06d}.json"), frame.boxes)
     write_trajectory(
         os.path.join(out_dir, "gt_traj.txt"),
@@ -179,9 +123,34 @@ def load_intrinsics(path: str) -> CameraIntrinsics:
         raise WorldGenerationError(f"{path}: malformed intrinsics ({exc})") from exc
 
 
-def load_dataset_frames(frames_dir: str, registry: ClassRegistry) -> list[SyntheticFrame]:
+def load_dataset_frames(
+    frames_dir: str,
+    registry: ClassRegistry,
+    annotations_dir: str | None = None,
+    intrinsics: CameraIntrinsics | None = None,
+) -> list[SyntheticFrame]:
+    """Every frame file in frames_dir, in name order, each with its boxes read
+    once from annotations_dir through load_detections (validated, clamped to
+    the image, low-confidence and empty boxes dropped).
+
+    annotations_dir and intrinsics default to the dataset's own: the
+    annotations/ directory and intrinsics.json beside frames_dir.
+    """
+    dataset = os.path.dirname(os.path.abspath(frames_dir))
+    if annotations_dir is None:
+        annotations_dir = os.path.join(dataset, "annotations")
+    if intrinsics is None:
+        intrinsics = load_intrinsics(os.path.join(dataset, "intrinsics.json"))
     frames = []
     for name in sorted(os.listdir(frames_dir)):
-        if name.endswith(".json"):
-            frames.append(load_frame(os.path.join(frames_dir, name), registry))
+        if not name.endswith(".npz"):
+            continue
+        frame = load_frame(os.path.join(frames_dir, name))
+        path = os.path.join(annotations_dir, f"{frame.frame_id:06d}.json")
+        frame.boxes = load_detections(path, registry, (intrinsics.width, intrinsics.height))
+        if frame.boxes.frame_id != frame.frame_id:
+            raise AnnotationError(
+                f"{path}: annotates frame {frame.boxes.frame_id}, not {frame.frame_id}"
+            )
+        frames.append(frame)
     return frames

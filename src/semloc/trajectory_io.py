@@ -6,12 +6,13 @@ use world->camera poses, so writing and reading invert.  Frames that failed
 to localize are kept as comment lines "# <timestamp> FAILED <reason>" so
 downstream evaluation can count them.
 
-write_json is the writer the map and dataset JSON files share.
+write_arrays and ArrayFile are the writer and reader of the .npz files that
+hold maps and frames.
 """
 
 from __future__ import annotations
 
-import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,31 +78,74 @@ def read_trajectory(path: str) -> list[TrajectoryEntry]:
     return entries
 
 
-def write_json(payload: dict, path: str) -> None:
-    """Write payload, whose dict keys are all strings, and a newline, in
-    json.dump's bytes.
+def write_arrays(path: str, arrays: dict[str, np.ndarray]) -> None:
+    """Write the named arrays to exactly `path` as an uncompressed .npz.
 
-    json.dump streams through the pure-Python encoder, and one json.dumps of
-    a whole map holds every piece of the document in memory at once.  Here
-    the C encoder takes one piece at a time: dicts are walked, and a list of
-    lists or dicts is encoded one item at a time.
+    An open file handle keeps numpy from appending ".npz" to the name.
+    zipfile stamps every entry 1980-01-01, so equal arrays give equal bytes
+    whenever they are written.
     """
-    with open(path, "w") as fh:
-        _write_json(fh, payload)
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
-def _write_json(fh, value) -> None:
-    if isinstance(value, dict):
-        fh.write("{")
-        for i, (key, item) in enumerate(value.items()):
-            fh.write((", " if i else "") + json.dumps(key) + ": ")
-            _write_json(fh, item)
-        fh.write("}")
-    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
-        fh.write("[" + json.dumps(value[0]))
-        for item in value[1:]:
-            fh.write(", " + json.dumps(item))
-        fh.write("]")
-    else:
-        fh.write(json.dumps(value))
+class ArrayFile:
+    """The named arrays of one .npz file, read whole without unpickling.
+
+    Every error the reader raises is `error` and names the file: an archive
+    that does not open, a missing array, or an array of the wrong dtype or
+    shape.
+    """
+
+    def __init__(self, path: str, error: type[Exception], kind: str):
+        self.path = path
+        self.error = error
+        self.kind = kind
+        self.arrays = {}
+        try:
+            with zipfile.ZipFile(path) as archive:
+                for name in archive.namelist():
+                    with archive.open(name) as member:
+                        self.arrays[name.removesuffix(".npy")] = np.lib.format.read_array(
+                            member, allow_pickle=False
+                        )
+        except zipfile.BadZipFile as exc:
+            with open(path, "rb") as fh:
+                if fh.read(1) == b"{":
+                    self.fail(
+                        f"unsupported format: a JSON {kind} file, from before {kind}s "
+                        f"were .npz arrays; write it again with this version"
+                    )
+            self.fail(f"not a valid {kind} file ({exc})")
+        except (EOFError, ValueError) as exc:
+            self.fail(f"not a valid {kind} file ({exc})")
+
+    def fail(self, message: str):
+        raise self.error(f"{self.path}: {message}")
+
+    def malformed(self, message: str):
+        self.fail(f"malformed {self.kind} content ({message})")
+
+    def take(self, name: str, kind: str | None, shape: tuple, finite: bool | None = None):
+        """The array `name`, checked.
+
+        kind: "f" (float64 returned), "i" (int64 returned), "U" (text) or
+        None (any dtype, returned as stored).  shape: one entry per axis,
+        None for any length.  finite defaults to kind == "f".
+        """
+        if name not in self.arrays:
+            self.malformed(f"missing array '{name}'")
+        array = self.arrays[name]
+        if kind is not None:
+            if array.dtype.kind not in {"f": "f", "i": "iu", "U": "U"}[kind]:
+                self.malformed(f"array '{name}' has dtype {array.dtype}, expected kind '{kind}'")
+            if kind in "fi":
+                array = array.astype(np.float64 if kind == "f" else np.int64, copy=False)
+        if array.ndim != len(shape) or any(
+            want is not None and got != want for got, want in zip(array.shape, shape)
+        ):
+            wanted = tuple("n" if want is None else want for want in shape)
+            self.malformed(f"array '{name}' has shape {array.shape}, expected {wanted}")
+        if (kind == "f" if finite is None else finite) and not np.isfinite(array).all():
+            self.malformed(f"array '{name}' holds a non-finite value")
+        return array

@@ -1,9 +1,11 @@
 """Command-line interface: invocations, outputs, and exit codes."""
 
+import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -12,8 +14,15 @@ import pytest
 from semloc.cli import PAIRS_HEADER, main
 from semloc.evaluation.report import REPORT_HEADER, parse_report
 from semloc.mapping.sparse_map import load_map
-from semloc.semantics import UNLABELED, ClassRegistry, DetectionSet, save_detections
-from semloc.simworld import load_frame, save_frame
+from semloc.errors import AnnotationError
+from semloc.semantics import (
+    UNLABELED,
+    ClassRegistry,
+    DetectionSet,
+    load_detections,
+    save_detections,
+)
+from semloc.simworld import load_dataset_frames, load_frame, save_frame
 from semloc.trajectory_io import read_trajectory
 
 SCENE_INI = """\
@@ -59,7 +68,7 @@ def workspace(tmp_path_factory):
             "--frames", str(data / "mapping" / "frames"),
             "--annotations", str(data / "mapping" / "annotations"),
             "--intrinsics", str(data / "mapping" / "intrinsics.json"),
-            "--out", str(root / f"map_{name}.json"),
+            "--out", str(root / f"map_{name}.npz"),
         ]
         if name == "semantic":
             argv.append("--semantic")
@@ -92,16 +101,18 @@ def test_module_invocation_smoke():
 def test_simulate_writes_both_datasets(workspace):
     for split in ("mapping", "evaluation"):
         base = workspace / "data" / split
-        assert (base / "world.json").exists()
+        assert not (base / "world.json").exists()  # nothing reads the world back
         assert (base / "intrinsics.json").exists()
         assert (base / "gt_traj.txt").exists()
-        assert len(list((base / "frames").glob("*.json"))) > 0
-        assert len(list((base / "annotations").glob("*.json"))) > 0
+        frames = sorted(p.name for p in (base / "frames").iterdir())
+        assert frames and all(name.endswith(".npz") for name in frames)
+        annotations = sorted(p.name for p in (base / "annotations").iterdir())
+        assert annotations == [name.replace(".npz", ".json") for name in frames]
 
 
 def test_build_map_semantic_flag_controls_labeling(workspace):
-    semantic = load_map(str(workspace / "map_semantic.json"))
-    full = load_map(str(workspace / "map_full.json"))
+    semantic = load_map(str(workspace / "map_semantic.npz"))
+    full = load_map(str(workspace / "map_full.npz"))
     assert len(semantic.positions) > 0
     assert np.all(semantic.class_ids != UNLABELED)
     assert np.any(full.class_ids == UNLABELED)  # clutter kept
@@ -112,7 +123,7 @@ def test_relocalize_writes_parseable_trajectory(workspace, tmp_path):
     out = tmp_path / "traj.txt"
     argv = [
         "relocalize",
-        "--map", str(workspace / "map_full.json"),
+        "--map", str(workspace / "map_full.npz"),
         "--frames", str(workspace / "data" / "evaluation" / "frames"),
         "--mode", "baseline",
         "--seed", "0",
@@ -132,7 +143,7 @@ def test_evaluate_emits_fixed_header_metrics(workspace, tmp_path):
     traj = tmp_path / "traj.txt"
     assert main([
         "relocalize",
-        "--map", str(workspace / "map_semantic.json"),
+        "--map", str(workspace / "map_semantic.npz"),
         "--frames", str(workspace / "data" / "evaluation" / "frames"),
         "--mode", "pre",
         "--seed", "0",
@@ -216,8 +227,7 @@ def test_benchmark_command(workspace, tmp_path):
 def _with_empty_frame(source, target):
     """Copy a dataset split and add a frame that observes no landmark."""
     shutil.copytree(source, target)
-    registry = ClassRegistry.default()
-    frame = load_frame(str(next((target / "frames").iterdir())), registry)
+    frame = load_frame(str(next((target / "frames").iterdir())))
     empty = replace(
         frame,
         frame_id=999,
@@ -227,7 +237,7 @@ def _with_empty_frame(source, target):
         landmark_ids=np.empty(0, dtype=int),
         boxes=DetectionSet(999, []),
     )
-    save_frame(empty, str(target / "frames" / "000999.json"))
+    save_frame(empty, str(target / "frames" / "000999.npz"))
     save_detections(str(target / "annotations" / "000999.json"), empty.boxes)
     return empty.timestamp
 
@@ -241,12 +251,15 @@ def test_a_frame_without_features_does_not_fail_the_dataset(workspace, tmp_path)
         "--frames", str(tmp_path / "mapping" / "frames"),
         "--annotations", str(tmp_path / "mapping" / "annotations"),
         "--intrinsics", str(tmp_path / "mapping" / "intrinsics.json"),
-        "--out", str(tmp_path / "map.json"),
+        "--out", str(tmp_path / "map.npz"),
     ]) == 0
+    assert load_frame(str(tmp_path / "evaluation" / "frames" / "000999.npz")).descriptors.shape == (
+        0, 64
+    )
     out = tmp_path / "traj.txt"
     assert main([
         "relocalize",
-        "--map", str(tmp_path / "map.json"),
+        "--map", str(tmp_path / "map.npz"),
         "--frames", str(tmp_path / "evaluation" / "frames"),
         "--mode", "baseline",
         "--out", str(out),
@@ -289,3 +302,74 @@ def test_log_level_env_is_honored(workspace, tmp_path, monkeypatch, capsys):
     record = parse_report(str(tmp_path / "self.csv"))[0]
     assert record.ape_max == 0.0  # a trajectory scored against itself
     assert record.success_rate == 1.0
+
+
+def _tree(root) -> dict:
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+def test_simulate_and_build_map_bytes_do_not_depend_on_the_time(workspace, tmp_path):
+    """The .npz writers stamp no clock time: runs made seconds apart match byte
+    for byte."""
+    elapsed = time.time() - (workspace / "map_full.npz").stat().st_mtime
+    time.sleep(max(0.0, 2.1 - elapsed))
+    data = tmp_path / "data"
+    assert main(["simulate", "--config", str(workspace / "scene.ini"), "--out", str(data)]) == 0
+    assert main([
+        "build-map",
+        "--frames", str(data / "mapping" / "frames"),
+        "--annotations", str(data / "mapping" / "annotations"),
+        "--intrinsics", str(data / "mapping" / "intrinsics.json"),
+        "--out", str(tmp_path / "map_full.npz"),
+    ]) == 0
+    assert _tree(data) == _tree(workspace / "data")
+    assert (tmp_path / "map_full.npz").read_bytes() == (workspace / "map_full.npz").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["relocalize", "relpose"])
+def test_each_annotation_file_is_read_once(workspace, tmp_path, monkeypatch, command):
+    from semloc.simworld import dataset
+
+    reads = []
+
+    def counting(path, *args, **kwargs):
+        reads.append(os.path.basename(path))
+        return load_detections(path, *args, **kwargs)
+
+    monkeypatch.setattr(dataset, "load_detections", counting)
+    frames = workspace / "data" / "evaluation" / "frames"
+    argv = [command, "--frames", str(frames), "--mode", "post", "--out", str(tmp_path / "out")]
+    if command == "relocalize":
+        argv += ["--map", str(workspace / "map_full.npz")]
+    assert main(argv) == 0
+    assert reads == sorted(p.name.replace(".npz", ".json") for p in frames.iterdir())
+
+
+def test_query_detections_come_from_the_annotation_files(workspace, tmp_path):
+    """Relocalization and pairing read the same validated boxes build-map
+    does: clamped to the image, low-confidence ones dropped."""
+    shutil.copytree(workspace / "data" / "evaluation", tmp_path / "evaluation")
+    annotations = tmp_path / "evaluation" / "annotations"
+    first = sorted(annotations.iterdir())[0]
+    frame_id = int(first.stem)
+    first.write_text(json.dumps({"frame": frame_id, "boxes": [
+        {"class": "vent", "box": [600, -5, 700, 40], "confidence": 0.9},
+        {"class": "hatch", "box": [5, 5, 20, 20], "confidence": 0.2},
+    ]}))
+    frames = load_dataset_frames(str(tmp_path / "evaluation" / "frames"), ClassRegistry.default())
+    boxes = frames[0].boxes.boxes
+    assert frames[0].frame_id == frame_id and len(boxes) == 1
+    assert (boxes[0].x_min, boxes[0].y_min, boxes[0].x_max, boxes[0].y_max) == (600, 0, 639, 40)
+
+    first.write_text(json.dumps({"frame": frame_id + 1, "boxes": []}))
+    with pytest.raises(AnnotationError, match=f"{first.name}: annotates frame {frame_id + 1}"):
+        load_dataset_frames(str(tmp_path / "evaluation" / "frames"), ClassRegistry.default())
+    first.unlink()
+    assert main([
+        "relocalize", "--map", str(workspace / "map_full.npz"),
+        "--frames", str(tmp_path / "evaluation" / "frames"),
+        "--mode", "pre", "--out", str(tmp_path / "t.txt"),
+    ]) == 2

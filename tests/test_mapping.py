@@ -1,6 +1,5 @@
 """Vocabulary, retrieval, map building, and map serialization."""
 
-import json
 import math
 
 import numpy as np
@@ -13,6 +12,7 @@ from semloc.errors import DegenerateGeometryError, InsufficientDataError, MapFor
 from semloc.features import DEFAULT_RATIO, knn_ratio_match
 from semloc.geometry import CameraIntrinsics, Pose, project, project_points, triangulate_two_view
 from semloc.mapping import (
+    MAP_FORMAT_VERSION,
     Keyframe,
     MapBuildConfig,
     MapFrameInput,
@@ -660,7 +660,7 @@ def test_build_map_is_deterministic(tmp_path):
     paths = []
     for tag in ("a", "b"):
         sparse_map = build_map(frames, INTRINSICS, MapBuildConfig(vocabulary_k=16))
-        path = tmp_path / f"map_{tag}.json"
+        path = tmp_path / f"map_{tag}.npz"
         save_map(sparse_map, str(path))
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -812,55 +812,58 @@ def _small_map():
     return build_map(frames, INTRINSICS, MapBuildConfig(vocabulary_k=8))
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _read_npz(path) -> dict:
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _write_npz(path, arrays: dict) -> None:
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 def test_map_round_trip_is_bitwise(tmp_path):
+    """save -> load -> save: the same bytes, and every array bit for bit."""
     sparse_map = _small_map()
-    path = tmp_path / "map.json"
+    path = tmp_path / "map.npz"
     save_map(sparse_map, str(path))
     loaded = load_map(str(path))
 
-    assert loaded.version == sparse_map.version
+    assert loaded.version == sparse_map.version == MAP_FORMAT_VERSION
     assert loaded.registry.to_list() == sparse_map.registry.to_list()
-    assert np.array_equal(loaded.vocabulary.centroids, sparse_map.vocabulary.centroids)
-    assert np.array_equal(loaded.vocabulary.idf, sparse_map.vocabulary.idf)
-    assert np.array_equal(loaded.class_ids, sparse_map.class_ids)
-    assert np.array_equal(loaded.observation_counts, sparse_map.observation_counts)
-    assert np.array_equal(loaded.positions, sparse_map.positions)
-    assert np.array_equal(loaded.descriptors, sparse_map.descriptors)
+    assert _same_bits(loaded.vocabulary.centroids, sparse_map.vocabulary.centroids)
+    assert _same_bits(loaded.vocabulary.idf, sparse_map.vocabulary.idf)
+    assert _same_bits(loaded.class_ids, sparse_map.class_ids)
+    assert _same_bits(loaded.observation_counts, sparse_map.observation_counts)
+    assert _same_bits(loaded.positions, sparse_map.positions)
+    assert _same_bits(loaded.descriptors, sparse_map.descriptors)
+    assert len(loaded.keyframes) == len(sparse_map.keyframes)
     for a, b in zip(loaded.keyframes, sparse_map.keyframes):
-        assert a.id == b.id and np.array_equal(a.landmark_ids, b.landmark_ids)
-        assert np.array_equal(a.quaternion, b.quaternion)
-        assert np.array_equal(a.translation, b.translation)
-        assert a.bow.tobytes() == b.bow.tobytes()
+        assert a.id == b.id and _same_bits(a.landmark_ids, b.landmark_ids)
+        assert _same_bits(a.quaternion, b.quaternion)
+        assert _same_bits(a.translation, b.translation)
+        assert _same_bits(a.bow, b.bow)
 
-    again = tmp_path / "again.json"
+    again = tmp_path / "again.npz"
     save_map(loaded, str(again))
     assert again.read_bytes() == path.read_bytes()
+    assert not (tmp_path / "map.npz.npz").exists()  # written to exactly the given path
 
 
-_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text()
-_JSON_VALUES = st.recursive(
-    _JSON_LEAVES,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
-    max_leaves=30,
-)
-
-
-@given(payload=st.dictionaries(st.text(), _JSON_VALUES, max_size=5))
-@settings(max_examples=200, deadline=None)
-def test_write_json_gives_json_dump_bytes(tmp_path_factory, payload):
-    """Maps and worlds are written piece by piece with the C encoder, in the
-    bytes json.dump gives the whole payload."""
-    from semloc.trajectory_io import write_json
-
-    path = tmp_path_factory.mktemp("json") / "payload.json"
-    write_json(payload, str(path))
-    with open(path.with_suffix(".dump"), "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
-    assert path.read_bytes() == path.with_suffix(".dump").read_bytes()
+def test_save_map_writes_exactly_the_given_name(tmp_path):
+    """numpy appends .npz to a bare file name; the map keeps the caller's."""
+    path = tmp_path / "map_full.json"
+    save_map(_small_map(), str(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["map_full.json"]
+    assert len(load_map(str(path)).keyframes) == 2
 
 
 def test_unlabelled_landmarks_are_written_as_null(tmp_path):
+    """The array format's null class is the UNLABELED sentinel."""
     rng = np.random.default_rng(15)
     points = _scene_points(rng, 100)
     descriptors = _random_unit(rng, 100)
@@ -870,58 +873,73 @@ def test_unlabelled_landmarks_are_written_as_null(tmp_path):
         for i in range(2)
     ]
     sparse_map = build_map(frames, INTRINSICS, MapBuildConfig(semantic=False, vocabulary_k=8))
-    path = tmp_path / "map.json"
+    path = tmp_path / "map.npz"
     save_map(sparse_map, str(path))
 
-    classes = [entry["class"] for entry in json.loads(path.read_text())["landmarks"]]
-    assert set(classes) == {None, 2}
+    assert set(_read_npz(path)["class_ids"].tolist()) == {UNLABELED, 2}
     loaded = load_map(str(path))
-    assert np.array_equal(loaded.class_ids, sparse_map.class_ids)
-    again = tmp_path / "again.json"
+    assert _same_bits(loaded.class_ids, sparse_map.class_ids)
+    again = tmp_path / "again.npz"
     save_map(loaded, str(again))
     assert again.read_bytes() == path.read_bytes()
 
 
 def test_load_rejects_other_versions(tmp_path):
-    path = tmp_path / "old.json"
-    path.write_text(json.dumps({"version": "0", "classes": [], "vocabulary": {},
-                                "landmarks": [], "keyframes": []}))
-    with pytest.raises(MapFormatError, match=r"'0'.*'1'"):
+    path = tmp_path / "old.npz"
+    arrays = _read_npz(_saved_small_map(tmp_path))
+    _write_npz(path, {**arrays, "version": np.array("0")})
+    with pytest.raises(MapFormatError, match=r"old\.npz: format version '0'.*'2'"):
+        load_map(str(path))
+
+
+def test_load_rejects_a_json_map_as_unsupported(tmp_path):
+    """A map from the JSON format (version 1) gets a clear error, not a zip error."""
+    path = tmp_path / "v1.json"
+    path.write_text('{"version": "1", "classes": [], "vocabulary": {}, '
+                    '"landmarks": [], "keyframes": []}\n')
+    with pytest.raises(MapFormatError, match=r"v1\.json: unsupported format: a JSON map"):
         load_map(str(path))
 
 
 def test_load_rejects_empty_and_truncated_files(tmp_path):
-    empty = tmp_path / "empty.json"
+    empty = tmp_path / "empty.npz"
     empty.write_text("")
     with pytest.raises(MapFormatError, match="not a valid map file"):
         load_map(str(empty))
 
-    sparse_map = _small_map()
-    full = tmp_path / "full.json"
-    save_map(sparse_map, str(full))
-    data = full.read_bytes()
-    cut = tmp_path / "cut.json"
+    data = _saved_small_map(tmp_path).read_bytes()
+    cut = tmp_path / "cut.npz"
     cut.write_bytes(data[: len(data) // 2])
     with pytest.raises(MapFormatError, match="not a valid map file"):
         load_map(str(cut))
+    flipped = bytearray(data)
+    flipped[len(data) // 2] ^= 0xFF
+    cut.write_bytes(bytes(flipped))
+    with pytest.raises(MapFormatError, match="cut.npz: not a valid map file"):
+        load_map(str(cut))
+
+
+def _saved_small_map(tmp_path):
+    path = tmp_path / "saved.npz"
+    save_map(_small_map(), str(path))
+    return path
 
 
 def _corrupted_map_file(tmp_path, corrupt) -> str:
-    """A saved map file whose JSON payload `corrupt` has edited in place."""
-    path = tmp_path / "map.json"
-    save_map(_small_map(), str(path))
-    raw = json.loads(path.read_text())
+    """A saved map file whose arrays `corrupt` has edited in place."""
+    raw = _read_npz(_saved_small_map(tmp_path))
     corrupt(raw)
-    path.write_text(json.dumps(raw))
+    path = tmp_path / "map.npz"
+    _write_npz(path, raw)
     return str(path)
 
 
 def test_landmark_and_keyframe_invariants(tmp_path):
     def single_observation(raw):
-        raw["landmarks"][0]["obs"] = 1
+        raw["observation_counts"][0] = 1
 
     def unknown_reference(raw):
-        raw["keyframes"][0]["landmarks"].append(7_000)
+        raw["keyframe_landmark_ids"][0] = 7_000
 
     with pytest.raises(MapFormatError, match="observations"):
         load_map(_corrupted_map_file(tmp_path, single_observation))
@@ -931,63 +949,69 @@ def test_landmark_and_keyframe_invariants(tmp_path):
         load_map(_corrupted_map_file(tmp_path, unknown_reference))
 
 
-def _set_landmark(field, value):
-    return lambda raw: raw["landmarks"][0].update({field: value})
+def _set(name, index, value):
+    def corrupt(raw):
+        raw[name][index] = value
+    return corrupt
 
 
+def _set_reference(kf, value):
+    """Point keyframe kf's first landmark reference at `value` (a callable of
+    the arrays gives it from them)."""
+    def corrupt(raw):
+        start = raw["keyframe_landmark_offsets"][kf]
+        raw["keyframe_landmark_ids"][start] = value(raw) if callable(value) else value
+    return corrupt
+
+
+def _replace(name, change):
+    return lambda raw: raw.update({name: change(raw[name])})
+
+
+def _add_words(kf, words, weight=0.5, as_float=False):
+    """Append (word, weight) entries to keyframe kf's bag-of-words run."""
+    def corrupt(raw):
+        at = raw["bow_offsets"][kf + 1]
+        stored = raw["bow_words"].astype(float) if as_float else raw["bow_words"]
+        raw["bow_words"] = np.insert(stored, at, words)
+        raw["bow_weights"] = np.insert(raw["bow_weights"], at, [weight] * len(words))
+        raw["bow_offsets"][kf + 1:] += len(words)
+    return corrupt
+
+
+# A landmark's id is its row, so the id cases are a column whose rows do not
+# run 0..N-1 with the others; UNLABELED (-1) is the stored sentinel, so the
+# sentinel case is an id below it; a zero-padded word has no integer form, so
+# that case is the fault it caused, one word written twice in a keyframe.
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (lambda raw: raw["landmarks"].reverse(), "ids must run 0"),
-        (_set_landmark("id", 5), "ids must run 0"),
-        (_set_landmark("p", [1.0, 2.0]), "position needs 3 values"),
-        (_set_landmark("p", [1.0, 2.0, 3.0, 4.0]), "position needs 3 values"),
-        (_set_landmark("desc", [1.0, 0.0]), "differ in width"),
-        (_set_landmark("obs", 1), ">= 2 observations"),
-        (_set_landmark("class", UNLABELED), "not in registry"),
-        (_set_landmark("class", 8), "not in registry"),
-        (lambda raw: raw["keyframes"][1]["landmarks"].append(-1), "unknown landmark ids"),
+        (_replace("descriptors", lambda a: a[:-1]), "ids must run 0"),
+        (_replace("observation_counts", lambda a: np.append(a, 2)), "ids must run 0"),
+        (_replace("positions", lambda a: a[:, :2]), "position needs 3 values"),
+        (_replace("positions", lambda a: np.hstack([a, a[:, :1]])), "position needs 3 values"),
+        (_replace("descriptors", lambda a: a[:, :2]), "differ in width"),
+        (_set("observation_counts", 0, 1), ">= 2 observations"),
+        (_set("class_ids", 0, UNLABELED - 1), "not in registry"),
+        (_set("class_ids", 0, 8), "not in registry"),
+        (_set_reference(1, -1), "unknown landmark ids"),
+        (_set_reference(1, lambda raw: len(raw["positions"])), "unknown landmark ids"),
+        (_add_words(0, [3], -0.5), "negative bag-of-words weight"),
+        (_add_words(0, [3], float("nan")), "keyframe 0: non-finite bag-of-words weight"),
+        (_add_words(1, [3], float("inf")), "keyframe 1: non-finite bag-of-words weight"),
+        (_add_words(1, [-1]), "keyframe 1: bag-of-words word '-1' is not an integer"),
+        (_add_words(0, [999]), "keyframe 0: bag-of-words word '999' is not an integer"),
+        (_add_words(0, [8]), "keyframe 0: bag-of-words word '8' is not an integer"),
         (
-            lambda raw: raw["keyframes"][1]["landmarks"].append(len(raw["landmarks"])),
-            "unknown landmark ids",
-        ),
-        (
-            lambda raw: raw["keyframes"][0]["bow"].update({"3": -0.5}),
-            "negative bag-of-words weight",
-        ),
-        (
-            lambda raw: raw["keyframes"][0]["bow"].update({"3": float("nan")}),
-            "keyframe 0: non-finite bag-of-words weight",
-        ),
-        (
-            lambda raw: raw["keyframes"][1]["bow"].update({"3": float("inf")}),
-            "keyframe 1: non-finite bag-of-words weight",
-        ),
-        (
-            lambda raw: raw["keyframes"][1]["bow"].update({"-1": 0.5}),
-            "keyframe 1: bag-of-words word '-1' is not an integer",
-        ),
-        (
-            lambda raw: raw["keyframes"][0]["bow"].update({"999": 0.5}),
-            "keyframe 0: bag-of-words word '999' is not an integer",
-        ),
-        (
-            lambda raw: raw["keyframes"][0]["bow"].update({str(raw["vocabulary"]["k"]): 0.5}),
-            "keyframe 0: bag-of-words word '8' is not an integer",
-        ),
-        (
-            lambda raw: raw["keyframes"][0]["bow"].update({"2.0": 0.5}),
+            _add_words(0, [2.0], as_float=True),
             "keyframe 0: bag-of-words word '2.0' is not an integer",
         ),
+        (_add_words(0, [3, 3]), "keyframe 0: bag-of-words word '3' repeats"),
         (
-            lambda raw: raw["keyframes"][0]["bow"].update({"03": 0.5}),
-            "keyframe 0: bag-of-words word '03' is not an integer",
-        ),
-        (
-            lambda raw: raw["keyframes"][1].update({"id": raw["keyframes"][0]["id"]}),
+            lambda raw: _set("keyframe_ids", 1, raw["keyframe_ids"][0])(raw),
             "keyframe 0 appears more than once",
         ),
-        (lambda raw: raw["keyframes"][0].update({"bow": [0.5]}), "malformed map content"),
+        (_replace("bow_weights", lambda a: a[:, None]), "malformed map content"),
     ],
     ids=[
         "ids-reversed",
@@ -1013,5 +1037,32 @@ def _set_landmark(field, value):
     ],
 )
 def test_load_map_rejects_malformed_landmarks(tmp_path, corrupt, message):
-    with pytest.raises(MapFormatError, match=rf"map\.json: .*{message}"):
+    with pytest.raises(MapFormatError, match=rf"map\.npz: .*{message}"):
+        load_map(_corrupted_map_file(tmp_path, corrupt))
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda raw: raw.pop("centroids"), "malformed map content \\(missing array 'centroids'"),
+        (_replace("positions", lambda a: a.astype(np.float32).astype(str)), "has dtype"),
+        (_set("positions", (0, 1), float("nan")), "'positions' holds a non-finite value"),
+        (_replace("idf", lambda a: a[:-1]), "idf length"),
+        (_set("keyframe_quaternions", 1, 0.0), "keyframe 1: quaternion has no direction"),
+        (_set("keyframe_landmark_offsets", 1, -1), "'keyframe_landmark_offsets' must rise"),
+        (_replace("bow_offsets", lambda a: a[:-1]), "'bow_offsets' has shape"),
+        (
+            lambda raw: raw.update(registry_names=np.array([None] * 8, dtype=object)),
+            "not a valid map file",
+        ),
+    ],
+    ids=[
+        "missing-array", "text-positions", "nan-position", "short-idf",
+        "zero-quaternion", "falling-offsets", "short-offsets", "pickled-array",
+    ],
+)
+def test_load_map_names_the_file_for_any_malformed_array(tmp_path, corrupt, message):
+    """Structure errors are MapFormatError naming the file, never a KeyError,
+    IndexError or a numpy error."""
+    with pytest.raises(MapFormatError, match=rf"map\.npz: .*{message}"):
         load_map(_corrupted_map_file(tmp_path, corrupt))

@@ -49,14 +49,19 @@ def test_registry_rejects_wrong_count_and_duplicates():
         ClassRegistry(dupe)
 
 
-def _map_file_with_classes(path, classes):
-    """A map file whose class list is `classes`; load_map reads it first."""
-    path.write_text(json.dumps({"version": MAP_FORMAT_VERSION, "classes": classes}))
+def _map_file_with_classes(path, ids, names=None):
+    """A map file holding its version and class list only; load_map reads the
+    class list first.  names=None leaves the names array out."""
+    arrays = {"version": np.array(MAP_FORMAT_VERSION), "registry_ids": np.array(ids)}
+    if names is not None:
+        arrays["registry_names"] = np.array(names)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
     return str(path)
 
 
 def test_registry_json_round_trip(tmp_path):
-    # the class list of map and world files: to_list, read back entry by entry
+    # to_list, read back entry by entry
     raw = json.loads(json.dumps(REGISTRY.to_list()))
     loaded = ClassRegistry([SemanticClass(int(e["id"]), str(e["name"])) for e in raw])
     assert loaded.to_list() == REGISTRY.to_list()
@@ -64,8 +69,11 @@ def test_registry_json_round_trip(tmp_path):
 
 
 def test_registry_json_errors_name_the_file(tmp_path):
-    path = _map_file_with_classes(tmp_path / "bad.json", [{"id": 0}])
-    with pytest.raises(MapFormatError, match="bad.json"):
+    path = _map_file_with_classes(tmp_path / "bad.npz", [0])
+    with pytest.raises(MapFormatError, match=r"bad\.npz: .*missing array 'registry_names'"):
+        load_map(path)
+    path = _map_file_with_classes(tmp_path / "bad.npz", [0], ["vent"])
+    with pytest.raises(MapFormatError, match=r"bad\.npz: .*exactly 8"):
         load_map(path)
 
 
@@ -74,8 +82,10 @@ def test_registry_rejects_a_negative_class_id(tmp_path):
     classes = [{"id": i, "name": f"c{i}"} for i in range(-1, 7)]
     with pytest.raises(AnnotationError, match="non-negative"):
         ClassRegistry([SemanticClass(e["id"], e["name"]) for e in classes])
-    path = _map_file_with_classes(tmp_path / "negative.json", classes)
-    with pytest.raises(MapFormatError, match=r"negative\.json.*non-negative"):
+    path = _map_file_with_classes(
+        tmp_path / "negative.npz", [e["id"] for e in classes], [e["name"] for e in classes]
+    )
+    with pytest.raises(MapFormatError, match=r"negative\.npz.*non-negative"):
         load_map(path)
 
 

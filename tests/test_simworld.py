@@ -1,6 +1,5 @@
 """Synthetic world generation, perturbation, trajectories, and observation."""
 
-import json
 import math
 
 import numpy as np
@@ -10,12 +9,7 @@ from semloc.errors import WorldGenerationError
 from semloc.geometry import Pose, project_points, rotation_error_deg
 from semloc.geometry.epipolar import relative_motion
 from semloc.geometry.pose import rotation_from_axis_angle
-from semloc.semantics import (
-    ClassRegistry,
-    FeatureObservation,
-    SemanticClass,
-    extract_frame_features,
-)
+from semloc.semantics import FeatureObservation, extract_frame_features
 from semloc.simworld import (
     BODY_TO_CAMERA,
     DEFAULT_INTRINSICS,
@@ -33,7 +27,6 @@ from semloc.simworld import (
     make_walls,
     perturb_world,
     save_frame,
-    save_world,
     synthesize_frame,
 )
 from semloc.trajectory_io import TrajectoryEntry, read_trajectory, write_trajectory
@@ -522,60 +515,46 @@ def test_negative_noise_rejected():
 # serialization and config
 
 
-def _load_world(path: str) -> World:
-    """Read back the world.json that save_world writes."""
-    with open(path) as fh:
-        raw = json.load(fh)
-    return World(
-        dimensions=np.array(raw["dimensions"], dtype=float),
-        objects=[
-            WorldObject(
-                id=int(e["id"]),
-                class_id=None if e["class"] is None else int(e["class"]),
-                wall_index=int(e["wall"]),
-                center_uv=np.array(e["center"], dtype=float),
-                rotation=float(e["rotation"]),
-                extent=np.array(e["extent"], dtype=float),
-                landmark_ids=[int(i) for i in e["landmarks"]],
-                movable=bool(e["movable"]),
-            )
-            for e in raw["objects"]
-        ],
-        landmarks=[
-            WorldLandmark(
-                id=int(e["id"]),
-                position=np.array(e["p"], dtype=float),
-                descriptor=np.array(e["desc"], dtype=float),
-                class_id=None if e["class"] is None else int(e["class"]),
-                object_id=None if e["object"] is None else int(e["object"]),
-            )
-            for e in raw["landmarks"]
-        ],
-        seed=int(raw["seed"]),
-        registry=ClassRegistry(
-            [SemanticClass(int(e["id"]), str(e["name"])) for e in raw["classes"]]
-        ),
-    )
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def test_world_round_trip_bitwise(tmp_path):
-    world = generate_world(WorldConfig(), seed=13)
-    path = tmp_path / "world.json"
-    save_world(world, str(path))
-    loaded = _load_world(str(path))
-    assert np.array_equal(loaded.landmark_positions(), world.landmark_positions())
-    assert np.array_equal(loaded.landmark_descriptors(), world.landmark_descriptors())
-    assert len(loaded.objects) == len(world.objects)
-    for a, b in zip(loaded.objects, world.objects):
-        assert (a.id, a.class_id, a.wall_index, a.movable) == (
-            b.id,
-            b.class_id,
-            b.wall_index,
-            b.movable,
-        )
-        assert np.array_equal(a.center_uv, b.center_uv)
-        assert a.rotation == b.rotation
-        assert a.landmark_ids == b.landmark_ids
+def _arrays(path) -> dict:
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _assert_frame_round_trip(frame, tmp_path):
+    """save -> load -> save: every array bit for bit but the quaternion.
+
+    A frame holds its rotation as a matrix, and matrix -> quaternion does not
+    invert quaternion -> matrix to the last bit, so the second save's q may
+    differ from the first's in its last bits.
+    """
+    path = tmp_path / "frame.npz"
+    save_frame(frame, str(path))
+    loaded = load_frame(str(path))
+    again = tmp_path / "again.npz"
+    save_frame(loaded, str(again))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.npz", "frame.npz"]
+    first, second = _arrays(path), _arrays(again)
+    assert list(first) == list(second) == [
+        "id", "timestamp", "q", "t", "keypoints", "descriptors", "landmark_ids"
+    ]
+    for name in first:
+        if name != "q":
+            assert _same_bits(first[name], second[name]), name
+    assert np.allclose(first["q"], second["q"], rtol=0.0, atol=1e-15)
+
+    assert loaded.frame_id == frame.frame_id and loaded.timestamp == frame.timestamp
+    for name in ("keypoints", "descriptors", "landmark_ids"):
+        assert _same_bits(getattr(loaded, name), getattr(frame, name)), name
+    assert _same_bits(loaded.pose.translation, frame.pose.translation)
+    assert rotation_error_deg(loaded.pose.rotation, frame.pose.rotation) < 1e-12
+    assert loaded.boxes.boxes == []  # detections live in the annotation files
+    save_frame(frame, str(again))
+    assert again.read_bytes() == path.read_bytes()  # the same frame, the same bytes
+    return loaded
 
 
 def test_frame_round_trip_bitwise(tmp_path):
@@ -583,21 +562,9 @@ def test_frame_round_trip_bitwise(tmp_path):
     pose = _looking_at_wall_pose(world)
     frame = synthesize_frame(world, pose, DEFAULT_INTRINSICS, noise=(0.5, 0.05),
                              rng=np.random.default_rng(4), frame_id=9, timestamp=0.9)
-    path = tmp_path / "frame.json"
-    save_frame(frame, str(path))
-    loaded = load_frame(str(path), world.registry)
+    assert len(frame.keypoints) > 0 and frame.boxes.boxes
+    loaded = _assert_frame_round_trip(frame, tmp_path)
     assert loaded.frame_id == 9 and loaded.timestamp == 0.9
-    assert np.array_equal(loaded.keypoints, frame.keypoints)
-    assert np.array_equal(loaded.descriptors, frame.descriptors)
-    assert np.array_equal(loaded.landmark_ids, frame.landmark_ids)
-    assert np.array_equal(loaded.pose.rotation, frame.pose.rotation) or (
-        rotation_error_deg(loaded.pose.rotation, frame.pose.rotation) < 1e-12
-    )
-    assert np.array_equal(loaded.pose.translation, frame.pose.translation)
-    assert len(loaded.boxes.boxes) == len(frame.boxes.boxes)
-    for a, b in zip(loaded.boxes.boxes, frame.boxes.boxes):
-        assert (a.x_min, a.y_min, a.x_max, a.y_max) == (b.x_min, b.y_min, b.x_max, b.y_max)
-        assert a.semantic_class.id == b.semantic_class.id
 
 
 def test_empty_frame_survives_round_trip(tmp_path):
@@ -607,28 +574,80 @@ def test_empty_frame_survives_round_trip(tmp_path):
     )[0][1]
     frame = synthesize_frame(world, away, DEFAULT_INTRINSICS, noise=(0.5, 0.05),
                              rng=np.random.default_rng(0))
-    path = tmp_path / "frame.json"
-    save_frame(frame, str(path))
-    loaded = load_frame(str(path), world.registry)
+    assert frame.descriptors.shape == (0, 64)
+    loaded = _assert_frame_round_trip(frame, tmp_path)
     assert loaded.keypoints.shape == (0, 2)
-    assert loaded.descriptors.shape[0] == 0
+    assert loaded.descriptors.shape == (0, 64)  # the width survives an empty frame
     features = extract_frame_features(
         FeatureObservation(loaded.keypoints, loaded.descriptors), loaded.boxes, masked=False
     )
     assert len(features.coordinates) == len(features.descriptors) == 0
 
 
-def test_frame_with_disagreeing_counts_names_the_file(tmp_path):
+def _frame_arrays(tmp_path) -> dict:
     world = generate_world(WorldConfig(), seed=14)
     frame = synthesize_frame(world, _looking_at_wall_pose(world), DEFAULT_INTRINSICS,
                              noise=(0.5, 0.05), rng=np.random.default_rng(4))
-    path = tmp_path / "frame.json"
+    path = tmp_path / "saved.npz"
     save_frame(frame, str(path))
-    raw = json.loads(path.read_text())
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _write_frame_arrays(path, arrays: dict) -> str:
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    return str(path)
+
+
+def test_frame_with_disagreeing_counts_names_the_file(tmp_path):
+    raw = _frame_arrays(tmp_path)
     raw["descriptors"] = raw["descriptors"][1:]
-    path.write_text(json.dumps(raw))
-    with pytest.raises(WorldGenerationError, match="frame.json.*keypoints but descriptors"):
-        load_frame(str(path), world.registry)
+    path = _write_frame_arrays(tmp_path / "frame.npz", raw)
+    with pytest.raises(WorldGenerationError, match="frame.npz.*keypoints but descriptors"):
+        load_frame(path)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda raw: raw.pop("keypoints"), "missing array 'keypoints'"),
+        (lambda raw: raw.update(id=np.array(1.5)), "'id' has dtype float64"),
+        (lambda raw: raw.update(t=raw["t"][:2]), "'t' has shape"),
+        (lambda raw: raw.update(keypoints=raw["keypoints"][:, :1]), "'keypoints' has shape"),
+        (lambda raw: raw["keypoints"].__setitem__((0, 0), np.inf), "'keypoints' holds a non-finite"),
+        (lambda raw: raw.update(landmark_ids=raw["landmark_ids"][1:]), "'landmark_ids' has shape"),
+        (lambda raw: raw["landmark_ids"].__setitem__(0, -3), "negative landmark id"),
+        (lambda raw: raw.update(q=np.zeros(4)), "quaternion .* has no direction"),
+    ],
+    ids=[
+        "missing-keypoints", "float-id", "short-translation", "one-column-keypoints",
+        "infinite-keypoint", "short-landmark-ids", "negative-landmark-id", "zero-quaternion",
+    ],
+)
+def test_malformed_frame_files_name_the_file(tmp_path, corrupt, message):
+    raw = _frame_arrays(tmp_path)
+    corrupt(raw)
+    path = _write_frame_arrays(tmp_path / "frame.npz", raw)
+    with pytest.raises(WorldGenerationError, match=rf"frame\.npz: malformed frame content .*{message}"):
+        load_frame(path)
+
+
+def test_unreadable_frame_files_name_the_file(tmp_path):
+    _frame_arrays(tmp_path)
+    data = (tmp_path / "saved.npz").read_bytes()
+    cases = {
+        "empty.npz": b"",
+        "cut.npz": data[: len(data) // 2],
+        "text.npz": b"not an archive",
+    }
+    for name, content in cases.items():
+        (tmp_path / name).write_bytes(content)
+        with pytest.raises(WorldGenerationError, match=rf"{name}: not a valid frame file"):
+            load_frame(str(tmp_path / name))
+    (tmp_path / "old.json").write_text('{"id": 0, "keypoints": []}\n')
+    with pytest.raises(WorldGenerationError, match=r"old\.json: unsupported format"):
+        load_frame(str(tmp_path / "old.json"))
 
 
 def test_trajectory_file_round_trip(tmp_path):
