@@ -55,13 +55,13 @@ def synthesize_sequence(
     world: World,
     kind: str,
     params,
-    intrinsics: CameraIntrinsics,
-    noise: tuple,
+    config: SceneConfig,
     seed: int,
     stream: int,
     id_base: int = 0,
 ) -> list[SyntheticFrame]:
-    """Observe a trajectory with per-frame rng derived from (seed, stream, index)."""
+    """Observe a trajectory with the config's camera, noise and box margin,
+    and per-frame rng derived from (seed, stream, index)."""
     frames = []
     for index, (timestamp, pose) in enumerate(generate_trajectory(kind, params)):
         rng = np.random.default_rng(derive_rng_seed(seed, stream, index))
@@ -69,11 +69,12 @@ def synthesize_sequence(
             synthesize_frame(
                 world,
                 pose,
-                intrinsics,
-                noise=noise,
+                config.intrinsics,
+                noise=(config.sigma_px, config.sigma_desc),
                 rng=rng,
                 frame_id=id_base + index,
                 timestamp=timestamp,
+                box_margin_px=config.box_margin_px,
             )
         )
     return frames
@@ -92,17 +93,15 @@ class SyntheticScene(NamedTuple):
 def synthesize_scene(config: SceneConfig, seed: int) -> SyntheticScene:
     """Generate a seed's worlds and observe both of its trajectories."""
     world = generate_world(config.world, seed=seed)
-    noise = (config.sigma_px, config.sigma_desc)
     mapping_frames = synthesize_sequence(
-        world, config.mapping_kind, config.mapping, config.intrinsics,
-        noise, seed, _MAPPING_STREAM,
+        world, config.mapping_kind, config.mapping, config, seed, _MAPPING_STREAM
     )
     eval_world = world
     if config.perturbation is not None:
         eval_world = perturb_world(world, config.perturbation.resolve(world))
     eval_frames = synthesize_sequence(
-        eval_world, config.evaluation_kind, config.evaluation, config.intrinsics,
-        noise, seed, _EVALUATION_STREAM, id_base=_EVALUATION_ID_BASE,
+        eval_world, config.evaluation_kind, config.evaluation, config,
+        seed, _EVALUATION_STREAM, id_base=_EVALUATION_ID_BASE,
     )
     return SyntheticScene(world, mapping_frames, eval_world, eval_frames)
 

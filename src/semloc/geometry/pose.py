@@ -125,10 +125,11 @@ def rotation_from_quaternion(q: np.ndarray) -> np.ndarray:
 
 
 def rotation_defects(rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max |R R^T - I| of each (..., 3, 3) rotation, and whether Pose rejects it."""
+    """Max |R R^T - I| of each (..., 3, 3) rotation, and whether Pose rejects
+    it; a rotation with a NaN entry fails every comparison, so it is rejected."""
     deviation = np.abs(rotation @ np.swapaxes(rotation, -1, -2) - _EYE)
     err = deviation.reshape(deviation.shape[:-2] + (9,)).max(axis=-1)
-    return err, (err > _ORTHONORMAL_TOL) | (np.linalg.det(rotation) < 0.0)
+    return err, ~((err <= _ORTHONORMAL_TOL) & (np.linalg.det(rotation) >= 0.0))
 
 
 @dataclass
@@ -146,6 +147,8 @@ class Pose:
             raise DegenerateGeometryError(
                 f"rotation is not orthonormal (max deviation {err:.3e})"
             )
+        if not np.isfinite(self.translation).all():
+            raise DegenerateGeometryError("translation is not finite")
 
     def quaternion(self) -> np.ndarray:
         return quaternion_from_rotation(self.rotation)

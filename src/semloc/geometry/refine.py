@@ -13,6 +13,8 @@ import numpy as np
 from .pose import CameraIntrinsics, Pose, project_points, rotation_from_axis_angle, skew
 
 _SINGULAR_COND = 1e12
+_MAX_ITERATIONS = 20
+_STEP_TOL = 1e-10  # a step shorter than this ends the iteration
 
 
 @dataclass
@@ -66,8 +68,6 @@ def refine_pose(
     pixels: np.ndarray,
     points: np.ndarray,
     intrinsics: CameraIntrinsics,
-    max_iterations: int = 20,
-    tol: float = 1e-10,
 ) -> RefineResult:
     """Minimize total squared reprojection error starting from pose0.
 
@@ -83,7 +83,7 @@ def refine_pose(
     cost = float(residual @ residual)
     initial_cost = cost
 
-    for iteration in range(max_iterations):
+    for iteration in range(_MAX_ITERATIONS):
         jac = _jacobian(pose, intrinsics, points)
         normal = jac.T @ jac
         rhs = -jac.T @ residual
@@ -104,7 +104,7 @@ def refine_pose(
             step = step / 2.0
         if not accepted:
             return RefineResult(pose, False, iteration + 1, initial_cost, cost)
-        if np.linalg.norm(delta) < tol:
+        if np.linalg.norm(delta) < _STEP_TOL:
             return RefineResult(pose, False, iteration + 1, initial_cost, cost)
 
-    return RefineResult(pose, False, max_iterations, initial_cost, cost)
+    return RefineResult(pose, False, _MAX_ITERATIONS, initial_cost, cost)

@@ -46,7 +46,21 @@ def write_trajectory(path: str, entries: list[TrajectoryEntry]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite_fields(path: str, line_no: int, tokens: list[str]) -> list[float]:
+    """The tokens as floats; MapFormatError naming path:line_no for a token
+    that is not a number or not finite."""
+    try:
+        values = [float(token) for token in tokens]
+    except ValueError as exc:
+        raise MapFormatError(f"{path}:{line_no}: non-numeric field ({exc})") from None
+    if not np.isfinite(values).all():
+        raise MapFormatError(f"{path}:{line_no}: non-finite field")
+    return values
+
+
 def read_trajectory(path: str) -> list[TrajectoryEntry]:
+    """The entries of a trajectory file; MapFormatError naming path:line for a
+    line with the wrong field count or a field that is not a finite number."""
     entries: list[TrajectoryEntry] = []
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -58,7 +72,7 @@ def read_trajectory(path: str) -> list[TrajectoryEntry]:
                 if len(tokens) >= 3 and tokens[1] == "FAILED":
                     entries.append(
                         TrajectoryEntry(
-                            timestamp=float(tokens[0]),
+                            timestamp=_finite_fields(path, line_no, tokens[:1])[0],
                             pose=None,
                             failure_reason=" ".join(tokens[2:]),
                         )
@@ -70,7 +84,7 @@ def read_trajectory(path: str) -> list[TrajectoryEntry]:
                     f"{path}:{line_no}: expected 8 fields "
                     f"(timestamp tx ty tz qx qy qz qw), got {len(tokens)}"
                 )
-            t, tx, ty, tz, qx, qy, qz, qw = (float(v) for v in tokens)
+            t, tx, ty, tz, qx, qy, qz, qw = _finite_fields(path, line_no, tokens)
             rotation_wc = rotation_from_quaternion(np.array([qw, qx, qy, qz]))
             center = np.array([tx, ty, tz])
             pose = Pose(rotation_wc.T, -rotation_wc.T @ center)

@@ -291,6 +291,20 @@ def test_pipeline_failures_exit_2(workspace, tmp_path):
     ]) == 2
 
 
+def test_evaluate_rejects_a_non_finite_trajectory_field(workspace, tmp_path, capsys):
+    est = tmp_path / "est.txt"
+    est.write_text(
+        "100.000000 4.0 2.0 1.5 0.0 0.0 0.0 1.0\n100.100000 nan 2.0 1.5 0.0 0.0 0.0 1.0\n"
+    )
+    assert main([
+        "evaluate", "--est", str(est),
+        "--gt", str(workspace / "data" / "evaluation" / "gt_traj.txt"),
+        "--out", str(tmp_path / "m.csv"),
+    ]) == 2
+    assert "est.txt:2: non-finite field" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_log_level_env_is_honored(workspace, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SEMLOC_LOG", "info")
     assert main([

@@ -80,6 +80,21 @@ def test_pose_rejects_non_orthonormal():
         Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "rotation, translation",
+    [
+        (np.full((3, 3), np.nan), np.zeros(3)),
+        (np.where(np.eye(3) == 1.0, np.nan, 0.0), np.zeros(3)),
+        (np.eye(3), np.array([0.0, np.nan, 0.0])),
+        (np.eye(3), np.array([np.inf, 0.0, 0.0])),
+    ],
+    ids=["nan-rotation", "nan-diagonal", "nan-translation", "inf-translation"],
+)
+def test_pose_rejects_non_finite_input(rotation, translation):
+    with pytest.raises(DegenerateGeometryError):
+        Pose(rotation, translation)
+
+
 def test_quaternion_roundtrip_and_sign():
     rng = np.random.default_rng(11)
     for _ in range(100):

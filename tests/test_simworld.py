@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from semloc.errors import WorldGenerationError
+from semloc.errors import MapFormatError, WorldGenerationError
 from semloc.geometry import Pose, project_points, rotation_error_deg
 from semloc.geometry.epipolar import relative_motion
 from semloc.geometry.pose import rotation_from_axis_angle
@@ -666,6 +666,56 @@ def test_trajectory_file_round_trip(tmp_path):
             continue
         assert rotation_error_deg(original.pose.rotation, parsed.pose.rotation) < 1e-5
         assert np.linalg.norm(original.pose.translation - parsed.pose.translation) < 1e-6
+
+
+_GOOD_LINE = "0.100000 1.0 2.0 1.5 0.0 0.0 0.0 1.0"
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "0.100000 nan 2.0 1.5 0.0 0.0 0.0 1.0",
+        "0.100000 1.0 2.0 1.5 0.0 inf 0.0 1.0",
+        "nan 1.0 2.0 1.5 0.0 0.0 0.0 1.0",
+        "0.100000 1.0 2.0 1.5 0.0 zero 0.0 1.0",
+        "# nan FAILED localization failed",
+        "# soon FAILED localization failed",
+    ],
+    ids=["nan-tx", "inf-qy", "nan-time", "word-qy", "nan-failed-time", "word-failed-time"],
+)
+def test_trajectory_reader_names_the_line_of_a_bad_field(tmp_path, line):
+    path = tmp_path / "traj.txt"
+    path.write_text(f"# timestamp tx ty tz qx qy qz qw\n{_GOOD_LINE}\n{line}\n")
+    with pytest.raises(MapFormatError, match=rf"traj\.txt:3: non-(numeric|finite) field"):
+        read_trajectory(str(path))
+
+
+def test_scene_config_box_margin_reaches_the_boxes(tmp_path):
+    from semloc.evaluation import synthesize_scene
+
+    def mapping_boxes(margin_line: str):
+        path = tmp_path / "scene.ini"
+        path.write_text(
+            "[world]\nseed = 4\n[noise]\n" + margin_line
+            + "[mapping]\nsteps = 6\nradius = 0.5\n[evaluation]\nsteps = 1\n"
+            "[perturbation]\nenabled = false\n"
+        )
+        config = load_scene_config(str(path))
+        return [frame.boxes.boxes for frame in synthesize_scene(config, config.seed).mapping_frames]
+
+    def inflated(a, b) -> bool:
+        sides = (a.x_min - b.x_min, a.y_min - b.y_min, b.x_max - a.x_max, b.y_max - a.y_max)
+        return a.semantic_class == b.semantic_class and sides == pytest.approx((6.0,) * 4)
+
+    unclamped = 0
+    # a wider margin can only add boxes that are clamped (an object just off
+    # the image), so each unclamped wide box has its default-margin box
+    for narrow, wide in zip(mapping_boxes(""), mapping_boxes("box_margin_px = 8\n")):
+        for b in wide:
+            if 0.0 < b.x_min and 0.0 < b.y_min and b.x_max < 639.0 and b.y_max < 479.0:
+                unclamped += 1
+                assert any(inflated(a, b) for a in narrow)
+    assert unclamped >= 3
 
 
 def test_scene_config_parsing(tmp_path):
