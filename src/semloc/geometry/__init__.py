@@ -3,9 +3,11 @@
 from .pose import (
     CameraIntrinsics,
     Pose,
+    camera_points,
     project,
     project_points,
     quaternion_from_rotation,
+    reprojection_errors,
     rotation_from_axis_angle,
     rotation_from_quaternion,
     skew,
@@ -33,6 +35,7 @@ __all__ = [
     "RefineResult",
     "RelativePose",
     "apply_increment",
+    "camera_points",
     "decompose_essential",
     "essential_from_pose",
     "five_point_essential",
@@ -45,6 +48,7 @@ __all__ = [
     "ransac_pnp_batch",
     "refine_pose",
     "relative_motion",
+    "reprojection_errors",
     "reprojection_residuals",
     "rotation_error_deg",
     "rotation_from_axis_angle",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateGeometryError
-from .pose import Pose, skew
+from .pose import Pose, camera_points, skew
 from .triangulate import solve_dlt
 
 _DEGENERATE_DENOM = 1e-30
@@ -157,7 +157,7 @@ def decompose_essential(e: np.ndarray, x_a: np.ndarray, x_b: np.ndarray) -> Rela
     for rot, trans in candidates:
         pts = _triangulate_normalized(rot, trans, xa, xb)
         depth_a = pts[:, 2]
-        depth_b = (pts @ rot.T + trans)[:, 2]
+        depth_b = camera_points(rot, trans, pts)[:, 2]
         votes.append(int(np.sum((depth_a > 0) & (depth_b > 0))))
 
     order = np.argsort(votes)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pose import repeated, rotation_defects
+from .pose import camera_points, repeated, rotation_defects
 
 _COLLINEAR_AREA = 1e-9
 _ALIGN_TOL = 1e-6
@@ -206,7 +206,7 @@ def _kabsch(world: np.ndarray, camera: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _misaligned(rotations, translations, bearings, points) -> np.ndarray:
     """Whether each candidate misses a bearing by more than 1e-6 rad (or puts
     a point behind the camera)."""
-    cam = points @ np.swapaxes(rotations, 1, 2) + translations[:, None]
+    cam = camera_points(rotations, translations, points)
     unit = cam / np.linalg.norm(cam, axis=2)[..., None]
     behind = (np.einsum("kij,kij->ki", bearings, unit) <= 0.0).any(axis=1)
     sines = np.linalg.norm(_cross(bearings, unit), axis=2)

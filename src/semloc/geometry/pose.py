@@ -5,7 +5,8 @@ Conventions used throughout the package:
 * a ``Pose`` maps world coordinates into the camera frame,
   ``x_cam = R @ x_world + t``;
 * the camera looks along +z of its own frame, image x right, image y down;
-* pixel coordinates follow ``u = fx * x/z + cx``, ``v = fy * y/z + cy``.
+* pixel coordinates follow ``u = fx * x/z + cx``, ``v = fy * y/z + cy``, in
+  CameraIntrinsics.pixels alone; every projection goes through it.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ class Pose:
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Map world points (3,) or (n, 3) into the camera frame."""
         pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.translation
+        return camera_points(self.rotation, self.translation, pts.reshape(-1, 3)).reshape(pts.shape)
 
     def camera_center(self) -> np.ndarray:
         """Camera position expressed in world coordinates."""
@@ -186,12 +187,46 @@ class CameraIntrinsics:
         )
 
     def normalize(self, pixels: np.ndarray) -> np.ndarray:
-        """Pixel coordinates -> normalized image-plane coordinates (K^-1 applied)."""
-        px = np.asarray(pixels, dtype=float)
-        out = np.empty_like(px)
-        out[..., 0] = (px[..., 0] - self.cx) / self.fx
-        out[..., 1] = (px[..., 1] - self.cy) / self.fy
-        return out
+        """Pixel coordinates (..., 2) -> normalized image-plane coordinates (K^-1 applied)."""
+        return (np.asarray(pixels, dtype=float) - (self.cx, self.cy)) / (self.fx, self.fy)
+
+    def pixels(self, camera: np.ndarray) -> np.ndarray:
+        """Camera-frame points (..., 3) -> pixel coordinates (..., 2), the
+        inverse of normalize; a point at depth <= 0 gets inf or NaN."""
+        camera = np.asarray(camera, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (self.fx, self.fy) * camera[..., :2] / camera[..., 2:] + (self.cx, self.cy)
+
+
+def camera_points(rotations: np.ndarray, translations: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """R @ x + t of world points (..., n, 3) under poses (..., 3, 3), (..., 3)
+    that broadcast against them; returns (..., n, 3).  Formed elementwise, so
+    a row's bits do not depend on what is stacked with it, as a matmul's may.
+    """
+    r = np.asarray(rotations, dtype=float)[..., None, :, :]
+    x = np.asarray(points, dtype=float)
+    return (x[..., 0:1] * r[..., 0] + x[..., 1:2] * r[..., 1] + x[..., 2:3] * r[..., 2]) + (
+        np.asarray(translations, dtype=float)[..., None, :]
+    )
+
+
+def reprojection_errors(
+    rotations: np.ndarray,
+    translations: np.ndarray,
+    intrinsics: CameraIntrinsics,
+    points: np.ndarray,
+    pixels: np.ndarray,
+) -> np.ndarray:
+    """Pixel distance from each point's projection to its pixel; inf where the
+    point is not in front of the camera (depth <= 1e-9).
+
+    Poses (..., 3, 3), (..., 3) broadcast against points (..., n, 3) and
+    pixels (..., n, 2); returns (..., n), each row bitwise the same alone
+    and in any stack.  The one inlier measure of every estimator and gate.
+    """
+    cam = camera_points(rotations, translations, points)
+    offset = intrinsics.pixels(cam) - pixels
+    return np.where(cam[..., 2] > _MIN_DEPTH, np.hypot(offset[..., 0], offset[..., 1]), np.inf)
 
 
 def project(pose: Pose, intrinsics: CameraIntrinsics, point: np.ndarray) -> np.ndarray:
@@ -200,29 +235,23 @@ def project(pose: Pose, intrinsics: CameraIntrinsics, point: np.ndarray) -> np.n
     Raises DegenerateGeometryError when the point does not lie strictly in
     front of the camera (depth <= 1e-9).
     """
-    cam = pose.transform(np.asarray(point, dtype=float))
+    cam = pose.transform(point)
     if cam[2] <= _MIN_DEPTH:
         raise DegenerateGeometryError("point is behind the camera")
-    return np.array(
-        [
-            intrinsics.fx * cam[0] / cam[2] + intrinsics.cx,
-            intrinsics.fy * cam[1] / cam[2] + intrinsics.cy,
-        ]
-    )
+    return intrinsics.pixels(cam)
 
 
 def project_points(
     pose: Pose, intrinsics: CameraIntrinsics, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized projection of (n, 3) world points.
+    """Vectorized projection of (n, 3) world points, each row bitwise equal
+    to project's.
 
     Returns (pixels (n, 2), valid (n,) bool); rows with depth <= 1e-9 are
     flagged invalid and contain NaN.
     """
     cam = pose.transform(np.asarray(points, dtype=float).reshape(-1, 3))
     valid = cam[:, 2] > _MIN_DEPTH
-    pixels = np.full((cam.shape[0], 2), np.nan)
-    z = cam[valid, 2]
-    pixels[valid, 0] = intrinsics.fx * cam[valid, 0] / z + intrinsics.cx
-    pixels[valid, 1] = intrinsics.fy * cam[valid, 1] / z + intrinsics.cy
+    pixels = intrinsics.pixels(cam)
+    pixels[~valid] = np.nan
     return pixels, valid

@@ -11,12 +11,11 @@ import numpy as np
 
 from .five_point import coincident, five_point_essential
 from .p3p import p3p_solve
-from .pose import CameraIntrinsics, Pose
+from .pose import CameraIntrinsics, Pose, reprojection_errors
 from .epipolar import sampson_error
 
 _CONFIDENCE = 0.999
 _FIRST_CHUNK = 4
-_MIN_DEPTH = 1e-9
 _NO_INLIERS = np.empty(0, dtype=np.intp)
 
 
@@ -55,38 +54,6 @@ def _bearings(pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     norm = intrinsics.normalize(pixels)
     hom = np.hstack([norm, np.ones((norm.shape[0], 1))])
     return hom / np.linalg.norm(hom, axis=1, keepdims=True)
-
-
-def _stacked_reprojection_errors(
-    rotations: np.ndarray,
-    translations: np.ndarray,
-    intrinsics: CameraIntrinsics,
-    points: np.ndarray,
-    pixels: np.ndarray,
-) -> np.ndarray:
-    """Pixel distance per match under each of a stack of poses; inf for points
-    behind the camera.
-
-    rotations (..., 3, 3) and translations (..., 3) broadcast against points
-    (..., n, 3) and pixels (..., n, 2).  Each pose's row is bitwise equal to
-    projecting its points through Pose.transform and project_points.
-    """
-    cam = points @ np.swapaxes(rotations, -1, -2) + translations[..., None, :]
-    front = cam[..., 2] > _MIN_DEPTH
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = intrinsics.fx * cam[..., 0] / cam[..., 2] + intrinsics.cx
-        v = intrinsics.fy * cam[..., 1] / cam[..., 2] + intrinsics.cy
-        errors = np.hypot(u - pixels[..., 0], v - pixels[..., 1])
-    return np.where(front, errors, np.inf)
-
-
-def _reprojection_errors(
-    pose: Pose, intrinsics: CameraIntrinsics, points: np.ndarray, pixels: np.ndarray
-) -> np.ndarray:
-    """Pixel distance per match; inf for points behind the camera."""
-    return _stacked_reprojection_errors(
-        pose.rotation, pose.translation, intrinsics, points, pixels
-    )
 
 
 def _first_min(owner: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,12 +170,12 @@ class _PnpSearch(_Search):
         """Each solved sample's candidate with the least reprojection error at
         the sample's fourth match (the first on a tie) and its inlier count."""
         probe = samples[owner, 3]
-        probe_err = _stacked_reprojection_errors(
+        probe_err = reprojection_errors(
             rotations, translations, self.intrinsics,
             self.points[probe][:, None], self.pixels[probe][:, None],
         )[:, 0]
         solved, chosen = _first_min(owner, probe_err)
-        errors = _stacked_reprojection_errors(
+        errors = reprojection_errors(
             rotations[chosen], translations[chosen], self.intrinsics, self.points, self.pixels
         )
         counts = np.sum(errors < self.params.inlier_threshold, axis=1)
@@ -218,8 +185,7 @@ class _PnpSearch(_Search):
         ]
 
     def finish(self, best: tuple) -> tuple[Pose, np.ndarray]:
-        pose = Pose(*best)
-        return pose, _reprojection_errors(pose, self.intrinsics, self.points, self.pixels)
+        return Pose(*best), reprojection_errors(*best, self.intrinsics, self.points, self.pixels)
 
 
 class _EssentialSearch(_Search):

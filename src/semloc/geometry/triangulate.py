@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DegenerateGeometryError
-from .pose import CameraIntrinsics, Pose
+from .pose import CameraIntrinsics, Pose, reprojection_errors
 
 _MIN_BASELINE = 1e-6
-_MIN_DEPTH = 1e-9
 
 
 def solve_dlt(systems: np.ndarray) -> np.ndarray:
@@ -20,15 +19,6 @@ def solve_dlt(systems: np.ndarray) -> np.ndarray:
     """
     _, _, vt = np.linalg.svd(systems)
     return vt[:, -1]
-
-
-def _camera_coordinates(pose: Pose, points: np.ndarray) -> np.ndarray:
-    """R @ x + t of (n, 3) points, elementwise so that each row's bits do not
-    depend on how many rows are passed (a stacked matmul may round differently)."""
-    r = pose.rotation
-    return (
-        points[:, 0:1] * r[:, 0] + points[:, 1:2] * r[:, 1] + points[:, 2:3] * r[:, 2]
-    ) + pose.translation
 
 
 def triangulate_two_view(
@@ -79,19 +69,11 @@ def triangulate_two_view(
     finite = np.abs(hom[:, 3]) >= 1e-15
     points = hom[:, :3] / np.where(finite, hom[:, 3], 1.0)[:, None]
 
-    residuals = np.zeros(len(points))
-    valid = finite
-    for pose, pixels in ((pose_a, pixels_a), (pose_b, pixels_b)):
-        cam = _camera_coordinates(pose, points)
-        valid = valid & (cam[:, 2] > _MIN_DEPTH)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            projected = np.column_stack(
-                [
-                    intrinsics.fx * cam[:, 0] / cam[:, 2] + intrinsics.cx,
-                    intrinsics.fy * cam[:, 1] / cam[:, 2] + intrinsics.cy,
-                ]
-            )
-        residuals = np.maximum(residuals, np.linalg.norm(projected - pixels, axis=1))
+    residuals = np.maximum(
+        reprojection_errors(pose_a.rotation, pose_a.translation, intrinsics, points, pixels_a),
+        reprojection_errors(pose_b.rotation, pose_b.translation, intrinsics, points, pixels_b),
+    )
+    valid = finite & (residuals < np.inf)  # inf: behind a camera
     points[~valid] = np.nan
     residuals[~valid] = np.inf
 

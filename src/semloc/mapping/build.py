@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import DegenerateGeometryError, InsufficientDataError
 from ..features.match import DEFAULT_RATIO, knn_ratio_match
-from ..geometry.pose import CameraIntrinsics, Pose, project_points
+from ..geometry.pose import CameraIntrinsics, Pose, reprojection_errors
 from ..geometry.triangulate import triangulate_two_view
 from ..semantics.classes import UNLABELED, ClassRegistry
 from ..semantics.filtering import match_per_class
@@ -176,10 +176,12 @@ def build_map(
     bounds = np.searchsorted(nodes, offsets)
     observed = [node_landmark[bounds[f] : bounds[f + 1]] for f in range(len(frames))]
     for f, frame in enumerate(frames):
-        pixels, in_front = project_points(frame.pose, intrinsics, positions[observed[f]])
         keypoints = features[f].coordinates[nodes[bounds[f] : bounds[f + 1]] - offsets[f]]
-        error = np.linalg.norm(pixels - keypoints, axis=1)
-        keep[observed[f][~in_front | (error >= _MAX_REPROJECTION_PX)]] = False
+        error = reprojection_errors(
+            frame.pose.rotation, frame.pose.translation, intrinsics,
+            positions[observed[f]], keypoints,
+        )
+        keep[observed[f][error >= _MAX_REPROJECTION_PX]] = False  # inf: behind the camera
 
     if not keep.any():
         raise InsufficientDataError("empty map: all triangulations failed the gate")

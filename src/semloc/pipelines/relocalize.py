@@ -10,9 +10,9 @@ import numpy as np
 
 from ..errors import InsufficientDataError
 from ..features.match import DEFAULT_RATIO, match_record
-from ..geometry.pose import CameraIntrinsics, Pose
+from ..geometry.pose import CameraIntrinsics, Pose, reprojection_errors
 from ..geometry.ransac import RansacParams, ransac_pnp_batch
-from ..geometry.refine import refine_pose, reprojection_residuals
+from ..geometry.refine import refine_pose
 from ..mapping.sparse_map import SparseMap, query_candidates
 from ..mapping.vocabulary import bow_vectors
 from ..semantics.classes import UNLABELED
@@ -148,10 +148,9 @@ def relocalize_frames(
         if len(inlier_idx):
             refined = refine_pose(pose, pixels[inlier_idx], points[inlier_idx], intrinsics)
             if not refined.failed:
-                residuals = reprojection_residuals(
-                    refined.pose, intrinsics, points, pixels
-                ).reshape(-1, 2)
-                errors = np.linalg.norm(residuals, axis=1)
+                errors = reprojection_errors(
+                    refined.pose.rotation, refined.pose.translation, intrinsics, points, pixels
+                )
                 updated = np.flatnonzero(errors < _PNP.inlier_threshold)
                 # keep the refined pose only while it preserves a full consensus
                 if len(updated) >= _PNP.min_inliers:

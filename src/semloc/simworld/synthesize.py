@@ -62,12 +62,7 @@ def _ground_truth_boxes(
         polygon = _clip_polygon_to_near_plane(camera)
         if len(polygon) < 3:
             continue
-        pixels = np.column_stack(
-            [
-                intrinsics.fx * polygon[:, 0] / polygon[:, 2] + intrinsics.cx,
-                intrinsics.fy * polygon[:, 1] / polygon[:, 2] + intrinsics.cy,
-            ]
-        )
+        pixels = intrinsics.pixels(polygon)
         x0 = max(0.0, float(pixels[:, 0].min()) - margin_px)
         y0 = max(0.0, float(pixels[:, 1].min()) - margin_px)
         x1 = min(float(intrinsics.width - 1), float(pixels[:, 0].max()) + margin_px)

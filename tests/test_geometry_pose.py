@@ -4,14 +4,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semloc.errors import DegenerateGeometryError
 from semloc.geometry import (
     CameraIntrinsics,
     Pose,
+    camera_points,
     project,
     project_points,
     quaternion_from_rotation,
+    reprojection_errors,
     rotation_from_axis_angle,
     rotation_from_quaternion,
 )
@@ -186,3 +190,47 @@ def test_stacked_rotation_helpers_equal_the_one_vector_call():
         one_error, one_rejected = rotation_defects(noisy[i])
         assert errors[i] == one_error and rejected[i] == one_rejected
     assert 0 < rejected.sum() < len(vectors)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_each_kernel_row_is_the_same_alone_and_in_any_stack(data):
+    """camera_points and reprojection_errors give each (pose, point) row the
+    bits it has alone, in any stack of poses and in any stack of points;
+    Pose.transform and project give the bits of the matching rows, so a
+    point counts as an inlier or not whatever it is stacked with."""
+    intrinsics = CameraIntrinsics(fx=400.0, fy=410.0, cx=320.0, cy=240.0, width=640, height=480)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    poses = [random_pose(rng, t_scale=3.0) for _ in range(data.draw(st.integers(1, 5), label="M"))]
+    n = data.draw(st.integers(1, 30), label="n")
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), label="scale")
+    points = rng.normal(scale=scale, size=(n, 3))  # in front of and behind the cameras
+    pixels = rng.uniform(0.0, 640.0, size=(n, 2))
+    rotations = np.stack([pose.rotation for pose in poses])
+    translations = np.stack([pose.translation for pose in poses])
+
+    cam = camera_points(rotations, translations, points)
+    errors = reprojection_errors(rotations, translations, intrinsics, points, pixels)
+    assert cam.shape == (len(poses), n, 3) and errors.shape == (len(poses), n)
+    for m, pose in enumerate(poses):
+        assert np.array_equal(pose.transform(points), cam[m])
+        projected, valid = project_points(pose, intrinsics, points)
+        assert np.array_equal(valid, errors[m] < np.inf)
+        for i in range(n):
+            one = (pose.rotation, pose.translation)
+            assert np.array_equal(camera_points(*one, points[i : i + 1])[0], cam[m, i])
+            assert np.array_equal(pose.transform(points[i]), cam[m, i])
+            alone = reprojection_errors(*one, intrinsics, points[i : i + 1], pixels[i : i + 1])
+            assert alone[0] == errors[m, i]
+            if valid[i]:
+                assert np.array_equal(project(pose, intrinsics, points[i]), projected[i])
+
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n), label="rows")
+    some = reprojection_errors(rotations, translations, intrinsics, points[rows], pixels[rows])
+    assert np.array_equal(some, errors[:, rows])
+    # one point per pose, as RANSAC probes each candidate at its own match
+    probe = rng.integers(0, n, size=len(poses))
+    probed = reprojection_errors(
+        rotations, translations, intrinsics, points[probe][:, None], pixels[probe][:, None]
+    )
+    assert np.array_equal(probed[:, 0], errors[np.arange(len(poses)), probe])

@@ -280,8 +280,12 @@ def test_an_essential_round_counts_as_sampson_error_does_per_candidate():
     for trial, outliers in enumerate([0.0, 0.3, 0.6, 0.9]):
         xa, xb, _, _ = _essential_scene(rng, n=30, outlier_fraction=outliers)
         xa[:12], xb[:12] = xa[0], xb[0]  # repeated pairs make coincident samples
+        # five pairs at the principal point in view a and on the x axis in
+        # view b leave five-point a singular elimination: no candidate
+        xa[12:17], xb[12:17] = 0.0, [[-0.4, 0.0], [-0.1, 0.0], [0.0, 0.0], [0.2, 0.0], [0.5, 0.0]]
         search = _EssentialSearch(xa, xb, replace(_ESSENTIAL, rng_seed=trial))
         samples = np.array([rng.choice(len(xa), size=5, replace=False) for _ in range(300)])
+        samples = np.vstack([samples, np.arange(12, 17)])
         owner, essentials = five_point_essential(xa[samples], xb[samples])
         stacked = sampson_error(essentials, xa, xb)
         expected = []
@@ -430,8 +434,9 @@ def test_refine_jacobian_matches_finite_differences(intrinsics):
 
 def test_reprojection_helpers_equal_the_per_point_formula(intrinsics):
     """Both residual helpers give the one-point formula's bits; points behind
-    the camera read 1e6 per coordinate (refinement) and inf (RANSAC)."""
-    from semloc.geometry.ransac import _reprojection_errors
+    the camera read 1e6 per coordinate (refinement) and inf (every inlier
+    count)."""
+    from semloc.geometry import reprojection_errors
 
     rng = np.random.default_rng(71)
     for _ in range(20):
@@ -452,7 +457,10 @@ def test_reprojection_helpers_equal_the_per_point_formula(intrinsics):
             distances[i] = np.hypot(du, dv)
         residuals = reprojection_residuals(pose, intrinsics, points, pixels)
         assert np.array_equal(residuals, expected)
-        assert np.array_equal(_reprojection_errors(pose, intrinsics, points, pixels), distances)
+        assert np.array_equal(
+            reprojection_errors(pose.rotation, pose.translation, intrinsics, points, pixels),
+            distances,
+        )
 
 
 def test_refine_jacobian_equals_the_per_point_formula(intrinsics):
@@ -668,8 +676,11 @@ def _reference_ransac_pnp(pixels, points, intrinsics, params):
     of the one-sample-per-iteration loop, solving each sample alone with
     p3p_solve; pose and inliers are None where ransac_pnp fails with
     "localization failed"."""
-    from semloc.geometry import p3p_solve
-    from semloc.geometry.ransac import _bearings, _iterations_needed, _reprojection_errors
+    from semloc.geometry import p3p_solve, reprojection_errors
+    from semloc.geometry.ransac import _bearings, _iterations_needed
+
+    def errors(pose, points, pixels):
+        return reprojection_errors(pose.rotation, pose.translation, intrinsics, points, pixels)
 
     n = len(pixels)
     bearings = _bearings(pixels, intrinsics)
@@ -686,22 +697,18 @@ def _reference_ransac_pnp(pixels, points, intrinsics, params):
         if not solutions:
             continue
         probe_err = [
-            _reprojection_errors(s, intrinsics, points[idx[3:4]], pixels[idx[3:4]])[0]
+            errors(s, points[idx[3:4]], pixels[idx[3:4]])[0]
             for s in solutions
         ]
         pose = solutions[int(np.argmin(probe_err))]
-        count = int(np.sum(
-            _reprojection_errors(pose, intrinsics, points, pixels) < params.inlier_threshold
-        ))
+        count = int(np.sum(errors(pose, points, pixels) < params.inlier_threshold))
         if count > best_count:
             best_count, best_pose = count, pose
             if iteration + 1 >= _iterations_needed(count / n, 4):
                 break
     if best_pose is None or best_count < params.min_inliers:
         return None, None, best_count, iteration + 1, degenerate
-    inliers = np.flatnonzero(
-        _reprojection_errors(best_pose, intrinsics, points, pixels) < params.inlier_threshold
-    )
+    inliers = np.flatnonzero(errors(best_pose, points, pixels) < params.inlier_threshold)
     return best_pose, inliers, best_count, iteration + 1, degenerate
 
 

@@ -1,5 +1,6 @@
-"""Package imports inside semloc point down the layer order, never up, and
-nothing outside the standard library but numpy is imported."""
+"""Package imports inside semloc point down the layer order, never up,
+nothing outside the standard library but numpy is imported, and the pinhole
+formula is written in one place."""
 
 import ast
 import sys
@@ -8,6 +9,11 @@ from pathlib import Path
 import semloc
 
 PACKAGE_ROOT = Path(semloc.__file__).parent
+
+# the only modules that compute with the intrinsics: the camera model, and
+# the analytic Jacobian of the refinement
+INTRINSICS_ARITHMETIC = {"geometry/pose.py", "geometry/refine.py"}
+_INTRINSICS = {"fx", "fy", "cx", "cy"}
 
 # lowest first; a module may import its own package and any package listed
 # before it (simworld writes trajectories, so trajectory_io sits below it)
@@ -143,3 +149,37 @@ def test_the_third_party_check_sees_absolute_and_local_imports():
         "semloc.features.match -> scipy.spatial",
         "semloc.features.match -> yaml",
     ]
+
+
+def _intrinsics_arithmetic(source: str) -> list[int]:
+    """Lines of every arithmetic expression in `source` that has an fx, fy, cx
+    or cy attribute among its operands, at any depth."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.BinOp, ast.UnaryOp))
+        and any(
+            isinstance(inner, ast.Attribute) and inner.attr in _INTRINSICS
+            for inner in ast.walk(node)
+        )
+    })
+
+
+def test_only_the_camera_model_computes_with_the_intrinsics():
+    found = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        relative = path.relative_to(PACKAGE_ROOT).as_posix()
+        if relative not in INTRINSICS_ARITHMETIC:
+            found += [f"{relative}:{line}" for line in _intrinsics_arithmetic(path.read_text())]
+    assert found == []
+
+
+def test_the_intrinsics_check_sees_nested_operands():
+    source = (
+        "u = k.fx * x / z + k.cx\n"
+        "v = np.column_stack([x, -k.fy * y])\n"
+        "w = np.array([k.fx, k.fy]) / z\n"
+        "record = {'fx': k.fx, 'cx': k.cx}\n"
+        "ok = 0.0 <= k.cx < k.width\n"
+    )
+    assert _intrinsics_arithmetic(source) == [1, 2, 3]

@@ -214,7 +214,7 @@ def test_relocalize_deterministic(scene):
 
 
 def test_relocalize_inliers_reproject_below_threshold(scene):
-    from semloc.geometry.refine import reprojection_residuals
+    from semloc.geometry import reprojection_errors
 
     _, semantic_map, baseline_map, eval_frames = scene
     checked = 0
@@ -228,10 +228,9 @@ def test_relocalize_inliers_reproject_below_threshold(scene):
             features = mode_features(all_features, mode)
             pixels = features.coordinates[result.matches.query_index]
             points = sparse_map.positions[result.matches.train_index]
-            residuals = reprojection_residuals(
-                result.pose, INTRINSICS, points, pixels
-            ).reshape(-1, 2)
-            errors = np.linalg.norm(residuals, axis=1)
+            errors = reprojection_errors(
+                result.pose.rotation, result.pose.translation, INTRINSICS, points, pixels
+            )
             assert (errors[list(result.inlier_indices)] < _PNP.inlier_threshold).all()
             checked += 1
     assert checked >= 6
