@@ -60,7 +60,8 @@ def _finite_fields(path: str, line_no: int, tokens: list[str]) -> list[float]:
 
 def read_trajectory(path: str) -> list[TrajectoryEntry]:
     """The entries of a trajectory file; MapFormatError naming path:line for a
-    line with the wrong field count or a field that is not a finite number."""
+    line with the wrong field count, a field that is not a finite number or
+    a zero quaternion."""
     entries: list[TrajectoryEntry] = []
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -85,6 +86,8 @@ def read_trajectory(path: str) -> list[TrajectoryEntry]:
                     f"(timestamp tx ty tz qx qy qz qw), got {len(tokens)}"
                 )
             t, tx, ty, tz, qx, qy, qz, qw = _finite_fields(path, line_no, tokens)
+            if qx == qy == qz == qw == 0.0:
+                raise MapFormatError(f"{path}:{line_no}: zero quaternion")
             rotation_wc = rotation_from_quaternion(np.array([qw, qx, qy, qz]))
             center = np.array([tx, ty, tz])
             pose = Pose(rotation_wc.T, -rotation_wc.T @ center)

@@ -672,21 +672,25 @@ _GOOD_LINE = "0.100000 1.0 2.0 1.5 0.0 0.0 0.0 1.0"
 
 
 @pytest.mark.parametrize(
-    "line",
+    "line, message",
     [
-        "0.100000 nan 2.0 1.5 0.0 0.0 0.0 1.0",
-        "0.100000 1.0 2.0 1.5 0.0 inf 0.0 1.0",
-        "nan 1.0 2.0 1.5 0.0 0.0 0.0 1.0",
-        "0.100000 1.0 2.0 1.5 0.0 zero 0.0 1.0",
-        "# nan FAILED localization failed",
-        "# soon FAILED localization failed",
+        ("0.100000 nan 2.0 1.5 0.0 0.0 0.0 1.0", "non-finite field"),
+        ("0.100000 1.0 2.0 1.5 0.0 inf 0.0 1.0", "non-finite field"),
+        ("nan 1.0 2.0 1.5 0.0 0.0 0.0 1.0", "non-finite field"),
+        ("0.100000 1.0 2.0 1.5 0.0 zero 0.0 1.0", "non-numeric field"),
+        ("# nan FAILED localization failed", "non-finite field"),
+        ("# soon FAILED localization failed", "non-numeric field"),
+        ("0.100000 1.0 2.0 1.5 0.0 0.0 0.0 0.0", "zero quaternion"),
     ],
-    ids=["nan-tx", "inf-qy", "nan-time", "word-qy", "nan-failed-time", "word-failed-time"],
+    ids=[
+        "nan-tx", "inf-qy", "nan-time", "word-qy", "nan-failed-time", "word-failed-time",
+        "zero-quaternion",
+    ],
 )
-def test_trajectory_reader_names_the_line_of_a_bad_field(tmp_path, line):
+def test_trajectory_reader_names_the_line_of_a_bad_field(tmp_path, line, message):
     path = tmp_path / "traj.txt"
     path.write_text(f"# timestamp tx ty tz qx qy qz qw\n{_GOOD_LINE}\n{line}\n")
-    with pytest.raises(MapFormatError, match=rf"traj\.txt:3: non-(numeric|finite) field"):
+    with pytest.raises(MapFormatError, match=rf"traj\.txt:3: {message}"):
         read_trajectory(str(path))
 
 
