@@ -198,7 +198,9 @@ class CameraIntrinsics:
             return (self.fx, self.fy) * camera[..., :2] / camera[..., 2:] + (self.cx, self.cy)
 
 
-def camera_points(rotations: np.ndarray, translations: np.ndarray, points: np.ndarray) -> np.ndarray:
+def camera_points(
+    rotations: np.ndarray, translations: np.ndarray, points: np.ndarray
+) -> np.ndarray:
     """R @ x + t of world points (..., n, 3) under poses (..., 3, 3), (..., 3)
     that broadcast against them; returns (..., n, 3).  Formed elementwise, so
     a row's bits do not depend on what is stacked with it, as a matmul's may.
