@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InsufficientDataError
-from ..features.distance import nearest_neighbours
+from ..features.distance import _AMBIGUOUS_REL, nearest_neighbours
 
 DEFAULT_VOCABULARY_K = 256
 _MAX_ITERATIONS = 50
@@ -49,35 +49,63 @@ def _nearest_centroid(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """D^2-weighted seeding: each new centroid drawn with probability
-    proportional to squared distance from the nearest one chosen so far."""
+    proportional to squared distance from the nearest one chosen so far.
+
+    A new centroid c changes a row's distance only where it is nearer, so the
+    exact sum of squares is recomputed only there. The screen
+    |x|^2 - 2 x.c + |c|^2 errs by far less than _AMBIGUOUS_REL * (|x| + |c|)^2
+    (see features.distance), so a row whose screen exceeds its distance by
+    more than that keeps its bits; NaN fails the comparison and is recomputed.
+    """
     centroids = np.empty((k, data.shape[1]))
     centroids[0] = data[rng.integers(len(data))]
     d2 = np.sum((data - centroids[0]) ** 2, axis=1)
+    # an einsum, not `data @ c`: OpenBLAS hands a gemv this size to a second
+    # thread, and that stalls on a shared machine
+    x_squared = np.einsum("ij,ij->i", data, data)
+    x_norm = np.sqrt(x_squared)
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:  # all remaining points coincide with a centroid
             choice = rng.integers(len(data))
         else:
             choice = rng.choice(len(data), p=d2 / total)
-        centroids[i] = data[choice]
-        d2 = np.minimum(d2, np.sum((data - centroids[i]) ** 2, axis=1))
+        c = centroids[i] = data[choice]
+        with np.errstate(invalid="ignore", over="ignore"):
+            c_squared = np.dot(c, c)
+            screen = x_squared - 2.0 * np.einsum("ij,j->i", data, c) + c_squared
+            screen -= _AMBIGUOUS_REL * (x_norm + np.sqrt(c_squared)) ** 2
+            near = np.flatnonzero(~(screen > d2))
+        d2[near] = np.minimum(d2[near], np.sum((data[near] - c) ** 2, axis=1))
     return centroids
 
 
 def _lloyd(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     k = len(centroids)
+    previous = None
     for _ in range(_MAX_ITERATIONS):
         assign = _nearest_centroid(data, centroids)
         # one stable sort groups the rows by cluster, each group in data order,
         # so every mean adds its members as a boolean mask would take them; on
         # the smallest integer type that holds a cluster index it is a radix sort
         order = np.argsort(assign.astype(np.min_scalar_type(k - 1)), kind="stable")
-        groups = np.split(data[order], np.cumsum(np.bincount(assign, minlength=k))[:-1])
+        sizes = np.bincount(assign, minlength=k)
+        ends = np.cumsum(sizes)
+        # a cluster that kept its members adds the same rows in the same order,
+        # so its mean is its centroid, bit for bit; an empty one is revived
+        # from the current centroids, so it is always redone
+        stale = sizes == 0
+        if previous is None:
+            stale[:] = True
+        else:
+            moved = assign != previous
+            stale[assign[moved]] = True
+            stale[previous[moved]] = True
         updated = centroids.copy()
         farthest = None
-        for j, members in enumerate(groups):
-            if len(members):
-                updated[j] = members.mean(axis=0)
+        for j in np.flatnonzero(stale):
+            if sizes[j]:
+                updated[j] = data[order[ends[j] - sizes[j] : ends[j]]].mean(axis=0)
             else:
                 # revive an empty cluster at the point worst served by its own
                 # centroid; clusters emptied in the same iteration share that point
@@ -86,6 +114,7 @@ def _lloyd(data: np.ndarray, centroids: np.ndarray) -> np.ndarray:
                 updated[j] = data[farthest]
         movement = np.max(np.linalg.norm(updated - centroids, axis=1))
         centroids = updated
+        previous = assign
         if movement < _MOVEMENT_TOL:
             break
     return centroids
@@ -116,12 +145,13 @@ def build_vocabulary(
     norms[norms < 1e-12] = 1.0
     centroids = centroids / norms
 
-    n_frames = len(frames)
+    # one quantization of all the rows; the search is exact per row, so each
+    # frame gets the words it would get alone
+    words = np.split(_nearest_centroid(data, centroids), np.cumsum([len(f) for f in frames])[:-1])
     document_frequency = np.zeros(k)
-    for frame in frames:
-        words = np.unique(_nearest_centroid(frame, centroids))
-        document_frequency[words] += 1
-    idf = np.maximum(np.log(n_frames / (1.0 + document_frequency)), 0.0)
+    for frame_words in words:
+        document_frequency[np.unique(frame_words)] += 1
+    idf = np.maximum(np.log(len(frames) / (1.0 + document_frequency)), 0.0)
     return Vocabulary(centroids=centroids, idf=idf)
 
 

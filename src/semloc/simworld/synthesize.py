@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry.pose import CameraIntrinsics, Pose, project_points
+from ..geometry.pose import CameraIntrinsics, Pose, camera_points, project_points
 from ..semantics.boxes import BoundingBox, DetectionSet
 from .world import World
 
@@ -52,13 +52,13 @@ def _ground_truth_boxes(
     """Axis-aligned hulls of the projected object footprints, inflated by the
     margin and clamped to the image; objects without a registered class (the
     movable clutter) produce no boxes — the detector does not know them."""
-    walls = world.walls()
+    # camera_points is row-stable: each object's corners get the bits they
+    # get alone
+    cameras = camera_points(pose.rotation, pose.translation, world.footprints)
     boxes = []
-    for obj in world.objects:
+    for obj, camera in zip(world.objects, cameras):
         if obj.class_id is None:
             continue
-        corners = obj.footprint_corners_3d(walls[obj.wall_index])
-        camera = pose.transform(corners)
         polygon = _clip_polygon_to_near_plane(camera)
         if len(polygon) < 3:
             continue
@@ -125,6 +125,6 @@ def synthesize_frame(
         pose=pose,
         keypoints=keypoints.reshape(-1, 2),
         descriptors=descriptors,
-        landmark_ids=np.array([world.landmarks[i].id for i in index], dtype=int),
+        landmark_ids=world.landmark_ids[index],
         boxes=_ground_truth_boxes(world, pose, intrinsics, box_margin_px, frame_id),
     )

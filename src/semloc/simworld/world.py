@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import WorldGenerationError
+from ..features.distance import _AMBIGUOUS_REL, _BLOCK_PRODUCTS
+from ..geometry.pose import rowdot
 from ..semantics.classes import DEFAULT_CLASS_NAMES, ClassRegistry
 
 DESCRIPTOR_DIM = 64
@@ -98,11 +100,31 @@ class WorldLandmark:
 
 @dataclass
 class World:
+    """A generated scene. The landmark positions, descriptors and ids and
+    every object's footprint corners are stacked once, at construction, and
+    every frame reads those arrays: neither the landmark list nor an object's
+    placement is mutated after construction (perturb_world builds a new
+    World)."""
+
     dimensions: np.ndarray  # (3,) meters
     objects: list[WorldObject]
     landmarks: list[WorldLandmark]
     seed: int
     registry: ClassRegistry = field(default_factory=ClassRegistry.default)
+    landmark_ids: np.ndarray = field(init=False, repr=False, compare=False)  # (n,)
+    # each object's footprint corners, (objects, 4, 3), in the order of objects
+    footprints: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        walls = self.walls()
+        self._positions = _frozen(np.array([lm.position for lm in self.landmarks]).reshape(-1, 3))
+        self._descriptors = _frozen(np.array([lm.descriptor for lm in self.landmarks]))
+        self.landmark_ids = _frozen(np.array([lm.id for lm in self.landmarks], dtype=int))
+        self.footprints = _frozen(
+            np.array(
+                [obj.footprint_corners_3d(walls[obj.wall_index]) for obj in self.objects]
+            ).reshape(-1, 4, 3)
+        )
 
     def walls(self) -> list[Wall]:
         return make_walls(self.dimensions)
@@ -114,10 +136,15 @@ class World:
         raise WorldGenerationError(f"no object with id {object_id}")
 
     def landmark_positions(self) -> np.ndarray:
-        return np.array([lm.position for lm in self.landmarks]).reshape(-1, 3)
+        return self._positions
 
     def landmark_descriptors(self) -> np.ndarray:
-        return np.array([lm.descriptor for lm in self.landmarks])
+        return self._descriptors
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 @dataclass
@@ -192,7 +219,20 @@ def _place_objects(config: WorldConfig, walls, rng, registry) -> list[WorldObjec
 
 
 def _sample_descriptors(n: int, dim: int, delta: float, rng) -> np.ndarray:
-    """Unit descriptors with pairwise distance >= delta (rejection sampling)."""
+    """Unit descriptors with pairwise distance >= delta (rejection sampling).
+
+    The n candidates are drawn at once and screened in blocks. When every
+    pair clears delta by more than the _AMBIGUOUS_REL margin, the sequential
+    loop would reject none of them, so they are its result; otherwise the
+    generator is rewound and the loop runs.
+    """
+    state = rng.bit_generator.state
+    candidates = rng.normal(size=(n, dim))
+    squared = rowdot(candidates, candidates)  # the bits of 1-D np.linalg.norm
+    candidates /= np.sqrt(squared)[:, None]
+    if _all_apart(candidates, delta):
+        return candidates
+    rng.bit_generator.state = state
     accepted = np.empty((n, dim))
     count = 0
     attempts = 0
@@ -209,6 +249,25 @@ def _sample_descriptors(n: int, dim: int, delta: float, rng) -> np.ndarray:
         accepted[count] = candidate
         count += 1
     return accepted
+
+
+def _all_apart(rows: np.ndarray, delta: float) -> bool:
+    """Whether every pair of rows is surely >= delta apart, as np.linalg.norm
+    measures it: |a|^2 + |b|^2 - 2 a.b errs by far less than the
+    _AMBIGUOUS_REL * (|a| + |b|)^2 margin (see features.distance)."""
+    squared = np.einsum("ij,ij->i", rows, rows)
+    norms = np.sqrt(squared)
+    block = max(1, _BLOCK_PRODUCTS // max(1, rows.size))
+    for start in range(0, len(rows), block):
+        # each row of the block against the rows before it
+        stop = min(start + block, len(rows))
+        products = rows[start:stop] @ rows[:stop].T
+        screen = squared[start:stop, None] + squared[:stop] - 2.0 * products
+        screen -= _AMBIGUOUS_REL * (norms[start:stop, None] + norms[:stop]) ** 2
+        earlier = np.arange(stop) < np.arange(start, stop)[:, None]
+        if not (screen[earlier] > delta * delta).all():
+            return False
+    return True
 
 
 def generate_world(config: WorldConfig | None = None, seed: int = 0) -> World:

@@ -32,7 +32,8 @@ from semloc.mapping.build import (
     _VOCABULARY_SEED,
     _select_pairs,
 )
-from semloc.mapping.vocabulary import _kmeans_pp_init, _nearest_centroid
+from semloc.mapping import vocabulary
+from semloc.mapping.vocabulary import _kmeans_pp_init, _lloyd, _nearest_centroid
 from semloc.pipelines import most_similar
 from semloc.semantics import (
     UNLABELED,
@@ -210,9 +211,26 @@ def _reference_lloyd(data, centroids):
     return centroids
 
 
+def _reference_kmeans_pp_init(data, k, rng):
+    """The k-means++ seeding with one full pass of exact distances per centroid."""
+    centroids = np.empty((k, data.shape[1]))
+    centroids[0] = data[rng.integers(len(data))]
+    d2 = np.sum((data - centroids[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            choice = rng.integers(len(data))
+        else:
+            choice = rng.choice(len(data), p=d2 / total)
+        centroids[i] = data[choice]
+        d2 = np.minimum(d2, np.sum((data - centroids[i]) ** 2, axis=1))
+    return centroids
+
+
 def _reference_vocabulary(frames, k, seed):
     data = np.vstack(frames)
-    centroids = _reference_lloyd(data, _kmeans_pp_init(data, k, np.random.default_rng(seed)))
+    seeds = _reference_kmeans_pp_init(data, k, np.random.default_rng(seed))
+    centroids = _reference_lloyd(data, seeds)
     norms = np.linalg.norm(centroids, axis=1, keepdims=True)
     norms[norms < 1e-12] = 1.0
     centroids = centroids / norms
@@ -221,6 +239,76 @@ def _reference_vocabulary(frames, k, seed):
         document_frequency[np.unique(cdist(frame, centroids).argmin(axis=1))] += 1
     idf = np.maximum(np.log(len(frames) / (1.0 + document_frequency)), 0.0)
     return centroids, idf
+
+
+def _seeding_outcome(seeding, data, k, seed):
+    """(centroids, the generator's next draw), or the error the seeding raised."""
+    rng = np.random.default_rng(seed)
+    try:
+        centroids = seeding(data, k, rng)
+    except ValueError as error:
+        return None, (type(error), str(error))
+    return centroids, rng.random()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+    k_fraction=st.floats(0.0, 1.0),
+    dim=st.sampled_from([1, 2, 3, 16, 64]),
+    offset=st.sampled_from([0.0, 1e3]),
+    scale=st.sampled_from([1e-6, 1e-3, 1.0, 37.0]),
+    layout=st.sampled_from(["distinct", "duplicates", "coincident", "nan"]),
+)
+@example(seed=1, rows=12, k_fraction=1.0, dim=16, offset=0.0, scale=1.0, layout="distinct")
+@example(seed=2, rows=20, k_fraction=0.5, dim=64, offset=1e3, scale=1e-3, layout="distinct")
+@example(seed=3, rows=9, k_fraction=0.6, dim=3, offset=0.0, scale=1.0, layout="coincident")
+@example(seed=4, rows=30, k_fraction=0.9, dim=16, offset=0.0, scale=37.0, layout="duplicates")
+@example(seed=5, rows=10, k_fraction=0.5, dim=2, offset=0.0, scale=1.0, layout="nan")
+@settings(max_examples=150, deadline=None)
+def test_seeding_and_lloyd_equal_the_full_pass_reference(
+    seed, rows, k_fraction, dim, offset, scale, layout
+):
+    """The screened k-means++ seeding gives the full-pass loop's centroids and
+    leaves the generator where it does, or raises its error; Lloyd from those
+    seeds, recomputing only the clusters whose members changed, gives the
+    reference's centroids."""
+    rng = np.random.default_rng(seed)
+    data = offset + scale * rng.normal(size=(rows, dim))
+    if layout == "duplicates":
+        copies = rng.integers(rows, size=(rows // 2 + 1, 2))
+        data[copies[:, 0]] = data[copies[:, 1]]
+    elif layout == "coincident":  # every d2 reaches 0: the total <= 0 draw
+        data[:] = data[0]
+    elif layout == "nan":
+        data[rng.integers(rows)] = np.nan
+    k = max(1, round(k_fraction * rows))
+    centroids, after = _seeding_outcome(_kmeans_pp_init, data, k, seed)
+    expected, expected_after = _seeding_outcome(_reference_kmeans_pp_init, data, k, seed)
+    assert after == expected_after
+    if expected is None:
+        assert centroids is None
+        return
+    assert centroids.tobytes() == expected.tobytes()
+    if layout != "nan" and k >= 2:
+        assert _lloyd(data, centroids).tobytes() == _reference_lloyd(data, expected).tobytes()
+
+
+def test_document_frequency_quantizes_all_frames_in_one_call(monkeypatch):
+    rng = np.random.default_rng(6)
+    frames = [_random_unit(rng, 20) for _ in range(10)]
+    calls = []
+
+    def counted(data, centroids):
+        calls.append(len(data))
+        return _nearest_centroid(data, centroids)
+
+    monkeypatch.setattr(vocabulary, "_lloyd", lambda data, centroids: centroids)
+    monkeypatch.setattr(vocabulary, "_nearest_centroid", counted)
+    for count in (1, 3, 10):
+        calls.clear()
+        build_vocabulary(frames[:count] + [np.empty((0, 16))], k=8, seed=0)
+        assert calls == [20 * count]
 
 
 def _observed_descriptor_frames(rng, landmarks, frames, per_frame, dim=64):

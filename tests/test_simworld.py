@@ -6,10 +6,17 @@ import numpy as np
 import pytest
 
 from semloc.errors import MapFormatError, WorldGenerationError
+from semloc.features.distance import _BLOCK_PRODUCTS
 from semloc.geometry import Pose, project_points, rotation_error_deg
 from semloc.geometry.epipolar import relative_motion
 from semloc.geometry.pose import rotation_from_axis_angle
-from semloc.semantics import FeatureObservation, extract_frame_features
+from semloc.semantics import (
+    BoundingBox,
+    ClassRegistry,
+    DetectionSet,
+    FeatureObservation,
+    extract_frame_features,
+)
 from semloc.simworld import (
     BODY_TO_CAMERA,
     DEFAULT_INTRINSICS,
@@ -29,6 +36,13 @@ from semloc.simworld import (
     save_frame,
     synthesize_frame,
 )
+from semloc.simworld import world as world_module
+from semloc.simworld.synthesize import (
+    _NEAR_PLANE,
+    _clip_polygon_to_near_plane,
+    _ground_truth_boxes,
+)
+from semloc.simworld.world import _place_objects, _sample_descriptors
 from semloc.trajectory_io import TrajectoryEntry, read_trajectory, write_trajectory
 
 
@@ -112,6 +126,66 @@ def test_landmarks_inside_footprint_and_wall():
             offset = unrot @ (uv - obj.center_uv)
             assert abs(offset[0]) <= obj.extent[0] / 2 + 1e-9
             assert abs(offset[1]) <= obj.extent[1] / 2 + 1e-9
+
+
+def _reference_sample_descriptors(n, dim, delta, rng):
+    """Rejection sampling one candidate at a time."""
+    accepted = np.empty((n, dim))
+    count = 0
+    attempts = 0
+    while count < n:
+        if attempts > 200 * n:
+            raise WorldGenerationError(
+                f"could not sample {n} descriptors {delta} apart in {dim} dims"
+            )
+        attempts += 1
+        candidate = rng.normal(size=dim)
+        candidate /= np.linalg.norm(candidate)
+        if count and np.min(np.linalg.norm(accepted[:count] - candidate, axis=1)) < delta:
+            continue
+        accepted[count] = candidate
+        count += 1
+    return accepted
+
+
+def test_sampled_descriptors_equal_the_one_at_a_time_loop(monkeypatch):
+    """Drawn at once and screened, or rewound and drawn one at a time: the
+    descriptors and the generator's next draw are the loop's."""
+    config = WorldConfig()
+    cases = []
+    for seed in range(10):
+        # the generator as generate_world hands it over
+        rng = np.random.default_rng(seed)
+        _place_objects(config, make_walls(config.dimensions), rng, ClassRegistry.default())
+        world = generate_world(config, seed)
+        cases.append((rng, len(world.landmarks), config.descriptor_dim, config.delta_desc, world))
+    cases.append((np.random.default_rng(5), 8, 3, 1.0, None))  # rejects candidates
+    screened, products = [], []
+    all_apart = world_module._all_apart
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products.append(self.shape[0] * self.shape[1] * other.shape[1])
+            return np.asarray(self) @ np.asarray(other)
+
+    def recorded(rows, delta):
+        screened.append(all_apart(rows.view(Counted), delta))
+        return screened[-1]
+
+    monkeypatch.setattr(world_module, "_all_apart", recorded)
+    for rng, n, dim, delta, world in cases:
+        state = rng.bit_generator.state
+        expected = _reference_sample_descriptors(n, dim, delta, rng)
+        expected_next = rng.normal()
+        rng.bit_generator.state = state
+        descriptors = _sample_descriptors(n, dim, delta, rng)
+        assert descriptors.tobytes() == expected.tobytes()
+        assert rng.normal() == expected_next
+        if world is not None:
+            assert world.landmark_descriptors().tobytes() == expected.tobytes()
+    assert screened == [True] * 10 + [False]
+    # the pairwise screen runs in blocks, never as one n x n product
+    assert len(products) > 10 and max(products) <= _BLOCK_PRODUCTS
 
 
 def test_infeasible_placement_raises():
@@ -502,6 +576,88 @@ def test_near_plane_clipped_box_stays_finite():
     for box in frame.boxes.boxes:
         assert 0 <= box.x_min <= box.x_max <= 639
         assert 0 <= box.y_min <= box.y_max <= 479
+
+
+def _reference_ground_truth_boxes(world, pose, intrinsics, margin_px, frame_id):
+    """Each registered object's footprint built, moved and projected alone."""
+    walls = world.walls()
+    boxes = []
+    for obj in world.objects:
+        if obj.class_id is None:
+            continue
+        corners = obj.footprint_corners_3d(walls[obj.wall_index])
+        camera = pose.transform(corners)
+        polygon = _clip_polygon_to_near_plane(camera)
+        if len(polygon) < 3:
+            continue
+        pixels = intrinsics.pixels(polygon)
+        x0 = max(0.0, float(pixels[:, 0].min()) - margin_px)
+        y0 = max(0.0, float(pixels[:, 1].min()) - margin_px)
+        x1 = min(float(intrinsics.width - 1), float(pixels[:, 0].max()) + margin_px)
+        y1 = min(float(intrinsics.height - 1), float(pixels[:, 1].max()) + margin_px)
+        if x1 <= x0 or y1 <= y0:
+            continue
+        boxes.append(
+            BoundingBox(world.registry.by_id(obj.class_id), x0, y0, x1, y1, confidence=1.0)
+        )
+    return DetectionSet(frame_id, boxes)
+
+
+def _box_rows(detections):
+    return [
+        (b.semantic_class.id, b.x_min, b.y_min, b.x_max, b.y_max, b.confidence)
+        for b in detections.boxes
+    ]
+
+
+def test_ground_truth_boxes_equal_the_per_object_projection():
+    """One projection of every stacked footprint gives each box the bits of
+    projecting its object alone, for objects cut by the near plane, off the
+    image and in view."""
+    rng = np.random.default_rng(21)
+    seen = {"clipped": 0, "off image": 0, "boxed": 0}
+    for seed in range(3):
+        world = generate_world(WorldConfig(), seed=seed)
+        walls = world.walls()
+        for i in range(40):
+            center = rng.uniform((0.1, 0.1, 0.2), (7.9, 3.9, 2.8))
+            rotation = rotation_from_axis_angle(rng.normal(size=3))
+            pose = Pose(rotation, -rotation @ center)
+            margin = (0.0, 2.0, 8.0)[i % 3]
+            boxes = _ground_truth_boxes(world, pose, DEFAULT_INTRINSICS, margin, i)
+            expected = _reference_ground_truth_boxes(world, pose, DEFAULT_INTRINSICS, margin, i)
+            assert boxes.frame_id == expected.frame_id
+            assert _box_rows(boxes) == _box_rows(expected)
+            polygons = 0
+            for obj in world.objects:
+                if obj.class_id is None:
+                    continue
+                camera = pose.transform(obj.footprint_corners_3d(walls[obj.wall_index]))
+                in_front = camera[:, 2] >= _NEAR_PLANE
+                seen["clipped"] += int(in_front.any() and not in_front.all())
+                polygons += int(len(_clip_polygon_to_near_plane(camera)) >= 3)
+            seen["off image"] += polygons - len(expected.boxes)
+            seen["boxed"] += len(expected.boxes)
+    assert min(seen.values()) > 0, seen
+
+
+def test_frames_read_the_footprints_stacked_at_construction(monkeypatch):
+    world = generate_world(WorldConfig(), seed=3)
+    calls = []
+    corners = WorldObject.footprint_corners_3d
+
+    def counted(obj, wall):
+        calls.append(obj.id)
+        return corners(obj, wall)
+
+    monkeypatch.setattr(WorldObject, "footprint_corners_3d", counted)
+    trajectory = generate_trajectory("yaw", TrajectoryParams(steps=6))
+    frames = [
+        synthesize_frame(world, pose, DEFAULT_INTRINSICS, rng=np.random.default_rng(i))
+        for i, (_, pose) in enumerate(trajectory)
+    ]
+    assert sum(len(frame.boxes.boxes) for frame in frames) > 0
+    assert calls == []
 
 
 def test_negative_noise_rejected():
