@@ -61,7 +61,7 @@ def _kmeans_pp_init(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     centroids[0] = data[rng.integers(len(data))]
     d2 = np.sum((data - centroids[0]) ** 2, axis=1)
     # an einsum, not `data @ c`: OpenBLAS hands a gemv this size to a second
-    # thread, and that stalls on a shared machine
+    # thread, which stalls whenever the other core is busy
     x_squared = np.einsum("ij,ij->i", data, data)
     x_norm = np.sqrt(x_squared)
     for i in range(1, k):

@@ -102,9 +102,9 @@ class WorldLandmark:
 class World:
     """A generated scene. The landmark positions, descriptors and ids and
     every object's footprint corners are stacked once, at construction, and
-    every frame reads those arrays: neither the landmark list nor an object's
-    placement is mutated after construction (perturb_world builds a new
-    World)."""
+    each frame reads those arrays. The landmark list is not mutated after
+    construction, and an object's placement changes only in a new World, as
+    perturb_world builds one; class ids are read per frame."""
 
     dimensions: np.ndarray  # (3,) meters
     objects: list[WorldObject]
