@@ -235,20 +235,7 @@ def _cmd_evaluate(args) -> int:
     series = absolute_errors(estimated, reference, alignment=args.alignment)
     rate = success_rate(series, args.pos_tol, args.rot_tol)
     seq = os.path.splitext(os.path.basename(args.est))[0]
-    record = BenchmarkRecord(
-        seq=seq,
-        mode="-",
-        ape_max=series.ape_max,
-        ape_median=series.ape_median,
-        ape_rmse=series.ape_rmse,
-        are_max=series.are_max,
-        are_median=series.are_median,
-        are_rmse=series.are_rmse,
-        success_rate=rate,
-        correct_match_ratio=float("nan"),
-        ape_series=tuple(series.ape),
-        are_series=tuple(series.are),
-    )
+    record = BenchmarkRecord.from_series(seq, "-", series, rate, float("nan"))
     emit_report([record], args.out, format="csv")
     logger.info("success rate %.3f over %d frames", rate, series.total_count)
     return 0

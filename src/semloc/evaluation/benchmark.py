@@ -174,20 +174,7 @@ def _evaluate_mode(
     gt_entries = [TrajectoryEntry(frame.timestamp, frame.pose) for frame, _ in evaluation]
     series = absolute_errors(entries, gt_entries, alignment="none")
     rate = success_rate(series, DEFAULT_POS_TOL_M, DEFAULT_ROT_TOL_DEG)
-    record = BenchmarkRecord(
-        seq=seq,
-        mode=mode.value,
-        ape_max=series.ape_max,
-        ape_median=series.ape_median,
-        ape_rmse=series.ape_rmse,
-        are_max=series.are_max,
-        are_median=series.are_median,
-        are_rmse=series.are_rmse,
-        success_rate=rate,
-        correct_match_ratio=_mean_ratio(pair_records),
-        ape_series=tuple(series.ape),
-        are_series=tuple(series.are),
-    )
+    record = BenchmarkRecord.from_series(seq, mode.value, series, rate, _mean_ratio(pair_records))
     return SeedOutcome(record=record, pair_records=tuple(pair_records))
 
 

@@ -19,6 +19,7 @@ AGGREGATION_NOTE = (
     "failed frames count in the success-rate denominator."
 )
 _FLOAT_FIELDS = REPORT_HEADER.split(",")[2:]
+_SERIES_FIELDS = _FLOAT_FIELDS[:6]  # the APE and ARE aggregates
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,19 @@ class BenchmarkRecord:
     correct_match_ratio: float
     ape_series: tuple = ()  # per-frame errors backing the CDF files
     are_series: tuple = ()
+
+    @classmethod
+    def from_series(cls, seq, mode, series, success_rate, correct_match_ratio):
+        """The record of one trajectory's TrajectoryErrorSeries."""
+        return cls(
+            seq=seq,
+            mode=mode,
+            **{name: getattr(series, name) for name in _SERIES_FIELDS},
+            success_rate=success_rate,
+            correct_match_ratio=correct_match_ratio,
+            ape_series=tuple(series.ape),
+            are_series=tuple(series.are),
+        )
 
 
 def _fmt(value: float) -> str:

@@ -166,7 +166,7 @@ class Pose:
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Pinhole intrinsics; focal lengths must be positive, principal point in-frame."""
+    """Pinhole intrinsics; focal lengths positive and finite, principal point in-frame."""
 
     fx: float
     fy: float
@@ -176,8 +176,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0.0 or self.fy <= 0.0:
-            raise DegenerateGeometryError("focal lengths must be positive")
+        if not (0.0 < self.fx < np.inf and 0.0 < self.fy < np.inf):
+            raise DegenerateGeometryError("focal lengths must be positive and finite")
         if not (0.0 <= self.cx < self.width and 0.0 <= self.cy < self.height):
             raise DegenerateGeometryError("principal point lies outside the image")
 

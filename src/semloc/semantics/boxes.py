@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 from ..errors import AnnotationError
@@ -51,6 +52,12 @@ class DetectionSet:
     boxes: list[BoundingBox] = field(default_factory=list)
 
 
+def _finite_number(value) -> bool:
+    """A finite JSON number: not a bool, not a NaN or Infinity token (read as
+    a string) and not a literal too large for a float."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def load_detections(
     path: str,
     registry: ClassRegistry,
@@ -60,26 +67,30 @@ def load_detections(
     """Parse one annotation file; boxes are clamped to the image bounds.
 
     image_size: (width, height).  Boxes below min_confidence or with zero
-    area after clamping are dropped (the latter logged).  Malformed entries
-    and unknown class names raise AnnotationError naming the offending field.
+    area after clamping are dropped (the latter logged).  Malformed entries,
+    non-finite numbers and unknown class names raise AnnotationError naming
+    the offending field.
     """
     width, height = image_size
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            # NaN and Infinity stay strings, which no numeric field accepts
+            raw = json.load(fh, parse_constant=str)
         except json.JSONDecodeError as exc:
             raise AnnotationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
     if not isinstance(raw, dict) or "frame" not in raw:
         raise AnnotationError(f"{path}: missing 'frame' field")
-    try:
-        frame_id = int(raw["frame"])
-    except (TypeError, ValueError) as exc:
-        raise AnnotationError(f"{path}: 'frame' is not an integer") from exc
+    frame_id = raw["frame"]
+    if not isinstance(frame_id, int) or isinstance(frame_id, bool):
+        raise AnnotationError(f"{path}: 'frame' is not an integer")
+    entries = raw.get("boxes", [])
+    if not isinstance(entries, list):
+        raise AnnotationError(f"{path}: 'boxes' is not a list")
 
     boxes: list[BoundingBox] = []
     dropped = 0
-    for i, entry in enumerate(raw.get("boxes", [])):
+    for i, entry in enumerate(entries):
         where = f"{path}: boxes[{i}]"
         if not isinstance(entry, dict):
             raise AnnotationError(f"{where}: not an object")
@@ -89,11 +100,13 @@ def load_detections(
         name = entry["class"]
         if name not in registry:
             raise AnnotationError(f"{where}: unknown class name '{name}'")
-        try:
-            x0, y0, x1, y1 = (float(v) for v in entry["box"])
-            conf = float(entry["confidence"])
-        except (TypeError, ValueError) as exc:
-            raise AnnotationError(f"{where}: field 'box' or 'confidence' malformed") from exc
+        box, conf = entry["box"], entry["confidence"]
+        if not (isinstance(box, list) and len(box) == 4 and all(map(_finite_number, box))):
+            raise AnnotationError(f"{where}: field 'box' is not four finite numbers")
+        if not _finite_number(conf):
+            raise AnnotationError(f"{where}: field 'confidence' is not a finite number")
+        x0, y0, x1, y1 = (float(v) for v in box)
+        conf = float(conf)
         if x1 < x0 or y1 < y0:
             raise AnnotationError(f"{where}: field 'box' has inverted extents")
         if conf < min_confidence:

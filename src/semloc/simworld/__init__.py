@@ -22,10 +22,10 @@ from .trajectory import (
     generate_trajectory,
 )
 from .world import (
+    NO_OBJECT,
     Wall,
     World,
     WorldConfig,
-    WorldLandmark,
     WorldObject,
     generate_world,
     make_walls,
@@ -35,6 +35,7 @@ __all__ = [
     "BODY_TO_CAMERA",
     "DEFAULT_BOX_MARGIN_PX",
     "DEFAULT_INTRINSICS",
+    "NO_OBJECT",
     "TRAJECTORY_KINDS",
     "Perturbation",
     "PerturbationSpec",
@@ -44,7 +45,6 @@ __all__ = [
     "Wall",
     "World",
     "WorldConfig",
-    "WorldLandmark",
     "WorldObject",
     "generate_trajectory",
     "generate_world",

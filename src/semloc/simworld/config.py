@@ -32,7 +32,7 @@ class PerturbationSpec:
             movable = [o for o in world.objects if o.movable]
             if not movable:
                 raise WorldGenerationError("world has no movable objects to perturb")
-            movable.sort(key=lambda o: (-len(o.landmark_ids), o.id))
+            movable.sort(key=lambda o: (-(world.object_ids == o.id).sum(), o.id))
             target_ids = [movable[0].id]
         else:
             raise WorldGenerationError(f"unknown perturbation target '{self.target}'")

@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 
-from ..errors import AnnotationError, WorldGenerationError
+from ..errors import AnnotationError, DegenerateGeometryError, WorldGenerationError
 from ..geometry.pose import (
     CameraIntrinsics,
     Pose,
@@ -119,7 +119,7 @@ def load_intrinsics(path: str) -> CameraIntrinsics:
             width=int(raw["width"]),
             height=int(raw["height"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, DegenerateGeometryError) as exc:
         raise WorldGenerationError(f"{path}: malformed intrinsics ({exc})") from exc
 
 

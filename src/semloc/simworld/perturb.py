@@ -8,7 +8,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import WorldGenerationError
-from .world import World, WorldLandmark, WorldObject
+from ..geometry.pose import rowdot
+from .world import World, WorldObject, in_plane_rotation, rotate_rows
 
 
 @dataclass
@@ -38,36 +39,26 @@ def _require_movable(world: World, object_id: int) -> WorldObject:
     return obj
 
 
-def _in_plane_rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
 def _transform_landmarks(
     world: World,
     targets: dict[int, tuple[np.ndarray, float]],  # object id -> (new center, angle delta)
-) -> list[WorldLandmark]:
-    """Rigidly transform landmarks of targeted objects in their wall plane;
-    every other landmark object is reused untouched (bitwise identical)."""
+) -> np.ndarray:
+    """The positions with each targeted object's rows rigidly moved in its
+    wall plane, row by row with the bits of one landmark moved alone; every
+    other row keeps its bits."""
     walls = world.walls()
-    moved: list[WorldLandmark] = []
-    by_object = {obj.id: obj for obj in world.objects}
-    for lm in world.landmarks:
-        if lm.object_id not in targets:
-            moved.append(lm)
+    positions = world.positions.copy()
+    for obj in world.objects:
+        if obj.id not in targets:
             continue
-        obj = by_object[lm.object_id]
+        rows = world.object_ids == obj.id
         wall = walls[obj.wall_index]
-        new_center, angle = targets[lm.object_id]
-        uv = np.array(
-            [
-                np.dot(lm.position - wall.origin, wall.u_axis),
-                np.dot(lm.position - wall.origin, wall.v_axis),
-            ]
-        )
-        uv = new_center + _in_plane_rotation(angle) @ (uv - obj.center_uv)
-        moved.append(replace(lm, position=wall.to_world(uv), descriptor=lm.descriptor))
-    return moved
+        new_center, angle = targets[obj.id]
+        relative = world.positions[rows] - wall.origin
+        uv = np.stack([rowdot(relative, wall.u_axis), rowdot(relative, wall.v_axis)], axis=1)
+        uv = new_center + rotate_rows(in_plane_rotation(angle), uv - obj.center_uv)
+        positions[rows] = wall.to_world(uv)
+    return positions
 
 
 def perturb_world(world: World, perturbation: Perturbation) -> World:
@@ -78,27 +69,20 @@ def perturb_world(world: World, perturbation: Perturbation) -> World:
 
     if kind == "remove_object":
         target = _require_movable(world, perturbation.target_ids[0])
-        objects = [replace(o, landmark_ids=list(o.landmark_ids))
-                   for o in world.objects if o.id != target.id]
-        landmarks = [lm for lm in world.landmarks if lm.object_id != target.id]
-        return World(
-            dimensions=world.dimensions,
-            objects=objects,
-            landmarks=landmarks,
-            seed=world.seed,
-            registry=world.registry,
+        keep = world.object_ids != target.id
+        return replace(
+            world,
+            objects=[o for o in world.objects if o.id != target.id],
+            landmark_ids=world.landmark_ids[keep],
+            positions=world.positions[keep],
+            descriptors=world.descriptors[keep],
+            object_ids=world.object_ids[keep],
         )
 
     if kind == "rotate_object":
         target = _require_movable(world, perturbation.target_ids[0])
         angle = math.radians(perturbation.magnitude_deg)
         targets = {target.id: (target.center_uv.copy(), angle)}
-        objects = [
-            replace(o, rotation=o.rotation + angle, landmark_ids=list(o.landmark_ids))
-            if o.id == target.id
-            else o
-            for o in world.objects
-        ]
     elif kind == "translate_object":
         target = _require_movable(world, perturbation.target_ids[0])
         direction = np.asarray(perturbation.direction_uv, dtype=float)
@@ -107,12 +91,6 @@ def perturb_world(world: World, perturbation: Perturbation) -> World:
             raise WorldGenerationError("translate_object needs a nonzero direction")
         shift = direction / norm * perturbation.magnitude_m
         targets = {target.id: (target.center_uv + shift, 0.0)}
-        objects = [
-            replace(o, center_uv=o.center_uv + shift, landmark_ids=list(o.landmark_ids))
-            if o.id == target.id
-            else o
-            for o in world.objects
-        ]
     else:  # swap_objects
         first = _require_movable(world, perturbation.target_ids[0])
         second = _require_movable(world, perturbation.target_ids[1])
@@ -124,21 +102,11 @@ def perturb_world(world: World, perturbation: Perturbation) -> World:
             first.id: (second.center_uv.copy(), 0.0),
             second.id: (first.center_uv.copy(), 0.0),
         }
-        objects = []
-        for o in world.objects:
-            if o.id == first.id:
-                objects.append(replace(o, center_uv=second.center_uv.copy(),
-                                       landmark_ids=list(o.landmark_ids)))
-            elif o.id == second.id:
-                objects.append(replace(o, center_uv=first.center_uv.copy(),
-                                       landmark_ids=list(o.landmark_ids)))
-            else:
-                objects.append(o)
 
-    return World(
-        dimensions=world.dimensions,
-        objects=objects,
-        landmarks=_transform_landmarks(world, targets),
-        seed=world.seed,
-        registry=world.registry,
-    )
+    objects = [
+        replace(o, center_uv=targets[o.id][0], rotation=o.rotation + targets[o.id][1])
+        if o.id in targets
+        else o
+        for o in world.objects
+    ]
+    return replace(world, objects=objects, positions=_transform_landmarks(world, targets))

@@ -97,8 +97,7 @@ def synthesize_frame(
         raise ValueError("noise standard deviations must be non-negative")
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    positions = world.landmark_positions()
-    pixels, valid = project_points(pose, intrinsics, positions)
+    pixels, valid = project_points(pose, intrinsics, world.positions)
     in_bounds = valid.copy()
     in_bounds[valid] &= (
         (pixels[valid, 0] >= 0.0)
@@ -114,7 +113,7 @@ def synthesize_frame(
         keypoints[:, 0] = np.clip(keypoints[:, 0], 0.0, intrinsics.width - 1)
         keypoints[:, 1] = np.clip(keypoints[:, 1], 0.0, intrinsics.height - 1)
 
-    descriptors = world.landmark_descriptors()[index]
+    descriptors = world.descriptors[index]
     if sigma_desc > 0 and len(index):
         descriptors = descriptors + rng.normal(scale=sigma_desc, size=descriptors.shape)
         descriptors = descriptors / np.linalg.norm(descriptors, axis=1, keepdims=True)

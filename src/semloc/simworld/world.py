@@ -10,7 +10,7 @@ import numpy as np
 from ..errors import WorldGenerationError
 from ..features.distance import _AMBIGUOUS_REL, _BLOCK_PRODUCTS
 from ..geometry.pose import rowdot
-from ..semantics.classes import DEFAULT_CLASS_NAMES, ClassRegistry
+from ..semantics.classes import ClassRegistry
 
 DESCRIPTOR_DIM = 64
 
@@ -64,6 +64,18 @@ def make_walls(dimensions) -> list[Wall]:
     ]
 
 
+def in_plane_rotation(angle: float) -> np.ndarray:
+    """(2, 2) rotation of a wall's (u, v) chart by `angle` radians."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def rotate_rows(rotation: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rotation (..., 2, 2) @ each row of rows (n, 2), with the bits of one
+    2-vector matvec per row."""
+    return (rotation @ rows[:, :, None])[:, :, 0]
+
+
 @dataclass
 class WorldObject:
     id: int
@@ -72,7 +84,6 @@ class WorldObject:
     center_uv: np.ndarray  # (2,)
     rotation: float  # in-plane angle, radians
     extent: np.ndarray  # (2,) meters
-    landmark_ids: list[int]
     movable: bool
 
     def footprint_corners_uv(self) -> np.ndarray:
@@ -81,45 +92,41 @@ class WorldObject:
         corners = np.array(
             [[-half[0], -half[1]], [half[0], -half[1]], [half[0], half[1]], [-half[0], half[1]]]
         )
-        c, s = math.cos(self.rotation), math.sin(self.rotation)
-        rot = np.array([[c, -s], [s, c]])
-        return self.center_uv + corners @ rot.T
+        return self.center_uv + corners @ in_plane_rotation(self.rotation).T
 
     def footprint_corners_3d(self, wall: Wall) -> np.ndarray:
         return np.array([wall.to_world(uv) for uv in self.footprint_corners_uv()])
 
 
-@dataclass
-class WorldLandmark:
-    id: int
-    position: np.ndarray  # (3,)
-    descriptor: np.ndarray  # unit norm
-    class_id: int | None  # None for background and clutter landmarks
-    object_id: int | None  # None for background landmarks
+NO_OBJECT = -1  # the object id of a background landmark
 
 
 @dataclass
 class World:
-    """A generated scene. The landmark positions, descriptors and ids and
-    every object's footprint corners are stacked once, at construction, and
-    each frame reads those arrays. The landmark list is not mutated after
-    construction, and an object's placement changes only in a new World, as
-    perturb_world builds one; class ids are read per frame."""
+    """A generated scene. Its landmarks are read-only columns, one row per
+    landmark: ids, positions, descriptors and owning object ids (NO_OBJECT
+    for background); a landmark's class is its object's. Every object's
+    footprint corners are stacked once, at construction. An object's
+    placement changes only in a new World, as perturb_world builds one;
+    class ids are read per frame."""
 
     dimensions: np.ndarray  # (3,) meters
     objects: list[WorldObject]
-    landmarks: list[WorldLandmark]
+    landmark_ids: np.ndarray  # (n,) ids, not rows: frames store them
+    positions: np.ndarray  # (n, 3)
+    descriptors: np.ndarray  # (n, d) unit norm
+    object_ids: np.ndarray  # (n,)
     seed: int
     registry: ClassRegistry = field(default_factory=ClassRegistry.default)
-    landmark_ids: np.ndarray = field(init=False, repr=False, compare=False)  # (n,)
     # each object's footprint corners, (objects, 4, 3), in the order of objects
     footprints: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.landmark_ids = _frozen(np.asarray(self.landmark_ids, dtype=int))
+        self.positions = _frozen(np.asarray(self.positions, dtype=float).reshape(-1, 3))
+        self.descriptors = _frozen(np.asarray(self.descriptors, dtype=float))
+        self.object_ids = _frozen(np.asarray(self.object_ids, dtype=int))
         walls = self.walls()
-        self._positions = _frozen(np.array([lm.position for lm in self.landmarks]).reshape(-1, 3))
-        self._descriptors = _frozen(np.array([lm.descriptor for lm in self.landmarks]))
-        self.landmark_ids = _frozen(np.array([lm.id for lm in self.landmarks], dtype=int))
         self.footprints = _frozen(
             np.array(
                 [obj.footprint_corners_3d(walls[obj.wall_index]) for obj in self.objects]
@@ -134,12 +141,6 @@ class World:
             if obj.id == object_id:
                 return obj
         raise WorldGenerationError(f"no object with id {object_id}")
-
-    def landmark_positions(self) -> np.ndarray:
-        return self._positions
-
-    def landmark_descriptors(self) -> np.ndarray:
-        return self._descriptors
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -210,7 +211,6 @@ def _place_objects(config: WorldConfig, walls, rng, registry) -> list[WorldObjec
                         center_uv=center,
                         rotation=rotation,
                         extent=extent,
-                        landmark_ids=[],
                         movable=movable,
                     )
                 )
@@ -285,50 +285,36 @@ def generate_world(config: WorldConfig | None = None, seed: int = 0) -> World:
     walls = make_walls(config.dimensions)
     objects = _place_objects(config, walls, rng, registry)
 
-    landmark_counts = sum(
+    counts = [
         config.clutter_landmarks if obj.class_id is None else config.landmarks_per_object
         for obj in objects
-    )
-    total = landmark_counts + config.background_landmarks
+    ]
+    total = sum(counts) + config.background_landmarks
     descriptors = _sample_descriptors(total, config.descriptor_dim, config.delta_desc, rng)
 
-    landmarks: list[WorldLandmark] = []
-    for obj in sorted(objects, key=lambda o: o.id):
-        n = config.clutter_landmarks if obj.class_id is None else config.landmarks_per_object
-        wall = walls[obj.wall_index]
-        c, s = math.cos(obj.rotation), math.sin(obj.rotation)
-        rot = np.array([[c, -s], [s, c]])
+    positions, object_ids = [], []
+    for obj, n in zip(objects, counts):
         offsets = rng.uniform(-0.5, 0.5, size=(n, 2)) * obj.extent
-        for offset in offsets:
-            uv = obj.center_uv + rot @ offset
-            lm = WorldLandmark(
-                id=len(landmarks),
-                position=wall.to_world(uv),
-                descriptor=descriptors[len(landmarks)],
-                class_id=obj.class_id,
-                object_id=obj.id,
-            )
-            obj.landmark_ids.append(lm.id)
-            landmarks.append(lm)
+        uv = obj.center_uv + rotate_rows(in_plane_rotation(obj.rotation), offsets)
+        positions.append(walls[obj.wall_index].to_world(uv))
+        object_ids.append(np.full(n, obj.id))
 
     areas = np.array([w.width * w.height for w in walls])
+    background = []
     for _ in range(config.background_landmarks):
         wall = walls[rng.choice(len(walls), p=areas / areas.sum())]
         uv = np.array([rng.uniform(0, wall.width), rng.uniform(0, wall.height)])
-        landmarks.append(
-            WorldLandmark(
-                id=len(landmarks),
-                position=wall.to_world(uv),
-                descriptor=descriptors[len(landmarks)],
-                class_id=None,
-                object_id=None,
-            )
-        )
+        background.append(wall.to_world(uv))
+    positions.append(np.reshape(background, (-1, 3)))
+    object_ids.append(np.full(config.background_landmarks, NO_OBJECT))
 
     return World(
         dimensions=np.asarray(config.dimensions, dtype=float),
         objects=objects,
-        landmarks=landmarks,
+        landmark_ids=np.arange(total),
+        positions=np.concatenate(positions),
+        descriptors=descriptors,
+        object_ids=np.concatenate(object_ids),
         seed=seed,
         registry=registry,
     )

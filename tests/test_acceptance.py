@@ -49,7 +49,6 @@ from semloc.simworld.trajectory import TrajectoryParams, generate_trajectory
 from semloc.simworld.world import (
     World,
     WorldConfig,
-    WorldLandmark,
     WorldObject,
     generate_world,
     make_walls,
@@ -246,8 +245,10 @@ def test_semantic_filter_invariants_hold_on_randomized_frames():
 
 def test_unperturbed_benchmark_localizes_in_every_mode(tmp_path):
     world = generate_world(WorldConfig(), seed=0)
-    labeled = sum(1 for lm in world.landmarks if lm.class_id is not None)
-    classes = {lm.class_id for lm in world.landmarks if lm.class_id is not None}
+    class_of = {obj.id: obj.class_id for obj in world.objects if obj.class_id is not None}
+    owners = [object_id for object_id in world.object_ids.tolist() if object_id in class_of]
+    labeled = len(owners)
+    classes = {class_of[object_id] for object_id in owners}
     assert labeled >= 300 and len(classes) == 8
 
     start = time.perf_counter()
@@ -364,46 +365,36 @@ def _clustered_detections_world() -> World:
     """
     rng = np.random.default_rng(11)
     walls = make_walls((8.0, 4.0, 3.0))
-    landmarks: list[WorldLandmark] = []
+    positions, descriptors, object_ids = [], [], []
 
-    def add(uv, class_id, object_id, descriptor, depth=0.0) -> int:
+    def add(uv, object_id, descriptor, depth=0.0):
         position = walls[0].to_world(np.asarray(uv, dtype=float)) + depth * walls[0].normal
-        landmark = WorldLandmark(
-            id=len(landmarks),
-            position=position,
-            descriptor=descriptor / np.linalg.norm(descriptor),
-            class_id=class_id,
-            object_id=object_id,
-        )
-        landmarks.append(landmark)
-        return landmark.id
+        positions.append(position)
+        descriptors.append(descriptor / np.linalg.norm(descriptor))
+        object_ids.append(object_id)
 
     cluster = WorldObject(id=0, class_id=2, wall_index=0, center_uv=np.array([2.0, 1.5]),
-                          rotation=0.0, extent=np.array([0.3, 0.3]), landmark_ids=[],
-                          movable=False)
+                          rotation=0.0, extent=np.array([0.3, 0.3]), movable=False)
     twins = WorldObject(id=1, class_id=3, wall_index=0, center_uv=np.array([2.8, 1.5]),
-                        rotation=0.0, extent=np.array([0.3, 0.3]), landmark_ids=[],
-                        movable=False)
+                        rotation=0.0, extent=np.array([0.3, 0.3]), movable=False)
     spread = WorldObject(id=2, class_id=5, wall_index=0, center_uv=np.array([3.8, 1.5]),
-                         rotation=0.0, extent=np.array([5.2, 2.6]), landmark_ids=[],
-                         movable=False)
+                         rotation=0.0, extent=np.array([5.2, 2.6]), movable=False)
     for _ in range(100):
         offset = rng.uniform(-0.5, 0.5, 2) * cluster.extent
         descriptor = rng.normal(size=64)
         descriptor /= np.linalg.norm(descriptor)
-        cluster.landmark_ids.append(add(cluster.center_uv + offset, 2, 0, descriptor))
+        add(cluster.center_uv + offset, 0, descriptor)
         twin_offset = rng.uniform(-0.5, 0.5, 2) * twins.extent
         direction = rng.normal(size=64)
         twin = descriptor + 0.25 * direction / np.linalg.norm(direction)
-        twins.landmark_ids.append(add(twins.center_uv + twin_offset, 3, 1, twin))
+        add(twins.center_uv + twin_offset, 1, twin)
     for _ in range(70):
         offset = rng.uniform(-0.5, 0.5, 2) * spread.extent
         descriptor = rng.normal(size=64)
-        spread.landmark_ids.append(
-            add(spread.center_uv + offset, 5, 2, descriptor, depth=rng.uniform(0.0, 1.2))
-        )
+        add(spread.center_uv + offset, 2, descriptor, depth=rng.uniform(0.0, 1.2))
     return World(dimensions=np.array([8.0, 4.0, 3.0]), objects=[cluster, twins, spread],
-                 landmarks=landmarks, seed=0)
+                 landmark_ids=np.arange(len(positions)), positions=np.array(positions),
+                 descriptors=np.array(descriptors), object_ids=np.array(object_ids), seed=0)
 
 
 def test_clustered_detections_degrade_premask_epipolar_heading():

@@ -353,6 +353,27 @@ def _record(seq="yaw-s0", mode="baseline", **overrides):
     return BenchmarkRecord(seq=seq, mode=mode, **values)
 
 
+def test_record_from_series_spells_out_every_field():
+    series = TrajectoryErrorSeries(
+        np.array([1.0, 2.0, 3.0]), np.array([0.1, 0.6, 0.2]), np.array([0.4, 2.0, 0.5]), 4
+    )
+    record = BenchmarkRecord.from_series("yaw-s0", "post", series, 0.75, 0.5)
+    assert record == BenchmarkRecord(
+        seq="yaw-s0",
+        mode="post",
+        ape_max=series.ape_max,
+        ape_median=series.ape_median,
+        ape_rmse=series.ape_rmse,
+        are_max=series.are_max,
+        are_median=series.are_median,
+        are_rmse=series.are_rmse,
+        success_rate=0.75,
+        correct_match_ratio=0.5,
+        ape_series=(0.1, 0.6, 0.2),
+        are_series=(0.4, 2.0, 0.5),
+    )
+
+
 def test_report_header_and_shape(tmp_path):
     path = str(tmp_path / "report.csv")
     emit_report([_record()], path)

@@ -126,6 +126,15 @@ def test_intrinsics_validation():
         CameraIntrinsics(fx=400.0, fy=400.0, cx=700.0, cy=240.0, width=640, height=480)
 
 
+@pytest.mark.parametrize("fx", [float("nan"), float("inf")])
+def test_intrinsics_reject_a_non_finite_focal_length(fx):
+    """NaN passed the old check, since NaN <= 0 is false."""
+    with pytest.raises(DegenerateGeometryError, match="positive and finite"):
+        CameraIntrinsics(fx=fx, fy=400.0, cx=320.0, cy=240.0, width=640, height=480)
+    with pytest.raises(DegenerateGeometryError, match="positive and finite"):
+        CameraIntrinsics(fx=400.0, fy=fx, cx=320.0, cy=240.0, width=640, height=480)
+
+
 def test_intrinsics_are_immutable_and_hashable(intrinsics):
     # shared as a dataclass default (SceneConfig), so it must be frozen
     with pytest.raises(dataclasses.FrozenInstanceError):

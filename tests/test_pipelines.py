@@ -33,7 +33,6 @@ from semloc.simworld import (
     TrajectoryParams,
     World,
     WorldConfig,
-    WorldLandmark,
     WorldObject,
     generate_trajectory,
     generate_world,
@@ -365,7 +364,8 @@ def test_relocalize_rejects_empty_map(scene):
 
 def test_unperturbed_success_rate_at_least_95_percent(scene):
     world, semantic_map, baseline_map, eval_frames = scene
-    labeled = {lm.id for lm in world.landmarks if lm.class_id is not None}
+    registered = [obj.id for obj in world.objects if obj.class_id is not None]
+    labeled = set(world.landmark_ids[np.isin(world.object_ids, registered)].tolist())
     qualifying = 0
     successes = {mode: 0 for mode in SemanticMode}
     for frame in eval_frames:
@@ -549,44 +549,36 @@ def _flag_world():
     """One big movable unlabeled object flanked by two smaller labeled ones."""
     rng = np.random.default_rng(21)
     walls = make_walls((8.0, 4.0, 3.0))
-    landmarks = []
+    positions, descriptors, object_ids = [], [], []
 
-    def add_landmark(wall_index, uv, class_id, object_id):
+    def add_landmark(wall_index, uv, object_id):
         descriptor = rng.normal(size=64)
-        descriptor /= np.linalg.norm(descriptor)
-        landmark = WorldLandmark(
-            id=len(landmarks),
-            position=walls[wall_index].to_world(np.asarray(uv, dtype=float)),
-            descriptor=descriptor,
-            class_id=class_id,
-            object_id=object_id,
-        )
-        landmarks.append(landmark)
-        return landmark.id
+        descriptors.append(descriptor / np.linalg.norm(descriptor))
+        positions.append(walls[wall_index].to_world(np.asarray(uv, dtype=float)))
+        object_ids.append(object_id)
 
     clutter = WorldObject(
         id=0, class_id=None, wall_index=0, center_uv=np.array([4.0, 1.5]),
-        rotation=0.0, extent=np.array([1.8, 1.2]), landmark_ids=[], movable=True,
+        rotation=0.0, extent=np.array([1.8, 1.2]), movable=True,
     )
     for _ in range(64):
         offset = rng.uniform(-0.5, 0.5, size=2) * clutter.extent
-        clutter.landmark_ids.append(add_landmark(0, clutter.center_uv + offset, None, 0))
+        add_landmark(0, clutter.center_uv + offset, 0)
     objects = [clutter]
     for object_id, (u, class_id) in enumerate([(2.5, 0), (5.5, 1)], start=1):
         stable = WorldObject(
             id=object_id, class_id=class_id, wall_index=0,
             center_uv=np.array([u, 1.5]), rotation=0.0,
-            extent=np.array([0.8, 0.8]), landmark_ids=[], movable=False,
+            extent=np.array([0.8, 0.8]), movable=False,
         )
         for _ in range(12):
             offset = rng.uniform(-0.45, 0.45, size=2) * stable.extent
-            stable.landmark_ids.append(
-                add_landmark(0, stable.center_uv + offset, class_id, object_id)
-            )
+            add_landmark(0, stable.center_uv + offset, object_id)
         objects.append(stable)
     return World(
-        dimensions=np.array([8.0, 4.0, 3.0]), objects=objects, landmarks=landmarks,
-        seed=0,
+        dimensions=np.array([8.0, 4.0, 3.0]), objects=objects,
+        landmark_ids=np.arange(len(positions)), positions=np.array(positions),
+        descriptors=np.array(descriptors), object_ids=np.array(object_ids), seed=0,
     )
 
 

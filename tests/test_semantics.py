@@ -172,6 +172,32 @@ def test_load_detections_clamps_and_drops(tmp_path):
     assert dets.boxes[0].semantic_class.name == "vent"
 
 
+@pytest.mark.parametrize(
+    "box", ["[NaN, NaN, NaN, NaN]", "[-Infinity, -Infinity, Infinity, Infinity]"]
+)
+def test_load_detections_rejects_a_non_finite_box(tmp_path, box):
+    """json reads these tokens as floats; such a box once loaded as the whole
+    image."""
+    path = tmp_path / "frame.json"
+    path.write_text(
+        '{"frame": 0, "boxes": [{"class": "vent", "box": ' + box + ', "confidence": 0.9}]}'
+    )
+    with pytest.raises(AnnotationError, match=rf"{path}: boxes\[0\]: field 'box'"):
+        load_detections(str(path), REGISTRY, image_size=(640, 480))
+
+
+def test_load_detections_rejects_a_fractional_frame(tmp_path):
+    path = _write_annotations(tmp_path, {"frame": 1.7, "boxes": []})
+    with pytest.raises(AnnotationError, match=f"{path}: 'frame' is not an integer"):
+        load_detections(path, REGISTRY, image_size=(640, 480))
+
+
+def test_load_detections_rejects_boxes_that_are_not_a_list(tmp_path):
+    path = _write_annotations(tmp_path, {"frame": 0, "boxes": 7})
+    with pytest.raises(AnnotationError, match=f"{path}: 'boxes' is not a list"):
+        load_detections(path, REGISTRY, image_size=(640, 480))
+
+
 def test_detections_round_trip(tmp_path):
     dets = DetectionSet(7, [box("vent", 10, 10, 50, 40, 0.9), box("light", 5, 5, 9, 9, 0.75)])
     path = str(tmp_path / "out.json")

@@ -20,16 +20,17 @@ from semloc.semantics import (
 from semloc.simworld import (
     BODY_TO_CAMERA,
     DEFAULT_INTRINSICS,
+    NO_OBJECT,
     Perturbation,
     PerturbationSpec,
     TrajectoryParams,
     World,
     WorldConfig,
-    WorldLandmark,
     WorldObject,
     generate_trajectory,
     generate_world,
     load_frame,
+    load_intrinsics,
     load_scene_config,
     make_walls,
     perturb_world,
@@ -50,31 +51,36 @@ from semloc.trajectory_io import TrajectoryEntry, read_trajectory, write_traject
 # world generation
 
 
+def _labeled(world) -> np.ndarray:
+    """Whether each landmark row belongs to an object of a registered class."""
+    registered = [obj.id for obj in world.objects if obj.class_id is not None]
+    return np.isin(world.object_ids, registered)
+
+
 def test_world_landmark_counts():
     world = generate_world(WorldConfig(), seed=0)
-    labeled = [lm for lm in world.landmarks if lm.class_id is not None]
-    clutter = [lm for lm in world.landmarks if lm.class_id is None and lm.object_id is not None]
-    background = [lm for lm in world.landmarks if lm.object_id is None]
-    assert len(labeled) == 8 * 2 * 20  # classes x objects x landmarks
-    assert len(clutter) == 2 * 40
-    assert len(background) == 80
+    labeled = _labeled(world)
+    background = world.object_ids == NO_OBJECT
+    assert labeled.sum() == 8 * 2 * 20  # classes x objects x landmarks
+    assert (~labeled & ~background).sum() == 2 * 40  # clutter
+    assert background.sum() == 80
 
 
 def test_world_generation_deterministic():
     a = generate_world(WorldConfig(), seed=5)
     b = generate_world(WorldConfig(), seed=5)
-    assert np.array_equal(a.landmark_positions(), b.landmark_positions())
-    assert np.array_equal(a.landmark_descriptors(), b.landmark_descriptors())
+    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.descriptors, b.descriptors)
     assert [(o.id, o.wall_index, o.rotation) for o in a.objects] == [
         (o.id, o.wall_index, o.rotation) for o in b.objects
     ]
     c = generate_world(WorldConfig(), seed=6)
-    assert not np.array_equal(a.landmark_positions(), c.landmark_positions())
+    assert not np.array_equal(a.positions, c.positions)
 
 
 def test_descriptors_separated_no_nearest_neighbor_confusion():
     world = generate_world(WorldConfig(), seed=1)
-    descriptors = world.landmark_descriptors()
+    descriptors = world.descriptors
     norms = np.linalg.norm(descriptors, axis=1)
     assert np.allclose(norms, 1.0, atol=1e-12)
     from scipy.spatial.distance import pdist
@@ -94,14 +100,18 @@ def test_descriptors_separated_no_nearest_neighbor_confusion():
 
 def test_labeled_landmarks_belong_to_exactly_one_object():
     world = generate_world(WorldConfig(), seed=3)
-    owners = {}
-    for obj in world.objects:
-        for lm_id in obj.landmark_ids:
-            assert lm_id not in owners
-            owners[lm_id] = obj.id
-    for lm in world.landmarks:
-        if lm.class_id is not None:
-            assert owners[lm.id] == lm.object_id
+    n = len(world.landmark_ids)
+    assert world.positions.shape == (n, 3) and world.descriptors.shape == (n, 64)
+    assert np.array_equal(world.landmark_ids, np.arange(n))
+    # each row names one owner: an object of the world, or none
+    owners = [obj.id for obj in world.objects]
+    assert len(set(owners)) == len(owners)
+    assert np.isin(world.object_ids, owners + [NO_OBJECT]).all()
+    assert {obj.id: int((world.object_ids == obj.id).sum()) for obj in world.objects} == {
+        obj.id: 40 if obj.class_id is None else 20 for obj in world.objects
+    }
+    for column in (world.landmark_ids, world.positions, world.descriptors, world.object_ids):
+        assert not column.flags.writeable
 
 
 def test_landmarks_inside_footprint_and_wall():
@@ -115,12 +125,11 @@ def test_landmarks_inside_footprint_and_wall():
         # landmark uv offsets, rotated back, lie within the extent rectangle
         c, s = math.cos(-obj.rotation), math.sin(-obj.rotation)
         unrot = np.array([[c, -s], [s, c]])
-        for lm_id in obj.landmark_ids:
-            lm = world.landmarks[lm_id]
+        for position in world.positions[world.object_ids == obj.id]:
             uv = np.array(
                 [
-                    np.dot(lm.position - wall.origin, wall.u_axis),
-                    np.dot(lm.position - wall.origin, wall.v_axis),
+                    np.dot(position - wall.origin, wall.u_axis),
+                    np.dot(position - wall.origin, wall.v_axis),
                 ]
             )
             offset = unrot @ (uv - obj.center_uv)
@@ -158,7 +167,8 @@ def test_sampled_descriptors_equal_the_one_at_a_time_loop(monkeypatch):
         rng = np.random.default_rng(seed)
         _place_objects(config, make_walls(config.dimensions), rng, ClassRegistry.default())
         world = generate_world(config, seed)
-        cases.append((rng, len(world.landmarks), config.descriptor_dim, config.delta_desc, world))
+        n = len(world.landmark_ids)
+        cases.append((rng, n, config.descriptor_dim, config.delta_desc, world))
     cases.append((np.random.default_rng(5), 8, 3, 1.0, None))  # rejects candidates
     screened, products = [], []
     all_apart = world_module._all_apart
@@ -182,7 +192,7 @@ def test_sampled_descriptors_equal_the_one_at_a_time_loop(monkeypatch):
         assert descriptors.tobytes() == expected.tobytes()
         assert rng.normal() == expected_next
         if world is not None:
-            assert world.landmark_descriptors().tobytes() == expected.tobytes()
+            assert world.descriptors.tobytes() == expected.tobytes()
     assert screened == [True] * 10 + [False]
     # the pairwise screen runs in blocks, never as one n x n product
     assert len(products) > 10 and max(products) <= _BLOCK_PRODUCTS
@@ -208,7 +218,13 @@ def _grid_world():
         return d / np.linalg.norm(d)
 
     walls = make_walls((8.0, 4.0, 3.0))
-    landmarks = []
+    positions, descriptors, object_ids = [], [], []
+
+    def add(wall_index, uv, object_id):
+        positions.append(walls[wall_index].to_world(uv))
+        descriptors.append(desc())
+        object_ids.append(object_id)
+
     flag = WorldObject(
         id=0,
         class_id=None,
@@ -216,21 +232,12 @@ def _grid_world():
         center_uv=np.array([4.0, 1.5]),
         rotation=0.0,
         extent=np.array([1.6, 1.2]),
-        landmark_ids=[],
         movable=True,
     )
     # symmetric 4x4 grid: landmark centroid coincides with the footprint centre
     for du in np.linspace(-0.6, 0.6, 4):
         for dv in np.linspace(-0.45, 0.45, 4):
-            lm = WorldLandmark(
-                id=len(landmarks),
-                position=walls[0].to_world(flag.center_uv + np.array([du, dv])),
-                descriptor=desc(),
-                class_id=None,
-                object_id=0,
-            )
-            flag.landmark_ids.append(lm.id)
-            landmarks.append(lm)
+            add(0, flag.center_uv + np.array([du, dv]), 0)
 
     panel = WorldObject(
         id=1,
@@ -239,20 +246,10 @@ def _grid_world():
         center_uv=np.array([2.0, 1.5]),
         rotation=0.0,
         extent=np.array([1.0, 0.8]),
-        landmark_ids=[],
         movable=True,
     )
     for _ in range(5):
-        uv = panel.center_uv + rng.uniform(-0.4, 0.4, size=2) * np.array([1.0, 0.8])
-        lm = WorldLandmark(
-            id=len(landmarks),
-            position=walls[1].to_world(uv),
-            descriptor=desc(),
-            class_id=3,
-            object_id=1,
-        )
-        panel.landmark_ids.append(lm.id)
-        landmarks.append(lm)
+        add(1, panel.center_uv + rng.uniform(-0.4, 0.4, size=2) * np.array([1.0, 0.8]), 1)
 
     fixed = WorldObject(
         id=2,
@@ -261,45 +258,39 @@ def _grid_world():
         center_uv=np.array([3.0, 1.0]),
         rotation=0.2,
         extent=np.array([0.5, 0.5]),
-        landmark_ids=[],
         movable=False,
     )
     for _ in range(3):
-        uv = fixed.center_uv + rng.uniform(-0.2, 0.2, size=2)
-        lm = WorldLandmark(
-            id=len(landmarks),
-            position=walls[2].to_world(uv),
-            descriptor=desc(),
-            class_id=0,
-            object_id=2,
-        )
-        fixed.landmark_ids.append(lm.id)
-        landmarks.append(lm)
+        add(2, fixed.center_uv + rng.uniform(-0.2, 0.2, size=2), 2)
 
     for _ in range(2):
-        landmarks.append(
-            WorldLandmark(
-                id=len(landmarks),
-                position=walls[3].to_world(np.array([rng.uniform(0, 4), rng.uniform(0, 3)])),
-                descriptor=desc(),
-                class_id=None,
-                object_id=None,
-            )
-        )
+        add(3, np.array([rng.uniform(0, 4), rng.uniform(0, 3)]), NO_OBJECT)
     return World(
         dimensions=np.array([8.0, 4.0, 3.0]),
         objects=[flag, panel, fixed],
-        landmarks=landmarks,
+        landmark_ids=np.arange(len(positions)),
+        positions=np.array(positions),
+        descriptors=np.array(descriptors),
+        object_ids=np.array(object_ids),
         seed=0,
+    )
+
+
+def _same_rows(a: World, b: World, rows) -> bool:
+    """Whether rows of the two worlds hold the same bits in every column."""
+    return all(
+        getattr(a, name)[rows].tobytes() == getattr(b, name)[rows].tobytes()
+        for name in ("landmark_ids", "positions", "descriptors", "object_ids")
     )
 
 
 def test_rotate_180_maps_grid_onto_itself_centroid_fixed():
     world = _grid_world()
     flag = world.objects[0]
-    before = np.array([world.landmarks[i].position for i in flag.landmark_ids])
+    rows = world.object_ids == flag.id
+    before = world.positions[rows]
     rotated = perturb_world(world, Perturbation("rotate_object", [0], magnitude_deg=180.0))
-    after = np.array([rotated.landmarks[i].position for i in flag.landmark_ids])
+    after = rotated.positions[rows]
 
     assert np.linalg.norm(before.mean(axis=0) - after.mean(axis=0)) < 1e-12
     # each landmark lands on the point diametrically opposite the centre
@@ -307,19 +298,18 @@ def test_rotate_180_maps_grid_onto_itself_centroid_fixed():
     centre = wall.to_world(flag.center_uv)
     assert np.allclose(after, 2 * centre - before, atol=1e-12)
     # descriptors unchanged, original world untouched
-    for i in flag.landmark_ids:
-        assert rotated.landmarks[i].descriptor is world.landmarks[i].descriptor
-    assert np.array_equal(
-        np.array([world.landmarks[i].position for i in flag.landmark_ids]), before
-    )
+    assert rotated.descriptors is world.descriptors
+    assert np.array_equal(world.positions[rows], before)
 
 
 def test_untargeted_landmarks_bitwise_identical():
     world = _grid_world()
     rotated = perturb_world(world, Perturbation("rotate_object", [0], magnitude_deg=90.0))
-    for lm, lm_after in zip(world.landmarks, rotated.landmarks):
-        if lm.object_id != 0:
-            assert lm_after is lm  # untouched objects are shared, hence bitwise equal
+    # the unmoved columns are shared, hence bitwise equal
+    for name in ("landmark_ids", "descriptors", "object_ids"):
+        assert getattr(rotated, name) is getattr(world, name)
+    assert _same_rows(world, rotated, world.object_ids != 0)
+    assert not rotated.positions.flags.writeable
 
 
 def test_translate_object_displaces_exactly():
@@ -328,22 +318,28 @@ def test_translate_object_displaces_exactly():
         world,
         Perturbation("translate_object", [1], magnitude_m=0.3, direction_uv=(0.0, 1.0)),
     )
-    for lm_id in world.objects[1].landmark_ids:
-        shift = np.linalg.norm(moved.landmarks[lm_id].position - world.landmarks[lm_id].position)
-        assert abs(shift - 0.3) < 1e-12
-    for lm, lm_after in zip(world.landmarks, moved.landmarks):
-        if lm.object_id != 1:
-            assert lm_after is lm
+    rows = world.object_ids == 1
+    shift = np.linalg.norm(moved.positions[rows] - world.positions[rows], axis=1)
+    assert len(shift) == 5 and np.all(np.abs(shift - 0.3) < 1e-12)
+    assert _same_rows(world, moved, ~rows)
 
 
 def test_remove_object_drops_its_landmarks():
     world = _grid_world()
-    labeled_before = sum(1 for lm in world.landmarks if lm.class_id is not None)
+    labeled_before = _labeled(world).sum()
     removed = perturb_world(world, Perturbation("remove_object", [1]))
-    labeled_after = sum(1 for lm in removed.landmarks if lm.class_id is not None)
+    labeled_after = _labeled(removed).sum()
     assert labeled_before - labeled_after == 5
-    assert all(lm.object_id != 1 for lm in removed.landmarks)
-    assert len(world.landmarks) - len(removed.landmarks) == 5
+    assert np.all(removed.object_ids != 1)
+    assert len(world.landmark_ids) - len(removed.landmark_ids) == 5
+    assert [obj.id for obj in removed.objects] == [0, 2]
+    # the other rows keep their ids, which are no longer row numbers
+    kept = world.object_ids != 1
+    assert all(
+        getattr(removed, name).tobytes() == getattr(world, name)[kept].tobytes()
+        for name in ("landmark_ids", "positions", "descriptors", "object_ids")
+    )
+    assert not np.array_equal(removed.landmark_ids, np.arange(len(removed.landmark_ids)))
 
 
 def test_swap_objects_exchanges_centres():
@@ -354,9 +350,10 @@ def test_swap_objects_exchanges_centres():
     assert np.allclose(swapped.objects[0].center_uv, world.objects[1].center_uv)
     assert np.allclose(swapped.objects[1].center_uv, world.objects[0].center_uv)
     delta = world.objects[1].center_uv - world.objects[0].center_uv
-    for lm_id in world.objects[0].landmark_ids:
-        moved = swapped.landmarks[lm_id].position - world.landmarks[lm_id].position
-        assert abs(np.linalg.norm(moved) - np.linalg.norm(delta)) < 1e-9
+    rows = world.object_ids == 0
+    moved = np.linalg.norm(swapped.positions[rows] - world.positions[rows], axis=1)
+    assert len(moved) == 16
+    assert np.all(np.abs(moved - np.linalg.norm(delta)) < 1e-9)
 
 
 def test_immovable_target_rejected():
@@ -372,6 +369,173 @@ def test_densest_movable_selector():
     spec = PerturbationSpec(kind="rotate_object", magnitude_deg=180.0)
     perturbation = spec.resolve(world)
     assert perturbation.target_ids == [0]  # 16 landmarks vs the panel's 5
+
+
+# the worlds of the default config and of the benchmark's scene_change and
+# mapping_dense scenes
+_BITS_CONFIGS = {
+    "default": WorldConfig(),
+    "scene_change": WorldConfig(
+        landmarks_per_object=12,
+        background_landmarks=40,
+        clutter_landmarks=70,
+        clutter_extent=(2.0, 1.4),
+    ),
+    "mapping_dense": WorldConfig(landmarks_per_object=40, background_landmarks=200),
+}
+
+
+def _reference_footprint(obj, wall):
+    """An object's (4, 3) footprint corners, rotated by their own matrix."""
+    half = np.asarray(obj.extent, dtype=float) / 2.0
+    corners = np.array(
+        [[-half[0], -half[1]], [half[0], -half[1]], [half[0], half[1]], [-half[0], half[1]]]
+    )
+    c, s = math.cos(obj.rotation), math.sin(obj.rotation)
+    uv = obj.center_uv + corners @ np.array([[c, -s], [s, c]]).T
+    return np.array([wall.to_world(corner) for corner in uv])
+
+
+def _reference_world(config, seed):
+    """generate_world's landmarks placed one at a time, each offset turned by
+    its own 2x2 matvec."""
+    rng = np.random.default_rng(seed)
+    walls = make_walls(config.dimensions)
+    objects = _place_objects(config, walls, rng, ClassRegistry.default())
+    counts = [
+        config.clutter_landmarks if obj.class_id is None else config.landmarks_per_object
+        for obj in objects
+    ]
+    total = sum(counts) + config.background_landmarks
+    descriptors = _sample_descriptors(total, config.descriptor_dim, config.delta_desc, rng)
+    positions, object_ids = [], []
+    for obj, n in zip(objects, counts):
+        wall = walls[obj.wall_index]
+        c, s = math.cos(obj.rotation), math.sin(obj.rotation)
+        rot = np.array([[c, -s], [s, c]])
+        for offset in rng.uniform(-0.5, 0.5, size=(n, 2)) * obj.extent:
+            positions.append(wall.to_world(obj.center_uv + rot @ offset))
+            object_ids.append(obj.id)
+    areas = np.array([w.width * w.height for w in walls])
+    for _ in range(config.background_landmarks):
+        wall = walls[rng.choice(len(walls), p=areas / areas.sum())]
+        uv = np.array([rng.uniform(0, wall.width), rng.uniform(0, wall.height)])
+        positions.append(wall.to_world(uv))
+        object_ids.append(NO_OBJECT)
+    return objects, np.arange(total), np.array(positions), descriptors, np.array(object_ids)
+
+
+def _reference_perturbed(world, perturbation):
+    """(objects, ids, positions, descriptors, object ids) of the perturbed
+    world, every targeted landmark moved alone: two 1-D np.dot calls into
+    its wall's chart and one 2x2 matvec."""
+    columns = (world.landmark_ids, world.positions, world.descriptors, world.object_ids)
+    target = world.object_by_id(perturbation.target_ids[0])
+    if perturbation.kind == "remove_object":
+        keep = [i for i, object_id in enumerate(world.object_ids) if object_id != target.id]
+        objects = [obj for obj in world.objects if obj.id != target.id]
+        return (objects, *(np.array([column[i] for i in keep]) for column in columns))
+    if perturbation.kind == "rotate_object":
+        targets = {target.id: (target.center_uv.copy(), math.radians(perturbation.magnitude_deg))}
+    elif perturbation.kind == "translate_object":
+        direction = np.asarray(perturbation.direction_uv, dtype=float)
+        shift = direction / np.linalg.norm(direction) * perturbation.magnitude_m
+        targets = {target.id: (target.center_uv + shift, 0.0)}
+    else:
+        other = world.object_by_id(perturbation.target_ids[1])
+        targets = {
+            target.id: (other.center_uv.copy(), 0.0),
+            other.id: (target.center_uv.copy(), 0.0),
+        }
+    walls = world.walls()
+    positions = []
+    for position, object_id in zip(world.positions, world.object_ids):
+        if object_id not in targets:
+            positions.append(position)
+            continue
+        obj = world.object_by_id(object_id)
+        wall = walls[obj.wall_index]
+        new_center, angle = targets[object_id]
+        uv = np.array(
+            [
+                np.dot(position - wall.origin, wall.u_axis),
+                np.dot(position - wall.origin, wall.v_axis),
+            ]
+        )
+        c, s = math.cos(angle), math.sin(angle)
+        uv = new_center + np.array([[c, -s], [s, c]]) @ (uv - obj.center_uv)
+        positions.append(wall.to_world(uv))
+    objects = []
+    for obj in world.objects:
+        if obj.id in targets:
+            center, angle = targets[obj.id]
+            obj = WorldObject(obj.id, obj.class_id, obj.wall_index, center,
+                              obj.rotation + angle, obj.extent, obj.movable)
+        objects.append(obj)
+    return (objects, world.landmark_ids, np.array(positions), world.descriptors,
+            world.object_ids)
+
+
+def _frame_bits(world, seed):
+    trajectory = generate_trajectory(
+        "yaw", TrajectoryParams(center=(4.1, 2.05, 1.5), steps=4, radius=0.35)
+    )
+    frames = []
+    for i, (_, pose) in enumerate(trajectory):
+        frame = synthesize_frame(
+            world, pose, DEFAULT_INTRINSICS, rng=np.random.default_rng(seed), frame_id=i
+        )
+        frames.append(
+            (
+                frame.keypoints.tobytes(),
+                frame.descriptors.tobytes(),
+                frame.landmark_ids.tobytes(),
+                _box_rows(frame.boxes),
+            )
+        )
+    return frames
+
+
+def _assert_world_bits(world, reference, seed):
+    """The world's columns, footprints and frames against the reference's
+    (objects, columns), whose frames come from a World built on them."""
+    objects, *columns = reference
+    names = ("landmark_ids", "positions", "descriptors", "object_ids")
+    for name, expected in zip(names, columns):
+        assert _same_bits(getattr(world, name), np.asarray(expected)), name
+    walls = world.walls()
+    footprints = np.array(
+        [_reference_footprint(obj, walls[obj.wall_index]) for obj in objects]
+    ).reshape(-1, 4, 3)
+    assert _same_bits(world.footprints, footprints)
+    expected = World(world.dimensions, objects, *columns, seed=world.seed)
+    assert _frame_bits(world, seed) == _frame_bits(expected, seed)
+
+
+@pytest.mark.parametrize("config_name", sorted(_BITS_CONFIGS))
+def test_columns_equal_the_one_landmark_at_a_time_reference(config_name):
+    """generate_world and perturb_world move whole columns at once; every
+    column, footprint and synthesized frame keeps the bits of placing and
+    moving each landmark alone."""
+    config = _BITS_CONFIGS[config_name]
+    for seed in range(10):
+        world = generate_world(config, seed)
+        _assert_world_bits(world, _reference_world(config, seed), seed)
+        densest = PerturbationSpec().resolve(world).target_ids
+        first, second = [obj for obj in world.objects if obj.movable][:2]
+        perturbations = [
+            Perturbation("rotate_object", densest, magnitude_deg=180.0),
+            Perturbation("rotate_object", [second.id], magnitude_deg=37.0),
+            Perturbation("translate_object", densest, magnitude_m=0.3, direction_uv=(0.6, -0.8)),
+            Perturbation("remove_object", densest),
+        ]
+        for perturbation in perturbations:
+            perturbed = perturb_world(world, perturbation)
+            _assert_world_bits(perturbed, _reference_perturbed(world, perturbation), seed)
+        # the swap needs both objects on one wall
+        second.wall_index = first.wall_index
+        swap = Perturbation("swap_objects", [first.id, second.id])
+        _assert_world_bits(perturb_world(world, swap), _reference_perturbed(world, swap), seed)
 
 
 # --------------------------------------------------------------------------
@@ -452,12 +616,12 @@ def test_zero_noise_keypoints_equal_exact_projections():
         world, pose, DEFAULT_INTRINSICS, noise=(0.0, 0.0), rng=np.random.default_rng(0)
     )
     assert len(frame.keypoints) > 30
-    pixels, valid = project_points(pose, DEFAULT_INTRINSICS, world.landmark_positions())
+    pixels, valid = project_points(pose, DEFAULT_INTRINSICS, world.positions)
     for kp, lm_id in zip(frame.keypoints, frame.landmark_ids):
         assert valid[lm_id]
         assert np.allclose(kp, pixels[lm_id], atol=1e-12)
     assert np.array_equal(
-        frame.descriptors, world.landmark_descriptors()[frame.landmark_ids]
+        frame.descriptors, world.descriptors[frame.landmark_ids]
     )
 
 
@@ -518,6 +682,7 @@ def test_keypoints_within_three_sigma_of_projection():
 
 def test_ground_truth_boxes_contain_object_keypoints():
     world = generate_world(WorldConfig(), seed=11)
+    class_of = {obj.id: obj.class_id for obj in world.objects}
     trajectory = generate_trajectory(
         "yaw", TrajectoryParams(center=(4.0, 2.0, 1.5), steps=12, sweep_deg=360.0)
     )
@@ -532,11 +697,11 @@ def test_ground_truth_boxes_contain_object_keypoints():
             boxes_by_class.setdefault(box.semantic_class.id, []).append(box)
         for frame, counter in ((exact, None), (noisy, "noisy")):
             for kp, lm_id in zip(frame.keypoints, frame.landmark_ids):
-                lm = world.landmarks[lm_id]
-                if lm.class_id is None:
+                class_id = class_of.get(world.object_ids[lm_id])
+                if class_id is None:
                     continue
                 inside = any(
-                    b.contains(kp[0], kp[1]) for b in boxes_by_class.get(lm.class_id, [])
+                    b.contains(kp[0], kp[1]) for b in boxes_by_class.get(class_id, [])
                 )
                 if counter is None:
                     assert inside, "zero-noise keypoint escaped its object box"
@@ -569,8 +734,6 @@ def test_near_plane_clipped_box_stays_finite():
         "yaw", TrajectoryParams(center=(4.0, 0.2, 1.5), steps=1, heading_deg=0.0)
     )[0][1]
     world.objects[0].class_id = 5  # give the flag a class so it gets a box
-    for lm_id in world.objects[0].landmark_ids:
-        world.landmarks[lm_id].class_id = 5
     frame = synthesize_frame(world, pose, DEFAULT_INTRINSICS, noise=(0.0, 0.0),
                              rng=np.random.default_rng(0))
     for box in frame.boxes.boxes:
@@ -711,6 +874,15 @@ def _assert_frame_round_trip(frame, tmp_path):
     save_frame(frame, str(again))
     assert again.read_bytes() == path.read_bytes()  # the same frame, the same bytes
     return loaded
+
+
+def test_load_intrinsics_rejects_a_nan_focal_length(tmp_path):
+    path = tmp_path / "intrinsics.json"
+    path.write_text(
+        '{"fx": NaN, "fy": 400.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480}'
+    )
+    with pytest.raises(WorldGenerationError, match=f"{path}: .*positive and finite"):
+        load_intrinsics(str(path))
 
 
 def test_frame_round_trip_bitwise(tmp_path):
