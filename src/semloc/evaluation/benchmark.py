@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -178,60 +180,115 @@ def _evaluate_mode(
     return SeedOutcome(record=record, pair_records=tuple(pair_records))
 
 
+def _run_seed(config: SceneConfig, seed: int, trajectory_dir: str) -> list[SeedOutcome]:
+    """One seed's outcomes, one per mode: synthesize its scene, featurize,
+    build both maps, write its ground-truth trajectory and run every mode.
+    Depends on (config, seed) alone and writes only this seed's files."""
+    scene = synthesize_scene(config, seed)
+    # every frame is featurized once; each map and mode applies its own mask
+    mapping = [(frame, frame_features(frame)) for frame in scene.mapping_frames]
+    evaluation = [(frame, frame_features(frame)) for frame in scene.eval_frames]
+    map_inputs = [
+        MapFrameInput(features, frame.pose, frame.frame_id) for frame, features in mapping
+    ]
+    semantic_map, full_map = (
+        build_map(
+            map_inputs,
+            config.intrinsics,
+            MapBuildConfig(semantic=semantic, vocabulary_k=config.vocabulary_k),
+            registry=scene.world.registry,
+        )
+        for semantic in (True, False)
+    )
+
+    seq = f"{config.evaluation_kind}-s{seed}"
+    write_trajectory(
+        os.path.join(trajectory_dir, f"{seq}_gt.txt"),
+        [TrajectoryEntry(f.timestamp, f.pose) for f in scene.eval_frames],
+    )
+    outcomes = []
+    for mode_name in config.modes:
+        mode = SemanticMode.parse(mode_name)
+        outcome = _evaluate_mode(
+            mode,
+            _map_for_mode(mode, semantic_map, full_map),
+            mapping,
+            evaluation,
+            config.intrinsics,
+            seed,
+            seq,
+            trajectory_dir,
+        )
+        logger.info(
+            "seed %d mode %s: success %.3f, match ratio %.3f",
+            seed, mode.value,
+            outcome.record.success_rate, outcome.record.correct_match_ratio,
+        )
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _check_grid(config: SceneConfig) -> None:
+    """Reject a grid that names a seed or a mode twice, or an unknown mode,
+    before any seed runs: a repeated seed would write its files twice."""
+    for name, values in (("seed", config.seeds), ("mode", config.modes)):
+        for index, value in enumerate(values):
+            if value in values[:index]:
+                raise ValueError(f"benchmark {name} {value!r} is listed twice")
+    for mode_name in config.modes:
+        SemanticMode.parse(mode_name)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_seeds(config: SceneConfig, trajectory_dir: str) -> list[list[SeedOutcome]]:
+    """_run_seed over config.seeds, in seed order: in forked worker processes,
+    one per usable CPU up to one per seed, or in this process when that is
+    one worker, the platform cannot fork, or another thread runs (a lock it
+    holds would stay held in a forked copy). The pool is shut down and its
+    workers joined before this returns or raises."""
+    import multiprocessing
+
+    run = functools.partial(_run_seed, config, trajectory_dir=trajectory_dir)
+    workers = min(len(config.seeds), _usable_cpus())
+    if (
+        workers < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or threading.active_count() > 1
+    ):
+        return [run(seed) for seed in config.seeds]
+
+    # imported here, not at module level, so importing semloc stays cheap
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker would import numpy and semloc again
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(run, config.seeds))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_benchmark(config: SceneConfig, out_dir: str) -> list[SeedOutcome]:
     """Run the full benchmark grid (seeds x modes) and write the reports.
 
     Maps are always built from the unperturbed world; evaluation frames come
     from the perturbed copy when a perturbation is configured.  Every random
     choice derives from the seed, so identical configs reproduce the output
-    files byte for byte.
+    files byte for byte, and the seeds run in parallel on up to the usable
+    CPUs with the same bytes as one after another.  A repeated seed or mode,
+    or an unknown mode, raises ValueError before any seed runs.
     """
+    _check_grid(config)
     trajectory_dir = os.path.join(out_dir, "trajectories")
     os.makedirs(trajectory_dir, exist_ok=True)
 
-    outcomes = []
-    for seed in config.seeds:
-        scene = synthesize_scene(config, seed)
-        # every frame is featurized once; each map and mode applies its own mask
-        mapping = [(frame, frame_features(frame)) for frame in scene.mapping_frames]
-        evaluation = [(frame, frame_features(frame)) for frame in scene.eval_frames]
-        map_inputs = [
-            MapFrameInput(features, frame.pose, frame.frame_id) for frame, features in mapping
-        ]
-        semantic_map, full_map = (
-            build_map(
-                map_inputs,
-                config.intrinsics,
-                MapBuildConfig(semantic=semantic, vocabulary_k=config.vocabulary_k),
-                registry=scene.world.registry,
-            )
-            for semantic in (True, False)
-        )
-
-        seq = f"{config.evaluation_kind}-s{seed}"
-        write_trajectory(
-            os.path.join(trajectory_dir, f"{seq}_gt.txt"),
-            [TrajectoryEntry(f.timestamp, f.pose) for f in scene.eval_frames],
-        )
-        for mode_name in config.modes:
-            mode = SemanticMode.parse(mode_name)
-            outcome = _evaluate_mode(
-                mode,
-                _map_for_mode(mode, semantic_map, full_map),
-                mapping,
-                evaluation,
-                config.intrinsics,
-                seed,
-                seq,
-                trajectory_dir,
-            )
-            logger.info(
-                "seed %d mode %s: success %.3f, match ratio %.3f",
-                seed, mode.value,
-                outcome.record.success_rate, outcome.record.correct_match_ratio,
-            )
-            outcomes.append(outcome)
-
+    outcomes = [outcome for seed in _map_seeds(config, trajectory_dir) for outcome in seed]
     records = [outcome.record for outcome in outcomes]
     emit_report(records, os.path.join(out_dir, "report.csv"), format="csv")
     emit_report(records, os.path.join(out_dir, "report.json"), format="json")

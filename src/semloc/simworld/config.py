@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
-from ..errors import WorldGenerationError
+from ..errors import DegenerateGeometryError, WorldGenerationError
 from ..geometry.pose import CameraIntrinsics
 from .perturb import Perturbation
 from .trajectory import TRAJECTORY_KINDS, TrajectoryParams
@@ -14,6 +15,8 @@ from .world import World, WorldConfig
 DEFAULT_INTRINSICS = CameraIntrinsics(
     fx=400.0, fy=400.0, cx=320.0, cy=240.0, width=640, height=480
 )
+# the values of pipelines.SemanticMode, which sits above this layer
+BENCHMARK_MODES = ("baseline", "pre", "post")
 
 
 @dataclass
@@ -64,94 +67,176 @@ class SceneConfig:
     )
     perturbation: PerturbationSpec | None = field(default_factory=PerturbationSpec)
     seeds: list[int] = field(default_factory=lambda: list(range(10)))
-    modes: list[str] = field(default_factory=lambda: ["baseline", "pre", "post"])
+    modes: list[str] = field(default_factory=lambda: list(BENCHMARK_MODES))
     vocabulary_k: int = 48
 
 
-def _trajectory_from_section(section) -> tuple[str, TrajectoryParams]:
-    kind = section.get("kind", "yaw")
-    if kind not in TRAJECTORY_KINDS:
-        raise WorldGenerationError(f"unknown trajectory kind '{kind}'")
-    center = tuple(float(v) for v in section.get("center", "4.0, 2.0, 1.5").split(","))
-    if len(center) != 3:
-        raise WorldGenerationError("trajectory center needs three comma-separated values")
+def _number(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw.strip()!r} is not finite")
+    return value
+
+
+def _count(raw: str) -> int:
+    """A non-negative integer: a count, a size or a seed."""
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
+def _flag(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(f"{raw.strip()!r} is not a boolean") from None
+
+
+def _point(raw: str) -> tuple:
+    point = tuple(_number(v) for v in raw.split(","))
+    if len(point) != 3:
+        raise ValueError("needs three comma-separated values")
+    return point
+
+
+def _one_of(choices):
+    def parse(raw: str) -> str:
+        value = raw.strip()
+        if value not in choices:
+            raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
+        return value
+
+    return parse
+
+
+def _distinct(parse):
+    """A parser of comma-separated values that rejects a repeated value."""
+
+    def parse_list(raw: str) -> list:
+        values = []
+        for item in raw.split(","):
+            value = parse(item)
+            if value in values:
+                raise ValueError(f"{value!r} is listed twice")
+            values.append(value)
+        return values
+
+    return parse_list
+
+
+class _Section:
+    """One INI section whose every bad value raises WorldGenerationError
+    naming the file and the [section] key."""
+
+    def __init__(self, path: str, section: configparser.SectionProxy):
+        self.path = path
+        self.section = section
+
+    def get(self, key: str, default, parse=str):
+        try:
+            raw = self.section.get(key)
+            return default if raw is None else parse(raw)
+        except (ValueError, configparser.Error) as exc:
+            raise WorldGenerationError(
+                f"{self.path}: [{self.section.name}] {key}: {exc}"
+            ) from exc
+
+
+def _trajectory_from_section(section: _Section) -> tuple[str, TrajectoryParams]:
     params = TrajectoryParams(
-        center=center,
-        steps=section.getint("steps", 36),
-        sweep_deg=section.getfloat("sweep_deg", 360.0),
-        step_m=section.getfloat("step_m", 0.1),
-        radius=section.getfloat("radius", 0.0),
-        heading_deg=section.getfloat("heading_deg", 0.0),
-        dt=section.getfloat("dt", 0.1),
-        t0=section.getfloat("t0", 0.0),
+        center=section.get("center", (4.0, 2.0, 1.5), _point),
+        steps=section.get("steps", 36, _count),
+        sweep_deg=section.get("sweep_deg", 360.0, _number),
+        step_m=section.get("step_m", 0.1, _number),
+        radius=section.get("radius", 0.0, _number),
+        heading_deg=section.get("heading_deg", 0.0, _number),
+        dt=section.get("dt", 0.1, _number),
+        t0=section.get("t0", 0.0, _number),
     )
-    return kind, params
+    return section.get("kind", "yaw", _one_of(TRAJECTORY_KINDS)), params
 
 
 def load_scene_config(path: str) -> SceneConfig:
+    """The scene an INI file describes; every key has a default. A value that
+    does not parse, a non-finite number, a negative count, an unknown or
+    repeated benchmark mode, a repeated benchmark seed and a repeated section
+    or key each raise WorldGenerationError naming the file and the key."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except (configparser.DuplicateSectionError, configparser.DuplicateOptionError) as exc:
+        key = f"[{exc.section}] {getattr(exc, 'option', '')}".rstrip()
+        raise WorldGenerationError(f"{path}: {key} is repeated (line {exc.lineno})") from exc
+    except configparser.Error as exc:
+        raise WorldGenerationError(f"{path}: not a valid scene config ({exc.message})") from exc
     if not read:
         raise WorldGenerationError(f"cannot read scene config {path}")
+    sections = {name: _Section(path, parser[name]) for name in parser.sections()}
     config = SceneConfig()
 
-    if parser.has_section("world"):
-        section = parser["world"]
+    if "world" in sections:
+        section = sections["world"]
         config.world = WorldConfig(
             dimensions=(
-                section.getfloat("dim_x", 8.0),
-                section.getfloat("dim_y", 4.0),
-                section.getfloat("dim_z", 3.0),
+                section.get("dim_x", 8.0, _number),
+                section.get("dim_y", 4.0, _number),
+                section.get("dim_z", 3.0, _number),
             ),
-            objects_per_class=section.getint("objects_per_class", 2),
-            landmarks_per_object=section.getint("landmarks_per_object", 20),
-            background_landmarks=section.getint("background_landmarks", 80),
-            clutter_objects=section.getint("clutter_objects", 2),
-            clutter_landmarks=section.getint("clutter_landmarks", 40),
-            delta_desc=section.getfloat("delta_desc", 0.8),
+            objects_per_class=section.get("objects_per_class", 2, _count),
+            landmarks_per_object=section.get("landmarks_per_object", 20, _count),
+            background_landmarks=section.get("background_landmarks", 80, _count),
+            clutter_objects=section.get("clutter_objects", 2, _count),
+            clutter_landmarks=section.get("clutter_landmarks", 40, _count),
+            delta_desc=section.get("delta_desc", 0.8, _number),
         )
-        config.seed = section.getint("seed", 0)
+        config.seed = section.get("seed", 0, _count)
 
-    if parser.has_section("camera"):
-        section = parser["camera"]
-        config.intrinsics = CameraIntrinsics(
-            fx=section.getfloat("fx", 400.0),
-            fy=section.getfloat("fy", 400.0),
-            cx=section.getfloat("cx", 320.0),
-            cy=section.getfloat("cy", 240.0),
-            width=section.getint("width", 640),
-            height=section.getint("height", 480),
-        )
+    if "camera" in sections:
+        section = sections["camera"]
+        try:
+            config.intrinsics = CameraIntrinsics(
+                fx=section.get("fx", 400.0, _number),
+                fy=section.get("fy", 400.0, _number),
+                cx=section.get("cx", 320.0, _number),
+                cy=section.get("cy", 240.0, _number),
+                width=section.get("width", 640, _count),
+                height=section.get("height", 480, _count),
+            )
+        except DegenerateGeometryError as exc:
+            raise WorldGenerationError(f"{path}: [camera]: {exc}") from exc
 
-    if parser.has_section("noise"):
-        section = parser["noise"]
-        config.sigma_px = section.getfloat("sigma_px", 0.5)
-        config.sigma_desc = section.getfloat("sigma_desc", 0.05)
-        config.box_margin_px = section.getfloat("box_margin_px", 2.0)
+    if "noise" in sections:
+        section = sections["noise"]
+        config.sigma_px = section.get("sigma_px", 0.5, _number)
+        config.sigma_desc = section.get("sigma_desc", 0.05, _number)
+        config.box_margin_px = section.get("box_margin_px", 2.0, _number)
 
-    if parser.has_section("mapping"):
-        config.mapping_kind, config.mapping = _trajectory_from_section(parser["mapping"])
-    if parser.has_section("evaluation"):
+    if "mapping" in sections:
+        config.mapping_kind, config.mapping = _trajectory_from_section(sections["mapping"])
+    if "evaluation" in sections:
         config.evaluation_kind, config.evaluation = _trajectory_from_section(
-            parser["evaluation"]
+            sections["evaluation"]
         )
 
-    if parser.has_section("perturbation"):
-        section = parser["perturbation"]
-        if section.getboolean("enabled", True):
+    if "perturbation" in sections:
+        section = sections["perturbation"]
+        if section.get("enabled", True, _flag):
             config.perturbation = PerturbationSpec(
                 kind=section.get("kind", "rotate_object"),
-                magnitude_deg=section.getfloat("magnitude_deg", 180.0),
-                magnitude_m=section.getfloat("magnitude_m", 0.0),
+                magnitude_deg=section.get("magnitude_deg", 180.0, _number),
+                magnitude_m=section.get("magnitude_m", 0.0, _number),
                 target=section.get("target", "densest_movable"),
             )
         else:
             config.perturbation = None
 
-    if parser.has_section("benchmark"):
-        section = parser["benchmark"]
-        config.seeds = [int(v) for v in section.get("seeds", "0,1,2,3,4,5,6,7,8,9").split(",")]
-        config.modes = [m.strip() for m in section.get("modes", "baseline,pre,post").split(",")]
-        config.vocabulary_k = section.getint("vocabulary_k", 48)
+    if "benchmark" in sections:
+        section = sections["benchmark"]
+        config.seeds = section.get("seeds", list(range(10)), _distinct(_count))
+        config.modes = section.get(
+            "modes", list(BENCHMARK_MODES), _distinct(_one_of(BENCHMARK_MODES))
+        )
+        config.vocabulary_k = section.get("vocabulary_k", 48, _count)
 
     return config

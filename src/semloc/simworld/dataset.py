@@ -105,21 +105,33 @@ def write_dataset(
 
 
 def load_intrinsics(path: str) -> CameraIntrinsics:
+    """The camera of an intrinsics file: JSON numbers fx, fy, cx and cy and
+    JSON integers width and height, taken as they are, never coerced."""
     with open(path) as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise WorldGenerationError(f"{path}: not a valid intrinsics file ({exc.msg})") from exc
+    if not isinstance(raw, dict):
+        raise WorldGenerationError(f"{path}: malformed intrinsics (not a JSON object)")
+    for name in ("fx", "fy", "cx", "cy", "width", "height"):
+        integer = name in ("width", "height")
+        value = raw.get(name)
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            raise WorldGenerationError(
+                f"{path}: malformed intrinsics ({name} must be "
+                f"{'an integer' if integer else 'a number'}, not {value!r})"
+            )
     try:
         return CameraIntrinsics(
             fx=float(raw["fx"]),
             fy=float(raw["fy"]),
             cx=float(raw["cx"]),
             cy=float(raw["cy"]),
-            width=int(raw["width"]),
-            height=int(raw["height"]),
+            width=raw["width"],
+            height=raw["height"],
         )
-    except (KeyError, TypeError, ValueError, DegenerateGeometryError) as exc:
+    except DegenerateGeometryError as exc:
         raise WorldGenerationError(f"{path}: malformed intrinsics ({exc})") from exc
 
 

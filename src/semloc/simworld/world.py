@@ -76,8 +76,12 @@ def rotate_rows(rotation: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (rotation @ rows[:, :, None])[:, :, 0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorldObject:
+    """An object's placement, fixed once built (a World stacks its footprint
+    at construction): its arrays are read-only copies, and a moved object is
+    a new WorldObject, as dataclasses.replace builds one."""
+
     id: int
     class_id: int | None  # None: outside the detector's registry (clutter)
     wall_index: int
@@ -85,6 +89,10 @@ class WorldObject:
     rotation: float  # in-plane angle, radians
     extent: np.ndarray  # (2,) meters
     movable: bool
+
+    def __post_init__(self):
+        for name in ("center_uv", "extent"):
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
 
     def footprint_corners_uv(self) -> np.ndarray:
         """(4, 2) corners of the rotated footprint rectangle."""

@@ -619,3 +619,87 @@ def test_benchmark_maps_come_from_the_unperturbed_world(tmp_path):
     worst_post = max(r.are_max for r in by_mode["post"])
     assert worst_baseline > 90.0  # some frame latched onto the rotated object
     assert worst_post < 90.0
+
+
+def _assert_no_child_processes():
+    import multiprocessing
+
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_benchmark_seeds_run_in_workers_with_the_bytes_of_one_process(tmp_path, monkeypatch):
+    """With two usable CPUs the seeds run in forked workers, and the tree and
+    outcomes are those of one CPU, where every seed runs in this process, as
+    they do while another thread runs."""
+    import threading
+
+    from semloc.evaluation import benchmark
+
+    synthesize_scene = benchmark.synthesize_scene
+    here = []
+
+    def counted(config, seed):
+        here.append(seed)  # reaches this list only when run in this process
+        return synthesize_scene(config, seed)
+
+    def run(name, cpus):
+        monkeypatch.setattr(benchmark, "_usable_cpus", lambda: cpus)
+        out = str(tmp_path / name)
+        outcomes = run_benchmark(config, out)
+        _assert_no_child_processes()
+        return outcomes, _tree_bytes(out)
+
+    monkeypatch.setattr(benchmark, "synthesize_scene", counted)
+    config = _tiny_config(seeds=(2, 0, 1), perturbed=True)
+    pooled, pooled_tree = run("pooled", cpus=2)
+    assert here == []
+    serial, serial_tree = run("serial", cpus=1)
+    assert here == [2, 0, 1]
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        threaded = run("threaded", cpus=2)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert here == [2, 0, 1] * 2 and not other.is_alive()
+
+    assert pooled_tree == serial_tree == threaded[1]
+    assert [(o.record.seq, o.record.mode) for o in pooled] == [
+        (f"yaw-s{seed}", mode) for seed in (2, 0, 1) for mode in ("baseline", "pre", "post")
+    ]
+    assert repr(pooled) == repr(serial)  # repr: a NaN error never compares equal
+
+
+def test_a_seed_failing_in_a_worker_reaches_the_caller(tmp_path, monkeypatch):
+    """A one-frame mapping pass builds no map; the worker's error arrives with
+    its type and message, and no worker outlives the call."""
+    from semloc.errors import InsufficientDataError
+    from semloc.evaluation import benchmark
+
+    monkeypatch.setattr(benchmark, "_usable_cpus", lambda: 2)
+    config = dataclasses.replace(
+        _tiny_config(seeds=(0, 1, 2)), mapping=TrajectoryParams(radius=0.5, steps=1)
+    )
+    with pytest.raises(InsufficientDataError, match="empty map: need at least two frames"):
+        run_benchmark(config, str(tmp_path / "run"))
+    _assert_no_child_processes()
+
+
+@pytest.mark.parametrize(
+    "field, values, message",
+    [
+        ("seeds", [0, 1, 0], "seed 0 is listed twice"),
+        ("modes", ["baseline", "post", "post"], "mode 'post' is listed twice"),
+        ("modes", ["baseline", "semantic"], "unknown semantic mode: 'semantic'"),
+    ],
+)
+def test_benchmark_rejects_a_bad_grid_before_any_work(tmp_path, field, values, message):
+    config = dataclasses.replace(_tiny_config(), **{field: values})
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=message):
+        run_benchmark(config, str(out))
+    assert not out.exists()

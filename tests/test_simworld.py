@@ -1,6 +1,8 @@
 """Synthetic world generation, perturbation, trajectories, and observation."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from semloc.simworld import (
     synthesize_frame,
 )
 from semloc.simworld import world as world_module
+from semloc.simworld.config import BENCHMARK_MODES
 from semloc.simworld.synthesize import (
     _NEAR_PLANE,
     _clip_polygon_to_near_plane,
@@ -343,9 +346,10 @@ def test_remove_object_drops_its_landmarks():
 
 
 def test_swap_objects_exchanges_centres():
-    world = _grid_world()
+    grid = _grid_world()
     # move the panel onto the flag's wall so the swap is legal
-    world.objects[1].wall_index = 0
+    panel = dataclasses.replace(grid.objects[1], wall_index=0)
+    world = dataclasses.replace(grid, objects=[grid.objects[0], panel, *grid.objects[2:]])
     swapped = perturb_world(world, Perturbation("swap_objects", [0, 1]))
     assert np.allclose(swapped.objects[0].center_uv, world.objects[1].center_uv)
     assert np.allclose(swapped.objects[1].center_uv, world.objects[0].center_uv)
@@ -533,7 +537,10 @@ def test_columns_equal_the_one_landmark_at_a_time_reference(config_name):
             perturbed = perturb_world(world, perturbation)
             _assert_world_bits(perturbed, _reference_perturbed(world, perturbation), seed)
         # the swap needs both objects on one wall
-        second.wall_index = first.wall_index
+        moved = dataclasses.replace(second, wall_index=first.wall_index)
+        world = dataclasses.replace(
+            world, objects=[moved if obj is second else obj for obj in world.objects]
+        )
         swap = Perturbation("swap_objects", [first.id, second.id])
         _assert_world_bits(perturb_world(world, swap), _reference_perturbed(world, swap), seed)
 
@@ -727,13 +734,15 @@ def test_clutter_objects_produce_no_boxes():
 
 
 def test_near_plane_clipped_box_stays_finite():
-    world = _grid_world()
+    grid = _grid_world()
+    # give the flag a class so it gets a box
+    flag = dataclasses.replace(grid.objects[0], class_id=5)
+    world = dataclasses.replace(grid, objects=[flag, *grid.objects[1:]])
     # camera 20 cm in front of the flag's wall, looking along the wall:
     # part of the footprint is behind the camera, the rest must clip cleanly
     pose = generate_trajectory(
         "yaw", TrajectoryParams(center=(4.0, 0.2, 1.5), steps=1, heading_deg=0.0)
     )[0][1]
-    world.objects[0].class_id = 5  # give the flag a class so it gets a box
     frame = synthesize_frame(world, pose, DEFAULT_INTRINSICS, noise=(0.0, 0.0),
                              rng=np.random.default_rng(0))
     for box in frame.boxes.boxes:
@@ -882,6 +891,30 @@ def test_load_intrinsics_rejects_a_nan_focal_length(tmp_path):
         '{"fx": NaN, "fy": 400.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480}'
     )
     with pytest.raises(WorldGenerationError, match=f"{path}: .*positive and finite"):
+        load_intrinsics(str(path))
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("width", "640.9", "width must be an integer, not 640.9"),
+        ("height", '"480"', "height must be an integer, not '480'"),
+        ("width", "true", "width must be an integer, not True"),
+        ("fx", '"400"', "fx must be a number, not '400'"),
+        ("cy", None, "cy must be a number, not None"),
+    ],
+    ids=["fractional-width", "string-height", "boolean-width", "string-fx", "missing-cy"],
+)
+def test_load_intrinsics_takes_json_types_as_they_are(tmp_path, field, value, message):
+    fields = {"fx": "400.0", "fy": "400.0", "cx": "320.0", "cy": "240.0",
+              "width": "640", "height": "480"}
+    fields[field] = value
+    path = tmp_path / "intrinsics.json"
+    path.write_text(
+        "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items() if v is not None) + "}"
+    )
+    expected = re.escape(f"{path}: malformed intrinsics ({message})")
+    with pytest.raises(WorldGenerationError, match=expected):
         load_intrinsics(str(path))
 
 
@@ -1048,6 +1081,44 @@ def test_scene_config_box_margin_reaches_the_boxes(tmp_path):
                 unclamped += 1
                 assert any(inflated(a, b) for a in narrow)
     assert unclamped >= 3
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[world]\ndim_x = abc\n", "[world] dim_x: could not convert string to float: 'abc'"),
+        ("[world]\nseed = 1\n[world]\nseed = 2\n", "[world] is repeated (line 3)"),
+        ("[world]\nseed = 1\nseed = 2\n", "[world] seed is repeated (line 3)"),
+        ("[noise]\nsigma_px = nan\n", "[noise] sigma_px: 'nan' is not finite"),
+        ("[mapping]\nradius = -inf\n", "[mapping] radius: '-inf' is not finite"),
+        ("[world]\nlandmarks_per_object = -5\n", "[world] landmarks_per_object: -5 is negative"),
+        ("[mapping]\ncenter = 1, 2\n", "[mapping] center: needs three comma-separated values"),
+        ("[perturbation]\nenabled = maybe\n", "[perturbation] enabled: 'maybe' is not a boolean"),
+        ("[camera]\nwidth = 10\n", "[camera]: principal point lies outside the image"),
+        ("[benchmark]\nseeds = 0,0\n", "[benchmark] seeds: 0 is listed twice"),
+        ("[benchmark]\nmodes = pre, pre\n", "[benchmark] modes: 'pre' is listed twice"),
+        (
+            "[benchmark]\nmodes = baseline,semantic\n",
+            "[benchmark] modes: 'semantic' is not one of baseline, pre, post",
+        ),
+    ],
+    ids=[
+        "word-float", "repeated-section", "repeated-key", "nan-float", "infinite-float",
+        "negative-count", "short-center", "word-boolean", "principal-point-outside",
+        "repeated-seed", "repeated-mode", "unknown-mode",
+    ],
+)
+def test_scene_config_names_the_file_and_key_of_a_bad_value(tmp_path, text, message):
+    path = tmp_path / "scene.ini"
+    path.write_text(text)
+    with pytest.raises(WorldGenerationError, match=re.escape(f"{path}: {message}")):
+        load_scene_config(str(path))
+
+
+def test_benchmark_modes_are_the_semantic_modes():
+    from semloc.pipelines import SemanticMode
+
+    assert BENCHMARK_MODES == tuple(mode.value for mode in SemanticMode)
 
 
 def test_scene_config_parsing(tmp_path):
