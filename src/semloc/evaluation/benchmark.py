@@ -252,7 +252,9 @@ def _map_seeds(config: SceneConfig, trajectory_dir: str) -> list[list[SeedOutcom
     one worker, the platform cannot fork, or another thread runs (a lock it
     holds would stay held in a forked copy). The pool is shut down and its
     workers joined before this returns or raises."""
+    # imported here, not at module level, so importing semloc stays cheap
     import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
     run = functools.partial(_run_seed, config, trajectory_dir=trajectory_dir)
     workers = min(len(config.seeds), _usable_cpus())
@@ -262,9 +264,6 @@ def _map_seeds(config: SceneConfig, trajectory_dir: str) -> list[list[SeedOutcom
         or threading.active_count() > 1
     ):
         return [run(seed) for seed in config.seeds]
-
-    # imported here, not at module level, so importing semloc stays cheap
-    from concurrent.futures import ProcessPoolExecutor
 
     # fork, not spawn: a spawned worker would import numpy and semloc again
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))

@@ -96,7 +96,7 @@ class WorldObject:
 
     def footprint_corners_uv(self) -> np.ndarray:
         """(4, 2) corners of the rotated footprint rectangle."""
-        half = np.asarray(self.extent, dtype=float) / 2.0
+        half = self.extent / 2.0
         corners = np.array(
             [[-half[0], -half[1]], [half[0], -half[1]], [half[0], half[1]], [-half[0], half[1]]]
         )
