@@ -661,17 +661,18 @@ def test_benchmark_seeds_run_in_workers_with_the_bytes_of_one_process(tmp_path, 
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        threaded = run("threaded", cpus=2)
+        threaded, threaded_tree = run("threaded", cpus=2)
     finally:
         release.set()
         other.join(timeout=10)
     assert here == [2, 0, 1] * 2 and not other.is_alive()
 
-    assert pooled_tree == serial_tree == threaded[1]
+    assert pooled_tree == serial_tree == threaded_tree
     assert [(o.record.seq, o.record.mode) for o in pooled] == [
         (f"yaw-s{seed}", mode) for seed in (2, 0, 1) for mode in ("baseline", "pre", "post")
     ]
-    assert repr(pooled) == repr(serial)  # repr: a NaN error never compares equal
+    # repr: a NaN error never compares equal
+    assert repr(pooled) == repr(serial) == repr(threaded)
 
 
 def test_a_seed_failing_in_a_worker_reaches_the_caller(tmp_path, monkeypatch):
