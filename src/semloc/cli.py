@@ -13,6 +13,7 @@ import os
 import sys
 
 from .errors import SemlocError
+from .evaluation.trajectory_metrics import DEFAULT_POS_TOL_M, DEFAULT_ROT_TOL_DEG
 from .geometry.pose import quaternion_from_rotation
 from .mapping.build import MapBuildConfig, MapFrameInput, build_map
 from .mapping.sparse_map import load_map, save_map
@@ -81,8 +82,12 @@ def _build_parser() -> _Parser:
     evaluate = sub.add_parser("evaluate", help="score a trajectory against ground truth")
     evaluate.add_argument("--est", required=True, help="estimated trajectory file")
     evaluate.add_argument("--gt", required=True, help="ground-truth trajectory file")
-    evaluate.add_argument("--pos-tol", type=float, default=0.3, help="position tolerance (m)")
-    evaluate.add_argument("--rot-tol", type=float, default=5.0, help="rotation tolerance (deg)")
+    evaluate.add_argument(
+        "--pos-tol", type=float, default=DEFAULT_POS_TOL_M, help="position tolerance (m)"
+    )
+    evaluate.add_argument(
+        "--rot-tol", type=float, default=DEFAULT_ROT_TOL_DEG, help="rotation tolerance (deg)"
+    )
     evaluate.add_argument("--alignment", default="none", help="trajectory alignment method")
     evaluate.add_argument("--out", required=True, help="output metrics CSV")
 

@@ -58,15 +58,10 @@ def _finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def load_detections(
-    path: str,
-    registry: ClassRegistry,
-    image_size: tuple[int, int],
-    min_confidence: float = DEFAULT_MIN_CONFIDENCE,
-) -> DetectionSet:
+def load_detections(path: str, registry: ClassRegistry, image_size: tuple[int, int]) -> DetectionSet:
     """Parse one annotation file; boxes are clamped to the image bounds.
 
-    image_size: (width, height).  Boxes below min_confidence or with zero
+    image_size: (width, height).  Boxes below DEFAULT_MIN_CONFIDENCE or with zero
     area after clamping are dropped (the latter logged).  Malformed entries,
     non-finite numbers and unknown class names raise AnnotationError naming
     the offending field.
@@ -109,7 +104,7 @@ def load_detections(
         conf = float(conf)
         if x1 < x0 or y1 < y0:
             raise AnnotationError(f"{where}: field 'box' has inverted extents")
-        if conf < min_confidence:
+        if conf < DEFAULT_MIN_CONFIDENCE:
             continue
         x0c, x1c = max(0.0, x0), min(float(width - 1), x1)
         y0c, y1c = max(0.0, y0), min(float(height - 1), y1)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..errors import DegenerateGeometryError, WorldGenerationError
 from ..geometry.pose import CameraIntrinsics
 from .perturb import Perturbation
+from .synthesize import DEFAULT_BOX_MARGIN_PX, DEFAULT_SIGMA_DESC, DEFAULT_SIGMA_PX
 from .trajectory import TRAJECTORY_KINDS, TrajectoryParams
 from .world import World, WorldConfig
 
@@ -51,9 +52,9 @@ class PerturbationSpec:
 class SceneConfig:
     world: WorldConfig = field(default_factory=WorldConfig)
     intrinsics: CameraIntrinsics = DEFAULT_INTRINSICS
-    sigma_px: float = 0.5
-    sigma_desc: float = 0.05
-    box_margin_px: float = 2.0
+    sigma_px: float = DEFAULT_SIGMA_PX
+    sigma_desc: float = DEFAULT_SIGMA_DESC
+    box_margin_px: float = DEFAULT_BOX_MARGIN_PX
     seed: int = 0
     mapping_kind: str = "yaw"
     mapping: TrajectoryParams = field(
@@ -125,44 +126,47 @@ def _distinct(parse):
     return parse_list
 
 
-class _Section:
-    """One INI section whose every bad value raises WorldGenerationError
-    naming the file and the [section] key."""
-
-    def __init__(self, path: str, section: configparser.SectionProxy):
-        self.path = path
-        self.section = section
-
-    def get(self, key: str, default, parse=str):
-        try:
-            raw = self.section.get(key)
-            return default if raw is None else parse(raw)
-        except (ValueError, configparser.Error) as exc:
-            raise WorldGenerationError(
-                f"{self.path}: [{self.section.name}] {key}: {exc}"
-            ) from exc
-
-
-def _trajectory_from_section(section: _Section) -> tuple[str, TrajectoryParams]:
-    params = TrajectoryParams(
-        center=section.get("center", (4.0, 2.0, 1.5), _point),
-        steps=section.get("steps", 36, _count),
-        sweep_deg=section.get("sweep_deg", 360.0, _number),
-        step_m=section.get("step_m", 0.1, _number),
-        radius=section.get("radius", 0.0, _number),
-        heading_deg=section.get("heading_deg", 0.0, _number),
-        dt=section.get("dt", 0.1, _number),
-        t0=section.get("t0", 0.0, _number),
-    )
-    return section.get("kind", "yaw", _one_of(TRAJECTORY_KINDS)), params
+_TRAJECTORY = {
+    "kind": _one_of(TRAJECTORY_KINDS), "center": _point, "steps": _count,
+    "sweep_deg": _number, "step_m": _number, "radius": _number,
+    "heading_deg": _number, "dt": _number, "t0": _number,
+}
+# section -> key -> parser: every key a scene file may write
+_KEYS = {
+    "world": {
+        "dim_x": _number, "dim_y": _number, "dim_z": _number,
+        "objects_per_class": _count, "landmarks_per_object": _count,
+        "background_landmarks": _count, "clutter_objects": _count,
+        "clutter_landmarks": _count, "delta_desc": _number, "seed": _count,
+    },
+    "camera": {
+        "fx": _number, "fy": _number, "cx": _number, "cy": _number,
+        "width": _count, "height": _count,
+    },
+    "noise": {"sigma_px": _number, "sigma_desc": _number, "box_margin_px": _number},
+    "mapping": _TRAJECTORY,
+    "evaluation": _TRAJECTORY,
+    "perturbation": {
+        "enabled": _flag, "kind": str, "magnitude_deg": _number,
+        "magnitude_m": _number, "target": str,
+    },
+    "benchmark": {
+        "seeds": _distinct(_count),
+        "modes": _distinct(_one_of(BENCHMARK_MODES)),
+        "vocabulary_k": _count,
+    },
+}
 
 
 def load_scene_config(path: str) -> SceneConfig:
-    """The scene an INI file describes; every key has a default. A value that
-    does not parse, a non-finite number, a negative count, an unknown or
-    repeated benchmark mode, a repeated benchmark seed and a repeated section
-    or key each raise WorldGenerationError naming the file and the key."""
-    parser = configparser.ConfigParser()
+    """The scene an INI file describes. A section the file writes starts from
+    its own dataclass's defaults, and a key it omits keeps its field's
+    default. An unknown section or key, a value that does not parse, a
+    non-finite number, a negative count, an unknown or repeated benchmark
+    mode, a repeated benchmark seed and a repeated section or key each raise
+    WorldGenerationError naming the file and the key."""
+    # no section is DEFAULT, so [DEFAULT] is refused as unknown
+    parser = configparser.ConfigParser(default_section="", inline_comment_prefixes=(";",))
     try:
         read = parser.read(path)
     except (configparser.DuplicateSectionError, configparser.DuplicateOptionError) as exc:
@@ -172,71 +176,49 @@ def load_scene_config(path: str) -> SceneConfig:
         raise WorldGenerationError(f"{path}: not a valid scene config ({exc.message})") from exc
     if not read:
         raise WorldGenerationError(f"cannot read scene config {path}")
-    sections = {name: _Section(path, parser[name]) for name in parser.sections()}
-    config = SceneConfig()
+    written = {}  # section -> key -> parsed value, for each key the file writes
+    for name in parser.sections():
+        if name not in _KEYS:
+            known = ", ".join(f"[{section}]" for section in _KEYS)
+            raise WorldGenerationError(f"{path}: [{name}]: unknown section; a scene holds {known}")
+        keys, values = _KEYS[name], written.setdefault(name, {})
+        for key in parser[name]:
+            where = f"{path}: [{name}] {key}"
+            if key not in keys:
+                known = ", ".join(keys)
+                raise WorldGenerationError(f"{where}: unknown key; [{name}] holds {known}")
+            try:
+                values[key] = keys[key](parser[name][key])
+            except (ValueError, configparser.Error) as exc:
+                raise WorldGenerationError(f"{where}: {exc}") from exc
+    scene = {**written.get("noise", {}), **written.get("benchmark", {})}
 
-    if "world" in sections:
-        section = sections["world"]
-        config.world = WorldConfig(
-            dimensions=(
-                section.get("dim_x", 8.0, _number),
-                section.get("dim_y", 4.0, _number),
-                section.get("dim_z", 3.0, _number),
-            ),
-            objects_per_class=section.get("objects_per_class", 2, _count),
-            landmarks_per_object=section.get("landmarks_per_object", 20, _count),
-            background_landmarks=section.get("background_landmarks", 80, _count),
-            clutter_objects=section.get("clutter_objects", 2, _count),
-            clutter_landmarks=section.get("clutter_landmarks", 40, _count),
-            delta_desc=section.get("delta_desc", 0.8, _number),
+    if "world" in written:
+        world = written["world"]
+        if "seed" in world:
+            scene["seed"] = world.pop("seed")
+        world["dimensions"] = tuple(
+            world.pop(f"dim_{axis}", default)
+            for axis, default in zip("xyz", WorldConfig().dimensions)
         )
-        config.seed = section.get("seed", 0, _count)
+        scene["world"] = WorldConfig(**world)
 
-    if "camera" in sections:
-        section = sections["camera"]
+    if "camera" in written:
         try:
-            config.intrinsics = CameraIntrinsics(
-                fx=section.get("fx", 400.0, _number),
-                fy=section.get("fy", 400.0, _number),
-                cx=section.get("cx", 320.0, _number),
-                cy=section.get("cy", 240.0, _number),
-                width=section.get("width", 640, _count),
-                height=section.get("height", 480, _count),
-            )
+            scene["intrinsics"] = replace(DEFAULT_INTRINSICS, **written["camera"])
         except DegenerateGeometryError as exc:
             raise WorldGenerationError(f"{path}: [camera]: {exc}") from exc
 
-    if "noise" in sections:
-        section = sections["noise"]
-        config.sigma_px = section.get("sigma_px", 0.5, _number)
-        config.sigma_desc = section.get("sigma_desc", 0.05, _number)
-        config.box_margin_px = section.get("box_margin_px", 2.0, _number)
+    for name in ("mapping", "evaluation"):
+        if name in written:
+            params = written[name]
+            if "kind" in params:
+                scene[f"{name}_kind"] = params.pop("kind")
+            scene[name] = TrajectoryParams(**params)
 
-    if "mapping" in sections:
-        config.mapping_kind, config.mapping = _trajectory_from_section(sections["mapping"])
-    if "evaluation" in sections:
-        config.evaluation_kind, config.evaluation = _trajectory_from_section(
-            sections["evaluation"]
-        )
+    if "perturbation" in written:
+        spec = written["perturbation"]
+        enabled = spec.pop("enabled", True)
+        scene["perturbation"] = PerturbationSpec(**spec) if enabled else None
 
-    if "perturbation" in sections:
-        section = sections["perturbation"]
-        if section.get("enabled", True, _flag):
-            config.perturbation = PerturbationSpec(
-                kind=section.get("kind", "rotate_object"),
-                magnitude_deg=section.get("magnitude_deg", 180.0, _number),
-                magnitude_m=section.get("magnitude_m", 0.0, _number),
-                target=section.get("target", "densest_movable"),
-            )
-        else:
-            config.perturbation = None
-
-    if "benchmark" in sections:
-        section = sections["benchmark"]
-        config.seeds = section.get("seeds", list(range(10)), _distinct(_count))
-        config.modes = section.get(
-            "modes", list(BENCHMARK_MODES), _distinct(_one_of(BENCHMARK_MODES))
-        )
-        config.vocabulary_k = section.get("vocabulary_k", 48, _count)
-
-    return config
+    return SceneConfig(**scene)

@@ -12,6 +12,8 @@ from .world import World
 
 _NEAR_PLANE = 0.05  # meters
 DEFAULT_BOX_MARGIN_PX = 2.0
+DEFAULT_SIGMA_PX = 0.5
+DEFAULT_SIGMA_DESC = 0.05
 
 
 @dataclass
@@ -79,7 +81,7 @@ def synthesize_frame(
     world: World,
     pose: Pose,
     intrinsics: CameraIntrinsics,
-    noise: tuple[float, float] = (0.5, 0.05),
+    noise: tuple[float, float] = (DEFAULT_SIGMA_PX, DEFAULT_SIGMA_DESC),
     rng: np.random.Generator | None = None,
     frame_id: int = 0,
     timestamp: float = 0.0,

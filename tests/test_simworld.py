@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from semloc.simworld import (
     synthesize_frame,
 )
 from semloc.simworld import world as world_module
-from semloc.simworld.config import BENCHMARK_MODES
+from semloc.simworld.config import _KEYS, BENCHMARK_MODES, SceneConfig
 from semloc.simworld.synthesize import (
     _NEAR_PLANE,
     _clip_polygon_to_near_plane,
@@ -1101,11 +1102,18 @@ def test_scene_config_box_margin_reaches_the_boxes(tmp_path):
             "[benchmark]\nmodes = baseline,semantic\n",
             "[benchmark] modes: 'semantic' is not one of baseline, pre, post",
         ),
+        (
+            "[world]\nlandmark_per_object = 5\n",
+            "[world] landmark_per_object: unknown key; [world] holds dim_x, dim_y, dim_z,",
+        ),
+        ("[wrld]\nseed = 7\n", "[wrld]: unknown section; a scene holds [world], [camera],"),
+        ("[DEFAULT]\nseed = 7\n[world]\n", "[DEFAULT]: unknown section"),
     ],
     ids=[
         "word-float", "repeated-section", "repeated-key", "nan-float", "infinite-float",
         "negative-count", "short-center", "word-boolean", "principal-point-outside",
-        "repeated-seed", "repeated-mode", "unknown-mode",
+        "repeated-seed", "repeated-mode", "unknown-mode", "misspelt-key", "unknown-section",
+        "default-section",
     ],
 )
 def test_scene_config_names_the_file_and_key_of_a_bad_value(tmp_path, text, message):
@@ -1113,6 +1121,90 @@ def test_scene_config_names_the_file_and_key_of_a_bad_value(tmp_path, text, mess
     path.write_text(text)
     with pytest.raises(WorldGenerationError, match=re.escape(f"{path}: {message}")):
         load_scene_config(str(path))
+
+
+def _trajectory_keys(section: str) -> dict:
+    return {
+        (section, "kind"): ("roll", f"{section}_kind", "roll"),
+        (section, "center"): ("1, 2, 3", f"{section}.center", (1.0, 2.0, 3.0)),
+        (section, "steps"): ("7", f"{section}.steps", 7),
+        (section, "sweep_deg"): ("90", f"{section}.sweep_deg", 90.0),
+        (section, "step_m"): ("0.2", f"{section}.step_m", 0.2),
+        (section, "radius"): ("0.25", f"{section}.radius", 0.25),
+        (section, "heading_deg"): ("15", f"{section}.heading_deg", 15.0),
+        (section, "dt"): ("0.5", f"{section}.dt", 0.5),
+        (section, "t0"): ("50", f"{section}.t0", 50.0),
+    }
+
+
+# (section, key) -> (non-default value, the SceneConfig field it sets, parsed value)
+_ONE_KEY = {
+    ("world", "dim_x"): ("9.5", "world.dimensions", (9.5, 4.0, 3.0)),
+    ("world", "dim_y"): ("5", "world.dimensions", (8.0, 5.0, 3.0)),
+    ("world", "dim_z"): ("2.5", "world.dimensions", (8.0, 4.0, 2.5)),
+    ("world", "objects_per_class"): ("3", "world.objects_per_class", 3),
+    ("world", "landmarks_per_object"): ("7", "world.landmarks_per_object", 7),
+    ("world", "background_landmarks"): ("9", "world.background_landmarks", 9),
+    ("world", "clutter_objects"): ("4", "world.clutter_objects", 4),
+    ("world", "clutter_landmarks"): ("11", "world.clutter_landmarks", 11),
+    ("world", "delta_desc"): ("0.6", "world.delta_desc", 0.6),
+    ("world", "seed"): ("5", "seed", 5),
+    ("camera", "fx"): ("410", "intrinsics.fx", 410.0),
+    ("camera", "fy"): ("390", "intrinsics.fy", 390.0),
+    ("camera", "cx"): ("300", "intrinsics.cx", 300.0),
+    ("camera", "cy"): ("200", "intrinsics.cy", 200.0),
+    ("camera", "width"): ("700", "intrinsics.width", 700),
+    ("camera", "height"): ("500", "intrinsics.height", 500),
+    ("noise", "sigma_px"): ("0.25", "sigma_px", 0.25),
+    ("noise", "sigma_desc"): ("0.1", "sigma_desc", 0.1),
+    ("noise", "box_margin_px"): ("4", "box_margin_px", 4.0),
+    **_trajectory_keys("mapping"),
+    **_trajectory_keys("evaluation"),
+    ("perturbation", "enabled"): ("false", "perturbation", None),
+    ("perturbation", "kind"): ("remove_object", "perturbation.kind", "remove_object"),
+    ("perturbation", "magnitude_deg"): ("90", "perturbation.magnitude_deg", 90.0),
+    ("perturbation", "magnitude_m"): ("0.3", "perturbation.magnitude_m", 0.3),
+    ("perturbation", "target"): ("3", "perturbation.target", "3"),
+    ("benchmark", "seeds"): ("4,2", "seeds", [4, 2]),
+    ("benchmark", "modes"): ("post", "modes", ["post"]),
+    ("benchmark", "vocabulary_k"): ("32", "vocabulary_k", 32),
+}
+
+
+def _replaced(obj, field: str, value):
+    """A copy of obj with the dotted field set to value."""
+    head, _, rest = field.partition(".")
+    return dataclasses.replace(
+        obj, **{head: _replaced(getattr(obj, head), rest, value) if rest else value}
+    )
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        pytest.param(section, key, id=f"{section}-{key}")
+        for section, keys in _KEYS.items()
+        for key in keys
+    ],
+)
+def test_scene_config_key_sets_only_its_field(tmp_path, section, key):
+    raw, field, value = _ONE_KEY[section, key]
+    path = tmp_path / "scene.ini"
+    path.write_text(f"[{section}]\n")
+    # a written section starts from its own dataclass's defaults
+    baseline = load_scene_config(str(path))
+    expected = _replaced(baseline, field, value)
+    assert expected != baseline
+    path.write_text(f"[{section}]\n{key} = {raw}\n")
+    assert load_scene_config(str(path)) == expected
+
+
+def test_readme_scene_config_is_the_default_scene(tmp_path):
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## Scene configuration.*?```ini\n(.*?)```", readme, re.S).group(1)
+    path = tmp_path / "scene.ini"
+    path.write_text(block)
+    assert load_scene_config(str(path)) == SceneConfig()
 
 
 def test_benchmark_modes_are_the_semantic_modes():
