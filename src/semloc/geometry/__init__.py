@@ -25,7 +25,13 @@ from .epipolar import (
     sampson_error_flagged,
 )
 from .ransac import RansacParams, RansacResult, ransac_essential, ransac_pnp, ransac_pnp_batch
-from .refine import RefineResult, apply_increment, refine_pose, reprojection_residuals
+from .refine import (
+    RefineResult,
+    apply_increment,
+    refine_pose,
+    refine_poses,
+    reprojection_residuals,
+)
 
 __all__ = [
     "CameraIntrinsics",
@@ -47,6 +53,7 @@ __all__ = [
     "ransac_pnp",
     "ransac_pnp_batch",
     "refine_pose",
+    "refine_poses",
     "relative_motion",
     "reprojection_errors",
     "reprojection_residuals",

@@ -12,7 +12,7 @@ from ..errors import InsufficientDataError
 from ..features.match import DEFAULT_RATIO, match_record
 from ..geometry.pose import CameraIntrinsics, Pose, reprojection_errors
 from ..geometry.ransac import RansacParams, ransac_pnp_batch
-from ..geometry.refine import refine_pose
+from ..geometry.refine import refine_poses
 from ..mapping.sparse_map import SparseMap, query_candidates
 from ..mapping.vocabulary import bow_vectors
 from ..semantics.classes import UNLABELED
@@ -91,9 +91,10 @@ def relocalize_frames(
     per-candidate matching (pre: per class; post: unrestricted then
     class-filtered; baseline: unrestricted) -> pooled matches -> robust PnP
     -> refinement on the inliers.  The BoW words of all frames come from one
-    quantization and their PnP problems run as one lockstep RANSAC batch,
-    each seeded from `seed` and its frame id; each frame's result is the one
-    it gets alone.  Failures return a pose-free result carrying the reason.
+    quantization, their PnP problems run as one lockstep RANSAC batch, each
+    seeded from `seed` and its frame id, and the winners are refined as one
+    lockstep refine_poses batch; each frame's result is the one it gets
+    alone.  Failures return a pose-free result carrying the reason.
     """
     mode = SemanticMode.parse(mode)
     if not sparse_map.keyframes or not len(sparse_map.positions):
@@ -139,22 +140,32 @@ def relocalize_frames(
         ],
         intrinsics,
     )
+    # the RANSAC winners' poses, refined on their inliers as one lockstep batch
+    refined = iter(
+        refine_poses(
+            [
+                (estimate.model, pixels[estimate.inliers], points[estimate.inliers])
+                for (_, _, _, pixels, points), estimate in zip(problems, estimates)
+                if estimate.failure_reason is None
+            ],
+            intrinsics,
+        )
+    )
     for (index, candidate_ids, pooled, pixels, points), estimate in zip(problems, estimates):
         frame_id = frames[index][0]
         if estimate.failure_reason is not None:
             results[index] = failure(frame_id, estimate.failure_reason, candidate_ids, pooled)
             continue
         pose, inlier_idx = estimate.model, estimate.inliers
-        if len(inlier_idx):
-            refined = refine_pose(pose, pixels[inlier_idx], points[inlier_idx], intrinsics)
-            if not refined.failed:
-                errors = reprojection_errors(
-                    refined.pose.rotation, refined.pose.translation, intrinsics, points, pixels
-                )
-                updated = np.flatnonzero(errors < _PNP.inlier_threshold)
-                # keep the refined pose only while it preserves a full consensus
-                if len(updated) >= _PNP.min_inliers:
-                    pose, inlier_idx = refined.pose, updated
+        refinement = next(refined)
+        if not refinement.failed:
+            errors = reprojection_errors(
+                refinement.pose.rotation, refinement.pose.translation, intrinsics, points, pixels
+            )
+            updated = np.flatnonzero(errors < _PNP.inlier_threshold)
+            # keep the refined pose only while it preserves a full consensus
+            if len(updated) >= _PNP.min_inliers:
+                pose, inlier_idx = refinement.pose, updated
         results[index] = LocalizationResult(
             frame_id=frame_id,
             mode=mode,

@@ -55,30 +55,40 @@ class DetectionSet:
 def _finite_number(value) -> bool:
     """A finite JSON number: not a bool, not a NaN or Infinity token (read as
     a string) and not a literal too large for a float."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
 
 
 def load_detections(path: str, registry: ClassRegistry, image_size: tuple[int, int]) -> DetectionSet:
     """Parse one annotation file; boxes are clamped to the image bounds.
 
     image_size: (width, height).  Boxes below DEFAULT_MIN_CONFIDENCE or with zero
-    area after clamping are dropped (the latter logged).  Malformed entries,
-    non-finite numbers and unknown class names raise AnnotationError naming
-    the offending field.
+    area after clamping are dropped (the latter logged).  A file that is not
+    UTF-8 JSON, malformed entries, a negative frame, non-finite numbers, a
+    confidence outside [0, 1] and unknown class names raise AnnotationError
+    naming the file and the offending field.
     """
     width, height = image_size
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             # NaN and Infinity stay strings, which no numeric field accepts
             raw = json.load(fh, parse_constant=str)
         except json.JSONDecodeError as exc:
             raise AnnotationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise AnnotationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
     if not isinstance(raw, dict) or "frame" not in raw:
         raise AnnotationError(f"{path}: missing 'frame' field")
     frame_id = raw["frame"]
     if not isinstance(frame_id, int) or isinstance(frame_id, bool):
         raise AnnotationError(f"{path}: 'frame' is not an integer")
+    if frame_id < 0:
+        raise AnnotationError(f"{path}: 'frame' is negative")
     entries = raw.get("boxes", [])
     if not isinstance(entries, list):
         raise AnnotationError(f"{path}: 'boxes' is not a list")
@@ -93,6 +103,8 @@ def load_detections(path: str, registry: ClassRegistry, image_size: tuple[int, i
             if key not in entry:
                 raise AnnotationError(f"{where}: missing field '{key}'")
         name = entry["class"]
+        if not isinstance(name, str):
+            raise AnnotationError(f"{where}: field 'class' is not a string")
         if name not in registry:
             raise AnnotationError(f"{where}: unknown class name '{name}'")
         box, conf = entry["box"], entry["confidence"]
@@ -102,6 +114,8 @@ def load_detections(path: str, registry: ClassRegistry, image_size: tuple[int, i
             raise AnnotationError(f"{where}: field 'confidence' is not a finite number")
         x0, y0, x1, y1 = (float(v) for v in box)
         conf = float(conf)
+        if not 0.0 <= conf <= 1.0:
+            raise AnnotationError(f"{where}: field 'confidence' is outside [0, 1]")
         if x1 < x0 or y1 < y0:
             raise AnnotationError(f"{where}: field 'box' has inverted extents")
         if conf < DEFAULT_MIN_CONFIDENCE:

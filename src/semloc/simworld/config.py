@@ -111,6 +111,14 @@ def _one_of(choices):
     return parse
 
 
+def _target(raw: str) -> str:
+    """densest_movable, or an object id as digits."""
+    value = raw.strip()
+    if value != "densest_movable" and not value.isdecimal():
+        raise ValueError(f"{value!r} is neither densest_movable nor an object id")
+    return value
+
+
 def _distinct(parse):
     """A parser of comma-separated values that rejects a repeated value."""
 
@@ -126,6 +134,8 @@ def _distinct(parse):
     return parse_list
 
 
+# a spec names one target, so it can drive every kind but the two-object swap
+_SPEC_KINDS = tuple(kind for kind in Perturbation._KINDS if kind != "swap_objects")
 _TRAJECTORY = {
     "kind": _one_of(TRAJECTORY_KINDS), "center": _point, "steps": _count,
     "sweep_deg": _number, "step_m": _number, "radius": _number,
@@ -147,8 +157,8 @@ _KEYS = {
     "mapping": _TRAJECTORY,
     "evaluation": _TRAJECTORY,
     "perturbation": {
-        "enabled": _flag, "kind": str, "magnitude_deg": _number,
-        "magnitude_m": _number, "target": str,
+        "enabled": _flag, "kind": _one_of(_SPEC_KINDS), "magnitude_deg": _number,
+        "magnitude_m": _number, "target": _target,
     },
     "benchmark": {
         "seeds": _distinct(_count),
@@ -163,8 +173,10 @@ def load_scene_config(path: str) -> SceneConfig:
     its own dataclass's defaults, and a key it omits keeps its field's
     default. An unknown section or key, a value that does not parse, a
     non-finite number, a negative count, an unknown or repeated benchmark
-    mode, a repeated benchmark seed and a repeated section or key each raise
-    WorldGenerationError naming the file and the key."""
+    mode, a repeated benchmark seed, a perturbation kind that needs more than
+    one target, a target that is neither densest_movable nor an object id and
+    a repeated section or key each raise WorldGenerationError naming the file
+    and the key."""
     # no section is DEFAULT, so [DEFAULT] is refused as unknown
     parser = configparser.ConfigParser(default_section="", inline_comment_prefixes=(";",))
     try:

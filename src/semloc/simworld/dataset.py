@@ -107,11 +107,13 @@ def write_dataset(
 def load_intrinsics(path: str) -> CameraIntrinsics:
     """The camera of an intrinsics file: JSON numbers fx, fy, cx and cy and
     JSON integers width and height, taken as they are, never coerced."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise WorldGenerationError(f"{path}: not a valid intrinsics file ({exc.msg})") from exc
+        except UnicodeDecodeError as exc:
+            raise WorldGenerationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not isinstance(raw, dict):
         raise WorldGenerationError(f"{path}: malformed intrinsics (not a JSON object)")
     for name in ("fx", "fy", "cx", "cy", "width", "height"):
@@ -131,7 +133,7 @@ def load_intrinsics(path: str) -> CameraIntrinsics:
             width=raw["width"],
             height=raw["height"],
         )
-    except DegenerateGeometryError as exc:
+    except (DegenerateGeometryError, OverflowError) as exc:  # an integer beyond the float range
         raise WorldGenerationError(f"{path}: malformed intrinsics ({exc})") from exc
 
 

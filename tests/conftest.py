@@ -1,7 +1,10 @@
 """Shared fixtures and synthetic-instance generators for the test suite."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from semloc.geometry import CameraIntrinsics, Pose, rotation_from_axis_angle
 
@@ -77,3 +80,51 @@ def points_in_front(rng: np.random.Generator, pose: Pose, n: int,
         ]
     )
     return inverse_pose(pose).transform(cam)
+
+
+# JSON texts no field of a fresh file holds: non-finite tokens, negatives, a
+# float literal beyond the float range, a huge integer and wrong types
+BAD_JSON_VALUES = (
+    "NaN", "Infinity", "-Infinity", "-1", "-0.5", "-1e9", "1e400", "1" + "0" * 400,
+    '"7"', '""', "null", "true", "false", "[]", "{}", "[1, 2, 3, 4]", '{"frame": 0}',
+)
+
+
+def json_fields(value, path=()):
+    """The path of every field of a JSON document, each container before its
+    members."""
+    members = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, member in members:
+        yield (*path, key)
+        if isinstance(member, (dict, list)):
+            yield from json_fields(member, (*path, key))
+
+
+def json_text(value, path=(), raw=None) -> str:
+    """A document as JSON text, with the field at `path` written as the raw
+    JSON text `raw`."""
+    if raw is not None and not path:
+        return raw
+    if isinstance(value, dict):
+        return "{" + ", ".join(
+            f"{json.dumps(k)}: " + json_text(v, path[1:], raw if path[:1] == (k,) else None)
+            for k, v in value.items()
+        ) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(
+            json_text(v, path[1:], raw if path[:1] == (i,) else None) for i, v in enumerate(value)
+        ) + "]"
+    return json.dumps(value)
+
+
+def corrupted_json(data, document) -> bytes:
+    """A drawn corruption of a valid JSON document: one field replaced by one
+    of BAD_JSON_VALUES, or one to four of its text's bytes flipped."""
+    if data.draw(st.booleans(), label="flip bytes"):
+        text = bytearray(json_text(document).encode())
+        for _ in range(data.draw(st.integers(1, 4))):
+            text[data.draw(st.integers(0, len(text) - 1))] ^= data.draw(st.integers(1, 255))
+        return bytes(text)
+    path = data.draw(st.sampled_from(list(json_fields(document))), label="field")
+    raw = data.draw(st.sampled_from(BAD_JSON_VALUES), label="value")
+    return json_text(document, path, raw).encode()

@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -488,6 +489,150 @@ def test_refine_jacobian_equals_the_per_point_formula(intrinsics):
             )
             expected[2 * i : 2 * i + 2] = d_proj @ np.hstack([-skew(c), np.eye(3)])
         assert np.array_equal(_jacobian(pose, intrinsics, points), expected)
+
+
+# ---------------------------------------------- lockstep refinement, reference loop
+#
+# The one-problem Gauss-Newton loop, written out plainly as the reference:
+# refine_poses must give its bits for every problem, alone and in any batch.
+
+def _reference_refine_pose(pose0, pixels, points, intrinsics):
+    """(RefineResult, why it stopped) of the one-problem loop, at the
+    module's singular-system bound."""
+    from semloc.geometry import RefineResult
+    from semloc.geometry import refine as refine_module
+
+    pixels = np.asarray(pixels, dtype=float).reshape(-1, 2)
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    singular_cond = refine_module._SINGULAR_COND
+    pose = pose0
+    residual = reprojection_residuals(pose, intrinsics, points, pixels)
+    cost = float(residual @ residual)
+    initial_cost = cost
+    for iteration in range(20):
+        jac = _jacobian(pose, intrinsics, points)
+        normal = jac.T @ jac
+        rhs = -jac.T @ residual
+        if not np.all(np.isfinite(normal)) or np.linalg.cond(normal) > singular_cond:
+            return RefineResult(pose0, True, iteration, initial_cost, initial_cost), "singular"
+        delta = np.linalg.solve(normal, rhs)
+        step = delta
+        accepted = False
+        for _ in range(9):
+            trial = apply_increment(pose, step)
+            trial_res = reprojection_residuals(trial, intrinsics, points, pixels)
+            trial_cost = float(trial_res @ trial_res)
+            if trial_cost <= cost:
+                pose, residual, cost = trial, trial_res, trial_cost
+                accepted = True
+                break
+            step = step / 2.0
+        if not accepted:
+            return RefineResult(pose, False, iteration + 1, initial_cost, cost), "halved out"
+        if np.linalg.norm(delta) < 1e-10:
+            return RefineResult(pose, False, iteration + 1, initial_cost, cost), "short step"
+    return RefineResult(pose, False, 20, initial_cost, cost), "iteration cap"
+
+
+def _refine_problem(rng, intrinsics, kind):
+    """(pose0, pixels, points) of one kind: 'four copies' of one point (a
+    rank-deficient system), 'exact' pixels, or 'noisy' pixels with outliers
+    and points behind the camera; the start is a perturbed true pose."""
+    pose = random_pose(rng)
+    if kind == "four copies":
+        points = np.tile(points_in_front(rng, pose, 1), (4, 1))
+    else:
+        points = np.vstack([
+            points_in_front(rng, pose, int(rng.integers(6, 50)), depth=(0.5, 6.0)),
+            points_in_front(rng, pose, int(rng.integers(0, 4)), depth=(-3.0, -0.1)),
+        ])
+    cam = pose.transform(points)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pixels = intrinsics.pixels(cam)
+    behind = cam[:, 2] <= 0.0
+    pixels[behind] = rng.uniform(0.0, 480.0, size=(int(behind.sum()), 2))
+    if kind == "noisy":
+        pixels += rng.normal(0.0, rng.uniform(0.1, 3.0), size=pixels.shape)
+        outliers = rng.random(len(points)) < 0.2
+        pixels[outliers] += rng.uniform(-150.0, 150.0, size=(int(outliers.sum()), 2))
+    scale = rng.choice([0.0, 0.01, 0.1, 0.5])
+    start = apply_increment(pose, rng.normal(0.0, scale, 6))
+    return start, pixels, points
+
+
+def _same_refinement(result, reference):
+    return (
+        np.array_equal(result.pose.rotation, reference.pose.rotation)
+        and np.array_equal(result.pose.translation, reference.pose.translation)
+        and (result.failed, result.iterations) == (reference.failed, reference.iterations)
+        and (result.initial_cost, result.final_cost)
+        == (reference.initial_cost, reference.final_cost)
+    )
+
+
+@pytest.mark.parametrize("singular_cond", [1e12, 150.0], ids=["module-bound", "tight-bound"])
+def test_refine_poses_equals_the_reference_loop(intrinsics, monkeypatch, singular_cond):
+    """A batch's results are the reference loop's bits.  At the module's
+    singular-system bound the problems reach each of the loop's four stops;
+    with the bound cut to 150, some fail after accepted steps and keep pose0
+    and their initial cost."""
+    from semloc.geometry import refine as refine_module
+    from semloc.geometry import refine_poses
+
+    monkeypatch.setattr(refine_module, "_SINGULAR_COND", singular_cond)
+    rng = np.random.default_rng(77)
+    kinds = ["exact", "noisy", "noisy", "four copies"] * 30
+    problems = [_refine_problem(rng, intrinsics, kind) for kind in kinds]
+    references = [_reference_refine_pose(*problem, intrinsics) for problem in problems]
+    for result, (reference, _) in zip(refine_poses(problems, intrinsics), references):
+        assert _same_refinement(result, reference)
+    stops = {stop for _, stop in references}
+    if singular_cond == 1e12:
+        assert stops == {"singular", "halved out", "short step", "iteration cap"}, stops
+    else:
+        assert any(r.failed and r.iterations > 0 for r, _ in references)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_refine_poses_gives_each_problem_its_reference_bits_in_any_batch(data):
+    """Each problem's refinement is bitwise the reference loop's alone and
+    anywhere in a batch of 1-6 drawn problems, repeats included."""
+    from semloc.geometry import CameraIntrinsics, refine_poses
+
+    intrinsics = CameraIntrinsics(fx=400.0, fy=400.0, cx=320.0, cy=240.0, width=640, height=480)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kinds = data.draw(
+        st.lists(st.sampled_from(["exact", "noisy", "four copies"]), min_size=1, max_size=6)
+    )
+    problems = [_refine_problem(rng, intrinsics, kind) for kind in kinds]
+    references = [_reference_refine_pose(*problem, intrinsics)[0] for problem in problems]
+    order = data.draw(st.lists(st.integers(0, len(problems) - 1), min_size=1, max_size=6))
+    batch = refine_poses([problems[k] for k in order], intrinsics)
+    for k, result in zip(order, batch):
+        assert _same_refinement(result, references[k])
+    for problem, reference in zip(problems, references):
+        (alone,) = refine_poses([problem], intrinsics)
+        assert _same_refinement(alone, reference)
+
+
+def test_refine_poses_raises_where_pose_rejects_a_trial(intrinsics, monkeypatch):
+    """With Pose's orthonormality tolerance cut to zero, a trial rotation fails
+    it, and the batch raises the error the reference's Pose raises."""
+    import pytest
+
+    from semloc.errors import DegenerateGeometryError
+    from semloc.geometry import pose as pose_module
+    from semloc.geometry import refine_poses
+
+    rng = np.random.default_rng(78)
+    problems = [_refine_problem(rng, intrinsics, "noisy") for _ in range(4)]
+    monkeypatch.setattr(pose_module, "_ORTHONORMAL_TOL", 0.0)
+    with pytest.raises(DegenerateGeometryError) as expected:
+        _reference_refine_pose(*problems[0], intrinsics)
+    with pytest.raises(DegenerateGeometryError) as raised:
+        refine_poses(problems, intrinsics)
+    assert str(raised.value) == str(expected.value)
 
 
 # ------------------------------------------------- batched P3P, reference loops

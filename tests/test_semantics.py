@@ -1,6 +1,7 @@
 """Semantic classes, detections, labelling, and class-aware matching."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from semloc.semantics import (
     match_per_class,
     save_detections,
 )
+from semloc.semantics.boxes import DEFAULT_MIN_CONFIDENCE
+
+from conftest import corrupted_json
 
 REGISTRY = ClassRegistry.default()
 
@@ -196,6 +200,52 @@ def test_load_detections_rejects_boxes_that_are_not_a_list(tmp_path):
     path = _write_annotations(tmp_path, {"frame": 0, "boxes": 7})
     with pytest.raises(AnnotationError, match=f"{path}: 'boxes' is not a list"):
         load_detections(path, REGISTRY, image_size=(640, 480))
+
+
+_FRESH_DETECTIONS = {
+    "frame": 3,
+    "boxes": [
+        {"class": "vent", "box": [10.0, 10.0, 50.0, 40.0], "confidence": 0.9},
+        {"class": "light", "box": [600, 5, 700, 90], "confidence": 0.75},
+    ],
+}
+
+
+def _valid_detections(dets, image_size) -> bool:
+    """The checks a fresh file's detections pass: a non-negative integer
+    frame, and boxes of a known class with finite extents inside the image,
+    a positive area and a confidence in [DEFAULT_MIN_CONFIDENCE, 1]."""
+    width, height = image_size
+    return type(dets.frame_id) is int and dets.frame_id >= 0 and all(
+        REGISTRY.by_name(b.semantic_class.name) == b.semantic_class
+        and all(
+            type(v) is float and math.isfinite(v)
+            for v in (b.x_min, b.y_min, b.x_max, b.y_max, b.confidence)
+        )
+        and 0.0 <= b.x_min < b.x_max <= width - 1
+        and 0.0 <= b.y_min < b.y_max <= height - 1
+        and DEFAULT_MIN_CONFIDENCE <= b.confidence <= 1.0
+        for b in dets.boxes
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_corrupted_annotation_file_loads_valid_boxes_or_names_the_file(tmp_path_factory, data):
+    """A fresh file with one field replaced by NaN, an infinity, a negative or
+    a wrong type, or with bytes flipped, loads into detections that pass a
+    fresh file's checks, or raises an AnnotationError naming the file."""
+    image_size = (640, 480)
+    path = tmp_path_factory.mktemp("annotations") / "frame.json"
+    path.write_text(json.dumps(_FRESH_DETECTIONS))
+    assert _valid_detections(load_detections(str(path), REGISTRY, image_size), image_size)
+    path.write_bytes(corrupted_json(data, _FRESH_DETECTIONS))
+    try:
+        dets = load_detections(str(path), REGISTRY, image_size)
+    except AnnotationError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert _valid_detections(dets, image_size)
 
 
 def test_detections_round_trip(tmp_path):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semloc.errors import MapFormatError, WorldGenerationError
 from semloc.features.distance import _BLOCK_PRODUCTS
@@ -49,6 +51,8 @@ from semloc.simworld.synthesize import (
 )
 from semloc.simworld.world import _place_objects, _sample_descriptors
 from semloc.trajectory_io import TrajectoryEntry, read_trajectory, write_trajectory
+
+from conftest import corrupted_json
 
 
 # --------------------------------------------------------------------------
@@ -919,6 +923,33 @@ def test_load_intrinsics_takes_json_types_as_they_are(tmp_path, field, value, me
         load_intrinsics(str(path))
 
 
+_FRESH_INTRINSICS = {
+    "fx": 400.0, "fy": 400.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480,
+}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_corrupted_intrinsics_file_loads_a_valid_camera_or_names_the_file(
+    tmp_path_factory, data
+):
+    """A fresh file with one field replaced by NaN, an infinity, a negative or
+    a wrong type, or with bytes flipped, loads into a camera that passes a
+    fresh file's checks, or raises a WorldGenerationError naming the file."""
+    path = tmp_path_factory.mktemp("camera") / "intrinsics.json"
+    path.write_bytes(corrupted_json(data, _FRESH_INTRINSICS))
+    try:
+        camera = load_intrinsics(str(path))
+    except WorldGenerationError as exc:
+        assert str(path) in str(exc)
+        return
+    focal, centre = (camera.fx, camera.fy), (camera.cx, camera.cy)
+    assert all(type(v) is float and math.isfinite(v) for v in focal + centre)
+    assert type(camera.width) is int and type(camera.height) is int
+    assert min(focal) > 0.0
+    assert 0.0 <= camera.cx < camera.width and 0.0 <= camera.cy < camera.height
+
+
 def test_frame_round_trip_bitwise(tmp_path):
     world = generate_world(WorldConfig(), seed=14)
     pose = _looking_at_wall_pose(world)
@@ -1108,12 +1139,29 @@ def test_scene_config_box_margin_reaches_the_boxes(tmp_path):
         ),
         ("[wrld]\nseed = 7\n", "[wrld]: unknown section; a scene holds [world], [camera],"),
         ("[DEFAULT]\nseed = 7\n[world]\n", "[DEFAULT]: unknown section"),
+        (
+            "[perturbation]\nkind = rotat_object\n",
+            "[perturbation] kind: 'rotat_object' is not one of rotate_object, translate_object,"
+            " remove_object",
+        ),
+        (
+            "[perturbation]\nkind = swap_objects\n",
+            "[perturbation] kind: 'swap_objects' is not one of rotate_object,",
+        ),
+        (
+            "[perturbation]\ntarget = densest\n",
+            "[perturbation] target: 'densest' is neither densest_movable nor an object id",
+        ),
+        (
+            "[perturbation]\ntarget = 3,4\n",
+            "[perturbation] target: '3,4' is neither densest_movable nor an object id",
+        ),
     ],
     ids=[
         "word-float", "repeated-section", "repeated-key", "nan-float", "infinite-float",
         "negative-count", "short-center", "word-boolean", "principal-point-outside",
         "repeated-seed", "repeated-mode", "unknown-mode", "misspelt-key", "unknown-section",
-        "default-section",
+        "default-section", "misspelt-kind", "two-target-kind", "unknown-target", "two-targets",
     ],
 )
 def test_scene_config_names_the_file_and_key_of_a_bad_value(tmp_path, text, message):
