@@ -56,7 +56,7 @@ def _build_parser() -> _Parser:
     simulate.add_argument("--out", required=True, help="output directory")
 
     build = sub.add_parser("build-map", help="triangulate a landmark map from posed frames")
-    build.add_argument("--frames", required=True, help="directory of frame files")
+    build.add_argument("--frames", required=True, help="a split's frames/ directory")
     build.add_argument("--annotations", required=True, help="directory of detection files")
     build.add_argument("--intrinsics", required=True, help="camera intrinsics (JSON)")
     build.add_argument("--out", required=True, help="output map file")
@@ -68,13 +68,13 @@ def _build_parser() -> _Parser:
 
     reloc = sub.add_parser("relocalize", help="localize frames against a prebuilt map")
     reloc.add_argument("--map", required=True, dest="map_path", help="map file")
-    reloc.add_argument("--frames", required=True, help="directory of frame files")
+    reloc.add_argument("--frames", required=True, help="a split's frames/ directory")
     reloc.add_argument("--mode", required=True, choices=[m.value for m in SemanticMode])
     reloc.add_argument("--seed", type=int, default=0)
     reloc.add_argument("--out", required=True, help="output trajectory file")
 
     relpose = sub.add_parser("relpose", help="estimate relative poses of paired frames")
-    relpose.add_argument("--frames", required=True, help="directory of frame files")
+    relpose.add_argument("--frames", required=True, help="a split's frames/ directory")
     relpose.add_argument("--mode", required=True, choices=[m.value for m in SemanticMode])
     relpose.add_argument("--seed", type=int, default=0)
     relpose.add_argument("--out", required=True, help="output pairs CSV")
@@ -121,7 +121,7 @@ def _cmd_simulate(args) -> int:
 def _load_query_frames(frames_dir: str, registry: ClassRegistry, **dataset):
     frames = load_dataset_frames(frames_dir, registry, **dataset)
     if not frames:
-        raise SemlocError(f"no frame files found in {frames_dir}")
+        raise SemlocError(f"no frames in {frames_dir}")
     return frames
 
 

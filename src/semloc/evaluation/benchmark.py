@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..errors import SemlocError
 from ..geometry.pose import CameraIntrinsics
 from ..mapping.build import MapBuildConfig, MapFrameInput, build_map
 from ..mapping.sparse_map import SparseMap
@@ -251,10 +252,13 @@ def _map_seeds(config: SceneConfig, trajectory_dir: str) -> list[list[SeedOutcom
     one per usable CPU up to one per seed, or in this process when that is
     one worker, the platform cannot fork, or another thread runs (a lock it
     holds would stay held in a forked copy). The pool is shut down and its
-    workers joined before this returns or raises."""
+    workers joined before this returns or raises; a worker that dies, say
+    killed by the OS for memory, raises SemlocError naming the seeds left
+    without outcomes."""
     # imported here, not at module level, so importing semloc stays cheap
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     run = functools.partial(_run_seed, config, trajectory_dir=trajectory_dir)
     workers = min(len(config.seeds), _usable_cpus())
@@ -267,8 +271,21 @@ def _map_seeds(config: SceneConfig, trajectory_dir: str) -> list[list[SeedOutcom
 
     # fork, not spawn: a spawned worker would import numpy and semloc again
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    futures = []
     try:
-        return list(pool.map(run, config.seeds))
+        for seed in config.seeds:
+            futures.append(pool.submit(run, seed))
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        lost = [
+            seed
+            for i, seed in enumerate(config.seeds)
+            if i >= len(futures) or isinstance(futures[i].exception(), BrokenProcessPool)
+        ]
+        raise SemlocError(
+            f"no outcomes for benchmark seed {', '.join(map(str, lost))}: a worker process "
+            f"died, perhaps killed by the OS for memory ({exc})"
+        ) from exc
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

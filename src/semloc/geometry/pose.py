@@ -151,9 +151,6 @@ class Pose:
         if not np.isfinite(self.translation).all():
             raise DegenerateGeometryError("translation is not finite")
 
-    def quaternion(self) -> np.ndarray:
-        return quaternion_from_rotation(self.rotation)
-
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Map world points (3,) or (n, 3) into the camera frame."""
         pts = np.asarray(points, dtype=float)

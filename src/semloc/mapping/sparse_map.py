@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AnnotationError, InsufficientDataError, MapFormatError
-from ..geometry.pose import Pose, quaternion_from_rotation, rotation_from_quaternion
+from ..geometry.pose import Pose, quaternion_from_rotation
 from ..semantics.classes import UNLABELED, ClassRegistry, SemanticClass
 from ..trajectory_io import ArrayFile, write_arrays
 from .vocabulary import Vocabulary, rank_by_similarity
@@ -44,10 +44,6 @@ class Keyframe:
             landmark_ids=landmark_ids,
             bow=bow,
         )
-
-    @property
-    def pose(self) -> Pose:
-        return Pose(rotation_from_quaternion(self.quaternion), self.translation.copy())
 
 
 @dataclass
@@ -123,9 +119,7 @@ def _runs(file: ArrayFile, values: str, offsets: str, count: int, kind: str | No
     """The flat array `values` cut into `count` runs at `offsets`: the array,
     the offsets, and the index of the run that owns each value."""
     flat = file.take(values, kind, (None,))
-    cuts = file.take(offsets, "i", (count + 1,))
-    if cuts[0] != 0 or cuts[-1] != len(flat) or (np.diff(cuts) < 0).any():
-        file.malformed(f"'{offsets}' must rise from 0 to {len(flat)}, the length of '{values}'")
+    cuts = file.offsets(offsets, count, values, len(flat))
     return flat, cuts, np.repeat(np.arange(count), np.diff(cuts))
 
 

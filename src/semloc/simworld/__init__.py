@@ -8,9 +8,7 @@ from .config import (
 )
 from .dataset import (
     load_dataset_frames,
-    load_frame,
     load_intrinsics,
-    save_frame,
     write_dataset,
 )
 from .perturb import Perturbation, perturb_world
@@ -49,12 +47,10 @@ __all__ = [
     "generate_trajectory",
     "generate_world",
     "load_dataset_frames",
-    "load_frame",
     "load_intrinsics",
     "load_scene_config",
     "make_walls",
     "perturb_world",
-    "save_frame",
     "synthesize_frame",
     "write_dataset",
 ]

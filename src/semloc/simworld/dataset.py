@@ -1,4 +1,4 @@
-"""Frame serialization plus the emitted dataset layout: frames/<id>.npz,
+"""The emitted dataset layout of one split: frames/observations.npz,
 annotations/<id>.json, intrinsics.json, gt_traj.txt."""
 
 from __future__ import annotations
@@ -9,62 +9,15 @@ import os
 import numpy as np
 
 from ..errors import AnnotationError, DegenerateGeometryError, WorldGenerationError
-from ..geometry.pose import (
-    CameraIntrinsics,
-    Pose,
-    quaternion_from_rotation,
-    rotation_from_quaternion,
-)
-from ..semantics.boxes import DetectionSet, load_detections, save_detections
+from ..geometry.pose import CameraIntrinsics, Pose, rotation_from_quaternion
+from ..semantics.boxes import load_detections, save_detections
 from ..semantics.classes import ClassRegistry
 from ..trajectory_io import ArrayFile, TrajectoryEntry, write_arrays, write_trajectory
 from .synthesize import SyntheticFrame
 from .world import World
 
-
-def save_frame(frame: SyntheticFrame, path: str) -> None:
-    """Write the frame's id, timestamp, pose and observations to exactly
-    `path` as one .npz; its detections go to the annotation files."""
-    write_arrays(path, {
-        "id": np.array(frame.frame_id),
-        "timestamp": np.array(frame.timestamp),
-        "q": quaternion_from_rotation(frame.pose.rotation),
-        "t": frame.pose.translation,
-        "keypoints": frame.keypoints,
-        "descriptors": frame.descriptors,
-        "landmark_ids": frame.landmark_ids,
-    })
-
-
-def load_frame(path: str) -> SyntheticFrame:
-    """Read a frame file written by save_frame; a bad file raises
-    WorldGenerationError naming it.
-
-    A frame file holds no detections, so `boxes` is empty: load_dataset_frames
-    fills it from the frame's annotation file.
-    """
-    file = ArrayFile(path, WorldGenerationError, "frame")
-    frame_id = int(file.take("id", "i", ()))
-    keypoints = file.take("keypoints", "f", (None, 2))
-    n = len(keypoints)
-    descriptors = file.take("descriptors", "f", (None, None))
-    if len(descriptors) != n:
-        file.fail(f"{n} keypoints but descriptors of shape {descriptors.shape}")
-    landmark_ids = file.take("landmark_ids", "i", (n,))
-    if (landmark_ids < 0).any():
-        file.malformed("negative landmark id")
-    q = file.take("q", "f", (4,))
-    if not 0.0 < np.linalg.norm(q) < np.inf:  # any other q normalizes to a rotation
-        file.malformed(f"quaternion {q.tolist()} has no direction")
-    return SyntheticFrame(
-        frame_id=frame_id,
-        timestamp=float(file.take("timestamp", "f", ())),
-        pose=Pose(rotation_from_quaternion(q), file.take("t", "f", (3,))),
-        keypoints=keypoints,
-        descriptors=descriptors,
-        landmark_ids=landmark_ids,
-        boxes=DetectionSet(frame_id),
-    )
+OBSERVATIONS = "observations.npz"  # a split's frames, inside its frames/ directory
+_MAX_IMAGE_SIDE = 1 << 16  # pixels; wider than any camera, and every pixel index is exact
 
 
 def write_dataset(
@@ -73,7 +26,16 @@ def write_dataset(
     frames: list[SyntheticFrame],
     intrinsics: CameraIntrinsics,
 ) -> None:
-    """Emit the full on-disk dataset for one synthesized sequence.
+    """Emit the full on-disk dataset for one synthesized sequence: intrinsics.json,
+    gt_traj.txt, each frame's detections as annotations/<id>.json, and every
+    frame's id, timestamp, pose and observations as one archive,
+    frames/observations.npz.
+
+    The archive holds, per frame in the given order, `id`, `timestamp`, the
+    pose's quaternion `q` (the frame's own `quaternion`, so a split that was
+    read writes back to the same bytes) and translation `t`, and `offsets`;
+    and, stacked in frame order, the rows `keypoints`, `descriptors` and
+    `landmark_ids`. Frame i owns rows offsets[i]:offsets[i + 1].
 
     The world itself is not written: nothing reads it back.
     """
@@ -95,8 +57,20 @@ def write_dataset(
             fh,
         )
         fh.write("\n")
+    width = frames[0].descriptors.shape[1] if frames else 0
+    write_arrays(os.path.join(frames_dir, OBSERVATIONS), {
+        "id": np.array([frame.frame_id for frame in frames], dtype=np.int64),
+        "timestamp": np.array([frame.timestamp for frame in frames], dtype=float),
+        "q": np.array([frame.quaternion for frame in frames]).reshape(-1, 4),
+        "t": np.array([frame.pose.translation for frame in frames]).reshape(-1, 3),
+        "offsets": np.cumsum([0] + [len(frame.keypoints) for frame in frames]),
+        "keypoints": np.concatenate([np.zeros((0, 2)), *(f.keypoints for f in frames)]),
+        "descriptors": np.concatenate([np.zeros((0, width)), *(f.descriptors for f in frames)]),
+        "landmark_ids": np.concatenate(
+            [np.zeros(0, np.int64), *(f.landmark_ids for f in frames)]
+        ),
+    })
     for frame in frames:
-        save_frame(frame, os.path.join(frames_dir, f"{frame.frame_id:06d}.npz"))
         save_detections(os.path.join(annotations_dir, f"{frame.frame_id:06d}.json"), frame.boxes)
     write_trajectory(
         os.path.join(out_dir, "gt_traj.txt"),
@@ -106,7 +80,8 @@ def write_dataset(
 
 def load_intrinsics(path: str) -> CameraIntrinsics:
     """The camera of an intrinsics file: JSON numbers fx, fy, cx and cy and
-    JSON integers width and height, taken as they are, never coerced."""
+    JSON integers width and height in 1.._MAX_IMAGE_SIDE, taken as they are,
+    never coerced."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -123,6 +98,11 @@ def load_intrinsics(path: str) -> CameraIntrinsics:
             raise WorldGenerationError(
                 f"{path}: malformed intrinsics ({name} must be "
                 f"{'an integer' if integer else 'a number'}, not {value!r})"
+            )
+        if integer and not 0 < value <= _MAX_IMAGE_SIDE:
+            raise WorldGenerationError(
+                f"{path}: malformed intrinsics ({name} must lie in 1..{_MAX_IMAGE_SIDE} "
+                f"pixels, not {value})"
             )
     try:
         return CameraIntrinsics(
@@ -143,9 +123,18 @@ def load_dataset_frames(
     annotations_dir: str | None = None,
     intrinsics: CameraIntrinsics | None = None,
 ) -> list[SyntheticFrame]:
-    """Every frame file in frames_dir, in name order, each with its boxes read
-    once from annotations_dir through load_detections (validated, clamped to
-    the image, low-confidence and empty boxes dropped).
+    """The frames of the split whose frames/ directory is frames_dir, in
+    written order, read in one file read from its observations archive; each
+    frame's rows are slices (views) of the stacked arrays.
+
+    Each frame's boxes are read once from annotations_dir through
+    load_detections (validated, clamped to the image, low-confidence and empty
+    boxes dropped). A bad archive raises WorldGenerationError naming it: one
+    that does not open, a missing array, a wrong dtype or shape, a non-finite
+    value, keypoint and descriptor counts that disagree, offsets that do not
+    rise from 0 to the row count, a repeated frame id, a negative landmark id
+    or a quaternion with no direction. So does a frames_dir without the
+    archive, such as a directory of the older per-frame files.
 
     annotations_dir and intrinsics default to the dataset's own: the
     annotations/ directory and intrinsics.json beside frames_dir.
@@ -155,16 +144,57 @@ def load_dataset_frames(
         annotations_dir = os.path.join(dataset, "annotations")
     if intrinsics is None:
         intrinsics = load_intrinsics(os.path.join(dataset, "intrinsics.json"))
+    path = os.path.join(frames_dir, OBSERVATIONS)
+    if not os.path.isfile(path):
+        raise WorldGenerationError(
+            f"{frames_dir}: no {OBSERVATIONS}; a split's frames are one archive, and a "
+            f"directory of per-frame files is an older layout: simulate the dataset again"
+        )
+    file = ArrayFile(path, WorldGenerationError, "observations")
+    ids = file.take("id", "i", (None,))
+    n_frames = len(ids)
+    timestamps = file.take("timestamp", "f", (n_frames,))
+    quaternions = file.take("q", "f", (n_frames, 4))
+    translations = file.take("t", "f", (n_frames, 3))
+    keypoints = file.take("keypoints", "f", (None, 2))
+    n = len(keypoints)
+    descriptors = file.take("descriptors", "f", (None, None))
+    if len(descriptors) != n:
+        file.fail(f"{n} keypoints but descriptors of shape {descriptors.shape}")
+    landmark_ids = file.take("landmark_ids", "i", (n,))
+    cuts = file.offsets("offsets", n_frames, "keypoints", n)
+    distinct, repeats = np.unique(ids, return_counts=True)
+    if (repeats > 1).any():
+        file.malformed(f"frame {distinct[repeats > 1][0]} appears more than once")
+    negative = np.flatnonzero(landmark_ids < 0)
+    if len(negative):
+        owner = np.searchsorted(cuts, negative[0], side="right") - 1
+        file.malformed(f"frame {ids[owner]}: negative landmark id")
+    norms = np.linalg.norm(quaternions, axis=1)
+    directionless = np.flatnonzero(~((norms > 0.0) & (norms < np.inf)))
+    if len(directionless):  # any other quaternion normalizes to a rotation
+        i = directionless[0]
+        file.malformed(f"frame {ids[i]}: quaternion {quaternions[i].tolist()} has no direction")
+
     frames = []
-    for name in sorted(os.listdir(frames_dir)):
-        if not name.endswith(".npz"):
-            continue
-        frame = load_frame(os.path.join(frames_dir, name))
-        path = os.path.join(annotations_dir, f"{frame.frame_id:06d}.json")
-        frame.boxes = load_detections(path, registry, (intrinsics.width, intrinsics.height))
-        if frame.boxes.frame_id != frame.frame_id:
-            raise AnnotationError(
-                f"{path}: annotates frame {frame.boxes.frame_id}, not {frame.frame_id}"
-            )
-        frames.append(frame)
+    for i, frame_id in enumerate(ids.tolist()):
+        try:
+            pose = Pose(rotation_from_quaternion(quaternions[i]), translations[i])
+        except DegenerateGeometryError as exc:  # a quaternion too small to normalize
+            file.malformed(f"frame {frame_id}: {exc}")
+        annotation = os.path.join(annotations_dir, f"{frame_id:06d}.json")
+        boxes = load_detections(annotation, registry, (intrinsics.width, intrinsics.height))
+        if boxes.frame_id != frame_id:
+            raise AnnotationError(f"{annotation}: annotates frame {boxes.frame_id}, not {frame_id}")
+        rows = slice(cuts[i], cuts[i + 1])
+        frames.append(SyntheticFrame(
+            frame_id=frame_id,
+            timestamp=float(timestamps[i]),
+            pose=pose,
+            quaternion=quaternions[i],
+            keypoints=keypoints[rows],
+            descriptors=descriptors[rows],
+            landmark_ids=landmark_ids[rows],
+            boxes=boxes,
+        ))
     return frames

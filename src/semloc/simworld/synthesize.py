@@ -6,7 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry.pose import CameraIntrinsics, Pose, camera_points, project_points
+from ..geometry.pose import (
+    CameraIntrinsics,
+    Pose,
+    camera_points,
+    project_points,
+    quaternion_from_rotation,
+)
 from ..semantics.boxes import BoundingBox, DetectionSet
 from .world import World
 
@@ -21,6 +27,11 @@ class SyntheticFrame:
     frame_id: int
     timestamp: float
     pose: Pose  # ground truth, world->camera
+    # (4,) [qw, qx, qy, qz] of pose.rotation as the dataset stores it: a read
+    # frame keeps the quaternion it was read with, so a split writes back to
+    # the same bytes (matrix -> quaternion does not invert quaternion -> matrix
+    # to the last bit)
+    quaternion: np.ndarray
     keypoints: np.ndarray  # (n, 2) noisy pixel positions
     descriptors: np.ndarray  # (n, d) noisy unit descriptors
     landmark_ids: np.ndarray  # (n,) ground-truth world landmark ids
@@ -124,6 +135,7 @@ def synthesize_frame(
         frame_id=frame_id,
         timestamp=timestamp,
         pose=pose,
+        quaternion=quaternion_from_rotation(pose.rotation),
         keypoints=keypoints.reshape(-1, 2),
         descriptors=descriptors,
         landmark_ids=world.landmark_ids[index],

@@ -7,7 +7,7 @@ to localize are kept as comment lines "# <timestamp> FAILED <reason>" so
 downstream evaluation can count them.
 
 write_arrays and ArrayFile are the writer and reader of the .npz files that
-hold maps and frames.
+hold maps and a split's observations.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ class ArrayFile:
             with open(path, "rb") as fh:
                 if fh.read(1) == b"{":
                     self.fail(
-                        f"unsupported format: a JSON {kind} file, from before {kind}s "
+                        f"unsupported format: a JSON {kind} file, from before {kind} files "
                         f"were .npz arrays; write it again with this version"
                     )
             self.fail(f"not a valid {kind} file ({exc})")
@@ -166,3 +166,11 @@ class ArrayFile:
         if (kind == "f" if finite is None else finite) and not np.isfinite(array).all():
             self.malformed(f"array '{name}' holds a non-finite value")
         return array
+
+    def offsets(self, name: str, count: int, rows: str, total: int) -> np.ndarray:
+        """The integer array `name` of count + 1 cuts into the `total` rows of
+        the array `rows`, checked to start at 0, never fall and end at total."""
+        cuts = self.take(name, "i", (count + 1,))
+        if cuts[0] != 0 or cuts[-1] != total or (np.diff(cuts) < 0).any():
+            self.malformed(f"'{name}' must rise from 0 to {total}, the length of '{rows}'")
+        return cuts

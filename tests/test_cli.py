@@ -20,9 +20,8 @@ from semloc.semantics import (
     ClassRegistry,
     DetectionSet,
     load_detections,
-    save_detections,
 )
-from semloc.simworld import load_dataset_frames, load_frame, save_frame
+from semloc.simworld import load_dataset_frames, load_intrinsics, write_dataset
 from semloc.trajectory_io import read_trajectory
 
 SCENE_INI = """\
@@ -104,10 +103,10 @@ def test_simulate_writes_both_datasets(workspace):
         assert not (base / "world.json").exists()  # nothing reads the world back
         assert (base / "intrinsics.json").exists()
         assert (base / "gt_traj.txt").exists()
-        frames = sorted(p.name for p in (base / "frames").iterdir())
-        assert frames and all(name.endswith(".npz") for name in frames)
+        assert sorted(p.name for p in (base / "frames").iterdir()) == ["observations.npz"]
+        frames = load_dataset_frames(str(base / "frames"), ClassRegistry.default())
         annotations = sorted(p.name for p in (base / "annotations").iterdir())
-        assert annotations == [name.replace(".npz", ".json") for name in frames]
+        assert frames and annotations == [f"{frame.frame_id:06d}.json" for frame in frames]
 
 
 def test_build_map_semantic_flag_controls_labeling(workspace):
@@ -225,20 +224,23 @@ def test_benchmark_command(workspace, tmp_path):
 
 
 def _with_empty_frame(source, target):
-    """Copy a dataset split and add a frame that observes no landmark."""
+    """Copy a dataset split and rewrite it with a frame that observes no
+    landmark added."""
     shutil.copytree(source, target)
-    frame = load_frame(str(next((target / "frames").iterdir())))
+    frames = load_dataset_frames(str(target / "frames"), ClassRegistry.default())
     empty = replace(
-        frame,
+        frames[0],
         frame_id=999,
-        timestamp=frame.timestamp + 1000.0,
+        timestamp=frames[0].timestamp + 1000.0,
         keypoints=np.empty((0, 2)),
         descriptors=np.empty((0, 64)),
         landmark_ids=np.empty(0, dtype=int),
         boxes=DetectionSet(999, []),
     )
-    save_frame(empty, str(target / "frames" / "000999.npz"))
-    save_detections(str(target / "annotations" / "000999.json"), empty.boxes)
+    intrinsics = load_intrinsics(str(target / "intrinsics.json"))
+    # in id order, as the per-frame files were read
+    frames = sorted(frames + [empty], key=lambda frame: frame.frame_id)
+    write_dataset(str(target), None, frames, intrinsics)
     return empty.timestamp
 
 
@@ -253,9 +255,10 @@ def test_a_frame_without_features_does_not_fail_the_dataset(workspace, tmp_path)
         "--intrinsics", str(tmp_path / "mapping" / "intrinsics.json"),
         "--out", str(tmp_path / "map.npz"),
     ]) == 0
-    assert load_frame(str(tmp_path / "evaluation" / "frames" / "000999.npz")).descriptors.shape == (
-        0, 64
+    evaluation = load_dataset_frames(
+        str(tmp_path / "evaluation" / "frames"), ClassRegistry.default()
     )
+    assert {f.frame_id: f for f in evaluation}[999].descriptors.shape == (0, 64)
     out = tmp_path / "traj.txt"
     assert main([
         "relocalize",
@@ -359,7 +362,7 @@ def test_each_annotation_file_is_read_once(workspace, tmp_path, monkeypatch, com
     if command == "relocalize":
         argv += ["--map", str(workspace / "map_full.npz")]
     assert main(argv) == 0
-    assert reads == sorted(p.name.replace(".npz", ".json") for p in frames.iterdir())
+    assert reads == sorted(p.name for p in (frames.parent / "annotations").iterdir())
 
 
 def test_query_detections_come_from_the_annotation_files(workspace, tmp_path):

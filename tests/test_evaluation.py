@@ -690,6 +690,28 @@ def test_a_seed_failing_in_a_worker_reaches_the_caller(tmp_path, monkeypatch):
     _assert_no_child_processes()
 
 
+def _run_seed_dying_on_seed_1(config, seed, trajectory_dir):
+    """A seed run whose worker process dies, as one killed by the OS would,
+    on seed 1; at module level, so the pool can send it to its workers."""
+    if seed == 1:
+        os._exit(3)
+    return []
+
+
+def test_a_worker_dying_names_its_seed(tmp_path, monkeypatch):
+    """A seed's worker process that dies raises SemlocError naming that seed
+    among those left without outcomes, and no worker outlives the call."""
+    from semloc.errors import SemlocError
+    from semloc.evaluation import benchmark
+
+    monkeypatch.setattr(benchmark, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(benchmark, "_run_seed", _run_seed_dying_on_seed_1)
+    lost = r"no outcomes for benchmark seed (\d+, )*1(, \d+)*: a worker process died"
+    with pytest.raises(SemlocError, match=lost):
+        run_benchmark(_tiny_config(seeds=(0, 1, 2)), str(tmp_path / "run"))
+    _assert_no_child_processes()
+
+
 @pytest.mark.parametrize(
     "field, values, message",
     [

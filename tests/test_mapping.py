@@ -10,7 +10,14 @@ from scipy.spatial.distance import cdist
 
 from semloc.errors import DegenerateGeometryError, InsufficientDataError, MapFormatError
 from semloc.features import DEFAULT_RATIO, knn_ratio_match
-from semloc.geometry import CameraIntrinsics, Pose, project, project_points, triangulate_two_view
+from semloc.geometry import (
+    CameraIntrinsics,
+    Pose,
+    project,
+    project_points,
+    rotation_from_quaternion,
+    triangulate_two_view,
+)
 from semloc.mapping import (
     MAP_FORMAT_VERSION,
     Keyframe,
@@ -674,7 +681,8 @@ def test_landmarks_reproject_within_build_threshold():
         frame = frames[kf.id]
         obs = frame.features.coordinates
         for lm_id in kf.landmark_ids:
-            pixel = project(kf.pose, INTRINSICS, sparse_map.positions[lm_id])
+            pose = Pose(rotation_from_quaternion(kf.quaternion), kf.translation)
+            pixel = project(pose, INTRINSICS, sparse_map.positions[lm_id])
             source = int(
                 np.argmin(np.linalg.norm(descriptors - sparse_map.descriptors[lm_id], axis=1))
             )

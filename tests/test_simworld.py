@@ -14,7 +14,7 @@ from semloc.errors import MapFormatError, WorldGenerationError
 from semloc.features.distance import _BLOCK_PRODUCTS
 from semloc.geometry import Pose, project_points, rotation_error_deg
 from semloc.geometry.epipolar import relative_motion
-from semloc.geometry.pose import rotation_from_axis_angle
+from semloc.geometry.pose import quaternion_from_rotation, rotation_from_axis_angle
 from semloc.semantics import (
     BoundingBox,
     ClassRegistry,
@@ -28,19 +28,20 @@ from semloc.simworld import (
     NO_OBJECT,
     Perturbation,
     PerturbationSpec,
+    SyntheticFrame,
     TrajectoryParams,
     World,
     WorldConfig,
     WorldObject,
     generate_trajectory,
     generate_world,
-    load_frame,
+    load_dataset_frames,
     load_intrinsics,
     load_scene_config,
     make_walls,
     perturb_world,
-    save_frame,
     synthesize_frame,
+    write_dataset,
 )
 from semloc.simworld import world as world_module
 from semloc.simworld.config import _KEYS, BENCHMARK_MODES, SceneConfig
@@ -52,7 +53,7 @@ from semloc.simworld.synthesize import (
 from semloc.simworld.world import _place_objects, _sample_descriptors
 from semloc.trajectory_io import TrajectoryEntry, read_trajectory, write_trajectory
 
-from conftest import corrupted_json
+from conftest import corrupted_json, random_rotation
 
 
 # --------------------------------------------------------------------------
@@ -857,36 +858,36 @@ def _arrays(path) -> dict:
         return {name: npz[name] for name in npz.files}
 
 
-def _assert_frame_round_trip(frame, tmp_path):
-    """save -> load -> save: every array bit for bit but the quaternion.
+def _tree(root) -> dict:
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(Path(root).rglob("*")) if path.is_file()
+    }
 
-    A frame holds its rotation as a matrix, and matrix -> quaternion does not
-    invert quaternion -> matrix to the last bit, so the second save's q may
-    differ from the first's in its last bits.
-    """
-    path = tmp_path / "frame.npz"
-    save_frame(frame, str(path))
-    loaded = load_frame(str(path))
-    again = tmp_path / "again.npz"
-    save_frame(loaded, str(again))
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["again.npz", "frame.npz"]
-    first, second = _arrays(path), _arrays(again)
-    assert list(first) == list(second) == [
-        "id", "timestamp", "q", "t", "keypoints", "descriptors", "landmark_ids"
+
+def _assert_split_round_trip(world, frames, tmp_path):
+    """write -> load -> write: the same bytes, every array bit for bit, the
+    quaternion included: a read frame keeps the quaternion it was read with."""
+    first, again = tmp_path / "first", tmp_path / "again"
+    write_dataset(str(first), world, frames, DEFAULT_INTRINSICS)
+    loaded = load_dataset_frames(str(first / "frames"), ClassRegistry.default())
+    write_dataset(str(again), world, loaded, DEFAULT_INTRINSICS)
+    assert sorted(p.name for p in (first / "frames").iterdir()) == ["observations.npz"]
+    assert list(_arrays(first / "frames" / "observations.npz")) == [
+        "id", "timestamp", "q", "t", "offsets", "keypoints", "descriptors", "landmark_ids"
     ]
-    for name in first:
-        if name != "q":
-            assert _same_bits(first[name], second[name]), name
-    assert np.allclose(first["q"], second["q"], rtol=0.0, atol=1e-15)
+    assert _tree(again) == _tree(first)
 
-    assert loaded.frame_id == frame.frame_id and loaded.timestamp == frame.timestamp
-    for name in ("keypoints", "descriptors", "landmark_ids"):
-        assert _same_bits(getattr(loaded, name), getattr(frame, name)), name
-    assert _same_bits(loaded.pose.translation, frame.pose.translation)
-    assert rotation_error_deg(loaded.pose.rotation, frame.pose.rotation) < 1e-12
-    assert loaded.boxes.boxes == []  # detections live in the annotation files
-    save_frame(frame, str(again))
-    assert again.read_bytes() == path.read_bytes()  # the same frame, the same bytes
+    assert len(loaded) == len(frames)
+    for frame, read in zip(frames, loaded):
+        assert read.frame_id == frame.frame_id and read.timestamp == frame.timestamp
+        for name in ("keypoints", "descriptors", "landmark_ids", "quaternion"):
+            assert _same_bits(getattr(read, name), getattr(frame, name)), name
+        assert _same_bits(read.pose.translation, frame.pose.translation)
+        assert rotation_error_deg(read.pose.rotation, frame.pose.rotation) < 1e-12
+        assert read.boxes == frame.boxes  # read back from the annotation files
+    write_dataset(str(again), world, frames, DEFAULT_INTRINSICS)
+    assert _tree(again) == _tree(first)  # the same frames, the same bytes
     return loaded
 
 
@@ -923,6 +924,27 @@ def test_load_intrinsics_takes_json_types_as_they_are(tmp_path, field, value, me
         load_intrinsics(str(path))
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("width", "1" + "0" * 400), ("height", "0"), ("width", "-640"), ("height", "65537")],
+    ids=["401-digit-width", "zero-height", "negative-width", "height-past-the-bound"],
+)
+def test_load_intrinsics_bounds_the_image_size(tmp_path, field, value):
+    """A width or height outside 1..65536 pixels is refused at load, naming
+    the file; a 401-digit width once loaded, and load_detections then failed
+    on float(width - 1) with a bare OverflowError."""
+    fields = {"fx": "400.0", "fy": "400.0", "cx": "320.0", "cy": "240.0",
+              "width": "640", "height": "480"}
+    fields[field] = value
+    path = tmp_path / "intrinsics.json"
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}")
+    expected = re.escape(
+        f"{path}: malformed intrinsics ({field} must lie in 1..65536 pixels, not {value})"
+    )
+    with pytest.raises(WorldGenerationError, match=expected):
+        load_intrinsics(str(path))
+
+
 _FRESH_INTRINSICS = {
     "fx": 400.0, "fy": 400.0, "cx": 320.0, "cy": 240.0, "width": 640, "height": 480,
 }
@@ -946,6 +968,7 @@ def test_a_corrupted_intrinsics_file_loads_a_valid_camera_or_names_the_file(
     focal, centre = (camera.fx, camera.fy), (camera.cx, camera.cy)
     assert all(type(v) is float and math.isfinite(v) for v in focal + centre)
     assert type(camera.width) is int and type(camera.height) is int
+    assert 0 < camera.width <= 1 << 16 and 0 < camera.height <= 1 << 16
     assert min(focal) > 0.0
     assert 0.0 <= camera.cx < camera.width and 0.0 <= camera.cy < camera.height
 
@@ -956,7 +979,7 @@ def test_frame_round_trip_bitwise(tmp_path):
     frame = synthesize_frame(world, pose, DEFAULT_INTRINSICS, noise=(0.5, 0.05),
                              rng=np.random.default_rng(4), frame_id=9, timestamp=0.9)
     assert len(frame.keypoints) > 0 and frame.boxes.boxes
-    loaded = _assert_frame_round_trip(frame, tmp_path)
+    (loaded,) = _assert_split_round_trip(world, [frame], tmp_path)
     assert loaded.frame_id == 9 and loaded.timestamp == 0.9
 
 
@@ -968,7 +991,7 @@ def test_empty_frame_survives_round_trip(tmp_path):
     frame = synthesize_frame(world, away, DEFAULT_INTRINSICS, noise=(0.5, 0.05),
                              rng=np.random.default_rng(0))
     assert frame.descriptors.shape == (0, 64)
-    loaded = _assert_frame_round_trip(frame, tmp_path)
+    (loaded,) = _assert_split_round_trip(world, [frame], tmp_path)
     assert loaded.keypoints.shape == (0, 2)
     assert loaded.descriptors.shape == (0, 64)  # the width survives an empty frame
     features = extract_frame_features(
@@ -977,14 +1000,50 @@ def test_empty_frame_survives_round_trip(tmp_path):
     assert len(features.coordinates) == len(features.descriptors) == 0
 
 
-def _frame_arrays(tmp_path) -> dict:
+def _random_frame(rng, frame_id: int, rows: int) -> SyntheticFrame:
+    """A frame at a random pose with random observations and no boxes."""
+    pose = Pose(random_rotation(rng), rng.uniform(-5.0, 5.0, size=3))
+    descriptors = rng.normal(size=(rows, 8))
+    return SyntheticFrame(
+        frame_id=frame_id,
+        timestamp=0.1 * frame_id,
+        pose=pose,
+        quaternion=quaternion_from_rotation(pose.rotation),
+        keypoints=rng.uniform(0.0, 639.0, size=(rows, 2)),
+        descriptors=descriptors / np.linalg.norm(descriptors, axis=1, keepdims=True),
+        landmark_ids=rng.integers(0, 1000, size=rows),
+        boxes=DetectionSet(frame_id),
+    )
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_a_split_of_random_rotations_writes_back_to_the_same_bytes(tmp_path_factory, seed):
+    """A split read and written again gives the same bytes, whatever the
+    rotations: re-deriving q from a read rotation would move its last bits
+    in about half of them."""
+    rng = np.random.default_rng(seed)
+    frames = [_random_frame(rng, i, int(rng.integers(0, 4))) for i in range(16)]
+    loaded = _assert_split_round_trip(None, frames, tmp_path_factory.mktemp("split"))
+    moved = [
+        not _same_bits(quaternion_from_rotation(read.pose.rotation), read.quaternion)
+        for read in loaded
+    ]
+    assert any(moved)  # the stored quaternion is what keeps these bytes
+
+
+def _split_arrays(tmp_path) -> tuple[Path, dict]:
+    """A written two-frame split's archive path, and its arrays."""
     world = generate_world(WorldConfig(), seed=14)
-    frame = synthesize_frame(world, _looking_at_wall_pose(world), DEFAULT_INTRINSICS,
-                             noise=(0.5, 0.05), rng=np.random.default_rng(4))
-    path = tmp_path / "saved.npz"
-    save_frame(frame, str(path))
-    with np.load(path) as npz:
-        return {name: npz[name] for name in npz.files}
+    rng = np.random.default_rng(4)
+    frames = [
+        synthesize_frame(world, _looking_at_wall_pose(world), DEFAULT_INTRINSICS,
+                         noise=(0.5, 0.05), rng=rng, frame_id=frame_id)
+        for frame_id in (3, 4)
+    ]
+    write_dataset(str(tmp_path / "split"), world, frames, DEFAULT_INTRINSICS)
+    path = tmp_path / "split" / "frames" / "observations.npz"
+    return path, _arrays(path)
 
 
 def _write_frame_arrays(path, arrays: dict) -> str:
@@ -993,54 +1052,151 @@ def _write_frame_arrays(path, arrays: dict) -> str:
     return str(path)
 
 
+def _load_split(path) -> list:
+    return load_dataset_frames(str(Path(path).parent), ClassRegistry.default())
+
+
 def test_frame_with_disagreeing_counts_names_the_file(tmp_path):
-    raw = _frame_arrays(tmp_path)
+    path, raw = _split_arrays(tmp_path)
     raw["descriptors"] = raw["descriptors"][1:]
-    path = _write_frame_arrays(tmp_path / "frame.npz", raw)
-    with pytest.raises(WorldGenerationError, match="frame.npz.*keypoints but descriptors"):
-        load_frame(path)
+    _write_frame_arrays(path, raw)
+    with pytest.raises(
+        WorldGenerationError, match=r"observations\.npz: .*keypoints but descriptors"
+    ):
+        _load_split(path)
+
+
+def _falling_offsets(raw):
+    raw["offsets"][1] = raw["offsets"][2] + 1
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     [
         (lambda raw: raw.pop("keypoints"), "missing array 'keypoints'"),
-        (lambda raw: raw.update(id=np.array(1.5)), "'id' has dtype float64"),
-        (lambda raw: raw.update(t=raw["t"][:2]), "'t' has shape"),
+        (lambda raw: raw.update(id=raw["id"] + 0.5), "'id' has dtype float64"),
+        (lambda raw: raw.update(t=raw["t"][:, :2]), "'t' has shape"),
         (lambda raw: raw.update(keypoints=raw["keypoints"][:, :1]), "'keypoints' has shape"),
         (lambda raw: raw["keypoints"].__setitem__((0, 0), np.inf), "'keypoints' holds a non-finite"),
         (lambda raw: raw.update(landmark_ids=raw["landmark_ids"][1:]), "'landmark_ids' has shape"),
-        (lambda raw: raw["landmark_ids"].__setitem__(0, -3), "negative landmark id"),
-        (lambda raw: raw.update(q=np.zeros(4)), "quaternion .* has no direction"),
+        (lambda raw: raw["landmark_ids"].__setitem__(-1, -3), "frame 4: negative landmark id"),
+        (lambda raw: raw["q"].__setitem__(1, 0.0), "frame 4: quaternion .* has no direction"),
+        (lambda raw: raw["q"].__setitem__(0, [1e-160, 1e-160, 0.0, 0.0]), "frame 3: rotation is"),
+        (_falling_offsets, "'offsets' must rise from 0 to"),
+        (lambda raw: raw["offsets"].__setitem__(0, 1), "'offsets' must rise from 0 to"),
+        (lambda raw: raw["offsets"].__setitem__(-1, raw["offsets"][-1] + 1), "'offsets' must rise"),
+        (lambda raw: raw.update(id=np.array([3, 3])), "frame 3 appears more than once"),
     ],
     ids=[
         "missing-keypoints", "float-id", "short-translation", "one-column-keypoints",
         "infinite-keypoint", "short-landmark-ids", "negative-landmark-id", "zero-quaternion",
+        "tiny-quaternion", "falling-offsets", "offsets-from-one", "offsets-past-the-rows", "repeated-id",
     ],
 )
 def test_malformed_frame_files_name_the_file(tmp_path, corrupt, message):
-    raw = _frame_arrays(tmp_path)
+    path, raw = _split_arrays(tmp_path)
     corrupt(raw)
-    path = _write_frame_arrays(tmp_path / "frame.npz", raw)
-    with pytest.raises(WorldGenerationError, match=rf"frame\.npz: malformed frame content .*{message}"):
-        load_frame(path)
+    _write_frame_arrays(path, raw)
+    expected = rf"observations\.npz: malformed observations content .*{message}"
+    with pytest.raises(WorldGenerationError, match=expected):
+        _load_split(path)
 
 
 def test_unreadable_frame_files_name_the_file(tmp_path):
-    _frame_arrays(tmp_path)
-    data = (tmp_path / "saved.npz").read_bytes()
+    path, _ = _split_arrays(tmp_path)
+    data = path.read_bytes()
     cases = {
-        "empty.npz": b"",
-        "cut.npz": data[: len(data) // 2],
-        "text.npz": b"not an archive",
+        "empty": b"",
+        "cut": data[: len(data) // 2],
+        "text": b"not an archive",
     }
     for name, content in cases.items():
-        (tmp_path / name).write_bytes(content)
-        with pytest.raises(WorldGenerationError, match=rf"{name}: not a valid frame file"):
-            load_frame(str(tmp_path / name))
-    (tmp_path / "old.json").write_text('{"id": 0, "keypoints": []}\n')
-    with pytest.raises(WorldGenerationError, match=r"old\.json: unsupported format"):
-        load_frame(str(tmp_path / "old.json"))
+        path.write_bytes(content)
+        with pytest.raises(
+            WorldGenerationError, match=r"observations\.npz: not a valid observations file"
+        ):
+            _load_split(path)
+    path.write_text('{"id": [0], "keypoints": []}\n')
+    with pytest.raises(WorldGenerationError, match=r"observations\.npz: unsupported format"):
+        _load_split(path)
+    # a frames directory of the older per-frame files: simulate again
+    path.unlink()
+    (path.parent / "000003.npz").write_bytes(data)
+    with pytest.raises(
+        WorldGenerationError,
+        match=rf"{re.escape(str(path.parent))}: no observations\.npz.*simulate the dataset again",
+    ):
+        _load_split(path)
+
+
+_FLOAT_ARRAYS = ("timestamp", "q", "t", "keypoints", "descriptors")
+_INT_ARRAYS = ("id", "offsets", "landmark_ids")
+
+
+def _corrupt_observations(data, raw: dict) -> str:
+    """Draw a corruption of a valid split archive and return its kind: one
+    array of `raw` changed in place so that no valid archive holds it, or
+    "truncated", for the caller to cut the archive's bytes short."""
+    kind = data.draw(st.sampled_from(
+        ["truncated", "non-finite", "dtype", "shape", "offsets", "negative id", "quaternion"]
+    ), label="corruption")
+    if kind == "non-finite":
+        name = data.draw(st.sampled_from(_FLOAT_ARRAYS), label="array")
+        flat = raw[name].reshape(-1)
+        flat[data.draw(st.integers(0, len(flat) - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf])
+        )
+    elif kind == "dtype":
+        name = data.draw(st.sampled_from(_FLOAT_ARRAYS + _INT_ARRAYS), label="array")
+        wrong = [str, np.int64 if name in _FLOAT_ARRAYS else np.float64]
+        raw[name] = raw[name].astype(data.draw(st.sampled_from(wrong)))
+    elif kind == "shape":
+        name = data.draw(st.sampled_from(_FLOAT_ARRAYS + _INT_ARRAYS), label="array")
+        reshape = data.draw(st.sampled_from(["drop a row", "add an axis", "flatten"]))
+        array = raw[name]
+        if reshape == "drop a row":
+            raw[name] = array[:-1]
+        elif reshape == "add an axis":
+            raw[name] = array[..., None]
+        else:
+            raw[name] = array.reshape(-1) if array.ndim > 1 else array[None]
+    elif kind == "offsets":
+        offsets, rows = raw["offsets"], len(raw["keypoints"])
+        i = data.draw(st.integers(0, len(offsets) - 1), label="cut")
+        step = data.draw(st.integers(1, rows + 3), label="step")
+        if i == 0:
+            offsets[0] = data.draw(st.sampled_from([-step, step]))  # does not start at 0
+        elif i == len(offsets) - 1:
+            offsets[i] = rows + data.draw(st.sampled_from([-step, step]))  # misses the end
+        else:
+            offsets[i] = offsets[i - 1] - step  # falls
+    elif kind == "negative id":
+        ids = raw["landmark_ids"]
+        ids[data.draw(st.integers(0, len(ids) - 1))] = -data.draw(st.integers(1, 2**40))
+    elif kind == "quaternion":  # zero, or too small to normalize to a rotation
+        raw["q"][data.draw(st.integers(0, len(raw["q"]) - 1))] = data.draw(
+            st.sampled_from([0.0, [1e-160, 1e-160, 0.0, 0.0]])
+        )
+    return kind
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_corrupted_observations_archive_names_the_file(tmp_path_factory, data):
+    """A valid split archive with one array corrupted (a NaN or infinity, a
+    wrong dtype or shape, offsets that fall or leave the rows, a negative
+    landmark id, a zero or tiny quaternion) or with its bytes cut short raises a
+    WorldGenerationError naming the archive."""
+    path, raw = _split_arrays(tmp_path_factory.mktemp("split"))
+    assert len(_load_split(path)) == 2
+    content = path.read_bytes()
+    if _corrupt_observations(data, raw) == "truncated":
+        path.write_bytes(content[: data.draw(st.integers(0, len(content) - 1), label="length")])
+    else:
+        _write_frame_arrays(path, raw)
+    with pytest.raises(WorldGenerationError) as error:
+        _load_split(path)
+    assert str(path) in str(error.value)
 
 
 def test_trajectory_file_round_trip(tmp_path):
