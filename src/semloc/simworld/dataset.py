@@ -26,18 +26,16 @@ def write_dataset(
     frames: list[SyntheticFrame],
     intrinsics: CameraIntrinsics,
 ) -> None:
-    """Emit the full on-disk dataset for one synthesized sequence: intrinsics.json,
-    gt_traj.txt, each frame's detections as annotations/<id>.json, and every
-    frame's id, timestamp, pose and observations as one archive,
-    frames/observations.npz.
+    """Emit the full on-disk dataset for one synthesized sequence:
+    intrinsics.json, gt_traj.txt, annotations/<id>.json per frame, and the
+    frames' observations as one archive, frames/observations.npz.
 
-    The archive holds, per frame in the given order, `id`, `timestamp`, the
-    pose's quaternion `q` (the frame's own `quaternion`, so a split that was
-    read writes back to the same bytes) and translation `t`, and `offsets`;
-    and, stacked in frame order, the rows `keypoints`, `descriptors` and
-    `landmark_ids`. Frame i owns rows offsets[i]:offsets[i + 1].
-
-    The world itself is not written: nothing reads it back.
+    The archive holds per frame, in the given order, `id`, `timestamp`, `q`
+    (the frame's own `quaternion`, so a split that was read writes back to
+    the same bytes), `t` and `offsets`; and per row, stacked in frame order,
+    `keypoints`, `descriptors` and `landmark_ids`. Frame i owns rows
+    offsets[i]:offsets[i + 1]. The world itself is not written: nothing
+    reads it back.
     """
     frames_dir = os.path.join(out_dir, "frames")
     annotations_dir = os.path.join(out_dir, "annotations")
@@ -124,17 +122,17 @@ def load_dataset_frames(
     intrinsics: CameraIntrinsics | None = None,
 ) -> list[SyntheticFrame]:
     """The frames of the split whose frames/ directory is frames_dir, in
-    written order, read in one file read from its observations archive; each
-    frame's rows are slices (views) of the stacked arrays.
+    written order, read in one file read from its observations archive; a
+    frame's rows are views of the stacked arrays. Each frame's boxes are read
+    once from annotations_dir through load_detections (validated, clamped to
+    the image, low-confidence and empty boxes dropped).
 
-    Each frame's boxes are read once from annotations_dir through
-    load_detections (validated, clamped to the image, low-confidence and empty
-    boxes dropped). A bad archive raises WorldGenerationError naming it: one
-    that does not open, a missing array, a wrong dtype or shape, a non-finite
-    value, keypoint and descriptor counts that disagree, offsets that do not
-    rise from 0 to the row count, a repeated frame id, a negative landmark id
-    or a quaternion with no direction. So does a frames_dir without the
-    archive, such as a directory of the older per-frame files.
+    A bad archive raises WorldGenerationError naming it: one that does not
+    open, a missing array, a wrong dtype or shape, a non-finite value,
+    keypoint and descriptor counts that disagree, offsets that do not rise
+    from 0 to the row count, a repeated frame id, a negative landmark id or a
+    quaternion with no direction. So does a frames_dir without the archive,
+    such as a directory of the older per-frame files.
 
     annotations_dir and intrinsics default to the dataset's own: the
     annotations/ directory and intrinsics.json beside frames_dir.

@@ -224,8 +224,8 @@ def test_benchmark_command(workspace, tmp_path):
 
 
 def _with_empty_frame(source, target):
-    """Copy a dataset split and rewrite it with a frame that observes no
-    landmark added."""
+    """Copy a dataset split and write it again with one more frame, which
+    observes no landmark."""
     shutil.copytree(source, target)
     frames = load_dataset_frames(str(target / "frames"), ClassRegistry.default())
     empty = replace(

@@ -680,8 +680,8 @@ def test_landmarks_reproject_within_build_threshold():
     for kf in sparse_map.keyframes:
         frame = frames[kf.id]
         obs = frame.features.coordinates
+        pose = Pose(rotation_from_quaternion(kf.quaternion), kf.translation)
         for lm_id in kf.landmark_ids:
-            pose = Pose(rotation_from_quaternion(kf.quaternion), kf.translation)
             pixel = project(pose, INTRINSICS, sparse_map.positions[lm_id])
             source = int(
                 np.argmin(np.linalg.norm(descriptors - sparse_map.descriptors[lm_id], axis=1))
