@@ -22,7 +22,11 @@ _AMBIGUOUS_REL = 1e-9
 # about 1e6 of them to a second thread (1,032,192 was threaded, 983,040 was not,
 # on 2 cores); a 341-row block against 48 train rows then ran 10 to 40 times slower per
 # product than a 170-row one, and whole-array products raised peak RSS by
-# 5-10 MB. Half the threshold keeps every block on one thread.
+# 5-10 MB. Half the threshold was meant to keep every block on one thread, but
+# the search still takes a second CPU: on a 2-CPU host, 20,000 query rows ran
+# at a CPU/wall ratio of about 2.0 both at k = 256 (the CLI vocabulary; blocks
+# of 32 rows) and at k = 48 (blocks of 170 rows), while 200,000 rows at k = 48
+# ran at 1.0. Which call takes the second CPU is not yet measured.
 _BLOCK_PRODUCTS = 2**19
 
 

@@ -59,14 +59,27 @@ def _cubic_root(b, c, d):
     flat = -b / 3.0
     flat = np.where(np.abs((3.0 * flat + 2.0 * b) * flat + c) < 1e-4, flat + 1.0, flat)
     root = np.where(b * b >= 3.0 * c, root, flat)
-    live = np.ones(root.shape, dtype=bool)
-    for step in range(50):
+    for _ in range(7):
         f = ((root + b) * root + c) * root + d
-        if step >= 7:
-            live &= np.abs(f) > 1e-13
-            if not live.any():
-                break
-        root = np.where(live, root - f / ((3.0 * root + 2.0 * b) * root + c), root)
+        root = root - f / ((3.0 * root + 2.0 * b) * root + c)
+    # later steps run only on the roots still live, r with its coefficients.  A
+    # root stays where |f| <= 1e-13 or where its step leaves it; one whose step
+    # returns it to its last value alternates between the two up to the cap,
+    # so it stops at the one that the last of the 50 - taken steps left reaches
+    live, r, last, lb, lc, ld = np.arange(len(root)), root, root, b, c, d
+    for taken in range(7, 50):
+        f = ((r + lb) * r + lc) * r + ld
+        step = r - f / ((3.0 * r + 2.0 * lb) * r + lc)
+        settled = ~(np.abs(f) > 1e-13) | (step == r)
+        cycling = step == last
+        if settled.any() or cycling.any():
+            root[live] = r if (50 - taken) % 2 == 0 else np.where(settled, r, step)
+            kept = ~(settled | cycling)
+            live, lb, lc, ld, step, r = (a[kept] for a in (live, lb, lc, ld, step, r))
+        last, r = r, step
+        if not len(live):
+            break
+    root[live] = r
     return root
 
 

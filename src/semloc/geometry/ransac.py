@@ -32,11 +32,18 @@ class RansacParams:
 class RansacResult(NamedTuple):
     """An estimator's outcome: the model and its sorted inlier indices, or no
     model, no inliers and the reason ("insufficient matches", "localization
-    failed" or "estimation failed")."""
+    failed" or "estimation failed"); then how hard it searched: the samples
+    drawn and solved, the samples walked (the iterations of a loop that
+    solves one sample at a time) and why it stopped: "converged" (the
+    adaptive stop held), "cap" (params.max_iterations drawn) or "no_model"
+    (too few matches for any model to be returned, so nothing was drawn)."""
 
     model: "Pose | np.ndarray | None"
     inliers: np.ndarray
-    failure_reason: "str | None" = None
+    failure_reason: "str | None"
+    samples_drawn: int
+    samples_walked: int
+    stop_reason: str
 
 
 def _iterations_needed(inlier_ratio: float, sample_size: int) -> float:
@@ -66,15 +73,18 @@ def _first_min(owner: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.nd
 
 class _Search:
     """One problem of a lockstep RANSAC batch: its sample stream, its best
-    model so far and its adaptive stop.  A kind of problem sets its sample
-    size, stop rule and failure reason, and supplies solve, its stacked
-    minimal solver (returning owner, *candidates); inputs(samples), a chunk's
-    solver input; score(samples, owner, *candidates), the chunk's scored
-    samples (position, inlier count, model) in draw order; and finish(best),
-    the final model and its per-match errors."""
+    model so far and its adaptive stop.  The stop is tested when the best
+    count rises, and after every other walked sample once the best count
+    reaches test_every_from: params.min_inliers where the kind of problem
+    sets every_sample_once_returnable, else 1.  A kind of problem also sets
+    its sample size and failure reason, and supplies solve, its stacked
+    minimal solver (returning owner, *candidates); inputs(samples), a
+    chunk's solver input; score(samples, owner, *candidates), the chunk's
+    scored samples (position, inlier count, model) in draw order; and
+    finish(best), the final model and its per-match errors."""
 
     sample_size: int
-    stop_every_sample: bool  # else the stop is tested only when the best count rises
+    every_sample_once_returnable: bool
     failure: str
 
     def __init__(self, n: int, params: RansacParams):
@@ -83,13 +93,18 @@ class _Search:
         self.rng = np.random.default_rng(params.rng_seed)
         self.best = None
         self.best_count = 0
+        self.test_every_from = (
+            max(1, params.min_inliers) if self.every_sample_once_returnable else 1
+        )
         self.start = 0  # samples drawn so far
+        self.walked = 0  # samples walked so far
         self.chunk = _FIRST_CHUNK
-        self.stopped = n < self.sample_size  # too few matches for one sample
+        # too few matches for one sample, or for a model to reach min_inliers
+        self.stop = "no_model" if n < max(self.sample_size, params.min_inliers) else None
 
     @property
     def live(self) -> bool:
-        return self.start < self.params.max_iterations and not self.stopped
+        return self.start < self.params.max_iterations and self.stop is None
 
     def draw(self) -> np.ndarray:
         """The next chunk of samples, (size, sample_size), from the problem's own rng."""
@@ -101,26 +116,29 @@ class _Search:
     def walk(self, drawn: int, scored: Iterable[tuple[int, int, object]]) -> None:
         """Walk a chunk of `drawn` samples in draw order, keeping the first
         model of the highest count, until the adaptive stop holds."""
+        walked = drawn
         for i, count, model in scored:
-            rose = count > self.best_count
-            if rose:
+            if count > self.best_count:
                 self.best_count, self.best = count, model
-            elif not self.stop_every_sample or self.best is None:
+            elif self.best_count < self.test_every_from:
                 continue
             needed = _iterations_needed(self.best_count / self.n, self.sample_size)
             if self.start + i + 1 >= needed:
-                self.stopped = True
+                self.stop, walked = "converged", i + 1
                 break
+        self.walked = self.start + walked
         self.start += drawn
         self.chunk += self.chunk // 2
 
     def result(self) -> RansacResult:
+        counters = (self.start, self.walked, self.stop or "cap")
         if self.n < self.sample_size:
-            return RansacResult(None, _NO_INLIERS, "insufficient matches")
+            return RansacResult(None, _NO_INLIERS, "insufficient matches", *counters)
         if self.best is None or self.best_count < self.params.min_inliers:
-            return RansacResult(None, _NO_INLIERS, self.failure)
+            return RansacResult(None, _NO_INLIERS, self.failure, *counters)
         model, errors = self.finish(self.best)
-        return RansacResult(model, np.flatnonzero(errors < self.params.inlier_threshold))
+        inliers = np.flatnonzero(errors < self.params.inlier_threshold)
+        return RansacResult(model, inliers, None, *counters)
 
 
 def _lockstep(searches: Sequence[_Search]) -> list[RansacResult]:
@@ -149,7 +167,7 @@ class _PnpSearch(_Search):
     poses by reprojection error."""
 
     sample_size = 4
-    stop_every_sample = False
+    every_sample_once_returnable = True
     failure = "localization failed"
 
     def __init__(self, pixels, points, params: RansacParams, intrinsics: CameraIntrinsics):
@@ -193,7 +211,7 @@ class _EssentialSearch(_Search):
     pairs; its candidates are scored by their Sampson inlier counts."""
 
     sample_size = 5
-    stop_every_sample = True
+    every_sample_once_returnable = False
     failure = "estimation failed"
 
     def __init__(self, x_a, x_b, params: RansacParams):
@@ -234,16 +252,19 @@ def ransac_pnp_batch(
     Returns a RansacResult per problem: the Pose and its sorted inliers,
     which all reproject below params.inlier_threshold px, or the reason:
     "insufficient matches" below 4 matches, "localization failed" where no
-    model reaches params.min_inliers.
+    model reaches params.min_inliers; a problem with fewer matches than that
+    draws nothing.
 
     A problem draws its samples from its own rng in chunks of 4, 6, 9, 13,
     ... (each half again the last, up to params.max_iterations).  Every round
     stacks the chunks of all problems still running into one p3p_solve call,
     whose rows do not depend on what is stacked with them; each chunk is then
     walked in draw order, testing the adaptive stop when the best count
-    rises.  So the chosen pose and the stopping iteration are those of a
-    loop that solves one sample at a time, and no problem's result depends
-    on the batch it is in.  A winner becomes a Pose at the end.
+    rises and, once it reaches params.min_inliers, after every sample, so a
+    problem that fails stops where testing only on a rise would.  The chosen
+    pose and the stopping iteration are those of a loop that solves one
+    sample at a time, and no problem's result depends on the batch it is
+    in.  A winner becomes a Pose at the end.
     """
     return _lockstep(
         [_PnpSearch(pixels, points, params, intrinsics) for pixels, points, params in problems]
@@ -265,10 +286,10 @@ def ransac_essential(x_a: np.ndarray, x_b: np.ndarray, params: RansacParams) -> 
     each chunk in one five_point_essential call and keeps the candidate with
     the highest Sampson inlier count at params.inlier_threshold, the first on
     a tie.  The adaptive stop is tested after every sample but a coincident
-    one, which five-point cannot solve.  Returns a
-    RansacResult: E and its sorted inliers, or the reason: "insufficient
-    matches" below 5 pairs, "estimation failed" where no model reaches
-    params.min_inliers.
+    one, which five-point cannot solve.  Returns a RansacResult: E and its
+    sorted inliers, or the reason: "insufficient matches" below 5 pairs,
+    "estimation failed" where no model reaches params.min_inliers; with
+    fewer pairs than that it draws nothing.
     """
     (result,) = _lockstep([_EssentialSearch(x_a, x_b, params)])
     return result

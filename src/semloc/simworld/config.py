@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, replace
 
 from ..errors import DegenerateGeometryError, WorldGenerationError
 from ..geometry.pose import CameraIntrinsics
+from .dataset import _MAX_IMAGE_SIDE
 from .perturb import Perturbation
 from .synthesize import DEFAULT_BOX_MARGIN_PX, DEFAULT_SIGMA_DESC, DEFAULT_SIGMA_PX
 from .trajectory import TRAJECTORY_KINDS, TrajectoryParams
@@ -79,12 +80,38 @@ def _number(raw: str) -> float:
     return value
 
 
+def _positive(raw: str) -> float:
+    """A finite number above zero: a room side or a time step."""
+    value = _number(raw)
+    if not value > 0.0:
+        raise ValueError(f"{value} is not positive")
+    return value
+
+
+def _nonnegative(raw: str) -> float:
+    """A finite number of at least zero: a noise scale or a margin."""
+    value = _number(raw)
+    if value < 0.0:
+        raise ValueError(f"{value} is negative")
+    return value
+
+
 def _count(raw: str) -> int:
     """A non-negative integer: a count, a size or a seed."""
     value = int(raw)
     if value < 0:
         raise ValueError(f"{value} is negative")
     return value
+
+
+def _count_in(low: int, high: int):
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if not low <= value <= high:
+            raise ValueError(f"{value} is not in {low}..{high}")
+        return value
+
+    return parse
 
 
 def _flag(raw: str) -> bool:
@@ -139,21 +166,24 @@ _SPEC_KINDS = tuple(kind for kind in Perturbation._KINDS if kind != "swap_object
 _TRAJECTORY = {
     "kind": _one_of(TRAJECTORY_KINDS), "center": _point, "steps": _count,
     "sweep_deg": _number, "step_m": _number, "radius": _number,
-    "heading_deg": _number, "dt": _number, "t0": _number,
+    "heading_deg": _number, "dt": _positive, "t0": _number,  # timestamps increase
 }
 # section -> key -> parser: every key a scene file may write
 _KEYS = {
     "world": {
-        "dim_x": _number, "dim_y": _number, "dim_z": _number,
+        "dim_x": _positive, "dim_y": _positive, "dim_z": _positive,
         "objects_per_class": _count, "landmarks_per_object": _count,
         "background_landmarks": _count, "clutter_objects": _count,
-        "clutter_landmarks": _count, "delta_desc": _number, "seed": _count,
+        "clutter_landmarks": _count, "delta_desc": _nonnegative, "seed": _count,
     },
     "camera": {
         "fx": _number, "fy": _number, "cx": _number, "cy": _number,
-        "width": _count, "height": _count,
+        # the sides load_intrinsics reads back
+        "width": _count_in(1, _MAX_IMAGE_SIDE), "height": _count_in(1, _MAX_IMAGE_SIDE),
     },
-    "noise": {"sigma_px": _number, "sigma_desc": _number, "box_margin_px": _number},
+    "noise": {
+        "sigma_px": _nonnegative, "sigma_desc": _nonnegative, "box_margin_px": _nonnegative,
+    },
     "mapping": _TRAJECTORY,
     "evaluation": _TRAJECTORY,
     "perturbation": {
@@ -163,7 +193,7 @@ _KEYS = {
     "benchmark": {
         "seeds": _distinct(_count),
         "modes": _distinct(_one_of(BENCHMARK_MODES)),
-        "vocabulary_k": _count,
+        "vocabulary_k": _count_in(2, math.inf),  # build_vocabulary needs two words
     },
 }
 
@@ -172,15 +202,20 @@ def load_scene_config(path: str) -> SceneConfig:
     """The scene an INI file describes. A section the file writes starts from
     its own dataclass's defaults, and a key it omits keeps its field's
     default. An unknown section or key, a value that does not parse, a
-    non-finite number, a negative count, an unknown or repeated benchmark
-    mode, a repeated benchmark seed, a perturbation kind that needs more than
-    one target, a target that is neither densest_movable nor an object id and
-    a repeated section or key each raise WorldGenerationError naming the file
-    and the key."""
+    non-finite number, a negative count, a room side or time step that is
+    not positive, a negative noise scale, margin or descriptor distance, an
+    image side outside 1.._MAX_IMAGE_SIDE, a vocabulary below two words, an
+    unknown or repeated benchmark mode, a repeated benchmark seed, a
+    perturbation kind that needs more than one target, a target that is
+    neither densest_movable nor an object id and a repeated section or key
+    each raise WorldGenerationError naming the file and the key; a file that
+    is not UTF-8 raises it naming the file."""
     # no section is DEFAULT, so [DEFAULT] is refused as unknown
     parser = configparser.ConfigParser(default_section="", inline_comment_prefixes=(";",))
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise WorldGenerationError(f"{path}: not a valid scene config (not UTF-8: {exc})") from exc
     except (configparser.DuplicateSectionError, configparser.DuplicateOptionError) as exc:
         key = f"[{exc.section}] {getattr(exc, 'option', '')}".rstrip()
         raise WorldGenerationError(f"{path}: {key} is repeated (line {exc.lineno})") from exc

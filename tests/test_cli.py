@@ -97,6 +97,17 @@ def test_module_invocation_smoke():
     assert proc.returncode == 0
 
 
+def test_the_package_runs_as_a_module_from_a_checkout():
+    """python -m semloc runs the CLI with only the source tree on the path."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "semloc", "--help"], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: semloc")
+
+
 def test_simulate_writes_both_datasets(workspace):
     for split in ("mapping", "evaluation"):
         base = workspace / "data" / split

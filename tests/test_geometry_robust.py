@@ -46,7 +46,8 @@ def test_ransac_pnp_recovers_pose_with_outliers(intrinsics):
     rng = np.random.default_rng(51)
     for trial in range(10):
         pose, points, pixels, clean = _pnp_scene(rng)
-        est, inliers, reason = ransac_pnp(pixels, points, intrinsics, replace(_PNP, rng_seed=trial))
+        params = replace(_PNP, rng_seed=trial)
+        est, inliers, reason, *_ = ransac_pnp(pixels, points, intrinsics, params)
         assert reason is None
         assert rotation_error_deg(est.rotation, pose.rotation) < 1e-4
         assert np.linalg.norm(est.translation - pose.translation) < 1e-4
@@ -57,8 +58,8 @@ def test_ransac_pnp_deterministic(intrinsics):
     rng = np.random.default_rng(52)
     pose, points, pixels, _ = _pnp_scene(rng, noise=0.5)
     p = replace(_PNP, rng_seed=99)
-    pose1, in1, _ = ransac_pnp(pixels, points, intrinsics, p)
-    pose2, in2, _ = ransac_pnp(pixels, points, intrinsics, p)
+    pose1, in1, *_ = ransac_pnp(pixels, points, intrinsics, p)
+    pose2, in2, *_ = ransac_pnp(pixels, points, intrinsics, p)
     assert np.array_equal(pose1.rotation, pose2.rotation)
     assert np.array_equal(pose1.translation, pose2.translation)
     assert np.array_equal(in1, in2)
@@ -68,7 +69,7 @@ def test_ransac_pnp_inliers_below_threshold(intrinsics):
     rng = np.random.default_rng(53)
     pose, points, pixels, _ = _pnp_scene(rng, noise=1.0)
     params = replace(_PNP, rng_seed=1)
-    est, inliers, _ = ransac_pnp(pixels, points, intrinsics, params)
+    est, inliers, *_ = ransac_pnp(pixels, points, intrinsics, params)
     cam = est.transform(points[inliers])
     proj = np.column_stack(
         [400.0 * cam[:, 0] / cam[:, 2] + 320.0, 400.0 * cam[:, 1] / cam[:, 2] + 240.0]
@@ -115,7 +116,7 @@ def _essential_scene(rng, n=60, outlier_fraction=0.25):
 def test_ransac_essential_recovers_model():
     rng = np.random.default_rng(55)
     xa, xb, e_true, clean = _essential_scene(rng)
-    e, inliers, reason = ransac_essential(xa, xb, replace(_ESSENTIAL, rng_seed=3))
+    e, inliers, reason, *_ = ransac_essential(xa, xb, replace(_ESSENTIAL, rng_seed=3))
     assert reason is None
     assert abs(float(np.sum(e * e_true))) > 1.0 - 1e-6
     assert set(clean).issubset(set(inliers))
@@ -126,8 +127,8 @@ def test_ransac_essential_deterministic():
     rng = np.random.default_rng(56)
     xa, xb, _, _ = _essential_scene(rng)
     p = replace(_ESSENTIAL, rng_seed=7)
-    e1, in1, _ = ransac_essential(xa, xb, p)
-    e2, in2, _ = ransac_essential(xa, xb, p)
+    e1, in1, *_ = ransac_essential(xa, xb, p)
+    e2, in2, *_ = ransac_essential(xa, xb, p)
     assert np.array_equal(e1, e2)
     assert np.array_equal(in1, in2)
 
@@ -205,7 +206,7 @@ def test_chunked_ransac_essential_equals_the_reference_loop():
             seen["too few pairs"] += reason_ref == "insufficient matches"
             seen["too few inliers"] += reason_ref == "estimation failed" and best_count > 0
             seen["solved"] += reason_ref is None
-            e, inliers, reason = ransac_essential(xa[:rows], xb[:rows], params)
+            e, inliers, reason, *_ = ransac_essential(xa[:rows], xb[:rows], params)
             assert reason == reason_ref
             if reason is None:
                 assert np.array_equal(e, e_ref)
@@ -313,13 +314,25 @@ def test_an_essential_round_counts_as_sampson_error_does_per_candidate():
     assert all(seen.values()), seen
 
 
+def _assert_counters(result, rows: int, sample_size: int, params: RansacParams):
+    """A result's counters: it walks no more samples than it draws, and draws
+    none exactly when too few rows for a sample or for min_inliers stop it
+    (no_model); at the cap it has drawn and walked max_iterations."""
+    drawn, walked, stop = result[3:]
+    assert 0 <= walked <= drawn <= params.max_iterations
+    assert stop in ("converged", "cap", "no_model")
+    assert (stop == "no_model") == (drawn == 0) == (rows < max(sample_size, params.min_inliers))
+    if stop == "cap":
+        assert walked == drawn == params.max_iterations
+
+
 @given(data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_estimators_return_a_result_and_never_raise(data):
     """On finite inputs of 0-40 rows, scenes with outliers or pure noise, with
     duplicated rows, both estimators return a result: a named failure with
     no model and no inliers, or a model whose inliers all lie below the
-    threshold under it."""
+    threshold under it, and counters that agree with each other."""
     from semloc.geometry import CameraIntrinsics
 
     intrinsics = CameraIntrinsics(fx=400.0, fy=400.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -336,7 +349,9 @@ def test_estimators_return_a_result_and_never_raise(data):
 
     _, points, pixels, _ = _pnp_scene(rng, n=n, outlier_fraction=outliers, noise=0.5)
     points[:duplicates], pixels[:duplicates] = points[-1:], pixels[-1:]
-    pose, inliers, reason = ransac_pnp(pixels, points, intrinsics, params)
+    result = ransac_pnp(pixels, points, intrinsics, params)
+    _assert_counters(result, n, 4, params)
+    pose, inliers, reason = result[:3]
     assert reason in (None, "insufficient matches", "localization failed")
     assert (reason == "insufficient matches") == (n < 4)
     if reason is None:
@@ -354,7 +369,9 @@ def test_estimators_return_a_result_and_never_raise(data):
     rows = len(xa)
     xa[: min(duplicates, rows)], xb[: min(duplicates, rows)] = xa[-1:], xb[-1:]
     params = RansacParams(params.max_iterations, 5e-4, params.min_inliers, params.rng_seed)
-    e, inliers, reason = ransac_essential(xa, xb, params)
+    result = ransac_essential(xa, xb, params)
+    _assert_counters(result, rows, 5, params)
+    e, inliers, reason = result[:3]
     assert reason in (None, "insufficient matches", "estimation failed")
     assert (reason == "insufficient matches") == (rows < 5)
     if reason is None:
@@ -816,11 +833,15 @@ def _reference_p3p_solve(bearings, points):
     return poses
 
 
-def _reference_ransac_pnp(pixels, points, intrinsics, params):
-    """(pose, inliers, best inlier count, iterations run, degenerate samples)
-    of the one-sample-per-iteration loop, solving each sample alone with
-    p3p_solve; pose and inliers are None where ransac_pnp fails with
-    "localization failed"."""
+def _reference_ransac_pnp(pixels, points, intrinsics, params, every_sample=True):
+    """The one-sample-per-iteration loop, solving each sample alone with
+    p3p_solve.  Returns (pose, inliers, best inlier count, iterations run,
+    degenerate samples, whether the stop held at a sample that did not raise
+    the best); pose and inliers are None where ransac_pnp fails with
+    "localization failed".  It draws nothing below params.min_inliers
+    matches.  The stop is tested when the best count rises and, with
+    every_sample, after every solved sample once the best count reaches
+    params.min_inliers; without it, only when the best count rises."""
     from semloc.geometry import p3p_solve, reprojection_errors
     from semloc.geometry.ransac import _bearings, _iterations_needed
 
@@ -828,9 +849,11 @@ def _reference_ransac_pnp(pixels, points, intrinsics, params):
         return reprojection_errors(pose.rotation, pose.translation, intrinsics, points, pixels)
 
     n = len(pixels)
+    if n < params.min_inliers:
+        return None, None, 0, 0, 0, False
     bearings = _bearings(pixels, intrinsics)
     rng = np.random.default_rng(params.rng_seed)
-    best_pose, best_count, degenerate = None, 0, 0
+    best_pose, best_count, degenerate, still = None, 0, 0, False
     iteration = -1
     for iteration in range(params.max_iterations):
         idx = rng.choice(n, size=4, replace=False)
@@ -847,14 +870,19 @@ def _reference_ransac_pnp(pixels, points, intrinsics, params):
         ]
         pose = solutions[int(np.argmin(probe_err))]
         count = int(np.sum(errors(pose, points, pixels) < params.inlier_threshold))
-        if count > best_count:
+        still = count <= best_count
+        if not still:
             best_count, best_pose = count, pose
-            if iteration + 1 >= _iterations_needed(count / n, 4):
-                break
+        elif not every_sample or best_count < params.min_inliers:
+            continue
+        if iteration + 1 >= _iterations_needed(best_count / n, 4):
+            break
+    else:
+        still = False
     if best_pose is None or best_count < params.min_inliers:
-        return None, None, best_count, iteration + 1, degenerate
+        return None, None, best_count, iteration + 1, degenerate, still
     inliers = np.flatnonzero(errors(best_pose, points, pixels) < params.inlier_threshold)
-    return best_pose, inliers, best_count, iteration + 1, degenerate
+    return best_pose, inliers, best_count, iteration + 1, degenerate, still
 
 
 def _rows_by_instance(solution, count):
@@ -999,12 +1027,22 @@ def test_a_rotation_pose_rejects_aborts_its_instance(monkeypatch):
     assert all(outcomes.values()), outcomes
 
 
+def _samples_drawn(walked: int, cap: int) -> int:
+    """The samples a problem draws to walk `walked` of them: its chunks of 4,
+    6, 9, 13, ... through the one that holds the last, up to the cap."""
+    drawn, chunk = 0, 4
+    while drawn < walked:
+        drawn, chunk = min(cap, drawn + chunk), chunk + chunk // 2
+    return drawn
+
+
 def test_chunked_ransac_pnp_equals_the_reference_loop(intrinsics):
-    """Pose bits, inliers and failures of the chunked loop equal the
-    per-iteration loop's on problems with outliers, collinear and duplicate
-    samples, the 500-iteration cap and a min_inliers failure."""
+    """Pose bits, inliers, failures, samples walked and drawn of the chunked
+    loop equal the per-iteration loop's on problems with outliers, collinear
+    and duplicate samples, the 500-iteration cap, a min_inliers failure and a
+    stop at a sample that does not raise the best."""
     rng = np.random.default_rng(74)
-    seen = {"cap": 0, "degenerate": 0, "too few inliers": 0, "solved": 0}
+    seen = {"cap": 0, "degenerate": 0, "too few inliers": 0, "solved": 0, "still stop": 0}
     problems = [(60, 0.3), (40, 0.6), (25, 0.85), (12, 0.0), (30, 0.97), (80, 0.5)]
     for trial, (n, outliers) in enumerate(problems * 2):
         _, points, pixels, _ = _pnp_scene(rng, n=n, outlier_fraction=outliers, noise=0.5)
@@ -1013,24 +1051,137 @@ def test_chunked_ransac_pnp_equals_the_reference_loop(intrinsics):
         if trial % 3 == 1:
             points[: n // 3] = points[0] + np.outer(np.arange(n // 3), [0.1, -0.2, 0.05])
         params = replace(_PNP, min_inliers=20 if trial % 4 == 3 else 12, rng_seed=trial)
-        ref_pose, ref_inliers, best_count, iterations, degenerate = _reference_ransac_pnp(
-            pixels, points, intrinsics, params
+        ref_pose, ref_inliers, best_count, iterations, degenerate, still = (
+            _reference_ransac_pnp(pixels, points, intrinsics, params)
         )
         seen["cap"] += iterations == params.max_iterations
         seen["degenerate"] += degenerate > 0
+        seen["still stop"] += still
+        result = ransac_pnp(pixels, points, intrinsics, params)
+        assert result.samples_walked == iterations
+        assert result.samples_drawn == _samples_drawn(iterations, params.max_iterations)
         if ref_pose is None:
             seen["too few inliers"] += best_count > 0
-            assert ransac_pnp(pixels, points, intrinsics, params).failure_reason == (
-                "localization failed"
-            )
+            assert result.failure_reason == "localization failed"
             continue
         seen["solved"] += 1
-        pose, inliers, reason = ransac_pnp(pixels, points, intrinsics, params)
+        pose, inliers, reason, *_ = result
         assert reason is None
         assert np.array_equal(pose.rotation, ref_pose.rotation)
         assert np.array_equal(pose.translation, ref_pose.translation)
         assert np.array_equal(inliers, ref_inliers)
     assert all(seen.values()), seen
+
+
+def test_a_returnable_pnp_best_stops_at_the_first_walked_sample_past_its_bound(
+    intrinsics, monkeypatch
+):
+    """A noiseless problem finds its best early and no later sample raises
+    it.  Once that best reaches min_inliers, the stop is tested after every
+    sample, so the problem stops at the first walked sample whose draw count
+    reaches _iterations_needed(best / n, 4), where testing only on a rise
+    runs to the cap.  Alone and in a batch it has the reference loop's bits
+    and solves only the chunks drawn through that sample."""
+    from semloc.geometry import ransac as ransac_module
+    from semloc.geometry.ransac import _iterations_needed
+
+    rng = np.random.default_rng(77)
+    _, points, pixels, clean = _pnp_scene(rng, n=40, outlier_fraction=0.5)
+    params = replace(_PNP, rng_seed=3)
+    ref_pose, ref_inliers, best_count, iterations, _, still = _reference_ransac_pnp(
+        pixels, points, intrinsics, params
+    )
+    assert best_count == len(clean) and still
+    assert iterations == np.ceil(_iterations_needed(best_count / len(pixels), 4))
+    assert iterations < params.max_iterations
+    rise_only = _reference_ransac_pnp(pixels, points, intrinsics, params, every_sample=False)
+    assert rise_only[3] == params.max_iterations
+
+    solve, rows = ransac_module.p3p_solve, []
+
+    def counted(bearings, points):
+        rows.append(len(bearings))
+        return solve(bearings, points)
+
+    monkeypatch.setattr(ransac_module, "p3p_solve", counted)
+    (alone,) = ransac_module.ransac_pnp_batch([(pixels, points, params)], intrinsics)
+    assert sum(rows) == alone.samples_drawn == _samples_drawn(iterations, params.max_iterations)
+    others = [
+        _pnp_scene(rng, n=50, outlier_fraction=outliers, noise=0.5)[2:0:-1]
+        for outliers in (0.2, 0.7)
+    ]
+    batch = ransac_module.ransac_pnp_batch(
+        [(*others[0], params), (pixels, points, params), (*others[1], params)], intrinsics
+    )
+    for result in (alone, batch[1]):
+        assert result.failure_reason is None and result.stop_reason == "converged"
+        assert result.samples_walked == iterations
+        assert result.samples_drawn == alone.samples_drawn
+        assert np.array_equal(result.model.rotation, ref_pose.rotation)
+        assert np.array_equal(result.model.translation, ref_pose.translation)
+        assert np.array_equal(result.inliers, ref_inliers)
+
+
+def test_a_pnp_problem_below_min_inliers_matches_draws_nothing(intrinsics, monkeypatch):
+    """No model can reach min_inliers with fewer matches than that, so such a
+    problem makes no rng.choice or p3p_solve call, alone or in a batch, and
+    fails with "localization failed" (below 4 matches, "insufficient
+    matches") and the stop reason "no_model"; at min_inliers matches it
+    draws."""
+    from semloc.geometry import ransac as ransac_module
+
+    solve, make_rng, choices, rows = ransac_module.p3p_solve, np.random.default_rng, [], []
+
+    class CountedRng:
+        def __init__(self, seed):
+            self.rng = make_rng(seed)
+
+        def choice(self, *args, **kwargs):
+            choices.append(args)
+            return self.rng.choice(*args, **kwargs)
+
+    def counted(bearings, points):
+        rows.append(len(bearings))
+        return solve(bearings, points)
+
+    monkeypatch.setattr(ransac_module, "p3p_solve", counted)
+    monkeypatch.setattr(np.random, "default_rng", CountedRng)
+    _, points, pixels, _ = _pnp_scene(make_rng(79), n=_PNP.min_inliers, outlier_fraction=0.0)
+    few = [(pixels[:n], points[:n], _PNP) for n in (3, 4, 8, _PNP.min_inliers - 1)]
+    for problems in [[problem] for problem in few] + [few]:
+        results = ransac_module.ransac_pnp_batch(problems, intrinsics)
+        assert choices == [] and rows == []
+        for (pixels_n, _, _), result in zip(problems, results):
+            reason = "insufficient matches" if len(pixels_n) < 4 else "localization failed"
+            assert result.failure_reason == reason
+            assert result.model is None and len(result.inliers) == 0
+            assert result[3:] == (0, 0, "no_model")
+    (result,) = ransac_module.ransac_pnp_batch([(pixels, points, _PNP)], intrinsics)
+    assert result.failure_reason is None and result.stop_reason == "converged"
+    assert len(choices) == sum(rows) == result.samples_drawn > 0
+
+
+def test_a_pnp_best_below_min_inliers_stops_where_the_rise_rule_does(intrinsics):
+    """While its best count stays below min_inliers, a problem tests the stop
+    only when that count rises, so it fails at the sample where the loop
+    that tests only on a rise stops: converged on a rise or at the cap."""
+    rng = np.random.default_rng(78)
+    stops = {"converged": 0, "cap": 0}
+    for trial, (n, outliers, noise, min_inliers) in enumerate(
+        [(30, 1 / 3, 0.0, 25), (40, 0.25, 0.0, 35), (30, 0.0, 1.5, 30), (40, 0.1, 1.0, 40)] * 2
+    ):
+        _, points, pixels, _ = _pnp_scene(rng, n=n, outlier_fraction=outliers, noise=noise)
+        params = replace(_PNP, min_inliers=min_inliers, rng_seed=trial)
+        _, _, best_count, iterations, _, _ = _reference_ransac_pnp(
+            pixels, points, intrinsics, params, every_sample=False
+        )
+        assert 0 < best_count < min_inliers
+        result = ransac_pnp(pixels, points, intrinsics, params)
+        assert result.failure_reason == "localization failed"
+        assert result.samples_walked == iterations
+        assert result.samples_drawn == _samples_drawn(iterations, params.max_iterations)
+        stops[result.stop_reason] += 1
+    assert all(stops.values()), stops
 
 
 def test_a_ransac_batch_solves_each_round_in_one_call(intrinsics, monkeypatch):

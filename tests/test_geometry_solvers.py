@@ -263,6 +263,71 @@ def test_p3p_takes_only_stacks():
         p3p_solve(bearings[0], points[0])
 
 
+def _reference_cubic_root(b, c, d):
+    """p3p._cubic_root as a loop that takes all 50 Newton steps over every
+    row, masking the updates of the roots that have stopped."""
+    v = np.sqrt(b * b - 3.0 * c)
+    t1, t2 = (-b - v) / 3.0, (-b + v) / 3.0
+    k1 = ((t1 + b) * t1 + c) * t1 + d
+    k2 = ((t2 + b) * t2 + c) * t2 + d
+    root = np.where(
+        k1 > 0.0, t1 - np.sqrt(-k1 / (3.0 * t1 + b)), t2 + np.sqrt(-k2 / (3.0 * t2 + b))
+    )
+    flat = -b / 3.0
+    flat = np.where(np.abs((3.0 * flat + 2.0 * b) * flat + c) < 1e-4, flat + 1.0, flat)
+    root = np.where(b * b >= 3.0 * c, root, flat)
+    live = np.ones(root.shape, dtype=bool)
+    for step in range(50):
+        f = ((root + b) * root + c) * root + d
+        if step >= 7:
+            live &= np.abs(f) > 1e-13
+        root = np.where(live, root - f / ((3.0 * root + 2.0 * b) * root + c), root)
+    return root
+
+
+def test_cubic_root_is_bitwise_the_loop_over_every_row():
+    """Newton steps on the live roots only, each stopped once a step leaves
+    it in place or returns it to its last value, give the bits of stepping
+    every row with a mask, for cubics of three real roots, of one, of a double
+    root, of roots so large that |f| mostly stays above 1e-13 (all 50
+    steps), with NaN or infinite coefficients, with b = c = 0 (the start
+    divides by zero), and for a stack of none; each row is the same alone."""
+    from semloc.geometry.p3p import _cubic_root
+
+    rng = np.random.default_rng(46)
+    rows = []
+    for kind in range(6):
+        roots = rng.normal(scale=3.0, size=(40, 3))
+        if kind == 1:  # one real root and a complex pair
+            roots[:, 2] = roots[:, 1]
+            b, c, d = -roots[:, 0] * 2.0, rng.uniform(1.0, 9.0, 40), rng.normal(size=40)
+        else:
+            if kind == 2:
+                roots[:, 1] = roots[:, 0]  # a double root
+            if kind == 3:
+                roots *= 1e6  # |f| stays above 1e-13 at every step
+            r1, r2, r3 = roots.T
+            b, c, d = -(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3
+        if kind == 4:
+            b[::3], c[1::3], d[2::3] = np.nan, np.inf, -np.inf
+        if kind == 5:
+            b, c, d = np.zeros(40), np.zeros(40), rng.normal(size=40)
+        rows.append(np.stack([b, c, d], axis=1))
+    coefficients = np.concatenate(rows)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        root = _cubic_root(*coefficients.T)
+        reference = _reference_cubic_root(*coefficients.T)
+        alone = [_cubic_root(*row[:, None]) for row in coefficients]
+        empty = _cubic_root(*np.empty((3, 0)))
+    assert root.view(np.int64).tolist() == reference.view(np.int64).tolist()
+    assert np.concatenate(alone).view(np.int64).tolist() == root.view(np.int64).tolist()
+    assert empty.shape == (0,)
+    assert np.isfinite(root[:160]).all() and np.isnan(root[160:]).all()
+    b, c, d = coefficients[120:160].T
+    large = root[120:160]
+    assert (np.abs(((large + b) * large + c) * large + d) > 1e-13).sum() > 10
+
+
 # ---------------------------------------------------------------- five-point
 
 def _five_point_instance(rng, n=5):

@@ -28,6 +28,7 @@ LAYERS = [
     "pipelines",
     "evaluation",
     "cli",
+    "__main__",  # python -m semloc
 ]
 
 

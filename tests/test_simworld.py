@@ -1312,18 +1312,31 @@ def test_scene_config_box_margin_reaches_the_boxes(tmp_path):
             "[perturbation]\ntarget = 3,4\n",
             "[perturbation] target: '3,4' is neither densest_movable nor an object id",
         ),
+        ("[world]\ndim_y = 0\n", "[world] dim_y: 0.0 is not positive"),
+        ("[noise]\nsigma_px = -0.5\n", "[noise] sigma_px: -0.5 is negative"),
+        ("[evaluation]\ndt = -0.1\n", "[evaluation] dt: -0.1 is not positive"),
+        ("[camera]\nheight = 65537\n", "[camera] height: 65537 is not in 1..65536"),
+        ("[benchmark]\nvocabulary_k = 1\n", "[benchmark] vocabulary_k: 1 is not in 2..inf"),
     ],
     ids=[
         "word-float", "repeated-section", "repeated-key", "nan-float", "infinite-float",
         "negative-count", "short-center", "word-boolean", "principal-point-outside",
         "repeated-seed", "repeated-mode", "unknown-mode", "misspelt-key", "unknown-section",
         "default-section", "misspelt-kind", "two-target-kind", "unknown-target", "two-targets",
+        "zero-side", "negative-noise", "negative-time-step", "tall-image", "one-word",
     ],
 )
 def test_scene_config_names_the_file_and_key_of_a_bad_value(tmp_path, text, message):
     path = tmp_path / "scene.ini"
     path.write_text(text)
     with pytest.raises(WorldGenerationError, match=re.escape(f"{path}: {message}")):
+        load_scene_config(str(path))
+
+
+def test_scene_config_that_is_not_utf_8_names_the_file(tmp_path):
+    path = tmp_path / "scene.ini"
+    path.write_bytes(b"[world]\nseed = \x80\n")
+    with pytest.raises(WorldGenerationError, match=re.escape(f"{path}: not a valid scene config")):
         load_scene_config(str(path))
 
 
@@ -1462,3 +1475,133 @@ modes = baseline,post
     assert config.modes == ["baseline", "post"]
     with pytest.raises(WorldGenerationError, match="cannot read"):
         load_scene_config(str(tmp_path / "missing.ini"))
+
+
+_TRAJECTORY_INI = {
+    "kind": "yaw", "center": "4.0, 2.0, 1.5", "steps": "36", "sweep_deg": "360.0",
+    "step_m": "0.1", "radius": "0.5", "heading_deg": "0.0", "dt": "0.1", "t0": "0.0",
+}
+# a fresh scene file that writes every key
+_FRESH_SCENE_INI = {
+    "world": {
+        "dim_x": "8.0", "dim_y": "4.0", "dim_z": "3.0", "objects_per_class": "2",
+        "landmarks_per_object": "20", "background_landmarks": "80", "clutter_objects": "2",
+        "clutter_landmarks": "40", "delta_desc": "0.8", "seed": "0",
+    },
+    "camera": {
+        "fx": "400.0", "fy": "400.0", "cx": "320.0", "cy": "240.0",
+        "width": "640", "height": "480",
+    },
+    "noise": {"sigma_px": "0.5", "sigma_desc": "0.05", "box_margin_px": "2.0"},
+    "mapping": _TRAJECTORY_INI,
+    "evaluation": {**_TRAJECTORY_INI, "steps": "12", "t0": "100.0"},
+    "perturbation": {
+        "enabled": "true", "kind": "rotate_object", "magnitude_deg": "180.0",
+        "magnitude_m": "0.0", "target": "densest_movable",
+    },
+    "benchmark": {"seeds": "0,1,2", "modes": "baseline,pre,post", "vocabulary_k": "48"},
+}
+# INI values no key of a fresh file holds: non-finite, negative, overflowing,
+# zero, of a wrong type or empty
+_BAD_INI_VALUES = (
+    "nan", "NaN", "inf", "-inf", "+Infinity", "-1", "-0.5", "-1e9", "1e400", "-1e400",
+    "1" + "0" * 400, "0", "0.0", "1.5", "abc", "true", "", "1, 2", "1,2,3,4", "7", "-0",
+)
+
+
+def _scene_ini(section=None, key=None, value=b"") -> bytes:
+    """The fresh scene file, with the value of [section] key replaced by the
+    raw bytes `value`."""
+    lines = []
+    for name, keys in _FRESH_SCENE_INI.items():
+        lines.append(f"[{name}]".encode())
+        for k, raw in keys.items():
+            lines.append(f"{k} = ".encode() + (value if (name, k) == (section, key) else raw.encode()))
+    return b"\n".join(lines) + b"\n"
+
+
+def _assert_a_valid_scene(config: SceneConfig):
+    """The checks every scene that simulates and benchmarks passes: finite
+    floats and non-negative integer counts, a positive room size, noise and
+    margins of at least zero, a camera load_intrinsics reads back,
+    increasing timestamps, known kinds and modes, distinct seeds and a
+    vocabulary of at least two words."""
+    from semloc.simworld.config import _SPEC_KINDS
+    from semloc.simworld.trajectory import TRAJECTORY_KINDS
+
+    def number(value, low=-math.inf):
+        assert type(value) is float and math.isfinite(value) and value >= low
+
+    def count(value, low=0):
+        assert type(value) is int and value >= low
+
+    world = config.world
+    for side in world.dimensions:
+        number(side)
+        assert side > 0.0
+    number(world.delta_desc, 0.0)
+    for name in ("objects_per_class", "landmarks_per_object", "background_landmarks",
+                 "clutter_objects", "clutter_landmarks"):
+        count(getattr(world, name))
+    count(config.seed)
+    camera = config.intrinsics
+    for value in (camera.fx, camera.fy, camera.cx, camera.cy):
+        number(value)
+    count(camera.width, 1)
+    count(camera.height, 1)
+    assert camera.width <= 1 << 16 and camera.height <= 1 << 16
+    assert min(camera.fx, camera.fy) > 0.0
+    assert 0.0 <= camera.cx < camera.width and 0.0 <= camera.cy < camera.height
+    for value in (config.sigma_px, config.sigma_desc, config.box_margin_px):
+        number(value, 0.0)
+    for kind, params in ((config.mapping_kind, config.mapping),
+                         (config.evaluation_kind, config.evaluation)):
+        assert kind in TRAJECTORY_KINDS
+        assert len(params.center) == 3
+        for value in (*params.center, params.sweep_deg, params.step_m, params.radius,
+                      params.heading_deg, params.dt, params.t0):
+            number(value)
+        assert params.dt > 0.0
+        count(params.steps)
+    spec = config.perturbation
+    if spec is not None:
+        assert spec.kind in _SPEC_KINDS
+        number(spec.magnitude_deg)
+        number(spec.magnitude_m)
+        assert spec.target == "densest_movable" or spec.target.isdecimal()
+    for seed in config.seeds:
+        count(seed)
+    assert len(set(config.seeds)) == len(config.seeds)
+    assert len(set(config.modes)) == len(config.modes) and set(config.modes) <= set(BENCHMARK_MODES)
+    count(config.vocabulary_k, 2)
+
+
+def test_the_fresh_scene_file_is_a_valid_scene(tmp_path):
+    path = tmp_path / "scene.ini"
+    path.write_bytes(_scene_ini())
+    _assert_a_valid_scene(load_scene_config(str(path)))
+    assert set(_FRESH_SCENE_INI) == set(_KEYS)
+    assert all(set(_FRESH_SCENE_INI[name]) == set(keys) for name, keys in _KEYS.items())
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_corrupted_scene_config_loads_a_valid_scene_or_names_the_file(tmp_path_factory, data):
+    """A fresh scene file with one value replaced by NaN, an infinity, a
+    negative, zero, an overflowing literal, a wrong type or garbage bytes
+    loads into a scene that passes a fresh file's checks, or raises a
+    WorldGenerationError naming the file."""
+    section = data.draw(st.sampled_from(list(_FRESH_SCENE_INI)), label="section")
+    key = data.draw(st.sampled_from(list(_FRESH_SCENE_INI[section])), label="key")
+    if data.draw(st.booleans(), label="garbage bytes"):
+        value = data.draw(st.binary(min_size=1, max_size=12), label="value")
+    else:
+        value = data.draw(st.sampled_from(_BAD_INI_VALUES), label="value").encode()
+    path = tmp_path_factory.mktemp("scene") / "scene.ini"
+    path.write_bytes(_scene_ini(section, key, value))
+    try:
+        config = load_scene_config(str(path))
+    except WorldGenerationError as exc:
+        assert str(path) in str(exc)
+        return
+    _assert_a_valid_scene(config)
