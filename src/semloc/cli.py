@@ -8,6 +8,7 @@ The SEMLOC_LOG environment variable (error, info, debug) sets log verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -47,6 +48,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="semloc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

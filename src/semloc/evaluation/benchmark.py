@@ -16,10 +16,8 @@ from ..errors import SemlocError
 from ..geometry.pose import CameraIntrinsics
 from ..mapping.build import MapBuildConfig, MapFrameInput, build_map
 from ..mapping.sparse_map import SparseMap
-from ..mapping.vocabulary import bow_vector
 from ..pipelines.frames import FrameFeatures, frame_features
 from ..pipelines.modes import SemanticMode, derive_rng_seed, mode_features
-from ..pipelines.pairing import most_similar
 from ..pipelines.relative import match_frames
 from ..pipelines.relocalize import relocalize_frames
 from ..simworld.config import SceneConfig
@@ -101,7 +99,7 @@ def synthesize_scene(config: SceneConfig, seed: int) -> SyntheticScene:
     )
     eval_world = world
     if config.perturbation is not None:
-        eval_world = perturb_world(world, config.perturbation.resolve(world))
+        eval_world = perturb_world(world, config.perturbation)
     eval_frames = synthesize_sequence(
         eval_world, config.evaluation_kind, config.evaluation, config,
         seed, _EVALUATION_STREAM, id_base=_EVALUATION_ID_BASE,
@@ -134,7 +132,6 @@ def _evaluate_mode(
     partners = {
         frame.frame_id: (frame, mode_features(features, mode)) for frame, features in mapping
     }
-    keyframe_bows = [(kf.id, kf.bow) for kf in sparse_map.keyframes]
 
     localizations = relocalize_frames(
         sparse_map,
@@ -151,15 +148,11 @@ def _evaluate_mode(
         )
 
         query = mode_features(features, mode)
-        # relocalize ranked the keyframes by this query's BoW vector already;
-        # its best candidate is the most similar keyframe
-        if localization.candidate_ids:
-            partner_id = localization.candidate_ids[0]
-        else:
-            partner_id = most_similar(
-                bow_vector(query.descriptors, sparse_map.vocabulary), keyframe_bows
-            )
-        partner, partner_features = partners[partner_id]
+        # relocalize ranked the keyframes by this query's BoW vector already,
+        # so its best candidate is the most similar keyframe; it has none only
+        # for an all-zero vector, which ties every keyframe at 0 (lowest id)
+        candidates = localization.candidate_ids or (min(partners),)
+        partner, partner_features = partners[candidates[0]]
         # the matches relative_pose would pool for this pair, before any
         # robust estimation, scored against the ground-truth geometry
         matches = match_frames(query, partner_features, mode)

@@ -4,7 +4,6 @@ from .pose import (
     CameraIntrinsics,
     Pose,
     camera_points,
-    project,
     project_points,
     quaternion_from_rotation,
     reprojection_errors,
@@ -22,16 +21,9 @@ from .epipolar import (
     essential_from_pose,
     relative_motion,
     sampson_error,
-    sampson_error_flagged,
 )
 from .ransac import RansacParams, RansacResult, ransac_essential, ransac_pnp, ransac_pnp_batch
-from .refine import (
-    RefineResult,
-    apply_increment,
-    refine_pose,
-    refine_poses,
-    reprojection_residuals,
-)
+from .refine import RefineResult, refine_pose, refine_poses
 
 __all__ = [
     "CameraIntrinsics",
@@ -40,13 +32,11 @@ __all__ = [
     "RansacResult",
     "RefineResult",
     "RelativePose",
-    "apply_increment",
     "camera_points",
     "decompose_essential",
     "essential_from_pose",
     "five_point_essential",
     "p3p_solve",
-    "project",
     "project_points",
     "quaternion_from_rotation",
     "ransac_essential",
@@ -56,12 +46,10 @@ __all__ = [
     "refine_poses",
     "relative_motion",
     "reprojection_errors",
-    "reprojection_residuals",
     "rotation_error_deg",
     "rotation_from_axis_angle",
     "rotation_from_quaternion",
     "sampson_error",
-    "sampson_error_flagged",
     "skew",
     "triangulate_two_view",
 ]

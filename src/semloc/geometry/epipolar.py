@@ -61,17 +61,8 @@ def sampson_error(e: np.ndarray, x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray
     or an (n,) array accordingly.  A stack of matrices (M, 3, 3) with n >= 2
     points gives (M, n) rows, each bitwise equal to its one-matrix call.
     Where the epipolar-line gradients vanish (points at the epipoles) the
-    algebraic residual is returned instead; use sampson_error_flagged to
-    observe that fallback.
+    algebraic residual is returned instead.
     """
-    value, _ = sampson_error_flagged(e, x_a, x_b)
-    return value
-
-
-def sampson_error_flagged(
-    e: np.ndarray, x_a: np.ndarray, x_b: np.ndarray
-) -> tuple[np.ndarray | float, np.ndarray | bool]:
-    """Sampson distance plus a flag marking degenerate (zero-gradient) inputs."""
     e = np.asarray(e, dtype=float)
     scalar = np.asarray(x_a).ndim == 1
     ha = np.atleast_2d(_homogeneous(x_a))
@@ -83,12 +74,9 @@ def sampson_error_flagged(
     rows = np.broadcast_to(hb, line_b.shape).reshape(-1, 3)
     algebraic = np.einsum("ij,ij->i", rows, line_b.reshape(-1, 3)).reshape(line_b.shape[:-1])
     denom = line_b[..., 0] ** 2 + line_b[..., 1] ** 2 + line_a[..., 0] ** 2 + line_a[..., 1] ** 2
-    degenerate = denom < _DEGENERATE_DENOM
-    safe = np.where(degenerate, 1.0, denom)
-    value = np.where(degenerate, np.abs(algebraic), np.abs(algebraic) / np.sqrt(safe))
-    if scalar:
-        return float(value[0]), bool(degenerate[0])
-    return value, degenerate
+    # dividing by one keeps the algebraic residual's bits where the gradients vanish
+    value = np.abs(algebraic) / np.sqrt(np.where(denom < _DEGENERATE_DENOM, 1.0, denom))
+    return float(value[0]) if scalar else value
 
 
 def _triangulate_normalized(rotation: np.ndarray, translation: np.ndarray,

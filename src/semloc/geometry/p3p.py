@@ -48,6 +48,8 @@ def _cubic_root(b, c, d):
     the root beyond the one on its sign-changing side, from a second-order
     expansion there; otherwise the inflection point.  Newton steps follow;
     a root stops after its seventh step once |f| <= 1e-13, or after 50.
+    Where b^2 = 3c the stationary points coincide at t = -b/3, the cubic is
+    (x - t)^3 + f(t), and its root t + cbrt(-f(t)) is returned as it is.
     """
     v = np.sqrt(b * b - 3.0 * c)
     t1, t2 = (-b - v) / 3.0, (-b + v) / 3.0
@@ -80,7 +82,10 @@ def _cubic_root(b, c, d):
         if not len(live):
             break
     root[live] = r
-    return root
+    # the start above divides by 3t + b = 0 there, and Newton by f'(t) = 0
+    # at a triple root
+    t = -b / 3.0
+    return np.where(v == 0.0, t + np.cbrt(-(((t + b) * t + c) * t + d)), root)
 
 
 def _residuals(lam, a, b):

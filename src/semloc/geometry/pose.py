@@ -228,23 +228,11 @@ def reprojection_errors(
     return np.where(cam[..., 2] > _MIN_DEPTH, np.hypot(offset[..., 0], offset[..., 1]), np.inf)
 
 
-def project(pose: Pose, intrinsics: CameraIntrinsics, point: np.ndarray) -> np.ndarray:
-    """Project one world point to pixel coordinates.
-
-    Raises DegenerateGeometryError when the point does not lie strictly in
-    front of the camera (depth <= 1e-9).
-    """
-    cam = pose.transform(point)
-    if cam[2] <= _MIN_DEPTH:
-        raise DegenerateGeometryError("point is behind the camera")
-    return intrinsics.pixels(cam)
-
-
 def project_points(
     pose: Pose, intrinsics: CameraIntrinsics, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized projection of (n, 3) world points, each row bitwise equal
-    to project's.
+    to intrinsics.pixels(pose.transform(point)) of its point alone.
 
     Returns (pixels (n, 2), valid (n,) bool); rows with depth <= 1e-9 are
     flagged invalid and contain NaN.

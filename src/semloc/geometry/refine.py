@@ -44,24 +44,10 @@ def _increment(rotations: np.ndarray, translations: np.ndarray, deltas: np.ndarr
     return rot @ rotations, (rot @ translations[..., None])[..., 0] + deltas[..., 3:]
 
 
-def apply_increment(pose: Pose, delta: np.ndarray) -> Pose:
-    """Left-compose a (dtheta, dt) 6-vector increment onto a pose."""
-    delta = np.asarray(delta, dtype=float).reshape(6)
-    return Pose(*_increment(pose.rotation, pose.translation, delta))
-
-
 def _residuals(cam: np.ndarray, pixels: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
     """(n, 2) pixel residuals of camera points (n, 3); 1e6 per coordinate
     where the depth is <= 1e-9."""
     return np.where(cam[:, 2:] > _MIN_DEPTH, intrinsics.pixels(cam) - pixels, 1e6)
-
-
-def reprojection_residuals(
-    pose: Pose, intrinsics: CameraIntrinsics, points: np.ndarray, pixels: np.ndarray
-) -> np.ndarray:
-    """Stacked (2n,) pixel residuals; points behind the camera contribute huge values."""
-    cam = pose.transform(np.asarray(points, dtype=float).reshape(-1, 3))
-    return _residuals(cam, pixels, intrinsics).reshape(-1)
 
 
 def _camera_jacobian(cam: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarray:
@@ -82,11 +68,6 @@ def _camera_jacobian(cam: np.ndarray, intrinsics: CameraIntrinsics) -> np.ndarra
     jac = d_proj @ d_cam
     jac[z <= _MIN_DEPTH] = 0.0
     return jac.reshape(-1, 6)
-
-
-def _jacobian(pose: Pose, intrinsics: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
-    """(2n, 6) Jacobian of reprojection_residuals at a pose."""
-    return _camera_jacobian(pose.transform(points), intrinsics)
 
 
 def _spans(sizes: np.ndarray) -> list[tuple[int, int]]:

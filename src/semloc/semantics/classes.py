@@ -53,9 +53,6 @@ class ClassRegistry:
     def default(cls) -> "ClassRegistry":
         return cls([SemanticClass(i, n) for i, n in enumerate(DEFAULT_CLASS_NAMES)])
 
-    def to_list(self) -> list[dict]:
-        return [{"id": c.id, "name": c.name} for c in self._classes]
-
     def __iter__(self):
         return iter(self._classes)
 

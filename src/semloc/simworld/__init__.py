@@ -1,17 +1,12 @@
 """Deterministic synthetic benchmark world: scene, trajectories, observations."""
 
-from .config import (
-    DEFAULT_INTRINSICS,
-    PerturbationSpec,
-    SceneConfig,
-    load_scene_config,
-)
+from .config import DEFAULT_INTRINSICS, SceneConfig, load_scene_config
 from .dataset import (
     load_dataset_frames,
     load_intrinsics,
     write_dataset,
 )
-from .perturb import Perturbation, perturb_world
+from .perturb import PerturbationSpec, perturb_world
 from .synthesize import DEFAULT_BOX_MARGIN_PX, SyntheticFrame, synthesize_frame
 from .trajectory import (
     BODY_TO_CAMERA,
@@ -35,7 +30,6 @@ __all__ = [
     "DEFAULT_INTRINSICS",
     "NO_OBJECT",
     "TRAJECTORY_KINDS",
-    "Perturbation",
     "PerturbationSpec",
     "SceneConfig",
     "SyntheticFrame",

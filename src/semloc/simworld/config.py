@@ -9,44 +9,16 @@ from dataclasses import dataclass, field, replace
 from ..errors import DegenerateGeometryError, WorldGenerationError
 from ..geometry.pose import CameraIntrinsics
 from .dataset import _MAX_IMAGE_SIDE
-from .perturb import Perturbation
+from .perturb import PerturbationSpec
 from .synthesize import DEFAULT_BOX_MARGIN_PX, DEFAULT_SIGMA_DESC, DEFAULT_SIGMA_PX
 from .trajectory import TRAJECTORY_KINDS, TrajectoryParams
-from .world import World, WorldConfig
+from .world import WorldConfig
 
 DEFAULT_INTRINSICS = CameraIntrinsics(
     fx=400.0, fy=400.0, cx=320.0, cy=240.0, width=640, height=480
 )
 # the values of pipelines.SemanticMode, which sits above this layer
 BENCHMARK_MODES = ("baseline", "pre", "post")
-
-
-@dataclass
-class PerturbationSpec:
-    """A perturbation whose target is chosen per generated world."""
-
-    kind: str = "rotate_object"
-    magnitude_deg: float = 180.0
-    magnitude_m: float = 0.0
-    target: str = "densest_movable"  # or an explicit object id as digits
-
-    def resolve(self, world: World) -> Perturbation:
-        if self.target.isdigit():
-            target_ids = [int(self.target)]
-        elif self.target == "densest_movable":
-            movable = [o for o in world.objects if o.movable]
-            if not movable:
-                raise WorldGenerationError("world has no movable objects to perturb")
-            movable.sort(key=lambda o: (-(world.object_ids == o.id).sum(), o.id))
-            target_ids = [movable[0].id]
-        else:
-            raise WorldGenerationError(f"unknown perturbation target '{self.target}'")
-        return Perturbation(
-            kind=self.kind,
-            target_ids=target_ids,
-            magnitude_deg=self.magnitude_deg,
-            magnitude_m=self.magnitude_m,
-        )
 
 
 @dataclass
@@ -161,8 +133,6 @@ def _distinct(parse):
     return parse_list
 
 
-# a spec names one target, so it can drive every kind but the two-object swap
-_SPEC_KINDS = tuple(kind for kind in Perturbation._KINDS if kind != "swap_objects")
 _TRAJECTORY = {
     "kind": _one_of(TRAJECTORY_KINDS), "center": _point, "steps": _count,
     "sweep_deg": _number, "step_m": _number, "radius": _number,
@@ -187,7 +157,7 @@ _KEYS = {
     "mapping": _TRAJECTORY,
     "evaluation": _TRAJECTORY,
     "perturbation": {
-        "enabled": _flag, "kind": _one_of(_SPEC_KINDS), "magnitude_deg": _number,
+        "enabled": _flag, "kind": _one_of(PerturbationSpec.KINDS), "magnitude_deg": _number,
         "magnitude_m": _number, "target": _target,
     },
     "benchmark": {
@@ -205,11 +175,11 @@ def load_scene_config(path: str) -> SceneConfig:
     non-finite number, a negative count, a room side or time step that is
     not positive, a negative noise scale, margin or descriptor distance, an
     image side outside 1.._MAX_IMAGE_SIDE, a vocabulary below two words, an
-    unknown or repeated benchmark mode, a repeated benchmark seed, a
-    perturbation kind that needs more than one target, a target that is
-    neither densest_movable nor an object id and a repeated section or key
-    each raise WorldGenerationError naming the file and the key; a file that
-    is not UTF-8 raises it naming the file."""
+    unknown or repeated benchmark mode, a repeated benchmark seed, an
+    unknown perturbation kind, a target that is neither densest_movable nor
+    an object id and a repeated section or key each raise
+    WorldGenerationError naming the file and the key; a file that is not
+    UTF-8 raises it naming the file."""
     # no section is DEFAULT, so [DEFAULT] is refused as unknown
     parser = configparser.ConfigParser(default_section="", inline_comment_prefixes=(";",))
     try:

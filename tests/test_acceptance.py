@@ -29,7 +29,6 @@ from semloc.geometry import (
     Pose,
     five_point_essential,
     p3p_solve,
-    project,
     relative_motion,
     rotation_error_deg,
     rotation_from_axis_angle,
@@ -130,8 +129,8 @@ def _triangulation_worst_residual(rng, instances: int) -> float:
         if pose_b.transform(point)[2] <= 0.1:
             continue
         count += 1
-        pixel_a = project(pose_a, INTRINSICS, point)
-        pixel_b = project(pose_b, INTRINSICS, point)
+        pixel_a = INTRINSICS.pixels(pose_a.transform(point))
+        pixel_b = INTRINSICS.pixels(pose_b.transform(point))
         _, residual = triangulate_two_view(pose_a, pose_b, pixel_a, pixel_b, INTRINSICS)
         worst = max(worst, float(residual))
     return worst

@@ -90,6 +90,32 @@ def test_help_exits_0(capsys):
     assert "simulate" in capsys.readouterr().out
 
 
+def test_repeated_calls_keep_their_exit_codes_and_messages(tmp_path, capsys):
+    """main builds its parser once per process, and a parse leaves no state
+    in it: each call exits and prints as it does first, in any order."""
+    from semloc.cli import _build_parser
+
+    missing = str(tmp_path / "missing.txt")
+    calls = [
+        ["relocalize"],  # 1: missing required flags
+        ["--help"],  # 0
+        ["relpose", "--frames", "f", "--mode", "pre", "--seed", "x", "--out", "p.csv"],  # 1
+        ["evaluate", "--est", missing, "--gt", missing, "--out", str(tmp_path / "m.csv")],  # 2
+        ["evaluate", "--help"],  # 0
+        ["frobnicate"],  # 1
+    ]
+    first = []
+    for argv in calls:
+        status = main(argv)
+        first.append((status, *capsys.readouterr()))
+    assert [status for status, _, _ in first] == [1, 0, 1, 2, 0, 1]
+    for order in (calls, calls[::-1]):
+        for argv in order:
+            status = main(argv)
+            assert (status, *capsys.readouterr()) == first[calls.index(argv)]
+    assert _build_parser() is _build_parser()
+
+
 def test_module_invocation_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "semloc.cli", "--help"], capture_output=True

@@ -565,31 +565,30 @@ def test_benchmark_featurizes_each_frame_once(tmp_path, monkeypatch):
 def test_benchmark_computes_each_query_bow_vector_once(tmp_path, monkeypatch):
     """The partner lookup reuses relocalize's BoW ranking: a query's BoW
     vector is computed once per mode, in one quantization per mode's batch,
-    and the benchmark computes its own only for a query that retrieved no
-    candidates."""
+    and the benchmark computes none of its own."""
     import importlib
 
     from semloc.evaluation import benchmark
 
     relocalize_module = importlib.import_module("semloc.pipelines.relocalize")
-    calls = {"relocalize": 0, "relocalize batches": 0, "benchmark": 0}
+    vocabulary_module = importlib.import_module("semloc.mapping.vocabulary")
+    calls = {"relocalize": 0, "relocalize batches": 0, "one vector": 0}
     localizations = []
 
     bow_vectors = relocalize_module.bow_vectors
+    bow_vector = vocabulary_module.bow_vector
 
     def counted_batch(frame_descriptors, vocabulary):
         calls["relocalize batches"] += 1
         calls["relocalize"] += len(frame_descriptors)
         return bow_vectors(frame_descriptors, vocabulary)
 
-    monkeypatch.setattr(relocalize_module, "bow_vectors", counted_batch)
-    bow_vector = benchmark.bow_vector
-
     def counted(descriptors, vocabulary):
-        calls["benchmark"] += 1
+        calls["one vector"] += 1
         return bow_vector(descriptors, vocabulary)
 
-    monkeypatch.setattr(benchmark, "bow_vector", counted)
+    monkeypatch.setattr(relocalize_module, "bow_vectors", counted_batch)
+    monkeypatch.setattr(vocabulary_module, "bow_vector", counted)
     relocalize_frames = benchmark.relocalize_frames
 
     def recording_relocalize_frames(*args, **kwargs):
@@ -603,7 +602,44 @@ def test_benchmark_computes_each_query_bow_vector_once(tmp_path, monkeypatch):
     assert len(localizations) == len(SemanticMode) * config.evaluation.steps
     assert calls["relocalize batches"] == len(SemanticMode)
     assert calls["relocalize"] == len(localizations)
-    assert calls["benchmark"] == sum(not loc.candidate_ids for loc in localizations)
+    assert calls["one vector"] == 0
+    assert not hasattr(benchmark, "bow_vector")
+
+
+def test_a_frame_without_candidates_pairs_with_the_lowest_keyframe_id(tmp_path, monkeypatch):
+    """relocalize retrieves no candidates only for an all-zero query BoW
+    vector. Such a vector scores every keyframe 0, and most_similar then picks
+    the lowest id, so the benchmark pairs the frame with the lowest mapping
+    frame id without ranking anything."""
+    from semloc.evaluation import benchmark
+    from semloc.evaluation.benchmark import synthesize_scene
+    from semloc.pipelines import most_similar
+
+    rng = np.random.default_rng(5)
+    keyframes = [(kf_id, rng.random(16)) for kf_id in (7, 3, 9, 5)]
+    assert most_similar(np.zeros(16), keyframes) == 3
+
+    relocalize_frames = benchmark.relocalize_frames
+    correct_match_ratio = benchmark.correct_match_ratio
+    partners = []
+
+    def without_candidates(*args, **kwargs):
+        batch = relocalize_frames(*args, **kwargs)
+        return [dataclasses.replace(result, candidate_ids=()) for result in batch]
+
+    def recording(query, train, intrinsics, pose_query, pose_train):
+        partners.append(pose_train)
+        return correct_match_ratio(query, train, intrinsics, pose_query, pose_train)
+
+    monkeypatch.setattr(benchmark, "relocalize_frames", without_candidates)
+    monkeypatch.setattr(benchmark, "correct_match_ratio", recording)
+    config = _tiny_config(seeds=(0,))
+    run_benchmark(config, str(tmp_path / "run"))
+    lowest = min(synthesize_scene(config, 0).mapping_frames, key=lambda frame: frame.frame_id)
+    assert len(partners) == len(SemanticMode) * config.evaluation.steps
+    for pose in partners:
+        assert np.array_equal(pose.rotation, lowest.pose.rotation)
+        assert np.array_equal(pose.translation, lowest.pose.translation)
 
 
 def test_benchmark_maps_come_from_the_unperturbed_world(tmp_path):

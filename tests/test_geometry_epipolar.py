@@ -12,7 +12,6 @@ from semloc.geometry import (
     rotation_error_deg,
     rotation_from_axis_angle,
     sampson_error,
-    sampson_error_flagged,
     skew,
     translation_heading_error_deg,
 )
@@ -82,14 +81,24 @@ def test_sampson_generic_pairs_exceed_threshold():
     assert np.mean(err > 5e-4) > 0.99
 
 
-def test_sampson_degenerate_denominator_flag():
+def test_sampson_falls_back_to_the_algebraic_residual_at_the_epipoles():
+    """Where all four epipolar-line gradients vanish the distance is the
+    algebraic residual |x_b^T E x_a|, not 0/0 or r/0; elsewhere it is the
+    Sampson quotient, in a stack as alone."""
     e = essential_from_motion(np.eye(3), np.array([0.0, 0.0, 1.0]))
     # both points at the epipole (origin for t = z): all four gradients vanish
-    value, flag = sampson_error_flagged(e, np.zeros(2), np.zeros(2))
-    assert flag
-    assert value == 0.0
-    _, flag2 = sampson_error_flagged(e, np.array([0.1, 0.2]), np.array([0.3, -0.1]))
-    assert not flag2
+    assert sampson_error(e, np.zeros(2), np.zeros(2)) == 0.0
+    # the gradients vanish at the origin here too, but the residual is 2.5
+    corner = np.diag([0.0, 0.0, 2.5])
+    assert sampson_error(corner, np.zeros(2), np.zeros(2)) == 2.5
+    xa, xb = np.array([0.1, 0.2]), np.array([0.3, -0.1])
+    line_b, line_a = e @ np.array([*xa, 1.0]), e.T @ np.array([*xb, 1.0])
+    quotient = abs(np.array([*xb, 1.0]) @ line_b) / np.sqrt(
+        line_b[0] ** 2 + line_b[1] ** 2 + line_a[0] ** 2 + line_a[1] ** 2
+    )
+    assert sampson_error(e, xa, xb) == pytest.approx(quotient, rel=1e-12)
+    stacked = sampson_error(e, np.array([np.zeros(2), xa]), np.array([np.zeros(2), xb]))
+    assert stacked.tolist() == [0.0, sampson_error(e, xa, xb)]
 
 
 def test_decompose_essential_recovers_motion():

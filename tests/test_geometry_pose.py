@@ -12,7 +12,6 @@ from semloc.geometry import (
     CameraIntrinsics,
     Pose,
     camera_points,
-    project,
     project_points,
     quaternion_from_rotation,
     reprojection_errors,
@@ -25,12 +24,12 @@ from conftest import identity_pose, inverse_pose, random_pose
 
 def test_identity_projection_hits_principal_point(intrinsics):
     pose = identity_pose()
-    px = project(pose, intrinsics, np.array([0.0, 0.0, 2.0]))
+    px = intrinsics.pixels(pose.transform(np.array([0.0, 0.0, 2.0])))
     assert np.allclose(px, [320.0, 240.0])
 
 
 def test_projection_oracle_matrix_form(intrinsics):
-    # oracle: homogeneous K [R|t] evaluation, done independently of project()
+    # oracle: homogeneous K [R|t] evaluation, done independently of CameraIntrinsics.pixels
     rng = np.random.default_rng(7)
     for _ in range(50):
         pose = random_pose(rng)
@@ -38,23 +37,16 @@ def test_projection_oracle_matrix_form(intrinsics):
         k = intrinsics.matrix()
         h = k @ (pose.rotation @ point + pose.translation)
         expected = h[:2] / h[2]
-        assert np.allclose(project(pose, intrinsics, point), expected, atol=1e-10)
-
-
-def test_project_point_behind_camera_raises(intrinsics):
-    pose = identity_pose()
-    with pytest.raises(DegenerateGeometryError):
-        project(pose, intrinsics, np.array([0.0, 0.0, -1.0]))
-    with pytest.raises(DegenerateGeometryError):
-        project(pose, intrinsics, np.array([0.0, 0.0, 0.0]))
+        assert np.allclose(intrinsics.pixels(pose.transform(point)), expected, atol=1e-10)
 
 
 def test_project_points_flags_invalid(intrinsics):
-    pts = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -2.0]])
+    """Points behind the camera or at its centre (depth <= 1e-9) are invalid."""
+    pts = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, -2.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1e-9]])
     pixels, valid = project_points(identity_pose(), intrinsics, pts)
-    assert valid.tolist() == [True, False]
+    assert valid.tolist() == [True, False, False, False]
     assert np.allclose(pixels[0], [320.0, 240.0])
-    assert np.isnan(pixels[1]).all()
+    assert np.isnan(pixels[1:]).all()
 
 
 def test_compose_inverse_roundtrip():
@@ -206,8 +198,8 @@ def test_stacked_rotation_helpers_equal_the_one_vector_call():
 def test_each_kernel_row_is_the_same_alone_and_in_any_stack(data):
     """camera_points and reprojection_errors give each (pose, point) row the
     bits it has alone, in any stack of poses and in any stack of points;
-    Pose.transform and project give the bits of the matching rows, so a
-    point counts as an inlier or not whatever it is stacked with."""
+    Pose.transform and CameraIntrinsics.pixels give the bits of the matching
+    rows, so a point counts as an inlier or not whatever it is stacked with."""
     intrinsics = CameraIntrinsics(fx=400.0, fy=410.0, cx=320.0, cy=240.0, width=640, height=480)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     poses = [random_pose(rng, t_scale=3.0) for _ in range(data.draw(st.integers(1, 5), label="M"))]
@@ -232,7 +224,7 @@ def test_each_kernel_row_is_the_same_alone_and_in_any_stack(data):
             alone = reprojection_errors(*one, intrinsics, points[i : i + 1], pixels[i : i + 1])
             assert alone[0] == errors[m, i]
             if valid[i]:
-                assert np.array_equal(project(pose, intrinsics, points[i]), projected[i])
+                assert np.array_equal(intrinsics.pixels(pose.transform(points[i])), projected[i])
 
     rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n), label="rows")
     some = reprojection_errors(rotations, translations, intrinsics, points[rows], pixels[rows])

@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 from semloc.geometry import (
     Pose,
     RansacParams,
-    apply_increment,
     essential_from_pose,
     ransac_essential,
     ransac_pnp,
     refine_pose,
-    reprojection_residuals,
     rotation_error_deg,
     rotation_from_axis_angle,
     sampson_error,
 )
-from semloc.geometry.refine import _jacobian
+from semloc.geometry.refine import _camera_jacobian, _increment, _residuals
 from semloc.pipelines.relative import _ESSENTIAL
 from semloc.pipelines.relocalize import _PNP
 
@@ -382,6 +380,19 @@ def test_estimators_return_a_result_and_never_raise(data):
 
 # ------------------------------------------------------------------ refine
 
+# the kernels refine_poses runs, on one pose
+
+
+def _stepped(pose, delta):
+    """pose with a (dtheta, dt) increment composed on its left."""
+    return Pose(*_increment(pose.rotation, pose.translation, delta))
+
+
+def _residual_vector(pose, intrinsics, points, pixels):
+    """Stacked (2n,) pixel residuals at a pose; 1e6 behind the camera."""
+    return _residuals(pose.transform(points), pixels, intrinsics).reshape(-1)
+
+
 def test_refine_converges_from_perturbed_pose(intrinsics):
     rng = np.random.default_rng(61)
     for _ in range(10):
@@ -392,7 +403,7 @@ def test_refine_converges_from_perturbed_pose(intrinsics):
             [400 * cam[:, 0] / cam[:, 2] + 320, 400 * cam[:, 1] / cam[:, 2] + 240]
         )
         nudge = np.concatenate([rng.normal(0, 0.01, 3), rng.normal(0, 0.02, 3)])
-        start = apply_increment(pose, nudge)
+        start = _stepped(pose, nudge)
         result = refine_pose(start, pixels, points, intrinsics)
         assert not result.failed
         assert result.final_cost <= result.initial_cost
@@ -409,7 +420,7 @@ def test_refine_cost_non_increasing(intrinsics):
         [400 * cam[:, 0] / cam[:, 2] + 320, 400 * cam[:, 1] / cam[:, 2] + 240]
     )
     pixels += rng.normal(0, 2.0, size=pixels.shape)
-    start = apply_increment(pose, np.array([0.05, -0.02, 0.01, 0.1, -0.05, 0.02]))
+    start = _stepped(pose, np.array([0.05, -0.02, 0.01, 0.1, -0.05, 0.02]))
     result = refine_pose(start, pixels, points, intrinsics)
     assert result.final_cost <= result.initial_cost
 
@@ -437,14 +448,14 @@ def test_refine_jacobian_matches_finite_differences(intrinsics):
         [400 * cam[:, 0] / cam[:, 2] + 320, 400 * cam[:, 1] / cam[:, 2] + 240]
     )
     pixels += rng.normal(0, 1.0, size=pixels.shape)
-    analytic = _jacobian(pose, intrinsics, points)
+    analytic = _camera_jacobian(pose.transform(points), intrinsics)
     eps = 1e-6
     fd = np.zeros_like(analytic)
     for k in range(6):
         dp = np.zeros(6)
         dp[k] = eps
-        plus = reprojection_residuals(apply_increment(pose, dp), intrinsics, points, pixels)
-        minus = reprojection_residuals(apply_increment(pose, -dp), intrinsics, points, pixels)
+        plus = _residual_vector(_stepped(pose, dp), intrinsics, points, pixels)
+        minus = _residual_vector(_stepped(pose, -dp), intrinsics, points, pixels)
         fd[:, k] = (plus - minus) / (2 * eps)
     denom = np.maximum(np.abs(fd), 1.0)
     assert np.max(np.abs(analytic - fd) / denom) < 1e-5
@@ -473,7 +484,7 @@ def test_reprojection_helpers_equal_the_per_point_formula(intrinsics):
             dv = intrinsics.fy * c[1] / c[2] + intrinsics.cy - pixels[i, 1]
             expected[2 * i : 2 * i + 2] = du, dv
             distances[i] = np.hypot(du, dv)
-        residuals = reprojection_residuals(pose, intrinsics, points, pixels)
+        residuals = _residual_vector(pose, intrinsics, points, pixels)
         assert np.array_equal(residuals, expected)
         assert np.array_equal(
             reprojection_errors(pose.rotation, pose.translation, intrinsics, points, pixels),
@@ -505,7 +516,7 @@ def test_refine_jacobian_equals_the_per_point_formula(intrinsics):
                 ]
             )
             expected[2 * i : 2 * i + 2] = d_proj @ np.hstack([-skew(c), np.eye(3)])
-        assert np.array_equal(_jacobian(pose, intrinsics, points), expected)
+        assert np.array_equal(_camera_jacobian(pose.transform(points), intrinsics), expected)
 
 
 # ---------------------------------------------- lockstep refinement, reference loop
@@ -523,11 +534,11 @@ def _reference_refine_pose(pose0, pixels, points, intrinsics):
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     singular_cond = refine_module._SINGULAR_COND
     pose = pose0
-    residual = reprojection_residuals(pose, intrinsics, points, pixels)
+    residual = _residual_vector(pose, intrinsics, points, pixels)
     cost = float(residual @ residual)
     initial_cost = cost
     for iteration in range(20):
-        jac = _jacobian(pose, intrinsics, points)
+        jac = _camera_jacobian(pose.transform(points), intrinsics)
         normal = jac.T @ jac
         rhs = -jac.T @ residual
         if not np.all(np.isfinite(normal)) or np.linalg.cond(normal) > singular_cond:
@@ -536,8 +547,8 @@ def _reference_refine_pose(pose0, pixels, points, intrinsics):
         step = delta
         accepted = False
         for _ in range(9):
-            trial = apply_increment(pose, step)
-            trial_res = reprojection_residuals(trial, intrinsics, points, pixels)
+            trial = _stepped(pose, step)
+            trial_res = _residual_vector(trial, intrinsics, points, pixels)
             trial_cost = float(trial_res @ trial_res)
             if trial_cost <= cost:
                 pose, residual, cost = trial, trial_res, trial_cost
@@ -573,7 +584,7 @@ def _refine_problem(rng, intrinsics, kind):
         outliers = rng.random(len(points)) < 0.2
         pixels[outliers] += rng.uniform(-150.0, 150.0, size=(int(outliers.sum()), 2))
     scale = rng.choice([0.0, 0.01, 0.1, 0.5])
-    start = apply_increment(pose, rng.normal(0.0, scale, 6))
+    start = _stepped(pose, rng.normal(0.0, scale, 6))
     return start, pixels, points
 
 

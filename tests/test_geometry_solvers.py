@@ -15,7 +15,6 @@ from semloc.geometry import (
     essential_from_pose,
     five_point_essential,
     p3p_solve,
-    project,
     rotation_error_deg,
     triangulate_two_view,
 )
@@ -29,8 +28,8 @@ def test_triangulate_recovers_known_point(intrinsics):
     pose_a = identity_pose()
     pose_b = Pose(np.eye(3), np.array([-0.5, 0.0, 0.0]))  # camera at x=+0.5
     point = np.array([0.2, -0.1, 3.0])
-    pa = project(pose_a, intrinsics, point)
-    pb = project(pose_b, intrinsics, point)
+    pa = intrinsics.pixels(pose_a.transform(point))
+    pb = intrinsics.pixels(pose_b.transform(point))
     est, residual = triangulate_two_view(pose_a, pose_b, pa, pb, intrinsics)
     assert np.allclose(est, point, atol=1e-8)
     assert residual < 1e-8
@@ -46,8 +45,8 @@ def test_triangulate_random_instances(intrinsics):
         point = points_in_front(rng, pose_a, 1)[0]
         if pose_b.transform(point)[2] <= 0.1:
             continue
-        pa = project(pose_a, intrinsics, point)
-        pb = project(pose_b, intrinsics, point)
+        pa = intrinsics.pixels(pose_a.transform(point))
+        pb = intrinsics.pixels(pose_b.transform(point))
         est, residual = triangulate_two_view(pose_a, pose_b, pa, pb, intrinsics)
         assert np.linalg.norm(est - point) < 1e-6
         assert residual < 1e-6
@@ -65,8 +64,8 @@ def test_triangulate_cheirality_failure(intrinsics):
     pose_a = identity_pose()
     pose_b = Pose(np.eye(3), np.array([-0.5, 0.0, 0.0]))
     point = np.array([0.0, 0.0, 5.0])
-    pa = project(pose_a, intrinsics, point)
-    pb = project(pose_b, intrinsics, point)
+    pa = intrinsics.pixels(pose_a.transform(point))
+    pb = intrinsics.pixels(pose_b.transform(point))
     # swapping the observations flips the disparity sign -> intersection behind
     with pytest.raises(DegenerateGeometryError, match="cheirality"):
         triangulate_two_view(pose_a, pose_b, pb, pa, intrinsics)
@@ -76,10 +75,10 @@ def test_triangulate_residual_reports_max_of_views(intrinsics):
     pose_a = identity_pose()
     pose_b = Pose(np.eye(3), np.array([-0.5, 0.0, 0.0]))
     point = np.array([0.1, 0.05, 2.0])
-    pa = project(pose_a, intrinsics, point)
+    pa = intrinsics.pixels(pose_a.transform(point))
     # off-epipolar perturbation (v direction, baseline is along x) cannot be
     # explained by any 3d point, so a nonzero residual must be reported
-    pb = project(pose_b, intrinsics, point) + np.array([0.0, 2.0])
+    pb = intrinsics.pixels(pose_b.transform(point)) + np.array([0.0, 2.0])
     _, residual = triangulate_two_view(pose_a, pose_b, pa, pb, intrinsics)
     assert 0.5 < residual < 2.0
 
@@ -98,7 +97,7 @@ def _random_triangulation_instances(intrinsics):
         if pose_b.transform(point)[2] <= 0.1:
             continue
         instances.append(
-            (pose_a, pose_b, project(pose_a, intrinsics, point), project(pose_b, intrinsics, point))
+            (pose_a, pose_b, intrinsics.pixels(pose_a.transform(point)), intrinsics.pixels(pose_b.transform(point)))
         )
     return instances
 
@@ -131,8 +130,8 @@ def test_triangulate_batch_marks_behind_camera_rows_invalid(intrinsics):
     pose_a = identity_pose()
     pose_b = Pose(np.eye(3), np.array([-0.5, 0.0, 0.0]))
     point = np.array([0.0, 0.0, 5.0])
-    pa = project(pose_a, intrinsics, point)
-    pb = project(pose_b, intrinsics, point)
+    pa = intrinsics.pixels(pose_a.transform(point))
+    pb = intrinsics.pixels(pose_b.transform(point))
     # the second row swaps the observations: its rays meet behind the cameras
     points, residuals = triangulate_two_view(
         pose_a, pose_b, np.array([pa, pb]), np.array([pb, pa]), intrinsics
@@ -265,7 +264,8 @@ def test_p3p_takes_only_stacks():
 
 def _reference_cubic_root(b, c, d):
     """p3p._cubic_root as a loop that takes all 50 Newton steps over every
-    row, masking the updates of the roots that have stopped."""
+    row, masking the updates of the roots that have stopped, then puts the
+    closed-form root where the stationary points coincide."""
     v = np.sqrt(b * b - 3.0 * c)
     t1, t2 = (-b - v) / 3.0, (-b + v) / 3.0
     k1 = ((t1 + b) * t1 + c) * t1 + d
@@ -282,7 +282,8 @@ def _reference_cubic_root(b, c, d):
         if step >= 7:
             live &= np.abs(f) > 1e-13
         root = np.where(live, root - f / ((3.0 * root + 2.0 * b) * root + c), root)
-    return root
+    t = -b / 3.0  # where b^2 = 3c, (x - t)^3 + f(t) has the one root t + cbrt(-f(t))
+    return np.where(b * b - 3.0 * c == 0.0, t + np.cbrt(-(((t + b) * t + c) * t + d)), root)
 
 
 def test_cubic_root_is_bitwise_the_loop_over_every_row():
@@ -290,8 +291,8 @@ def test_cubic_root_is_bitwise_the_loop_over_every_row():
     it in place or returns it to its last value, give the bits of stepping
     every row with a mask, for cubics of three real roots, of one, of a double
     root, of roots so large that |f| mostly stays above 1e-13 (all 50
-    steps), with NaN or infinite coefficients, with b = c = 0 (the start
-    divides by zero), and for a stack of none; each row is the same alone."""
+    steps), with NaN or infinite coefficients, with b = c = 0 (closed form),
+    and for a stack of none; each row is the same alone."""
     from semloc.geometry.p3p import _cubic_root
 
     rng = np.random.default_rng(46)
@@ -322,10 +323,35 @@ def test_cubic_root_is_bitwise_the_loop_over_every_row():
     assert root.view(np.int64).tolist() == reference.view(np.int64).tolist()
     assert np.concatenate(alone).view(np.int64).tolist() == root.view(np.int64).tolist()
     assert empty.shape == (0,)
-    assert np.isfinite(root[:160]).all() and np.isnan(root[160:]).all()
+    assert np.isnan(root[160:200]).all() and np.isfinite(np.delete(root, range(160, 200))).all()
     b, c, d = coefficients[120:160].T
     large = root[120:160]
     assert (np.abs(((large + b) * large + c) * large + d) > 1e-13).sum() > 10
+
+
+def test_cubic_root_where_the_stationary_points_coincide():
+    """Where b^2 = 3c the start divided by 3t + b = 0 and gave NaN; such a
+    cubic is (x + b/3)^3 + f(-b/3), and its real root is returned exactly
+    where the cube root is exact, within rounding elsewhere, triple roots too."""
+    from semloc.geometry.p3p import _cubic_root
+
+    # x^3 + 1, x^3 - 8, x^3, x^3 + 3x^2 + 3x + 2, (x + 1)^3, (x - 2)^3 - 27
+    b = np.array([0.0, 0.0, 0.0, 3.0, 3.0, -6.0])
+    c = np.array([0.0, 0.0, 0.0, 3.0, 3.0, 12.0])
+    d = np.array([1.0, -8.0, 0.0, 2.0, 1.0, -35.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert _cubic_root(b, c, d).tolist() == [-1.0, 2.0, 0.0, -2.0, -1.0, 5.0]
+
+    rng = np.random.default_rng(47)
+    b = 3.0 * rng.integers(-20, 21, 200)  # so that b^2 = 3c holds exactly
+    c = b * b / 3.0
+    d = rng.normal(scale=50.0, size=200)
+    assert (b * b == 3.0 * c).all()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = _cubic_root(b, c, d)
+    residual = ((root + b) * root + c) * root + d
+    scale = np.abs(root) ** 3 + np.abs(b) * root**2 + np.abs(c * root) + np.abs(d)
+    assert np.isfinite(root).all() and (np.abs(residual) <= 1e-12 * scale).all()
 
 
 # ---------------------------------------------------------------- five-point

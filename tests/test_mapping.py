@@ -13,7 +13,6 @@ from semloc.features import DEFAULT_RATIO, knn_ratio_match
 from semloc.geometry import (
     CameraIntrinsics,
     Pose,
-    project,
     project_points,
     rotation_from_quaternion,
     triangulate_two_view,
@@ -675,14 +674,13 @@ def test_landmarks_reproject_within_build_threshold():
         for i in range(3)
     ]
     sparse_map = build_map(frames, INTRINSICS, config)
-    from semloc.geometry import project
 
     for kf in sparse_map.keyframes:
         frame = frames[kf.id]
         obs = frame.features.coordinates
         pose = Pose(rotation_from_quaternion(kf.quaternion), kf.translation)
         for lm_id in kf.landmark_ids:
-            pixel = project(pose, INTRINSICS, sparse_map.positions[lm_id])
+            pixel = INTRINSICS.pixels(pose.transform(sparse_map.positions[lm_id]))
             source = int(
                 np.argmin(np.linalg.norm(descriptors - sparse_map.descriptors[lm_id], axis=1))
             )
@@ -829,14 +827,13 @@ def _reference_landmarks(frames, config):
         if norm < 1e-12:
             continue
         labels = {int(features[fi].labels[ki]) for fi, ki in nodes}
-        try:
-            if any(
-                np.linalg.norm(project(frames[fi].pose, INTRINSICS, position)
-                               - features[fi].coordinates[ki]) >= _MAX_REPROJECTION_PX
-                for fi, ki in nodes
-            ):
-                continue
-        except DegenerateGeometryError:
+        cams = [frames[fi].pose.transform(position) for fi, _ in nodes]
+        if any(
+            cam[2] <= 1e-9  # behind the camera
+            or np.linalg.norm(INTRINSICS.pixels(cam) - features[fi].coordinates[ki])
+            >= _MAX_REPROJECTION_PX
+            for cam, (fi, ki) in zip(cams, nodes)
+        ):
             continue
         for fi, _ in nodes:
             observers[fi].append(len(positions))
@@ -930,7 +927,7 @@ def test_map_round_trip_is_bitwise(tmp_path):
     loaded = load_map(str(path))
 
     assert loaded.version == sparse_map.version == MAP_FORMAT_VERSION
-    assert loaded.registry.to_list() == sparse_map.registry.to_list()
+    assert list(loaded.registry) == list(sparse_map.registry)
     assert _same_bits(loaded.vocabulary.centroids, sparse_map.vocabulary.centroids)
     assert _same_bits(loaded.vocabulary.idf, sparse_map.vocabulary.idf)
     assert _same_bits(loaded.class_ids, sparse_map.class_ids)

@@ -29,7 +29,7 @@ from semloc.pipelines.relocalize import _PNP
 from semloc.semantics import UNLABELED, DetectionSet
 from semloc.simworld import (
     DEFAULT_INTRINSICS,
-    Perturbation,
+    PerturbationSpec,
     TrajectoryParams,
     World,
     WorldConfig,
@@ -598,7 +598,7 @@ def test_moved_object_fools_baseline_but_not_semantic_modes():
     assert clutter_in_map >= 40
     assert np.all(semantic_map.class_ids != UNLABELED)
 
-    moved = perturb_world(world, Perturbation("rotate_object", [0], magnitude_deg=180.0))
+    moved = perturb_world(world, PerturbationSpec(magnitude_deg=180.0, target="0"))
     heading = math.degrees(math.atan2(-3.0, 0.8))
     pose = generate_trajectory(
         "yaw", TrajectoryParams(center=(3.2, 3.0, 1.3), steps=1, heading_deg=heading)

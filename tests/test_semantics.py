@@ -65,10 +65,10 @@ def _map_file_with_classes(path, ids, names=None):
 
 
 def test_registry_json_round_trip(tmp_path):
-    # to_list, read back entry by entry
-    raw = json.loads(json.dumps(REGISTRY.to_list()))
+    # the registry's classes as JSON, read back entry by entry
+    raw = json.loads(json.dumps([{"id": c.id, "name": c.name} for c in REGISTRY]))
     loaded = ClassRegistry([SemanticClass(int(e["id"]), str(e["name"])) for e in raw])
-    assert loaded.to_list() == REGISTRY.to_list()
+    assert list(loaded) == list(REGISTRY)
     assert loaded.by_name("vent").id == REGISTRY.by_name("vent").id
 
 

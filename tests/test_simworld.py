@@ -26,7 +26,6 @@ from semloc.simworld import (
     BODY_TO_CAMERA,
     DEFAULT_INTRINSICS,
     NO_OBJECT,
-    Perturbation,
     PerturbationSpec,
     SyntheticFrame,
     TrajectoryParams,
@@ -298,7 +297,7 @@ def test_rotate_180_maps_grid_onto_itself_centroid_fixed():
     flag = world.objects[0]
     rows = world.object_ids == flag.id
     before = world.positions[rows]
-    rotated = perturb_world(world, Perturbation("rotate_object", [0], magnitude_deg=180.0))
+    rotated = perturb_world(world, PerturbationSpec(magnitude_deg=180.0, target="0"))
     after = rotated.positions[rows]
 
     assert np.linalg.norm(before.mean(axis=0) - after.mean(axis=0)) < 1e-12
@@ -313,7 +312,7 @@ def test_rotate_180_maps_grid_onto_itself_centroid_fixed():
 
 def test_untargeted_landmarks_bitwise_identical():
     world = _grid_world()
-    rotated = perturb_world(world, Perturbation("rotate_object", [0], magnitude_deg=90.0))
+    rotated = perturb_world(world, PerturbationSpec(magnitude_deg=90.0, target="0"))
     # the unmoved columns are shared, hence bitwise equal
     for name in ("landmark_ids", "descriptors", "object_ids"):
         assert getattr(rotated, name) is getattr(world, name)
@@ -323,20 +322,20 @@ def test_untargeted_landmarks_bitwise_identical():
 
 def test_translate_object_displaces_exactly():
     world = _grid_world()
-    moved = perturb_world(
-        world,
-        Perturbation("translate_object", [1], magnitude_m=0.3, direction_uv=(0.0, 1.0)),
-    )
+    moved = perturb_world(world, PerturbationSpec("translate_object", magnitude_m=0.3, target="1"))
     rows = world.object_ids == 1
-    shift = np.linalg.norm(moved.positions[rows] - world.positions[rows], axis=1)
-    assert len(shift) == 5 and np.all(np.abs(shift - 0.3) < 1e-12)
+    shift = moved.positions[rows] - world.positions[rows]
+    assert len(shift) == 5 and np.all(np.abs(np.linalg.norm(shift, axis=1) - 0.3) < 1e-12)
+    # along the u axis of the object's wall
+    u_axis = world.walls()[world.object_by_id(1).wall_index].u_axis
+    assert np.allclose(shift, 0.3 * u_axis, atol=1e-12)
     assert _same_rows(world, moved, ~rows)
 
 
 def test_remove_object_drops_its_landmarks():
     world = _grid_world()
     labeled_before = _labeled(world).sum()
-    removed = perturb_world(world, Perturbation("remove_object", [1]))
+    removed = perturb_world(world, PerturbationSpec("remove_object", target="1"))
     labeled_after = _labeled(removed).sum()
     assert labeled_before - labeled_after == 5
     assert np.all(removed.object_ids != 1)
@@ -351,34 +350,18 @@ def test_remove_object_drops_its_landmarks():
     assert not np.array_equal(removed.landmark_ids, np.arange(len(removed.landmark_ids)))
 
 
-def test_swap_objects_exchanges_centres():
-    grid = _grid_world()
-    # move the panel onto the flag's wall so the swap is legal
-    panel = dataclasses.replace(grid.objects[1], wall_index=0)
-    world = dataclasses.replace(grid, objects=[grid.objects[0], panel, *grid.objects[2:]])
-    swapped = perturb_world(world, Perturbation("swap_objects", [0, 1]))
-    assert np.allclose(swapped.objects[0].center_uv, world.objects[1].center_uv)
-    assert np.allclose(swapped.objects[1].center_uv, world.objects[0].center_uv)
-    delta = world.objects[1].center_uv - world.objects[0].center_uv
-    rows = world.object_ids == 0
-    moved = np.linalg.norm(swapped.positions[rows] - world.positions[rows], axis=1)
-    assert len(moved) == 16
-    assert np.all(np.abs(moved - np.linalg.norm(delta)) < 1e-9)
-
-
 def test_immovable_target_rejected():
     world = _grid_world()
     with pytest.raises(WorldGenerationError, match="not movable"):
-        perturb_world(world, Perturbation("rotate_object", [2], magnitude_deg=10.0))
+        perturb_world(world, PerturbationSpec(magnitude_deg=10.0, target="2"))
     with pytest.raises(WorldGenerationError, match="unknown perturbation kind"):
-        Perturbation("explode_object", [0])
+        PerturbationSpec("explode_object")
 
 
 def test_densest_movable_selector():
     world = _grid_world()
     spec = PerturbationSpec(kind="rotate_object", magnitude_deg=180.0)
-    perturbation = spec.resolve(world)
-    assert perturbation.target_ids == [0]  # 16 landmarks vs the panel's 5
+    assert spec.target_id(world) == 0  # 16 landmarks vs the panel's 5
 
 
 # the worlds of the default config and of the benchmark's scene_change and
@@ -435,28 +418,20 @@ def _reference_world(config, seed):
     return objects, np.arange(total), np.array(positions), descriptors, np.array(object_ids)
 
 
-def _reference_perturbed(world, perturbation):
+def _reference_perturbed(world, spec):
     """(objects, ids, positions, descriptors, object ids) of the perturbed
     world, every targeted landmark moved alone: two 1-D np.dot calls into
     its wall's chart and one 2x2 matvec."""
     columns = (world.landmark_ids, world.positions, world.descriptors, world.object_ids)
-    target = world.object_by_id(perturbation.target_ids[0])
-    if perturbation.kind == "remove_object":
+    target = world.object_by_id(spec.target_id(world))
+    if spec.kind == "remove_object":
         keep = [i for i, object_id in enumerate(world.object_ids) if object_id != target.id]
         objects = [obj for obj in world.objects if obj.id != target.id]
         return (objects, *(np.array([column[i] for i in keep]) for column in columns))
-    if perturbation.kind == "rotate_object":
-        targets = {target.id: (target.center_uv.copy(), math.radians(perturbation.magnitude_deg))}
-    elif perturbation.kind == "translate_object":
-        direction = np.asarray(perturbation.direction_uv, dtype=float)
-        shift = direction / np.linalg.norm(direction) * perturbation.magnitude_m
-        targets = {target.id: (target.center_uv + shift, 0.0)}
-    else:
-        other = world.object_by_id(perturbation.target_ids[1])
-        targets = {
-            target.id: (other.center_uv.copy(), 0.0),
-            other.id: (target.center_uv.copy(), 0.0),
-        }
+    if spec.kind == "rotate_object":
+        targets = {target.id: (target.center_uv.copy(), math.radians(spec.magnitude_deg))}
+    else:  # translate_object, along the wall's u axis
+        targets = {target.id: (target.center_uv + np.array([spec.magnitude_m, 0.0]), 0.0)}
     walls = world.walls()
     positions = []
     for position, object_id in zip(world.positions, world.object_ids):
@@ -531,24 +506,16 @@ def test_columns_equal_the_one_landmark_at_a_time_reference(config_name):
     for seed in range(10):
         world = generate_world(config, seed)
         _assert_world_bits(world, _reference_world(config, seed), seed)
-        densest = PerturbationSpec().resolve(world).target_ids
-        first, second = [obj for obj in world.objects if obj.movable][:2]
-        perturbations = [
-            Perturbation("rotate_object", densest, magnitude_deg=180.0),
-            Perturbation("rotate_object", [second.id], magnitude_deg=37.0),
-            Perturbation("translate_object", densest, magnitude_m=0.3, direction_uv=(0.6, -0.8)),
-            Perturbation("remove_object", densest),
+        second = [obj for obj in world.objects if obj.movable][1]
+        specs = [
+            PerturbationSpec(magnitude_deg=180.0),
+            PerturbationSpec(magnitude_deg=37.0, target=str(second.id)),
+            PerturbationSpec("translate_object", magnitude_m=0.3),
+            PerturbationSpec("remove_object"),
         ]
-        for perturbation in perturbations:
-            perturbed = perturb_world(world, perturbation)
-            _assert_world_bits(perturbed, _reference_perturbed(world, perturbation), seed)
-        # the swap needs both objects on one wall
-        moved = dataclasses.replace(second, wall_index=first.wall_index)
-        world = dataclasses.replace(
-            world, objects=[moved if obj is second else obj for obj in world.objects]
-        )
-        swap = Perturbation("swap_objects", [first.id, second.id])
-        _assert_world_bits(perturb_world(world, swap), _reference_perturbed(world, swap), seed)
+        for spec in specs:
+            perturbed = perturb_world(world, spec)
+            _assert_world_bits(perturbed, _reference_perturbed(world, spec), seed)
 
 
 # --------------------------------------------------------------------------
@@ -1526,7 +1493,6 @@ def _assert_a_valid_scene(config: SceneConfig):
     margins of at least zero, a camera load_intrinsics reads back,
     increasing timestamps, known kinds and modes, distinct seeds and a
     vocabulary of at least two words."""
-    from semloc.simworld.config import _SPEC_KINDS
     from semloc.simworld.trajectory import TRAJECTORY_KINDS
 
     def number(value, low=-math.inf):
@@ -1565,7 +1531,7 @@ def _assert_a_valid_scene(config: SceneConfig):
         count(params.steps)
     spec = config.perturbation
     if spec is not None:
-        assert spec.kind in _SPEC_KINDS
+        assert spec.kind in PerturbationSpec.KINDS
         number(spec.magnitude_deg)
         number(spec.magnitude_m)
         assert spec.target == "densest_movable" or spec.target.isdecimal()
