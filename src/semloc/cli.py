@@ -20,11 +20,11 @@ from .mapping.build import MapBuildConfig, MapFrameInput, build_map
 from .mapping.sparse_map import load_map, save_map
 from .mapping.vocabulary import bow_vectors, build_vocabulary
 from .pipelines.frames import frame_features
-from .pipelines.modes import SemanticMode, mode_features
 from .pipelines.pairing import pair_selection
 from .pipelines.relative import relative_pose
 from .pipelines.relocalize import relocalize_frames
 from .semantics.classes import ClassRegistry
+from .semantics.filtering import SemanticMode, mode_features
 from .simworld.config import load_scene_config
 from .simworld.dataset import load_dataset_frames, load_intrinsics, write_dataset
 from .trajectory_io import TrajectoryEntry, read_trajectory, write_trajectory

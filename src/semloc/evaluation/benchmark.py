@@ -17,9 +17,10 @@ from ..geometry.pose import CameraIntrinsics
 from ..mapping.build import MapBuildConfig, MapFrameInput, build_map
 from ..mapping.sparse_map import SparseMap
 from ..pipelines.frames import FrameFeatures, frame_features
-from ..pipelines.modes import SemanticMode, derive_rng_seed, mode_features
+from ..pipelines.modes import derive_rng_seed
 from ..pipelines.relative import match_frames
 from ..pipelines.relocalize import relocalize_frames
+from ..semantics.filtering import SemanticMode, mode_features
 from ..simworld.config import SceneConfig
 from ..simworld.perturb import perturb_world
 from ..simworld.synthesize import SyntheticFrame, synthesize_frame

@@ -7,11 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DegenerateGeometryError, InsufficientDataError
-from ..features.match import DEFAULT_RATIO, knn_ratio_match
-from ..geometry.pose import CameraIntrinsics, Pose, reprojection_errors
+from ..geometry.pose import CameraIntrinsics, Pose, quaternion_from_rotation, reprojection_errors
 from ..geometry.triangulate import triangulate_two_view
 from ..semantics.classes import UNLABELED, ClassRegistry
-from ..semantics.filtering import match_per_class
+from ..semantics.filtering import SemanticMode, mode_features, mode_matches
 from ..semantics.labeling import FrameFeatures
 from .sparse_map import Keyframe, SparseMap
 from .vocabulary import (
@@ -35,7 +34,7 @@ class MapFrameInput:
 
 @dataclass
 class MapBuildConfig:
-    semantic: bool = True  # keep only labeled features (those inside detections)
+    semantic: bool = True  # match in pre mode, else baseline
     vocabulary_k: int = DEFAULT_VOCABULARY_K
 
 
@@ -84,9 +83,10 @@ def build_map(
     """Triangulate class-consistent two-view matches across posed frames into
     a landmark map with a retrieval vocabulary.
 
-    With config.semantic (the default) only features inside labelled
-    detections survive, so every landmark carries a class; without it all
-    features participate and landmarks outside detections carry UNLABELED.
+    With config.semantic (the default) frames match in pre mode: only
+    features inside labelled detections survive, so every landmark carries a
+    class; without it they match in baseline mode, all features participate
+    and landmarks outside detections carry UNLABELED.
     Observations of the same physical point (match chains sharing a keypoint)
     merge into one landmark, one row of the map's columns, whose position is
     the mean of its pairwise triangulations; landmarks that then reproject
@@ -101,7 +101,8 @@ def build_map(
     if len({f.frame_id for f in frames}) != len(frames):
         raise ValueError("frame ids must be unique")
 
-    features = [f.features.labeled() if config.semantic else f.features for f in frames]
+    mode = SemanticMode.PRE if config.semantic else SemanticMode.BASELINE
+    features = [mode_features(f.features, mode) for f in frames]
     total = sum(len(f.descriptors) for f in features)
     if total < 2:
         raise InsufficientDataError("empty map: no features retained from any frame")
@@ -115,12 +116,7 @@ def build_map(
     edge_a, edge_b, edge_points = [], [], []  # per frame pair, matches in match order
     for i, j in _select_pairs(bows):
         fi, fj = features[i], features[j]
-        if config.semantic:
-            matches = match_per_class(
-                fi.descriptors, fi.labels, fj.descriptors, fj.labels, DEFAULT_RATIO
-            )
-        else:
-            matches = knn_ratio_match(fi.descriptors, fj.descriptors, DEFAULT_RATIO)
+        matches = mode_matches(fi.descriptors, fi.labels, fj.descriptors, fj.labels, mode)
         if not len(matches):
             continue
         try:
@@ -187,8 +183,12 @@ def build_map(
         raise InsufficientDataError("empty map: all triangulations failed the gate")
     landmark_id = np.cumsum(keep) - 1
     keyframes = [
-        Keyframe.from_pose(
-            frame.frame_id, frame.pose, np.unique(landmark_id[ids[keep[ids]]]), bows[f]
+        Keyframe(
+            id=frame.frame_id,
+            quaternion=quaternion_from_rotation(frame.pose.rotation),
+            translation=frame.pose.translation.copy(),
+            landmark_ids=np.unique(landmark_id[ids[keep[ids]]]),
+            bow=bows[f],
         )
         for f, (frame, ids) in enumerate(zip(frames, observed))
     ]

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import AnnotationError, InsufficientDataError, MapFormatError
-from ..geometry.pose import Pose, quaternion_from_rotation
 from ..semantics.classes import UNLABELED, ClassRegistry, SemanticClass
 from ..trajectory_io import ArrayFile, write_arrays
 from .vocabulary import Vocabulary, rank_by_similarity
@@ -34,16 +33,6 @@ class Keyframe:
             raise MapFormatError(f"keyframe {self.id}: negative bag-of-words weight")
         if not np.isfinite(self.bow).all():
             raise MapFormatError(f"keyframe {self.id}: non-finite bag-of-words weight")
-
-    @classmethod
-    def from_pose(cls, keyframe_id: int, pose: Pose, landmark_ids, bow) -> "Keyframe":
-        return cls(
-            id=keyframe_id,
-            quaternion=quaternion_from_rotation(pose.rotation),
-            translation=pose.translation.copy(),
-            landmark_ids=landmark_ids,
-            bow=bow,
-        )
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """End-to-end estimators: relocalization and pairwise relative pose."""
 
-from .modes import SemanticMode, derive_rng_seed, mode_features
+from ..semantics.filtering import SemanticMode, mode_features
+from .modes import derive_rng_seed
 from .frames import (
     FrameFeatures,
     QueryFrame,

@@ -8,12 +8,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import DegenerateGeometryError
-from ..features.match import DEFAULT_RATIO
 from ..geometry.epipolar import RelativePose, decompose_essential
 from ..geometry.pose import CameraIntrinsics
 from ..geometry.ransac import RansacParams, ransac_essential
+from ..semantics.filtering import SemanticMode, mode_features, mode_matches
 from .frames import FrameFeatures
-from .modes import SemanticMode, derive_rng_seed, mode_features, mode_matches
+from .modes import derive_rng_seed
 
 logger = logging.getLogger(__name__)
 
@@ -52,7 +52,6 @@ def match_frames(
         features_b.descriptors,
         features_b.labels,
         mode,
-        DEFAULT_RATIO,
     )
 
 

@@ -9,15 +9,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import InsufficientDataError
-from ..features.match import DEFAULT_RATIO, match_record
+from ..features.match import match_record
 from ..geometry.pose import CameraIntrinsics, Pose, reprojection_errors
 from ..geometry.ransac import RansacParams, ransac_pnp_batch
 from ..geometry.refine import refine_poses
 from ..mapping.sparse_map import SparseMap, query_candidates
 from ..mapping.vocabulary import bow_vectors
 from ..semantics.classes import UNLABELED
+from ..semantics.filtering import SemanticMode, mode_features, mode_matches
 from .frames import FrameFeatures
-from .modes import SemanticMode, derive_rng_seed, mode_features, mode_matches
+from .modes import derive_rng_seed
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +60,6 @@ def candidate_matches(
             sparse_map.descriptors[landmark_ids],
             sparse_map.class_ids[landmark_ids],
             mode,
-            DEFAULT_RATIO,
         )
         matches.train_index = landmark_ids[matches.train_index]
         pooled.append(matches)

@@ -1,5 +1,5 @@
 """Semantic classes, detections, keypoint labelling and featurization, and
-class-aware matching."""
+the three matching modes with their class-aware matching."""
 
 from .boxes import (
     DEFAULT_MIN_CONFIDENCE,
@@ -15,7 +15,13 @@ from .classes import (
     ClassRegistry,
     SemanticClass,
 )
-from .filtering import filter_matches_by_class, match_per_class
+from .filtering import (
+    SemanticMode,
+    filter_matches_by_class,
+    match_per_class,
+    mode_features,
+    mode_matches,
+)
 from .labeling import (
     FeatureObservation,
     FrameFeatures,
@@ -34,10 +40,13 @@ __all__ = [
     "FeatureObservation",
     "FrameFeatures",
     "SemanticClass",
+    "SemanticMode",
     "extract_frame_features",
     "filter_matches_by_class",
     "label_keypoints",
     "load_detections",
     "match_per_class",
+    "mode_features",
+    "mode_matches",
     "save_detections",
 ]

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, replace
 
 from ..errors import DegenerateGeometryError, WorldGenerationError
 from ..geometry.pose import CameraIntrinsics
+from ..semantics.filtering import SemanticMode
 from .dataset import _MAX_IMAGE_SIDE
 from .perturb import PerturbationSpec
 from .synthesize import DEFAULT_BOX_MARGIN_PX, DEFAULT_SIGMA_DESC, DEFAULT_SIGMA_PX
@@ -17,8 +18,7 @@ from .world import WorldConfig
 DEFAULT_INTRINSICS = CameraIntrinsics(
     fx=400.0, fy=400.0, cx=320.0, cy=240.0, width=640, height=480
 )
-# the values of pipelines.SemanticMode, which sits above this layer
-BENCHMARK_MODES = ("baseline", "pre", "post")
+BENCHMARK_MODES = tuple(mode.value for mode in SemanticMode)
 
 
 @dataclass
@@ -169,17 +169,17 @@ _KEYS = {
 
 
 def load_scene_config(path: str) -> SceneConfig:
-    """The scene an INI file describes. A section the file writes starts from
-    its own dataclass's defaults, and a key it omits keeps its field's
-    default. An unknown section or key, a value that does not parse, a
-    non-finite number, a negative count, a room side or time step that is
-    not positive, a negative noise scale, margin or descriptor distance, an
-    image side outside 1.._MAX_IMAGE_SIDE, a vocabulary below two words, an
-    unknown or repeated benchmark mode, a repeated benchmark seed, an
-    unknown perturbation kind, a target that is neither densest_movable nor
-    an object id and a repeated section or key each raise
-    WorldGenerationError naming the file and the key; a file that is not
-    UTF-8 raises it naming the file."""
+    """The scene an INI file describes. A key the file omits keeps the default
+    scene's value, also in a section the file writes. An unknown section or
+    key, a value that does not parse, a non-finite number, a negative count, a
+    room side or time step that is not positive, a negative noise scale, margin
+    or descriptor distance, an image side outside 1.._MAX_IMAGE_SIDE, a
+    vocabulary below two words, an unknown or repeated benchmark mode, a
+    repeated benchmark seed, an unknown perturbation kind, a target that is
+    neither densest_movable nor an object id, an enabled translate_object or
+    rotate_object perturbation whose magnitude is zero and a repeated section
+    or key each raise WorldGenerationError naming the file and the key; a file
+    that is not UTF-8 raises it naming the file."""
     # no section is DEFAULT, so [DEFAULT] is refused as unknown
     parser = configparser.ConfigParser(default_section="", inline_comment_prefixes=(";",))
     try:
@@ -231,11 +231,17 @@ def load_scene_config(path: str) -> SceneConfig:
             params = written[name]
             if "kind" in params:
                 scene[f"{name}_kind"] = params.pop("kind")
-            scene[name] = TrajectoryParams(**params)
+            scene[name] = replace(getattr(SceneConfig(), name), **params)
 
     if "perturbation" in written:
         spec = written["perturbation"]
         enabled = spec.pop("enabled", True)
-        scene["perturbation"] = PerturbationSpec(**spec) if enabled else None
+        spec = PerturbationSpec(**spec)
+        key = {"rotate_object": "magnitude_deg", "translate_object": "magnitude_m"}.get(spec.kind)
+        if enabled and key and getattr(spec, key) == 0.0:  # a missing magnitude_m is 0 too
+            raise WorldGenerationError(
+                f"{path}: [perturbation] {key}: a {spec.kind} by 0 moves nothing"
+            )
+        scene["perturbation"] = spec if enabled else None
 
     return SceneConfig(**scene)

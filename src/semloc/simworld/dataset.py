@@ -3,6 +3,7 @@ annotations/<id>.json, intrinsics.json, gt_traj.txt."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -43,17 +44,7 @@ def write_dataset(
     os.makedirs(annotations_dir, exist_ok=True)
 
     with open(os.path.join(out_dir, "intrinsics.json"), "w") as fh:
-        json.dump(
-            {
-                "fx": intrinsics.fx,
-                "fy": intrinsics.fy,
-                "cx": intrinsics.cx,
-                "cy": intrinsics.cy,
-                "width": intrinsics.width,
-                "height": intrinsics.height,
-            },
-            fh,
-        )
+        json.dump(dataclasses.asdict(intrinsics), fh)
         fh.write("\n")
     width = frames[0].descriptors.shape[1] if frames else 0
     write_arrays(os.path.join(frames_dir, OBSERVATIONS), {

@@ -1,6 +1,6 @@
 """Package imports inside semloc point down the layer order, never up,
 nothing outside the standard library but numpy is imported, and the pinhole
-formula is written in one place."""
+formula and the semantic modes are each written in one place."""
 
 import ast
 import sys
@@ -14,6 +14,10 @@ PACKAGE_ROOT = Path(semloc.__file__).parent
 # the analytic Jacobian of the refinement
 INTRINSICS_ARITHMETIC = {"geometry/pose.py", "geometry/refine.py"}
 _INTRINSICS = {"fx", "fy", "cx", "cy"}
+
+# the one module that names the semantic modes; every other reads SemanticMode
+MODE_TABLE = "semantics/filtering.py"
+_MODE_NAMES = {"baseline", "pre", "post"}
 
 # lowest first; a module may import its own package and any package listed
 # before it (simworld writes trajectories, so trajectory_io sits below it)
@@ -184,3 +188,42 @@ def test_the_intrinsics_check_sees_nested_operands():
         "ok = 0.0 <= k.cx < k.width\n"
     )
     assert _intrinsics_arithmetic(source) == [1, 2, 3]
+
+
+def _mode_name_literals(source: str) -> list[int]:
+    """Lines of every tuple, list, set or dict display in `source` that holds
+    all three mode names as string constants (a dict: as keys)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            items = node.elts
+        elif isinstance(node, ast.Dict):
+            items = node.keys
+        else:
+            continue
+        names = {item.value for item in items if isinstance(item, ast.Constant)}
+        if _MODE_NAMES <= names:
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_only_the_mode_table_spells_the_mode_names():
+    found = []
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        relative = path.relative_to(PACKAGE_ROOT).as_posix()
+        if relative != MODE_TABLE:
+            found += [f"{relative}:{line}" for line in _mode_name_literals(path.read_text())]
+    assert found == []
+
+
+def test_the_mode_name_check_sees_every_display():
+    source = (
+        'MODES = ("baseline", "pre", "post")\n'
+        'order = ["post", "baseline", "other", "pre"]\n'
+        'rates = {"baseline": 0.1, "pre": 0.2, "post": 0.3}\n'
+        'known = {"pre", "post", "baseline"}\n'
+        'some = ("baseline", "pre")\n'
+        'values = tuple(mode.value for mode in SemanticMode)\n'
+        'text = "baseline, pre, post"\n'
+    )
+    assert _mode_name_literals(source) == [1, 2, 3, 4]

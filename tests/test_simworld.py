@@ -1284,6 +1284,18 @@ def test_scene_config_box_margin_reaches_the_boxes(tmp_path):
         ("[evaluation]\ndt = -0.1\n", "[evaluation] dt: -0.1 is not positive"),
         ("[camera]\nheight = 65537\n", "[camera] height: 65537 is not in 1..65536"),
         ("[benchmark]\nvocabulary_k = 1\n", "[benchmark] vocabulary_k: 1 is not in 2..inf"),
+        (
+            "[perturbation]\nkind = translate_object\n",
+            "[perturbation] magnitude_m: a translate_object by 0 moves nothing",
+        ),
+        (
+            "[perturbation]\nkind = translate_object\nmagnitude_m = 0\n",
+            "[perturbation] magnitude_m: a translate_object by 0 moves nothing",
+        ),
+        (
+            "[perturbation]\nmagnitude_deg = -0.0\n",
+            "[perturbation] magnitude_deg: a rotate_object by 0 moves nothing",
+        ),
     ],
     ids=[
         "word-float", "repeated-section", "repeated-key", "nan-float", "infinite-float",
@@ -1291,6 +1303,7 @@ def test_scene_config_box_margin_reaches_the_boxes(tmp_path):
         "repeated-seed", "repeated-mode", "unknown-mode", "misspelt-key", "unknown-section",
         "default-section", "misspelt-kind", "two-target-kind", "unknown-target", "two-targets",
         "zero-side", "negative-noise", "negative-time-step", "tall-image", "one-word",
+        "translate-without-magnitude", "translate-by-zero", "rotate-by-zero",
     ],
 )
 def test_scene_config_names_the_file_and_key_of_a_bad_value(tmp_path, text, message):
@@ -1375,8 +1388,9 @@ def test_scene_config_key_sets_only_its_field(tmp_path, section, key):
     raw, field, value = _ONE_KEY[section, key]
     path = tmp_path / "scene.ini"
     path.write_text(f"[{section}]\n")
-    # a written section starts from its own dataclass's defaults
+    # a written section starts from the default scene's values
     baseline = load_scene_config(str(path))
+    assert baseline == SceneConfig()
     expected = _replaced(baseline, field, value)
     assert expected != baseline
     path.write_text(f"[{section}]\n{key} = {raw}\n")
@@ -1391,10 +1405,22 @@ def test_readme_scene_config_is_the_default_scene(tmp_path):
     assert load_scene_config(str(path)) == SceneConfig()
 
 
-def test_benchmark_modes_are_the_semantic_modes():
-    from semloc.pipelines import SemanticMode
+def test_a_partial_trajectory_section_keeps_the_default_scenes_trajectory(tmp_path):
+    path = tmp_path / "scene.ini"
+    path.write_text("[mapping]\nsteps = 36\n[evaluation]\nkind = yaw\nsteps = 24\n")
+    config = load_scene_config(str(path))
+    assert config.mapping == SceneConfig().mapping
+    assert config.mapping.radius == 0.5
+    assert config.evaluation == dataclasses.replace(SceneConfig().evaluation, steps=24)
+    assert config.evaluation.center == (4.1, 2.05, 1.5)
 
-    assert BENCHMARK_MODES == tuple(mode.value for mode in SemanticMode)
+
+def test_scene_config_keeps_a_zero_magnitude_it_does_not_apply(tmp_path):
+    path = tmp_path / "scene.ini"
+    path.write_text("[perturbation]\nenabled = false\nkind = translate_object\n")
+    assert load_scene_config(str(path)).perturbation is None
+    path.write_text("[perturbation]\nkind = remove_object\nmagnitude_deg = 0\n")
+    assert load_scene_config(str(path)).perturbation.kind == "remove_object"
 
 
 def test_scene_config_parsing(tmp_path):
