@@ -6,7 +6,9 @@ class SemlocError(Exception):
 
 
 class DegenerateGeometryError(SemlocError):
-    """Input configuration admits no well-posed geometric solution."""
+    """A Pose or CameraIntrinsics constructor refused its input: a rotation
+    that is not orthonormal, a non-finite translation or bad intrinsics.
+    The geometry kernels report degenerate configurations as values."""
 
 
 class InsufficientDataError(SemlocError):

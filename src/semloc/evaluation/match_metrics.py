@@ -6,13 +6,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DegenerateGeometryError
 from ..geometry.epipolar import essential_from_pose, relative_motion, sampson_error
 from ..geometry.metrics import rotation_error_deg, translation_heading_error_deg
 from ..geometry.pose import CameraIntrinsics, Pose
 from ..pipelines.relative import RelativePoseResult
 
 DEFAULT_SAMPSON_TOL = 5e-4
+PAIR_TOL_DEG = 5.0  # rotation and heading success tolerance (Nister, PAMI 2004)
 _ZERO_BASELINE = 1e-12
 
 EMPTY_FLAG = "empty"  # no matches were scored
@@ -41,15 +41,13 @@ def correct_match_ratio(
     pose_b: Pose,
     threshold: float = DEFAULT_SAMPSON_TOL,
 ) -> MatchRatio:
-    """Score row-aligned pixel matches against the true relative geometry.
+    """Score (n, 2) row-aligned pixel matches against the true relative geometry.
 
     A match counts as correct when its Sampson distance under the essential
     matrix of the ground-truth motion is strictly below `threshold`.  Zero
     matches give ratio 0.0 with the "empty" flag; a (near-)zero ground-truth
     baseline makes correctness undefined, giving ratio NaN and "undefined".
     """
-    pixels_a = np.asarray(pixels_a, dtype=float).reshape(-1, 2)
-    pixels_b = np.asarray(pixels_b, dtype=float).reshape(-1, 2)
     if len(pixels_a) != len(pixels_b):
         raise ValueError("match arrays must be row-aligned")
     total = len(pixels_a)
@@ -61,12 +59,8 @@ def correct_match_ratio(
         return MatchRatio(0, total, float("nan"), frozenset({UNDEFINED_FLAG}))
 
     essential = essential_from_pose(pose_a, pose_b)
-    residuals = np.atleast_1d(
-        sampson_error(
-            essential,
-            intrinsics.normalize(pixels_a),
-            intrinsics.normalize(pixels_b),
-        )
+    residuals = sampson_error(
+        essential, intrinsics.normalize(pixels_a), intrinsics.normalize(pixels_b)
     )
     correct = int(np.sum(residuals < threshold))
     return MatchRatio(correct, total, correct / total, frozenset())
@@ -92,17 +86,16 @@ def evaluate_pair(
     gt_pose_a: Pose,
     gt_pose_b: Pose,
     intrinsics: CameraIntrinsics,
-    threshold: float = DEFAULT_SAMPSON_TOL,
-    rot_tol_deg: float = 5.0,
-    heading_tol_deg: float = 5.0,
 ) -> MatchEvalRecord:
     """Score one relative-pose estimate: match quality plus pose errors.
 
-    Success requires a localized pair whose rotation error and translation
-    heading error are both strictly below their tolerances.
+    Matches are scored at DEFAULT_SAMPSON_TOL. Success requires a localized
+    pair whose rotation error and translation heading error are both
+    strictly below PAIR_TOL_DEG; an undefined heading (a zero-norm
+    translation) is NaN and adds the "undefined" flag.
     """
     ratio = correct_match_ratio(
-        result.pixels_a, result.pixels_b, intrinsics, gt_pose_a, gt_pose_b, threshold
+        result.pixels_a, result.pixels_b, intrinsics, gt_pose_a, gt_pose_b
     )
     flags = set(ratio.flags)
     rotation_error = float("nan")
@@ -111,19 +104,13 @@ def evaluate_pair(
     if localized:
         gt_rotation, gt_translation = relative_motion(gt_pose_a, gt_pose_b)
         rotation_error = rotation_error_deg(result.relative.rotation, gt_rotation)
-        try:
-            heading_error = translation_heading_error_deg(
-                result.relative.translation_direction, gt_translation
-            )
-        except DegenerateGeometryError:
+        heading_error = translation_heading_error_deg(
+            result.relative.translation_direction, gt_translation
+        )
+        if np.isnan(heading_error):
             flags.add(UNDEFINED_FLAG)
-    success = (
-        localized
-        and np.isfinite(rotation_error)
-        and np.isfinite(heading_error)
-        and rotation_error < rot_tol_deg
-        and heading_error < heading_tol_deg
-    )
+    # NaN, for a failed pair or an undefined heading, is below no tolerance
+    success = localized and rotation_error < PAIR_TOL_DEG and heading_error < PAIR_TOL_DEG
     return MatchEvalRecord(
         frame_id_a=result.frame_id_a,
         frame_id_b=result.frame_id_b,

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import InsufficientDataError
 from ..geometry.metrics import rotation_error_deg
-from ..geometry.pose import Pose
+from ..geometry.pose import Pose, kabsch
 from ..trajectory_io import TrajectoryEntry
 
 ALIGNMENTS = ("none", "first_pose", "umeyama_no_scale")
@@ -85,7 +85,6 @@ def _camera_to_world(pose: Pose) -> tuple[np.ndarray, np.ndarray]:
 def _associate(
     estimated: list[TrajectoryEntry],
     reference: list[TrajectoryEntry],
-    max_dt: float,
 ) -> list[tuple[TrajectoryEntry, TrajectoryEntry]]:
     usable_ref = [entry for entry in reference if entry.pose is not None]
     if not usable_ref:
@@ -98,7 +97,7 @@ def _associate(
     pairs = []
     for entry in estimated:
         idx = int(np.searchsorted(ref_times, entry.timestamp))
-        best, best_dt = None, max_dt
+        best, best_dt = None, DEFAULT_MAX_DT
         for j in (idx - 1, idx):
             if 0 <= j < len(ref_times):
                 dt = abs(ref_times[j] - entry.timestamp)
@@ -124,15 +123,10 @@ def _alignment_transform(
         rotation = r_ref @ r_est.T
         return rotation, c_ref - rotation @ c_est
     if alignment == "umeyama_no_scale":
-        est_centers = np.array([_camera_to_world(e.pose)[1] for e, _ in localized])
-        ref_centers = np.array([_camera_to_world(r.pose)[1] for _, r in localized])
-        mean_est = est_centers.mean(axis=0)
-        mean_ref = ref_centers.mean(axis=0)
-        h = (est_centers - mean_est).T @ (ref_centers - mean_ref)
-        u, _, vt = np.linalg.svd(h)
-        d = np.sign(np.linalg.det(vt.T @ u.T))
-        rotation = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
-        return rotation, mean_ref - rotation @ mean_est
+        est_centers = np.array([[_camera_to_world(e.pose)[1] for e, _ in localized]])
+        ref_centers = np.array([[_camera_to_world(r.pose)[1] for _, r in localized]])
+        rotation, translation = kabsch(est_centers, ref_centers)
+        return rotation[0], translation[0]
     raise ValueError(f"unknown alignment {alignment!r}")
 
 
@@ -140,11 +134,10 @@ def absolute_errors(
     estimated: list[TrajectoryEntry],
     reference: list[TrajectoryEntry],
     alignment: str = "first_pose",
-    max_dt: float = DEFAULT_MAX_DT,
 ) -> TrajectoryErrorSeries:
     """Per-frame absolute position/rotation errors against a reference.
 
-    Frames are associated by nearest timestamp within `max_dt`; estimated
+    Frames are associated by nearest timestamp within DEFAULT_MAX_DT; estimated
     entries without a reference partner are dropped.  Failed estimates count
     toward `total_count` but contribute no errors.  The estimated trajectory
     is first mapped onto the reference by the chosen `alignment`: "none",
@@ -153,7 +146,7 @@ def absolute_errors(
     """
     if alignment not in ALIGNMENTS:
         raise ValueError(f"unknown alignment {alignment!r}")
-    pairs = _associate(estimated, reference, max_dt)
+    pairs = _associate(estimated, reference)
     localized = [(e, r) for e, r in pairs if e.pose is not None]
     rotation, translation = _alignment_transform(localized, alignment)
 

@@ -11,12 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateGeometryError
 from .pose import Pose, camera_points, skew
 from .triangulate import solve_dlt
 
 _DEGENERATE_DENOM = 1e-30
 _PURE_ROTATION_TOL = 1e-8  # median angular residual (rad) of a rotation-only fit
+
+# why decompose_essential returns no motion
+PURE_ROTATION = "pure rotation suspected"
+AMBIGUOUS_DECOMPOSITION = "ambiguous decomposition"
+NO_CORRESPONDENCES = "no correspondences to vote with"
 
 
 @dataclass
@@ -48,25 +52,25 @@ def essential_from_pose(pose_a: Pose, pose_b: Pose) -> np.ndarray:
 
 
 def _homogeneous(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return np.array([x[0], x[1], 1.0])
     return np.hstack([x, np.ones((x.shape[0], 1))])
 
 
-def sampson_error(e: np.ndarray, x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray | float:
+def sampson_error(e: np.ndarray, x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray:
     """First-order geometric (Sampson) distance in normalized coordinates.
 
-    Accepts single points (2,) or stacked points (n, 2) and returns a float
-    or an (n,) array accordingly.  A stack of matrices (M, 3, 3) with n >= 2
-    points gives (M, n) rows, each bitwise equal to its one-matrix call.
-    Where the epipolar-line gradients vanish (points at the epipoles) the
-    algebraic residual is returned instead.
+    x_a, x_b: n row-aligned points, (n, 2) each; any other shape is a
+    ValueError. One matrix (3, 3) gives (n,) distances; a stack of matrices
+    (M, 3, 3) with n >= 2 points gives (M, n) rows, each bitwise equal to its
+    one-matrix call. Where the epipolar-line gradients vanish (points at the
+    epipoles) the algebraic residual is returned instead.
     """
     e = np.asarray(e, dtype=float)
-    scalar = np.asarray(x_a).ndim == 1
-    ha = np.atleast_2d(_homogeneous(x_a))
-    hb = np.atleast_2d(_homogeneous(x_b))
+    x_a = np.asarray(x_a, dtype=float)
+    x_b = np.asarray(x_b, dtype=float)
+    if x_a.ndim != 2 or x_a.shape[1] != 2 or x_b.shape != x_a.shape:
+        raise ValueError("sampson_error takes row-aligned (n, 2) point stacks")
+    ha = _homogeneous(x_a)
+    hb = _homogeneous(x_b)
 
     line_b = ha @ np.swapaxes(e, -1, -2)  # E @ x_a, rows
     line_a = hb @ e  # E^T @ x_b, rows
@@ -75,8 +79,7 @@ def sampson_error(e: np.ndarray, x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray
     algebraic = np.einsum("ij,ij->i", rows, line_b.reshape(-1, 3)).reshape(line_b.shape[:-1])
     denom = line_b[..., 0] ** 2 + line_b[..., 1] ** 2 + line_a[..., 0] ** 2 + line_a[..., 1] ** 2
     # dividing by one keeps the algebraic residual's bits where the gradients vanish
-    value = np.abs(algebraic) / np.sqrt(np.where(denom < _DEGENERATE_DENOM, 1.0, denom))
-    return float(value[0]) if scalar else value
+    return np.abs(algebraic) / np.sqrt(np.where(denom < _DEGENERATE_DENOM, 1.0, denom))
 
 
 def _triangulate_normalized(rotation: np.ndarray, translation: np.ndarray,
@@ -103,34 +106,35 @@ def _best_fit_rotation(bearings_a: np.ndarray, bearings_b: np.ndarray) -> np.nda
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-def decompose_essential(e: np.ndarray, x_a: np.ndarray, x_b: np.ndarray) -> RelativePose:
+def decompose_essential(
+    e: np.ndarray, x_a: np.ndarray, x_b: np.ndarray
+) -> tuple[RelativePose | None, str | None]:
     """Recover (R, unit t) from an essential matrix by cheirality voting.
 
     x_a, x_b: (n, 2) normalized correspondences used for the vote.
 
-    Raises DegenerateGeometryError with "pure rotation suspected" when a
-    rotation alone already explains the correspondences (median angular
-    residual below _PURE_ROTATION_TOL), and with "ambiguous decomposition"
-    when two factorizations tie on cheirality votes.
+    Returns (RelativePose, None), or (None, reason) when the vote cannot
+    pick a motion: PURE_ROTATION when a rotation alone already explains the
+    correspondences (median angular residual below _PURE_ROTATION_TOL),
+    AMBIGUOUS_DECOMPOSITION when two factorizations tie on cheirality votes,
+    and NO_CORRESPONDENCES when there is nothing to vote with.
     """
-    xa = np.atleast_2d(np.asarray(x_a, dtype=float))
-    xb = np.atleast_2d(np.asarray(x_b, dtype=float))
-    if xa.shape[0] == 0:
-        raise DegenerateGeometryError("no correspondences to vote with")
+    if x_a.shape[0] == 0:
+        return None, NO_CORRESPONDENCES
 
-    ha = _homogeneous(xa)
-    hb = _homogeneous(xb)
+    ha = _homogeneous(x_a)
+    hb = _homogeneous(x_b)
     ba = ha / np.linalg.norm(ha, axis=1, keepdims=True)
     bb = hb / np.linalg.norm(hb, axis=1, keepdims=True)
     # a rotation can align any one or two bearing pairs exactly, so the
     # pure-rotation test is only meaningful from three correspondences up
-    if xa.shape[0] >= 3:
+    if x_a.shape[0] >= 3:
         r_fit = _best_fit_rotation(ba, bb)
         # angle via the chord length: stable where arccos loses precision near 0
         chord = np.linalg.norm(bb - ba @ r_fit.T, axis=1)
         residual = 2.0 * np.arcsin(np.clip(chord / 2.0, -1.0, 1.0))
         if float(np.median(residual)) < _PURE_ROTATION_TOL:
-            raise DegenerateGeometryError("pure rotation suspected")
+            return None, PURE_ROTATION
 
     u, _, vt = np.linalg.svd(np.asarray(e, dtype=float))
     w = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -143,13 +147,13 @@ def decompose_essential(e: np.ndarray, x_a: np.ndarray, x_b: np.ndarray) -> Rela
     votes = []
     candidates = [(r1, t), (r1, -t), (r2, t), (r2, -t)]
     for rot, trans in candidates:
-        pts = _triangulate_normalized(rot, trans, xa, xb)
+        pts = _triangulate_normalized(rot, trans, x_a, x_b)
         depth_a = pts[:, 2]
         depth_b = camera_points(rot, trans, pts)[:, 2]
         votes.append(int(np.sum((depth_a > 0) & (depth_b > 0))))
 
     order = np.argsort(votes)
     if votes[order[-1]] == votes[order[-2]]:
-        raise DegenerateGeometryError("ambiguous decomposition")
+        return None, AMBIGUOUS_DECOMPOSITION
     rot, trans = candidates[int(order[-1])]
-    return RelativePose(rotation=rot, translation_direction=trans)
+    return RelativePose(rotation=rot, translation_direction=trans), None

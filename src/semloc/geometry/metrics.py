@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateGeometryError
-
 
 def rotation_error_deg(r_a: np.ndarray, r_b: np.ndarray) -> float:
     """Geodesic angle between two rotations, in degrees (range [0, 180]).
@@ -21,15 +19,15 @@ def rotation_error_deg(r_a: np.ndarray, r_b: np.ndarray) -> float:
 def translation_heading_error_deg(t_a: np.ndarray, t_b: np.ndarray) -> float:
     """Angle between two translation directions, in degrees.
 
-    Raises DegenerateGeometryError if either vector has (near-)zero norm,
-    since the heading is undefined there.
+    NaN if either vector has (near-)zero norm, since the heading is
+    undefined there.
     """
     a = np.asarray(t_a, dtype=float)
     b = np.asarray(t_b, dtype=float)
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
     if na < 1e-12 or nb < 1e-12:
-        raise DegenerateGeometryError("heading undefined for zero-norm translation")
+        return float("nan")
     ua = a / na
     ub = b / nb
     # arctan2 of the half-angle chords: stable at both 0 and 180 degrees

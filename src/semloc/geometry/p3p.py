@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pose import camera_points, repeated, rotation_defects
+from .pose import camera_points, kabsch, repeated, rotation_defects
 
 _COLLINEAR_AREA = 1e-9
 _ALIGN_TOL = 1e-6
+_REFINE_STEPS = 5
 _NEXT, _LAST = [1, 2, 0], [2, 0, 1]
 
 
@@ -106,12 +107,12 @@ def _abs_sum(r):
     return np.abs(r[:, 0]) + np.abs(r[:, 1]) + np.abs(r[:, 2])
 
 
-def _refine(lam, a, b, steps: int = 5):
-    """Gauss-Newton on the three constraints, (M, 3) rows at a time.  A row
-    stops once its absolute residuals sum below 1e-10, or before a step that
-    would not lower that sum."""
+def _refine(lam, a, b):
+    """Gauss-Newton on the three constraints, (M, 3) rows at a time, for at
+    most _REFINE_STEPS steps.  A row stops once its absolute residuals sum
+    below 1e-10, or before a step that would not lower that sum."""
     live = np.ones(len(lam), dtype=bool)
-    for _ in range(steps):
+    for _ in range(_REFINE_STEPS):
         r = _residuals(lam, a, b)
         size = _abs_sum(r)
         live &= ~(size < 1e-10)
@@ -206,21 +207,6 @@ def _lambdas(y: np.ndarray, x: np.ndarray):
     return lam, valid, np.hstack([a12, a13, a23]), np.hstack([b12, b13, b23])
 
 
-def _kabsch(world: np.ndarray, camera: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rigid transforms with camera_i ~= R @ world_i + t, one per (3, 3) pair
-    of the (M, 3, 3) stacks (rows are points); returns (R, t)."""
-    wc = world.mean(axis=1)
-    cc = camera.mean(axis=1)
-    h = np.swapaxes(world - wc[:, None], 1, 2) @ (camera - cc[:, None])
-    u, _, vt = np.linalg.svd(h)
-    v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
-    reflect = np.zeros_like(h)
-    reflect[:, 0, 0] = reflect[:, 1, 1] = 1.0
-    reflect[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
-    r = v @ reflect @ ut
-    return r, cc - (r @ wc[..., None])[..., 0]
-
-
 def _misaligned(rotations, translations, bearings, points) -> np.ndarray:
     """Whether each candidate misses a bearing by more than 1e-6 rad (or puts
     a point behind the camera)."""
@@ -277,7 +263,7 @@ def p3p_solve(bearings: np.ndarray, points: np.ndarray) -> tuple:
         # every refined triple stays finite
         lam = _refine(lam[owner, slot], a[owner], b[owner])
     f, points = f[owner], points[owner]
-    rotations, translations = _kabsch(points, lam[:, :, None] * f)
+    rotations, translations = kabsch(points, lam[:, :, None] * f)
     # a rotation Pose rejects aborts its whole instance
     rejected = rotation_defects(rotations)[1]
     kept = np.flatnonzero(~np.isin(owner, owner[rejected]))

@@ -133,6 +133,22 @@ def rotation_defects(rotation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return err, ~((err <= _ORTHONORMAL_TOL) & (np.linalg.det(rotation) >= 0.0))
 
 
+def kabsch(world: np.ndarray, camera: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rigid transforms with camera_i ~= R @ world_i + t, one per (n, 3) pair
+    of the (M, n, 3) stacks (rows are points): centre both sets, take the SVD
+    of the cross-covariance and fix its reflection; returns (R, t)."""
+    wc = world.mean(axis=1)
+    cc = camera.mean(axis=1)
+    h = np.swapaxes(world - wc[:, None], 1, 2) @ (camera - cc[:, None])
+    u, _, vt = np.linalg.svd(h)
+    v, ut = np.swapaxes(vt, 1, 2), np.swapaxes(u, 1, 2)
+    reflect = np.zeros_like(h)
+    reflect[:, 0, 0] = reflect[:, 1, 1] = 1.0
+    reflect[:, 2, 2] = np.sign(np.linalg.det(v @ ut))
+    r = v @ reflect @ ut
+    return r, cc - (r @ wc[..., None])[..., 0]
+
+
 @dataclass
 class Pose:
     """World-to-camera rigid transform: x_cam = rotation @ x_world + translation."""

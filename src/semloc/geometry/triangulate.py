@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DegenerateGeometryError
 from .pose import CameraIntrinsics, Pose, reprojection_errors
 
 _MIN_BASELINE = 1e-6
@@ -24,34 +23,27 @@ def solve_dlt(systems: np.ndarray) -> np.ndarray:
 def triangulate_two_view(
     pose_a: Pose,
     pose_b: Pose,
-    pixel_a: np.ndarray,
-    pixel_b: np.ndarray,
+    pixels_a: np.ndarray,
+    pixels_b: np.ndarray,
     intrinsics: CameraIntrinsics,
-) -> tuple[np.ndarray, np.ndarray | float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Linear (DLT) triangulation of correspondences between two posed views.
 
-    pixel_a, pixel_b: one correspondence (2,) or n row-aligned ones (n, 2).
-    The projection matrices are built once and all n systems are solved by
-    one stacked SVD; row i of an (n, 2) call is bitwise equal to the (2,)
-    call on row i.
+    pixels_a, pixels_b: n row-aligned correspondences, (n, 2) each; any other
+    shape is a ValueError. The projection matrices are built once and all n
+    systems are solved by one stacked SVD, so row i is bitwise equal to the
+    one-row call on row i.
 
-    Returns (world points (n, 3), residuals (n,)) for (n, 2) input, where a
-    residual is the larger of the two views' reprojection errors in px. A
-    row whose point lies at infinity or not in front of both cameras
-    (cheirality) is invalid: its residual is inf and its point NaN.
-    For (2,) input returns (point (3,), residual float) and raises
-    DegenerateGeometryError ("cheirality failure") for an invalid row.
-
-    Raises DegenerateGeometryError for a baseline below 1e-6 m, whatever the
-    number of rows.
+    Returns (world points (n, 3), residuals (n,)), where a residual is the
+    larger of the two views' reprojection errors in px. A row whose point
+    lies at infinity or not in front of both cameras (cheirality) is
+    invalid: its residual is inf and its point NaN. Every row is invalid
+    when the baseline is below 1e-6 m.
     """
-    baseline = np.linalg.norm(pose_a.camera_center() - pose_b.camera_center())
-    if baseline < _MIN_BASELINE:
-        raise DegenerateGeometryError(f"degenerate baseline ({baseline:.3e} m)")
-
-    single = np.ndim(pixel_a) == 1
-    pixels_a = np.asarray(pixel_a, dtype=float).reshape(-1, 2)
-    pixels_b = np.asarray(pixel_b, dtype=float).reshape(-1, 2)
+    pixels_a = np.asarray(pixels_a, dtype=float)
+    pixels_b = np.asarray(pixels_b, dtype=float)
+    if pixels_a.ndim != 2 or pixels_a.shape[1] != 2 or pixels_b.shape != pixels_a.shape:
+        raise ValueError("triangulate_two_view takes row-aligned (n, 2) pixel stacks")
 
     k = intrinsics.matrix()
     p_a = k @ np.hstack([pose_a.rotation, pose_a.translation[:, None]])
@@ -74,11 +66,8 @@ def triangulate_two_view(
         reprojection_errors(pose_b.rotation, pose_b.translation, intrinsics, points, pixels_b),
     )
     valid = finite & (residuals < np.inf)  # inf: behind a camera
+    baseline = np.linalg.norm(pose_a.camera_center() - pose_b.camera_center())
+    valid &= baseline >= _MIN_BASELINE
     points[~valid] = np.nan
     residuals[~valid] = np.inf
-
-    if single:
-        if not valid[0]:
-            raise DegenerateGeometryError("cheirality failure")
-        return points[0], float(residuals[0])
     return points, residuals

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateGeometryError, InsufficientDataError
+from ..errors import InsufficientDataError
 from ..geometry.pose import CameraIntrinsics, Pose, quaternion_from_rotation, reprojection_errors
 from ..geometry.triangulate import triangulate_two_view
 from ..semantics.classes import UNLABELED, ClassRegistry
@@ -119,17 +119,15 @@ def build_map(
         matches = mode_matches(fi.descriptors, fi.labels, fj.descriptors, fj.labels, mode)
         if not len(matches):
             continue
-        try:
-            points, residuals = triangulate_two_view(
-                frames[i].pose,
-                frames[j].pose,
-                fi.coordinates[matches.query_index],
-                fj.coordinates[matches.train_index],
-                intrinsics,
-            )
-        except DegenerateGeometryError:
-            continue
-        accepted = residuals < _MAX_REPROJECTION_PX  # invalid rows carry inf
+        points, residuals = triangulate_two_view(
+            frames[i].pose,
+            frames[j].pose,
+            fi.coordinates[matches.query_index],
+            fj.coordinates[matches.train_index],
+            intrinsics,
+        )
+        # invalid rows carry inf; below the minimum baseline every row is invalid
+        accepted = residuals < _MAX_REPROJECTION_PX
         edge_a.append(offsets[i] + matches.query_index[accepted])
         edge_b.append(offsets[j] + matches.train_index[accepted])
         edge_points.append(points[accepted])

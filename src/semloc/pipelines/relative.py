@@ -7,8 +7,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..errors import DegenerateGeometryError
-from ..geometry.epipolar import RelativePose, decompose_essential
+from ..geometry.epipolar import (
+    AMBIGUOUS_DECOMPOSITION,
+    PURE_ROTATION,
+    RelativePose,
+    decompose_essential,
+)
 from ..geometry.pose import CameraIntrinsics
 from ..geometry.ransac import RansacParams, ransac_essential
 from ..semantics.filtering import SemanticMode, mode_features, mode_matches
@@ -69,8 +73,9 @@ def relative_pose(
     Takes each frame's labeled, unmasked features, applies the mode's mask,
     matches per the semantic mode, robustly fits an essential matrix on the
     normalized correspondences, and decomposes it by cheirality voting.
-    RANSAC is seeded from `seed` and the two frame ids.  Degeneracies set
-    the corresponding flags instead of raising.
+    RANSAC is seeded from `seed` and the two frame ids.  A decomposition
+    that returns no motion gives its reason as `failure_reason`, and a pure
+    rotation or an ambiguous decomposition also sets its flag.
     """
     mode = SemanticMode.parse(mode)
     features_a = mode_features(features_a, mode)
@@ -78,9 +83,7 @@ def relative_pose(
 
     matches = match_frames(features_a, features_b, mode)
 
-    def result(
-        reason=None, relative=None, inlier_idx=(), pure_rotation=False, planar_suspected=False
-    ):
+    def result(reason=None, relative=None, inlier_idx=()):
         if reason is not None:
             logger.info(
                 "pair (%d, %d) (%s): %s",
@@ -92,8 +95,8 @@ def relative_pose(
             mode=mode,
             relative=relative,
             inlier_count=len(inlier_idx),
-            pure_rotation=pure_rotation,
-            planar_suspected=planar_suspected,
+            pure_rotation=reason == PURE_ROTATION,
+            planar_suspected=reason == AMBIGUOUS_DECOMPOSITION,
             failure_reason=reason,
             matches=matches,
             pixels_a=features_a.coordinates[matches.query_index],
@@ -114,17 +117,7 @@ def relative_pose(
         return result(reason=estimate.failure_reason)
 
     inlier_idx = estimate.inliers
-    try:
-        relative = decompose_essential(
-            estimate.model, points_a[inlier_idx], points_b[inlier_idx]
-        )
-    except DegenerateGeometryError as exc:
-        reason = str(exc)
-        return result(
-            reason=reason,
-            inlier_idx=inlier_idx,
-            pure_rotation="pure rotation" in reason,
-            planar_suspected="ambiguous" in reason,
-        )
-
-    return result(relative=relative, inlier_idx=inlier_idx)
+    relative, reason = decompose_essential(
+        estimate.model, points_a[inlier_idx], points_b[inlier_idx]
+    )
+    return result(reason=reason, relative=relative, inlier_idx=inlier_idx)

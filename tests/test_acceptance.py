@@ -129,10 +129,10 @@ def _triangulation_worst_residual(rng, instances: int) -> float:
         if pose_b.transform(point)[2] <= 0.1:
             continue
         count += 1
-        pixel_a = INTRINSICS.pixels(pose_a.transform(point))
-        pixel_b = INTRINSICS.pixels(pose_b.transform(point))
+        pixel_a = INTRINSICS.pixels(pose_a.transform(point[None]))
+        pixel_b = INTRINSICS.pixels(pose_b.transform(point[None]))
         _, residual = triangulate_two_view(pose_a, pose_b, pixel_a, pixel_b, INTRINSICS)
-        worst = max(worst, float(residual))
+        worst = max(worst, float(residual[0]))
     return worst
 
 

@@ -29,6 +29,7 @@ from semloc.evaluation import (
 )
 from semloc.evaluation.benchmark import _mean_ratio
 from semloc.geometry import CameraIntrinsics, Pose, project_points, rotation_from_axis_angle
+from semloc.geometry.epipolar import RelativePose
 from semloc.pipelines import SemanticMode, relative_pose
 from semloc.simworld.config import PerturbationSpec, SceneConfig
 from semloc.simworld.trajectory import TrajectoryParams
@@ -337,6 +338,18 @@ def test_evaluate_pair_failed_estimate():
     assert not record.success
     assert math.isnan(record.rotation_error_deg)
     assert math.isnan(record.heading_error_deg)
+
+
+def test_evaluate_pair_flags_an_undefined_heading():
+    result, pose_a, pose_b = _frame_pair_results()
+    unscaled = dataclasses.replace(
+        result, relative=RelativePose(result.relative.rotation, np.zeros(3))
+    )
+    record = evaluate_pair(unscaled, pose_a, pose_b, INTRINSICS)
+    assert record.localized and not record.success
+    assert record.rotation_error_deg < 1.0
+    assert math.isnan(record.heading_error_deg)
+    assert UNDEFINED_FLAG in record.flags
 
 
 # -------------------------------------------------------------------- reports

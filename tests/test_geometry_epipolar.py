@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from semloc.errors import DegenerateGeometryError
 from semloc.geometry import (
     Pose,
     decompose_essential,
@@ -15,7 +14,12 @@ from semloc.geometry import (
     skew,
     translation_heading_error_deg,
 )
-from semloc.geometry.epipolar import _triangulate_normalized
+from semloc.geometry.epipolar import (
+    AMBIGUOUS_DECOMPOSITION,
+    NO_CORRESPONDENCES,
+    PURE_ROTATION,
+    _triangulate_normalized,
+)
 
 from conftest import identity_pose, inverse_pose, random_pose
 
@@ -61,7 +65,7 @@ def test_sampson_matches_point_line_distance_near_epipole():
 
     delta = 1e-3
     xb = xb_on + normal * delta
-    err = sampson_error(e, xa, xb)
+    err = sampson_error(e, xa[None], xb[None])[0]
     # oracle: geometric point-line distance of the perturbed point
     geo = abs(np.dot(np.array([*xb, 1.0]), line)) / np.hypot(line[0], line[1])
     assert abs(geo - delta) < 1e-9
@@ -86,19 +90,35 @@ def test_sampson_falls_back_to_the_algebraic_residual_at_the_epipoles():
     algebraic residual |x_b^T E x_a|, not 0/0 or r/0; elsewhere it is the
     Sampson quotient, in a stack as alone."""
     e = essential_from_motion(np.eye(3), np.array([0.0, 0.0, 1.0]))
+    origin = np.zeros((1, 2))
     # both points at the epipole (origin for t = z): all four gradients vanish
-    assert sampson_error(e, np.zeros(2), np.zeros(2)) == 0.0
+    assert sampson_error(e, origin, origin).tolist() == [0.0]
     # the gradients vanish at the origin here too, but the residual is 2.5
     corner = np.diag([0.0, 0.0, 2.5])
-    assert sampson_error(corner, np.zeros(2), np.zeros(2)) == 2.5
-    xa, xb = np.array([0.1, 0.2]), np.array([0.3, -0.1])
-    line_b, line_a = e @ np.array([*xa, 1.0]), e.T @ np.array([*xb, 1.0])
-    quotient = abs(np.array([*xb, 1.0]) @ line_b) / np.sqrt(
+    assert sampson_error(corner, origin, origin).tolist() == [2.5]
+    xa, xb = np.array([[0.1, 0.2]]), np.array([[0.3, -0.1]])
+    line_b, line_a = e @ np.array([*xa[0], 1.0]), e.T @ np.array([*xb[0], 1.0])
+    quotient = abs(np.array([*xb[0], 1.0]) @ line_b) / np.sqrt(
         line_b[0] ** 2 + line_b[1] ** 2 + line_a[0] ** 2 + line_a[1] ** 2
     )
-    assert sampson_error(e, xa, xb) == pytest.approx(quotient, rel=1e-12)
-    stacked = sampson_error(e, np.array([np.zeros(2), xa]), np.array([np.zeros(2), xb]))
-    assert stacked.tolist() == [0.0, sampson_error(e, xa, xb)]
+    assert sampson_error(e, xa, xb)[0] == pytest.approx(quotient, rel=1e-12)
+    stacked = sampson_error(e, np.vstack([origin, xa]), np.vstack([origin, xb]))
+    assert stacked.tolist() == [0.0, *sampson_error(e, xa, xb).tolist()]
+
+
+@pytest.mark.parametrize(
+    "x_a, x_b",
+    [
+        (np.zeros(2), np.zeros(2)),  # one point, not a stack
+        (np.zeros((3, 3)), np.zeros((3, 3))),
+        (np.zeros((1, 3, 2)), np.zeros((1, 3, 2))),
+        (np.zeros((3, 2)), np.zeros((4, 2))),  # not row-aligned
+    ],
+)
+def test_sampson_takes_only_row_aligned_point_stacks(x_a, x_b):
+    e = essential_from_motion(np.eye(3), np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+        sampson_error(e, x_a, x_b)
 
 
 def test_decompose_essential_recovers_motion():
@@ -118,7 +138,8 @@ def test_decompose_essential_recovers_motion():
             continue
         xa, xb = _normalized_views(pose_a, pose_b, world)
         e = essential_from_pose(pose_a, pose_b)
-        rel = decompose_essential(e, xa, xb)
+        rel, reason = decompose_essential(e, xa, xb)
+        assert reason is None
         r_true, t_true = relative_motion(pose_a, pose_b)
         assert rotation_error_deg(rel.rotation, r_true) < 1e-6
         assert translation_heading_error_deg(rel.translation_direction, t_true) < 1e-6
@@ -130,7 +151,8 @@ def test_decompose_single_point_selects_by_cheirality():
     point = np.array([[0.1, -0.05, 3.0]])
     xa, xb = _normalized_views(pose_a, pose_b, point)
     e = essential_from_pose(pose_a, pose_b)
-    rel = decompose_essential(e, xa, xb)
+    rel, reason = decompose_essential(e, xa, xb)
+    assert reason is None
     r_true, t_true = relative_motion(pose_a, pose_b)
     assert rotation_error_deg(rel.rotation, r_true) < 1e-6
     assert translation_heading_error_deg(rel.translation_direction, t_true) < 1e-6
@@ -145,16 +167,37 @@ def test_decompose_pure_rotation_flagged():
     xb = rotated[:, :2] / rotated[:, 2:3]
     # any essential matrix handed in: correspondences alone reveal the rotation
     e = essential_from_motion(rot, np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(DegenerateGeometryError, match="pure rotation"):
-        decompose_essential(e, xa, xb)
+    assert decompose_essential(e, xa, xb) == (None, PURE_ROTATION)
 
 
 def test_decompose_identical_frames_flagged():
     rng = np.random.default_rng(38)
     xa = rng.uniform(-0.5, 0.5, size=(15, 2))
     e = essential_from_motion(np.eye(3), np.array([0.3, 0.2, 0.9]))
-    with pytest.raises(DegenerateGeometryError, match="pure rotation"):
-        decompose_essential(e, xa, xa.copy())
+    assert decompose_essential(e, xa, xa.copy()) == (None, PURE_ROTATION)
+
+
+def test_decompose_without_correspondences_has_no_vote():
+    e = essential_from_motion(np.eye(3), np.array([0.3, 0.2, 0.9]))
+    assert decompose_essential(e, np.zeros((0, 2)), np.zeros((0, 2))) == (
+        None, NO_CORRESPONDENCES
+    )
+
+
+def test_decompose_tied_votes_are_ambiguous():
+    # one point seen by a camera half a metre to the right, the other by one
+    # half a metre to the left: both satisfy E = [t]x R (up to sign), and
+    # only (R, t) puts the first in front of both cameras, only (R, -t) the second
+    right = Pose(np.eye(3), np.array([-0.5, 0.0, 0.0]))
+    left = Pose(np.eye(3), np.array([0.5, 0.0, 0.0]))
+    point = np.array([[0.1, -0.05, 3.0]])
+    xa_right, xb_right = _normalized_views(identity_pose(), right, point)
+    xa_left, xb_left = _normalized_views(identity_pose(), left, point)
+    e = essential_from_pose(identity_pose(), right)
+    assert decompose_essential(e, xa_right, xb_right)[1] is None
+    assert decompose_essential(e, xa_left, xb_left)[1] is None
+    tied = decompose_essential(e, np.vstack([xa_right, xa_left]), np.vstack([xb_right, xb_left]))
+    assert tied == (None, AMBIGUOUS_DECOMPOSITION)
 
 
 # --------------------------------------------------------------------- metrics
@@ -190,8 +233,8 @@ def test_heading_error_known_values():
 
 
 def test_heading_error_zero_norm_rejected():
-    with pytest.raises(DegenerateGeometryError, match="undefined"):
-        translation_heading_error_deg([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+    assert np.isnan(translation_heading_error_deg([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
+    assert np.isnan(translation_heading_error_deg([1.0, 0.0, 0.0], [0.0, 0.0, 1e-13]))
 
 
 def _triangulate_normalized_per_row(rotation, translation, xa, xb):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semloc.errors import DegenerateGeometryError, InsufficientDataError
+from semloc.errors import InsufficientDataError
 from semloc.geometry import (
     Pose,
     essential_from_pose,
@@ -24,13 +24,21 @@ from conftest import identity_pose, points_in_front, random_pose
 
 # ---------------------------------------------------------------- triangulate
 
+def _triangulate_one(pose_a, pose_b, pixel_a, pixel_b, intrinsics):
+    """(point (3,), residual) of one correspondence, as a one-row stack."""
+    points, residuals = triangulate_two_view(
+        pose_a, pose_b, pixel_a[None], pixel_b[None], intrinsics
+    )
+    return points[0], residuals[0]
+
+
 def test_triangulate_recovers_known_point(intrinsics):
     pose_a = identity_pose()
     pose_b = Pose(np.eye(3), np.array([-0.5, 0.0, 0.0]))  # camera at x=+0.5
     point = np.array([0.2, -0.1, 3.0])
     pa = intrinsics.pixels(pose_a.transform(point))
     pb = intrinsics.pixels(pose_b.transform(point))
-    est, residual = triangulate_two_view(pose_a, pose_b, pa, pb, intrinsics)
+    est, residual = _triangulate_one(pose_a, pose_b, pa, pb, intrinsics)
     assert np.allclose(est, point, atol=1e-8)
     assert residual < 1e-8
 
@@ -47,16 +55,17 @@ def test_triangulate_random_instances(intrinsics):
             continue
         pa = intrinsics.pixels(pose_a.transform(point))
         pb = intrinsics.pixels(pose_b.transform(point))
-        est, residual = triangulate_two_view(pose_a, pose_b, pa, pb, intrinsics)
+        est, residual = _triangulate_one(pose_a, pose_b, pa, pb, intrinsics)
         assert np.linalg.norm(est - point) < 1e-6
         assert residual < 1e-6
 
 
 def test_triangulate_zero_baseline_rejected(intrinsics):
     pose = identity_pose()
-    with pytest.raises(DegenerateGeometryError, match="baseline"):
-        triangulate_two_view(pose, identity_pose(), np.array([320.0, 240.0]),
-                             np.array([321.0, 240.0]), intrinsics)
+    point, residual = _triangulate_one(
+        pose, identity_pose(), np.array([320.0, 240.0]), np.array([321.0, 240.0]), intrinsics
+    )
+    assert residual == np.inf and np.isnan(point).all()
 
 
 def test_triangulate_cheirality_failure(intrinsics):
@@ -67,8 +76,8 @@ def test_triangulate_cheirality_failure(intrinsics):
     pa = intrinsics.pixels(pose_a.transform(point))
     pb = intrinsics.pixels(pose_b.transform(point))
     # swapping the observations flips the disparity sign -> intersection behind
-    with pytest.raises(DegenerateGeometryError, match="cheirality"):
-        triangulate_two_view(pose_a, pose_b, pb, pa, intrinsics)
+    est, residual = _triangulate_one(pose_a, pose_b, pb, pa, intrinsics)
+    assert residual == np.inf and np.isnan(est).all()
 
 
 def test_triangulate_residual_reports_max_of_views(intrinsics):
@@ -79,8 +88,23 @@ def test_triangulate_residual_reports_max_of_views(intrinsics):
     # off-epipolar perturbation (v direction, baseline is along x) cannot be
     # explained by any 3d point, so a nonzero residual must be reported
     pb = intrinsics.pixels(pose_b.transform(point)) + np.array([0.0, 2.0])
-    _, residual = triangulate_two_view(pose_a, pose_b, pa, pb, intrinsics)
+    _, residual = _triangulate_one(pose_a, pose_b, pa, pb, intrinsics)
     assert 0.5 < residual < 2.0
+
+
+@pytest.mark.parametrize(
+    "pixels_a, pixels_b",
+    [
+        (np.zeros(2), np.zeros(2)),  # one correspondence, not a stack
+        (np.zeros((3, 3)), np.zeros((3, 3))),
+        (np.zeros((1, 3, 2)), np.zeros((1, 3, 2))),
+        (np.zeros((3, 2)), np.zeros((4, 2))),  # not row-aligned
+    ],
+)
+def test_triangulate_takes_only_row_aligned_pixel_stacks(intrinsics, pixels_a, pixels_b):
+    pose_b = Pose(np.eye(3), np.array([-0.5, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+        triangulate_two_view(identity_pose(), pose_b, pixels_a, pixels_b, intrinsics)
 
 
 def _random_triangulation_instances(intrinsics):
@@ -114,15 +138,9 @@ def test_triangulate_batch_rows_equal_single_calls(intrinsics):
         assert points.shape == (len(instances), 3) and residuals.shape == (len(instances),)
         assert residuals[k] < 1e-6
         for i in range(len(instances)):
-            try:
-                point, residual = triangulate_two_view(
-                    pose_a, pose_b, pixels_a[i], pixels_b[i], intrinsics
-                )
-            except DegenerateGeometryError:
-                assert residuals[i] == np.inf and np.isnan(points[i]).all()
-                invalid += 1
-                continue
-            assert np.array_equal(point, points[i]) and residual == residuals[i]
+            point, residual = _triangulate_one(pose_a, pose_b, pixels_a[i], pixels_b[i], intrinsics)
+            assert np.array_equal(point, points[i], equal_nan=True) and residual == residuals[i]
+            invalid += int(residual == np.inf)
     assert invalid > 0
 
 
@@ -141,9 +159,13 @@ def test_triangulate_batch_marks_behind_camera_rows_invalid(intrinsics):
 
 
 def test_triangulate_batch_zero_baseline_rejected(intrinsics):
-    pixels = np.array([[320.0, 240.0], [100.0, 50.0]])
-    with pytest.raises(DegenerateGeometryError, match="baseline"):
-        triangulate_two_view(identity_pose(), identity_pose(), pixels, pixels + 1.0, intrinsics)
+    # below a 1e-6 m baseline every row is invalid, the consistent one too
+    pose_b = Pose(np.eye(3), np.array([-5e-7, 0.0, 0.0]))
+    point = np.array([0.1, 0.05, 2.0])
+    pixels_a = np.array([[320.0, 240.0], [100.0, 50.0], intrinsics.pixels(point)])
+    pixels_b = np.array([[321.0, 241.0], [101.0, 51.0], intrinsics.pixels(pose_b.transform(point))])
+    points, residuals = triangulate_two_view(identity_pose(), pose_b, pixels_a, pixels_b, intrinsics)
+    assert np.isnan(points).all() and residuals.tolist() == [np.inf] * 3
 
 
 # ----------------------------------------------------------------------- p3p

@@ -1,6 +1,7 @@
 """Package imports inside semloc point down the layer order, never up,
-nothing outside the standard library but numpy is imported, and the pinhole
-formula and the semantic modes are each written in one place."""
+nothing outside the standard library but numpy is imported, the pinhole
+formula and the semantic modes are each written in one place, and the
+geometry kernels report degenerate input as a value rather than raising."""
 
 import ast
 import sys
@@ -227,3 +228,46 @@ def test_the_mode_name_check_sees_every_display():
         'text = "baseline, pre, post"\n'
     )
     assert _mode_name_literals(source) == [1, 2, 3, 4]
+
+
+def _degenerate_raises(source: str) -> list[int]:
+    """Lines of every `raise DegenerateGeometryError` in `source` outside a
+    __post_init__, the constructors that validate their input."""
+    found = []
+
+    def visit(node, in_constructor):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name == "__post_init__")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None and not in_constructor:
+                raised = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(raised, ast.Name) and raised.id == "DegenerateGeometryError":
+                    found.append(child.lineno)
+            visit(child, in_constructor)
+
+    visit(ast.parse(source), False)
+    return sorted(found)
+
+
+def test_geometry_raises_degenerate_input_only_in_constructors():
+    found = []
+    for path in sorted((PACKAGE_ROOT / "geometry").glob("*.py")):
+        relative = path.relative_to(PACKAGE_ROOT).as_posix()
+        found += [f"{relative}:{line}" for line in _degenerate_raises(path.read_text())]
+    assert found == []
+
+
+def test_the_degenerate_raise_check_sees_a_planted_raise():
+    source = (
+        "class Pose:\n"
+        "    def __post_init__(self):\n"
+        "        raise DegenerateGeometryError('rotation is not orthonormal')\n"
+        "def triangulate(pixels):\n"
+        "    if pixels is None:\n"
+        "        raise DegenerateGeometryError('degenerate baseline')\n"
+        "    def inner():\n"
+        "        raise DegenerateGeometryError\n"
+        "    raise ValueError('not a stack')\n"
+    )
+    assert _degenerate_raises(source) == [6, 8]

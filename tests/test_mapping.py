@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from semloc.errors import DegenerateGeometryError, InsufficientDataError, MapFormatError
+from semloc.errors import InsufficientDataError, MapFormatError
 from semloc.features import DEFAULT_RATIO, knn_ratio_match
 from semloc.geometry import (
     CameraIntrinsics,
@@ -798,15 +798,13 @@ def _reference_landmarks(frames, config):
         else:
             matches = knn_ratio_match(fi.descriptors, fj.descriptors, DEFAULT_RATIO)
         for qi, ti in zip(matches.query_index.tolist(), matches.train_index.tolist()):
-            try:
-                point, residual = triangulate_two_view(
-                    frames[i].pose, frames[j].pose, fi.coordinates[qi], fj.coordinates[ti],
-                    INTRINSICS,
-                )
-            except DegenerateGeometryError:
-                continue
-            if residual < _MAX_REPROJECTION_PX:
-                edges.append(((i, qi), (j, ti), point))
+            # one row at a time; an invalid row's residual is inf
+            points, residuals = triangulate_two_view(
+                frames[i].pose, frames[j].pose, fi.coordinates[qi : qi + 1],
+                fj.coordinates[ti : ti + 1], INTRINSICS,
+            )
+            if residuals[0] < _MAX_REPROJECTION_PX:
+                edges.append(((i, qi), (j, ti), points[0]))
 
     merged = _UnionFind()
     for a, b, _ in edges:

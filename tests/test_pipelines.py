@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from semloc.cli import main
 from semloc.errors import InsufficientDataError
 from semloc.features import match_record
 from semloc.geometry import rotation_error_deg, translation_heading_error_deg
@@ -26,7 +27,7 @@ from semloc.pipelines import (
 )
 from semloc.pipelines.frames import FeatureObservation
 from semloc.pipelines.relocalize import _PNP
-from semloc.semantics import UNLABELED, DetectionSet
+from semloc.semantics import UNLABELED, ClassRegistry, DetectionSet
 from semloc.simworld import (
     DEFAULT_INTRINSICS,
     PerturbationSpec,
@@ -36,6 +37,8 @@ from semloc.simworld import (
     WorldObject,
     generate_trajectory,
     generate_world,
+    load_dataset_frames,
+    load_intrinsics,
     make_walls,
     perturb_world,
     synthesize_frame,
@@ -433,6 +436,52 @@ def test_relative_pose_identical_frames_degenerate(scene):
     assert result.relative is None
     assert result.pure_rotation
     assert result.failure_reason is not None
+
+
+# perfbench's CLI scene at world seed 0, whose mapping frames 17 and 18 tie
+# on cheirality votes in pre mode
+TIED_PAIR_SCENE = """\
+[world]
+landmarks_per_object = 12
+background_landmarks = 40
+clutter_landmarks = 70
+seed = 0
+
+[evaluation]
+kind = yaw
+center = 4.1, 2.05, 1.5
+steps = 24
+radius = 0.35
+heading_deg = 5
+t0 = 100
+
+[perturbation]
+kind = rotate_object
+magnitude_deg = 180
+target = densest_movable
+"""
+
+
+def test_relative_pose_tied_decomposition_flags_planar(tmp_path):
+    config = tmp_path / "scene.ini"
+    config.write_text(TIED_PAIR_SCENE)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+    mapping = tmp_path / "data" / "mapping"
+    intrinsics = load_intrinsics(str(mapping / "intrinsics.json"))
+    frames = {
+        frame.frame_id: frame
+        for frame in load_dataset_frames(
+            str(mapping / "frames"), ClassRegistry.default(), intrinsics=intrinsics
+        )
+    }
+    result = relative_pose(
+        17, frame_features(frames[17]), 18, frame_features(frames[18]), intrinsics, "pre",
+        seed=0,
+    )
+    assert result.relative is None
+    assert result.planar_suspected and not result.pure_rotation
+    assert result.failure_reason == "ambiguous decomposition"
+    assert result.inlier_count == 24 and len(result.matches) == 49
 
 
 def test_relative_pose_insufficient_matches():
